@@ -6,7 +6,7 @@
 //! changes in this file alone. The rest of the benchmark sees plain
 //! numbers, [`Prepared`] workloads and opaque [`System`] values.
 
-use crate::measure::{steal_ns, thread_cpu_ns, HashWriter};
+use crate::measure::{children_cpu_ns, process_cpu_ns, thread_cpu_ns, HashWriter};
 use certify_analysis::{CsvSink, CSV_HEADER};
 use certify_core::campaign::{Campaign, Scenario, TrialRunner};
 use certify_core::{
@@ -45,6 +45,16 @@ pub enum Engine {
     Threaded(usize),
     /// `certify_shard::run_sharded` with this many worker processes.
     Sharded(usize),
+}
+
+impl Engine {
+    /// Trials the engine runs at once.
+    pub fn workers(self) -> usize {
+        match self {
+            Engine::Sequential => 1,
+            Engine::Threaded(n) | Engine::Sharded(n) => n,
+        }
+    }
 }
 
 /// A named workload: a scenario, the engine its campaign runs on, and
@@ -156,9 +166,9 @@ pub struct PassReport {
     pub dumps: u64,
     /// Wall time of the engine call.
     pub wall_ns: u64,
-    /// Time the hypervisor stole from the machine's CPUs meanwhile,
-    /// summed over CPUs.
-    pub stolen_ns: u64,
+    /// CPU time, user and system, that the engine call used: this
+    /// process's threads plus the shard worker processes it waited for.
+    pub cpu_ns: u64,
     /// Time from the engine call to the first CSV row byte.
     pub first_row_ns: u64,
     /// Delivery-to-delivery gaps in CPU time of the delivering
@@ -206,14 +216,14 @@ pub fn run_pass(
     if let Some(trace) = &prepared.trace {
         campaign = campaign.with_trace(trace.clone());
     }
-    let stolen_before = steal_ns();
+    let cpu_before = process_cpu_ns() + children_cpu_ns();
     let mut pass = match engine {
         Engine::Sharded(shards) => sharded_pass(&campaign, shards),
         Engine::Sequential | Engine::Threaded(_) => {
             in_process_pass(prepared, &campaign, engine, record_gaps)
         }
     }?;
-    pass.stolen_ns = steal_ns().saturating_sub(stolen_before);
+    pass.cpu_ns = process_cpu_ns() + children_cpu_ns() - cpu_before;
     Ok(pass)
 }
 
@@ -264,7 +274,7 @@ fn in_process_pass(
         violating_trials: violating,
         dumps,
         wall_ns,
-        stolen_ns: 0,
+        cpu_ns: 0,
         first_row_ns: writer.first_row_since(start),
         gaps_ns,
         sink_ns,
@@ -295,7 +305,7 @@ fn sharded_pass(campaign: &Campaign, shards: usize) -> Result<PassReport, String
         violating_trials: 0,
         dumps: run.dumps.len() as u64,
         wall_ns,
-        stolen_ns: 0,
+        cpu_ns: 0,
         first_row_ns: out.first_row_since(start),
         gaps_ns: Vec::new(),
         sink_ns: 0,

@@ -8,16 +8,20 @@
 //! stats and CSV bytes, or all of its trials count as failed.
 //!
 //! The benchmark's host is a small virtual machine whose hypervisor
-//! steals a varying share of its CPUs, and whose co-tenants slow whole
-//! passes at random. So trials are timed in CPU time, which leaves out
-//! stolen time; each trial's latency is its best timing over the run's
-//! passes; throughput discounts stolen time and comes from the best
-//! pass. All of these estimate the undisturbed cost, which is what code
-//! changes move (the convention of the older best-round `BENCH_*.json`
-//! files).
+//! steals a varying share of its CPUs, and whose co-tenants slow it by
+//! up to 2x for minutes at a time, CPU time included. So trials and
+//! passes are timed in CPU time, which leaves out stolen time; each
+//! trial's latency is its best timing over the run's passes, and
+//! throughput comes from the best pass. Between the passes the run
+//! times a fixed calibration kernel that no change to the program can
+//! alter, on one thread and on the engine's workers at once, and scales
+//! every time by how much slower than the reference host the kernel's
+//! best timing was. All of these estimate the undisturbed cost on the
+//! reference host, which is what code changes move (the best-round
+//! convention of the older `BENCH_*.json` files).
 
 use crate::adapter::{self, Engine, Prepared, Workload};
-use crate::measure::{median, peak_rss_mb, percentile};
+use crate::measure::{median, peak_rss_mb, percentile, Calibration, CALIBRATION_REF_NS};
 use crate::{Metric, Report, DEFAULT_SEED};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -30,14 +34,17 @@ const TRIALS_PER_PASS: usize = 1000;
 /// Runs the end-to-end measurement of `workload` for `seconds`.
 pub fn run(workload: &Workload, prepared: &Prepared, base_seed: u64, seconds: u64) -> Report {
     let mut report = Report::default();
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get() as u64);
     let deadline = Instant::now() + Duration::from_secs(seconds);
     let mut reference = None;
     let mut best_ns = vec![u64::MAX; TRIALS_PER_PASS];
-    let mut trials_per_s = 0f64;
+    let mut rates = Vec::new();
     let mut setup_s = Vec::new();
+    let mut calibration = Calibration::new(workload.engine.workers());
+    let mut solo_ns = Vec::new();
+    let mut team_ns = Vec::new();
     let mut round = 0;
     while round < 2 || Instant::now() < deadline {
+        solo_ns.push(calibration.time_one());
         // The testbed cache fills once per process, so each set-up
         // sample needs a fresh one; one per round spreads them over
         // the run's changing host load.
@@ -61,6 +68,7 @@ pub fn run(workload: &Workload, prepared: &Prepared, base_seed: u64, seconds: u6
                 check_figure3_pin(workload, base_seed, pass, &mut report);
             }
         }
+        solo_ns.push(calibration.time_one());
         let timed = if workload.engine == Engine::Sequential {
             seq_clean.then_some(seq)
         } else {
@@ -70,20 +78,34 @@ pub fn run(workload: &Workload, prepared: &Prepared, base_seed: u64, seconds: u6
             clean.then_some(pass)
         };
         if let Some(Ok(pass)) = timed {
-            trials_per_s = trials_per_s.max(rate(&pass, cpus));
+            rates.push(rate(&pass, workload.engine));
+        }
+        for _ in 0..2 {
+            team_ns.push(calibration.time_all());
         }
         round += 1;
     }
 
     best_ns.retain(|&ns| ns != u64::MAX);
     best_ns.sort_unstable();
+    // How much slower than the reference host this run's host was, at
+    // its fastest: for one thread, and for the engine's workers at once.
+    let slowdown = host_slowdown(&solo_ns);
+    let team_slowdown = host_slowdown(&team_ns);
     println!(
         "latency samples: {} trials, each timed in {round} sequential passes; {} set-up samples",
         best_ns.len(),
         setup_s.len()
     );
+    println!(
+        "host: best calibration {slowdown:.3} times the reference host's on one thread \
+         ({} samples), {team_slowdown:.3} on {} ({} samples)",
+        solo_ns.len(),
+        workload.engine.workers(),
+        team_ns.len()
+    );
     let mut latency_us = |q: f64| match percentile(&best_ns, q) {
-        Some(ns) => ns as f64 / 1e3,
+        Some(ns) => ns as f64 / 1e3 / slowdown,
         None => {
             report.problems.push(format!(
                 "{} latency samples are too few for q={q}",
@@ -97,24 +119,33 @@ pub fn run(workload: &Workload, prepared: &Prepared, base_seed: u64, seconds: u6
         report.problems.push("VmHWM unreadable".into());
         0.0
     });
+    let trials_per_s = rates.iter().copied().fold(0.0, f64::max) * team_slowdown;
     let ok_frac = 1.0 - report.failed as f64 / report.attempted.max(1) as f64;
     report.metrics = vec![
         Metric::new("trials_per_s", trials_per_s, "1/s"),
         Metric::new("trial_us_p50", p50, "us"),
         Metric::new("trial_us_p99", p99, "us"),
-        Metric::new("setup_s", median(&setup_s), "s"),
+        Metric::new("setup_s", median(&setup_s) / slowdown, "s"),
         Metric::new("peak_rss_mb", rss, "MiB"),
         Metric::new("ok_frac", ok_frac, "ratio"),
     ];
     report
 }
 
-/// A pass's throughput: trials per second of campaign wall time, less
-/// the time the hypervisor stole from an average one of the `cpus`
-/// CPUs meanwhile.
-fn rate(pass: &adapter::PassReport, cpus: u64) -> f64 {
-    let wall_ns = pass.wall_ns.saturating_sub(pass.stolen_ns / cpus).max(1);
-    pass.rows as f64 * 1e9 / wall_ns as f64
+/// The best of `samples` calibration timings over the reference host's.
+fn host_slowdown(samples: &[u64]) -> f64 {
+    samples
+        .iter()
+        .min()
+        .map_or(1.0, |&ns| ns as f64 / CALIBRATION_REF_NS)
+}
+
+/// A pass's throughput: trials per second of CPU time, times the
+/// engine's workers. On a host that gives each worker a CPU of its own
+/// this is the trials per second of wall time; it leaves out the time
+/// the host takes the CPUs away.
+fn rate(pass: &adapter::PassReport, engine: Engine) -> f64 {
+    pass.rows as f64 * engine.workers() as f64 * 1e9 / pass.cpu_ns.max(1) as f64
 }
 
 /// At the default seed the first 150 E3 trials must split 55 panic

@@ -1,5 +1,6 @@
 //! Measurement helpers: the hashing CSV writer, order statistics, the
-//! span recorder, CPU clocks and the process's peak resident set.
+//! span recorder, CPU clocks, the host-speed calibration kernel and the
+//! process's peak resident set.
 
 use std::ffi::{c_int, c_long};
 use std::io::{self, Write};
@@ -196,9 +197,26 @@ pub fn process_cpu_ns() -> u64 {
     cpu_ns(CLOCK_PROCESS_CPUTIME_ID)
 }
 
+/// CPU time, user and system, of every child process this process has
+/// waited for, in nanoseconds.
+pub fn children_cpu_ns() -> u64 {
+    let mut usage = Rusage {
+        ru_utime: Timeval::default(),
+        ru_stime: Timeval::default(),
+        _rest: [0; 14],
+    };
+    // SAFETY: `usage` is a live, writable `struct rusage` with the C
+    // layout, and `getrusage` writes only through the pointer it is given.
+    let rc = unsafe { getrusage(RUSAGE_CHILDREN, &mut usage) };
+    assert_eq!(rc, 0, "getrusage(RUSAGE_CHILDREN) failed");
+    usage.ru_utime.ns() + usage.ru_stime.ns()
+}
+
 // Linux clock ids (`<linux/time.h>`).
 const CLOCK_PROCESS_CPUTIME_ID: c_int = 2;
 const CLOCK_THREAD_CPUTIME_ID: c_int = 3;
+// `<sys/resource.h>`.
+const RUSAGE_CHILDREN: c_int = -1;
 
 /// `struct timespec` as Linux lays it out: `time_t` and `long` are
 /// both `long`.
@@ -208,8 +226,121 @@ struct Timespec {
     tv_nsec: c_long,
 }
 
+/// `struct timeval`: `time_t` and `suseconds_t` are both `long`.
+#[repr(C)]
+#[derive(Default)]
+struct Timeval {
+    tv_sec: c_long,
+    tv_usec: c_long,
+}
+
+impl Timeval {
+    fn ns(&self) -> u64 {
+        self.tv_sec as u64 * 1_000_000_000 + self.tv_usec as u64 * 1_000
+    }
+}
+
+/// `struct rusage`: two `timeval`s, then fourteen `long` counters.
+#[repr(C)]
+struct Rusage {
+    ru_utime: Timeval,
+    ru_stime: Timeval,
+    _rest: [c_long; 14],
+}
+
 extern "C" {
     fn clock_gettime(clock: c_int, tp: *mut Timespec) -> c_int;
+    fn getrusage(who: c_int, usage: *mut Rusage) -> c_int;
+}
+
+/// The calibration kernel and its tables, one per thread that runs it
+/// at once. The tables are allocated up front, so that timing the
+/// kernel touches no fresh memory, which would show in `VmHWM`.
+pub struct Calibration {
+    tables: Vec<Box<[u32; CALIBRATION_WORDS]>>,
+}
+
+impl Calibration {
+    /// Tables for up to `threads` threads at once.
+    pub fn new(threads: usize) -> Calibration {
+        Calibration {
+            tables: (0..threads.max(1))
+                .map(|_| Box::new([0; CALIBRATION_WORDS]))
+                .collect(),
+        }
+    }
+
+    /// Thread CPU time of one run of the kernel on the caller's
+    /// thread, in nanoseconds.
+    pub fn time_one(&mut self) -> u64 {
+        time_kernel(&mut self.tables[0])
+    }
+
+    /// Mean thread CPU time of the kernel run on as many threads at
+    /// once as there are tables, the caller's thread among them, in
+    /// nanoseconds.
+    pub fn time_all(&mut self) -> u64 {
+        let threads = self.tables.len() as u64;
+        let (first, rest) = self.tables.split_first_mut().expect("one table at least");
+        let total: u64 = std::thread::scope(|scope| {
+            let others: Vec<_> = rest
+                .iter_mut()
+                .map(|table| scope.spawn(move || time_kernel(table)))
+                .collect();
+            let mine = time_kernel(first);
+            mine + others
+                .into_iter()
+                .map(|h| h.join().expect("calibration thread"))
+                .sum::<u64>()
+        });
+        total / threads
+    }
+}
+
+/// Words in a calibration table: 64 KiB, an L2-sized working set.
+const CALIBRATION_WORDS: usize = 16 * 1024;
+
+/// Steps of one calibration run.
+const CALIBRATION_STEPS: u32 = 400_000;
+
+/// [`Calibration::time_one`] on the reference host, the 2-vCPU virtual
+/// machine the benchmark was tuned on, in a quiet period.
+pub const CALIBRATION_REF_NS: f64 = 5_200_000.0;
+
+fn time_kernel(table: &mut [u32; CALIBRATION_WORDS]) -> u64 {
+    let start = thread_cpu_ns();
+    std::hint::black_box(calibration_work(
+        table,
+        std::hint::black_box(CALIBRATION_STEPS),
+    ));
+    thread_cpu_ns() - start
+}
+
+/// A fixed piece of CPU work that no change to the program can alter,
+/// shaped like the simulator's step loop: loads and stores in a table,
+/// data-dependent branches and integer arithmetic. Timing it beside the
+/// program tells how fast the host is running at the moment.
+fn calibration_work(table: &mut [u32; CALIBRATION_WORDS], steps: u32) -> u64 {
+    for (i, word) in table.iter_mut().enumerate() {
+        *word = (i as u32).wrapping_mul(0x9e37_79b9);
+    }
+    let mut x: u64 = 0x2545_f491_4f6c_dd1d;
+    let mut acc: u64 = 0;
+    for _ in 0..steps {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        let i = (x as usize >> 11) % CALIBRATION_WORDS;
+        let v = table[i];
+        acc = match v & 3 {
+            0 => acc.wrapping_add(u64::from(v)),
+            1 => acc ^ (u64::from(v) << 7),
+            2 => acc.wrapping_mul(3).wrapping_add(x >> 40),
+            _ => acc.rotate_left(5),
+        };
+        table[(i + (v as usize & 63)) % CALIBRATION_WORDS] = v ^ (acc as u32);
+    }
+    acc
 }
 
 /// Reads a CPU-time clock. The standard library has no CPU clocks, so
@@ -224,20 +355,6 @@ fn cpu_ns(clock: c_int) -> u64 {
     let rc = unsafe { clock_gettime(clock, &mut ts) };
     assert_eq!(rc, 0, "clock_gettime({clock}) failed");
     ts.tv_sec as u64 * 1_000_000_000 + ts.tv_nsec as u64
-}
-
-/// Time the hypervisor has stolen from this machine's CPUs, summed over
-/// CPUs, in nanoseconds: the `steal` column of `/proc/stat`, counted in
-/// 10 ms ticks. 0 where the kernel does not report it.
-pub fn steal_ns() -> u64 {
-    let stat = std::fs::read_to_string("/proc/stat").unwrap_or_default();
-    let ticks: u64 = stat
-        .lines()
-        .next()
-        .and_then(|cpu| cpu.split_whitespace().nth(8))
-        .and_then(|ticks| ticks.parse().ok())
-        .unwrap_or(0);
-    ticks * 10_000_000
 }
 
 /// The process's peak resident set (`VmHWM`) in MiB, if readable.
@@ -270,6 +387,21 @@ mod tests {
         }
         assert!(thread_cpu_ns() > thread);
         assert!(process_cpu_ns() > process);
+        let children = children_cpu_ns();
+        let script = "i=0; while [ $i -lt 20000 ]; do i=$((i+1)); done";
+        let status = std::process::Command::new("sh")
+            .args(["-c", script])
+            .status()
+            .unwrap();
+        assert!(status.success());
+        assert!(children_cpu_ns() > children);
+    }
+
+    #[test]
+    fn calibration_takes_time_on_every_thread() {
+        let mut calibration = Calibration::new(2);
+        assert!(calibration.time_one() > 0);
+        assert!(calibration.time_all() > 0);
     }
 
     #[test]
