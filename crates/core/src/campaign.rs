@@ -19,7 +19,7 @@ use crate::classify::{classify, Outcome, RunReport};
 use crate::json::Json;
 use crate::memfault::{MemFaultModel, MemTarget};
 use crate::sink::{CollectSink, TrialSink};
-use crate::spec::{InjectionSpec, MemorySpec};
+use crate::spec::{windows_arm, CallFilter, InjectionSpec, InjectionWindow, MemorySpec};
 use crate::stats::CampaignStats;
 use crate::system::System;
 use crate::telemetry::{outcome_rows, EngineTelemetry};
@@ -31,7 +31,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Seed offset decorrelating a trial's memory-injection RNG from its
 /// register-injection RNG (both are derived from the same trial seed).
@@ -220,6 +220,7 @@ impl Scenario {
             mem_spec: self.mem_spec.clone().map(Arc::new),
             steps: self.steps,
             rtos_heartbeat: self.rtos_heartbeat,
+            fork_step: OnceLock::new(),
         }
     }
 
@@ -233,6 +234,14 @@ impl Scenario {
 /// A [`Scenario`] prepared for repeated trials: immutable parts are
 /// shared behind `Arc`s, so `run_trial` is allocation-light and
 /// `Clone` hands workers a cheap handle.
+///
+/// Every trial runs one body: install the seed's injectors into a
+/// fault-free system, run the remaining steps, classify. The system is either fresh (step 0) or forked from a
+/// shared prefix: the scenario run fault-free up to its
+/// [fork step](TrialRunner::fork_step), which is identical for every
+/// seed because `System` takes the seed only through its injectors.
+/// The campaign engines build the prefix once and fork every trial
+/// from it.
 #[derive(Debug, Clone)]
 pub struct TrialRunner {
     name: Arc<str>,
@@ -241,22 +250,25 @@ pub struct TrialRunner {
     mem_spec: Option<Arc<MemorySpec>>,
     steps: u64,
     rtos_heartbeat: bool,
+    /// The fork step, found by one probe run on first use.
+    fork_step: OnceLock<u64>,
 }
 
+/// Clock readings a trial body takes after installing its injectors,
+/// after its last step and after classifying (all 0 without a clock).
+type Laps = [u64; 3];
+
 impl TrialRunner {
-    /// Builds the seeded system for one trial: board + guests +
-    /// installed injectors, not yet stepped.
-    fn build_system(&self, seed: u64) -> System {
+    /// The scenario's testbed: fault-free, not yet stepped, with a
+    /// flight recorder of `trace`'s capacity attached if tracing.
+    fn fresh_system(&self, trace: Option<&TraceConfig>) -> System {
         let mut system = if self.rtos_heartbeat {
             System::new_with_heartbeat(Arc::clone(&self.script))
         } else {
             System::new(Arc::clone(&self.script))
         };
-        if let Some(spec) = &self.spec {
-            system.install_injector(Arc::clone(spec), seed);
-        }
-        if let Some(mem_spec) = &self.mem_spec {
-            system.install_mem_injector(Arc::clone(mem_spec), seed.wrapping_add(MEM_SEED_OFFSET));
+        if let Some(config) = trace {
+            system.set_tracer(TraceLog::new(config.capacity));
         }
         system
     }
@@ -272,62 +284,191 @@ impl TrialRunner {
         }
     }
 
-    /// The step at which an injection window first opens: the earliest
-    /// window start across both specs (a spec with no windows is armed
-    /// from step 0). Steps before it are the trial's steady-state
-    /// phase; with no injector at all the whole run is steady state.
-    fn injection_open_step(&self) -> u64 {
-        let spec_open = |windows: &[crate::spec::InjectionWindow]| {
-            windows.iter().map(|w| w.start).min().unwrap_or(0)
-        };
-        let reg = self.spec.as_ref().map(|s| spec_open(&s.windows));
-        let mem = self.mem_spec.as_ref().map(|s| spec_open(&s.windows));
-        match (reg, mem) {
-            (Some(a), Some(b)) => a.min(b),
-            (Some(a), None) => a,
-            (None, Some(b)) => b,
-            (None, None) => self.steps,
-        }
-        .min(self.steps)
-    }
-
-    /// Runs one seeded trial.
-    pub fn run_trial(&self, seed: u64) -> TrialResult {
-        let mut system = self.build_system(seed);
-        system.run(self.steps);
-        Self::result(seed, classify(&system))
-    }
-
-    /// Runs one seeded trial with phase timing: the same steps and the
-    /// same result as [`TrialRunner::run_trial`] (pinned by
-    /// `tests/hotpath_equivalence.rs`), plus a [`PhaseSample`] of how
-    /// long boot, steady state, the injection-armed phase and
-    /// classification took on `clock`.
+    /// The fork step: the largest step count after which no injector
+    /// of this scenario can have fired or attempted an injection, for
+    /// any seed. Trials may start from a fault-free system run this
+    /// far; with no injector it is the whole run.
     ///
-    /// The phase split leans on `System::run` being a plain
-    /// incremental step loop: `run(a); run(b)` is `run(a + b)`, so
-    /// timing the run in two slices cannot perturb the trial.
+    /// One fault-free probe run finds it (on first use; the runner
+    /// caches it). An injector's first attempt needs an armed step
+    /// whose matching-call count has reached `rate`, or 1 when a
+    /// seed-derived phase or the time trigger can fire on the first
+    /// matching call. The fork step is the first step where either
+    /// injector meets that, minus one, capped at the run length.
+    pub fn fork_step(&self) -> u64 {
+        *self.fork_step.get_or_init(|| {
+            let triggers: Vec<(CallFilter, u64, &[InjectionWindow])> = self
+                .spec
+                .iter()
+                .map(|s| (s.calls(), s.first_attempt_call(), s.windows.as_slice()))
+                .chain(
+                    self.mem_spec
+                        .iter()
+                        .map(|s| (s.calls(), s.first_attempt_call(), s.windows.as_slice())),
+                )
+                .collect();
+            if triggers.is_empty() {
+                return self.steps;
+            }
+            let mut probe = self.fresh_system(None);
+            while probe.steps_run() < self.steps {
+                probe.step();
+                let now = probe.machine.now();
+                let reachable = triggers.iter().any(|(calls, first, windows)| {
+                    windows_arm(windows, now) && calls.count(&probe.hv) >= *first
+                });
+                if reachable {
+                    return probe.steps_run() - 1;
+                }
+            }
+            self.steps
+        })
+    }
+
+    /// The shared prefix trials fork from: the scenario's fault-free
+    /// system run to the [fork step](TrialRunner::fork_step), traced
+    /// from step 0 when `trace` is set. The probe system is dropped
+    /// before the prefix is built.
+    fn prefix(&self, trace: Option<&TraceConfig>) -> System {
+        let fork_step = self.fork_step();
+        let mut system = self.fresh_system(trace);
+        system.run(fork_step);
+        system
+    }
+
+    /// The one trial body. `system` is a fault-free system of this
+    /// scenario at most [`TrialRunner::fork_step`] steps in, with a
+    /// flight recorder attached exactly when `trace` is set. Installs
+    /// `seed`'s injectors (primed with the calls already made), runs
+    /// the remaining steps, classifies, and captures the ring (see
+    /// [`TrialRunner::run_trial_traced`] for `policy.on_panic`).
+    fn run_from(
+        &self,
+        mut system: System,
+        seed: u64,
+        trace: Option<&TraceConfig>,
+        clock: Option<&dyn Clock>,
+    ) -> (TrialResult, Option<TraceDump>, Laps) {
+        let now = || clock.map_or(0, |clock| clock.now_ns());
+        if let Some(spec) = &self.spec {
+            system.install_injector(Arc::clone(spec), seed);
+        }
+        if let Some(mem_spec) = &self.mem_spec {
+            system.install_mem_injector(Arc::clone(mem_spec), seed.wrapping_add(MEM_SEED_OFFSET));
+        }
+        let installed = now();
+        let steps = self.steps - system.steps_run();
+        let run = |system: &mut System| {
+            system.run(steps);
+            let ran = now();
+            (classify(system), ran)
+        };
+        let log = system.tracer().cloned();
+        let (report, ran) = match (&log, trace) {
+            (Some(log), Some(config)) if config.policy.on_panic => {
+                match catch_unwind(AssertUnwindSafe(|| run(&mut system))) {
+                    Ok(classified) => classified,
+                    Err(payload) => {
+                        let doc = Json::obj([
+                            ("seed", Json::U64(seed)),
+                            ("scenario", Json::str(self.name.to_string())),
+                            ("panicked", Json::Bool(true)),
+                            ("total", Json::U64(log.total())),
+                            ("dropped", Json::U64(log.dropped())),
+                            (
+                                "events",
+                                Json::Arr(log.snapshot().iter().map(trace_event_to_json).collect()),
+                            ),
+                        ]);
+                        eprintln!("{}", doc.render());
+                        resume_unwind(payload);
+                    }
+                }
+            }
+            _ => run(&mut system),
+        };
+        let dump = log.map(|log| {
+            log.record(TraceEvent {
+                step: system.machine.now(),
+                cpu: NO_CPU,
+                kind: TraceKind::ClassifyVerdict,
+                arg_a: Outcome::ALL
+                    .iter()
+                    .position(|o| *o == report.outcome)
+                    .unwrap_or(0) as u64,
+                arg_b: 0,
+            });
+            TraceDump::capture(&log, seed, &self.name, report.outcome)
+        });
+        let classified = now();
+        (
+            Self::result(seed, report),
+            dump,
+            [installed, ran, classified],
+        )
+    }
+
+    /// Runs one seeded trial from a fresh system (a zero-step prefix).
+    pub fn run_trial(&self, seed: u64) -> TrialResult {
+        self.run_from(self.fresh_system(None), seed, None, None).0
+    }
+
+    /// Runs one seeded trial forked from `prefix` (built by
+    /// [`TrialRunner::prefix`] with the same `trace`): the same result
+    /// and dump as a trial run from step 0, plus, given a clock, a
+    /// [`PhaseSample`] whose boot phase is the fork plus the injector
+    /// install and whose steady phase is empty — the prefix is not
+    /// re-run.
+    fn run_forked(
+        &self,
+        prefix: &System,
+        seed: u64,
+        trace: Option<&TraceConfig>,
+        clock: Option<&dyn Clock>,
+    ) -> (TrialResult, Option<TraceDump>, Option<PhaseSample>) {
+        let start = clock.map_or(0, |clock| clock.now_ns());
+        let (trial, dump, [installed, ran, classified]) =
+            self.run_from(prefix.fork(), seed, trace, clock);
+        let sample = clock.map(|_| PhaseSample {
+            boot_ns: installed.saturating_sub(start),
+            steady_ns: 0,
+            injection_ns: ran.saturating_sub(installed),
+            classify_ns: classified.saturating_sub(ran),
+        });
+        (trial, dump, sample)
+    }
+
+    /// Runs one seeded trial from scratch with phase timing: the same
+    /// steps and the same result as [`TrialRunner::run_trial`] (pinned
+    /// by `tests/hotpath_equivalence.rs`), plus a [`PhaseSample`] on
+    /// `clock`: boot is construction plus the injector install, steady
+    /// state is the fault-free run to the
+    /// [fork step](TrialRunner::fork_step), injection the rest of the
+    /// run, then classification.
+    ///
+    /// The split leans on `System::run` being a plain incremental step
+    /// loop and on injector priming: running the fault-free prefix
+    /// before installing the injectors runs the same trial.
     pub fn run_trial_observed(&self, seed: u64, clock: &dyn Clock) -> (TrialResult, PhaseSample) {
+        let fork_step = self.fork_step();
         let t0 = clock.now_ns();
-        let mut system = self.build_system(seed);
+        let mut system = self.fresh_system(None);
         let t1 = clock.now_ns();
-        let split = self.injection_open_step();
-        system.run(split);
+        system.run(fork_step);
         let t2 = clock.now_ns();
-        system.run(self.steps - split);
-        let t3 = clock.now_ns();
-        let trial = Self::result(seed, classify(&system));
-        let t4 = clock.now_ns();
+        let (trial, _, [installed, ran, classified]) =
+            self.run_from(system, seed, None, Some(clock));
         let sample = PhaseSample {
-            boot_ns: t1.saturating_sub(t0),
+            boot_ns: t1.saturating_sub(t0) + installed.saturating_sub(t2),
             steady_ns: t2.saturating_sub(t1),
-            injection_ns: t3.saturating_sub(t2),
-            classify_ns: t4.saturating_sub(t3),
+            injection_ns: ran.saturating_sub(installed),
+            classify_ns: classified.saturating_sub(ran),
         };
         (trial, sample)
     }
 
-    /// Runs one seeded trial with a flight recorder attached.
+    /// Runs one seeded trial from scratch with a flight recorder
+    /// attached.
     ///
     /// `config: None` is exactly [`TrialRunner::run_trial`] — the same
     /// code path, no recorder anywhere in the stack (pinned by
@@ -346,52 +487,8 @@ impl TrialRunner {
         seed: u64,
         config: Option<&TraceConfig>,
     ) -> (TrialResult, Option<TraceDump>) {
-        let Some(config) = config else {
-            return (self.run_trial(seed), None);
-        };
-        let log = TraceLog::new(config.capacity);
-        let mut system = self.build_system(seed);
-        system.set_tracer(log.clone());
-        let steps = self.steps;
-        let run = |system: &mut System| {
-            system.run(steps);
-            classify(system)
-        };
-        let report = if config.policy.on_panic {
-            match catch_unwind(AssertUnwindSafe(|| run(&mut system))) {
-                Ok(report) => report,
-                Err(payload) => {
-                    let events = log.snapshot();
-                    let doc = Json::obj([
-                        ("seed", Json::U64(seed)),
-                        ("scenario", Json::str(self.name.to_string())),
-                        ("panicked", Json::Bool(true)),
-                        ("total", Json::U64(log.total())),
-                        ("dropped", Json::U64(log.dropped())),
-                        (
-                            "events",
-                            Json::Arr(events.iter().map(trace_event_to_json).collect()),
-                        ),
-                    ]);
-                    eprintln!("{}", doc.render());
-                    resume_unwind(payload);
-                }
-            }
-        } else {
-            run(&mut system)
-        };
-        log.record(TraceEvent {
-            step: system.machine.now(),
-            cpu: NO_CPU,
-            kind: TraceKind::ClassifyVerdict,
-            arg_a: Outcome::ALL
-                .iter()
-                .position(|o| *o == report.outcome)
-                .unwrap_or(0) as u64,
-            arg_b: 0,
-        });
-        let dump = TraceDump::capture(&log, seed, &self.name, report.outcome);
-        (Self::result(seed, report), Some(dump))
+        let (trial, dump, _) = self.run_from(self.fresh_system(config), seed, config, None);
+        (trial, dump)
     }
 }
 
@@ -472,10 +569,10 @@ impl Campaign {
     ///
     /// Tracing never changes trial results, sink rows or stats — the
     /// observability law, pinned by `tests/hotpath_equivalence.rs` and
-    /// `tests/determinism.rs`. On observed runs
-    /// ([`Campaign::run_parallel_streamed_observed`]) tracing takes
-    /// precedence over per-trial phase sampling: traced trials record
-    /// causal events instead of phase timings.
+    /// `tests/determinism.rs`. Tracing and phase timing are
+    /// independent: observed runs
+    /// ([`Campaign::run_parallel_streamed_observed`]) of a traced
+    /// campaign record both.
     pub fn with_trace(mut self, config: TraceConfig) -> Campaign {
         self.trace = Some(config);
         self
@@ -582,8 +679,13 @@ impl Campaign {
             "trial range [{start_trial}, {end}) exceeds campaign size {}",
             self.trials
         );
-        let runner = self.scenario.runner();
         let mut stats = CampaignStats::new(self.scenario.name.clone());
+        if len == 0 {
+            return stats;
+        }
+        let runner = self.scenario.runner();
+        let trace = self.trace.as_ref();
+        let prefix = runner.prefix(trace);
         #[cfg(debug_assertions)]
         let prediction = self
             .scenario
@@ -591,8 +693,8 @@ impl Campaign {
             .as_ref()
             .map(MemorySpec::skip_prediction);
         for seq in start_trial..end {
-            let (trial, dump) =
-                runner.run_trial_traced(self.base_seed + seq as u64, self.trace.as_ref());
+            let (trial, dump, _) =
+                runner.run_forked(&prefix, self.base_seed + seq as u64, trace, None);
             #[cfg(debug_assertions)]
             assert_skips_predicted(prediction.as_ref(), &trial);
             #[cfg(debug_assertions)]
@@ -677,6 +779,9 @@ impl Campaign {
         let trials = self.trials;
         let base_seed = self.base_seed;
         let trace = self.trace.as_ref();
+        // One fault-free prefix per engine call, shared read-only by
+        // every worker; each trial forks its own copy.
+        let prefix = (trials > 0).then(|| runner.prefix(trace));
         let mut stats = CampaignStats::new(self.scenario.name.clone());
 
         let shared = Mutex::new(Reorder {
@@ -694,8 +799,8 @@ impl Campaign {
 
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                let (runner, shared, ready, space, folded) =
-                    (&runner, &shared, &ready, &space, &folded);
+                let (runner, prefix, shared, ready, space, folded) =
+                    (&runner, &prefix, &shared, &ready, &space, &folded);
                 scope.spawn(move || {
                     // On panic (poisoned lock or unwind mid-trial),
                     // wake everyone so the scope can tear down instead
@@ -728,25 +833,19 @@ impl Campaign {
                             }
                             seq
                         };
-                        // Traced trials record causal events instead
-                        // of phase timings (tracing wins when both are
-                        // configured; results are identical either
-                        // way).
-                        let (trial, dump) = if trace.is_some() {
-                            runner.run_trial_traced(base_seed + seq as u64, trace)
-                        } else {
-                            let trial = match (clock, local.as_mut()) {
-                                (Some(clock), Some(local)) => {
-                                    let (trial, sample) =
-                                        runner.run_trial_observed(base_seed + seq as u64, clock);
-                                    local.trials.inc();
-                                    local.phases.record(&sample);
-                                    trial
-                                }
-                                _ => runner.run_trial(base_seed + seq as u64),
-                            };
-                            (trial, None)
-                        };
+                        let prefix = prefix
+                            .as_ref()
+                            .expect("a campaign with trials has a prefix");
+                        let (trial, dump, sample) = runner.run_forked(
+                            prefix,
+                            base_seed + seq as u64,
+                            trace,
+                            clock.map(|c| c as &dyn Clock),
+                        );
+                        if let (Some(local), Some(sample)) = (local.as_mut(), sample) {
+                            local.trials.inc();
+                            local.phases.record(&sample);
+                        }
                         let mut state = shared.lock().expect("campaign engine lock");
                         state.undelivered += 1;
                         state.high_water = state.high_water.max(state.undelivered);
@@ -1110,6 +1209,64 @@ mod tests {
         let stats = Campaign::new(scenario, 2, 5).run_streamed(&mut crate::sink::NullSink);
         assert_eq!(stats.trials, 2);
         assert_eq!(stats.mem_injected_trials, 0, "every injection skipped");
+    }
+
+    /// Scripted time for phase pins: every read advances a
+    /// [`certify_obs::ManualClock`] by 1 ns, so a phase reads as the
+    /// number of clock reads it spans — 0 exactly when it never ran.
+    struct TickingClock(certify_obs::ManualClock);
+
+    impl Clock for TickingClock {
+        fn now_ns(&self) -> u64 {
+            self.0.advance(1);
+            self.0.now_ns()
+        }
+    }
+
+    #[test]
+    fn phases_split_at_the_fork_step() {
+        let runner = Scenario::e3_fig3().runner();
+        assert_eq!(runner.fork_step(), 3157, "E3's steady state is its prefix");
+        let clock = TickingClock(certify_obs::ManualClock::new());
+
+        // From scratch: construction + install, the fault-free run to
+        // the fork step, the rest, classification.
+        let (scratch, sample) = runner.run_trial_observed(0xD5_2022, &clock);
+        let expected = PhaseSample {
+            boot_ns: 2,
+            steady_ns: 1,
+            injection_ns: 1,
+            classify_ns: 1,
+        };
+        assert_eq!(sample, expected);
+
+        // Forked: boot is the clone plus the install, and no steady
+        // state runs per trial.
+        let prefix = runner.prefix(None);
+        let (forked, dump, sample) = runner.run_forked(&prefix, 0xD5_2022, None, Some(&clock));
+        let expected = PhaseSample {
+            boot_ns: 1,
+            steady_ns: 0,
+            injection_ns: 1,
+            classify_ns: 1,
+        };
+        assert_eq!(sample, Some(expected));
+        assert_eq!(forked, scratch);
+        assert!(dump.is_none());
+        assert_eq!(
+            prefix.steps_run(),
+            3157,
+            "forking leaves the prefix untouched"
+        );
+    }
+
+    #[test]
+    fn golden_runs_are_all_prefix() {
+        let runner = Scenario::golden(600).runner();
+        assert_eq!(runner.fork_step(), 600);
+        let prefix = runner.prefix(None);
+        let (trial, _, _) = runner.run_forked(&prefix, 3, None, None);
+        assert_eq!(trial, runner.run_trial(3));
     }
 
     #[test]

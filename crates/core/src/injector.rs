@@ -9,9 +9,9 @@
 //! the post-run analytics.
 
 use crate::fault::AppliedFault;
-use crate::spec::InjectionSpec;
+use crate::spec::{CallFilter, InjectionSpec};
 use certify_arch::CpuId;
-use certify_hypervisor::{HandlerKind, HookCtx, InjectionHook};
+use certify_hypervisor::{HandlerKind, HookCtx, Hypervisor, InjectionHook};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -79,10 +79,10 @@ impl InjectionLog {
 #[derive(Debug)]
 pub struct Injector {
     spec: Arc<InjectionSpec>,
-    /// The spec's handler-target set as a flat mask indexed by
-    /// [`HandlerKind::index`] — the hook runs on *every* handler entry
-    /// of the run, so the filter must not cost a set lookup.
-    target_mask: [bool; HandlerKind::ALL.len()],
+    /// The spec's call stream, flattened once — the hook runs on
+    /// *every* handler entry of the run, so the filter must not cost a
+    /// set lookup.
+    calls: CallFilter,
     rng: StdRng,
     filtered_calls: u64,
     injections_done: u64,
@@ -111,13 +111,9 @@ impl Injector {
         } else {
             0
         };
-        let mut target_mask = [false; HandlerKind::ALL.len()];
-        for handler in &spec.targets {
-            target_mask[handler.index()] = true;
-        }
         Injector {
+            calls: spec.calls(),
             spec,
-            target_mask,
             rng,
             filtered_calls: phase,
             injections_done: 0,
@@ -141,13 +137,20 @@ impl Injector {
     pub fn filtered_calls(&self) -> u64 {
         self.filtered_calls
     }
+
+    /// Counts the matching calls `hv` has already made, as if this
+    /// injector had watched them unarmed: installing into a system
+    /// forked from a fault-free prefix then continues the cadence
+    /// exactly where a from-step-0 injector would be. A no-op on a
+    /// fresh hypervisor.
+    pub(crate) fn prime(&mut self, hv: &Hypervisor) {
+        self.filtered_calls += self.calls.count(hv);
+    }
 }
 
 impl InjectionHook for Injector {
     fn on_handler_entry(&mut self, ctx: &mut HookCtx<'_>) {
-        if !self.target_mask[ctx.handler.index()]
-            || !self.spec.cpu_filter.map(|f| f == ctx.cpu).unwrap_or(true)
-        {
+        if !self.calls.matches(ctx.handler, ctx.cpu) {
             return;
         }
         if let Some(max) = self.spec.max_injections {

@@ -12,7 +12,7 @@
 //! memory.
 
 use crate::memfault::AppliedMemFault;
-use crate::spec::MemorySpec;
+use crate::spec::{CallFilter, MemorySpec};
 use certify_board::Machine;
 use certify_hypervisor::Hypervisor;
 use certify_obs::trace::{TraceEvent, TraceKind, TraceLog, NO_CPU};
@@ -96,10 +96,13 @@ impl MemInjectionLog {
     }
 }
 
-/// The memory-fault injector.
-#[derive(Debug)]
+/// The memory-fault injector. A clone shares the original's log.
+#[derive(Debug, Clone)]
 pub struct MemInjector {
     spec: Arc<MemorySpec>,
+    /// The spec's call stream, flattened once: the orchestrator polls
+    /// it every simulator step.
+    calls: CallFilter,
     rng: StdRng,
     /// Next filtered-call threshold that fires an injection.
     next_fire: u64,
@@ -130,6 +133,7 @@ impl MemInjector {
         };
         MemInjector {
             next_fire: spec.rate - phase,
+            calls: spec.calls(),
             spec,
             rng,
             injections_done: 0,
@@ -154,21 +158,17 @@ impl MemInjector {
         self.spec.as_ref()
     }
 
-    /// The spec's filtered call stream: calls to the target handlers
-    /// from the filtered CPU, as counted by the hypervisor.
-    fn filtered_calls(&self, machine: &Machine, hv: &Hypervisor) -> u64 {
-        let cpus: Vec<u32> = match self.spec.cpu_filter {
-            Some(cpu) => vec![cpu.0],
-            None => (0..machine.num_cpus() as u32).collect(),
-        };
-        self.spec
-            .targets
-            .iter()
-            .flat_map(|&handler| {
-                cpus.iter()
-                    .map(move |&c| hv.call_count(handler, certify_arch::CpuId(c)))
-            })
-            .sum()
+    /// Skips the cadence past the matching calls `hv` has already
+    /// made, exactly as [`MemInjector::on_step`] passes unarmed
+    /// crossings: installing into a system forked from a fault-free
+    /// prefix then continues the cadence where a from-step-0 injector
+    /// would be. A no-op on a fresh hypervisor.
+    pub(crate) fn prime(&mut self, hv: &Hypervisor) {
+        let total = self.calls.count(hv);
+        if total >= self.next_fire {
+            let crossings = (total - self.next_fire) / self.spec.rate + 1;
+            self.next_fire += crossings * self.spec.rate;
+        }
     }
 
     /// Called by the orchestrator once per simulator step, after the
@@ -176,7 +176,7 @@ impl MemInjector {
     /// injections against the machine and hypervisor state.
     pub fn on_step(&mut self, machine: &mut Machine, hv: &mut Hypervisor) {
         let step = machine.now();
-        let total = self.filtered_calls(machine, hv);
+        let total = self.calls.count(hv);
         while total >= self.next_fire {
             let trigger = self.next_fire;
             self.next_fire += self.spec.rate;

@@ -12,7 +12,7 @@
 use crate::fault::FaultModel;
 use crate::memfault::{MemFaultModel, MemTarget};
 use certify_arch::CpuId;
-use certify_hypervisor::HandlerKind;
+use certify_hypervisor::{HandlerKind, Hypervisor};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -57,6 +57,41 @@ impl fmt::Display for InjectionWindow {
 /// window arms it. Windows may overlap and need not be sorted.
 pub fn windows_arm(windows: &[InjectionWindow], step: u64) -> bool {
     windows.is_empty() || windows.iter().any(|w| w.contains(step))
+}
+
+/// The handler-call stream an injection cadence counts: calls to the
+/// target handlers, from one CPU or from any. Built once per injector
+/// as a flat handler mask, so the per-call and per-step checks cost
+/// neither a set lookup nor an allocation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct CallFilter {
+    handlers: [bool; HandlerKind::ALL.len()],
+    cpu: Option<CpuId>,
+}
+
+impl CallFilter {
+    /// The stream of calls to `targets` from `cpu` (`None` = any CPU).
+    pub(crate) fn new(targets: &BTreeSet<HandlerKind>, cpu: Option<CpuId>) -> CallFilter {
+        let mut handlers = [false; HandlerKind::ALL.len()];
+        for handler in targets {
+            handlers[handler.index()] = true;
+        }
+        CallFilter { handlers, cpu }
+    }
+
+    /// Whether a call to `handler` from `cpu` is in the stream.
+    pub(crate) fn matches(&self, handler: HandlerKind, cpu: CpuId) -> bool {
+        self.handlers[handler.index()] && self.cpu.is_none_or(|c| c == cpu)
+    }
+
+    /// Calls in the stream so far, summed over the hypervisor's
+    /// per-(handler, CPU) call table.
+    pub(crate) fn count(&self, hv: &Hypervisor) -> u64 {
+        hv.call_counts()
+            .filter(|&(handler, cpu, _)| self.matches(handler, cpu))
+            .map(|(_, _, calls)| calls)
+            .sum()
+    }
 }
 
 /// The paper's two intensity presets.
@@ -206,7 +241,23 @@ impl InjectionSpec {
 
     /// Whether a handler call matches the target/CPU filter.
     pub fn matches(&self, handler: HandlerKind, cpu: CpuId) -> bool {
-        self.targets.contains(&handler) && self.cpu_filter.map(|f| f == cpu).unwrap_or(true)
+        self.calls().matches(handler, cpu)
+    }
+
+    /// The call stream this spec's cadence counts.
+    pub(crate) fn calls(&self) -> CallFilter {
+        CallFilter::new(&self.targets, self.cpu_filter)
+    }
+
+    /// The matching-call count at which the earliest seed can first
+    /// attempt an injection: `rate`, or 1 when a seed-derived phase or
+    /// the time trigger may fire on the very first matching call.
+    pub(crate) fn first_attempt_call(&self) -> u64 {
+        if self.phase_jitter || self.time_trigger.is_some() {
+            1
+        } else {
+            self.rate
+        }
     }
 
     /// Replaces the rate, returning the spec (builder style).
@@ -342,7 +393,22 @@ impl MemorySpec {
 
     /// Whether a handler call matches the target/CPU filter.
     pub fn matches(&self, handler: HandlerKind, cpu: CpuId) -> bool {
-        self.targets.contains(&handler) && self.cpu_filter.map(|f| f == cpu).unwrap_or(true)
+        self.calls().matches(handler, cpu)
+    }
+
+    /// The call stream this spec's cadence counts.
+    pub(crate) fn calls(&self) -> CallFilter {
+        CallFilter::new(&self.targets, self.cpu_filter)
+    }
+
+    /// The matching-call count at which the earliest seed can first
+    /// attempt an injection: `rate`, or 1 with a seed-derived phase.
+    pub(crate) fn first_attempt_call(&self) -> u64 {
+        if self.phase_jitter {
+            1
+        } else {
+            self.rate
+        }
     }
 
     /// Replaces the rate, returning the spec (builder style).

@@ -27,6 +27,13 @@ use std::sync::Arc;
 const MAX_IRQS_PER_STEP: usize = 8;
 
 /// A complete, steppable testbed.
+///
+/// `Clone` is for snapshotting fault-free systems: cloning one with a
+/// register injector installed panics (see [`Hypervisor`]'s `Clone`),
+/// and a clone shares the original's injection logs and flight
+/// recorder; forking a campaign's prefix gives each copy a ring of its
+/// own.
+#[derive(Clone)]
 pub struct System {
     /// The board.
     pub machine: Machine,
@@ -138,12 +145,19 @@ impl System {
     /// Installs a fault injector built from `spec` (owned or shared
     /// via `Arc`), seeded with `seed`. Returns a live handle to the
     /// injection log.
+    ///
+    /// The injector counts the matching handler calls already made as
+    /// if it had watched them unarmed, so
+    /// installing into a fault-free system forked before the
+    /// injector's first possible attempt runs the same trial as
+    /// installing at step 0.
     pub fn install_injector(
         &mut self,
         spec: impl Into<Arc<InjectionSpec>>,
         seed: u64,
     ) -> InjectionLog {
-        let injector = Injector::new(spec, seed);
+        let mut injector = Injector::new(spec, seed);
+        injector.prime(&self.hv);
         let log = injector.log();
         self.injection_log = Some(log.clone());
         self.hv.set_hook(Box::new(injector));
@@ -158,13 +172,15 @@ impl System {
     /// Installs a memory-fault injector built from `spec` (owned or
     /// shared via `Arc`), seeded with `seed`. Returns a live handle to
     /// the memory-injection log. Can coexist with a register injector
-    /// for mixed campaigns.
+    /// for mixed campaigns. Primed like [`System::install_injector`]:
+    /// its cadence skips the matching calls already made.
     pub fn install_mem_injector(
         &mut self,
         spec: impl Into<Arc<MemorySpec>>,
         seed: u64,
     ) -> MemInjectionLog {
         let mut injector = MemInjector::new(spec, seed);
+        injector.prime(&self.hv);
         if let Some(tracer) = &self.tracer {
             injector.set_tracer(tracer.clone());
         }
@@ -188,6 +204,24 @@ impl System {
             injector.set_tracer(tracer.clone());
         }
         self.tracer = Some(tracer);
+    }
+
+    /// A copy of this fault-free system for one trial: a clone whose
+    /// flight recorder, if one is attached, is a ring of its own
+    /// holding a copy of this system's events and counters. Trials
+    /// forked from one snapshot never share a ring, and each dumps
+    /// exactly what a trial traced from step 0 would.
+    pub(crate) fn fork(&self) -> System {
+        let mut system = self.clone();
+        if let Some(tracer) = &self.tracer {
+            system.set_tracer(tracer.fork());
+        }
+        system
+    }
+
+    /// The attached flight recorder, if any.
+    pub(crate) fn tracer(&self) -> Option<&TraceLog> {
+        self.tracer.as_ref()
     }
 
     /// The memory-injection log, if a memory injector is installed.

@@ -16,6 +16,7 @@ pub const CELL_BLOB_ADDR: u32 = memmap::ROOT_RAM_BASE + 0x0200_0000;
 pub const HEARTBEAT_PERIOD: u64 = 16;
 
 /// The root-cell guest.
+#[derive(Clone)]
 pub struct LinuxGuest {
     /// The script program is immutable (only the `pc` cursor below
     /// advances), so campaigns share one `Arc` across all trials.

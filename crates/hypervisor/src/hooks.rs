@@ -95,7 +95,7 @@ impl HookCtx<'_> {
 }
 
 /// A fault-injection (or tracing) hook installed into the hypervisor.
-pub trait InjectionHook: fmt::Debug {
+pub trait InjectionHook: fmt::Debug + Send + Sync {
     /// Invoked at every profiled-handler entry, before the handler
     /// reads any register.
     ///

@@ -101,6 +101,41 @@ impl fmt::Debug for Hypervisor {
     }
 }
 
+/// Clones the hypervisor's whole state, trace handle included, for
+/// snapshotting a fault-free system.
+///
+/// # Panics
+///
+/// Panics if an injection hook is installed: hooks carry per-trial
+/// state (RNG, log) that a snapshot must not share, so they are
+/// installed into each copy after the clone instead.
+impl Clone for Hypervisor {
+    fn clone(&self) -> Hypervisor {
+        assert!(
+            self.hook.is_none(),
+            "a hypervisor with an injection hook installed cannot be cloned"
+        );
+        Hypervisor {
+            platform: self.platform.clone(),
+            enabled: self.enabled,
+            cells: self.cells.clone(),
+            cpu_owner: self.cpu_owner.clone(),
+            ownership_epoch: self.ownership_epoch,
+            boot_entry: self.boot_entry.clone(),
+            call_counts: self.call_counts.clone(),
+            hook: None,
+            events: self.events.clone(),
+            evidence: self.evidence.clone(),
+            trace_handlers: self.trace_handlers,
+            tracer: self.tracer.clone(),
+            corruption_notices: self.corruption_notices.clone(),
+            latent_hv_corruption: self.latent_hv_corruption,
+            panic: self.panic.clone(),
+            direct_win: self.direct_win.clone(),
+        }
+    }
+}
+
 impl Hypervisor {
     /// Creates a (disabled) hypervisor for the given platform.
     pub fn new(platform: SystemConfig) -> Hypervisor {

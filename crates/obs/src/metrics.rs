@@ -274,11 +274,14 @@ impl Default for Histogram {
 /// `TrialRunner::run_trial_observed`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PhaseSample {
-    /// System construction + injector installation.
+    /// System construction (or the fork of a shared prefix) plus
+    /// injector installation.
     pub boot_ns: u64,
-    /// Steps before the first injection window opens.
+    /// The fault-free steps up to the fork step, before any injector
+    /// can fire; 0 for a trial forked from a prefix that already ran
+    /// them.
     pub steady_ns: u64,
-    /// Steps from the first window's opening to the horizon.
+    /// Steps from the fork step to the horizon.
     pub injection_ns: u64,
     /// Outcome classification + report assembly.
     pub classify_ns: u64,

@@ -231,6 +231,14 @@ impl TraceLog {
         TraceLog(Arc::new(Mutex::new(FlightRecorder::new(capacity))))
     }
 
+    /// A new log over its own ring holding a copy of this ring's
+    /// events and counters: what a trial forked from a traced snapshot
+    /// records into, so its dump matches a trial traced from step 0.
+    pub fn fork(&self) -> TraceLog {
+        let recorder = self.0.lock().expect("trace log poisoned").clone();
+        TraceLog(Arc::new(Mutex::new(recorder)))
+    }
+
     /// Records one event.
     pub fn record(&self, event: TraceEvent) {
         self.0.lock().expect("trace log poisoned").record(event);
@@ -318,6 +326,21 @@ mod tests {
         assert_eq!(events[1].step, 2);
         assert_eq!(clone.total(), 2);
         assert_eq!(clone.dropped(), 0);
+    }
+
+    #[test]
+    fn forked_log_copies_the_ring_and_then_diverges() {
+        let log = TraceLog::new(2);
+        for step in 0..3 {
+            log.record(event(step, TraceKind::HandlerEntry));
+        }
+        let fork = log.fork();
+        assert_eq!(fork.snapshot(), log.snapshot());
+        assert_eq!((fork.total(), fork.dropped()), (3, 1));
+        fork.record(event(9, TraceKind::ClassifyVerdict));
+        assert_eq!(log.total(), 3, "the original ring is untouched");
+        assert_eq!(fork.total(), 4);
+        assert_eq!(fork.snapshot()[1].step, 9);
     }
 
     #[test]

@@ -12,6 +12,7 @@ use std::fmt;
 
 /// The non-root cell guest of the paper: FreeRTOS with the blink /
 /// send-receive / float / integer task set.
+#[derive(Clone)]
 pub struct RtosGuest {
     kernel: Rtos,
     expected_entry: u32,

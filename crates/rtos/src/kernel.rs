@@ -23,6 +23,7 @@ use std::fmt;
 /// sub-millisecond campaign trial budget; the ordering it produces is
 /// bit-identical to the historical full-scan scheduler (asserted by
 /// the determinism suites).
+#[derive(Clone)]
 pub struct Rtos {
     name: String,
     tasks: Vec<Tcb>,
@@ -386,7 +387,7 @@ mod tests {
     use certify_hypervisor::{Hypervisor, SystemConfig};
 
     /// A task that yields forever, recording nothing.
-    #[derive(Debug)]
+    #[derive(Debug, Clone)]
     struct Spin;
     impl TaskCode for Spin {
         fn execute_slice(&mut self, _env: &mut TaskEnv<'_, '_>) -> SliceResult {
@@ -395,7 +396,7 @@ mod tests {
     }
 
     /// A task that finishes after `n` slices.
-    #[derive(Debug)]
+    #[derive(Debug, Clone)]
     struct Finite(u32);
     impl TaskCode for Finite {
         fn execute_slice(&mut self, _env: &mut TaskEnv<'_, '_>) -> SliceResult {
@@ -409,7 +410,7 @@ mod tests {
     }
 
     /// A task that sleeps `n` ticks every slice.
-    #[derive(Debug)]
+    #[derive(Debug, Clone)]
     struct Sleeper(u64);
     impl TaskCode for Sleeper {
         fn execute_slice(&mut self, _env: &mut TaskEnv<'_, '_>) -> SliceResult {
@@ -498,7 +499,7 @@ mod tests {
 
     /// Producer/consumer through a kernel queue, including a blocked
     /// receive that wakes when data arrives.
-    #[derive(Debug)]
+    #[derive(Debug, Clone)]
     struct Producer {
         q: QueueId,
         next: u32,
@@ -516,7 +517,7 @@ mod tests {
         }
     }
 
-    #[derive(Debug)]
+    #[derive(Debug, Clone)]
     struct Consumer {
         q: QueueId,
         got: Vec<u32>,
@@ -591,7 +592,7 @@ mod tests {
 
     /// A task that locks a mutex, holds it for `hold` slices, then
     /// unlocks and finishes.
-    #[derive(Debug)]
+    #[derive(Debug, Clone)]
     struct LockHold {
         mutex: MutexId,
         hold: u32,
@@ -665,7 +666,7 @@ mod tests {
     }
 
     /// Semaphore-based producer/consumer.
-    #[derive(Debug)]
+    #[derive(Debug, Clone)]
     struct SemTaker {
         sem: crate::sync::SemaphoreId,
         taken: u32,

@@ -43,7 +43,7 @@ pub enum RecvOutcome {
     NoSuchQueue,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct Queue {
     capacity: usize,
     items: VecDeque<u32>,
@@ -54,7 +54,7 @@ struct Queue {
 }
 
 /// All queues of one kernel instance.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct QueueSet {
     queues: Vec<Queue>,
     /// Bumped on every state change; the scheduler skips its blocked

@@ -60,7 +60,7 @@ pub enum TakeOutcome {
     NoSuchSemaphore,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct Mutex {
     holder: Option<TaskId>,
     /// Total successful acquisitions (contention statistics).
@@ -69,14 +69,14 @@ struct Mutex {
     contentions: u64,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Semaphore {
     count: u32,
     max: u32,
 }
 
 /// All mutexes and semaphores of one kernel instance.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct SyncSet {
     mutexes: Vec<Mutex>,
     semaphores: Vec<Semaphore>,

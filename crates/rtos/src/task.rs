@@ -146,13 +146,34 @@ impl fmt::Debug for TaskEnv<'_, '_> {
 }
 
 /// A task body: called one slice at a time by the scheduler.
-pub trait TaskCode: fmt::Debug {
+///
+/// Task bodies are plain `Clone` data, so a whole kernel — and with it
+/// a running system — can be snapshotted and forked.
+pub trait TaskCode: fmt::Debug + CloneTask + Send + Sync {
     /// Executes one scheduling quantum and reports what to do next.
     fn execute_slice(&mut self, env: &mut TaskEnv<'_, '_>) -> SliceResult;
 }
 
+/// Clones a boxed [`TaskCode`]; implemented for every `Clone` task.
+pub trait CloneTask {
+    /// A boxed copy of this task body.
+    fn clone_box(&self) -> Box<dyn TaskCode>;
+}
+
+impl<T: TaskCode + Clone + 'static> CloneTask for T {
+    fn clone_box(&self) -> Box<dyn TaskCode> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn TaskCode> {
+    fn clone(&self) -> Self {
+        self.clone_box()
+    }
+}
+
 /// The kernel-side task record.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Tcb {
     /// Task id.
     pub id: TaskId,

@@ -28,7 +28,7 @@ pub const HEARTBEAT_SLICES: u64 = 64;
 
 /// The LED-blink task: toggles the board LED through (trapped) GPIO
 /// MMIO and reports progress on the console.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct BlinkTask {
     toggles: u64,
     level: bool,
@@ -78,7 +78,7 @@ impl TaskCode for BlinkTask {
 }
 
 /// The sender half of the paper's send/receive pair.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SenderTask {
     queue: QueueId,
     next: u32,
@@ -108,7 +108,7 @@ impl TaskCode for SenderTask {
 }
 
 /// The receiver half of the paper's send/receive pair.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ReceiverTask {
     queue: QueueId,
     received: u64,
@@ -148,7 +148,7 @@ impl TaskCode for ReceiverTask {
 
 /// A floating-point arithmetic task: accumulates a Leibniz series and
 /// periodically reports the running value.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FloatTask {
     id: usize,
     term: u64,
@@ -242,7 +242,7 @@ fn apply_matrix(matrix: &[u32; 32], state: u32) -> u32 {
 /// the checksum is actually observed, so a quiet slice costs a counter
 /// increment instead of a 32-iteration dependency chain — the printed
 /// bytes are unchanged.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct IntegerTask {
     id: usize,
     state: u32,
@@ -293,7 +293,7 @@ impl TaskCode for IntegerTask {
 /// monitor can tell a live cell from a silently dead one (extension
 /// experiment E5b — the detection mechanism the paper's outlook asks
 /// for).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct HeartbeatTask {
     channel: certify_hypervisor::IvshmemChannel,
     count: u32,
@@ -328,7 +328,7 @@ impl TaskCode for HeartbeatTask {
 }
 
 /// The idle task FreeRTOS always runs at the lowest priority.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct IdleTask;
 
 impl TaskCode for IdleTask {

@@ -8,7 +8,7 @@ use certify_rtos::task::{Priority, SliceResult, TaskCode, TaskEnv, TaskState};
 use proptest::prelude::*;
 
 /// A task that yields forever.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Spin;
 impl TaskCode for Spin {
     fn execute_slice(&mut self, _env: &mut TaskEnv<'_, '_>) -> SliceResult {
@@ -17,7 +17,7 @@ impl TaskCode for Spin {
 }
 
 /// A task that alternates between running and sleeping.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Sleeper(u64);
 impl TaskCode for Sleeper {
     fn execute_slice(&mut self, _env: &mut TaskEnv<'_, '_>) -> SliceResult {

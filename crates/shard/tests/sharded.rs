@@ -356,6 +356,42 @@ fn sharded_trace_dumps_match_in_process_byte_for_byte() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn sharded_forked_trials_match_trials_run_from_step_zero() {
+    // Each worker forks its range's trials from a fault-free prefix it
+    // builds itself; the merged rows, stats and dumps (ring counters
+    // included) must equal every seed run from step 0.
+    use certify_analysis::campaign_to_csv;
+    use certify_core::{CampaignResult, DumpPolicy, TraceConfig};
+
+    let config = TraceConfig::new().with_policy(DumpPolicy::all_outcomes());
+    for scenario in [Scenario::e3_fig3(), Scenario::e7_mixed()] {
+        let runner = scenario.runner();
+        let campaign = Campaign::new(scenario, 12, 0xD5_2022).with_trace(config.clone());
+        let (trials, dumps): (Vec<_>, Vec<_>) = (0..12u64)
+            .map(|seq| {
+                let (trial, dump) = runner.run_trial_traced(0xD5_2022 + seq, Some(&config));
+                (trial, (seq, dump.expect("armed recorder dumps")))
+            })
+            .unzip();
+        let expected = CampaignResult {
+            scenario_name: campaign.scenario().name.clone(),
+            trials,
+        };
+        let mut csv = Vec::new();
+        let run =
+            run_sharded(&campaign, &options(3), Some(&mut csv)).expect("sharded run succeeds");
+        let name = &expected.scenario_name;
+        assert_eq!(
+            String::from_utf8(csv).unwrap(),
+            campaign_to_csv(&expected),
+            "{name}: CSV"
+        );
+        assert_eq!(run.stats, expected.stats(), "{name}: stats");
+        assert_eq!(run.dumps, dumps, "{name}: dumps");
+    }
+}
+
 /// Full-depth tracing acceptance: 500-trial sweeps of E6 and E7,
 /// traced, in-process and sharded. A dump must fire for *exactly* the
 /// anomalous trials, and the sharded dumps must be byte-identical to

@@ -18,13 +18,19 @@
 //!   (55 panic park / 16 cpu park / 79 correct at 0xD52022);
 //! * telemetry is inert: an instrumented run (`certify_obs` clock,
 //!   metrics and progress snapshots) produces the same stats and the
-//!   same CSV bytes as the uninstrumented engine.
+//!   same CSV bytes as the uninstrumented engine;
+//! * prefix forking is invisible: every built-in scenario gives the
+//!   same trials, stats, CSV bytes and trace dumps (events, `total`,
+//!   `dropped`) whether its trials fork from the shared fault-free
+//!   prefix (every engine: sequential, threaded, range-split,
+//!   sharded) or run from step 0 (`run_trial`, `run_trial_traced`).
 
 use certify_analysis::{campaign_to_csv, CsvSink};
-use certify_core::campaign::{Campaign, Scenario};
+use certify_core::campaign::{Campaign, CampaignResult, Scenario};
 use certify_core::classify::{classify, Outcome};
 use certify_core::system::System;
-use certify_core::NullSink;
+use certify_core::{CampaignStats, CollectSink, DumpPolicy, NullSink, TraceConfig, TraceDump};
+use certify_core::{TrialResult, TrialSink};
 use certify_uncertified::arch::cpu::ParkReason;
 use certify_uncertified::arch::CpuId;
 use certify_uncertified::hypervisor::HvEvent;
@@ -381,4 +387,144 @@ fn e3_shape_at_the_bench_seed_is_preserved() {
     assert_eq!(stats.count(Outcome::CpuPark), 16, "{stats}");
     assert_eq!(stats.count(Outcome::Correct), 79, "{stats}");
     assert_eq!(stats.trials, 150);
+}
+
+/// What a campaign delivered: rows, dumps and CSV bytes in one pass.
+struct Delivered {
+    collect: CollectSink,
+    csv: CsvSink<Vec<u8>>,
+}
+
+impl Delivered {
+    fn new() -> Delivered {
+        Delivered {
+            collect: CollectSink::new(),
+            csv: CsvSink::in_memory(),
+        }
+    }
+
+    fn into_parts(self) -> (Vec<TrialResult>, Vec<(usize, TraceDump)>, String) {
+        let (trials, dumps) = self.collect.into_parts();
+        (trials, dumps, self.csv.into_csv())
+    }
+}
+
+impl TrialSink for Delivered {
+    fn accept(&mut self, seq: usize, trial: TrialResult) {
+        self.csv.accept(seq, trial.clone());
+        self.collect.accept(seq, trial);
+    }
+
+    fn accept_dump(&mut self, seq: usize, dump: TraceDump) {
+        self.collect.accept_dump(seq, dump);
+    }
+}
+
+/// Runs `campaign` on one engine mode: `"sequential"`, `"threaded-N"`,
+/// `"range-split"` (three uneven ranges) or `"sharded"` (the shard
+/// coordinator's partition, each range run the way a shard worker runs
+/// it). Every mode forks its trials from the shared prefix.
+fn run_mode(campaign: &Campaign, mode: &str) -> (CampaignStats, Delivered) {
+    let mut delivered = Delivered::new();
+    let n = campaign.trials();
+    let ranges = match mode {
+        "sequential" => return (campaign.run_streamed(&mut delivered), delivered),
+        "threaded-1" => return (campaign.run_parallel_streamed(1, &mut delivered), delivered),
+        "threaded-4" => return (campaign.run_parallel_streamed(4, &mut delivered), delivered),
+        "range-split" => vec![(0, 1), (1, n / 2 - 1), (n / 2, n - n / 2)],
+        "sharded" => certify_shard::partition(n, 3),
+        other => panic!("unknown mode {other}"),
+    };
+    let mut stats = CampaignStats::new(campaign.scenario().name.clone());
+    for (start, len) in ranges {
+        stats.merge(&campaign.run_range_streamed(start, len, &mut delivered));
+    }
+    (stats, delivered)
+}
+
+/// Forked ≡ from-scratch, the prefix-forking contract: for every
+/// built-in scenario, untraced and traced with every trial dumped, each
+/// engine mode must deliver exactly the trials, dumps (events, `total`,
+/// `dropped`), CSV bytes and stats of trials run from step 0.
+#[test]
+fn forked_trials_equal_from_scratch_trials_in_every_mode() {
+    const MODES: [&str; 5] = [
+        "sequential",
+        "threaded-1",
+        "threaded-4",
+        "range-split",
+        "sharded",
+    ];
+    let traced = TraceConfig::new().with_policy(DumpPolicy::all_outcomes());
+    let mut dropped_before_fork = false;
+    for scenario in certify_lint::builtin_scenarios() {
+        let name = scenario.name.clone();
+        let trials = if name.starts_with("e3") { 6 } else { 4 };
+        let runner = scenario.runner();
+        let campaign = Campaign::new(scenario, trials, 0xD5_2022);
+
+        // The reference: every seed from step 0, traced and untraced.
+        let mut scratch = Vec::new();
+        let mut scratch_dumps = Vec::new();
+        for seq in 0..trials {
+            let seed = 0xD5_2022 + seq as u64;
+            let (trial, dump) = runner.run_trial_traced(seed, Some(&traced));
+            assert_eq!(
+                trial,
+                runner.run_trial(seed),
+                "{name}: traced scratch trial"
+            );
+            scratch_dumps.push((seq, dump.expect("armed recorder dumps")));
+            scratch.push(trial);
+        }
+        let reference = CampaignResult {
+            scenario_name: name.clone(),
+            trials: scratch,
+        };
+        let (stats, csv) = (reference.stats(), campaign_to_csv(&reference));
+        dropped_before_fork |= scratch_dumps.iter().any(|(_, d)| d.dropped > 0);
+
+        for (config, expect_dumps) in [(None, &Vec::new()), (Some(&traced), &scratch_dumps)] {
+            let campaign = match config {
+                Some(config) => campaign.clone().with_trace(config.clone()),
+                None => campaign.clone(),
+            };
+            for mode in MODES {
+                let context = format!("{name} {mode} traced={}", config.is_some());
+                let (mode_stats, delivered) = run_mode(&campaign, mode);
+                let (mode_trials, mode_dumps, mode_csv) = delivered.into_parts();
+                assert_eq!(mode_trials, reference.trials, "{context}: trials");
+                assert_eq!(&mode_dumps, expect_dumps, "{context}: dumps");
+                assert_eq!(mode_csv, csv, "{context}: CSV bytes");
+                assert_eq!(mode_stats, stats, "{context}: stats");
+            }
+        }
+    }
+    assert!(
+        dropped_before_fork,
+        "some scenario must overflow its ring, so the forked ring's counters are tested"
+    );
+}
+
+/// The fork steps the built-in scenarios share their trials' prefix
+/// up to: the first injections land at step 3158 (E3), 3159 (E5a,
+/// E7) and 25 (E6); golden runs are all prefix. E2 with phase jitter
+/// forks at the first matching call.
+#[test]
+fn fork_steps_of_the_paper_scenarios() {
+    use certify_core::memfault::{MemFaultModel, MemTarget};
+    let fork = |scenario: Scenario| scenario.runner().fork_step();
+    assert_eq!(fork(Scenario::e3_fig3()), 3157);
+    assert_eq!(fork(Scenario::e5a_watchdog()), 3158);
+    assert_eq!(fork(Scenario::e7_mixed()), 3158);
+    assert_eq!(
+        fork(Scenario::e6_memory(
+            MemFaultModel::SingleBitFlip,
+            MemTarget::e6()
+        )),
+        24
+    );
+    assert_eq!(fork(Scenario::golden(1500)), 1500);
+    let e2 = fork(Scenario::e2_nonroot_high());
+    assert!(e2 < 30, "E2's jittered cadence forks early, got {e2}");
 }

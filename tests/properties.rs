@@ -185,3 +185,131 @@ proptest! {
         let _ = classify(&system);
     }
 }
+
+/// One generated injection cadence: rate, phase jitter, up to two
+/// step windows, an optional time trigger (register specs only) and a
+/// cap of none, zero or one injection.
+#[derive(Debug, Clone, Copy)]
+struct Cadence {
+    rate: u64,
+    jitter: bool,
+    windows: [Option<(u64, u64)>; 2],
+    time_trigger: Option<u64>,
+    max_injections: Option<u64>,
+}
+
+fn window() -> impl Strategy<Value = Option<(u64, u64)>> {
+    (0u64..1600, 1u64..700, any::<bool>())
+        .prop_map(|(start, len, on)| on.then_some((start, start + len)))
+}
+
+fn cadence() -> impl Strategy<Value = Cadence> {
+    (
+        1u64..201,
+        any::<bool>(),
+        (window(), window()),
+        (any::<bool>(), 1u64..400),
+        0u8..3,
+    )
+        .prop_map(|(rate, jitter, (w0, w1), (timed, period), cap)| Cadence {
+            rate,
+            jitter,
+            windows: [w0, w1],
+            time_trigger: timed.then_some(period),
+            max_injections: [None, Some(0), Some(1)][cap as usize],
+        })
+}
+
+fn windows(cadence: &Cadence) -> Vec<certify_core::InjectionWindow> {
+    cadence
+        .windows
+        .iter()
+        .flatten()
+        .map(|&(start, end)| certify_core::InjectionWindow::new(start, end))
+        .collect()
+}
+
+/// Calls to `mask`'s handlers (bit i = `HandlerKind::ALL[i]`, at least
+/// one set) from `cpu` (2 = any CPU).
+fn call_stream(mask: u8, cpu: u32) -> (Vec<HandlerKind>, Option<CpuId>) {
+    let handlers = HandlerKind::ALL
+        .into_iter()
+        .enumerate()
+        .filter(|(i, _)| mask & (1 << i) != 0)
+        .map(|(_, h)| h)
+        .collect();
+    (handlers, (cpu < 2).then_some(CpuId(cpu)))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Soundness of the fork-step rule. For random cadences of either
+    /// injector kind (or both) on a short bring-up, every seed's
+    /// trial forked from the shared prefix equals the same trial run
+    /// from step 0 — untraced and traced — and no seed's first
+    /// injection or memory attempt lands at or before the fork step.
+    #[test]
+    fn forked_trials_match_scratch_for_random_cadences(
+        (reg, mem) in (cadence(), cadence()),
+        (kind, reg_mask, mem_mask, reg_cpu, mem_cpu) in (0u8..3, 1u8..8, 1u8..8, 0u32..3, 0u32..3),
+        (steps, base_seed, model) in (300u64..1800, 0u64..1_000_000, 0usize..6),
+    ) {
+        use certify_core::memfault::{MemFaultModel, MemTarget};
+        use certify_core::{Campaign, CollectSink, DumpPolicy, MemorySpec, TraceConfig};
+
+        let spec = (kind != 1).then(|| {
+            let (handlers, cpu) = call_stream(reg_mask, reg_cpu);
+            let mut spec = InjectionSpec::new(Intensity::Medium, handlers, cpu)
+                .with_rate(reg.rate)
+                .with_windows(windows(&reg));
+            spec.phase_jitter = reg.jitter;
+            spec.time_trigger = reg.time_trigger;
+            spec.max_injections = reg.max_injections;
+            spec
+        });
+        let mem_spec = (kind != 0).then(|| {
+            let (handlers, cpu) = call_stream(mem_mask, mem_cpu);
+            let mut spec = MemorySpec::new(MemFaultModel::e6_models()[model].clone(), MemTarget::e6(), handlers, cpu)
+                .with_rate(mem.rate)
+                .with_windows(windows(&mem));
+            spec.phase_jitter = mem.jitter;
+            spec.max_injections = mem.max_injections;
+            spec
+        });
+        let scenario = Scenario {
+            name: "fork-soundness".into(),
+            script: MgmtScript::bring_up_and_run(steps),
+            spec,
+            mem_spec,
+            steps,
+            rtos_heartbeat: model % 2 == 0,
+        };
+        let runner = scenario.runner();
+        let fork_step = runner.fork_step();
+        prop_assert!(fork_step <= steps);
+
+        let campaign = Campaign::new(scenario, 3, base_seed);
+        let forked = campaign.run().trials;
+        let traced = campaign.with_trace(TraceConfig::new().with_capacity(512).with_policy(DumpPolicy::all_outcomes()));
+        let mut sink = CollectSink::new();
+        traced.run_streamed(&mut sink);
+        let (traced_trials, dumps) = sink.into_parts();
+        prop_assert_eq!(&traced_trials, &forked);
+        for (trial, (_, dump)) in forked.iter().zip(&dumps) {
+            prop_assert_eq!(trial, &runner.run_trial(trial.seed), "seed {}", trial.seed);
+            let (_, scratch_dump) = runner.run_trial_traced(trial.seed, Some(traced.trace().unwrap()));
+            prop_assert_eq!(Some(dump), scratch_dump.as_ref(), "seed {} dump", trial.seed);
+            let report = &trial.report;
+            let first = report
+                .injections
+                .iter()
+                .map(|r| r.step)
+                .chain(report.mem_injections.iter().map(|r| r.step))
+                .min();
+            if let Some(step) = first {
+                prop_assert!(step > fork_step, "seed {}: injection at step {step}, fork step {fork_step}", trial.seed);
+            }
+        }
+    }
+}
