@@ -7,7 +7,6 @@
 
 use crate::logparse::{LogEvent, LogSource};
 use certify_core::{CampaignStats, Outcome};
-use serde::{Deserialize, Serialize};
 
 /// Campaign-level availability from online statistics: the share of
 /// trials whose outcome left the non-root cell observably available —
@@ -22,7 +21,7 @@ pub fn campaign_availability(stats: &CampaignStats) -> f64 {
 }
 
 /// Windowed availability of one log source.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AvailabilityReport {
     /// The analysed source.
     pub source: LogSource,

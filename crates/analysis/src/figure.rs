@@ -9,7 +9,6 @@
 
 use certify_core::campaign::CampaignResult;
 use certify_core::{CampaignStats, Outcome};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The paper's Figure 3 shares (read off the chart): correct ≈ 65 %,
@@ -21,7 +20,7 @@ pub const PAPER_FIG3_SHARES: [(Outcome, f64); 3] = [
 ];
 
 /// A regenerated Figure 3.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Figure3 {
     /// Scenario name.
     pub scenario: String,

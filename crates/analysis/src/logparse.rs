@@ -6,11 +6,10 @@
 //! [`LogEvent::Other`], never dropped, so analytics can always account
 //! for the full capture.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Who emitted a log line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LogSource {
     /// The root-cell Linux guest.
     Linux,
@@ -35,7 +34,7 @@ impl fmt::Display for LogSource {
 }
 
 /// A parsed log line.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LogEvent {
     /// Root kernel boot progress.
     LinuxBoot {

@@ -8,11 +8,10 @@
 use crate::figure::Figure3;
 use certify_core::profiler::ProfileReport;
 use certify_core::{CampaignStats, Outcome};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One experiment's paper-vs-measured record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExperimentReport {
     /// Experiment id (`E1`…`E4`).
     pub id: String,

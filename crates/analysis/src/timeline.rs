@@ -8,11 +8,10 @@
 
 use certify_core::injector::InjectionRecord;
 use certify_hypervisor::HvEvent;
-use serde::Serialize;
 use std::fmt;
 
 /// One timeline entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimelineEntry {
     /// Simulator step.
     pub step: u64,
@@ -29,7 +28,7 @@ impl fmt::Display for TimelineEntry {
 }
 
 /// A merged, chronologically sorted run trace.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Timeline {
     entries: Vec<TimelineEntry>,
 }

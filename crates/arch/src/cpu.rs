@@ -11,11 +11,10 @@
 use crate::mode::CpuMode;
 use crate::psr::Psr;
 use crate::registers::RegisterFile;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A physical CPU core identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CpuId(pub u32);
 
 impl fmt::Display for CpuId {
@@ -25,7 +24,7 @@ impl fmt::Display for CpuId {
 }
 
 /// Why a CPU was parked.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ParkReason {
     /// Parked at boot / after cell destruction, waiting for an
     /// assignment — the normal resting state of an unassigned core.
@@ -81,7 +80,7 @@ impl fmt::Display for ParkReason {
 }
 
 /// Architectural and lifecycle state of one core.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Cpu {
     /// This core's id.
     pub id: CpuId,

@@ -16,12 +16,11 @@
 //!   hypervisor configures from the cell configs.
 
 use crate::cpu::CpuId;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 
 /// An interrupt line identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct IrqId(pub u16);
 
 impl IrqId {
@@ -54,7 +53,7 @@ pub const SPURIOUS_IRQ: IrqId = IrqId(1023);
 pub const NUM_IRQS: usize = 256;
 
 /// Per-CPU interrupt queue and banked PPI state.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 struct CpuInterface {
     /// FIFO of pending interrupt ids awaiting acknowledge.
     pending: VecDeque<u16>,
@@ -63,7 +62,7 @@ struct CpuInterface {
 }
 
 /// The interrupt controller.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Gic {
     enabled: Vec<bool>,
     /// Owning CPU for SPI routing; SGIs/PPIs ignore this.

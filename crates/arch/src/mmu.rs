@@ -13,7 +13,6 @@
 //! mapping is used (IPA = PA), like Jailhouse's flat cell mappings,
 //! but the structure supports arbitrary mappings.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Page size (4 KiB).
@@ -26,7 +25,7 @@ pub const BLOCK_SIZE: u32 = 1 << BLOCK_SHIFT;
 pub const BLOCK_SHIFT: u32 = 22;
 
 /// Stage-2 access permissions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct S2Perms {
     /// Reads permitted.
     pub read: bool,
@@ -79,7 +78,7 @@ impl fmt::Display for S2Perms {
 }
 
 /// The kind of memory access being translated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// Data read.
     Read,
@@ -90,7 +89,7 @@ pub enum AccessKind {
 }
 
 /// A stage-2 translation fault, as delivered to the hypervisor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum S2Fault {
     /// No mapping covers the address.
     Translation {
@@ -122,7 +121,7 @@ const L1_ENTRIES: usize = 1 << (32 - BLOCK_SHIFT);
 /// Entries in a second-level table (4 MiB block / 4 KiB pages).
 const L2_ENTRIES: usize = 1 << (BLOCK_SHIFT - PAGE_SHIFT);
 
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 enum L1Entry {
     /// No mapping: every access through this entry faults.
     Invalid,
@@ -136,7 +135,7 @@ enum L1Entry {
 }
 
 /// A per-cell stage-2 translation table.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Stage2Table {
     /// First-level table, allocated on first mapping.
     l1: Vec<L1Entry>,

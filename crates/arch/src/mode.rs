@@ -4,11 +4,10 @@
 //! and supervisor for guests, `HYP` for the hypervisor itself (the mode
 //! the virtualization extensions add), and the exception-entry modes.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An ARMv7 processor mode, as encoded in the low five bits of the CPSR.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CpuMode {
     /// Unprivileged application mode.
     User,

@@ -6,7 +6,6 @@
 //! still round-trip faithfully.
 
 use crate::mode::CpuMode;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Bit positions of the CPSR fields we interpret.
@@ -22,7 +21,7 @@ mod bits {
 }
 
 /// A typed wrapper over a raw 32-bit program status register value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Psr(pub u32);
 
 impl Psr {

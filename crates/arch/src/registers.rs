@@ -6,7 +6,6 @@
 //! structure of the whole reproduction: every hypervisor handler argument
 //! and every piece of saved guest context flows through it.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Number of general-purpose registers visible at an exception boundary
@@ -19,7 +18,7 @@ pub const NUM_GPRS: usize = 16;
 /// aliases are provided as associated constants so call sites can speak
 /// the convention while the underlying index stays uniform for the
 /// injector, which picks targets uniformly at random.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[allow(missing_docs)]
 pub enum Reg {
     R0,
@@ -114,7 +113,7 @@ impl fmt::Display for Reg {
 ///
 /// The fault injector mutates values *in place* here, exactly like the
 /// dozen-line patch the paper added to Jailhouse.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RegisterFile {
     gprs: [u32; NUM_GPRS],
     /// Current program status register of the interrupted context.

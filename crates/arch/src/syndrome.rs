@@ -14,12 +14,11 @@
 //! decodes to *some* [`Syndrome`], possibly with an
 //! [`ExceptionClass::Unknown`] class — just like hardware.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Exception classes reported in `HSR[31:26]` (ARMv7 virtualization
 /// extensions subset relevant to a partitioning hypervisor).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExceptionClass {
     /// `0x00` — unknown reason; always unhandled.
     Unknown,
@@ -118,7 +117,7 @@ mod layout {
 }
 
 /// A decoded hyp syndrome value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Syndrome {
     /// Why the trap was taken.
     pub class: ExceptionClass,

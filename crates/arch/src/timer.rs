@@ -8,13 +8,12 @@
 //! step budget (see `certify-core`).
 
 use crate::gic::IrqId;
-use serde::{Deserialize, Serialize};
 
 /// The PPI line conventionally used by the virtual generic timer.
 pub const TIMER_IRQ: IrqId = IrqId(27);
 
 /// A down-counting, auto-reloading timer.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GenericTimer {
     period: u64,
     remaining: u64,

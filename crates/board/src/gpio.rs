@@ -8,13 +8,12 @@
 //! crate can measure blink progress without sampling.
 
 use crate::memmap::GPIO_DATA_OFFSET;
-use serde::{Deserialize, Serialize};
 
 /// Number of modelled pins (one data register's worth).
 pub const NUM_PINS: u8 = 32;
 
 /// The GPIO device.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Gpio {
     levels: u32,
     toggles: [u64; NUM_PINS as usize],

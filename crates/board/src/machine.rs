@@ -13,14 +13,13 @@ use crate::ram::Ram;
 use crate::uart::Uart;
 use crate::watchdog::Watchdog;
 use certify_arch::{Cpu, CpuId, GenericTimer, Gic, IrqId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Default period (in simulator steps) of the per-core tick timers.
 pub const DEFAULT_TIMER_PERIOD: u64 = 64;
 
 /// A memory-mapped device, as decoded from a physical address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MmioDevice {
     /// The serial port.
     Uart,
@@ -53,7 +52,7 @@ impl fmt::Display for BusFault {
 impl std::error::Error for BusFault {}
 
 /// The dual-core board.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Machine {
     cpus: Vec<Cpu>,
     /// Interrupt controller.

@@ -5,7 +5,6 @@
 //! from untouched pages return zero, like freshly initialised DRAM in
 //! the model's idealisation.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -38,7 +37,7 @@ impl Hasher for PageHasher {
 }
 
 /// Sparse RAM covering `[base, base + size)`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Ram {
     base: u32,
     size: u32,
@@ -48,7 +47,7 @@ pub struct Ram {
 /// One word-granular corruption applied through the fault helpers
 /// ([`Ram::flip_bits32`], [`Ram::force32`], [`Ram::splat_range`]):
 /// the address plus the before/after bytes, for the injection log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RamFault {
     /// Address of the corrupted word.
     pub addr: u32,

@@ -20,7 +20,6 @@
 //! `String` allocations.
 
 use crate::memmap::{UART_LSR_OFFSET, UART_THR_OFFSET};
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 
 /// Line-status value reported by the model: transmitter always empty
@@ -28,7 +27,7 @@ use std::borrow::Cow;
 pub const LSR_TX_EMPTY: u32 = 0x60;
 
 /// A byte captured on the serial wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TxByte {
     /// Simulator step at which the byte was transmitted.
     pub step: u64,
@@ -39,7 +38,7 @@ pub struct TxByte {
 /// One completed line in the incremental index: a byte range of the
 /// contiguous capture (newline excluded) plus the step of the line's
 /// final byte (the newline itself, matching the historical reassembly).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct LineSpan {
     step: u64,
     start: u32,
@@ -82,7 +81,7 @@ impl<'a> SerialLine<'a> {
 
 /// A run of captured bytes sharing one transmission step: bytes
 /// `[prev.end, end)` of the contiguous capture arrived at `step`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct StepMark {
     step: u64,
     /// End offset (exclusive) of this run in the byte stream.
@@ -90,7 +89,7 @@ struct StepMark {
 }
 
 /// The UART device.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Uart {
     /// The raw byte stream, contiguous (borrowed line views need
     /// contiguous storage).

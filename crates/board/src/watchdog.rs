@@ -14,13 +14,12 @@
 //! * `MODE` — bit 0 enables the countdown.
 
 use crate::memmap::{WDT_CTRL_OFFSET, WDT_MODE_OFFSET, WDT_RESTART_KEY};
-use serde::{Deserialize, Serialize};
 
 /// Default countdown, in simulator steps.
 pub const DEFAULT_TIMEOUT: u64 = 256;
 
 /// The watchdog device.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Watchdog {
     timeout: u64,
     remaining: u64,

@@ -25,9 +25,8 @@ use crate::system::System;
 use crate::telemetry::{outcome_rows, EngineTelemetry};
 use crate::trace::{trace_event_to_json, TraceConfig, TraceDump};
 use certify_guest_linux::MgmtScript;
-use certify_obs::trace::{TraceEvent, TraceKind, TraceLog, NO_CPU};
+use certify_obs::trace::{FlightRecorder, TraceEvent, TraceKind, NO_CPU};
 use certify_obs::{Clock, EngineMetrics, PhaseSample, ProgressTracker};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -268,7 +267,7 @@ impl TrialRunner {
             System::new(Arc::clone(&self.script))
         };
         if let Some(config) = trace {
-            system.set_tracer(TraceLog::new(config.capacity));
+            system.hv.set_recorder(FlightRecorder::new(config.capacity));
         }
         system
     }
@@ -363,32 +362,32 @@ impl TrialRunner {
             let ran = now();
             (classify(system), ran)
         };
-        let log = system.tracer().cloned();
-        let (report, ran) = match (&log, trace) {
-            (Some(log), Some(config)) if config.policy.on_panic => {
-                match catch_unwind(AssertUnwindSafe(|| run(&mut system))) {
-                    Ok(classified) => classified,
-                    Err(payload) => {
+        let (report, ran) = if trace.is_some_and(|config| config.policy.on_panic) {
+            match catch_unwind(AssertUnwindSafe(|| run(&mut system))) {
+                Ok(classified) => classified,
+                Err(payload) => {
+                    if let Some(recorder) = system.hv.recorder() {
                         let doc = Json::obj([
                             ("seed", Json::U64(seed)),
                             ("scenario", Json::str(self.name.to_string())),
                             ("panicked", Json::Bool(true)),
-                            ("total", Json::U64(log.total())),
-                            ("dropped", Json::U64(log.dropped())),
+                            ("total", Json::U64(recorder.total())),
+                            ("dropped", Json::U64(recorder.dropped())),
                             (
                                 "events",
-                                Json::Arr(log.snapshot().iter().map(trace_event_to_json).collect()),
+                                Json::Arr(recorder.events().map(trace_event_to_json).collect()),
                             ),
                         ]);
                         eprintln!("{}", doc.render());
-                        resume_unwind(payload);
                     }
+                    resume_unwind(payload);
                 }
             }
-            _ => run(&mut system),
+        } else {
+            run(&mut system)
         };
-        let dump = log.map(|log| {
-            log.record(TraceEvent {
+        let dump = system.hv.take_recorder().map(|mut recorder| {
+            recorder.record(TraceEvent {
                 step: system.machine.now(),
                 cpu: NO_CPU,
                 kind: TraceKind::ClassifyVerdict,
@@ -398,7 +397,7 @@ impl TrialRunner {
                     .unwrap_or(0) as u64,
                 arg_b: 0,
             });
-            TraceDump::capture(&log, seed, &self.name, report.outcome)
+            TraceDump::capture(recorder, seed, &self.name, report.outcome)
         });
         let classified = now();
         (
@@ -428,7 +427,7 @@ impl TrialRunner {
     ) -> (TrialResult, Option<TraceDump>, Option<PhaseSample>) {
         let start = clock.map_or(0, |clock| clock.now_ns());
         let (trial, dump, [installed, ran, classified]) =
-            self.run_from(prefix.fork(), seed, trace, clock);
+            self.run_from(prefix.clone(), seed, trace, clock);
         let sample = clock.map(|_| PhaseSample {
             boot_ns: installed.saturating_sub(start),
             steady_ns: 0,
@@ -493,7 +492,7 @@ impl TrialRunner {
 }
 
 /// One trial's result.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrialResult {
     /// The trial's RNG seed.
     pub seed: u64,
@@ -1006,7 +1005,7 @@ impl Drop for AbortGuard<'_> {
 }
 
 /// Aggregated campaign outcomes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignResult {
     /// The scenario that was run.
     pub scenario_name: String,
@@ -1267,6 +1266,26 @@ mod tests {
         let prefix = runner.prefix(None);
         let (trial, _, _) = runner.run_forked(&prefix, 3, None, None);
         assert_eq!(trial, runner.run_trial(3));
+
+        // Traced: each fork records into its own copy of the prefix's
+        // ring, and the prefix's ring stays as it was.
+        let config = TraceConfig::new();
+        let prefix = runner.prefix(Some(&config));
+        let total = prefix.hv.recorder().expect("traced prefix").total();
+        for seed in [3, 4] {
+            let (trial, dump, _) = runner.run_forked(&prefix, seed, Some(&config), None);
+            assert_eq!((trial, dump), runner.run_trial_traced(seed, Some(&config)));
+        }
+        assert_eq!(prefix.hv.recorder().map(|r| r.total()), Some(total));
+    }
+
+    #[test]
+    fn huge_trace_capacity_dumps_like_the_default() {
+        let runner = Scenario::golden(600).runner();
+        let huge = TraceConfig::new().with_capacity(usize::MAX);
+        let (trial, dump) = runner.run_trial_traced(5, Some(&huge));
+        let default = runner.run_trial_traced(5, Some(&TraceConfig::new()));
+        assert_eq!((trial, dump), default);
     }
 
     #[test]

@@ -31,7 +31,7 @@ use std::sync::Arc;
 
 /// Per-phase bounds derived from one armed stretch of a run: either an
 /// injection window, or the whole step horizon for an unwindowed spec.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseBound {
     /// First step (inclusive) of the phase.
     pub start: u64,
@@ -44,7 +44,7 @@ pub struct PhaseBound {
 }
 
 /// The pre-flight certificate for one scenario.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScenarioCertificate {
     /// The certified scenario's name.
     pub scenario_name: String,

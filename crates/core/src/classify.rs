@@ -37,11 +37,10 @@ use certify_arch::cpu::ParkReason;
 use certify_arch::CpuId;
 use certify_guest_linux::MgmtOp;
 use certify_hypervisor::{CellState, Guest, GuestHealth};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The outcome classes of the paper, plus the memory-fault extensions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Outcome {
     /// Whole-system failure: the fault propagated (root kernel panic
     /// or hypervisor panic).
@@ -94,7 +93,7 @@ impl fmt::Display for Outcome {
 }
 
 /// A classified run with its supporting evidence.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunReport {
     /// The classified outcome.
     pub outcome: Outcome,

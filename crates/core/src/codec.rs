@@ -2,8 +2,8 @@
 //!
 //! The multi-process sharding tier (`certify-shard`) ships a campaign
 //! to worker processes and streams aggregates back; both directions
-//! need a *real* serialized form, not the inert derive markers of the
-//! vendored serde stand-in. This module is that form: a small
+//! need a serialized form, and the workspace builds offline without a
+//! serialization framework. This module is that form: a small
 //! hand-rolled, dependency-free binary codec — length-prefixed
 //! strings and sequences, little-endian fixed-width integers, one tag
 //! byte per enum variant — with a [`Wire`] impl for every type a

@@ -11,11 +11,10 @@
 
 use certify_arch::{Reg, RegisterFile};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One concrete register corruption that was applied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AppliedFault {
     /// The corrupted register.
     pub reg: Reg,
@@ -39,7 +38,7 @@ impl fmt::Display for AppliedFault {
 }
 
 /// A fault model: how to corrupt a register file.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultModel {
     /// One random bit of one register drawn uniformly from `pool`
     /// (the paper's medium intensity; `pool` defaults to all sixteen

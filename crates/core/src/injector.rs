@@ -14,12 +14,11 @@ use certify_arch::CpuId;
 use certify_hypervisor::{HandlerKind, HookCtx, Hypervisor, InjectionHook};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
 /// One injection that happened.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InjectionRecord {
     /// Simulator step of the injection.
     pub step: u64,

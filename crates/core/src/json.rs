@@ -1,7 +1,7 @@
 //! A minimal hand-rolled JSON writer.
 //!
-//! The workspace builds fully offline with inert serde stand-ins, so
-//! anything that needs a *real* serialized form rolls its own — the
+//! The workspace builds fully offline without a serialization
+//! framework, so anything that needs a serialized form rolls its own — the
 //! binary [`crate::codec`] for the shard wire protocol, and this
 //! module for human/tool-facing JSON: `certify-lint --json` diagnostic
 //! reports today, the ROADMAP's `RunReport` JSON export next.

@@ -20,11 +20,10 @@ use certify_board::{memmap, Machine};
 use certify_hypervisor::cell::ROOT_CELL;
 use certify_hypervisor::{commregion, CellId, Hypervisor};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A sampled address-space region a memory fault can land in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MemRegionKind {
     /// The root (Linux) cell's RAM slice.
     RootRam,
@@ -111,7 +110,7 @@ impl fmt::Display for MemRegionKind {
 /// Address-space sampler: draws a `(region, word-aligned address)`
 /// pair uniformly — first a region, then an offset inside it — using
 /// the campaign's seeded RNG.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemTarget {
     regions: Vec<MemRegionKind>,
 }
@@ -173,7 +172,7 @@ impl MemTarget {
 }
 
 /// Where a memory fault was physically applied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemLocus {
     /// A 32-bit word of physical RAM.
     RamWord,
@@ -194,7 +193,7 @@ impl fmt::Display for MemLocus {
 }
 
 /// One concrete memory corruption that was applied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AppliedMemFault {
     /// The sampled target region.
     pub region: MemRegionKind,
@@ -234,7 +233,7 @@ impl fmt::Display for AppliedMemFault {
 /// Why an injection attempt was skipped instead of applied. Skips are
 /// recorded in the trial report — they must never panic a campaign
 /// worker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemFaultSkip {
     /// The sampled address fell outside the RAM window.
     OutOfRange {
@@ -364,7 +363,7 @@ impl SkipPrediction {
 }
 
 /// A memory fault model: how to corrupt the sampled location.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MemFaultModel {
     /// One random bit of the sampled 32-bit word.
     SingleBitFlip,

@@ -15,16 +15,15 @@ use crate::memfault::AppliedMemFault;
 use crate::spec::{CallFilter, MemorySpec};
 use certify_board::Machine;
 use certify_hypervisor::Hypervisor;
-use certify_obs::trace::{TraceEvent, TraceKind, TraceLog, NO_CPU};
+use certify_obs::trace::{TraceEvent, TraceKind, NO_CPU};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
 /// One memory-injection attempt: either the applied corruptions or
 /// the reason the attempt was skipped (skips never panic a worker).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemInjectionRecord {
     /// Simulator step of the attempt.
     pub step: u64,
@@ -108,9 +107,6 @@ pub struct MemInjector {
     next_fire: u64,
     injections_done: u64,
     log: MemInjectionLog,
-    /// The causal trace sink, if a flight recorder is attached; every
-    /// applied or skipped attempt is recorded into it.
-    tracer: Option<TraceLog>,
 }
 
 impl MemInjector {
@@ -138,14 +134,7 @@ impl MemInjector {
             rng,
             injections_done: 0,
             log: MemInjectionLog::default(),
-            tracer: None,
         }
-    }
-
-    /// Attaches a causal trace log; every injection attempt (applied
-    /// or skipped) is recorded into it.
-    pub fn set_tracer(&mut self, tracer: TraceLog) {
-        self.tracer = Some(tracer);
     }
 
     /// A shared handle to the injection log.
@@ -173,7 +162,9 @@ impl MemInjector {
 
     /// Called by the orchestrator once per simulator step, after the
     /// stack has advanced: fires (possibly several) pending memory
-    /// injections against the machine and hypervisor state.
+    /// injections against the machine and hypervisor state, recording
+    /// every attempt (applied or skipped) into the hypervisor's flight
+    /// recorder, if one is attached.
     pub fn on_step(&mut self, machine: &mut Machine, hv: &mut Hypervisor) {
         let step = machine.now();
         let total = self.calls.count(hv);
@@ -212,13 +203,13 @@ impl MemInjector {
                     skipped: Some(skip.to_string()),
                 },
             };
-            if let Some(tracer) = &self.tracer {
+            if hv.recorder().is_some() {
                 let (kind, arg_a) = if record.applied() {
                     (TraceKind::MemInjectionApplied, record.faults.len() as u64)
                 } else {
                     (TraceKind::MemInjectionSkipped, trigger)
                 };
-                tracer.record(TraceEvent {
+                hv.trace(TraceEvent {
                     step,
                     cpu: NO_CPU,
                     kind,

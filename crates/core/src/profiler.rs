@@ -13,11 +13,10 @@ use crate::system::System;
 use certify_arch::CpuId;
 use certify_guest_linux::MgmtScript;
 use certify_hypervisor::HandlerKind;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One profile row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProfileRow {
     /// The handler.
     pub handler: HandlerKind,
@@ -35,7 +34,7 @@ impl ProfileRow {
 }
 
 /// The golden-run profile.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProfileReport {
     /// Rows sorted by total activations, descending.
     pub rows: Vec<ProfileRow>,

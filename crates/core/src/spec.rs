@@ -13,7 +13,6 @@ use crate::fault::FaultModel;
 use crate::memfault::{MemFaultModel, MemTarget};
 use certify_arch::CpuId;
 use certify_hypervisor::{HandlerKind, Hypervisor};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -21,7 +20,7 @@ use std::fmt;
 /// Outside the window matching calls are counted but never fired on —
 /// the tool for campaigns that only attack e.g. the boot phase or
 /// steady state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct InjectionWindow {
     /// First step (inclusive) injections may fire.
     pub start: u64,
@@ -95,7 +94,7 @@ impl CallFilter {
 }
 
 /// The paper's two intensity presets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Intensity {
     /// Single-register bit flip, once every 100 target calls.
     Medium,
@@ -131,7 +130,7 @@ impl fmt::Display for Intensity {
 }
 
 /// A full injection specification.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InjectionSpec {
     /// Handlers to instrument (the paper profiles all three and
     /// injects into `arch_handle_trap` / `arch_handle_hvc`).
@@ -333,7 +332,7 @@ impl InjectionSpec {
 /// counts calls to the target handlers (filtered by CPU) and fires a
 /// memory fault on every `rate`-th call, optionally only inside an
 /// [`InjectionWindow`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemorySpec {
     /// Handlers whose (filtered) call stream drives the cadence.
     pub targets: BTreeSet<HandlerKind>,

@@ -12,12 +12,11 @@ use crate::classify::Outcome;
 use crate::json::Json;
 use crate::memfault::MemRegionKind;
 use crate::sink::TrialSink;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Min/max/total summary of a per-trial count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CountSummary {
     /// Smallest per-trial count seen (0 when no trial was recorded).
     pub min: usize,
@@ -69,7 +68,7 @@ impl fmt::Display for CountSummary {
 /// also returns the stats it folded — so `run`, `run_streamed` and
 /// `run_parallel_streamed` over the same seeds produce identical
 /// stats (asserted by `tests/streaming.rs`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignStats {
     /// The scenario that was run.
     pub scenario_name: String,

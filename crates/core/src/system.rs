@@ -19,7 +19,7 @@ use certify_guest_linux::{LinuxGuest, MgmtScript};
 use certify_hypervisor::hv::IrqDelivery;
 use certify_hypervisor::hypercall as hc;
 use certify_hypervisor::{CellId, Guest, GuestCtx, Hypervisor, SystemConfig};
-use certify_obs::trace::{TraceEvent, TraceKind, TraceLog, NO_CPU};
+use certify_obs::trace::{TraceEvent, TraceKind, NO_CPU};
 use certify_rtos::RtosGuest;
 use std::sync::Arc;
 
@@ -29,10 +29,10 @@ const MAX_IRQS_PER_STEP: usize = 8;
 /// A complete, steppable testbed.
 ///
 /// `Clone` is for snapshotting fault-free systems: cloning one with a
-/// register injector installed panics (see [`Hypervisor`]'s `Clone`),
-/// and a clone shares the original's injection logs and flight
-/// recorder; forking a campaign's prefix gives each copy a ring of its
-/// own.
+/// register injector installed panics (see [`Hypervisor`]'s `Clone`).
+/// A clone shares the original's injection logs but copies the flight
+/// recorder, so trials forked from one snapshot never share a ring and
+/// each dumps exactly what a trial traced from step 0 would.
 #[derive(Clone)]
 pub struct System {
     /// The board.
@@ -51,10 +51,6 @@ pub struct System {
     mem_injection_log: Option<MemInjectionLog>,
     steps_run: u64,
     rtos_broken_observed: bool,
-    /// The causal trace sink, if a flight recorder is attached; the
-    /// orchestrator records watchdog bites and corruption-notice
-    /// deliveries into it (components hold their own clones).
-    tracer: Option<TraceLog>,
     boot_failures: u64,
     /// Cached per-CPU cell ownership, refreshed only when the
     /// hypervisor's ownership epoch changes (ownership changes a
@@ -135,7 +131,6 @@ impl System {
             mem_injection_log: None,
             steps_run: 0,
             rtos_broken_observed: false,
-            tracer: None,
             boot_failures: 0,
             owner_cache: vec![None; num_cpus],
             owner_epoch,
@@ -181,47 +176,10 @@ impl System {
     ) -> MemInjectionLog {
         let mut injector = MemInjector::new(spec, seed);
         injector.prime(&self.hv);
-        if let Some(tracer) = &self.tracer {
-            injector.set_tracer(tracer.clone());
-        }
         let log = injector.log();
         self.mem_injection_log = Some(log.clone());
         self.mem_injector = Some(injector);
         log
-    }
-
-    /// Attaches a causal trace log to the whole stack: the hypervisor
-    /// records handler entries, injections, traps and parks; the RTOS
-    /// guest records scheduler decisions; the memory injector records
-    /// its applied/skipped attempts; the orchestrator itself records
-    /// watchdog bites and corruption-notice deliveries. Clones share
-    /// one bounded ring, so attaching is O(1) and recording never
-    /// reallocates past the ring capacity.
-    pub fn set_tracer(&mut self, tracer: TraceLog) {
-        self.hv.set_tracer(tracer.clone());
-        self.rtos.set_tracer(tracer.clone());
-        if let Some(injector) = self.mem_injector.as_mut() {
-            injector.set_tracer(tracer.clone());
-        }
-        self.tracer = Some(tracer);
-    }
-
-    /// A copy of this fault-free system for one trial: a clone whose
-    /// flight recorder, if one is attached, is a ring of its own
-    /// holding a copy of this system's events and counters. Trials
-    /// forked from one snapshot never share a ring, and each dumps
-    /// exactly what a trial traced from step 0 would.
-    pub(crate) fn fork(&self) -> System {
-        let mut system = self.clone();
-        if let Some(tracer) = &self.tracer {
-            system.set_tracer(tracer.fork());
-        }
-        system
-    }
-
-    /// The attached flight recorder, if any.
-    pub(crate) fn tracer(&self) -> Option<&TraceLog> {
-        self.tracer.as_ref()
     }
 
     /// The memory-injection log, if a memory injector is installed.
@@ -262,16 +220,14 @@ impl System {
     pub fn step(&mut self) {
         self.steps_run += 1;
         let watchdog_bit = self.machine.advance();
-        if watchdog_bit {
-            if let Some(tracer) = &self.tracer {
-                tracer.record(TraceEvent {
-                    step: self.machine.now(),
-                    cpu: NO_CPU,
-                    kind: TraceKind::WatchdogBite,
-                    arg_a: self.machine.wdt.expiries().len() as u64,
-                    arg_b: 0,
-                });
-            }
+        if watchdog_bit && self.hv.recorder().is_some() {
+            self.hv.trace(TraceEvent {
+                step: self.machine.now(),
+                cpu: NO_CPU,
+                kind: TraceKind::WatchdogBite,
+                arg_a: self.machine.wdt.expiries().len() as u64,
+                arg_b: 0,
+            });
         }
 
         // Wake and drain only when some CPU actually has a pending
@@ -312,15 +268,13 @@ impl System {
                 // or memory injection posted the notice — the delivery
                 // is the causally interesting moment (the victim guest
                 // faults on its next slice).
-                if let Some(tracer) = &self.tracer {
-                    tracer.record(TraceEvent {
-                        step: self.machine.now(),
-                        cpu: NO_CPU,
-                        kind: TraceKind::CorruptionNotice,
-                        arg_a: cell.0 as u64,
-                        arg_b: 0,
-                    });
-                }
+                self.hv.trace(TraceEvent {
+                    step: self.machine.now(),
+                    cpu: NO_CPU,
+                    kind: TraceKind::CorruptionNotice,
+                    arg_a: cell.0 as u64,
+                    arg_b: 0,
+                });
                 if cell == certify_hypervisor::cell::ROOT_CELL {
                     self.linux.on_memory_corrupted();
                 } else {

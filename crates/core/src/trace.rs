@@ -19,7 +19,7 @@
 
 use crate::classify::Outcome;
 use crate::json::Json;
-use certify_obs::trace::{TraceEvent, TraceLog, NO_CPU};
+use certify_obs::trace::{FlightRecorder, TraceEvent, NO_CPU};
 use std::collections::BTreeSet;
 
 /// Default flight-recorder capacity (events retained per trial).
@@ -144,17 +144,20 @@ pub struct TraceDump {
 }
 
 impl TraceDump {
-    /// Captures the current ring contents of `log` as a dump.
-    pub fn capture(log: &TraceLog, seed: u64, scenario: &str, outcome: Outcome) -> TraceDump {
-        let events = log.snapshot();
-        let total = log.total();
+    /// Turns `recorder`'s ring into a dump, reusing its buffer.
+    pub fn capture(
+        recorder: FlightRecorder,
+        seed: u64,
+        scenario: &str,
+        outcome: Outcome,
+    ) -> TraceDump {
         TraceDump {
             seed,
             scenario: scenario.to_string(),
             outcome,
-            total,
-            dropped: total - events.len() as u64,
-            events,
+            total: recorder.total(),
+            dropped: recorder.dropped(),
+            events: recorder.into_events(),
         }
     }
 
@@ -239,9 +242,9 @@ mod tests {
     use certify_obs::trace::TraceKind;
 
     fn sample_dump() -> TraceDump {
-        let log = TraceLog::new(2);
+        let mut recorder = FlightRecorder::new(2);
         for step in 1..=3u64 {
-            log.record(TraceEvent {
+            recorder.record(TraceEvent {
                 step,
                 cpu: if step == 3 { NO_CPU } else { 1 },
                 kind: TraceKind::HandlerEntry,
@@ -249,7 +252,12 @@ mod tests {
                 arg_b: 0,
             });
         }
-        TraceDump::capture(&log, 42, "e3-fig3-medium", Outcome::SilentDataCorruption)
+        TraceDump::capture(
+            recorder,
+            42,
+            "e3-fig3-medium",
+            Outcome::SilentDataCorruption,
+        )
     }
 
     #[test]

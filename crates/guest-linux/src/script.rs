@@ -7,11 +7,10 @@
 //! hand over CPU 1, create/load/start the FreeRTOS cell, let it run"
 //! (optionally cycling shutdown/destroy/recreate).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One management operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MgmtOp {
     /// Do nothing for the given number of steps.
     Delay(u64),
@@ -96,7 +95,7 @@ impl fmt::Display for MgmtOp {
 }
 
 /// A recorded operation result.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MgmtRecord {
     /// Simulator step at which the operation completed.
     pub step: u64,
@@ -107,7 +106,7 @@ pub struct MgmtRecord {
 }
 
 /// A named, ordered operation list.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MgmtScript {
     /// Script name for logs.
     pub name: String,

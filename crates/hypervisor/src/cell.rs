@@ -14,11 +14,10 @@
 use crate::config::{CellConfig, MemFlags};
 use crate::error::HvError;
 use certify_arch::mmu::{S2Perms, Stage2Table, PAGE_SIZE};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A cell identifier. Id 0 is always the root cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CellId(pub u32);
 
 /// The root cell's id.
@@ -32,7 +31,7 @@ impl fmt::Display for CellId {
 
 /// Lifecycle state of a cell, mirroring Jailhouse's communication-
 /// region states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CellState {
     /// Created but not yet started; loadable.
     Stopped,
@@ -59,7 +58,7 @@ impl fmt::Display for CellState {
 }
 
 /// A cell and its runtime state.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Cell {
     /// This cell's id.
     pub id: CellId,

@@ -14,7 +14,6 @@
 use crate::error::HvError;
 use certify_arch::{CpuId, IrqId};
 use certify_board::memmap;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Maximum cell-name length in the serialized form.
@@ -23,7 +22,7 @@ pub const MAX_NAME_LEN: usize = 31;
 pub const CONFIG_MAGIC: u32 = 0x4a48_4345; // "JHCE"
 
 /// Access permissions of a memory region, Jailhouse-style flags.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct MemFlags(pub u32);
 
 impl MemFlags {
@@ -105,7 +104,7 @@ impl fmt::Display for MemFlags {
 }
 
 /// A physical memory region assigned to a cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemRegion {
     /// Physical base address.
     pub base: u32,
@@ -147,7 +146,7 @@ impl fmt::Display for MemRegion {
 }
 
 /// A static cell description.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellConfig {
     /// Human-readable cell name (≤ [`MAX_NAME_LEN`] bytes).
     pub name: String,
@@ -355,7 +354,7 @@ impl<'a> WordReader<'a> {
 
 /// The whole-system configuration: the root cell plus the hypervisor
 /// carve-out.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SystemConfig {
     /// Root-cell description (owns everything initially).
     pub root: CellConfig,

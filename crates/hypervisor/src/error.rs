@@ -4,11 +4,10 @@
 //! root-cell driver renders them as messages like *"invalid
 //! arguments"* — the exact string the paper's E1 experiment observes.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An error returned by a hypercall or internal hypervisor operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HvError {
     /// `-EPERM`: operation not permitted (e.g. management call from a
     /// non-root cell, or the hypervisor is not enabled).

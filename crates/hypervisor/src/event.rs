@@ -2,21 +2,19 @@
 //!
 //! Alongside the raw serial capture, the hypervisor records a
 //! structured trace of everything the analysis pipeline needs to
-//! classify an experiment run: handler activity, hypercall results,
-//! parks, wild stores, corruption notices and panics. The trace is an
-//! *observation* channel only — nothing in the hypervisor reads it
-//! back, so it cannot mask a failure.
+//! classify an experiment run: hypercall results, parks, wild stores,
+//! corruption notices and panics. The trace is an *observation*
+//! channel only — nothing in the hypervisor reads it back, so it
+//! cannot mask a failure.
 
 use crate::cell::{CellId, CellState};
-use crate::hooks::HandlerKind;
 use certify_arch::cpu::ParkReason;
 use certify_arch::{CpuId, IrqId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Where a wild hypervisor store landed, i.e. which part of the system
 /// a propagating fault corrupted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CorruptionTarget {
     /// A guest cell's memory.
     Cell(CellId),
@@ -35,19 +33,8 @@ impl fmt::Display for CorruptionTarget {
 }
 
 /// One entry in the hypervisor trace.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HvEvent {
-    /// A profiled handler was entered.
-    HandlerEntry {
-        /// Which handler.
-        handler: HandlerKind,
-        /// Executing CPU.
-        cpu: CpuId,
-        /// 1-based per-(handler, CPU) call index.
-        call_index: u64,
-        /// Simulator step.
-        step: u64,
-    },
     /// A hypercall completed.
     Hypercall {
         /// Calling CPU.
@@ -123,8 +110,7 @@ impl HvEvent {
     /// The simulator step of this event.
     pub fn step(&self) -> u64 {
         match self {
-            HvEvent::HandlerEntry { step, .. }
-            | HvEvent::Hypercall { step, .. }
+            HvEvent::Hypercall { step, .. }
             | HvEvent::CpuParked { step, .. }
             | HvEvent::WildStore { step, .. }
             | HvEvent::AccessViolation { step, .. }
@@ -138,12 +124,6 @@ impl HvEvent {
 impl fmt::Display for HvEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            HvEvent::HandlerEntry {
-                handler,
-                cpu,
-                call_index,
-                step,
-            } => write!(f, "[{step}] {cpu} {handler} call #{call_index}"),
             HvEvent::Hypercall {
                 cpu,
                 code,
@@ -187,7 +167,7 @@ impl fmt::Display for HvEvent {
 
 /// Per-CPU tally of park events, updated as [`HvEvent::CpuParked`]
 /// entries are recorded.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CpuParkTally {
     /// Parks with [`ParkReason::Idle`].
     pub idle: u64,
@@ -209,7 +189,7 @@ pub struct CpuParkTally {
 /// instead of scanning the whole event trace per question. Everything
 /// here is derivable from [`HvEvent`]s — the equivalence is asserted
 /// by `tests/hotpath_equivalence.rs` in the workspace root.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Evidence {
     per_cpu: Vec<CpuParkTally>,
     /// Steps of every access-violation event, in record order
@@ -299,48 +279,42 @@ mod tests {
     #[test]
     fn step_accessor_covers_every_variant() {
         let events = [
-            HvEvent::HandlerEntry {
-                handler: HandlerKind::ArchHandleHvc,
-                cpu: CpuId(0),
-                call_index: 1,
-                step: 10,
-            },
             HvEvent::Hypercall {
                 cpu: CpuId(0),
                 code: 1,
                 result: -22,
-                step: 11,
+                step: 10,
             },
             HvEvent::CpuParked {
                 cpu: CpuId(1),
                 reason: ParkReason::UnhandledTrap(0x24),
-                step: 12,
+                step: 11,
             },
             HvEvent::WildStore {
                 cpu: CpuId(1),
                 addr: 0x7b00_0000,
                 target: Some(CorruptionTarget::HypervisorState),
-                step: 13,
+                step: 12,
             },
             HvEvent::AccessViolation {
                 cpu: CpuId(1),
                 addr: 0x4000_0000,
-                step: 14,
+                step: 13,
             },
             HvEvent::IrqError {
                 cpu: CpuId(0),
                 seen: IrqId(5),
                 actual: IrqId(27),
-                step: 15,
+                step: 14,
             },
             HvEvent::CellStateChanged {
                 cell: CellId(1),
                 state: CellState::Failed,
-                step: 16,
+                step: 15,
             },
             HvEvent::HypervisorPanic {
                 message: "HYP data abort".into(),
-                step: 17,
+                step: 16,
             },
         ];
         for (i, e) in events.iter().enumerate() {

@@ -13,11 +13,10 @@
 use crate::hv::Hypervisor;
 use certify_arch::{CpuId, IrqId};
 use certify_board::Machine;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A guest's self-reported health, used by the outcome classifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GuestHealth {
     /// Operating normally.
     Healthy,

@@ -12,11 +12,10 @@
 //! models and intensity plans; golden runs simply install no hook.
 
 use certify_arch::{CpuId, RegisterFile};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The three handlers identified by the paper's golden-run profiling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum HandlerKind {
     /// `irqchip_handle_irq()` — hardware interrupt dispatch.
     IrqchipHandleIrq,

@@ -22,7 +22,7 @@ use certify_arch::cpu::ParkReason;
 use certify_arch::syndrome::{ExceptionClass, Syndrome};
 use certify_arch::{CpuId, IrqId, Reg, RegisterFile, SPURIOUS_IRQ};
 use certify_board::{memmap, Machine};
-use certify_obs::trace::{TraceEvent, TraceKind, TraceLog};
+use certify_obs::trace::{FlightRecorder, TraceEvent, TraceKind};
 use std::fmt;
 
 /// Maximum size of a staged configuration blob.
@@ -69,10 +69,10 @@ pub struct Hypervisor {
     hook: Option<Box<dyn InjectionHook>>,
     events: Vec<HvEvent>,
     evidence: Evidence,
-    trace_handlers: bool,
-    /// The causal trace sink, if a flight recorder is attached. `None`
-    /// is the hot path: one branch per event site, nothing else.
-    tracer: Option<TraceLog>,
+    /// The trial's flight recorder, if tracing. Every event site in the
+    /// stack records through [`Hypervisor::trace`]; `None` is the hot
+    /// path: one branch per site, nothing else.
+    recorder: Option<FlightRecorder>,
     corruption_notices: Vec<CellId>,
     latent_hv_corruption: bool,
     panic: Option<String>,
@@ -101,8 +101,10 @@ impl fmt::Debug for Hypervisor {
     }
 }
 
-/// Clones the hypervisor's whole state, trace handle included, for
-/// snapshotting a fault-free system.
+/// Clones the hypervisor's whole state for snapshotting a fault-free
+/// system. The flight recorder is copied, not shared: each clone
+/// records into a ring of its own that starts with the original's
+/// events and counters.
 ///
 /// # Panics
 ///
@@ -126,8 +128,7 @@ impl Clone for Hypervisor {
             hook: None,
             events: self.events.clone(),
             evidence: self.evidence.clone(),
-            trace_handlers: self.trace_handlers,
-            tracer: self.tracer.clone(),
+            recorder: self.recorder.clone(),
             corruption_notices: self.corruption_notices.clone(),
             latent_hv_corruption: self.latent_hv_corruption,
             panic: self.panic.clone(),
@@ -150,8 +151,7 @@ impl Hypervisor {
             hook: None,
             events: Vec::new(),
             evidence: Evidence::default(),
-            trace_handlers: false,
-            tracer: None,
+            recorder: None,
             corruption_notices: Vec::new(),
             latent_hv_corruption: false,
             panic: None,
@@ -215,9 +215,8 @@ impl Hypervisor {
 
     /// The structured event trace.
     ///
-    /// Console-putc hypercalls are traced only while
-    /// [`Hypervisor::set_trace_handlers`] is on: at one hypercall per
-    /// serial byte they dominate the trace without carrying
+    /// Console-putc hypercalls are not traced: at one hypercall per
+    /// serial byte they would dominate the trace without carrying
     /// classification signal (the bytes themselves are in the UART
     /// capture).
     pub fn events(&self) -> &[HvEvent] {
@@ -237,16 +236,31 @@ impl Hypervisor {
         self.ownership_epoch
     }
 
-    /// Enables per-handler-entry trace events (off by default; the
-    /// stream is large).
-    pub fn set_trace_handlers(&mut self, on: bool) {
-        self.trace_handlers = on;
+    /// Attaches a flight recorder for the whole stack: the hypervisor
+    /// records handler entries, applied injections, guest traps and CPU
+    /// parks; the guests, injectors and orchestrator record their own
+    /// events through [`Hypervisor::trace`].
+    pub fn set_recorder(&mut self, recorder: FlightRecorder) {
+        self.recorder = Some(recorder);
     }
 
-    /// Attaches a causal trace log. The hypervisor records handler
-    /// entries, applied injections, guest traps and CPU parks into it.
-    pub fn set_tracer(&mut self, tracer: TraceLog) {
-        self.tracer = Some(tracer);
+    /// Removes the flight recorder, returning it.
+    pub fn take_recorder(&mut self) -> Option<FlightRecorder> {
+        self.recorder.take()
+    }
+
+    /// The attached flight recorder, if any.
+    pub fn recorder(&self) -> Option<&FlightRecorder> {
+        self.recorder.as_ref()
+    }
+
+    /// Records `event` into the flight recorder; a no-op without one.
+    /// Sites whose event costs anything to build check
+    /// [`Hypervisor::recorder`] first.
+    pub fn trace(&mut self, event: TraceEvent) {
+        if let Some(recorder) = self.recorder.as_mut() {
+            recorder.record(event);
+        }
     }
 
     /// Installs a fault-injection hook.
@@ -375,23 +389,13 @@ impl Hypervisor {
         }
         self.call_counts[slot] += 1;
         let call_index = self.call_counts[slot];
-        if self.trace_handlers {
-            self.events.push(HvEvent::HandlerEntry {
-                handler,
-                cpu,
-                call_index,
-                step,
-            });
-        }
-        if let Some(tracer) = &self.tracer {
-            tracer.record(TraceEvent {
-                step,
-                cpu: cpu.0,
-                kind: TraceKind::HandlerEntry,
-                arg_a: handler.index() as u64,
-                arg_b: call_index,
-            });
-        }
+        self.trace(TraceEvent {
+            step,
+            cpu: cpu.0,
+            kind: TraceKind::HandlerEntry,
+            arg_a: handler.index() as u64,
+            arg_b: call_index,
+        });
         if let Some(hook) = self.hook.as_mut() {
             // Debug builds police the touched contract: a hook that
             // mutates the context without `mark_touched` would have
@@ -415,15 +419,13 @@ impl Hypervisor {
                  calling HookCtx::mark_touched"
             );
             if touched {
-                if let Some(tracer) = &self.tracer {
-                    tracer.record(TraceEvent {
-                        step,
-                        cpu: cpu.0,
-                        kind: TraceKind::InjectionApplied,
-                        arg_a: handler.index() as u64,
-                        arg_b: call_index,
-                    });
-                }
+                self.trace(TraceEvent {
+                    step,
+                    cpu: cpu.0,
+                    kind: TraceKind::InjectionApplied,
+                    arg_a: handler.index() as u64,
+                    arg_b: call_index,
+                });
             }
             touched
         } else {
@@ -527,15 +529,13 @@ impl Hypervisor {
             machine
                 .cpu_mut(CpuId(i as u32))
                 .park(ParkReason::HypervisorPanic);
-            if let Some(tracer) = &self.tracer {
-                tracer.record(TraceEvent {
-                    step,
-                    cpu: i as u32,
-                    kind: TraceKind::CpuParked,
-                    arg_a: ParkReason::HypervisorPanic.code() as u64,
-                    arg_b: 0,
-                });
-            }
+            self.trace(TraceEvent {
+                step,
+                cpu: i as u32,
+                kind: TraceKind::CpuParked,
+                arg_a: ParkReason::HypervisorPanic.code() as u64,
+                arg_b: 0,
+            });
         }
         self.events.push(HvEvent::HypervisorPanic {
             message: message.clone(),
@@ -552,15 +552,13 @@ impl Hypervisor {
         let detail = format!("[hyp] parking {cpu}: {reason}\n");
         machine.uart.write_str(&detail, step);
         self.events.push(HvEvent::CpuParked { cpu, reason, step });
-        if let Some(tracer) = &self.tracer {
-            tracer.record(TraceEvent {
-                step,
-                cpu: cpu.0,
-                kind: TraceKind::CpuParked,
-                arg_a: reason.code() as u64,
-                arg_b: reason.trap_code() as u64,
-            });
-        }
+        self.trace(TraceEvent {
+            step,
+            cpu: cpu.0,
+            kind: TraceKind::CpuParked,
+            arg_a: reason.code() as u64,
+            arg_b: reason.trap_code() as u64,
+        });
         self.evidence.record_park(cpu, reason);
         if let Some(owner) = self.cpu_owner(cpu) {
             if owner != ROOT_CELL {
@@ -663,10 +661,9 @@ impl Hypervisor {
         };
         // Console-putc traffic is one hypercall per serial byte; its
         // trace entries carry no classification signal (the bytes land
-        // in the UART capture), so they are only recorded when handler
-        // tracing is explicitly on.
+        // in the UART capture), so they are not recorded.
         let seen_code = regs.read(Reg::R0);
-        if self.trace_handlers || seen_code != hc::HVC_DEBUG_CONSOLE_PUTC {
+        if seen_code != hc::HVC_DEBUG_CONSOLE_PUTC {
             self.events.push(HvEvent::Hypercall {
                 cpu,
                 code: seen_code,
@@ -1361,15 +1358,13 @@ impl Hypervisor {
         let step = machine.now();
         self.ensure_cpu_slots(machine.num_cpus());
         let owner = self.cpu_owner(cpu).unwrap_or(ROOT_CELL);
-        if let Some(tracer) = &self.tracer {
-            tracer.record(TraceEvent {
-                step,
-                cpu: cpu.0,
-                kind: TraceKind::TrapTaken,
-                arg_a: syndrome.encode() as u64,
-                arg_b: far as u64,
-            });
-        }
+        self.trace(TraceEvent {
+            step,
+            cpu: cpu.0,
+            kind: TraceKind::TrapTaken,
+            arg_a: syndrome.encode() as u64,
+            arg_b: far as u64,
+        });
 
         let mut regs = machine.cpu(cpu).regs.clone();
         let entry_elr = regs.read(Reg::PC);

@@ -17,13 +17,12 @@
 
 use crate::guest::GuestCtx;
 use certify_board::memmap;
-use serde::{Deserialize, Serialize};
 
 /// Maximum message payload, in 32-bit words.
 pub const MAX_PAYLOAD_WORDS: usize = 16;
 
 /// One end of the shared-memory mailbox.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IvshmemChannel {
     base: u32,
     last_seen_seq: u32,

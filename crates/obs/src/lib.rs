@@ -23,10 +23,9 @@
 //! * [`io`] — byte-counting I/O adapters ([`io::CountingReader`]) so
 //!   frame transports can report wire volume without re-buffering.
 //! * [`trace`] — the causal trace layer: the step-stamped
-//!   [`trace::TraceEvent`] vocabulary, the zero-cost-when-off
-//!   [`trace::Tracer`] trait, and the bounded ring-buffer
-//!   [`trace::FlightRecorder`] behind the cloneable
-//!   [`trace::TraceLog`] handle the testbed's event sites share.
+//!   [`trace::TraceEvent`] vocabulary and the bounded ring-buffer
+//!   [`trace::FlightRecorder`] the hypervisor owns and the testbed's
+//!   event sites record into.
 //!
 //! The cardinal rule, pinned by `tests/hotpath_equivalence.rs` one
 //! level up: **telemetry never influences trial results**. Observed
@@ -50,4 +49,4 @@ pub use metrics::{
 pub use progress::{
     CollectObserver, NullObserver, ProgressObserver, ProgressSnapshot, ProgressTracker,
 };
-pub use trace::{FlightRecorder, NullTracer, TraceEvent, TraceKind, TraceLog, Tracer, NO_CPU};
+pub use trace::{FlightRecorder, TraceEvent, TraceKind, NO_CPU};

@@ -5,10 +5,10 @@
 //! The campaign stack answers *which* outcome a fault produced; this
 //! module answers *how it got there*. Event sites across the testbed
 //! (injectors, hypervisor handlers, the RTOS scheduler, the watchdog,
-//! the classifier) emit [`TraceEvent`]s through a cloneable
-//! [`TraceLog`] handle. Components hold an `Option<TraceLog>`: `None`
-//! is the zero-cost-when-off path — a single branch per site, no
-//! allocation, no locking.
+//! the classifier) emit [`TraceEvent`]s into one [`FlightRecorder`]
+//! owned by the hypervisor; every site already holds `&mut` access to
+//! it. No recorder is the zero-cost-when-off path: a single branch per
+//! site, no allocation.
 //!
 //! The recorder is a bounded ring ([`FlightRecorder`]): a trial that
 //! runs long keeps only the most recent `capacity` events plus a
@@ -25,7 +25,13 @@
 //!   and untraced runs of the same seed produce identical outcomes.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+
+/// Ring slots allocated up front (the campaign default capacity).
+/// Regrowing a ring in every trial costs more than recording into it,
+/// so a ring up to this size is allocated once at full size; a larger
+/// one grows on demand, so an oversized capacity costs memory only as
+/// events arrive.
+const RESERVED_EVENTS: usize = 4096;
 
 /// The `cpu` value for events not attributable to a single CPU
 /// (memory-domain injections, watchdog bites, classifier verdicts).
@@ -131,26 +137,13 @@ pub struct TraceEvent {
     pub arg_b: u64,
 }
 
-/// A consumer of trace events. [`FlightRecorder`] is the stock
-/// implementation; tests substitute their own to assert on streams.
-pub trait Tracer {
-    /// Records one event.
-    fn record(&mut self, event: TraceEvent);
-}
-
-/// The no-op tracer: every event vanishes.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullTracer;
-
-impl Tracer for NullTracer {
-    fn record(&mut self, _event: TraceEvent) {}
-}
-
 /// A bounded ring buffer of the most recent trace events.
 ///
 /// Once `capacity` events are held, each new event evicts the oldest;
 /// `total` keeps counting, so `dropped()` reports exactly how much of
-/// the stream's head was lost.
+/// the stream's head was lost. A clone is an independent copy: what a
+/// trial forked from a traced snapshot records into, so its dump
+/// matches a trial traced from step 0.
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
     capacity: usize,
@@ -164,7 +157,7 @@ impl FlightRecorder {
         let capacity = capacity.max(1);
         FlightRecorder {
             capacity,
-            events: VecDeque::with_capacity(capacity),
+            events: VecDeque::with_capacity(capacity.min(RESERVED_EVENTS)),
             total: 0,
         }
     }
@@ -199,64 +192,18 @@ impl FlightRecorder {
         self.events.iter()
     }
 
-    /// Copies the retained events out, oldest first.
-    pub fn snapshot(&self) -> Vec<TraceEvent> {
-        self.events.iter().copied().collect()
+    /// The retained events, oldest first, in the ring's own buffer.
+    pub fn into_events(self) -> Vec<TraceEvent> {
+        Vec::from(self.events)
     }
-}
 
-impl Tracer for FlightRecorder {
-    fn record(&mut self, event: TraceEvent) {
+    /// Records one event, evicting the oldest at capacity.
+    pub fn record(&mut self, event: TraceEvent) {
         if self.events.len() == self.capacity {
             self.events.pop_front();
         }
         self.events.push_back(event);
         self.total += 1;
-    }
-}
-
-/// A cloneable handle to a shared [`FlightRecorder`].
-///
-/// Event sites across the testbed (hypervisor, RTOS guest, injectors,
-/// the system step loop) each hold a clone; they all feed the same
-/// ring. The mutex is uncontended in practice — a trial is
-/// single-threaded — and absent entirely on the untraced path, where
-/// components hold `None` instead.
-#[derive(Debug, Clone)]
-pub struct TraceLog(Arc<Mutex<FlightRecorder>>);
-
-impl TraceLog {
-    /// A fresh log over a recorder of the given capacity.
-    pub fn new(capacity: usize) -> TraceLog {
-        TraceLog(Arc::new(Mutex::new(FlightRecorder::new(capacity))))
-    }
-
-    /// A new log over its own ring holding a copy of this ring's
-    /// events and counters: what a trial forked from a traced snapshot
-    /// records into, so its dump matches a trial traced from step 0.
-    pub fn fork(&self) -> TraceLog {
-        let recorder = self.0.lock().expect("trace log poisoned").clone();
-        TraceLog(Arc::new(Mutex::new(recorder)))
-    }
-
-    /// Records one event.
-    pub fn record(&self, event: TraceEvent) {
-        self.0.lock().expect("trace log poisoned").record(event);
-    }
-
-    /// The retained events, oldest first.
-    pub fn snapshot(&self) -> Vec<TraceEvent> {
-        self.0.lock().expect("trace log poisoned").snapshot()
-    }
-
-    /// Events ever recorded, including evicted ones.
-    pub fn total(&self) -> u64 {
-        self.0.lock().expect("trace log poisoned").total()
-    }
-
-    /// Events evicted from the head of the ring.
-    pub fn dropped(&self) -> u64 {
-        self.0.lock().expect("trace log poisoned").dropped()
     }
 }
 
@@ -311,41 +258,35 @@ mod tests {
         recorder.record(event(1, TraceKind::WatchdogBite));
         recorder.record(event(2, TraceKind::WatchdogBite));
         assert_eq!(recorder.len(), 1);
-        assert_eq!(recorder.snapshot()[0].step, 2);
+        assert_eq!(recorder.into_events()[0].step, 2);
     }
 
     #[test]
-    fn log_clones_share_one_ring() {
-        let log = TraceLog::new(8);
-        let clone = log.clone();
-        log.record(event(1, TraceKind::InjectionApplied));
-        clone.record(event(2, TraceKind::ClassifyVerdict));
-        let events = log.snapshot();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].step, 1);
-        assert_eq!(events[1].step, 2);
-        assert_eq!(clone.total(), 2);
-        assert_eq!(clone.dropped(), 0);
-    }
-
-    #[test]
-    fn forked_log_copies_the_ring_and_then_diverges() {
-        let log = TraceLog::new(2);
-        for step in 0..3 {
-            log.record(event(step, TraceKind::HandlerEntry));
+    fn huge_capacity_grows_on_demand() {
+        let mut recorder = FlightRecorder::new(usize::MAX);
+        for step in 0..5 {
+            recorder.record(event(step, TraceKind::TrapTaken));
         }
-        let fork = log.fork();
-        assert_eq!(fork.snapshot(), log.snapshot());
+        assert_eq!(recorder.capacity(), usize::MAX);
+        assert_eq!(
+            (recorder.len(), recorder.total(), recorder.dropped()),
+            (5, 5, 0)
+        );
+        assert_eq!(recorder.into_events()[4].step, 4);
+    }
+
+    #[test]
+    fn cloned_recorder_copies_the_ring_and_then_diverges() {
+        let mut recorder = FlightRecorder::new(2);
+        for step in 0..3 {
+            recorder.record(event(step, TraceKind::HandlerEntry));
+        }
+        let mut fork = recorder.clone();
+        assert!(fork.events().eq(recorder.events()));
         assert_eq!((fork.total(), fork.dropped()), (3, 1));
         fork.record(event(9, TraceKind::ClassifyVerdict));
-        assert_eq!(log.total(), 3, "the original ring is untouched");
+        assert_eq!(recorder.total(), 3, "the original ring is untouched");
         assert_eq!(fork.total(), 4);
-        assert_eq!(fork.snapshot()[1].step, 9);
-    }
-
-    #[test]
-    fn null_tracer_swallows_events() {
-        let mut tracer = NullTracer;
-        tracer.record(event(1, TraceKind::TrapTaken));
+        assert_eq!(fork.into_events()[1].step, 9);
     }
 }

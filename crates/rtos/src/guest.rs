@@ -7,7 +7,7 @@ use crate::workload;
 use certify_arch::IrqId;
 use certify_board::memmap;
 use certify_hypervisor::{Guest, GuestCtx, GuestHealth};
-use certify_obs::trace::{TraceEvent, TraceKind, TraceLog};
+use certify_obs::trace::{TraceEvent, TraceKind};
 use std::fmt;
 
 /// The non-root cell guest of the paper: FreeRTOS with the blink /
@@ -27,9 +27,6 @@ pub struct RtosGuest {
     /// Booted, healthy, banner printed, no corruption pending: the
     /// per-slice fast path, re-derived whenever any of those change.
     steady: bool,
-    /// The causal trace sink, if a flight recorder is attached; the
-    /// guest records scheduler decisions into it.
-    tracer: Option<TraceLog>,
 }
 
 impl RtosGuest {
@@ -62,20 +59,16 @@ impl RtosGuest {
             pending_corruption: false,
             with_heartbeat,
             steady: false,
-            tracer: None,
         }
     }
 
-    /// Attaches a causal trace log; every scheduler decision is
-    /// recorded into it.
-    pub fn set_tracer(&mut self, tracer: TraceLog) {
-        self.tracer = Some(tracer);
-    }
-
-    fn trace_sched(&self, ctx: &GuestCtx<'_>, picked: Option<TaskId>) {
-        if let (Some(tracer), Some(task)) = (&self.tracer, picked) {
-            tracer.record(TraceEvent {
-                step: ctx.now(),
+    /// Records the scheduler's pick into the hypervisor's flight
+    /// recorder, if one is attached.
+    fn trace_sched(ctx: &mut GuestCtx<'_>, picked: Option<TaskId>) {
+        if let (Some(_), Some(task)) = (ctx.hv.recorder(), picked) {
+            let step = ctx.now();
+            ctx.hv.trace(TraceEvent {
+                step,
                 cpu: ctx.cpu.0,
                 kind: TraceKind::SchedDecision,
                 arg_a: task.0 as u64,
@@ -114,7 +107,7 @@ impl Guest for RtosGuest {
         // its next slice.
         if self.steady {
             let picked = self.kernel.run_slice(ctx);
-            self.trace_sched(ctx, picked);
+            Self::trace_sched(ctx, picked);
             if ctx.parked() {
                 self.health = GuestHealth::HardFault;
                 self.steady = false;
@@ -148,7 +141,7 @@ impl Guest for RtosGuest {
         }
         self.steady = true;
         let picked = self.kernel.run_slice(ctx);
-        self.trace_sched(ctx, picked);
+        Self::trace_sched(ctx, picked);
         if ctx.parked() {
             // The slice triggered an unrecoverable trap; stop making
             // progress.

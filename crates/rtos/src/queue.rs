@@ -7,12 +7,11 @@
 //! kernel moves it to the blocked set until the queue can make
 //! progress.
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 
 /// A queue identifier, unique within one kernel instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct QueueId(pub u32);
 
 impl fmt::Display for QueueId {

@@ -12,11 +12,10 @@
 //!   for event counting and resource pools.
 
 use crate::task::TaskId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A mutex identifier, unique within one kernel instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MutexId(pub u32);
 
 impl fmt::Display for MutexId {
@@ -26,7 +25,7 @@ impl fmt::Display for MutexId {
 }
 
 /// A semaphore identifier, unique within one kernel instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SemaphoreId(pub u32);
 
 impl fmt::Display for SemaphoreId {

@@ -3,11 +3,10 @@
 
 use crate::queue::QueueId;
 use certify_hypervisor::GuestCtx;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A task identifier, unique within one kernel instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskId(pub u32);
 
 impl fmt::Display for TaskId {
@@ -18,7 +17,7 @@ impl fmt::Display for TaskId {
 
 /// A fixed task priority; higher values preempt lower ones
 /// (FreeRTOS convention).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Priority(pub u8);
 
 impl Priority {
@@ -39,7 +38,7 @@ impl fmt::Display for Priority {
 }
 
 /// Lifecycle state of a task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TaskState {
     /// Runnable, waiting in a ready list.
     Ready,
@@ -52,7 +51,7 @@ pub enum TaskState {
 }
 
 /// Why a task is blocked.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlockReason {
     /// Sleeping until the given kernel tick.
     Delay(u64),
