@@ -215,14 +215,20 @@ impl<T: Wire> Wire for Vec<T> {
     }
     fn decode(r: &mut Reader<'_>) -> Result<Vec<T>, DecodeError> {
         let len = usize::decode(r)?;
-        // An attacker-supplied length must not pre-allocate
-        // unboundedly; the reader cannot hold more items than bytes.
-        let mut items = Vec::with_capacity(len.min(r.remaining()));
+        let mut items = Vec::with_capacity(bounded_capacity::<T>(len, r.remaining()));
         for _ in 0..len {
             items.push(T::decode(r)?);
         }
         Ok(items)
     }
+}
+
+/// How many `T`s to reserve for a sequence claiming `len` items with
+/// `remaining` input bytes left. An attacker-supplied length must not
+/// pre-allocate unboundedly: every item takes at least one input
+/// byte, so the reservation is capped at `remaining` bytes of memory.
+fn bounded_capacity<T>(len: usize, remaining: usize) -> usize {
+    len.min(remaining / std::mem::size_of::<T>().max(1))
 }
 
 impl<T: Wire + Ord> Wire for BTreeSet<T> {
@@ -810,30 +816,49 @@ impl Wire for TraceKind {
         out.push(self.code());
     }
     fn decode(r: &mut Reader<'_>) -> Result<TraceKind, DecodeError> {
-        let tag = u8::decode(r)?;
-        TraceKind::from_code(tag).ok_or(DecodeError::BadTag {
-            what: "TraceKind",
-            tag,
-        })
+        trace_kind(u8::decode(r)?)
     }
+}
+
+fn trace_kind(tag: u8) -> Result<TraceKind, DecodeError> {
+    TraceKind::from_code(tag).ok_or(DecodeError::BadTag {
+        what: "TraceKind",
+        tag,
+    })
+}
+
+/// Bytes per encoded [`TraceEvent`]: step u64, cpu u32, kind u8,
+/// arg_a u64, arg_b u64, little-endian.
+const TRACE_EVENT_WIRE_LEN: usize = 29;
+
+fn event_to_bytes(event: &TraceEvent) -> [u8; TRACE_EVENT_WIRE_LEN] {
+    let mut bytes = [0u8; TRACE_EVENT_WIRE_LEN];
+    bytes[0..8].copy_from_slice(&event.step.to_le_bytes());
+    bytes[8..12].copy_from_slice(&event.cpu.to_le_bytes());
+    bytes[12] = event.kind.code();
+    bytes[13..21].copy_from_slice(&event.arg_a.to_le_bytes());
+    bytes[21..29].copy_from_slice(&event.arg_b.to_le_bytes());
+    bytes
+}
+
+fn event_from_bytes(bytes: &[u8; TRACE_EVENT_WIRE_LEN]) -> Result<TraceEvent, DecodeError> {
+    let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+    Ok(TraceEvent {
+        step: u64_at(0),
+        cpu: u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")),
+        kind: trace_kind(bytes[12])?,
+        arg_a: u64_at(13),
+        arg_b: u64_at(21),
+    })
 }
 
 impl Wire for TraceEvent {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.step.encode(out);
-        self.cpu.encode(out);
-        self.kind.encode(out);
-        self.arg_a.encode(out);
-        self.arg_b.encode(out);
+        out.extend_from_slice(&event_to_bytes(self));
     }
     fn decode(r: &mut Reader<'_>) -> Result<TraceEvent, DecodeError> {
-        Ok(TraceEvent {
-            step: u64::decode(r)?,
-            cpu: u32::decode(r)?,
-            kind: TraceKind::decode(r)?,
-            arg_a: u64::decode(r)?,
-            arg_b: u64::decode(r)?,
-        })
+        let bytes = r.take(TRACE_EVENT_WIRE_LEN, "TraceEvent")?;
+        event_from_bytes(bytes.try_into().expect("sized take"))
     }
 }
 
@@ -871,6 +896,16 @@ impl Wire for TraceConfig {
     }
 }
 
+impl TraceDump {
+    /// The exact length of this dump's wire encoding, so a frame
+    /// carrying it can be allocated once.
+    pub fn encoded_len(&self) -> usize {
+        // seed, scenario (length + bytes), outcome tag, total, dropped,
+        // event count, events.
+        8 + (8 + self.scenario.len()) + 1 + 8 + 8 + 8 + self.events.len() * TRACE_EVENT_WIRE_LEN
+    }
+}
+
 impl Wire for TraceDump {
     fn encode(&self, out: &mut Vec<u8>) {
         self.seed.encode(out);
@@ -878,23 +913,49 @@ impl Wire for TraceDump {
         self.outcome.encode(out);
         self.total.encode(out);
         self.dropped.encode(out);
-        self.events.encode(out);
+        // The event list in one pass: the same bytes as
+        // `Vec<TraceEvent>::encode`, written into one reserved run.
+        self.events.len().encode(out);
+        let start = out.len();
+        out.resize(start + self.events.len() * TRACE_EVENT_WIRE_LEN, 0);
+        for (slot, event) in out[start..]
+            .chunks_exact_mut(TRACE_EVENT_WIRE_LEN)
+            .zip(&self.events)
+        {
+            slot.copy_from_slice(&event_to_bytes(event));
+        }
     }
     fn decode(r: &mut Reader<'_>) -> Result<TraceDump, DecodeError> {
-        let dump = TraceDump {
-            seed: u64::decode(r)?,
-            scenario: String::decode(r)?,
-            outcome: Outcome::decode(r)?,
-            total: u64::decode(r)?,
-            dropped: u64::decode(r)?,
-            events: Vec::decode(r)?,
-        };
-        if dump.dropped.checked_add(dump.events.len() as u64) != Some(dump.total) {
+        let seed = u64::decode(r)?;
+        let scenario = String::decode(r)?;
+        let outcome = Outcome::decode(r)?;
+        let total = u64::decode(r)?;
+        let dropped = u64::decode(r)?;
+        // The event list in one bounds check: a count claiming more
+        // bytes than are left (or more than `usize` can count) is a
+        // truncated dump.
+        let len = usize::decode(r)?;
+        let what = "trace events";
+        let byte_len = len
+            .checked_mul(TRACE_EVENT_WIRE_LEN)
+            .ok_or(DecodeError::Truncated { what })?;
+        let mut events = Vec::with_capacity(len);
+        for chunk in r.take(byte_len, what)?.chunks_exact(TRACE_EVENT_WIRE_LEN) {
+            events.push(event_from_bytes(chunk.try_into().expect("exact chunk"))?);
+        }
+        if dropped.checked_add(events.len() as u64) != Some(total) {
             return Err(DecodeError::Invalid {
                 what: "trace dump event accounting is inconsistent",
             });
         }
-        Ok(dump)
+        Ok(TraceDump {
+            seed,
+            scenario,
+            outcome,
+            total,
+            dropped,
+            events,
+        })
     }
 }
 
@@ -1191,5 +1252,109 @@ mod tests {
         // array is a protocol break, which this pin makes loud.
         assert_eq!(encode_to_vec(&Outcome::PanicPark), vec![0]);
         assert_eq!(encode_to_vec(&Outcome::Correct), vec![6]);
+    }
+
+    /// The first full-ring anomaly dump of an E7 campaign: the frame
+    /// payload a sharded traced run ships most often.
+    fn full_e7_dump() -> TraceDump {
+        let config = TraceConfig::new().with_policy(DumpPolicy::anomalies());
+        let runner = Scenario::e7_mixed().runner();
+        (0xD5_2022..)
+            .find_map(|seed| {
+                let (_, dump) = runner.run_trial_traced(seed, Some(&config));
+                dump.filter(|d| d.events.len() == crate::DEFAULT_TRACE_CAPACITY)
+            })
+            .expect("some E7 trial dumps a full ring")
+    }
+
+    /// A two-event dump's encoding, for hand-corruption.
+    fn small_dump_bytes() -> Vec<u8> {
+        let event = TraceEvent {
+            step: 9,
+            cpu: 0,
+            kind: TraceKind::HandlerEntry,
+            arg_a: 1,
+            arg_b: 2,
+        };
+        encode_to_vec(&TraceDump {
+            seed: 3,
+            scenario: "e7-mixed".into(),
+            outcome: Outcome::PanicPark,
+            total: 2,
+            dropped: 0,
+            events: vec![event, event],
+        })
+    }
+
+    #[test]
+    fn real_e7_dump_re_encodes_to_the_same_bytes() {
+        let dump = full_e7_dump();
+        let bytes = encode_to_vec(&dump);
+        assert_eq!(bytes.len(), dump.encoded_len());
+        // The one-pass event coding writes exactly what the generic
+        // per-event `Vec<TraceEvent>` coding writes.
+        let mut generic = Vec::new();
+        dump.events.encode(&mut generic);
+        assert!(bytes.ends_with(&generic));
+        let decoded: TraceDump = decode_exact(&bytes).expect("decode");
+        assert_eq!(decoded, dump);
+        assert_eq!(encode_to_vec(&decoded), bytes);
+    }
+
+    #[test]
+    fn bulk_dump_decode_rejects_a_bad_last_kind() {
+        let mut bytes = small_dump_bytes();
+        let last_kind = bytes.len() - TRACE_EVENT_WIRE_LEN + 12;
+        bytes[last_kind] = 10;
+        assert_eq!(
+            decode_exact::<TraceDump>(&bytes),
+            Err(DecodeError::BadTag {
+                what: "TraceKind",
+                tag: 10
+            })
+        );
+    }
+
+    #[test]
+    fn bulk_dump_decode_rejects_counts_past_the_input() {
+        let mut bytes = small_dump_bytes();
+        bytes.truncate(bytes.len() - 1);
+        assert_eq!(
+            decode_exact::<TraceDump>(&bytes),
+            Err(DecodeError::Truncated {
+                what: "trace events"
+            })
+        );
+
+        // Event counts whose byte length overflows `usize`.
+        let count_at = small_dump_bytes().len() - 8 - 2 * TRACE_EVENT_WIRE_LEN;
+        for count in [u64::MAX, (usize::MAX / TRACE_EVENT_WIRE_LEN) as u64 + 1] {
+            let mut bytes = small_dump_bytes();
+            bytes[count_at..count_at + 8].copy_from_slice(&count.to_le_bytes());
+            assert_eq!(
+                decode_exact::<TraceDump>(&bytes),
+                Err(DecodeError::Truncated {
+                    what: "trace events"
+                })
+            );
+        }
+    }
+
+    #[test]
+    fn hostile_sequence_lengths_reserve_at_most_the_input() {
+        let mut bytes = Vec::new();
+        u64::MAX.encode(&mut bytes);
+        bytes.extend_from_slice(&[0; 40]);
+        assert!(matches!(
+            decode_exact::<Vec<TraceEvent>>(&bytes),
+            Err(DecodeError::Truncated { .. })
+        ));
+        // A 16 MiB frame claiming endless 32-byte events reserves at
+        // most 16 MiB, not 16 Mi events.
+        let frame = 16 << 20;
+        let items = bounded_capacity::<TraceEvent>(usize::MAX, frame);
+        assert!(items * std::mem::size_of::<TraceEvent>() <= frame);
+        assert_eq!(bounded_capacity::<u8>(3, frame), 3);
+        assert_eq!(bounded_capacity::<()>(usize::MAX, 5), 5);
     }
 }

@@ -42,6 +42,7 @@ pub const NO_CPU: u32 = u32::MAX;
 /// [`TraceKind::ALL`] and is pinned by the wire schema — append new
 /// kinds, never reorder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[repr(u8)]
 pub enum TraceKind {
     /// A register-domain fault was applied inside a handler.
     /// `arg_a` = handler code, `arg_b` = per-handler call index.
@@ -104,12 +105,10 @@ impl TraceKind {
         }
     }
 
-    /// The kind's wire code: its position in [`TraceKind::ALL`].
+    /// The kind's wire code: its discriminant, which is its position
+    /// in [`TraceKind::ALL`].
     pub fn code(&self) -> u8 {
-        TraceKind::ALL
-            .iter()
-            .position(|kind| kind == self)
-            .expect("every kind is in ALL") as u8
+        *self as u8
     }
 
     /// The kind for a wire code, if in range.

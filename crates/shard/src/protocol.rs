@@ -176,6 +176,17 @@ impl Frame {
         }
     }
 
+    /// The exact body length (kind byte + payload) of the frames that
+    /// dominate the stream — rows and dumps — so their body is
+    /// allocated once; 0 (grow as needed) for the rare rest.
+    fn body_len_hint(&self) -> usize {
+        match self {
+            Frame::TrialRow { row, .. } => 1 + 8 + 8 + row.len(),
+            Frame::TraceDump { dump, .. } => 1 + 8 + dump.encoded_len(),
+            Frame::Handshake(_) | Frame::Stats { .. } | Frame::Done { .. } => 0,
+        }
+    }
+
     /// A short name for error messages.
     pub fn name(&self) -> &'static str {
         match self {
@@ -245,37 +256,78 @@ impl From<DecodeError> for ProtocolError {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected), the CRC of zip/ethernet/png.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
+/// Slicing-by-16 tables for the reflected polynomial 0xEDB88320.
+/// `CRC_TABLES[0]` is the classic byte-at-a-time table;
+/// `CRC_TABLES[k][b]` is the CRC register after byte `b` is followed
+/// by `k` zero bytes, so 16 lookups fold 16 input bytes at once.
+static CRC_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+            bit += 1;
+        }
+        tables[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 16 {
         let mut i = 0;
         while i < 256 {
-            let mut crc = i as u32;
-            let mut bit = 0;
-            while bit < 8 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ 0xEDB8_8320
-                } else {
-                    crc >> 1
-                };
-                bit += 1;
-            }
-            table[i] = crc;
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
             i += 1;
         }
-        table
-    };
+        k += 1;
+    }
+    tables
+};
+
+/// CRC-32 (IEEE 802.3, reflected), the CRC of zip/ethernet/png.
+///
+/// Sliced by 16: each 16-byte block costs 16 independent table
+/// lookups instead of 16 dependent ones; the tail of fewer than 16
+/// bytes goes byte at a time. The value is the plain table CRC's.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &byte in bytes {
-        crc = (crc >> 8) ^ TABLE[((crc ^ byte as u32) & 0xFF) as usize];
+    let mut blocks = bytes.chunks_exact(16);
+    for b in &mut blocks {
+        let head = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        crc = t[15][(head & 0xFF) as usize]
+            ^ t[14][((head >> 8) & 0xFF) as usize]
+            ^ t[13][((head >> 16) & 0xFF) as usize]
+            ^ t[12][(head >> 24) as usize]
+            ^ t[11][b[4] as usize]
+            ^ t[10][b[5] as usize]
+            ^ t[9][b[6] as usize]
+            ^ t[8][b[7] as usize]
+            ^ t[7][b[8] as usize]
+            ^ t[6][b[9] as usize]
+            ^ t[5][b[10] as usize]
+            ^ t[4][b[11] as usize]
+            ^ t[3][b[12] as usize]
+            ^ t[2][b[13] as usize]
+            ^ t[1][b[14] as usize]
+            ^ t[0][b[15] as usize];
+    }
+    for &byte in blocks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ byte as u32) & 0xFF) as usize];
     }
     !crc
 }
 
 /// Writes one frame (length prefix, body, CRC). Does not flush.
 pub fn write_frame<W: Write + ?Sized>(out: &mut W, frame: &Frame) -> io::Result<()> {
-    let mut body = vec![frame.kind()];
+    let mut body = Vec::with_capacity(frame.body_len_hint());
+    body.push(frame.kind());
     match frame {
         Frame::Handshake(handshake) => handshake.encode(&mut body),
         Frame::TrialRow { seq, row } => {
@@ -420,7 +472,11 @@ mod tests {
         let mut pipe = Vec::new();
         let frames = sample_frames();
         for frame in &frames {
+            let before = pipe.len();
             write_frame(&mut pipe, frame).unwrap();
+            let body_len = pipe.len() - before - 8;
+            let hint = frame.body_len_hint();
+            assert!(hint == 0 || hint == body_len, "{} size hint", frame.name());
         }
         let mut cursor = io::Cursor::new(pipe);
         for frame in &frames {

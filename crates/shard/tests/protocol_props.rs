@@ -8,12 +8,66 @@
 use certify_core::codec::{decode_exact, encode_to_vec};
 use certify_core::spec::{InjectionSpec, InjectionWindow, MemorySpec};
 use certify_core::{
-    Campaign, FaultModel, MemFaultModel, MemRegionKind, MemTarget, NullSink, Scenario, TraceConfig,
+    Campaign, DumpPolicy, FaultModel, MemFaultModel, MemRegionKind, MemTarget, NullSink, Scenario,
+    TraceConfig, DEFAULT_TRACE_CAPACITY,
 };
 use certify_shard::{crc32, read_frame, write_frame, Frame, Handshake};
 use proptest::collection;
 use proptest::prelude::*;
 use std::io::Cursor;
+
+/// CRC-32 (reflected 0xEDB88320) one bit at a time: the textbook
+/// definition the sliced `crc32` must agree with.
+fn crc32_bitwise(bytes: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &byte in bytes {
+        crc ^= u32::from(byte);
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    !crc
+}
+
+#[test]
+fn sliced_crc_matches_the_bitwise_reference_at_every_length() {
+    // Every length 0..=300 covers every remainder mod 16, alone and
+    // after 1..18 full blocks.
+    let bytes: Vec<u8> = (0u32..301)
+        .map(|i| (i.wrapping_mul(0x9E37_79B9) >> 13) as u8)
+        .collect();
+    for len in 0..=bytes.len() {
+        assert_eq!(
+            crc32(&bytes[..len]),
+            crc32_bitwise(&bytes[..len]),
+            "length {len}"
+        );
+    }
+    assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+}
+
+#[test]
+fn sliced_crc_matches_the_bitwise_reference_on_a_real_dump_frame() {
+    let config = TraceConfig::new().with_policy(DumpPolicy::anomalies());
+    let runner = Scenario::e7_mixed().runner();
+    let dump = (0xD5_2022..)
+        .find_map(|seed| {
+            let (_, dump) = runner.run_trial_traced(seed, Some(&config));
+            dump.filter(|d| d.events.len() == DEFAULT_TRACE_CAPACITY)
+        })
+        .expect("some E7 trial dumps a full ring");
+    let mut pipe = Vec::new();
+    write_frame(&mut pipe, &Frame::TraceDump { seq: 7, dump }).unwrap();
+    let body = &pipe[4..pipe.len() - 4];
+    assert!(body.len() > 118_000, "a full-ring dump body is ~119 KB");
+    let carried = u32::from_le_bytes(pipe[pipe.len() - 4..].try_into().unwrap());
+    assert_eq!(crc32(body), crc32_bitwise(body));
+    assert_eq!(carried, crc32_bitwise(body));
+}
 
 /// Deterministically varies an `InjectionSpec` across its knobs.
 fn spec_variant(rate: u64, windows: Vec<(u64, u64)>, knobs: u8) -> InjectionSpec {
@@ -159,6 +213,18 @@ proptest! {
             Err(_) | Ok(None) => {}
             Ok(Some(read)) => prop_assert_eq!(read, frame, "corruption changed the frame"),
         }
+    }
+
+    /// The sliced crc32 equals the bitwise reference on arbitrary
+    /// bytes at any offset (unaligned starts included).
+    #[test]
+    fn sliced_crc_matches_the_bitwise_reference(
+        bytes in collection::vec(any::<u8>(), 0..301),
+        skip in 0usize..16,
+    ) {
+        let tail = &bytes[skip.min(bytes.len())..];
+        prop_assert_eq!(crc32(&bytes), crc32_bitwise(&bytes));
+        prop_assert_eq!(crc32(tail), crc32_bitwise(tail));
     }
 
     /// crc32 differs on any single-bit difference of short inputs
