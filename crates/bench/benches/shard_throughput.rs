@@ -199,9 +199,17 @@ fn main() {
              (committed {committed:.0} / {REGRESSION_FACTOR})"
         );
         if let Some(committed) = json_number(&baseline, "w2_e7_traced_trials_per_sec") {
+            // A fast round spreads each run's fixed start-up cost over
+            // fewer trials, so fast and full values of this leg differ;
+            // say which mode the committed value came from.
+            let committed_mode = if baseline.contains("\"mode\": \"fast\"") {
+                "fast"
+            } else {
+                "full"
+            };
             println!(
                 "advisory: E7 traced at 2 workers {w2_e7_traced:.0} trials/sec \
-                 vs committed {committed:.0} (not gated)"
+                 vs committed {committed:.0} ({committed_mode} mode; not gated)"
             );
         }
         // The hard floor only binds where 4 workers actually have 4

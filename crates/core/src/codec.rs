@@ -896,16 +896,6 @@ impl Wire for TraceConfig {
     }
 }
 
-impl TraceDump {
-    /// The exact length of this dump's wire encoding, so a frame
-    /// carrying it can be allocated once.
-    pub fn encoded_len(&self) -> usize {
-        // seed, scenario (length + bytes), outcome tag, total, dropped,
-        // event count, events.
-        8 + (8 + self.scenario.len()) + 1 + 8 + 8 + 8 + self.events.len() * TRACE_EVENT_WIRE_LEN
-    }
-}
-
 impl Wire for TraceDump {
     fn encode(&self, out: &mut Vec<u8>) {
         self.seed.encode(out);
@@ -913,17 +903,9 @@ impl Wire for TraceDump {
         self.outcome.encode(out);
         self.total.encode(out);
         self.dropped.encode(out);
-        // The event list in one pass: the same bytes as
-        // `Vec<TraceEvent>::encode`, written into one reserved run.
-        self.events.len().encode(out);
-        let start = out.len();
-        out.resize(start + self.events.len() * TRACE_EVENT_WIRE_LEN, 0);
-        for (slot, event) in out[start..]
-            .chunks_exact_mut(TRACE_EVENT_WIRE_LEN)
-            .zip(&self.events)
-        {
-            slot.copy_from_slice(&event_to_bytes(event));
-        }
+        // One reservation for the event count and the whole event run.
+        out.reserve(8 + self.events.len() * TRACE_EVENT_WIRE_LEN);
+        self.events.encode(out);
     }
     fn decode(r: &mut Reader<'_>) -> Result<TraceDump, DecodeError> {
         let seed = u64::decode(r)?;
@@ -933,14 +915,18 @@ impl Wire for TraceDump {
         let dropped = u64::decode(r)?;
         // The event list in one bounds check: a count claiming more
         // bytes than are left (or more than `usize` can count) is a
-        // truncated dump.
+        // truncated dump. Only once the bytes are known to exist is the
+        // list allocated, at its exact length — the coordinator holds
+        // every dump, and `Vec<T>::decode`'s byte-bounded reservation
+        // would regrow a full ring to nearly twice its size.
         let len = usize::decode(r)?;
         let what = "trace events";
         let byte_len = len
             .checked_mul(TRACE_EVENT_WIRE_LEN)
             .ok_or(DecodeError::Truncated { what })?;
+        let bytes = r.take(byte_len, what)?;
         let mut events = Vec::with_capacity(len);
-        for chunk in r.take(byte_len, what)?.chunks_exact(TRACE_EVENT_WIRE_LEN) {
+        for chunk in bytes.chunks_exact(TRACE_EVENT_WIRE_LEN) {
             events.push(event_from_bytes(chunk.try_into().expect("exact chunk"))?);
         }
         if dropped.checked_add(events.len() as u64) != Some(total) {
@@ -1290,13 +1276,16 @@ mod tests {
     fn real_e7_dump_re_encodes_to_the_same_bytes() {
         let dump = full_e7_dump();
         let bytes = encode_to_vec(&dump);
-        assert_eq!(bytes.len(), dump.encoded_len());
-        // The one-pass event coding writes exactly what the generic
-        // per-event `Vec<TraceEvent>` coding writes.
-        let mut generic = Vec::new();
-        dump.events.encode(&mut generic);
-        assert!(bytes.ends_with(&generic));
         let decoded: TraceDump = decode_exact(&bytes).expect("decode");
+        // The bulk event decode reads what the generic per-event
+        // `Vec<TraceEvent>` decode reads, into an exactly sized list.
+        let mut generic =
+            Reader::new(&bytes[bytes.len() - 8 - dump.events.len() * TRACE_EVENT_WIRE_LEN..]);
+        assert_eq!(
+            Vec::<TraceEvent>::decode(&mut generic),
+            Ok(dump.events.clone())
+        );
+        assert_eq!(decoded.events.capacity(), dump.events.len());
         assert_eq!(decoded, dump);
         assert_eq!(encode_to_vec(&decoded), bytes);
     }
@@ -1326,9 +1315,12 @@ mod tests {
             })
         );
 
-        // Event counts whose byte length overflows `usize`.
+        // Event counts whose byte length overflows `usize`, and counts
+        // that fit but far exceed the input: none may reserve memory
+        // for the claimed count before the bytes are checked.
         let count_at = small_dump_bytes().len() - 8 - 2 * TRACE_EVENT_WIRE_LEN;
-        for count in [u64::MAX, (usize::MAX / TRACE_EVENT_WIRE_LEN) as u64 + 1] {
+        let max_fitting = (usize::MAX / TRACE_EVENT_WIRE_LEN) as u64;
+        for count in [u64::MAX, max_fitting + 1, max_fitting, 1 << 40, 3] {
             let mut bytes = small_dump_bytes();
             bytes[count_at..count_at + 8].copy_from_slice(&count.to_le_bytes());
             assert_eq!(

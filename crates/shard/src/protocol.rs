@@ -176,17 +176,6 @@ impl Frame {
         }
     }
 
-    /// The exact body length (kind byte + payload) of the frames that
-    /// dominate the stream — rows and dumps — so their body is
-    /// allocated once; 0 (grow as needed) for the rare rest.
-    fn body_len_hint(&self) -> usize {
-        match self {
-            Frame::TrialRow { row, .. } => 1 + 8 + 8 + row.len(),
-            Frame::TraceDump { dump, .. } => 1 + 8 + dump.encoded_len(),
-            Frame::Handshake(_) | Frame::Stats { .. } | Frame::Done { .. } => 0,
-        }
-    }
-
     /// A short name for error messages.
     pub fn name(&self) -> &'static str {
         match self {
@@ -326,8 +315,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 /// Writes one frame (length prefix, body, CRC). Does not flush.
 pub fn write_frame<W: Write + ?Sized>(out: &mut W, frame: &Frame) -> io::Result<()> {
-    let mut body = Vec::with_capacity(frame.body_len_hint());
-    body.push(frame.kind());
+    let mut body = vec![frame.kind()];
     match frame {
         Frame::Handshake(handshake) => handshake.encode(&mut body),
         Frame::TrialRow { seq, row } => {
@@ -472,11 +460,7 @@ mod tests {
         let mut pipe = Vec::new();
         let frames = sample_frames();
         for frame in &frames {
-            let before = pipe.len();
             write_frame(&mut pipe, frame).unwrap();
-            let body_len = pipe.len() - before - 8;
-            let hint = frame.body_len_hint();
-            assert!(hint == 0 || hint == body_len, "{} size hint", frame.name());
         }
         let mut cursor = io::Cursor::new(pipe);
         for frame in &frames {
