@@ -19,7 +19,7 @@
 use certify_arch::{CpuId, Reg};
 use certify_bench::{banner, run_and_print, BASE_SEED};
 use certify_core::campaign::{Campaign, Scenario};
-use certify_core::{FaultModel, InjectionSpec, Intensity, Outcome};
+use certify_core::{FaultModel, InjectionSpec, Intensity, Outcome, Paced};
 use certify_guest_linux::MgmtScript;
 use certify_hypervisor::HandlerKind;
 use criterion::{black_box, Criterion};

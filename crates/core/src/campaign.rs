@@ -19,7 +19,7 @@ use crate::classify::{classify, Outcome, RunReport};
 use crate::json::Json;
 use crate::memfault::{MemFaultModel, MemTarget};
 use crate::sink::{CollectSink, TrialSink};
-use crate::spec::{windows_arm, CallFilter, InjectionSpec, InjectionWindow, MemorySpec};
+use crate::spec::{Cadence, CallFilter, InjectionSpec, MemorySpec, Paced};
 use crate::stats::CampaignStats;
 use crate::system::System;
 use crate::telemetry::{outcome_rows, EngineTelemetry};
@@ -296,15 +296,16 @@ impl TrialRunner {
     /// injector meets that, minus one, capped at the run length.
     pub fn fork_step(&self) -> u64 {
         *self.fork_step.get_or_init(|| {
-            let triggers: Vec<(CallFilter, u64, &[InjectionWindow])> = self
+            let triggers: Vec<(&Cadence, CallFilter, u64)> = self
                 .spec
                 .iter()
-                .map(|s| (s.calls(), s.first_attempt_call(), s.windows.as_slice()))
+                .map(|s| (&s.cadence, s.first_attempt_call()))
                 .chain(
                     self.mem_spec
                         .iter()
-                        .map(|s| (s.calls(), s.first_attempt_call(), s.windows.as_slice())),
+                        .map(|s| (&s.cadence, s.cadence.first_attempt_call())),
                 )
+                .map(|(cadence, first)| (cadence, cadence.calls(), first))
                 .collect();
             if triggers.is_empty() {
                 return self.steps;
@@ -313,8 +314,8 @@ impl TrialRunner {
             while probe.steps_run() < self.steps {
                 probe.step();
                 let now = probe.machine.now();
-                let reachable = triggers.iter().any(|(calls, first, windows)| {
-                    windows_arm(windows, now) && calls.count(&probe.hv) >= *first
+                let reachable = triggers.iter().any(|(cadence, calls, first)| {
+                    cadence.armed(now) && calls.count(&probe.hv) >= *first
                 });
                 if reachable {
                     return probe.steps_run() - 1;

@@ -193,14 +193,8 @@ pub fn classify(system: &System) -> RunReport {
     let serial_line_count = uart.line_count();
     let evidence = system.hv.evidence();
 
-    let injections = system
-        .injection_log()
-        .map(|log| log.records())
-        .unwrap_or_default();
-    let mem_injections = system
-        .mem_injection_log()
-        .map(|log| log.records())
-        .unwrap_or_default();
+    let injections = system.injections().to_vec();
+    let mem_injections = system.mem_injections().to_vec();
 
     let cell_state = system
         .rtos_cell()
@@ -437,7 +431,7 @@ mod tests {
     #[test]
     fn latent_memory_corruption_classifies_silent() {
         use crate::memfault::{MemFaultModel, MemRegionKind, MemTarget};
-        use crate::spec::MemorySpec;
+        use crate::spec::{MemorySpec, Paced};
         use certify_arch::CpuId;
         use certify_hypervisor::HandlerKind;
         // Bit flips into pristine root DRAM: nothing ever reads them,
@@ -466,7 +460,7 @@ mod tests {
     #[test]
     fn skipped_injections_are_noted_never_fatal() {
         use crate::memfault::{MemFaultModel, MemRegionKind, MemTarget};
-        use crate::spec::MemorySpec;
+        use crate::spec::{MemorySpec, Paced};
         use certify_arch::CpuId;
         use certify_hypervisor::HandlerKind;
         let mut system = System::new(MgmtScript::bring_up_and_run(1500));

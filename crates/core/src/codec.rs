@@ -20,7 +20,7 @@ use crate::certificate::{PhaseBound, ScenarioCertificate};
 use crate::classify::Outcome;
 use crate::fault::FaultModel;
 use crate::memfault::{MemFaultModel, MemRegionKind, MemTarget};
-use crate::spec::{InjectionSpec, InjectionWindow, MemorySpec};
+use crate::spec::{Cadence, InjectionSpec, InjectionWindow, MemorySpec};
 use crate::stats::{CampaignStats, CountSummary};
 use crate::trace::{DumpPolicy, TraceConfig, TraceDump};
 use crate::Scenario;
@@ -501,43 +501,51 @@ impl Wire for FaultModel {
 
 impl Wire for InjectionSpec {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.targets.encode(out);
-        self.cpu_filter.encode(out);
-        self.rate.encode(out);
+        let cadence = &self.cadence;
+        cadence.targets.encode(out);
+        cadence.cpu_filter.encode(out);
+        cadence.rate.encode(out);
         self.model.encode(out);
-        self.max_injections.encode(out);
-        self.phase_jitter.encode(out);
+        cadence.max_injections.encode(out);
+        cadence.phase_jitter.encode(out);
         self.time_trigger.encode(out);
-        self.windows.encode(out);
+        cadence.windows.encode(out);
     }
     fn decode(r: &mut Reader<'_>) -> Result<InjectionSpec, DecodeError> {
-        let spec = InjectionSpec {
-            targets: BTreeSet::decode(r)?,
-            cpu_filter: Option::decode(r)?,
-            rate: u64::decode(r)?,
-            model: FaultModel::decode(r)?,
-            max_injections: Option::decode(r)?,
-            phase_jitter: bool::decode(r)?,
-            time_trigger: Option::decode(r)?,
-            windows: Vec::decode(r)?,
-        };
-        if spec.targets.is_empty() {
-            return Err(DecodeError::Invalid {
-                what: "injection spec has no targets",
-            });
+        let mut cadence = decode_cadence_head(r)?;
+        let model = FaultModel::decode(r)?;
+        cadence.max_injections = Option::decode(r)?;
+        cadence.phase_jitter = bool::decode(r)?;
+        let time_trigger = Option::decode(r)?;
+        cadence.windows = Vec::decode(r)?;
+        if let Some(what) = cadence.invalid() {
+            return Err(DecodeError::Invalid { what });
         }
-        if spec.rate == 0 {
-            return Err(DecodeError::Invalid {
-                what: "injection spec rate is zero",
-            });
-        }
-        if spec.time_trigger == Some(0) {
+        if time_trigger == Some(0) {
             return Err(DecodeError::Invalid {
                 what: "injection spec time trigger is zero",
             });
         }
-        Ok(spec)
+        Ok(InjectionSpec {
+            cadence,
+            model,
+            time_trigger,
+        })
     }
+}
+
+/// The fields both spec encodings open with — a [`Cadence`]'s targets,
+/// CPU filter and rate. The caller reads the rest in its spec's wire
+/// order and rejects an [invalid](Cadence::invalid) result.
+fn decode_cadence_head(r: &mut Reader<'_>) -> Result<Cadence, DecodeError> {
+    Ok(Cadence {
+        targets: BTreeSet::decode(r)?,
+        cpu_filter: Option::decode(r)?,
+        rate: u64::decode(r)?,
+        max_injections: None,
+        phase_jitter: false,
+        windows: Vec::new(),
+    })
 }
 
 // ---- memory fault specifications -----------------------------------------
@@ -644,37 +652,31 @@ impl Wire for MemFaultModel {
 
 impl Wire for MemorySpec {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.targets.encode(out);
-        self.cpu_filter.encode(out);
-        self.rate.encode(out);
+        let cadence = &self.cadence;
+        cadence.targets.encode(out);
+        cadence.cpu_filter.encode(out);
+        cadence.rate.encode(out);
         self.model.encode(out);
         self.target.encode(out);
-        self.max_injections.encode(out);
-        self.phase_jitter.encode(out);
-        self.windows.encode(out);
+        cadence.max_injections.encode(out);
+        cadence.phase_jitter.encode(out);
+        cadence.windows.encode(out);
     }
     fn decode(r: &mut Reader<'_>) -> Result<MemorySpec, DecodeError> {
-        let spec = MemorySpec {
-            targets: BTreeSet::decode(r)?,
-            cpu_filter: Option::decode(r)?,
-            rate: u64::decode(r)?,
-            model: MemFaultModel::decode(r)?,
-            target: MemTarget::decode(r)?,
-            max_injections: Option::decode(r)?,
-            phase_jitter: bool::decode(r)?,
-            windows: Vec::decode(r)?,
-        };
-        if spec.targets.is_empty() {
-            return Err(DecodeError::Invalid {
-                what: "memory spec has no targets",
-            });
+        let mut cadence = decode_cadence_head(r)?;
+        let model = MemFaultModel::decode(r)?;
+        let target = MemTarget::decode(r)?;
+        cadence.max_injections = Option::decode(r)?;
+        cadence.phase_jitter = bool::decode(r)?;
+        cadence.windows = Vec::decode(r)?;
+        if let Some(what) = cadence.invalid() {
+            return Err(DecodeError::Invalid { what });
         }
-        if spec.rate == 0 {
-            return Err(DecodeError::Invalid {
-                what: "memory spec rate is zero",
-            });
-        }
-        Ok(spec)
+        Ok(MemorySpec {
+            cadence,
+            model,
+            target,
+        })
     }
 }
 
@@ -950,6 +952,7 @@ mod tests {
     use super::*;
     use crate::campaign::Campaign;
     use crate::sink::NullSink;
+    use crate::spec::Paced;
 
     fn round_trip<T: Wire + PartialEq + fmt::Debug>(value: &T) {
         let bytes = encode_to_vec(value);
@@ -1062,12 +1065,12 @@ mod tests {
 
         // A spec whose target set is empty.
         let mut spec = InjectionSpec::e1_root_high();
-        spec.targets.clear();
+        spec.cadence.targets.clear();
         let bytes = encode_to_vec(&spec);
         assert_eq!(
             decode_exact::<InjectionSpec>(&bytes),
             Err(DecodeError::Invalid {
-                what: "injection spec has no targets"
+                what: "cadence needs at least one target"
             })
         );
 

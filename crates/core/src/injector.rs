@@ -9,13 +9,13 @@
 //! the post-run analytics.
 
 use crate::fault::AppliedFault;
-use crate::spec::{CallFilter, InjectionSpec};
+use crate::spec::{CadenceCounter, InjectionSpec};
 use certify_arch::CpuId;
 use certify_hypervisor::{HandlerKind, HookCtx, Hypervisor, InjectionHook};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// One injection that happened.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,7 +26,11 @@ pub struct InjectionRecord {
     pub handler: HandlerKind,
     /// The CPU that called it.
     pub cpu: CpuId,
-    /// The filtered-stream call number that triggered the injection.
+    /// The cadence counter's phase-shifted value at the injection
+    /// ([`CadenceCounter::phased`]): the matching-call count plus the
+    /// seed-derived phase. Under phase jitter it is a multiple of
+    /// `rate` whatever the call's true position in the filtered
+    /// stream; without jitter it is that position.
     pub filtered_call: u64,
     /// The concrete corruptions applied.
     pub faults: Vec<AppliedFault>,
@@ -46,48 +50,16 @@ impl fmt::Display for InjectionRecord {
     }
 }
 
-/// Shared, cloneable view of an injector's record log (the injector
-/// itself is moved into the hypervisor as a hook).
-#[derive(Debug, Clone, Default)]
-pub struct InjectionLog {
-    inner: Arc<Mutex<Vec<InjectionRecord>>>,
-}
-
-impl InjectionLog {
-    /// Snapshot of all injections so far.
-    pub fn records(&self) -> Vec<InjectionRecord> {
-        self.inner.lock().expect("injection log lock").clone()
-    }
-
-    /// Number of injections so far.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("injection log lock").len()
-    }
-
-    /// Whether no injection has fired yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn push(&self, record: InjectionRecord) {
-        self.inner.lock().expect("injection log lock").push(record);
-    }
-}
-
-/// The fault injector.
+/// The fault injector. Installed into the hypervisor as its hook; the
+/// records are read back through [`Hypervisor::hook`].
 #[derive(Debug)]
 pub struct Injector {
     spec: Arc<InjectionSpec>,
-    /// The spec's call stream, flattened once — the hook runs on
-    /// *every* handler entry of the run, so the filter must not cost a
-    /// set lookup.
-    calls: CallFilter,
+    counter: CadenceCounter,
     rng: StdRng,
-    filtered_calls: u64,
-    injections_done: u64,
     /// Next firing deadline (time-triggered mode only).
     next_deadline: u64,
-    log: InjectionLog,
+    records: Vec<InjectionRecord>,
 }
 
 impl Injector {
@@ -96,45 +68,25 @@ impl Injector {
     /// one allocation across thousands of trials.
     ///
     /// # Panics
-    /// Panics if `spec.rate` is zero (`rate` is a public field, so a
-    /// caller can bypass `with_rate`'s validation; a zero rate would
-    /// otherwise silently degenerate to a single injection at call 0
-    /// because `0.is_multiple_of(0)` is true).
+    ///
+    /// Panics if the spec's cadence is [invalid](crate::Cadence::invalid)
+    /// (its fields are public, so a caller can bypass the builders'
+    /// validation).
     pub fn new(spec: impl Into<Arc<InjectionSpec>>, seed: u64) -> Injector {
         let spec = spec.into();
-        assert!(spec.rate > 0, "injection rate must be non-zero");
         let mut rng = StdRng::seed_from_u64(seed);
-        let phase = if spec.phase_jitter {
-            use rand::Rng;
-            rng.gen_range(0..spec.rate)
-        } else {
-            0
-        };
         Injector {
-            calls: spec.calls(),
+            counter: CadenceCounter::new(&spec.cadence, &mut rng),
             spec,
             rng,
-            filtered_calls: phase,
-            injections_done: 0,
             next_deadline: 0,
-            log: InjectionLog::default(),
+            records: Vec::new(),
         }
     }
 
-    /// A shared handle to the injection log, usable after the injector
-    /// has been installed into the hypervisor.
-    pub fn log(&self) -> InjectionLog {
-        self.log.clone()
-    }
-
-    /// The specification driving this injector.
-    pub fn spec(&self) -> &InjectionSpec {
-        self.spec.as_ref()
-    }
-
-    /// Filtered calls observed so far.
-    pub fn filtered_calls(&self) -> u64 {
-        self.filtered_calls
+    /// The injections so far.
+    pub fn records(&self) -> &[InjectionRecord] {
+        &self.records
     }
 
     /// Counts the matching calls `hv` has already made, as if this
@@ -143,22 +95,17 @@ impl Injector {
     /// exactly where a from-step-0 injector would be. A no-op on a
     /// fresh hypervisor.
     pub(crate) fn prime(&mut self, hv: &Hypervisor) {
-        self.filtered_calls += self.calls.count(hv);
+        self.counter.prime(self.counter.calls_in(hv));
     }
 }
 
 impl InjectionHook for Injector {
     fn on_handler_entry(&mut self, ctx: &mut HookCtx<'_>) {
-        if !self.calls.matches(ctx.handler, ctx.cpu) {
+        if !self.counter.matches(ctx.handler, ctx.cpu) || self.counter.capped() {
             return;
         }
-        if let Some(max) = self.spec.max_injections {
-            if self.injections_done >= max {
-                return;
-            }
-        }
-        self.filtered_calls += 1;
-        if !self.spec.armed(ctx.step) {
+        let due = self.counter.count_call();
+        if !self.spec.cadence.armed(ctx.step) {
             return;
         }
         match self.spec.time_trigger {
@@ -172,7 +119,7 @@ impl InjectionHook for Injector {
             }
             // The paper's trigger: once every `rate` calls.
             None => {
-                if !self.filtered_calls.is_multiple_of(self.spec.rate) {
+                if due.is_none() {
                     return;
                 }
             }
@@ -182,12 +129,12 @@ impl InjectionHook for Injector {
             return;
         }
         ctx.mark_touched();
-        self.injections_done += 1;
-        self.log.push(InjectionRecord {
+        self.counter.injected();
+        self.records.push(InjectionRecord {
             step: ctx.step,
             handler: ctx.handler,
             cpu: ctx.cpu,
-            filtered_call: self.filtered_calls,
+            filtered_call: self.counter.phased(),
             faults,
         });
     }
@@ -196,7 +143,7 @@ impl InjectionHook for Injector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::Intensity;
+    use crate::spec::{Intensity, Paced};
     use certify_arch::RegisterFile;
 
     fn call(injector: &mut Injector, handler: HandlerKind, cpu: CpuId, n: u64) {
@@ -223,10 +170,9 @@ mod tests {
         )
         .with_rate(10);
         let mut injector = Injector::new(spec, 1);
-        let log = injector.log();
         call(&mut injector, HandlerKind::ArchHandleTrap, CpuId(1), 35);
-        assert_eq!(log.len(), 3); // calls 10, 20, 30
-        let records = log.records();
+        assert_eq!(injector.records().len(), 3); // calls 10, 20, 30
+        let records = injector.records();
         assert_eq!(records[0].filtered_call, 10);
         assert_eq!(records[2].filtered_call, 30);
     }
@@ -235,12 +181,11 @@ mod tests {
     fn filter_excludes_other_cpu_and_handler() {
         let spec = InjectionSpec::e3_nonroot_trap_medium().with_rate(5);
         let mut injector = Injector::new(spec, 1);
-        let log = injector.log();
         call(&mut injector, HandlerKind::ArchHandleTrap, CpuId(0), 50);
         call(&mut injector, HandlerKind::ArchHandleHvc, CpuId(1), 50);
-        assert!(log.is_empty());
+        assert!(injector.records().is_empty());
         call(&mut injector, HandlerKind::ArchHandleTrap, CpuId(1), 5);
-        assert_eq!(log.len(), 1);
+        assert_eq!(injector.records().len(), 1);
     }
 
     #[test]
@@ -249,9 +194,8 @@ mod tests {
             .with_rate(2)
             .with_max_injections(3);
         let mut injector = Injector::new(spec, 9);
-        let log = injector.log();
         call(&mut injector, HandlerKind::ArchHandleTrap, CpuId(1), 100);
-        assert_eq!(log.len(), 3);
+        assert_eq!(injector.records().len(), 3);
     }
 
     #[test]
@@ -259,18 +203,16 @@ mod tests {
         let spec = InjectionSpec::e3_nonroot_trap_medium().with_rate(7);
         let mut a = Injector::new(spec.clone(), 1234);
         let mut b = Injector::new(spec, 1234);
-        let (log_a, log_b) = (a.log(), b.log());
         call(&mut a, HandlerKind::ArchHandleTrap, CpuId(1), 70);
         call(&mut b, HandlerKind::ArchHandleTrap, CpuId(1), 70);
-        assert_eq!(log_a.records(), log_b.records());
-        assert!(!log_a.is_empty());
+        assert_eq!(a.records(), b.records());
+        assert!(!a.records().is_empty());
     }
 
     #[test]
     fn time_trigger_fires_on_period_boundaries() {
         let spec = InjectionSpec::e3_nonroot_trap_medium().with_time_trigger(100);
         let mut injector = Injector::new(spec, 3);
-        let log = injector.log();
         let mut regs = RegisterFile::new();
         // Handler entries at steps 0, 50, 100, …, 450: deadlines at
         // 100 (fires at step 100), 200, 300, 400.
@@ -285,7 +227,7 @@ mod tests {
             };
             injector.on_handler_entry(&mut ctx);
         }
-        let steps: Vec<u64> = log.records().iter().map(|r| r.step).collect();
+        let steps: Vec<u64> = injector.records().iter().map(|r| r.step).collect();
         assert_eq!(steps, vec![0, 100, 200, 300, 400]);
     }
 
@@ -295,7 +237,6 @@ mod tests {
         // entry after each deadline, not on the deadline itself.
         let spec = InjectionSpec::e3_nonroot_trap_medium().with_time_trigger(100);
         let mut injector = Injector::new(spec, 3);
-        let log = injector.log();
         let mut regs = RegisterFile::new();
         for step in [30u64, 170, 180, 390] {
             let mut ctx = HookCtx {
@@ -308,7 +249,7 @@ mod tests {
             };
             injector.on_handler_entry(&mut ctx);
         }
-        let steps: Vec<u64> = log.records().iter().map(|r| r.step).collect();
+        let steps: Vec<u64> = injector.records().iter().map(|r| r.step).collect();
         assert_eq!(steps, vec![30, 170, 390]);
     }
 
@@ -318,7 +259,6 @@ mod tests {
             .with_rate(10)
             .with_window(25, 60);
         let mut injector = Injector::new(spec, 1);
-        let log = injector.log();
         let mut regs = RegisterFile::new();
         // One call per step: the rate-10 cadence would fire at calls
         // 10..=100, but only steps 25..60 are armed.
@@ -333,18 +273,21 @@ mod tests {
             };
             injector.on_handler_entry(&mut ctx);
         }
-        let steps: Vec<u64> = log.records().iter().map(|r| r.step).collect();
-        assert_eq!(steps, vec![29, 39, 49, 59]);
-        assert_eq!(injector.filtered_calls(), 100, "calls counted throughout");
+        let fired: Vec<(u64, u64)> = injector
+            .records()
+            .iter()
+            .map(|r| (r.step, r.filtered_call))
+            .collect();
+        // Calls before the window were counted too.
+        assert_eq!(fired, vec![(29, 30), (39, 40), (49, 50), (59, 60)]);
     }
 
     #[test]
     fn record_captures_faults() {
         let spec = InjectionSpec::e2_nonroot_high().with_rate(1);
         let mut injector = Injector::new(spec, 5);
-        let log = injector.log();
         call(&mut injector, HandlerKind::ArchHandleHvc, CpuId(1), 1);
-        let records = log.records();
+        let records = injector.records();
         assert_eq!(records.len(), 1);
         // High intensity: three corrupted registers.
         assert_eq!(records[0].faults.len(), 3);

@@ -14,10 +14,12 @@
 //!   transient fault plus the multi-register variant of the paper's
 //!   *high* intensity level and the extension models of the future-work
 //!   section (double bit, stuck-at, register replacement);
-//! * [`spec`] — injection specifications: target handlers, CPU filter,
-//!   occurrence rate ("once every given number of calls"), intensity
+//! * [`spec`] — injection specifications: the [`spec::Cadence`] both
+//!   injectors share (target handlers, CPU filter, occurrence rate
+//!   "once every given number of calls", cap, phase, injection
+//!   windows) and its per-trial [`spec::CadenceCounter`], the intensity
 //!   presets [`spec::Intensity::Medium`] / [`spec::Intensity::High`],
-//!   injection windows, and the memory-domain [`spec::MemorySpec`];
+//!   and the memory-domain [`spec::MemorySpec`];
 //! * [`injector`] — the [`certify_hypervisor::InjectionHook`]
 //!   implementation that counts filtered handler calls and applies
 //!   faults on cadence, recording every injection;
@@ -25,7 +27,7 @@
 //!   words, page bursts, stage-2 descriptor corruption, comm-region
 //!   corruption) and the [`memfault::MemTarget`] address sampler;
 //! * [`meminjector`] — the step-driven memory injector firing those
-//!   models on the same cadence/window triggers;
+//!   models on the same cadence;
 //! * [`system`] — the full testbed: board + hypervisor + root Linux
 //!   guest + FreeRTOS guest, orchestrated step by step;
 //! * [`classify`] — the outcome classifier producing the paper's
@@ -100,10 +102,12 @@ pub use memfault::{
     AppliedMemFault, MemFaultModel, MemFaultSkip, MemRegionKind, MemTarget, RamCoverage,
     SkipPrediction,
 };
-pub use meminjector::{MemInjectionLog, MemInjectionRecord, MemInjector};
+pub use meminjector::{MemInjectionRecord, MemInjector};
 pub use profiler::{profile_golden_run, ProfileReport};
 pub use sink::{CollectSink, NullSink, TrialSink};
-pub use spec::{InjectionSpec, InjectionWindow, Intensity, MemorySpec};
+pub use spec::{
+    Cadence, CadenceCounter, InjectionSpec, InjectionWindow, Intensity, MemorySpec, Paced,
+};
 pub use stats::{CampaignStats, CountSummary};
 pub use system::System;
 pub use telemetry::{

@@ -1,5 +1,5 @@
 //! The memory-fault injector: fires [`crate::memfault::MemFaultModel`]s
-//! on the same cadence/window triggers as the register [`crate::Injector`].
+//! on the same [`crate::Cadence`] as the register [`crate::Injector`].
 //!
 //! The register injector corrupts the live register context from
 //! inside the handler hook; memory faults instead need the whole
@@ -12,14 +12,14 @@
 //! memory.
 
 use crate::memfault::AppliedMemFault;
-use crate::spec::{CallFilter, MemorySpec};
+use crate::spec::{CadenceCounter, MemorySpec};
 use certify_board::Machine;
 use certify_hypervisor::Hypervisor;
 use certify_obs::trace::{TraceEvent, TraceKind, NO_CPU};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// One memory-injection attempt: either the applied corruptions or
 /// the reason the attempt was skipped (skips never panic a worker).
@@ -27,7 +27,9 @@ use std::sync::{Arc, Mutex};
 pub struct MemInjectionRecord {
     /// Simulator step of the attempt.
     pub step: u64,
-    /// The filtered-stream call count that triggered it.
+    /// The due call's true position in the filtered stream
+    /// ([`CadenceCounter::counted`]): the number of matching calls
+    /// made up to and including it, phase jitter or not.
     pub filtered_call: u64,
     /// The concrete corruptions applied (empty when skipped).
     pub faults: Vec<AppliedMemFault>,
@@ -55,58 +57,14 @@ impl fmt::Display for MemInjectionRecord {
     }
 }
 
-/// Shared, cloneable view of a memory injector's record log.
-#[derive(Debug, Clone, Default)]
-pub struct MemInjectionLog {
-    inner: Arc<Mutex<Vec<MemInjectionRecord>>>,
-}
-
-impl MemInjectionLog {
-    /// Snapshot of all attempts so far.
-    pub fn records(&self) -> Vec<MemInjectionRecord> {
-        self.inner.lock().expect("mem injection log lock").clone()
-    }
-
-    /// Number of attempts so far (applied + skipped).
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("mem injection log lock").len()
-    }
-
-    /// Whether no attempt has been made yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of attempts that actually corrupted something.
-    pub fn applied(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("mem injection log lock")
-            .iter()
-            .filter(|r| r.applied())
-            .count()
-    }
-
-    fn push(&self, record: MemInjectionRecord) {
-        self.inner
-            .lock()
-            .expect("mem injection log lock")
-            .push(record);
-    }
-}
-
-/// The memory-fault injector. A clone shares the original's log.
+/// The memory-fault injector. Owned by the [`crate::System`] it runs
+/// in, records and all.
 #[derive(Debug, Clone)]
 pub struct MemInjector {
     spec: Arc<MemorySpec>,
-    /// The spec's call stream, flattened once: the orchestrator polls
-    /// it every simulator step.
-    calls: CallFilter,
+    counter: CadenceCounter,
     rng: StdRng,
-    /// Next filtered-call threshold that fires an injection.
-    next_fire: u64,
-    injections_done: u64,
-    log: MemInjectionLog,
+    records: Vec<MemInjectionRecord>,
 }
 
 impl MemInjector {
@@ -116,48 +74,30 @@ impl MemInjector {
     ///
     /// # Panics
     ///
-    /// Panics if `spec.rate` is zero.
+    /// Panics if the spec's cadence is [invalid](crate::Cadence::invalid).
     pub fn new(spec: impl Into<Arc<MemorySpec>>, seed: u64) -> MemInjector {
         let spec = spec.into();
-        assert!(spec.rate > 0, "memory injection rate must be non-zero");
         let mut rng = StdRng::seed_from_u64(seed);
-        let phase = if spec.phase_jitter {
-            use rand::Rng;
-            rng.gen_range(0..spec.rate)
-        } else {
-            0
-        };
         MemInjector {
-            next_fire: spec.rate - phase,
-            calls: spec.calls(),
+            counter: CadenceCounter::new(&spec.cadence, &mut rng),
             spec,
             rng,
-            injections_done: 0,
-            log: MemInjectionLog::default(),
+            records: Vec::new(),
         }
     }
 
-    /// A shared handle to the injection log.
-    pub fn log(&self) -> MemInjectionLog {
-        self.log.clone()
-    }
-
-    /// The specification driving this injector.
-    pub fn spec(&self) -> &MemorySpec {
-        self.spec.as_ref()
+    /// Every attempt so far, applied or skipped.
+    pub fn records(&self) -> &[MemInjectionRecord] {
+        &self.records
     }
 
     /// Skips the cadence past the matching calls `hv` has already
-    /// made, exactly as [`MemInjector::on_step`] passes unarmed
-    /// crossings: installing into a system forked from a fault-free
+    /// made, exactly as [`MemInjector::on_step`] passes unarmed due
+    /// calls: installing into a system forked from a fault-free
     /// prefix then continues the cadence where a from-step-0 injector
     /// would be. A no-op on a fresh hypervisor.
     pub(crate) fn prime(&mut self, hv: &Hypervisor) {
-        let total = self.calls.count(hv);
-        if total >= self.next_fire {
-            let crossings = (total - self.next_fire) / self.spec.rate + 1;
-            self.next_fire += crossings * self.spec.rate;
-        }
+        self.counter.prime(self.counter.calls_in(hv));
     }
 
     /// Called by the orchestrator once per simulator step, after the
@@ -167,16 +107,9 @@ impl MemInjector {
     /// recorder, if one is attached.
     pub fn on_step(&mut self, machine: &mut Machine, hv: &mut Hypervisor) {
         let step = machine.now();
-        let total = self.calls.count(hv);
-        while total >= self.next_fire {
-            let trigger = self.next_fire;
-            self.next_fire += self.spec.rate;
-            if let Some(max) = self.spec.max_injections {
-                if self.injections_done >= max {
-                    return;
-                }
-            }
-            if !self.spec.armed(step) {
+        let total = self.counter.calls_in(hv);
+        while let Some(trigger) = self.counter.advance_to(total) {
+            if !self.spec.cadence.armed(step) {
                 continue;
             }
             let (region, addr) = self.spec.target.sample(&mut self.rng);
@@ -186,7 +119,7 @@ impl MemInjector {
                 .apply(region, addr, machine, hv, &mut self.rng)
             {
                 Ok(faults) => {
-                    self.injections_done += 1;
+                    self.counter.injected();
                     MemInjectionRecord {
                         step,
                         filtered_call: trigger,
@@ -217,7 +150,7 @@ impl MemInjector {
                     arg_b: 0,
                 });
             }
-            self.log.push(record);
+            self.records.push(record);
         }
     }
 }
@@ -226,6 +159,7 @@ impl MemInjector {
 mod tests {
     use super::*;
     use crate::memfault::{MemFaultModel, MemRegionKind, MemTarget};
+    use crate::spec::Paced;
     use certify_arch::CpuId;
     use certify_board::memmap;
     use certify_hypervisor::{HandlerKind, SystemConfig};
@@ -263,12 +197,11 @@ mod tests {
         )
         .with_rate(10);
         let mut injector = MemInjector::new(spec, 1);
-        let log = injector.log();
         pump_calls(&mut machine, &mut hv, 35);
         injector.on_step(&mut machine, &mut hv);
-        assert_eq!(log.len(), 3, "calls 10, 20, 30");
-        assert_eq!(log.applied(), 3);
-        let records = log.records();
+        let records = injector.records();
+        assert_eq!(records.len(), 3, "calls 10, 20, 30");
+        assert!(records.iter().all(MemInjectionRecord::applied));
         assert_eq!(records[0].filtered_call, 10);
         assert_eq!(records[2].filtered_call, 30);
     }
@@ -287,7 +220,7 @@ mod tests {
         let mut injector = MemInjector::new(spec, 2);
         pump_calls(&mut machine, &mut hv, 23);
         injector.on_step(&mut machine, &mut hv);
-        assert_eq!(injector.log().len(), 4, "crossings at 5, 10, 15, 20");
+        assert_eq!(injector.records().len(), 4, "due at 5, 10, 15, 20");
     }
 
     #[test]
@@ -302,7 +235,8 @@ mod tests {
         let mut injector = MemInjector::new(spec, 3);
         pump_calls(&mut machine, &mut hv, 100);
         injector.on_step(&mut machine, &mut hv);
-        assert_eq!(injector.log().applied(), 3);
+        let applied = injector.records().iter().filter(|r| r.applied());
+        assert_eq!(applied.count(), 3);
     }
 
     #[test]
@@ -319,9 +253,9 @@ mod tests {
         let mut injector = MemInjector::new(spec, 4);
         pump_calls(&mut machine, &mut hv, 3);
         injector.on_step(&mut machine, &mut hv);
-        let records = injector.log().records();
+        let records = injector.records();
         assert_eq!(records.len(), 3);
-        for record in &records {
+        for record in records {
             assert!(!record.applied());
             let reason = record.skipped.as_deref().unwrap();
             assert!(reason.contains("outside RAM window"), "note: {reason}");
@@ -343,7 +277,7 @@ mod tests {
         let mut injector = MemInjector::new(spec, 5);
         pump_calls(&mut machine, &mut hv, 10);
         injector.on_step(&mut machine, &mut hv);
-        assert!(injector.log().is_empty());
+        assert!(injector.records().is_empty());
     }
 
     #[test]
@@ -354,7 +288,7 @@ mod tests {
             let mut injector = MemInjector::new(spec, 1234);
             pump_calls(&mut machine, &mut hv, 30);
             injector.on_step(&mut machine, &mut hv);
-            injector.log().records()
+            injector.records().to_vec()
         };
         let a = run();
         let b = run();
@@ -373,7 +307,7 @@ mod tests {
         let mut injector = MemInjector::new(spec, 6);
         pump_calls(&mut machine, &mut hv, 1);
         injector.on_step(&mut machine, &mut hv);
-        let records = injector.log().records();
+        let records = injector.records();
         assert_eq!(records[0].faults.len(), 1);
         let fault = records[0].faults[0];
         assert!(memmap::in_region(fault.addr, memmap::RTOS_RAM_BASE, 0x10));

@@ -13,6 +13,8 @@ use crate::fault::FaultModel;
 use crate::memfault::{MemFaultModel, MemTarget};
 use certify_arch::CpuId;
 use certify_hypervisor::{HandlerKind, Hypervisor};
+use rand::rngs::StdRng;
+use rand::Rng;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -51,13 +53,6 @@ impl fmt::Display for InjectionWindow {
     }
 }
 
-/// Whether `step` is armed under a window list: an empty list means
-/// the injector is armed for the whole run, otherwise any containing
-/// window arms it. Windows may overlap and need not be sorted.
-pub fn windows_arm(windows: &[InjectionWindow], step: u64) -> bool {
-    windows.is_empty() || windows.iter().any(|w| w.contains(step))
-}
-
 /// The handler-call stream an injection cadence counts: calls to the
 /// target handlers, from one CPU or from any. Built once per injector
 /// as a flat handler mask, so the per-call and per-step checks cost
@@ -69,15 +64,6 @@ pub(crate) struct CallFilter {
 }
 
 impl CallFilter {
-    /// The stream of calls to `targets` from `cpu` (`None` = any CPU).
-    pub(crate) fn new(targets: &BTreeSet<HandlerKind>, cpu: Option<CpuId>) -> CallFilter {
-        let mut handlers = [false; HandlerKind::ALL.len()];
-        for handler in targets {
-            handlers[handler.index()] = true;
-        }
-        CallFilter { handlers, cpu }
-    }
-
     /// Whether a call to `handler` from `cpu` is in the stream.
     pub(crate) fn matches(&self, handler: HandlerKind, cpu: CpuId) -> bool {
         self.handlers[handler.index()] && self.cpu.is_none_or(|c| c == cpu)
@@ -129,21 +115,26 @@ impl fmt::Display for Intensity {
     }
 }
 
-/// A full injection specification.
+/// When an injector fires: the paper's "once every given number of
+/// calls to the target functions", shared by register and memory
+/// specifications. The injector counts calls to the target handlers
+/// (filtered by CPU) and attempts an injection on every `rate`-th
+/// one, subject to the cap, the seed-derived phase and the step
+/// windows.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InjectionSpec {
-    /// Handlers to instrument (the paper profiles all three and
-    /// injects into `arch_handle_trap` / `arch_handle_hvc`).
+pub struct Cadence {
+    /// Handlers whose calls are counted (the paper profiles all three
+    /// and injects into `arch_handle_trap` / `arch_handle_hvc`).
     pub targets: BTreeSet<HandlerKind>,
-    /// Only inject when this CPU calls the handler ("we filter the
-    /// injection to activate only when the CPU core 1 is calling the
-    /// function"). `None` = any CPU.
+    /// Only count calls from this CPU ("we filter the injection to
+    /// activate only when the CPU core 1 is calling the function").
+    /// `None` = any CPU.
     pub cpu_filter: Option<CpuId>,
-    /// Fire on every `rate`-th filtered call.
+    /// Fire on every `rate`-th counted call.
     pub rate: u64,
-    /// The fault model to apply.
-    pub model: FaultModel,
-    /// Stop after this many injections (`None` = unbounded).
+    /// Stop after this many effective injections (`None` =
+    /// unbounded). A register injection that corrupts nothing and a
+    /// skipped memory injection do not count.
     pub max_injections: Option<u64>,
     /// Start the call counter at a seed-derived offset in
     /// `[0, rate)`. On real hardware the injection cadence and the
@@ -151,15 +142,296 @@ pub struct InjectionSpec {
     /// point of the management cycle. Without jitter the cadence is
     /// deterministic relative to the call stream.
     pub phase_jitter: bool,
+    /// Only fire inside these step windows (empty = the whole run).
+    /// Outside them matching calls are counted but never fired on, so
+    /// one campaign can attack e.g. both the boot phase and a later
+    /// steady-state stretch.
+    pub windows: Vec<InjectionWindow>,
+}
+
+impl Cadence {
+    /// Every `rate`-th call to `targets` from `cpu_filter`, uncapped,
+    /// unjittered and armed for the whole run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `targets` is empty or `rate` is zero.
+    pub fn new(
+        targets: impl IntoIterator<Item = HandlerKind>,
+        cpu_filter: Option<CpuId>,
+        rate: u64,
+    ) -> Cadence {
+        let cadence = Cadence {
+            targets: targets.into_iter().collect(),
+            cpu_filter,
+            rate,
+            max_injections: None,
+            phase_jitter: false,
+            windows: Vec::new(),
+        };
+        cadence.assert_valid();
+        cadence
+    }
+
+    /// Why this cadence cannot drive an injector, if it cannot: no
+    /// targets, or a zero rate (which would degenerate to a single
+    /// injection at call 0). Constructors panic on it and decoders
+    /// reject with it; the fields are public, so it is checked again
+    /// where an injector is built.
+    pub fn invalid(&self) -> Option<&'static str> {
+        if self.targets.is_empty() {
+            Some("cadence needs at least one target")
+        } else if self.rate == 0 {
+            Some("cadence rate must be non-zero")
+        } else {
+            None
+        }
+    }
+
+    fn assert_valid(&self) {
+        if let Some(reason) = self.invalid() {
+            panic!("{reason}");
+        }
+    }
+
+    /// Whether a handler call is counted (matches the target/CPU
+    /// filter).
+    pub fn matches(&self, handler: HandlerKind, cpu: CpuId) -> bool {
+        self.calls().matches(handler, cpu)
+    }
+
+    /// The call stream this cadence counts.
+    pub(crate) fn calls(&self) -> CallFilter {
+        let mut handlers = [false; HandlerKind::ALL.len()];
+        for handler in &self.targets {
+            handlers[handler.index()] = true;
+        }
+        CallFilter {
+            handlers,
+            cpu: self.cpu_filter,
+        }
+    }
+
+    /// Whether injections are armed at `step`: an empty window list
+    /// arms the whole run, otherwise any containing window arms it.
+    /// Windows may overlap and need not be sorted.
+    pub fn armed(&self, step: u64) -> bool {
+        self.windows.is_empty() || self.windows.iter().any(|w| w.contains(step))
+    }
+
+    /// The matching-call count at which the earliest seed can first
+    /// attempt an injection: `rate`, or 1 when a seed-derived phase
+    /// may fire on the very first matching call.
+    pub(crate) fn first_attempt_call(&self) -> u64 {
+        if self.phase_jitter {
+            1
+        } else {
+            self.rate
+        }
+    }
+}
+
+/// A specification paced by a [`Cadence`]. The cadence builders are
+/// written once, here, for [`InjectionSpec`], [`MemorySpec`] and the
+/// bare [`Cadence`].
+pub trait Paced: Sized {
+    /// The cadence being built.
+    fn cadence_mut(&mut self) -> &mut Cadence;
+
+    /// Replaces the rate, returning the spec (builder style).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rate` is zero.
+    fn with_rate(mut self, rate: u64) -> Self {
+        assert!(rate > 0, "rate must be non-zero");
+        self.cadence_mut().rate = rate;
+        self
+    }
+
+    /// Enables per-seed cadence phase, returning the spec (builder
+    /// style).
+    fn with_phase_jitter(mut self) -> Self {
+        self.cadence_mut().phase_jitter = true;
+        self
+    }
+
+    /// Caps the number of injections, returning the spec (builder
+    /// style).
+    fn with_max_injections(mut self, max: u64) -> Self {
+        self.cadence_mut().max_injections = Some(max);
+        self
+    }
+
+    /// Adds a `[start, end)` step window, returning the spec (builder
+    /// style). Call repeatedly (or use [`Paced::with_windows`]) to arm
+    /// several disjoint phases of the run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window is empty.
+    fn with_window(mut self, start: u64, end: u64) -> Self {
+        self.cadence_mut()
+            .windows
+            .push(InjectionWindow::new(start, end));
+        self
+    }
+
+    /// Replaces the window list, returning the spec (builder style).
+    /// An empty list arms the injector for the whole run.
+    fn with_windows(mut self, windows: impl IntoIterator<Item = InjectionWindow>) -> Self {
+        self.cadence_mut().windows = windows.into_iter().collect();
+        self
+    }
+}
+
+impl Paced for Cadence {
+    fn cadence_mut(&mut self) -> &mut Cadence {
+        self
+    }
+}
+
+/// A [`Cadence`] running in one seeded trial: the seed-derived phase,
+/// the matching calls counted so far and the effective injections
+/// against the cap. Both injectors drive one; the register injector
+/// counts call by call from its hook, the memory injector catches up
+/// once per step from the hypervisor's call table.
+///
+/// Call `n` (1-based, in the filtered stream) is *due* when
+/// `n + phase` is a multiple of `rate`. Once the cap is reached the
+/// counter is frozen: it counts nothing more and nothing is due.
+#[derive(Debug, Clone)]
+pub struct CadenceCounter {
+    calls: CallFilter,
+    rate: u64,
+    max_injections: Option<u64>,
+    /// Seed-derived offset in `[0, rate)`; 0 without phase jitter.
+    phase: u64,
+    /// Matching calls counted so far.
+    counted: u64,
+    /// The next due call number, always above `counted`.
+    next_due: u64,
+    /// Effective injections so far.
+    injections: u64,
+}
+
+impl CadenceCounter {
+    /// A counter for `cadence`. Under phase jitter the phase is the
+    /// first draw from `rng`, which the injector then goes on using.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cadence is [invalid](Cadence::invalid).
+    pub fn new(cadence: &Cadence, rng: &mut StdRng) -> CadenceCounter {
+        cadence.assert_valid();
+        let phase = if cadence.phase_jitter {
+            rng.gen_range(0..cadence.rate)
+        } else {
+            0
+        };
+        CadenceCounter {
+            calls: cadence.calls(),
+            rate: cadence.rate,
+            max_injections: cadence.max_injections,
+            phase,
+            counted: 0,
+            next_due: cadence.rate - phase,
+            injections: 0,
+        }
+    }
+
+    /// Whether a handler call is in the counted stream.
+    pub fn matches(&self, handler: HandlerKind, cpu: CpuId) -> bool {
+        self.calls.matches(handler, cpu)
+    }
+
+    /// Matching calls in `hv`'s per-(handler, CPU) call table.
+    pub fn calls_in(&self, hv: &Hypervisor) -> u64 {
+        self.calls.count(hv)
+    }
+
+    /// Counts `calls` matching calls that were made before this
+    /// counter existed, as if it had watched them unarmed: a counter
+    /// installed into a system forked from a fault-free prefix then
+    /// continues exactly where a from-step-0 counter would be.
+    pub fn prime(&mut self, calls: u64) {
+        self.counted += calls;
+        if self.counted >= self.next_due {
+            let crossings = (self.counted - self.next_due) / self.rate + 1;
+            self.next_due = self.next_due.saturating_add(crossings * self.rate);
+        }
+    }
+
+    /// Whether the injection cap has been reached.
+    pub fn capped(&self) -> bool {
+        self.max_injections
+            .is_some_and(|max| self.injections >= max)
+    }
+
+    /// Counts matching calls up to call number `total`, stopping at the
+    /// first due one: returns its number, or `None` once every call up
+    /// to `total` is counted. A capped counter counts nothing and
+    /// returns `None`.
+    pub fn advance_to(&mut self, total: u64) -> Option<u64> {
+        if self.capped() {
+            return None;
+        }
+        if total < self.next_due {
+            self.counted = self.counted.max(total);
+            return None;
+        }
+        let due = self.next_due;
+        self.counted = due;
+        self.next_due = due.saturating_add(self.rate);
+        Some(due)
+    }
+
+    /// Counts one more matching call, returning its number if it is
+    /// due.
+    pub fn count_call(&mut self) -> Option<u64> {
+        self.advance_to(self.counted + 1)
+    }
+
+    /// Records one effective injection against the cap.
+    pub fn injected(&mut self) {
+        self.injections += 1;
+    }
+
+    /// Matching calls counted so far — the true position in the
+    /// filtered stream. Memory-injection records carry the due call's
+    /// number in these terms.
+    pub fn counted(&self) -> u64 {
+        self.counted
+    }
+
+    /// The count shifted by the seed-derived phase (`counted + phase`),
+    /// which register-injection records carry: under phase jitter
+    /// every due call is a multiple of `rate` in these terms, whatever
+    /// its true position. Equal to [`CadenceCounter::counted`] without
+    /// jitter.
+    pub fn phased(&self) -> u64 {
+        self.counted + self.phase
+    }
+}
+
+/// A full injection specification.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct InjectionSpec {
+    /// When to fire.
+    pub cadence: Cadence,
+    /// The fault model to apply.
+    pub model: FaultModel,
     /// Time-triggered mode (ablation D1): instead of firing every
     /// `rate`-th call, fire at the first matching handler entry after
     /// every `period` simulator steps. `None` = the paper's
     /// call-count trigger.
     pub time_trigger: Option<u64>,
-    /// Only fire inside these step windows (empty = the whole run).
-    /// Multiple windows let one campaign attack e.g. both the boot
-    /// phase and a later steady-state stretch.
-    pub windows: Vec<InjectionWindow>,
+}
+
+impl Paced for InjectionSpec {
+    fn cadence_mut(&mut self) -> &mut Cadence {
+        &mut self.cadence
+    }
 }
 
 impl InjectionSpec {
@@ -173,20 +445,10 @@ impl InjectionSpec {
         targets: impl IntoIterator<Item = HandlerKind>,
         cpu_filter: Option<CpuId>,
     ) -> InjectionSpec {
-        let targets: BTreeSet<HandlerKind> = targets.into_iter().collect();
-        assert!(
-            !targets.is_empty(),
-            "injection spec needs at least one target"
-        );
         InjectionSpec {
-            targets,
-            cpu_filter,
-            rate: intensity.rate(),
+            cadence: Cadence::new(targets, cpu_filter, intensity.rate()),
             model: intensity.model(),
-            max_injections: None,
-            phase_jitter: false,
             time_trigger: None,
-            windows: Vec::new(),
         }
     }
 
@@ -204,13 +466,12 @@ impl InjectionSpec {
     /// with per-seed cadence phase (the campaign sweeps where in the
     /// lifecycle the injections land).
     pub fn e2_nonroot_high() -> InjectionSpec {
-        let mut spec = InjectionSpec::new(
+        InjectionSpec::new(
             Intensity::High,
             [HandlerKind::ArchHandleHvc, HandlerKind::ArchHandleTrap],
             Some(CpuId(1)),
-        );
-        spec.phase_jitter = true;
-        spec
+        )
+        .with_phase_jitter()
     }
 
     /// E2, boot-window aligned: the deterministic reproduction of the
@@ -238,39 +499,15 @@ impl InjectionSpec {
         )
     }
 
-    /// Whether a handler call matches the target/CPU filter.
-    pub fn matches(&self, handler: HandlerKind, cpu: CpuId) -> bool {
-        self.calls().matches(handler, cpu)
-    }
-
-    /// The call stream this spec's cadence counts.
-    pub(crate) fn calls(&self) -> CallFilter {
-        CallFilter::new(&self.targets, self.cpu_filter)
-    }
-
     /// The matching-call count at which the earliest seed can first
-    /// attempt an injection: `rate`, or 1 when a seed-derived phase or
-    /// the time trigger may fire on the very first matching call.
+    /// attempt an injection: the cadence's, or 1 when the time trigger
+    /// may fire on the very first matching call.
     pub(crate) fn first_attempt_call(&self) -> u64 {
-        if self.phase_jitter || self.time_trigger.is_some() {
+        if self.time_trigger.is_some() {
             1
         } else {
-            self.rate
+            self.cadence.first_attempt_call()
         }
-    }
-
-    /// Replaces the rate, returning the spec (builder style).
-    pub fn with_rate(mut self, rate: u64) -> InjectionSpec {
-        assert!(rate > 0, "rate must be non-zero");
-        self.rate = rate;
-        self
-    }
-
-    /// Enables per-seed cadence phase, returning the spec (builder
-    /// style).
-    pub fn with_phase_jitter(mut self) -> InjectionSpec {
-        self.phase_jitter = true;
-        self
     }
 
     /// Switches to the time-triggered mode (ablation D1), returning
@@ -290,71 +527,32 @@ impl InjectionSpec {
         self.model = model;
         self
     }
-
-    /// Caps the number of injections, returning the spec (builder
-    /// style).
-    pub fn with_max_injections(mut self, max: u64) -> InjectionSpec {
-        self.max_injections = Some(max);
-        self
-    }
-
-    /// Adds a `[start, end)` step window, returning the spec (builder
-    /// style). The one-window call keeps its historical meaning; call
-    /// it again (or use [`InjectionSpec::with_windows`]) to arm
-    /// several disjoint phases of the run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window is empty.
-    pub fn with_window(mut self, start: u64, end: u64) -> InjectionSpec {
-        self.windows.push(InjectionWindow::new(start, end));
-        self
-    }
-
-    /// Replaces the window list, returning the spec (builder style).
-    /// An empty list arms the injector for the whole run.
-    pub fn with_windows(
-        mut self,
-        windows: impl IntoIterator<Item = InjectionWindow>,
-    ) -> InjectionSpec {
-        self.windows = windows.into_iter().collect();
-        self
-    }
-
-    /// Whether injections are armed at `step` under the window list.
-    pub fn armed(&self, step: u64) -> bool {
-        windows_arm(&self.windows, step)
-    }
 }
 
 /// A memory-fault injection specification — the memory-domain sibling
-/// of [`InjectionSpec`]. The cadence triggers are shared: the injector
-/// counts calls to the target handlers (filtered by CPU) and fires a
-/// memory fault on every `rate`-th call, optionally only inside an
-/// [`InjectionWindow`].
+/// of [`InjectionSpec`] on the same [`Cadence`]: a memory fault fires
+/// on every `rate`-th counted call, optionally only inside
+/// [`InjectionWindow`]s.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemorySpec {
-    /// Handlers whose (filtered) call stream drives the cadence.
-    pub targets: BTreeSet<HandlerKind>,
-    /// Only count calls from this CPU (`None` = any CPU).
-    pub cpu_filter: Option<CpuId>,
-    /// Fire on every `rate`-th filtered call.
-    pub rate: u64,
+    /// When to fire.
+    pub cadence: Cadence,
     /// The memory fault model to apply.
     pub model: MemFaultModel,
     /// The address-space sampler drawing the corruption target.
     pub target: MemTarget,
-    /// Stop after this many applied injections (`None` = unbounded).
-    pub max_injections: Option<u64>,
-    /// Start the cadence at a seed-derived phase in `[0, rate)`.
-    pub phase_jitter: bool,
-    /// Only fire inside these step windows (empty = the whole run).
-    pub windows: Vec<InjectionWindow>,
+}
+
+impl Paced for MemorySpec {
+    fn cadence_mut(&mut self) -> &mut Cadence {
+        &mut self.cadence
+    }
 }
 
 impl MemorySpec {
     /// A specification firing `model` at addresses drawn by `target`,
-    /// paced by the given handlers' call stream.
+    /// paced by the given handlers' call stream at the high-intensity
+    /// rate.
     ///
     /// # Panics
     ///
@@ -365,17 +563,10 @@ impl MemorySpec {
         targets: impl IntoIterator<Item = HandlerKind>,
         cpu_filter: Option<CpuId>,
     ) -> MemorySpec {
-        let targets: BTreeSet<HandlerKind> = targets.into_iter().collect();
-        assert!(!targets.is_empty(), "memory spec needs at least one target");
         MemorySpec {
-            targets,
-            cpu_filter,
-            rate: Intensity::High.rate(),
+            cadence: Cadence::new(targets, cpu_filter, Intensity::High.rate()),
             model,
             target,
-            max_injections: None,
-            phase_jitter: false,
-            windows: Vec::new(),
         }
     }
 
@@ -390,78 +581,6 @@ impl MemorySpec {
         )
     }
 
-    /// Whether a handler call matches the target/CPU filter.
-    pub fn matches(&self, handler: HandlerKind, cpu: CpuId) -> bool {
-        self.calls().matches(handler, cpu)
-    }
-
-    /// The call stream this spec's cadence counts.
-    pub(crate) fn calls(&self) -> CallFilter {
-        CallFilter::new(&self.targets, self.cpu_filter)
-    }
-
-    /// The matching-call count at which the earliest seed can first
-    /// attempt an injection: `rate`, or 1 with a seed-derived phase.
-    pub(crate) fn first_attempt_call(&self) -> u64 {
-        if self.phase_jitter {
-            1
-        } else {
-            self.rate
-        }
-    }
-
-    /// Replaces the rate, returning the spec (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is zero.
-    pub fn with_rate(mut self, rate: u64) -> MemorySpec {
-        assert!(rate > 0, "rate must be non-zero");
-        self.rate = rate;
-        self
-    }
-
-    /// Enables per-seed cadence phase, returning the spec (builder
-    /// style).
-    pub fn with_phase_jitter(mut self) -> MemorySpec {
-        self.phase_jitter = true;
-        self
-    }
-
-    /// Caps the number of injections, returning the spec (builder
-    /// style).
-    pub fn with_max_injections(mut self, max: u64) -> MemorySpec {
-        self.max_injections = Some(max);
-        self
-    }
-
-    /// Adds a `[start, end)` step window, returning the spec (builder
-    /// style). Call repeatedly (or use [`MemorySpec::with_windows`])
-    /// to arm several disjoint phases of the run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window is empty.
-    pub fn with_window(mut self, start: u64, end: u64) -> MemorySpec {
-        self.windows.push(InjectionWindow::new(start, end));
-        self
-    }
-
-    /// Replaces the window list, returning the spec (builder style).
-    /// An empty list arms the injector for the whole run.
-    pub fn with_windows(
-        mut self,
-        windows: impl IntoIterator<Item = InjectionWindow>,
-    ) -> MemorySpec {
-        self.windows = windows.into_iter().collect();
-        self
-    }
-
-    /// Whether injections are armed at `step` under the window list.
-    pub fn armed(&self, step: u64) -> bool {
-        windows_arm(&self.windows, step)
-    }
-
     /// What kinds of skipped injection this spec can statically
     /// produce (see [`crate::memfault::SkipPrediction`]). The campaign
     /// engine debug-asserts runtime skips against this; `certify-lint`
@@ -474,6 +593,8 @@ impl MemorySpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memfault::{MemFaultModel, MemTarget};
+    use rand::SeedableRng;
 
     #[test]
     fn intensity_presets_match_the_paper() {
@@ -485,18 +606,11 @@ mod tests {
 
     #[test]
     fn e3_spec_targets_only_nonroot_trap() {
-        let spec = InjectionSpec::e3_nonroot_trap_medium();
-        assert!(spec.matches(HandlerKind::ArchHandleTrap, CpuId(1)));
-        assert!(!spec.matches(HandlerKind::ArchHandleTrap, CpuId(0)));
-        assert!(!spec.matches(HandlerKind::ArchHandleHvc, CpuId(1)));
-        assert!(!spec.matches(HandlerKind::IrqchipHandleIrq, CpuId(1)));
-    }
-
-    #[test]
-    fn no_cpu_filter_matches_any_cpu() {
-        let spec = InjectionSpec::new(Intensity::Medium, [HandlerKind::ArchHandleTrap], None);
-        assert!(spec.matches(HandlerKind::ArchHandleTrap, CpuId(0)));
-        assert!(spec.matches(HandlerKind::ArchHandleTrap, CpuId(1)));
+        let cadence = InjectionSpec::e3_nonroot_trap_medium().cadence;
+        assert!(cadence.matches(HandlerKind::ArchHandleTrap, CpuId(1)));
+        assert!(!cadence.matches(HandlerKind::ArchHandleTrap, CpuId(0)));
+        assert!(!cadence.matches(HandlerKind::ArchHandleHvc, CpuId(1)));
+        assert!(!cadence.matches(HandlerKind::IrqchipHandleIrq, CpuId(1)));
     }
 
     #[test]
@@ -506,41 +620,57 @@ mod tests {
     }
 
     #[test]
-    fn builders_apply() {
+    #[should_panic(expected = "at least one target")]
+    fn empty_memory_targets_rejected() {
+        let _ = MemorySpec::new(MemFaultModel::SingleBitFlip, MemTarget::all(), [], None);
+    }
+
+    #[test]
+    fn invalid_names_the_first_problem() {
+        let mut cadence = Cadence::new([HandlerKind::ArchHandleHvc], None, 5);
+        assert_eq!(cadence.invalid(), None);
+        cadence.rate = 0;
+        assert_eq!(cadence.invalid(), Some("cadence rate must be non-zero"));
+        cadence.targets.clear();
+        assert_eq!(cadence.invalid(), Some("cadence needs at least one target"));
+    }
+
+    #[test]
+    fn builders_apply_to_every_paced_type() {
         let spec = InjectionSpec::e3_nonroot_trap_medium()
             .with_rate(10)
             .with_max_injections(2)
             .with_window(100, 900);
-        assert_eq!(spec.rate, 10);
-        assert_eq!(spec.max_injections, Some(2));
-        assert_eq!(spec.windows, vec![InjectionWindow::new(100, 900)]);
+        assert_eq!(spec.cadence.rate, 10);
+        assert_eq!(spec.cadence.max_injections, Some(2));
+        assert_eq!(spec.cadence.windows, vec![InjectionWindow::new(100, 900)]);
+
+        let mem = MemorySpec::e6_memory(MemFaultModel::SingleBitFlip, MemTarget::e6())
+            .with_rate(10)
+            .with_max_injections(2)
+            .with_window(100, 900);
+        assert_eq!(mem.cadence.rate, 10);
+        assert_eq!(mem.cadence.max_injections, Some(2));
+        assert_eq!(mem.cadence.windows, spec.cadence.windows);
     }
 
     #[test]
     fn window_lists_arm_any_containing_window() {
-        let spec = InjectionSpec::e3_nonroot_trap_medium()
+        let cadence = Cadence::new([HandlerKind::ArchHandleTrap], None, 100)
             .with_window(10, 20)
             .with_window(50, 60);
-        assert_eq!(spec.windows.len(), 2);
-        assert!(spec.armed(15));
-        assert!(!spec.armed(30), "between the two windows");
-        assert!(spec.armed(55));
-        assert!(!spec.armed(60), "half-open upper bound");
+        assert_eq!(cadence.windows.len(), 2);
+        assert!(cadence.armed(15));
+        assert!(!cadence.armed(30), "between the two windows");
+        assert!(cadence.armed(55));
+        assert!(!cadence.armed(60), "half-open upper bound");
 
         // An empty list arms the whole run; with_windows replaces.
-        let always = InjectionSpec::e3_nonroot_trap_medium();
+        let always = InjectionSpec::e3_nonroot_trap_medium().cadence;
         assert!(always.armed(0) && always.armed(u64::MAX));
-        let replaced = spec.with_windows([InjectionWindow::new(0, 5)]);
+        let replaced = cadence.with_windows([InjectionWindow::new(0, 5)]);
         assert_eq!(replaced.windows, vec![InjectionWindow::new(0, 5)]);
         assert!(!replaced.armed(15));
-
-        let mem = MemorySpec::e6_memory(
-            crate::memfault::MemFaultModel::SingleBitFlip,
-            crate::memfault::MemTarget::e6(),
-        )
-        .with_window(10, 20)
-        .with_window(50, 60);
-        assert!(mem.armed(15) && mem.armed(55) && !mem.armed(30));
     }
 
     #[test]
@@ -560,19 +690,44 @@ mod tests {
     }
 
     #[test]
-    fn memory_spec_matches_like_the_register_spec() {
-        use crate::memfault::{MemFaultModel, MemTarget};
+    fn memory_spec_paces_like_the_register_spec() {
         let spec = MemorySpec::e6_memory(MemFaultModel::SingleBitFlip, MemTarget::e6());
-        assert!(spec.matches(HandlerKind::ArchHandleTrap, CpuId(1)));
-        assert!(!spec.matches(HandlerKind::ArchHandleTrap, CpuId(0)));
-        assert!(!spec.matches(HandlerKind::IrqchipHandleIrq, CpuId(1)));
-        assert_eq!(spec.rate, Intensity::High.rate());
+        assert!(spec.cadence.matches(HandlerKind::ArchHandleTrap, CpuId(1)));
+        assert!(!spec.cadence.matches(HandlerKind::ArchHandleTrap, CpuId(0)));
+        assert!(!spec
+            .cadence
+            .matches(HandlerKind::IrqchipHandleIrq, CpuId(1)));
+        assert_eq!(spec.cadence.rate, Intensity::High.rate());
+    }
+
+    fn counter(cadence: &Cadence, seed: u64) -> CadenceCounter {
+        CadenceCounter::new(cadence, &mut StdRng::seed_from_u64(seed))
     }
 
     #[test]
-    #[should_panic(expected = "at least one target")]
-    fn empty_memory_targets_rejected() {
-        use crate::memfault::{MemFaultModel, MemTarget};
-        let _ = MemorySpec::new(MemFaultModel::SingleBitFlip, MemTarget::all(), [], None);
+    fn jittered_counter_records_phase_shifted_multiples() {
+        let cadence = Cadence::new([HandlerKind::ArchHandleTrap], None, 10).with_phase_jitter();
+        for seed in 0..20 {
+            let mut counter = counter(&cadence, seed);
+            let first = (1..=10).find(|_| counter.count_call().is_some()).unwrap();
+            assert_eq!(counter.counted(), first);
+            assert_eq!(counter.phased() % 10, 0, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn a_capped_counter_stops_counting() {
+        let cadence = Cadence::new([HandlerKind::ArchHandleTrap], None, 2).with_max_injections(1);
+        let mut counter = counter(&cadence, 3);
+        assert_eq!(counter.count_call(), None);
+        assert_eq!(counter.count_call(), Some(2));
+        assert!(!counter.capped(), "only effective injections count");
+        assert_eq!(counter.count_call(), None);
+        assert_eq!(counter.count_call(), Some(4));
+        counter.injected();
+        assert!(counter.capped());
+        assert_eq!(counter.count_call(), None);
+        assert_eq!(counter.advance_to(100), None);
+        assert_eq!(counter.counted(), 4, "frozen at the cap");
     }
 }

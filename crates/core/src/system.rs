@@ -10,8 +10,8 @@
 //! forwarding corruption notices, and stepping each cell's guest on
 //! its own CPU.
 
-use crate::injector::{InjectionLog, Injector};
-use crate::meminjector::{MemInjectionLog, MemInjector};
+use crate::injector::{InjectionRecord, Injector};
+use crate::meminjector::{MemInjectionRecord, MemInjector};
 use crate::spec::{InjectionSpec, MemorySpec};
 use certify_arch::CpuId;
 use certify_board::{memmap, Machine};
@@ -30,9 +30,10 @@ const MAX_IRQS_PER_STEP: usize = 8;
 ///
 /// `Clone` is for snapshotting fault-free systems: cloning one with a
 /// register injector installed panics (see [`Hypervisor`]'s `Clone`).
-/// A clone shares the original's injection logs but copies the flight
-/// recorder, so trials forked from one snapshot never share a ring and
-/// each dumps exactly what a trial traced from step 0 would.
+/// A clone shares nothing with the original: it copies the memory
+/// injector with its records and the flight recorder, so trials forked
+/// from one snapshot never share a log or a ring and each dumps exactly
+/// what a trial traced from step 0 would.
 #[derive(Clone)]
 pub struct System {
     /// The board.
@@ -46,9 +47,7 @@ pub struct System {
     /// Step at which the cell most recently entered the Running state
     /// from the root's perspective (for blank-output analysis).
     cell_start_step: Option<u64>,
-    injection_log: Option<InjectionLog>,
     mem_injector: Option<MemInjector>,
-    mem_injection_log: Option<MemInjectionLog>,
     steps_run: u64,
     rtos_broken_observed: bool,
     boot_failures: u64,
@@ -126,9 +125,7 @@ impl System {
             linux,
             rtos,
             cell_start_step: None,
-            injection_log: None,
             mem_injector: None,
-            mem_injection_log: None,
             steps_run: 0,
             rtos_broken_observed: false,
             boot_failures: 0,
@@ -138,53 +135,42 @@ impl System {
     }
 
     /// Installs a fault injector built from `spec` (owned or shared
-    /// via `Arc`), seeded with `seed`. Returns a live handle to the
-    /// injection log.
+    /// via `Arc`), seeded with `seed`, as the hypervisor's hook; read
+    /// its records with [`System::injections`].
     ///
     /// The injector counts the matching handler calls already made as
     /// if it had watched them unarmed, so
     /// installing into a fault-free system forked before the
     /// injector's first possible attempt runs the same trial as
     /// installing at step 0.
-    pub fn install_injector(
-        &mut self,
-        spec: impl Into<Arc<InjectionSpec>>,
-        seed: u64,
-    ) -> InjectionLog {
+    pub fn install_injector(&mut self, spec: impl Into<Arc<InjectionSpec>>, seed: u64) {
         let mut injector = Injector::new(spec, seed);
         injector.prime(&self.hv);
-        let log = injector.log();
-        self.injection_log = Some(log.clone());
         self.hv.set_hook(Box::new(injector));
-        log
     }
 
-    /// The injection log, if an injector is installed.
-    pub fn injection_log(&self) -> Option<&InjectionLog> {
-        self.injection_log.as_ref()
+    /// The register injections so far (none without an installed
+    /// injector).
+    pub fn injections(&self) -> &[InjectionRecord] {
+        self.hv.hook::<Injector>().map_or(&[], Injector::records)
     }
 
     /// Installs a memory-fault injector built from `spec` (owned or
-    /// shared via `Arc`), seeded with `seed`. Returns a live handle to
-    /// the memory-injection log. Can coexist with a register injector
-    /// for mixed campaigns. Primed like [`System::install_injector`]:
-    /// its cadence skips the matching calls already made.
-    pub fn install_mem_injector(
-        &mut self,
-        spec: impl Into<Arc<MemorySpec>>,
-        seed: u64,
-    ) -> MemInjectionLog {
+    /// shared via `Arc`), seeded with `seed`; read its records with
+    /// [`System::mem_injections`]. Can coexist with a register
+    /// injector for mixed campaigns. Primed like
+    /// [`System::install_injector`]: its cadence skips the matching
+    /// calls already made.
+    pub fn install_mem_injector(&mut self, spec: impl Into<Arc<MemorySpec>>, seed: u64) {
         let mut injector = MemInjector::new(spec, seed);
         injector.prime(&self.hv);
-        let log = injector.log();
-        self.mem_injection_log = Some(log.clone());
         self.mem_injector = Some(injector);
-        log
     }
 
-    /// The memory-injection log, if a memory injector is installed.
-    pub fn mem_injection_log(&self) -> Option<&MemInjectionLog> {
-        self.mem_injection_log.as_ref()
+    /// The memory-injection attempts so far, applied or skipped (none
+    /// without an installed memory injector).
+    pub fn mem_injections(&self) -> &[MemInjectionRecord] {
+        self.mem_injector.as_ref().map_or(&[], MemInjector::records)
     }
 
     /// Steps run so far.
@@ -440,6 +426,7 @@ impl System {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::Paced;
     use certify_hypervisor::{CellState, GuestHealth};
 
     #[test]
@@ -483,35 +470,37 @@ mod tests {
     #[test]
     fn injector_fires_during_a_run() {
         let mut system = System::new(MgmtScript::bring_up_and_run(4000));
-        let log = system.install_injector(InjectionSpec::e3_nonroot_trap_medium().with_rate(10), 7);
+        system.install_injector(InjectionSpec::e3_nonroot_trap_medium().with_rate(10), 7);
         system.run(3000);
-        assert!(!log.is_empty(), "no injections fired");
+        assert!(!system.injections().is_empty(), "no injections fired");
     }
 
     #[test]
     fn mem_injector_fires_during_a_run() {
         use crate::memfault::{MemFaultModel, MemTarget};
         let mut system = System::new(MgmtScript::bring_up_and_run(4000));
-        let log = system.install_mem_injector(
+        system.install_mem_injector(
             MemorySpec::e6_memory(MemFaultModel::SingleBitFlip, MemTarget::e6()).with_rate(10),
             7,
         );
         system.run(3000);
-        assert!(log.applied() > 0, "no memory injections applied");
+        assert!(
+            system.mem_injections().iter().any(|r| r.applied()),
+            "no memory injections applied"
+        );
     }
 
     #[test]
     fn register_and_memory_injectors_coexist() {
         use crate::memfault::{MemFaultModel, MemTarget};
         let mut system = System::new(MgmtScript::bring_up_and_run(4000));
-        let reg_log =
-            system.install_injector(InjectionSpec::e3_nonroot_trap_medium().with_rate(25), 11);
-        let mem_log = system.install_mem_injector(
+        system.install_injector(InjectionSpec::e3_nonroot_trap_medium().with_rate(25), 11);
+        system.install_mem_injector(
             MemorySpec::e6_memory(MemFaultModel::stuck_at_zero(), MemTarget::e6()).with_rate(25),
             12,
         );
         system.run(3000);
-        assert!(!reg_log.is_empty() || !mem_log.is_empty());
+        assert!(!system.injections().is_empty() || !system.mem_injections().is_empty());
         assert_eq!(system.steps_run(), 3000, "mixed run completed its budget");
     }
 }

@@ -12,6 +12,7 @@
 //! models and intensity plans; golden runs simply install no hook.
 
 use certify_arch::{CpuId, RegisterFile};
+use std::any::Any;
 use std::fmt;
 
 /// The three handlers identified by the paper's golden-run profiling.
@@ -94,7 +95,9 @@ impl HookCtx<'_> {
 }
 
 /// A fault-injection (or tracing) hook installed into the hypervisor.
-pub trait InjectionHook: fmt::Debug + Send + Sync {
+/// `Any` lets its installer read it back, typed, through
+/// [`crate::Hypervisor::hook`].
+pub trait InjectionHook: Any + fmt::Debug + Send + Sync {
     /// Invoked at every profiled-handler entry, before the handler
     /// reads any register.
     ///
@@ -102,31 +105,6 @@ pub trait InjectionHook: fmt::Debug + Send + Sync {
     /// [`HookCtx::mark_touched`]; otherwise the hypervisor assumes the
     /// context is untouched and skips corruption-dependent work.
     fn on_handler_entry(&mut self, ctx: &mut HookCtx<'_>);
-}
-
-/// A hook that only counts calls — used for golden-run profiling
-/// without perturbing anything.
-#[derive(Debug, Default, Clone)]
-pub struct CountingHook {
-    counts: std::collections::BTreeMap<(HandlerKind, u32), u64>,
-}
-
-impl CountingHook {
-    /// Creates a hook with zeroed counters.
-    pub fn new() -> CountingHook {
-        CountingHook::default()
-    }
-
-    /// Calls observed for `handler` on `cpu`.
-    pub fn count(&self, handler: HandlerKind, cpu: CpuId) -> u64 {
-        self.counts.get(&(handler, cpu.0)).copied().unwrap_or(0)
-    }
-}
-
-impl InjectionHook for CountingHook {
-    fn on_handler_entry(&mut self, ctx: &mut HookCtx<'_>) {
-        *self.counts.entry((ctx.handler, ctx.cpu.0)).or_insert(0) += 1;
-    }
 }
 
 #[cfg(test)]
@@ -147,34 +125,5 @@ mod tests {
             HandlerKind::ArchHandleHvc.function_name(),
             "arch_handle_hvc"
         );
-    }
-
-    #[test]
-    fn counting_hook_counts_per_handler_and_cpu() {
-        let mut hook = CountingHook::new();
-        let mut regs = RegisterFile::new();
-        for i in 0..3 {
-            let mut ctx = HookCtx {
-                handler: HandlerKind::ArchHandleHvc,
-                cpu: CpuId(0),
-                call_index: i + 1,
-                step: i,
-                regs: &mut regs,
-                touched: false,
-            };
-            hook.on_handler_entry(&mut ctx);
-        }
-        let mut ctx = HookCtx {
-            handler: HandlerKind::ArchHandleHvc,
-            cpu: CpuId(1),
-            call_index: 1,
-            step: 9,
-            regs: &mut regs,
-            touched: false,
-        };
-        hook.on_handler_entry(&mut ctx);
-        assert_eq!(hook.count(HandlerKind::ArchHandleHvc, CpuId(0)), 3);
-        assert_eq!(hook.count(HandlerKind::ArchHandleHvc, CpuId(1)), 1);
-        assert_eq!(hook.count(HandlerKind::ArchHandleTrap, CpuId(0)), 0);
     }
 }

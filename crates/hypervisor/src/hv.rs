@@ -23,6 +23,7 @@ use certify_arch::syndrome::{ExceptionClass, Syndrome};
 use certify_arch::{CpuId, IrqId, Reg, RegisterFile, SPURIOUS_IRQ};
 use certify_board::{memmap, Machine};
 use certify_obs::trace::{FlightRecorder, TraceEvent, TraceKind};
+use std::any::Any;
 use std::fmt;
 
 /// Maximum size of a staged configuration blob.
@@ -266,6 +267,12 @@ impl Hypervisor {
     /// Installs a fault-injection hook.
     pub fn set_hook(&mut self, hook: Box<dyn InjectionHook>) {
         self.hook = Some(hook);
+    }
+
+    /// The installed hook, if it is an `H`.
+    pub fn hook<H: InjectionHook>(&self) -> Option<&H> {
+        let hook: &dyn Any = self.hook.as_deref()?;
+        hook.downcast_ref()
     }
 
     /// Removes the injection hook, returning it.

@@ -37,7 +37,7 @@ use certify_core::campaign::Scenario;
 use certify_core::certificate::{PhaseBound, ScenarioCertificate};
 use certify_core::classify::Outcome;
 use certify_core::memfault::{MemFaultModel, MemRegionKind};
-use certify_core::spec::InjectionWindow;
+use certify_core::spec::{Cadence, InjectionWindow};
 use std::collections::BTreeSet;
 
 /// Upper bound on injections a cadence can fire given at most `calls`
@@ -78,16 +78,23 @@ struct DomainBounds {
     phases: Vec<PhaseBound>,
 }
 
-#[allow(clippy::too_many_arguments)]
+/// The bounds of `cadence` over a `steps`-step horizon on a `cpus`-CPU
+/// platform, under the register injector's `time_trigger` (always
+/// `None` for memory).
 fn cadence_bounds(
     steps: u64,
-    per_step_calls: u64,
-    rate: u64,
-    jitter: bool,
+    cpus: u64,
+    cadence: &Cadence,
     time_trigger: Option<u64>,
-    max_injections: Option<u64>,
-    windows: &[InjectionWindow],
 ) -> DomainBounds {
+    let Cadence {
+        rate,
+        phase_jitter: jitter,
+        max_injections,
+        ref windows,
+        ..
+    } = *cadence;
+    let per_step_calls = cadence.cpu_filter.map_or(cpus, |_| 1) * MAX_HANDLER_CALLS_PER_STEP;
     let capacity = steps.saturating_mul(per_step_calls);
     let horizon_bound = match time_trigger {
         // A fire re-arms the deadline `period` steps out, so fires are
@@ -195,17 +202,7 @@ pub fn certify_scenario(scenario: &Scenario) -> (ScenarioCertificate, Vec<Diagno
     let mut reg_budget = None;
     let mut reg_phases = Vec::new();
     if let Some(spec) = &scenario.spec {
-        let per_step =
-            if spec.cpu_filter.is_some() { 1 } else { cpus } * MAX_HANDLER_CALLS_PER_STEP;
-        let bounds = cadence_bounds(
-            scenario.steps,
-            per_step,
-            spec.rate,
-            spec.phase_jitter,
-            spec.time_trigger,
-            spec.max_injections,
-            &spec.windows,
-        );
+        let bounds = cadence_bounds(scenario.steps, cpus, &spec.cadence, spec.time_trigger);
         if bounds.uncapped == 0 {
             diagnostics.push(Diagnostic::new(
                 Code::CertZeroBudget,
@@ -214,7 +211,13 @@ pub fn certify_scenario(scenario: &Scenario) -> (ScenarioCertificate, Vec<Diagno
                  fits the horizon, windows and cap",
             ));
         }
-        check_script_outlives_windows(scenario, &facts, &spec.windows, "spec", &mut diagnostics);
+        check_script_outlives_windows(
+            scenario,
+            &facts,
+            &spec.cadence.windows,
+            "spec",
+            &mut diagnostics,
+        );
         reg_budget = Some(bounds.budget);
         reg_phases = bounds.phases;
         outcomes.extend([
@@ -231,16 +234,7 @@ pub fn certify_scenario(scenario: &Scenario) -> (ScenarioCertificate, Vec<Diagno
     let mut mem_phases = Vec::new();
     let mut tracked_regions = BTreeSet::new();
     if let Some(mem) = &scenario.mem_spec {
-        let per_step = if mem.cpu_filter.is_some() { 1 } else { cpus } * MAX_HANDLER_CALLS_PER_STEP;
-        let bounds = cadence_bounds(
-            scenario.steps,
-            per_step,
-            mem.rate,
-            mem.phase_jitter,
-            None,
-            mem.max_injections,
-            &mem.windows,
-        );
+        let bounds = cadence_bounds(scenario.steps, cpus, &mem.cadence, None);
         if bounds.uncapped == 0 {
             diagnostics.push(Diagnostic::new(
                 Code::CertZeroBudget,
@@ -249,7 +243,13 @@ pub fn certify_scenario(scenario: &Scenario) -> (ScenarioCertificate, Vec<Diagno
                  the horizon, windows and cap",
             ));
         }
-        check_script_outlives_windows(scenario, &facts, &mem.windows, "mem_spec", &mut diagnostics);
+        check_script_outlives_windows(
+            scenario,
+            &facts,
+            &mem.cadence.windows,
+            "mem_spec",
+            &mut diagnostics,
+        );
         mem_budget = Some(bounds.budget);
         mem_phases = bounds.phases;
 
@@ -399,7 +399,7 @@ mod tests {
     fn windows_shrink_budget_and_phases() {
         let mut scenario = Scenario::e3_fig3();
         let spec = scenario.spec.as_mut().unwrap();
-        spec.windows = vec![
+        spec.cadence.windows = vec![
             InjectionWindow::new(0, 1000),
             InjectionWindow::new(2000, u64::MAX),
         ];
@@ -417,7 +417,7 @@ mod tests {
     #[test]
     fn a_window_too_short_to_fire_is_a_zero_budget_error() {
         let mut scenario = Scenario::e3_fig3();
-        scenario.spec.as_mut().unwrap().windows = vec![InjectionWindow::new(0, 2)];
+        scenario.spec.as_mut().unwrap().cadence.windows = vec![InjectionWindow::new(0, 2)];
         let (certificate, diagnostics) = certify_scenario(&scenario);
         assert_eq!(certificate.reg_budget, Some(0));
         assert!(codes(&diagnostics).contains(&Code::CertZeroBudget));
@@ -499,7 +499,7 @@ mod tests {
     fn scripts_quieter_than_their_windows_warn() {
         let mut scenario = Scenario::e3_fig3();
         scenario.script = certify_guest_linux::MgmtScript::bring_up_and_run(100);
-        scenario.spec.as_mut().unwrap().windows = vec![InjectionWindow::new(3000, 4000)];
+        scenario.spec.as_mut().unwrap().cadence.windows = vec![InjectionWindow::new(3000, 4000)];
         let (_, diagnostics) = certify_scenario(&scenario);
         assert!(codes(&diagnostics).contains(&Code::CertScriptEndsBeforeWindow));
     }
@@ -514,7 +514,7 @@ mod tests {
     #[test]
     fn unfiltered_specs_use_every_cpu_for_capacity() {
         let mut scenario = Scenario::e3_fig3();
-        scenario.spec.as_mut().unwrap().cpu_filter = None;
+        scenario.spec.as_mut().unwrap().cadence.cpu_filter = None;
         let (certificate, _) = certify_scenario(&scenario);
         let cpus = Machine::new_banana_pi().num_cpus() as u64;
         assert_eq!(

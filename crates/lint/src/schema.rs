@@ -21,7 +21,7 @@ use certify_core::campaign::Scenario;
 use certify_core::codec::encode_to_vec;
 use certify_core::fault::FaultModel;
 use certify_core::memfault::{MemFaultModel, MemRegionKind, MemTarget};
-use certify_core::spec::{InjectionSpec, InjectionWindow, MemorySpec};
+use certify_core::spec::{Cadence, InjectionSpec, InjectionWindow, MemorySpec, Paced};
 use certify_core::stats::{CampaignStats, CountSummary};
 use certify_core::{
     engine_metrics_to_json, progress_to_json, shard_metrics_to_json, PhaseBound,
@@ -79,30 +79,27 @@ fn entry_bytes(name: &'static str, bytes: &[u8]) -> SchemaEntry {
 /// to any field's encoding moves the fingerprint.
 fn full_injection_spec() -> InjectionSpec {
     InjectionSpec {
-        targets: HandlerKind::ALL.iter().copied().collect(),
-        cpu_filter: Some(CpuId(1)),
-        rate: 97,
+        cadence: Cadence::new(HandlerKind::ALL, Some(CpuId(1)), 97)
+            .with_max_injections(5)
+            .with_phase_jitter()
+            .with_window(10, 20)
+            .with_window(30, 40),
         model: FaultModel::MultiRegisterFlip {
             regs: vec![Reg::ALL[0], Reg::ALL[1], Reg::ALL[2]],
         },
-        max_injections: Some(5),
-        phase_jitter: true,
         time_trigger: Some(250),
-        windows: vec![InjectionWindow::new(10, 20), InjectionWindow::new(30, 40)],
     }
 }
 
 /// A memory-injection spec with every field populated.
 fn full_memory_spec() -> MemorySpec {
     MemorySpec {
-        targets: HandlerKind::ALL.iter().copied().collect(),
-        cpu_filter: Some(CpuId(0)),
-        rate: 41,
+        cadence: Cadence::new(HandlerKind::ALL, Some(CpuId(0)), 41)
+            .with_max_injections(3)
+            .with_phase_jitter()
+            .with_window(100, 900),
         model: MemFaultModel::WordStuckAt { value: 0xdead_beef },
         target: MemTarget::e6(),
-        max_injections: Some(3),
-        phase_jitter: true,
-        windows: vec![InjectionWindow::new(100, 900)],
     }
 }
 

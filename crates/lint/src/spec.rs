@@ -15,10 +15,11 @@
 //! encodable over the wire), it just cannot do what its author meant.
 
 use crate::diagnostic::{Code, Diagnostic};
+use certify_arch::CpuId;
 use certify_board::Machine;
 use certify_core::campaign::Scenario;
 use certify_core::memfault::{MemFaultModel, MemRegionKind, RamCoverage};
-use certify_core::spec::{InjectionSpec, InjectionWindow, MemorySpec};
+use certify_core::spec::{Cadence, InjectionSpec, InjectionWindow, MemorySpec};
 use certify_guest_linux::{MgmtOp, MgmtScript};
 
 /// Conservative upper bound on filtered handler calls per CPU per
@@ -112,21 +113,18 @@ fn lint_script(script: &MgmtScript, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Shared cadence checks of both spec kinds: target set, rate
-/// satisfiability, CPU filter, injection cap, windows.
-#[allow(clippy::too_many_arguments)]
+/// Cadence checks of both spec kinds: target set, rate satisfiability
+/// (when the rate paces the injector), CPU filter, injection cap,
+/// windows.
 fn lint_cadence(
     prefix: &str,
-    targets_empty: bool,
-    cpu_filter: Option<u32>,
-    rate: u64,
+    cadence: &Cadence,
     rate_in_use: bool,
-    max_injections: Option<u64>,
-    windows: &[InjectionWindow],
     ctx: LintContext,
     out: &mut Vec<Diagnostic>,
 ) {
-    if targets_empty {
+    let rate = cadence.rate;
+    if cadence.targets.is_empty() {
         out.push(Diagnostic::new(
             Code::SpecEmptyTargets,
             format!("{prefix}.targets"),
@@ -140,7 +138,7 @@ fn lint_cadence(
             "a rate of zero can never fire",
         ));
     } else if rate_in_use {
-        let capacity = ctx.call_capacity(cpu_filter.is_some());
+        let capacity = ctx.call_capacity(cadence.cpu_filter.is_some());
         if rate > capacity {
             out.push(Diagnostic::new(
                 Code::SpecUnsatisfiableRate,
@@ -153,7 +151,7 @@ fn lint_cadence(
             ));
         }
     }
-    if let Some(cpu) = cpu_filter {
+    if let Some(CpuId(cpu)) = cadence.cpu_filter {
         if cpu >= ctx.cpus {
             out.push(Diagnostic::new(
                 Code::SpecCpuOutOfRange,
@@ -162,14 +160,14 @@ fn lint_cadence(
             ));
         }
     }
-    if max_injections == Some(0) {
+    if cadence.max_injections == Some(0) {
         out.push(Diagnostic::new(
             Code::SpecZeroInjectionCap,
             format!("{prefix}.max_injections"),
             "an injection cap of zero disables the spec",
         ));
     }
-    lint_windows(prefix, windows, ctx.steps, out);
+    lint_windows(prefix, &cadence.windows, ctx.steps, out);
 }
 
 /// Window-list checks: inverted or dead windows, a list that never
@@ -243,17 +241,7 @@ fn lint_windows(prefix: &str, windows: &[InjectionWindow], steps: u64, out: &mut
 
 /// Lints a register-injection spec.
 fn lint_injection_spec(spec: &InjectionSpec, ctx: LintContext, out: &mut Vec<Diagnostic>) {
-    lint_cadence(
-        "spec",
-        spec.targets.is_empty(),
-        spec.cpu_filter.map(|c| c.0),
-        spec.rate,
-        spec.time_trigger.is_none(),
-        spec.max_injections,
-        &spec.windows,
-        ctx,
-        out,
-    );
+    lint_cadence("spec", &spec.cadence, spec.time_trigger.is_none(), ctx, out);
     match spec.time_trigger {
         Some(0) => out.push(Diagnostic::new(
             Code::SpecZeroTimeTrigger,
@@ -280,17 +268,7 @@ fn lint_memory_spec(
     script: &MgmtScript,
     out: &mut Vec<Diagnostic>,
 ) {
-    lint_cadence(
-        "mem_spec",
-        spec.targets.is_empty(),
-        spec.cpu_filter.map(|c| c.0),
-        spec.rate,
-        true,
-        spec.max_injections,
-        &spec.windows,
-        ctx,
-        out,
-    );
+    lint_cadence("mem_spec", &spec.cadence, true, ctx, out);
     out.extend(lint_mem_regions(
         &spec.model,
         spec.target.regions(),
@@ -389,11 +367,12 @@ pub fn lint_mem_regions(
 
 /// Mixed-spec conflict: both injectors on exactly the same calls.
 fn lint_mixed(spec: &InjectionSpec, mem_spec: &MemorySpec, out: &mut Vec<Diagnostic>) {
-    if spec.targets == mem_spec.targets
-        && spec.cpu_filter == mem_spec.cpu_filter
-        && spec.rate == mem_spec.rate
-        && !spec.phase_jitter
-        && !mem_spec.phase_jitter
+    let (reg, mem) = (&spec.cadence, &mem_spec.cadence);
+    if reg.targets == mem.targets
+        && reg.cpu_filter == mem.cpu_filter
+        && reg.rate == mem.rate
+        && !reg.phase_jitter
+        && !mem.phase_jitter
         && spec.time_trigger.is_none()
     {
         out.push(Diagnostic::new(
@@ -532,7 +511,7 @@ mod tests {
     #[test]
     fn live_and_dead_windows_mix_warns_per_window() {
         let mut scenario = Scenario::e3_fig3();
-        scenario.spec.as_mut().unwrap().windows = vec![
+        scenario.spec.as_mut().unwrap().cadence.windows = vec![
             InjectionWindow::new(0, 100),
             InjectionWindow::new(9000, 9100), // beyond the 4500-step horizon
         ];
@@ -544,7 +523,7 @@ mod tests {
     #[test]
     fn all_dead_windows_is_an_error() {
         let mut scenario = Scenario::e3_fig3();
-        scenario.spec.as_mut().unwrap().windows = vec![InjectionWindow::new(5000, 6000)];
+        scenario.spec.as_mut().unwrap().cadence.windows = vec![InjectionWindow::new(5000, 6000)];
         let diags = lint_scenario(&scenario);
         assert_eq!(codes(&diags), vec![Code::WindowAllDead]);
         assert!(has_errors(&diags));
@@ -553,7 +532,7 @@ mod tests {
     #[test]
     fn inverted_window_is_an_error() {
         let mut scenario = Scenario::e3_fig3();
-        scenario.spec.as_mut().unwrap().windows = vec![
+        scenario.spec.as_mut().unwrap().cadence.windows = vec![
             InjectionWindow { start: 20, end: 20 },
             InjectionWindow::new(0, 50),
         ];
@@ -564,7 +543,7 @@ mod tests {
     #[test]
     fn overlapping_windows_warn_once_per_pair() {
         let mut scenario = Scenario::e3_fig3();
-        scenario.spec.as_mut().unwrap().windows = vec![
+        scenario.spec.as_mut().unwrap().cadence.windows = vec![
             InjectionWindow::new(100, 300),
             InjectionWindow::new(200, 400),
             InjectionWindow::new(600, 700),

@@ -54,17 +54,17 @@ fn every_spec_diagnostic_code_has_a_triggering_mutation() {
         },
         Mutation {
             name: "empty targets",
-            mutate: |s| s.spec.as_mut().unwrap().targets.clear(),
+            mutate: |s| s.spec.as_mut().unwrap().cadence.targets.clear(),
             expect: Code::SpecEmptyTargets,
         },
         Mutation {
             name: "zero rate",
-            mutate: |s| s.spec.as_mut().unwrap().rate = 0,
+            mutate: |s| s.spec.as_mut().unwrap().cadence.rate = 0,
             expect: Code::SpecZeroRate,
         },
         Mutation {
             name: "unsatisfiable rate",
-            mutate: |s| s.spec.as_mut().unwrap().rate = u64::MAX,
+            mutate: |s| s.spec.as_mut().unwrap().cadence.rate = u64::MAX,
             expect: Code::SpecUnsatisfiableRate,
         },
         Mutation {
@@ -82,18 +82,18 @@ fn every_spec_diagnostic_code_has_a_triggering_mutation() {
         },
         Mutation {
             name: "cpu filter out of range",
-            mutate: |s| s.spec.as_mut().unwrap().cpu_filter = Some(certify_arch::CpuId(7)),
+            mutate: |s| s.spec.as_mut().unwrap().cadence.cpu_filter = Some(certify_arch::CpuId(7)),
             expect: Code::SpecCpuOutOfRange,
         },
         Mutation {
             name: "zero injection cap",
-            mutate: |s| s.spec.as_mut().unwrap().max_injections = Some(0),
+            mutate: |s| s.spec.as_mut().unwrap().cadence.max_injections = Some(0),
             expect: Code::SpecZeroInjectionCap,
         },
         Mutation {
             name: "inverted window",
             mutate: |s| {
-                s.spec.as_mut().unwrap().windows = vec![
+                s.spec.as_mut().unwrap().cadence.windows = vec![
                     InjectionWindow { start: 9, end: 9 },
                     InjectionWindow::new(0, 50),
                 ]
@@ -104,7 +104,7 @@ fn every_spec_diagnostic_code_has_a_triggering_mutation() {
             name: "dead window beside a live one",
             mutate: |s| {
                 let steps = s.steps;
-                s.spec.as_mut().unwrap().windows = vec![
+                s.spec.as_mut().unwrap().cadence.windows = vec![
                     InjectionWindow::new(0, 50),
                     InjectionWindow::new(steps, steps + 10),
                 ]
@@ -115,14 +115,15 @@ fn every_spec_diagnostic_code_has_a_triggering_mutation() {
             name: "all windows dead",
             mutate: |s| {
                 let steps = s.steps;
-                s.spec.as_mut().unwrap().windows = vec![InjectionWindow::new(steps, steps + 10)]
+                s.spec.as_mut().unwrap().cadence.windows =
+                    vec![InjectionWindow::new(steps, steps + 10)]
             },
             expect: Code::WindowAllDead,
         },
         Mutation {
             name: "overlapping windows",
             mutate: |s| {
-                s.spec.as_mut().unwrap().windows =
+                s.spec.as_mut().unwrap().cadence.windows =
                     vec![InjectionWindow::new(0, 100), InjectionWindow::new(50, 150)]
             },
             expect: Code::WindowOverlap,
@@ -215,14 +216,14 @@ fn every_certificate_code_has_a_triggering_mutation() {
         },
         Mutation {
             name: "window too narrow for one fire",
-            mutate: |s| s.spec.as_mut().unwrap().windows = vec![InjectionWindow::new(0, 2)],
+            mutate: |s| s.spec.as_mut().unwrap().cadence.windows = vec![InjectionWindow::new(0, 2)],
             expect: Code::CertZeroBudget,
         },
         Mutation {
             name: "script halts before the window opens",
             mutate: |s| {
                 s.script = MgmtScript::bring_up_and_run(100);
-                s.spec.as_mut().unwrap().windows = vec![InjectionWindow::new(3000, 4000)];
+                s.spec.as_mut().unwrap().cadence.windows = vec![InjectionWindow::new(3000, 4000)];
             },
             expect: Code::CertScriptEndsBeforeWindow,
         },
@@ -310,20 +311,24 @@ fn memory_mutations_trigger_their_codes() {
     let mut scenario = Scenario::e7_mixed();
     {
         let spec = scenario.spec.as_mut().unwrap();
-        spec.phase_jitter = false;
+        spec.cadence.phase_jitter = false;
         spec.time_trigger = None;
     }
     let (targets, cpu_filter, rate) = {
         let spec = scenario.spec.as_ref().unwrap();
-        (spec.targets.clone(), spec.cpu_filter, spec.rate)
+        (
+            spec.cadence.targets.clone(),
+            spec.cadence.cpu_filter,
+            spec.cadence.rate,
+        )
     };
     {
         let mem = scenario.mem_spec.as_mut().unwrap();
-        mem.targets = targets;
-        mem.cpu_filter = cpu_filter;
-        mem.rate = rate;
-        mem.phase_jitter = false;
-        mem.windows.clear();
+        mem.cadence.targets = targets;
+        mem.cadence.cpu_filter = cpu_filter;
+        mem.cadence.rate = rate;
+        mem.cadence.phase_jitter = false;
+        mem.cadence.windows.clear();
     }
     let codes: Vec<Code> = lint_scenario(&scenario).iter().map(|d| d.code).collect();
     assert!(codes.contains(&Code::MixedPhaseLock), "{codes:?}");
@@ -339,7 +344,7 @@ proptest! {
     fn shrunk_windows_classify_by_horizon(start in 0u64..9000, len in 1u64..2000) {
         let mut scenario = Scenario::e3_fig3();
         let steps = scenario.steps;
-        scenario.spec.as_mut().unwrap().windows =
+        scenario.spec.as_mut().unwrap().cadence.windows =
             vec![InjectionWindow::new(start, start + len)];
         let codes: Vec<Code> = lint_scenario(&scenario).iter().map(|d| d.code).collect();
         if start >= steps {

@@ -21,8 +21,8 @@ const GOLDEN: &str = include_str!("fixtures/report.json.golden");
 fn doctored_scenario() -> Scenario {
     let mut scenario = Scenario::e3_fig3();
     let spec = scenario.spec.as_mut().unwrap();
-    spec.max_injections = Some(0);
-    spec.windows = vec![InjectionWindow::new(0, 2)];
+    spec.cadence.max_injections = Some(0);
+    spec.cadence.windows = vec![InjectionWindow::new(0, 2)];
     scenario
 }
 

@@ -432,7 +432,7 @@ mod tests {
         let mut handshake = handshake(2, 0, 2);
         // Every window opens after the horizon: window-all-dead, an
         // error-severity lint finding.
-        handshake.scenario.spec.as_mut().unwrap().windows = vec![InjectionWindow::new(
+        handshake.scenario.spec.as_mut().unwrap().cadence.windows = vec![InjectionWindow::new(
             handshake.scenario.steps + 1,
             handshake.scenario.steps + 100,
         )];
@@ -468,7 +468,8 @@ mod tests {
         let mut handshake = handshake(2, 0, 2);
         // A 2-step window cannot accumulate the 50 calls one fire
         // needs: lint-clean, but certifiably pointless.
-        handshake.scenario.spec.as_mut().unwrap().windows = vec![InjectionWindow::new(0, 2)];
+        handshake.scenario.spec.as_mut().unwrap().cadence.windows =
+            vec![InjectionWindow::new(0, 2)];
         let (certificate, _) = certify_lint::certify_scenario(&handshake.scenario);
         handshake.certificate_fingerprint = certificate.fingerprint();
         let err = run_handshake(&handshake, Vec::new()).unwrap_err();

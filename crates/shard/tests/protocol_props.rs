@@ -6,7 +6,7 @@
 //! must surface as an error, never as a different-but-valid value.
 
 use certify_core::codec::{decode_exact, encode_to_vec};
-use certify_core::spec::{InjectionSpec, InjectionWindow, MemorySpec};
+use certify_core::spec::{InjectionSpec, InjectionWindow, MemorySpec, Paced};
 use certify_core::{
     Campaign, DumpPolicy, FaultModel, MemFaultModel, MemRegionKind, MemTarget, NullSink, Scenario,
     TraceConfig, DEFAULT_TRACE_CAPACITY,

@@ -179,7 +179,8 @@ fn statically_broken_scenario_is_refused_before_spawning() {
     use certify_core::spec::InjectionWindow;
     let mut scenario = Scenario::e3_fig3();
     let steps = scenario.steps;
-    scenario.spec.as_mut().unwrap().windows = vec![InjectionWindow::new(steps + 1, steps + 100)];
+    scenario.spec.as_mut().unwrap().cadence.windows =
+        vec![InjectionWindow::new(steps + 1, steps + 100)];
     let campaign = Campaign::new(scenario, 8, 3);
     match run_sharded(&campaign, &ShardOptions::new(2), None) {
         Err(ShardError::BadScenario(diags)) => {
@@ -233,7 +234,7 @@ fn zero_certified_budget_is_refused_before_spawning() {
     // coordinator's certify pass, before worker resolution.
     use certify_core::spec::InjectionWindow;
     let mut scenario = Scenario::e3_fig3();
-    scenario.spec.as_mut().unwrap().windows = vec![InjectionWindow::new(0, 2)];
+    scenario.spec.as_mut().unwrap().cadence.windows = vec![InjectionWindow::new(0, 2)];
     let campaign = Campaign::new(scenario, 8, 3);
     match run_sharded(&campaign, &ShardOptions::new(2), None) {
         Err(ShardError::BadScenario(diags)) => {
@@ -253,7 +254,7 @@ fn warning_level_findings_do_not_block_sharded_runs() {
     // max_injections == 0 lints as a warning (`spec-zero-injection-cap`)
     // — suspicious, but the campaign is still runnable.
     let mut scenario = Scenario::e1_root_high();
-    scenario.spec.as_mut().unwrap().max_injections = Some(0);
+    scenario.spec.as_mut().unwrap().cadence.max_injections = Some(0);
     let campaign = Campaign::new(scenario, 6, 3);
     let run = run_sharded(&campaign, &options(2), None).expect("warnings must not block");
     assert_eq!(run.rows, 6);

@@ -19,11 +19,11 @@ fn main() {
     // Build the system by hand so we can interleave checks.
     let mut system = System::new(MgmtScript::bring_up_and_run(2000));
     let spec = certify_core::InjectionSpec::e2_boot_window();
-    let log = system.install_injector(spec, 0xE2);
+    system.install_injector(spec, 0xE2);
     system.run(2500);
 
     println!("== injections ==");
-    for record in log.records() {
+    for record in system.injections() {
         println!("{record}");
     }
 
@@ -50,11 +50,11 @@ fn main() {
 
     println!("\n== timeline around the injection ==");
     let timeline = certify_analysis::Timeline::build(
-        &log.records(),
+        system.injections(),
         system.hv.events(),
         &system.serial_lines(),
     );
-    if let Some(injection) = log.records().first() {
+    if let Some(injection) = system.injections().first() {
         for entry in timeline.around(injection.step, 40) {
             println!("{entry}");
         }

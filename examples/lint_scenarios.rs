@@ -37,9 +37,9 @@ fn main() {
     {
         let spec = scenario.spec.as_mut().unwrap();
         // Opens after the 4500-step horizon: never arms.
-        spec.windows = vec![InjectionWindow::new(9000, 9500)];
+        spec.cadence.windows = vec![InjectionWindow::new(9000, 9500)];
         // More injections demanded than handler calls exist.
-        spec.rate = u64::MAX;
+        spec.cadence.rate = u64::MAX;
     }
     let mut diags = lint_scenario(&scenario);
     // A memory target aimed at the unmapped hole below DRAM: every
