@@ -536,7 +536,7 @@ impl Wire for InjectionSpec {
 
 /// The fields both spec encodings open with — a [`Cadence`]'s targets,
 /// CPU filter and rate. The caller reads the rest in its spec's wire
-/// order and rejects an [invalid](Cadence::invalid) result.
+/// order and rejects an invalid result.
 fn decode_cadence_head(r: &mut Reader<'_>) -> Result<Cadence, DecodeError> {
     Ok(Cadence {
         targets: BTreeSet::decode(r)?,

@@ -69,8 +69,8 @@ impl Injector {
     ///
     /// # Panics
     ///
-    /// Panics if the spec's cadence is [invalid](crate::Cadence::invalid)
-    /// (its fields are public, so a caller can bypass the builders'
+    /// Panics if the spec's cadence has no targets or a zero rate (its
+    /// fields are public, so a caller can bypass the builders'
     /// validation).
     pub fn new(spec: impl Into<Arc<InjectionSpec>>, seed: u64) -> Injector {
         let spec = spec.into();

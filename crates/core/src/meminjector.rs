@@ -27,9 +27,10 @@ use std::sync::Arc;
 pub struct MemInjectionRecord {
     /// Simulator step of the attempt.
     pub step: u64,
-    /// The due call's true position in the filtered stream
-    /// ([`CadenceCounter::counted`]): the number of matching calls
-    /// made up to and including it, phase jitter or not.
+    /// The due call's true position in the filtered stream, as
+    /// [`CadenceCounter::advance_to`] returns it: the number of
+    /// matching calls made up to and including it, phase jitter or
+    /// not.
     pub filtered_call: u64,
     /// The concrete corruptions applied (empty when skipped).
     pub faults: Vec<AppliedMemFault>,
@@ -74,7 +75,7 @@ impl MemInjector {
     ///
     /// # Panics
     ///
-    /// Panics if the spec's cadence is [invalid](crate::Cadence::invalid).
+    /// Panics if the spec's cadence has no targets or a zero rate.
     pub fn new(spec: impl Into<Arc<MemorySpec>>, seed: u64) -> MemInjector {
         let spec = spec.into();
         let mut rng = StdRng::seed_from_u64(seed);
@@ -106,52 +107,57 @@ impl MemInjector {
     /// every attempt (applied or skipped) into the hypervisor's flight
     /// recorder, if one is attached.
     pub fn on_step(&mut self, machine: &mut Machine, hv: &mut Hypervisor) {
-        let step = machine.now();
         let total = self.counter.calls_in(hv);
-        while let Some(trigger) = self.counter.advance_to(total) {
-            if !self.spec.cadence.armed(step) {
-                continue;
+        while let Some(call) = self.counter.advance_to(total) {
+            if self.spec.cadence.armed(machine.now()) {
+                self.attempt(call, machine, hv);
             }
-            let (region, addr) = self.spec.target.sample(&mut self.rng);
-            let record = match self
-                .spec
-                .model
-                .apply(region, addr, machine, hv, &mut self.rng)
-            {
-                Ok(faults) => {
-                    self.counter.injected();
-                    MemInjectionRecord {
-                        step,
-                        filtered_call: trigger,
-                        faults,
-                        skipped: None,
-                    }
-                }
-                // Satellite guard: unmapped addresses (or a missing
-                // victim cell) become a recorded skip, never a panic.
-                Err(skip) => MemInjectionRecord {
-                    step,
-                    filtered_call: trigger,
-                    faults: Vec::new(),
-                    skipped: Some(skip.to_string()),
-                },
-            };
-            if hv.recorder().is_some() {
-                let (kind, arg_a) = if record.applied() {
-                    (TraceKind::MemInjectionApplied, record.faults.len() as u64)
-                } else {
-                    (TraceKind::MemInjectionSkipped, trigger)
-                };
-                hv.trace(TraceEvent {
-                    step,
-                    cpu: NO_CPU,
-                    kind,
-                    arg_a,
-                    arg_b: 0,
-                });
-            }
-            self.records.push(record);
         }
+    }
+
+    /// One injection attempt on due call number `call`, applied or
+    /// recorded as skipped.
+    fn attempt(&mut self, call: u64, machine: &mut Machine, hv: &mut Hypervisor) {
+        let step = machine.now();
+        let (region, addr) = self.spec.target.sample(&mut self.rng);
+        let record = match self
+            .spec
+            .model
+            .apply(region, addr, machine, hv, &mut self.rng)
+        {
+            Ok(faults) => {
+                self.counter.injected();
+                MemInjectionRecord {
+                    step,
+                    filtered_call: call,
+                    faults,
+                    skipped: None,
+                }
+            }
+            // Satellite guard: unmapped addresses (or a missing victim
+            // cell) become a recorded skip, never a panic.
+            Err(skip) => MemInjectionRecord {
+                step,
+                filtered_call: call,
+                faults: Vec::new(),
+                skipped: Some(skip.to_string()),
+            },
+        };
+        if hv.recorder().is_some() {
+            let (kind, arg_a) = if record.applied() {
+                (TraceKind::MemInjectionApplied, record.faults.len() as u64)
+            } else {
+                (TraceKind::MemInjectionSkipped, call)
+            };
+            hv.trace(TraceEvent {
+                step,
+                cpu: NO_CPU,
+                kind,
+                arg_a,
+                arg_b: 0,
+            });
+        }
+        self.records.push(record);
     }
 }
 

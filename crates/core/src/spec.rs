@@ -178,7 +178,7 @@ impl Cadence {
     /// injection at call 0). Constructors panic on it and decoders
     /// reject with it; the fields are public, so it is checked again
     /// where an injector is built.
-    pub fn invalid(&self) -> Option<&'static str> {
+    pub(crate) fn invalid(&self) -> Option<&'static str> {
         if self.targets.is_empty() {
             Some("cadence needs at least one target")
         } else if self.rate == 0 {
@@ -321,7 +321,7 @@ impl CadenceCounter {
     ///
     /// # Panics
     ///
-    /// Panics if the cadence is [invalid](Cadence::invalid).
+    /// Panics if the cadence has no targets or a zero rate.
     pub fn new(cadence: &Cadence, rng: &mut StdRng) -> CadenceCounter {
         cadence.assert_valid();
         let phase = if cadence.phase_jitter {
@@ -346,7 +346,7 @@ impl CadenceCounter {
     }
 
     /// Matching calls in `hv`'s per-(handler, CPU) call table.
-    pub fn calls_in(&self, hv: &Hypervisor) -> u64 {
+    pub(crate) fn calls_in(&self, hv: &Hypervisor) -> u64 {
         self.calls.count(hv)
     }
 
@@ -368,16 +368,17 @@ impl CadenceCounter {
             .is_some_and(|max| self.injections >= max)
     }
 
-    /// Counts matching calls up to call number `total`, stopping at the
-    /// first due one: returns its number, or `None` once every call up
-    /// to `total` is counted. A capped counter counts nothing and
-    /// returns `None`.
+    /// Counts matching calls up to call number `total` (never below
+    /// the count so far), stopping at the first due one: returns its
+    /// true position in the filtered stream (what memory-injection
+    /// records carry), or `None` once every call up to `total` is
+    /// counted. A capped counter counts nothing and returns `None`.
     pub fn advance_to(&mut self, total: u64) -> Option<u64> {
         if self.capped() {
             return None;
         }
         if total < self.next_due {
-            self.counted = self.counted.max(total);
+            self.counted = total;
             return None;
         }
         let due = self.next_due;
@@ -397,18 +398,10 @@ impl CadenceCounter {
         self.injections += 1;
     }
 
-    /// Matching calls counted so far — the true position in the
-    /// filtered stream. Memory-injection records carry the due call's
-    /// number in these terms.
-    pub fn counted(&self) -> u64 {
-        self.counted
-    }
-
-    /// The count shifted by the seed-derived phase (`counted + phase`),
+    /// The matching calls counted so far plus the seed-derived phase,
     /// which register-injection records carry: under phase jitter
     /// every due call is a multiple of `rate` in these terms, whatever
-    /// its true position. Equal to [`CadenceCounter::counted`] without
-    /// jitter.
+    /// its true position. Without jitter it is the plain count.
     pub fn phased(&self) -> u64 {
         self.counted + self.phase
     }
@@ -709,8 +702,11 @@ mod tests {
         let cadence = Cadence::new([HandlerKind::ArchHandleTrap], None, 10).with_phase_jitter();
         for seed in 0..20 {
             let mut counter = counter(&cadence, seed);
-            let first = (1..=10).find(|_| counter.count_call().is_some()).unwrap();
-            assert_eq!(counter.counted(), first);
+            let first = (1..=10).find_map(|_| counter.count_call()).unwrap();
+            assert!(
+                counter.phased() - first < 10,
+                "seed {seed}: phase below rate"
+            );
             assert_eq!(counter.phased() % 10, 0, "seed {seed}");
         }
     }
@@ -728,6 +724,6 @@ mod tests {
         assert!(counter.capped());
         assert_eq!(counter.count_call(), None);
         assert_eq!(counter.advance_to(100), None);
-        assert_eq!(counter.counted(), 4, "frozen at the cap");
+        assert_eq!(counter.phased(), 4, "frozen at the cap");
     }
 }
