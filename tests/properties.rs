@@ -245,7 +245,8 @@ fn cadence(knobs: &CadenceKnobs, mask: u8, cpu: u32) -> Cadence {
     cadence
 }
 
-/// The parent's phase draw, shared by both reference counters.
+/// The seeded phase draw both injectors made before `CadenceCounter`,
+/// shared by the two reference counters.
 fn reference_phase(cadence: &Cadence, rng: &mut StdRng) -> u64 {
     if cadence.phase_jitter {
         rng.gen_range(0..cadence.rate)
@@ -387,13 +388,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The shared `CadenceCounter`, driven as each injector drives it,
-    /// fires on exactly the calls the parent's two counting loops
+    /// fires on exactly the calls the two reference counting loops
     /// fired on, and records the same call numbers: random cadences,
     /// random call streams, random apply failures (a register fault
     /// that corrupts nothing, a skipped memory injection), and a
     /// random prefix primed instead of watched.
     #[test]
-    fn cadence_counter_matches_the_parent_counting_loops(
+    fn cadence_counter_matches_the_reference_counting_loops(
         knobs in cadence_knobs(),
         (mask, cpu, seed) in (1u8..8, 0u32..3, any::<u64>()),
         calls in call_stream(),
