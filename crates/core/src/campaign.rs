@@ -565,7 +565,9 @@ impl Campaign {
     /// runs with a flight recorder, and trials matching the config's
     /// [`crate::DumpPolicy`] deliver a [`TraceDump`] to the sink via
     /// [`TrialSink::accept_dump`] right after their
-    /// [`TrialSink::accept`].
+    /// [`TrialSink::accept`]. Every streamed engine first hands the
+    /// sink the ring of the shared fault-free prefix through
+    /// [`TrialSink::accept_trace_prefix`].
     ///
     /// Tracing never changes trial results, sink rows or stats — the
     /// observability law, pinned by `tests/hotpath_equivalence.rs` and
@@ -686,6 +688,9 @@ impl Campaign {
         let runner = self.scenario.runner();
         let trace = self.trace.as_ref();
         let prefix = runner.prefix(trace);
+        if let Some(recorder) = prefix.hv.recorder() {
+            sink.accept_trace_prefix(recorder);
+        }
         #[cfg(debug_assertions)]
         let prediction = self
             .scenario
@@ -782,6 +787,9 @@ impl Campaign {
         // One fault-free prefix per engine call, shared read-only by
         // every worker; each trial forks its own copy.
         let prefix = (trials > 0).then(|| runner.prefix(trace));
+        if let Some(recorder) = prefix.as_ref().and_then(|prefix| prefix.hv.recorder()) {
+            sink.accept_trace_prefix(recorder);
+        }
         let mut stats = CampaignStats::new(self.scenario.name.clone());
 
         let shared = Mutex::new(Reorder {

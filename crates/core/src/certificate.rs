@@ -289,6 +289,10 @@ impl<S: TrialSink> TrialSink for ConformanceMonitor<S> {
         self.inner.accept_dump(seq, dump);
     }
 
+    fn accept_trace_prefix(&mut self, prefix: &certify_obs::trace::FlightRecorder) {
+        self.inner.accept_trace_prefix(prefix);
+    }
+
     fn bytes_written(&self) -> Option<u64> {
         self.inner.bytes_written()
     }

@@ -898,6 +898,37 @@ impl Wire for TraceConfig {
     }
 }
 
+/// Encodes a trace event list: the count, then every event's fixed
+/// 29 bytes, reserved in one go. The list layout of [`TraceDump`]
+/// and of any other frame that carries a ring.
+pub fn encode_trace_events(events: &[TraceEvent], out: &mut Vec<u8>) {
+    out.reserve(8 + events.len() * TRACE_EVENT_WIRE_LEN);
+    events.len().encode(out);
+    for event in events {
+        out.extend_from_slice(&event_to_bytes(event));
+    }
+}
+
+/// Decodes an [`encode_trace_events`] list in one bounds check: a
+/// count claiming more bytes than are left (or more than `usize` can
+/// count) is a truncated list. Only once the bytes are known to exist
+/// is the list allocated, at its exact length — the coordinator holds
+/// every dump, and `Vec<T>::decode`'s byte-bounded reservation would
+/// regrow a full ring to nearly twice its size.
+pub fn decode_trace_events(r: &mut Reader<'_>) -> Result<Vec<TraceEvent>, DecodeError> {
+    let len = usize::decode(r)?;
+    let what = "trace events";
+    let byte_len = len
+        .checked_mul(TRACE_EVENT_WIRE_LEN)
+        .ok_or(DecodeError::Truncated { what })?;
+    let bytes = r.take(byte_len, what)?;
+    let mut events = Vec::with_capacity(len);
+    for chunk in bytes.chunks_exact(TRACE_EVENT_WIRE_LEN) {
+        events.push(event_from_bytes(chunk.try_into().expect("exact chunk"))?);
+    }
+    Ok(events)
+}
+
 impl Wire for TraceDump {
     fn encode(&self, out: &mut Vec<u8>) {
         self.seed.encode(out);
@@ -905,9 +936,7 @@ impl Wire for TraceDump {
         self.outcome.encode(out);
         self.total.encode(out);
         self.dropped.encode(out);
-        // One reservation for the event count and the whole event run.
-        out.reserve(8 + self.events.len() * TRACE_EVENT_WIRE_LEN);
-        self.events.encode(out);
+        encode_trace_events(&self.events, out);
     }
     fn decode(r: &mut Reader<'_>) -> Result<TraceDump, DecodeError> {
         let seed = u64::decode(r)?;
@@ -915,22 +944,7 @@ impl Wire for TraceDump {
         let outcome = Outcome::decode(r)?;
         let total = u64::decode(r)?;
         let dropped = u64::decode(r)?;
-        // The event list in one bounds check: a count claiming more
-        // bytes than are left (or more than `usize` can count) is a
-        // truncated dump. Only once the bytes are known to exist is the
-        // list allocated, at its exact length — the coordinator holds
-        // every dump, and `Vec<T>::decode`'s byte-bounded reservation
-        // would regrow a full ring to nearly twice its size.
-        let len = usize::decode(r)?;
-        let what = "trace events";
-        let byte_len = len
-            .checked_mul(TRACE_EVENT_WIRE_LEN)
-            .ok_or(DecodeError::Truncated { what })?;
-        let bytes = r.take(byte_len, what)?;
-        let mut events = Vec::with_capacity(len);
-        for chunk in bytes.chunks_exact(TRACE_EVENT_WIRE_LEN) {
-            events.push(event_from_bytes(chunk.try_into().expect("exact chunk"))?);
-        }
+        let events = decode_trace_events(r)?;
         if dropped.checked_add(events.len() as u64) != Some(total) {
             return Err(DecodeError::Invalid {
                 what: "trace dump event accounting is inconsistent",

@@ -13,6 +13,7 @@
 
 use crate::campaign::TrialResult;
 use crate::trace::TraceDump;
+use certify_obs::trace::FlightRecorder;
 
 /// A streaming consumer of trial results.
 ///
@@ -33,6 +34,16 @@ pub trait TrialSink {
     /// the dump, so sinks that don't care never see tracing.
     fn accept_dump(&mut self, seq: usize, dump: TraceDump) {
         let _ = (seq, dump);
+    }
+
+    /// Hands over the flight recorder of the traced fault-free prefix
+    /// every trial of this engine call forks from: once, before the
+    /// first [`TrialSink::accept`], and only on traced campaigns. Each
+    /// delivered dump's ring starts as a copy of this one, so a sink
+    /// that ships dumps can send the prefix once and each dump's
+    /// suffix after it. The default implementation ignores it.
+    fn accept_trace_prefix(&mut self, prefix: &FlightRecorder) {
+        let _ = prefix;
     }
 
     /// Bytes this sink has written to its output so far, if it

@@ -22,8 +22,9 @@
 //!    `run_streamed` of the whole campaign.
 //! 5. **Recover.** A shard that dies or violates the protocol —
 //!    non-zero exit, EOF before `Done`, CRC mismatch, out-of-order or
-//!    out-of-range rows, a `Done` whose counts disagree with the
-//!    range — is re-run from scratch on a fresh worker. Rows are
+//!    out-of-range rows, a trace dump that does not fit its attempt's
+//!    trace prefix, a `Done` whose counts disagree with the range — is
+//!    re-run from scratch on a fresh worker. Rows are
 //!    deterministic functions of their seed, so already-delivered
 //!    rows stay valid and re-received ones are dropped; output bytes
 //!    are identical whether or not a worker died mid-run.
@@ -34,7 +35,7 @@
 //! engine. Detecting wedged-but-alive workers (e.g. a stats-frame
 //! heartbeat deadline) is future transport work.
 
-use crate::protocol::{read_frame, write_frame, Frame, Handshake, ProtocolError};
+use crate::protocol::{read_frame, write_frame, Frame, Handshake, ProtocolError, TracePrefix};
 use certify_core::telemetry::outcome_rows;
 use certify_core::{Campaign, CampaignStats, TraceDump};
 use certify_lint::{certify_scenario, has_errors, lint_partition, lint_scenario, Diagnostic};
@@ -688,6 +689,10 @@ fn run_attempt(
     let mut frame_count = 0u64;
     let mut crc_rejects = 0u64;
     let tracker = clock.map(|clock| ProgressTracker::new(clock, Some(shard as u32), len as u64));
+    // The ring capacity dumps are rebuilt to, and this attempt's trace
+    // prefix once its frame has arrived and checked out.
+    let capacity = campaign.trace().map(|config| config.capacity.max(1));
+    let mut prefix: Option<TracePrefix> = None;
     // `Ok(Some(stats))` = clean done frame; `Ok(None)` = the run was
     // aborted elsewhere and this reader is dying quietly.
     let outcome = loop {
@@ -740,6 +745,18 @@ fn run_attempt(
                     killed = true;
                 }
             }
+            Frame::TracePrefix(received_prefix) => {
+                let Some(capacity) = capacity else {
+                    break Err("trace-prefix frame on an untraced campaign".into());
+                };
+                if prefix.is_some() {
+                    break Err("second trace-prefix frame in one attempt".into());
+                }
+                if let Err(error) = received_prefix.check(capacity) {
+                    break Err(error);
+                }
+                prefix = Some(received_prefix);
+            }
             Frame::TraceDump { seq, dump } => {
                 // A dump frame must ride directly behind its own row.
                 if seq.checked_add(1) != Some(expected) {
@@ -747,6 +764,17 @@ fn run_attempt(
                         "trace-dump for trial {seq} did not follow its row (next row: {expected})"
                     ));
                 }
+                let (Some(prefix), Some(capacity)) = (&prefix, capacity) else {
+                    break Err(format!(
+                        "trace-dump for trial {seq} before the trace prefix"
+                    ));
+                };
+                // Rebuilt before taking the lock: it copies up to a
+                // whole ring.
+                let dump = match prefix.rebuild(capacity, dump) {
+                    Ok(dump) => dump,
+                    Err(error) => break Err(format!("trace-dump for trial {seq}: {error}")),
+                };
                 let mut state = signals.state.lock().expect("coordinator lock");
                 // A retried shard re-sends dumps; duplicates are
                 // byte-identical (same seed), so the first copy wins.

@@ -22,7 +22,8 @@
 //! ```
 //!
 //! * [`protocol`] — the versioned, length-prefixed, CRC-per-frame
-//!   binary wire protocol (handshake, trial-row, stats, done);
+//!   binary wire protocol (handshake, trial-row, trace-prefix,
+//!   trace-dump, stats, done);
 //! * [`worker`] — the worker-process runner: [`worker::RemoteSink`]
 //!   (a `TrialSink` that frames CSV rows over a pipe) plus
 //!   [`worker::run_worker`], the whole `shard_worker` conversation;
@@ -48,5 +49,5 @@ pub use coordinator::{
     partition, resolve_worker, run_sharded, run_sharded_observed, ShardError, ShardOptions,
     ShardedRun,
 };
-pub use protocol::{crc32, read_frame, write_frame, Frame, Handshake, ProtocolError};
+pub use protocol::{crc32, read_frame, write_frame, Frame, Handshake, ProtocolError, TracePrefix};
 pub use worker::{run_worker, RemoteSink, WorkerError};

@@ -18,19 +18,36 @@
 //!
 //! The conversation is fixed: the coordinator sends one
 //! [`Frame::Handshake`] (magic + protocol version + the full
-//! [`Scenario`] + the shard's trial range) down the worker's stdin;
-//! the worker streams [`Frame::TrialRow`] frames (one CSV row per
-//! trial, in trial order) up its stdout — each optionally followed by
-//! a [`Frame::TraceDump`] when the handshake configured tracing and
-//! the trial matched the dump policy — interleaved with periodic
-//! [`Frame::Stats`] progress snapshots, and finishes with one
-//! [`Frame::Done`] carrying the shard's authoritative
-//! [`CampaignStats`]. Anything else — wrong first frame, out-of-order
-//! rows, CRC mismatch, EOF before `Done` — is a protocol violation
-//! the coordinator treats as a dead shard.
+//! [`Scenario`] + the shard's trial range) down the worker's stdin.
+//! Up its stdout the worker streams:
+//!
+//! 1. when the handshake configured tracing, one [`Frame::TracePrefix`]
+//!    first: the flight-recorder ring of the fault-free prefix every
+//!    trial of the shard forks from;
+//! 2. [`Frame::TrialRow`] frames, one CSV row per trial in trial
+//!    order, each followed by a [`Frame::TraceDump`] when the trial
+//!    matched the dump policy — carrying only the events recorded after
+//!    the fork ([`TracePrefix::suffix`]), from which the coordinator
+//!    rebuilds the whole dump ([`TracePrefix::rebuild`]);
+//! 3. periodic [`Frame::Stats`] progress snapshots in between;
+//! 4. one [`Frame::Done`] carrying the shard's authoritative
+//!    [`CampaignStats`].
+//!
+//! Anything else — wrong first frame, out-of-order rows, CRC mismatch,
+//! a second prefix or a dump before the prefix, a suffix that does not
+//! fit its prefix, EOF before `Done` — is a protocol violation the
+//! coordinator treats as a dead shard.
+//!
+//! Version history: v1 handshake, rows, stats and done; v2 the
+//! certificate fingerprint in the handshake; v3 the tracing
+//! configuration and the trace-dump frame, each dump a whole ring; v4
+//! the trace-prefix frame, each dump only its post-fork suffix.
 
-use certify_core::codec::{decode_exact, DecodeError, Reader, Wire};
+use certify_core::codec::{
+    decode_exact, decode_trace_events, encode_trace_events, DecodeError, Reader, Wire,
+};
 use certify_core::{CampaignStats, Scenario, TraceConfig, TraceDump};
+use certify_obs::trace::{FlightRecorder, TraceEvent};
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -38,10 +55,8 @@ use std::io::{self, Read, Write};
 pub const MAGIC: u32 = 0x4353_4844;
 
 /// Protocol version carried in every handshake. Bump on any change to
-/// the frame layout or payload encodings. Version 2 added the
-/// scenario-certificate fingerprint to the handshake; version 3 added
-/// the optional tracing configuration and the trace-dump frame.
-pub const VERSION: u16 = 3;
+/// the frame layout or payload encodings (history in the module doc).
+pub const VERSION: u16 = 4;
 
 /// Upper bound on `len`: no legal frame is anywhere near this large,
 /// so a longer prefix means a corrupt or hostile stream — reject it
@@ -53,6 +68,7 @@ const KIND_TRIAL_ROW: u8 = 2;
 const KIND_STATS: u8 = 3;
 const KIND_DONE: u8 = 4;
 const KIND_TRACE_DUMP: u8 = 5;
+const KIND_TRACE_PREFIX: u8 = 6;
 
 /// The coordinator → worker job description.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,6 +134,111 @@ impl Wire for Handshake {
     }
 }
 
+/// The flight-recorder ring of the fault-free prefix every trial of a
+/// shard forks from: the worker sends it once per attempt, and each
+/// later [`Frame::TraceDump`] carries only the events its trial
+/// recorded after the fork.
+///
+/// The worker cuts a dump down with [`TracePrefix::suffix`]; the
+/// coordinator checks the prefix with [`TracePrefix::check`] and
+/// rebuilds each dump with [`TracePrefix::rebuild`]. The rebuilt dump
+/// equals the one the worker's engine captured.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TracePrefix {
+    /// Events the prefix recorded, including evicted ones.
+    pub total: u64,
+    /// The prefix ring's retained events, oldest first.
+    pub events: Vec<TraceEvent>,
+}
+
+impl TracePrefix {
+    /// A copy of `recorder`'s counters and ring.
+    pub fn of(recorder: &FlightRecorder) -> TracePrefix {
+        TracePrefix {
+            total: recorder.total(),
+            events: recorder.events().copied().collect(),
+        }
+    }
+
+    /// Cuts `dump`, captured from a trial forked from this prefix,
+    /// down to the events recorded after the fork: the last
+    /// `min(total − prefix total, ring length)` of them. `total` stays
+    /// and `dropped` counts every other event, so the suffix encodes
+    /// and decodes as an ordinary [`TraceDump`].
+    pub fn suffix(&self, mut dump: TraceDump) -> TraceDump {
+        let recorded = dump.total.saturating_sub(self.total);
+        let keep =
+            usize::try_from(recorded).map_or(dump.events.len(), |n| n.min(dump.events.len()));
+        dump.events.drain(..dump.events.len() - keep);
+        dump.dropped = dump.total - keep as u64;
+        dump
+    }
+
+    /// Checks that this is a ring of `capacity` events: it holds
+    /// exactly `min(total, capacity)` of them — no more than the ring
+    /// or its own total, and no fewer than the ring kept.
+    pub fn check(&self, capacity: usize) -> Result<(), String> {
+        let held = self.events.len() as u64;
+        let kept = self.total.min(capacity as u64);
+        if held != kept {
+            return Err(format!(
+                "trace prefix holds {held} events; a ring of {capacity} that recorded {} holds \
+                 {kept}",
+                self.total
+            ));
+        }
+        Ok(())
+    }
+
+    /// Rebuilds the dump a trial forked from this (already
+    /// [checked](TracePrefix::check)) prefix captured from its
+    /// [suffix](TracePrefix::suffix): the last `capacity` events of
+    /// prefix ++ suffix, with the suffix's `total` and the matching
+    /// `dropped`. The event list is allocated once at its exact
+    /// length, which is bounded by the events actually received.
+    pub fn rebuild(&self, capacity: usize, suffix: TraceDump) -> Result<TraceDump, String> {
+        let Some(recorded) = suffix.total.checked_sub(self.total) else {
+            return Err(format!(
+                "trace dump total {} is below the prefix total {}",
+                suffix.total, self.total
+            ));
+        };
+        let len = suffix.events.len();
+        if len as u64 != recorded.min(capacity as u64) {
+            return Err(format!(
+                "trace dump suffix holds {len} events; {recorded} recorded after the fork \
+                 into a ring of {capacity} leave {}",
+                recorded.min(capacity as u64)
+            ));
+        }
+        // `len <= capacity` here, and a checked prefix holds
+        // `min(prefix total, capacity)` events, of which the ring kept
+        // the last `capacity - len`.
+        let keep = self.events.len().min(capacity - len);
+        let mut events = Vec::with_capacity(keep + len);
+        events.extend_from_slice(&self.events[self.events.len() - keep..]);
+        events.extend_from_slice(&suffix.events);
+        Ok(TraceDump {
+            dropped: suffix.total - events.len() as u64,
+            events,
+            ..suffix
+        })
+    }
+}
+
+impl Wire for TracePrefix {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.total.encode(out);
+        encode_trace_events(&self.events, out);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<TracePrefix, DecodeError> {
+        Ok(TracePrefix {
+            total: u64::decode(r)?,
+            events: decode_trace_events(r)?,
+        })
+    }
+}
+
 /// One protocol frame.
 ///
 /// The `Handshake` variant dwarfs the rest, but frames are transient:
@@ -137,15 +258,19 @@ pub enum Frame {
         /// The rendered CSV row, including the trailing newline.
         row: Vec<u8>,
     },
+    /// Worker → coordinator: the traced prefix's ring, sent once
+    /// before the first row of a traced shard.
+    TracePrefix(TracePrefix),
     /// Worker → coordinator: one anomalous trial's flight-recorder
-    /// dump, sent immediately after that trial's [`Frame::TrialRow`].
-    /// The dump itself carries no sequence number (so it compares
-    /// byte-identical to an in-process capture); the frame supplies
-    /// it.
+    /// dump, sent immediately after that trial's [`Frame::TrialRow`]
+    /// and cut down to its [suffix](TracePrefix::suffix) after the
+    /// shard's [`Frame::TracePrefix`]. The dump itself carries no
+    /// sequence number (so the rebuilt dump compares byte-identical to
+    /// an in-process capture); the frame supplies it.
     TraceDump {
         /// Global trial index the dump belongs to.
         seq: u64,
-        /// The captured flight recorder.
+        /// The captured flight recorder's post-fork suffix.
         dump: TraceDump,
     },
     /// Worker → coordinator: periodic progress snapshot.
@@ -170,6 +295,7 @@ impl Frame {
         match self {
             Frame::Handshake(_) => KIND_HANDSHAKE,
             Frame::TrialRow { .. } => KIND_TRIAL_ROW,
+            Frame::TracePrefix(_) => KIND_TRACE_PREFIX,
             Frame::TraceDump { .. } => KIND_TRACE_DUMP,
             Frame::Stats { .. } => KIND_STATS,
             Frame::Done { .. } => KIND_DONE,
@@ -181,6 +307,7 @@ impl Frame {
         match self {
             Frame::Handshake(_) => "handshake",
             Frame::TrialRow { .. } => "trial-row",
+            Frame::TracePrefix(_) => "trace-prefix",
             Frame::TraceDump { .. } => "trace-dump",
             Frame::Stats { .. } => "stats",
             Frame::Done { .. } => "done",
@@ -313,7 +440,9 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// Writes one frame (length prefix, body, CRC). Does not flush.
+/// Writes one frame (length prefix, body, CRC). Does not flush. A body
+/// over [`MAX_FRAME`] is an [`io::ErrorKind::InvalidInput`] error, and
+/// nothing is written.
 pub fn write_frame<W: Write + ?Sized>(out: &mut W, frame: &Frame) -> io::Result<()> {
     let mut body = vec![frame.kind()];
     match frame {
@@ -322,6 +451,7 @@ pub fn write_frame<W: Write + ?Sized>(out: &mut W, frame: &Frame) -> io::Result<
             seq.encode(&mut body);
             row.encode(&mut body);
         }
+        Frame::TracePrefix(prefix) => prefix.encode(&mut body),
         Frame::TraceDump { seq, dump } => {
             seq.encode(&mut body);
             dump.encode(&mut body);
@@ -331,8 +461,19 @@ pub fn write_frame<W: Write + ?Sized>(out: &mut W, frame: &Frame) -> io::Result<
             stats.encode(&mut body);
         }
     }
-    let len = u32::try_from(body.len()).expect("frame body fits u32");
-    assert!(len <= MAX_FRAME, "frame body exceeds MAX_FRAME");
+    let len = match u32::try_from(body.len()) {
+        Ok(len) if len <= MAX_FRAME => len,
+        _ => {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "{} frame body of {} bytes exceeds the {MAX_FRAME}-byte cap",
+                    frame.name(),
+                    body.len()
+                ),
+            ))
+        }
+    };
     out.write_all(&len.to_le_bytes())?;
     out.write_all(&body)?;
     out.write_all(&crc32(&body).to_le_bytes())
@@ -383,6 +524,7 @@ pub fn read_frame<R: Read + ?Sized>(input: &mut R) -> Result<Option<Frame>, Prot
             reader.finish()?;
             Frame::TrialRow { seq, row }
         }
+        KIND_TRACE_PREFIX => Frame::TracePrefix(decode_exact(payload)?),
         KIND_TRACE_DUMP => {
             let mut reader = Reader::new(payload);
             let seq = u64::decode(&mut reader)?;
@@ -436,6 +578,10 @@ mod tests {
                 seq: 131,
                 row: b"131,correct,0,0,running,,42,,0,,\n".to_vec(),
             },
+            Frame::TracePrefix(TracePrefix {
+                total: 3,
+                events: dump.as_ref().unwrap().events[..3].to_vec(),
+            }),
             Frame::TraceDump {
                 seq: 131,
                 dump: dump.unwrap(),
@@ -545,5 +691,65 @@ mod tests {
             read_frame(&mut io::Cursor::new(pipe)),
             Err(ProtocolError::Oversize { len: 0 })
         ));
+    }
+
+    #[test]
+    fn oversize_frames_are_an_invalid_input_error_not_a_panic() {
+        let row = |len: usize| Frame::TrialRow {
+            seq: 1,
+            row: vec![b'x'; len],
+        };
+        // Kind byte, seq and the row's length prefix frame the row.
+        let largest = MAX_FRAME as usize - 17;
+        let mut pipe = Vec::new();
+        write_frame(&mut pipe, &row(largest)).expect("a MAX_FRAME body is legal");
+        assert_eq!(pipe.len(), MAX_FRAME as usize + 8);
+
+        let mut pipe = Vec::new();
+        let err = write_frame(&mut pipe, &row(largest + 1)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        assert!(pipe.is_empty(), "nothing of a refused frame is written");
+    }
+
+    #[test]
+    fn hostile_prefixes_and_suffixes_are_errors() {
+        let event = |step: u64| certify_obs::trace::TraceEvent {
+            step,
+            cpu: 0,
+            kind: certify_obs::trace::TraceKind::SchedDecision,
+            arg_a: 0,
+            arg_b: 0,
+        };
+        let prefix = |total: u64, held: u64| TracePrefix {
+            total,
+            events: (0..held).map(event).collect(),
+        };
+        let suffix = |total: u64, held: u64| TraceDump {
+            seed: 1,
+            scenario: "x".into(),
+            outcome: certify_core::Outcome::Correct,
+            total,
+            dropped: total - held,
+            events: (0..held).map(event).collect(),
+        };
+        assert!(prefix(9, 9).check(8).is_err(), "more than the ring");
+        assert!(prefix(2, 3).check(8).is_err(), "more than its total");
+        assert!(prefix(9, 7).check(8).is_err(), "fewer than the ring held");
+        assert!(prefix(u64::MAX, 0).check(usize::MAX).is_err());
+        assert_eq!(prefix(u64::MAX, 8).check(8), Ok(()));
+
+        let good = prefix(5, 5);
+        assert!(good.rebuild(8, suffix(4, 0)).is_err(), "total below prefix");
+        assert!(good.rebuild(8, suffix(7, 1)).is_err(), "short suffix");
+        assert!(good.rebuild(8, suffix(7, 3)).is_err(), "long suffix");
+        assert!(good.rebuild(8, suffix(u64::MAX, 2)).is_err());
+        // A claimed total past any ring is refused without allocating
+        // for it, even when the ring is unbounded.
+        assert!(good.rebuild(usize::MAX, suffix(u64::MAX, 2)).is_err());
+        let rebuilt = good.rebuild(8, suffix(7, 2)).expect("a fitting suffix");
+        assert_eq!(
+            (rebuilt.total, rebuilt.dropped, rebuilt.events.len()),
+            (7, 0, 7)
+        );
     }
 }

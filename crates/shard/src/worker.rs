@@ -7,9 +7,10 @@
 //! [`Campaign::run_range_streamed`], and streams every trial's CSV
 //! row back as a [`Frame::TrialRow`](crate::protocol::Frame) through
 //! a [`RemoteSink`] — the remote cousin of `certify_analysis`'s
-//! `CsvSink`. Every `stats_every` rows it snapshots its online
-//! [`CampaignStats`] into a `Stats` frame; a final `Done` frame
-//! carries the authoritative shard stats.
+//! `CsvSink`. A traced shard sends its trace prefix first and each
+//! dump as the suffix after it. Every `stats_every` rows it snapshots
+//! its online [`CampaignStats`] into a `Stats` frame; a final `Done`
+//! frame carries the authoritative shard stats.
 //!
 //! Failure is loud by design: if any frame write fails (broken pipe,
 //! full disk, dying coordinator) the sink *latches* the error, the
@@ -17,11 +18,12 @@
 //! the worker exits non-zero — the coordinator sees a dead shard, not
 //! a silently truncated one.
 
-use crate::protocol::{read_frame, write_frame, Frame, Handshake};
+use crate::protocol::{read_frame, write_frame, Frame, Handshake, TracePrefix};
 use certify_analysis::export::trial_to_csv_row;
 use certify_core::{
     Campaign, CampaignStats, ConformanceMonitor, TraceDump, TrialResult, TrialSink,
 };
+use certify_obs::trace::FlightRecorder;
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::sync::Arc;
@@ -63,6 +65,10 @@ impl fmt::Display for WorkerError {
 /// A [`TrialSink`] that frames each delivered trial's CSV row over a
 /// byte pipe — the worker-process side of a sharded campaign.
 ///
+/// On a traced campaign it frames the engine's trace prefix once and
+/// each delivered dump as its [suffix](TracePrefix::suffix) after that
+/// prefix; a dump delivered before any prefix is a write error.
+///
 /// The first write error is latched: later deliveries are dropped
 /// (the campaign engine finishes its range undisturbed) and
 /// [`RemoteSink::latched_error`] surfaces the failure so the worker
@@ -75,6 +81,8 @@ pub struct RemoteSink<W: Write> {
     rows: u64,
     stats: CampaignStats,
     stats_every: u64,
+    /// The prefix sent by [`TrialSink::accept_trace_prefix`].
+    prefix: Option<TracePrefix>,
     error: Option<io::Error>,
 }
 
@@ -88,6 +96,7 @@ impl<W: Write> RemoteSink<W> {
             rows: 0,
             stats: CampaignStats::new(scenario_name),
             stats_every,
+            prefix: None,
             error: None,
         }
     }
@@ -158,12 +167,30 @@ impl<W: Write> TrialSink for RemoteSink<W> {
         if self.error.is_some() {
             return;
         }
+        let Some(prefix) = &self.prefix else {
+            self.error = Some(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "trace dump delivered before the trace prefix",
+            ));
+            return;
+        };
         let frame = Frame::TraceDump {
             seq: seq as u64,
-            dump,
+            dump: prefix.suffix(dump),
         };
         if let Err(e) = write_frame(&mut self.out, &frame) {
             self.error = Some(e);
+        }
+    }
+
+    fn accept_trace_prefix(&mut self, recorder: &FlightRecorder) {
+        if self.error.is_some() {
+            return;
+        }
+        let prefix = TracePrefix::of(recorder);
+        match write_frame(&mut self.out, &Frame::TracePrefix(prefix.clone())) {
+            Ok(()) => self.prefix = Some(prefix),
+            Err(e) => self.error = Some(e),
         }
     }
 }
@@ -488,5 +515,89 @@ mod tests {
         let err = run_handshake(&handshake, Vec::new()).unwrap_err();
         assert!(matches!(err, WorkerError::Handshake(_)));
         let _ = encode_to_vec(&handshake); // the wire form itself is fine
+    }
+
+    #[test]
+    fn oversize_row_latches_instead_of_panicking() {
+        let mut trial = Campaign::new(Scenario::golden(400), 1, 1)
+            .run()
+            .trials
+            .remove(0);
+        trial
+            .report
+            .notes
+            .push("x".repeat(crate::protocol::MAX_FRAME as usize));
+        let mut output = Vec::new();
+        let mut sink = RemoteSink::new(&mut output, "x", 0);
+        sink.accept(0, trial);
+        let error = sink.latched_error().expect("the oversize row latches");
+        assert_eq!(error.kind(), io::ErrorKind::InvalidInput, "{error}");
+        assert_eq!(sink.rows(), 0);
+        assert!(sink.finish().is_err(), "finish must surface the latch");
+        assert!(output.is_empty(), "nothing of the refused frame is written");
+    }
+
+    #[test]
+    fn traced_worker_sends_one_prefix_then_dump_suffixes() {
+        use certify_core::{CollectSink, DumpPolicy, TraceConfig};
+        // A ring that never wraps: every dump holds prefix events.
+        let config = TraceConfig::new()
+            .with_capacity(1 << 16)
+            .with_policy(DumpPolicy::all_outcomes());
+        let scenario = Scenario::e3_fig3();
+        let handshake = Handshake {
+            certificate_fingerprint: certify_lint::certify_scenario(&scenario).0.fingerprint(),
+            scenario,
+            base_seed: 7,
+            start_trial: 0,
+            len: 4,
+            stats_every: 0,
+            trace: Some(config.clone()),
+        };
+        let mut output = Vec::new();
+        run_handshake(&handshake, &mut output).expect("worker runs");
+        let frames = frames_from(&output);
+        let Some(Frame::TracePrefix(prefix)) = frames.first() else {
+            panic!("a traced shard opens with its trace prefix");
+        };
+        assert_eq!(
+            frames
+                .iter()
+                .filter(|f| matches!(f, Frame::TracePrefix(_)))
+                .count(),
+            1
+        );
+        let suffixes: Vec<_> = frames
+            .iter()
+            .filter_map(|f| match f {
+                Frame::TraceDump { dump, .. } => Some(dump.clone()),
+                _ => None,
+            })
+            .collect();
+
+        let mut sink = CollectSink::new();
+        Campaign::new(handshake.scenario.clone(), 4, 7)
+            .with_trace(config)
+            .run_streamed(&mut sink);
+        let (_, dumps) = sink.into_parts();
+        assert_eq!(suffixes.len(), dumps.len());
+        for (suffix, (_, dump)) in suffixes.into_iter().zip(dumps) {
+            assert!(
+                suffix.events.len() < dump.events.len(),
+                "only the suffix ships"
+            );
+            assert_eq!(prefix.rebuild(1 << 16, suffix), Ok(dump));
+        }
+    }
+
+    #[test]
+    fn dump_before_the_prefix_latches() {
+        let (_, dump) = Scenario::golden(400)
+            .runner()
+            .run_trial_traced(1, Some(&certify_core::TraceConfig::new()));
+        let mut sink = RemoteSink::new(Vec::new(), "x", 0);
+        sink.accept_dump(0, dump.expect("traced trial dumps"));
+        assert!(sink.latched_error().is_some());
+        assert!(sink.finish().is_err());
     }
 }

@@ -8,10 +8,11 @@
 use certify_core::codec::{decode_exact, encode_to_vec};
 use certify_core::spec::{InjectionSpec, InjectionWindow, MemorySpec, Paced};
 use certify_core::{
-    Campaign, DumpPolicy, FaultModel, MemFaultModel, MemRegionKind, MemTarget, NullSink, Scenario,
-    TraceConfig, DEFAULT_TRACE_CAPACITY,
+    Campaign, DumpPolicy, FaultModel, MemFaultModel, MemRegionKind, MemTarget, NullSink, Outcome,
+    Scenario, TraceConfig, TraceDump, DEFAULT_TRACE_CAPACITY,
 };
-use certify_shard::{crc32, read_frame, write_frame, Frame, Handshake};
+use certify_obs::trace::{FlightRecorder, TraceEvent, TraceKind};
+use certify_shard::{crc32, read_frame, write_frame, Frame, Handshake, TracePrefix};
 use proptest::collection;
 use proptest::prelude::*;
 use std::io::Cursor;
@@ -67,6 +68,104 @@ fn sliced_crc_matches_the_bitwise_reference_on_a_real_dump_frame() {
     let carried = u32::from_le_bytes(pipe[pipe.len() - 4..].try_into().unwrap());
     assert_eq!(crc32(body), crc32_bitwise(body));
     assert_eq!(carried, crc32_bitwise(body));
+}
+
+/// Event `i` of a synthetic stream; every field varies with `i`, so a
+/// misplaced or repeated event shows.
+fn event(i: u64) -> TraceEvent {
+    TraceEvent {
+        step: i,
+        cpu: (i % 3) as u32,
+        kind: TraceKind::ALL[(i % TraceKind::ALL.len() as u64) as usize],
+        arg_a: i.wrapping_mul(0x9E37_79B9),
+        arg_b: !i,
+    }
+}
+
+/// Records `prefix_len` events into a `capacity` ring and forks it;
+/// the fork records `suffix_len` more and is captured as a dump. The
+/// worker-side split ([`TracePrefix::suffix`]) and the coordinator-side
+/// rebuild ([`TracePrefix::rebuild`]) must give back that dump
+/// exactly, its event list at exact capacity. With `wire`, the prefix
+/// and the suffix also cross a pipe as frames.
+fn assert_split_rebuilds_the_ring(capacity: usize, prefix_len: u64, suffix_len: u64, wire: bool) {
+    let case = format!("capacity {capacity}, prefix {prefix_len}, suffix {suffix_len}");
+    let mut recorder = FlightRecorder::new(capacity);
+    for i in 0..prefix_len {
+        recorder.record(event(i));
+    }
+    let mut prefix = TracePrefix::of(&recorder);
+    for i in prefix_len..prefix_len + suffix_len {
+        recorder.record(event(i));
+    }
+    let dump = TraceDump::capture(recorder, 7, "props", Outcome::Correct);
+    let mut suffix = prefix.suffix(dump.clone());
+    assert_eq!(
+        suffix.events.len() as u64,
+        suffix_len.min(capacity as u64),
+        "{case}: the suffix is what the fork recorded, as the ring kept it"
+    );
+    if wire {
+        let mut pipe = Vec::new();
+        write_frame(&mut pipe, &Frame::TracePrefix(prefix)).unwrap();
+        write_frame(
+            &mut pipe,
+            &Frame::TraceDump {
+                seq: 0,
+                dump: suffix,
+            },
+        )
+        .unwrap();
+        let mut cursor = Cursor::new(pipe);
+        let Some(Frame::TracePrefix(read_prefix)) = read_frame(&mut cursor).unwrap() else {
+            panic!("{case}: a trace-prefix frame");
+        };
+        let Some(Frame::TraceDump {
+            dump: read_suffix, ..
+        }) = read_frame(&mut cursor).unwrap()
+        else {
+            panic!("{case}: a trace-dump frame");
+        };
+        (prefix, suffix) = (read_prefix, read_suffix);
+    }
+    prefix
+        .check(capacity)
+        .unwrap_or_else(|e| panic!("{case}: {e}"));
+    let rebuilt = prefix
+        .rebuild(capacity, suffix)
+        .unwrap_or_else(|e| panic!("{case}: {e}"));
+    assert_eq!(rebuilt, dump, "{case}");
+    assert_eq!(rebuilt.events.capacity(), rebuilt.events.len(), "{case}");
+}
+
+#[test]
+fn split_and_rebuild_reproduce_small_rings_exhaustively() {
+    // Every prefix length up to past a wrap, against suffixes around
+    // and well past the ring.
+    for capacity in [1usize, 2, 3, 7, 64] {
+        let c = capacity as u64;
+        for prefix_len in 0..=2 * c + 1 {
+            for suffix_len in [0, 1, c - 1, c, c + 1, 2 * c + 3] {
+                assert_split_rebuilds_the_ring(capacity, prefix_len, suffix_len, true);
+            }
+        }
+    }
+}
+
+#[test]
+fn split_and_rebuild_reproduce_a_megaevent_ring() {
+    // A 1<<20 ring: a short suffix dropping nothing, a full prefix
+    // ring, and a suffix longer than the ring.
+    let capacity = 1 << 20;
+    for (prefix_len, suffix_len) in [
+        (0, 1),
+        (1, 0),
+        (5_000, 3_000),
+        (capacity as u64, 1),
+        (3_000, capacity as u64 + 1),
+    ] {
+        assert_split_rebuilds_the_ring(capacity, prefix_len, suffix_len, false);
+    }
 }
 
 /// Deterministically varies an `InjectionSpec` across its knobs.
@@ -213,6 +312,18 @@ proptest! {
             Err(_) | Ok(None) => {}
             Ok(Some(read)) => prop_assert_eq!(read, frame, "corruption changed the frame"),
         }
+    }
+
+    /// The worker's dump split and the coordinator's rebuild reproduce
+    /// a flight recorder's ring through the wire, whatever the ring,
+    /// prefix and suffix sizes.
+    #[test]
+    fn split_and_rebuild_reproduce_any_ring(
+        capacity in 1usize..100,
+        prefix_len in 0u64..300,
+        suffix_len in 0u64..300,
+    ) {
+        assert_split_rebuilds_the_ring(capacity, prefix_len, suffix_len, true);
     }
 
     /// The sliced crc32 equals the bitwise reference on arbitrary

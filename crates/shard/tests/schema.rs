@@ -12,7 +12,7 @@
 use certify_core::{CampaignStats, Outcome, Scenario, TraceConfig, TraceDump};
 use certify_lint::fingerprint;
 use certify_obs::trace::{TraceEvent, TraceKind, NO_CPU};
-use certify_shard::{write_frame, Frame, Handshake};
+use certify_shard::{write_frame, Frame, Handshake, TracePrefix};
 
 /// Frames a value exactly as the wire sees it: `[len][kind|payload][crc]`.
 fn framed(frame: &Frame) -> Vec<u8> {
@@ -46,6 +46,19 @@ fn pinned_frames() -> Vec<(&'static str, Vec<u8>)> {
                 seq: 5,
                 row: b"pinned,row,bytes\n".to_vec(),
             }),
+        ),
+        (
+            "trace-prefix",
+            framed(&Frame::TracePrefix(TracePrefix {
+                total: 4,
+                events: vec![TraceEvent {
+                    step: 3,
+                    cpu: 1,
+                    kind: TraceKind::SchedDecision,
+                    arg_a: 7,
+                    arg_b: 0,
+                }],
+            })),
         ),
         (
             "trace-dump",
@@ -91,9 +104,10 @@ fn pinned_frames() -> Vec<(&'static str, Vec<u8>)> {
 /// failure message prints current values) alongside a protocol
 /// `VERSION` bump.
 const GOLDEN: &[(&str, usize, u64)] = &[
-    ("handshake-e3", 215, 0x9242fb51c267c02c),
-    ("handshake-e3-traced", 237, 0xdb9a60ac6b673740),
+    ("handshake-e3", 215, 0x623d8ece83fd3ed3),
+    ("handshake-e3-traced", 237, 0xbd2b9186f7f67892),
     ("trial-row", 42, 0x654dd71078400e11),
+    ("trace-prefix", 54, 0x9045a5a1cd41f65c),
     ("trace-dump", 119, 0x649a22eaa985cd9d),
     ("stats", 148, 0xd0e28bfdd1519951),
     ("done", 148, 0xbf44227906e2af08),
@@ -120,5 +134,5 @@ fn frame_encodings_match_their_golden_fingerprints() {
 fn frame_kind_bytes_are_stable() {
     // Byte 4 (after the u32 length prefix) is the kind tag.
     let kinds: Vec<u8> = pinned_frames().iter().map(|(_, bytes)| bytes[4]).collect();
-    assert_eq!(kinds, vec![1, 1, 2, 5, 3, 4]);
+    assert_eq!(kinds, vec![1, 1, 2, 6, 5, 3, 4]);
 }

@@ -360,41 +360,60 @@ fn sharded_trace_dumps_match_in_process_byte_for_byte() {
 #[test]
 fn sharded_forked_trials_match_trials_run_from_step_zero() {
     // Each worker forks its range's trials from a fault-free prefix it
-    // builds itself; the merged rows, stats and dumps (ring counters
-    // included) must equal every seed run from step 0.
+    // builds itself and ships each dump as its suffix after that
+    // prefix; the merged rows, stats and rebuilt dumps (ring counters
+    // included) must equal every seed run from step 0. A one-event
+    // ring truncates every suffix, a 1<<20 one drops nothing, and the
+    // golden run's suffix is its verdict event alone.
     use certify_analysis::campaign_to_csv;
     use certify_core::{CampaignResult, DumpPolicy, TraceConfig};
 
-    let config = TraceConfig::new().with_policy(DumpPolicy::all_outcomes());
-    for scenario in [Scenario::e3_fig3(), Scenario::e7_mixed()] {
-        let runner = scenario.runner();
-        let campaign = Campaign::new(scenario, 12, 0xD5_2022).with_trace(config.clone());
-        let (trials, dumps): (Vec<_>, Vec<_>) = (0..12u64)
-            .map(|seq| {
-                let (trial, dump) = runner.run_trial_traced(0xD5_2022 + seq, Some(&config));
-                (trial, (seq, dump.expect("armed recorder dumps")))
-            })
-            .unzip();
-        let expected = CampaignResult {
-            scenario_name: campaign.scenario().name.clone(),
-            trials,
-        };
-        let mut csv = Vec::new();
-        let run =
-            run_sharded(&campaign, &options(3), Some(&mut csv)).expect("sharded run succeeds");
-        let name = &expected.scenario_name;
-        assert_eq!(
-            String::from_utf8(csv).unwrap(),
-            campaign_to_csv(&expected),
-            "{name}: CSV"
-        );
-        assert_eq!(run.stats, expected.stats(), "{name}: stats");
-        assert_eq!(run.dumps, dumps, "{name}: dumps");
+    for capacity in [1, 64, 1 << 20] {
+        let config = TraceConfig::new()
+            .with_capacity(capacity)
+            .with_policy(DumpPolicy::all_outcomes());
+        for scenario in [
+            Scenario::e3_fig3(),
+            Scenario::e7_mixed(),
+            Scenario::golden(600),
+        ] {
+            let runner = scenario.runner();
+            let campaign = Campaign::new(scenario, 12, 0xD5_2022).with_trace(config.clone());
+            let (trials, dumps): (Vec<_>, Vec<_>) = (0..12u64)
+                .map(|seq| {
+                    let (trial, dump) = runner.run_trial_traced(0xD5_2022 + seq, Some(&config));
+                    (trial, (seq, dump.expect("armed recorder dumps")))
+                })
+                .unzip();
+            let expected = CampaignResult {
+                scenario_name: campaign.scenario().name.clone(),
+                trials,
+            };
+            let mut csv = Vec::new();
+            let run =
+                run_sharded(&campaign, &options(3), Some(&mut csv)).expect("sharded run succeeds");
+            let name = format!("{} at capacity {capacity}", expected.scenario_name);
+            assert_eq!(
+                String::from_utf8(csv).unwrap(),
+                campaign_to_csv(&expected),
+                "{name}: CSV"
+            );
+            assert_eq!(run.stats, expected.stats(), "{name}: stats");
+            assert_eq!(run.dumps, dumps, "{name}: dumps");
+            for (seq, dump) in &run.dumps {
+                assert_eq!(
+                    dump.events.capacity(),
+                    dump.events.len(),
+                    "{name}: trial {seq} dump was not rebuilt at its exact length"
+                );
+            }
+        }
     }
 }
 
-/// Full-depth tracing acceptance: 500-trial sweeps of E6 and E7,
-/// traced, in-process and sharded. A dump must fire for *exactly* the
+/// Full-depth tracing acceptance: 500-trial sweeps of E6 and E7 at
+/// the default ring and of E7 at a 256-event ring, traced, in-process
+/// and sharded. A dump must fire for *exactly* the
 /// anomalous trials, and the sharded dumps must be byte-identical to
 /// the in-process captures. CI runs it with
 /// `cargo test --release -p certify_shard -- --ignored`.
@@ -402,14 +421,19 @@ fn sharded_forked_trials_match_trials_run_from_step_zero() {
 #[ignore = "500-trial traced sweeps; execute in --release (CI does)"]
 fn traced_sweeps_dump_every_anomaly_at_depth() {
     use certify_core::codec::encode_to_vec;
-    use certify_core::{CollectSink, DumpPolicy, TraceConfig};
+    use certify_core::{CollectSink, DumpPolicy, TraceConfig, DEFAULT_TRACE_CAPACITY};
 
-    for scenario in [
-        Scenario::e6_memory(MemFaultModel::SingleBitFlip, MemTarget::e6()),
-        Scenario::e7_mixed(),
+    for (scenario, capacity) in [
+        (
+            Scenario::e6_memory(MemFaultModel::SingleBitFlip, MemTarget::e6()),
+            DEFAULT_TRACE_CAPACITY,
+        ),
+        (Scenario::e7_mixed(), DEFAULT_TRACE_CAPACITY),
+        (Scenario::e7_mixed(), 256),
     ] {
-        let campaign = Campaign::new(scenario, 500, 0xD5_2022).with_trace(TraceConfig::new());
-        let name = campaign.scenario().name.clone();
+        let campaign = Campaign::new(scenario, 500, 0xD5_2022)
+            .with_trace(TraceConfig::new().with_capacity(capacity));
+        let name = format!("{} at capacity {capacity}", campaign.scenario().name);
 
         let mut sink = CollectSink::new();
         campaign.run_streamed(&mut sink);
@@ -568,4 +592,128 @@ fn sharded_10k_e3_campaign_is_byte_identical() {
     let opts = options(2).with_sabotage(1, 1_500);
     let run = assert_sharded_identical(&campaign, &opts);
     assert!(run.worker_failures >= 1);
+}
+
+#[test]
+fn hostile_trace_frames_fail_the_shard_without_panicking() {
+    // A scripted "worker" drains the handshake, then replays a fixed
+    // frame stream. Every stream breaks the trace-prefix contract of
+    // a ring of 8 events; each must end as a dead shard naming the
+    // breach, not as a panic or an allocation sized by a wire count.
+    use certify_core::{Outcome, TraceConfig, TraceDump};
+    use certify_obs::trace::{TraceEvent, TraceKind};
+    use certify_shard::{write_frame, Frame, TracePrefix};
+    use std::os::unix::fs::PermissionsExt;
+
+    let event = |step: u64| TraceEvent {
+        step,
+        cpu: 0,
+        kind: TraceKind::HandlerEntry,
+        arg_a: 0,
+        arg_b: 0,
+    };
+    let prefix = |total: u64, held: u64| {
+        Frame::TracePrefix(TracePrefix {
+            total,
+            events: (total - held..total).map(event).collect(),
+        })
+    };
+    let row = Frame::TrialRow {
+        seq: 0,
+        row: b"0,correct\n".to_vec(),
+    };
+    let dump = |total: u64, held: u64| Frame::TraceDump {
+        seq: 0,
+        dump: TraceDump {
+            seed: 1,
+            scenario: "hostile".into(),
+            outcome: Outcome::Correct,
+            total,
+            dropped: total - held,
+            events: (total - held..total).map(event).collect(),
+        },
+    };
+    let cases: Vec<(&str, Vec<Frame>, &str)> = vec![
+        (
+            "dump-before-prefix",
+            vec![row.clone(), dump(3, 3)],
+            "before the trace prefix",
+        ),
+        (
+            "second-prefix",
+            vec![prefix(5, 5), prefix(5, 5)],
+            "second trace-prefix frame",
+        ),
+        (
+            "prefix-over-capacity",
+            vec![prefix(20, 9)],
+            "holds 9 events; a ring of 8 that recorded 20 holds 8",
+        ),
+        (
+            "prefix-over-total",
+            vec![Frame::TracePrefix(TracePrefix {
+                total: 2,
+                events: (0..3).map(event).collect(),
+            })],
+            "holds 3 events; a ring of 8 that recorded 2 holds 2",
+        ),
+        (
+            "huge-prefix-total",
+            vec![prefix(u64::MAX, 3)],
+            "holds 3 events; a ring of 8",
+        ),
+        (
+            "dump-below-prefix",
+            vec![prefix(5, 5), row.clone(), dump(4, 0)],
+            "below the prefix total 5",
+        ),
+        (
+            "short-suffix",
+            vec![prefix(5, 5), row.clone(), dump(7, 1)],
+            "suffix holds 1 events",
+        ),
+        (
+            "long-suffix",
+            vec![prefix(5, 5), row.clone(), dump(7, 3)],
+            "suffix holds 3 events",
+        ),
+        (
+            "huge-dump-total",
+            vec![prefix(5, 5), row, dump(u64::MAX, 2)],
+            "suffix holds 2 events",
+        ),
+    ];
+
+    let dir = std::env::temp_dir().join(format!("certify-hostile-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let campaign = Campaign::new(Scenario::e1_root_high(), 2, 1)
+        .with_trace(TraceConfig::new().with_capacity(8));
+    for (name, frames, expected) in cases {
+        let stream = dir.join(format!("{name}.frames"));
+        let mut bytes = Vec::new();
+        for frame in &frames {
+            write_frame(&mut bytes, frame).expect("in-memory frame write");
+        }
+        std::fs::write(&stream, bytes).expect("frame stream written");
+        let script = dir.join(name);
+        std::fs::write(
+            &script,
+            format!(
+                "#!/bin/sh\ncat > /dev/null\nexec cat '{}'\n",
+                stream.display()
+            ),
+        )
+        .expect("worker script written");
+        std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755))
+            .expect("worker script made executable");
+
+        match run_sharded(&campaign, &options(1).with_worker(&script), None) {
+            Err(ShardError::ShardFailed { last_error, .. }) => assert!(
+                last_error.contains(expected),
+                "{name}: the error must name the breach: {last_error}"
+            ),
+            other => panic!("{name}: expected ShardFailed, got {other:?}"),
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

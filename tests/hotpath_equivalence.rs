@@ -31,9 +31,11 @@ use certify_core::classify::{classify, Outcome};
 use certify_core::system::System;
 use certify_core::{CampaignStats, CollectSink, DumpPolicy, NullSink, TraceConfig, TraceDump};
 use certify_core::{TrialResult, TrialSink};
+use certify_shard::TracePrefix;
 use certify_uncertified::arch::cpu::ParkReason;
 use certify_uncertified::arch::CpuId;
 use certify_uncertified::hypervisor::HvEvent;
+use certify_uncertified::obs::trace::FlightRecorder;
 use std::sync::Arc;
 
 /// The scenarios the issue calls out, in cheap-to-run shapes.
@@ -389,10 +391,14 @@ fn e3_shape_at_the_bench_seed_is_preserved() {
     assert_eq!(stats.trials, 150);
 }
 
-/// What a campaign delivered: rows, dumps and CSV bytes in one pass.
+/// What a campaign delivered: rows, dumps and CSV bytes in one pass,
+/// plus each trace prefix handed over with the rows delivered before
+/// it.
 struct Delivered {
     collect: CollectSink,
     csv: CsvSink<Vec<u8>>,
+    rows: usize,
+    prefixes: Vec<(usize, TracePrefix)>,
 }
 
 impl Delivered {
@@ -400,17 +406,15 @@ impl Delivered {
         Delivered {
             collect: CollectSink::new(),
             csv: CsvSink::in_memory(),
+            rows: 0,
+            prefixes: Vec::new(),
         }
-    }
-
-    fn into_parts(self) -> (Vec<TrialResult>, Vec<(usize, TraceDump)>, String) {
-        let (trials, dumps) = self.collect.into_parts();
-        (trials, dumps, self.csv.into_csv())
     }
 }
 
 impl TrialSink for Delivered {
     fn accept(&mut self, seq: usize, trial: TrialResult) {
+        self.rows += 1;
         self.csv.accept(seq, trial.clone());
         self.collect.accept(seq, trial);
     }
@@ -418,28 +422,40 @@ impl TrialSink for Delivered {
     fn accept_dump(&mut self, seq: usize, dump: TraceDump) {
         self.collect.accept_dump(seq, dump);
     }
+
+    fn accept_trace_prefix(&mut self, prefix: &FlightRecorder) {
+        self.prefixes.push((self.rows, TracePrefix::of(prefix)));
+    }
 }
 
 /// Runs `campaign` on one engine mode: `"sequential"`, `"threaded-N"`,
 /// `"range-split"` (three uneven ranges) or `"sharded"` (the shard
 /// coordinator's partition, each range run the way a shard worker runs
-/// it). Every mode forks its trials from the shared prefix.
-fn run_mode(campaign: &Campaign, mode: &str) -> (CampaignStats, Delivered) {
+/// it). Every mode forks its trials from the shared prefix. Also
+/// returns the first trial of each engine call.
+fn run_mode(campaign: &Campaign, mode: &str) -> (CampaignStats, Delivered, Vec<usize>) {
     let mut delivered = Delivered::new();
     let n = campaign.trials();
     let ranges = match mode {
-        "sequential" => return (campaign.run_streamed(&mut delivered), delivered),
-        "threaded-1" => return (campaign.run_parallel_streamed(1, &mut delivered), delivered),
-        "threaded-4" => return (campaign.run_parallel_streamed(4, &mut delivered), delivered),
+        "sequential" => vec![(0, n)],
+        "threaded-1" | "threaded-4" => {
+            let workers = if mode == "threaded-1" { 1 } else { 4 };
+            let stats = campaign.run_parallel_streamed(workers, &mut delivered);
+            return (stats, delivered, vec![0]);
+        }
         "range-split" => vec![(0, 1), (1, n / 2 - 1), (n / 2, n - n / 2)],
         "sharded" => certify_shard::partition(n, 3),
         other => panic!("unknown mode {other}"),
     };
     let mut stats = CampaignStats::new(campaign.scenario().name.clone());
-    for (start, len) in ranges {
+    for &(start, len) in &ranges {
         stats.merge(&campaign.run_range_streamed(start, len, &mut delivered));
     }
-    (stats, delivered)
+    (
+        stats,
+        delivered,
+        ranges.iter().map(|&(start, _)| start).collect(),
+    )
 }
 
 /// Forked ≡ from-scratch, the prefix-forking contract: for every
@@ -491,12 +507,33 @@ fn forked_trials_equal_from_scratch_trials_in_every_mode() {
             };
             for mode in MODES {
                 let context = format!("{name} {mode} traced={}", config.is_some());
-                let (mode_stats, delivered) = run_mode(&campaign, mode);
-                let (mode_trials, mode_dumps, mode_csv) = delivered.into_parts();
+                let (mode_stats, delivered, calls) = run_mode(&campaign, mode);
+                let prefixes = delivered.prefixes;
+                let (mode_trials, mode_dumps) = delivered.collect.into_parts();
                 assert_eq!(mode_trials, reference.trials, "{context}: trials");
                 assert_eq!(&mode_dumps, expect_dumps, "{context}: dumps");
-                assert_eq!(mode_csv, csv, "{context}: CSV bytes");
+                assert_eq!(delivered.csv.into_csv(), csv, "{context}: CSV bytes");
                 assert_eq!(mode_stats, stats, "{context}: stats");
+                // One prefix per engine call, before its first row, and
+                // every dump is that prefix's ring continued.
+                let Some(config) = config else {
+                    assert!(prefixes.is_empty(), "{context}: untraced prefix");
+                    continue;
+                };
+                let at: Vec<usize> = prefixes.iter().map(|(rows, _)| *rows).collect();
+                assert_eq!(at, calls, "{context}: prefix hand-overs");
+                for (_, prefix) in &prefixes {
+                    assert_eq!(prefix, &prefixes[0].1, "{context}: prefixes differ");
+                }
+                let prefix = &prefixes[0].1;
+                for (seq, dump) in &mode_dumps {
+                    let suffix = prefix.suffix(dump.clone());
+                    assert_eq!(
+                        prefix.rebuild(config.capacity, suffix).as_ref(),
+                        Ok(dump),
+                        "{context}: trial {seq}'s ring does not continue the prefix"
+                    );
+                }
             }
         }
     }
