@@ -269,7 +269,7 @@ mod tests {
         let campaign = Campaign::new(Scenario::e1_root_high(), 4, 11);
         let buffered = campaign_to_csv(&campaign.run());
         let mut sink = CsvSink::in_memory();
-        campaign.run_parallel_streamed(4, &mut sink);
+        campaign.execute(.., 4, &mut sink, None);
         assert_eq!(sink.rows(), 4);
         assert_eq!(sink.into_csv(), buffered);
     }

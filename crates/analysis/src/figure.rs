@@ -33,7 +33,7 @@ pub struct Figure3 {
 impl Figure3 {
     /// Builds the figure data from online campaign statistics — no
     /// per-trial reports needed, so it composes with the streamed
-    /// engine (`Campaign::run_parallel_streamed`).
+    /// engine (`Campaign::execute`).
     pub fn from_stats(stats: &CampaignStats) -> Figure3 {
         let mut rows = Vec::new();
         for outcome in Outcome::ALL {

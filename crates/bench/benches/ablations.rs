@@ -119,7 +119,7 @@ fn a4_irqchip_inclusion() {
     println!("{result}");
     // The paper's rationale: corrupting the vector number is
     // completely predictable — an IRQ error, never an escalation.
-    let benign = result.fraction(Outcome::Correct);
+    let benign = result.stats().fraction(Outcome::Correct);
     println!(
         "irqchip injections benign in {:.1}% of trials (paper: 'completely predictable')\n",
         benign * 100.0

@@ -50,8 +50,8 @@ fn regenerate() {
     assert!(silent > 0, "no fault stayed silent");
 
     banner("E6b: mixed register+memory campaign (E7)");
-    let mixed = Campaign::new(Scenario::e7_mixed(), TRIALS, BASE_SEED)
-        .run_parallel_streamed(8, &mut NullSink);
+    let (mixed, _) =
+        Campaign::new(Scenario::e7_mixed(), TRIALS, BASE_SEED).execute(.., 8, &mut NullSink, None);
     println!("{mixed}");
     assert!(mixed.injected_trials > 0);
     assert!(mixed.mem_injected_trials > 0);

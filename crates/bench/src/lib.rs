@@ -44,7 +44,7 @@ pub fn run_and_print(scenario: Scenario, trials: usize) -> CampaignResult {
 /// seeds).
 pub fn run_and_print_streamed(scenario: Scenario, trials: usize) -> CampaignStats {
     let campaign = Campaign::new(scenario, trials, BASE_SEED);
-    let stats = campaign.run_parallel_streamed(default_workers(), &mut NullSink);
+    let (stats, _) = campaign.execute(.., default_workers(), &mut NullSink, None);
     println!("{stats}");
     stats
 }

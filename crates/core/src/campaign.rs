@@ -6,13 +6,13 @@
 //! the data behind Figure 3. Trials are independent systems, so they
 //! can run on parallel threads (cf. the "No PAIN, no gain?" parallel
 //! fault injection study the paper cites [10]) — and because the
-//! campaign's value is the aggregate, results *stream*: the engine
-//! delivers each [`TrialResult`] to a [`TrialSink`] in seed order and
-//! folds it into [`CampaignStats`] online, holding at most `workers`
-//! undelivered reports however large the campaign
-//! ([`Campaign::run_parallel_streamed`]). The buffered
-//! [`Campaign::run`]/[`Campaign::run_parallel`] are thin collecting
-//! sinks over the same engine.
+//! campaign's value is the aggregate, results *stream*: one engine,
+//! [`Campaign::execute`], runs any trial range on any number of
+//! workers, delivers each [`TrialResult`] to a [`TrialSink`] in seed
+//! order and folds it into [`CampaignStats`] online, holding at most
+//! `workers` undelivered reports however large the campaign. The
+//! buffered [`Campaign::run`]/[`Campaign::run_parallel`] are thin
+//! collecting sinks over it.
 
 use crate::certificate::ScenarioCertificate;
 use crate::classify::{classify, Outcome, RunReport};
@@ -29,6 +29,7 @@ use certify_obs::trace::{FlightRecorder, TraceEvent, TraceKind, NO_CPU};
 use certify_obs::{Clock, EngineMetrics, PhaseSample, ProgressTracker};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::{Bound, Range, RangeBounds};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
@@ -547,10 +548,11 @@ impl Campaign {
     }
 
     /// Attaches a pre-flight certificate (builder style). Debug builds
-    /// then assert every trial of [`Campaign::run_range_streamed`]
-    /// against it — predicted outcomes, injection budgets and tracked
-    /// regions — turning a certificate/engine disagreement into an
-    /// immediate panic instead of a silent mis-prediction.
+    /// then assert every trial [`Campaign::execute`] delivers against
+    /// it, whatever the range, worker count or telemetry — predicted
+    /// outcomes, injection budgets and tracked regions — turning a
+    /// certificate/engine disagreement into an immediate panic instead
+    /// of a silent mis-prediction.
     pub fn with_certificate(mut self, certificate: Arc<ScenarioCertificate>) -> Campaign {
         self.certificate = Some(certificate);
         self
@@ -565,16 +567,14 @@ impl Campaign {
     /// runs with a flight recorder, and trials matching the config's
     /// [`crate::DumpPolicy`] deliver a [`TraceDump`] to the sink via
     /// [`TrialSink::accept_dump`] right after their
-    /// [`TrialSink::accept`]. Every streamed engine first hands the
-    /// sink the ring of the shared fault-free prefix through
+    /// [`TrialSink::accept`]. Each [`Campaign::execute`] call first
+    /// hands the sink the ring of the shared fault-free prefix through
     /// [`TrialSink::accept_trace_prefix`].
     ///
     /// Tracing never changes trial results, sink rows or stats — the
-    /// observability law, pinned by `tests/hotpath_equivalence.rs` and
-    /// `tests/determinism.rs`. Tracing and phase timing are
-    /// independent: observed runs
-    /// ([`Campaign::run_parallel_streamed_observed`]) of a traced
-    /// campaign record both.
+    /// observability law, pinned by `tests/hotpath_equivalence.rs`.
+    /// Tracing and phase timing are independent: an observed run of a
+    /// traced campaign records both.
     pub fn with_trace(mut self, config: TraceConfig) -> Campaign {
         self.trace = Some(config);
         self
@@ -619,182 +619,169 @@ impl Campaign {
     }
 
     /// Runs all trials sequentially, buffering every report.
-    /// A thin [`CollectSink`] over [`Campaign::run_streamed`].
     pub fn run(&self) -> CampaignResult {
-        let mut sink = CollectSink::new();
-        self.run_streamed(&mut sink);
-        CampaignResult {
-            scenario_name: self.scenario.name.clone(),
-            trials: sink.into_trials(),
-        }
+        self.run_parallel(1)
     }
 
     /// Runs all trials across `workers` threads, buffering every
-    /// report. A thin [`CollectSink`] over
-    /// [`Campaign::run_parallel_streamed`]; the returned trials are in
-    /// seed order and bit-identical to a sequential [`Campaign::run`],
-    /// whatever the worker count or OS scheduling.
+    /// report: a [`CollectSink`] over [`Campaign::execute`]. The trials
+    /// are in seed order and bit-identical to a sequential
+    /// [`Campaign::run`], whatever the worker count or OS scheduling.
     pub fn run_parallel(&self, workers: usize) -> CampaignResult {
         let mut sink = CollectSink::new();
-        self.run_parallel_streamed(workers, &mut sink);
+        self.execute(.., workers, &mut sink, None);
         CampaignResult {
             scenario_name: self.scenario.name.clone(),
             trials: sink.into_trials(),
         }
     }
 
-    /// Runs all trials sequentially, delivering each report to `sink`
-    /// as it completes (seed order, one resident report) and folding
-    /// it into the returned [`CampaignStats`].
+    /// Runs all trials on the caller's thread into `sink`:
+    /// [`Campaign::execute`] over `..` with one worker.
     pub fn run_streamed<S: TrialSink + ?Sized>(&self, sink: &mut S) -> CampaignStats {
-        self.run_range_streamed(0, self.trials, sink)
+        self.execute(.., 1, sink, None).0
     }
 
-    /// Runs the `len` trials starting at trial index `start_trial`
-    /// sequentially, delivering each report to `sink` under its
-    /// *global* sequence number and folding it into the returned
-    /// [`CampaignStats`].
-    ///
-    /// Trial `i` of a campaign is self-contained — seeded
-    /// `base_seed + i`, independent of every other trial — so any
-    /// sub-range runs exactly the trials the full campaign would:
-    /// concatenating the deliveries of a partition of `0..trials`
-    /// reproduces [`Campaign::run_streamed`] bit for bit, and merging
-    /// the per-range stats (in any order) with [`CampaignStats::merge`]
-    /// reproduces the full-run stats. This is the shard execution
-    /// primitive: a `certify-shard` worker runs one range and streams
-    /// the rows back.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start_trial + len` overflows or exceeds the
-    /// campaign's trial count.
-    pub fn run_range_streamed<S: TrialSink + ?Sized>(
-        &self,
-        start_trial: usize,
-        len: usize,
-        sink: &mut S,
-    ) -> CampaignStats {
-        let end = start_trial.checked_add(len).expect("trial range overflows");
-        assert!(
-            end <= self.trials,
-            "trial range [{start_trial}, {end}) exceeds campaign size {}",
-            self.trials
-        );
-        let mut stats = CampaignStats::new(self.scenario.name.clone());
-        if len == 0 {
-            return stats;
-        }
-        let runner = self.scenario.runner();
-        let trace = self.trace.as_ref();
-        let prefix = runner.prefix(trace);
-        if let Some(recorder) = prefix.hv.recorder() {
-            sink.accept_trace_prefix(recorder);
-        }
-        #[cfg(debug_assertions)]
-        let prediction = self
-            .scenario
-            .mem_spec
-            .as_ref()
-            .map(MemorySpec::skip_prediction);
-        for seq in start_trial..end {
-            let (trial, dump, _) =
-                runner.run_forked(&prefix, self.base_seed + seq as u64, trace, None);
-            #[cfg(debug_assertions)]
-            assert_skips_predicted(prediction.as_ref(), &trial);
-            #[cfg(debug_assertions)]
-            assert_certificate_conformance(self.certificate.as_deref(), &trial);
-            stats.record(&trial);
-            let kept = dump.filter(|_| self.should_dump(&trial));
-            sink.accept(seq, trial);
-            if let Some(dump) = kept {
-                sink.accept_dump(seq, dump);
-            }
-        }
-        stats
-    }
-
-    /// Runs all trials across `workers` threads, delivering reports to
-    /// `sink` in seed order as they complete and folding them into the
-    /// returned [`CampaignStats`].
-    ///
-    /// Workers claim trial indices in order from a shared queue, but a
-    /// worker may only *start* trial `i` once `i < delivered + workers`
-    /// — a delivery window that, combined with the reorder buffer the
-    /// consumer drains in seed order, bounds the campaign's resident
-    /// state: at most `workers` completed-but-undelivered
-    /// [`TrialResult`]s exist at any time, however many trials the
-    /// campaign has. Every trial is seeded `base_seed + i` exactly as
-    /// in [`Campaign::run`], so sink deliveries and stats are
-    /// bit-identical to a sequential run.
-    pub fn run_parallel_streamed<S: TrialSink + ?Sized>(
-        &self,
-        workers: usize,
-        sink: &mut S,
-    ) -> CampaignStats {
-        self.run_parallel_streamed_engine(workers, sink, None).0
-    }
-
-    /// [`Campaign::run_parallel_streamed`] plus engine telemetry: the
-    /// second element is the high-water mark of
-    /// completed-but-undelivered [`TrialResult`]s, guaranteed to be at
-    /// most `workers` (clamped to the trial count).
+    /// Runs all trials across `workers` threads into `sink`, returning
+    /// the stats and the reorder high-water mark: [`Campaign::execute`]
+    /// over `..` without telemetry.
     pub fn run_parallel_streamed_instrumented<S: TrialSink + ?Sized>(
         &self,
         workers: usize,
         sink: &mut S,
     ) -> (CampaignStats, usize) {
-        self.run_parallel_streamed_engine(workers, sink, None)
+        self.execute(.., workers, sink, None)
     }
 
-    /// [`Campaign::run_parallel_streamed`] with full observability:
-    /// per-trial phase timings fold into `telemetry.metrics` and the
-    /// consumer emits a progress snapshot to `telemetry.progress`
-    /// every `progress_every` deliveries (plus a final one).
+    /// The campaign engine. Runs the trials of `range` (`..` for the
+    /// whole campaign) on `workers` threads, delivers each result to
+    /// `sink` in seed order under its *global* sequence number, and
+    /// folds it into the returned [`CampaignStats`]. The second element
+    /// is the high-water mark of completed-but-undelivered
+    /// [`TrialResult`]s: at most `workers`, clamped to the range
+    /// length, and 0 for an empty range.
     ///
-    /// Telemetry is write-only for the engine — sink deliveries and
-    /// the returned [`CampaignStats`] are bit-identical to an
-    /// unobserved run of the same seeds, whatever clock is plugged in.
-    pub fn run_parallel_streamed_observed<S: TrialSink + ?Sized>(
+    /// * **Range.** Trial `i` is seeded `base_seed + i` and independent
+    ///   of every other trial, so concatenating the deliveries of a
+    ///   partition of `0..trials` reproduces the full run bit for bit,
+    ///   and merging the per-range stats (in any order) with
+    ///   [`CampaignStats::merge`] reproduces its stats. A
+    ///   `certify-shard` worker runs its range this way.
+    /// * **Workers.** One worker (0 counts as 1) runs every trial on
+    ///   the caller's thread, spawning none. With more, worker threads
+    ///   claim trial indices in order but may only *start* trial `i`
+    ///   once `i < delivered + workers`, and the caller's thread drains
+    ///   a reorder buffer in seed order: at most `workers` undelivered
+    ///   reports exist, however large the campaign.
+    /// * **Telemetry.** Phase timings, the high-water mark, sink rows
+    ///   and sink bytes fold into its metrics, and its observer gets a
+    ///   progress snapshot every `progress_every` deliveries plus a
+    ///   final one. It is write-only: whatever the clock, deliveries
+    ///   and stats are those of an unobserved run.
+    ///
+    /// Every trial forks from one fault-free prefix built per call
+    /// (none for an empty range); a traced campaign hands its ring to
+    /// [`TrialSink::accept_trace_prefix`] before the first delivery.
+    /// Debug builds check every delivered trial against the attached
+    /// certificate and the memory spec's skip prediction.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` is inverted or ends past the campaign's trial
+    /// count, or if a trial or the sink panics.
+    pub fn execute<S: TrialSink + ?Sized>(
         &self,
-        workers: usize,
-        sink: &mut S,
-        telemetry: &mut EngineTelemetry<'_>,
-    ) -> CampaignStats {
-        self.run_parallel_streamed_engine(workers, sink, Some(telemetry))
-            .0
-    }
-
-    /// The streamed parallel engine behind all three public runners;
-    /// `telemetry: None` compiles the observability paths down to
-    /// no-ops.
-    fn run_parallel_streamed_engine<S: TrialSink + ?Sized>(
-        &self,
+        range: impl RangeBounds<usize>,
         workers: usize,
         sink: &mut S,
         mut telemetry: Option<&mut EngineTelemetry<'_>>,
     ) -> (CampaignStats, usize) {
-        // Copy the clock reference out (it is `&'a dyn Clock`, Copy)
-        // so workers can read it without borrowing the bundle the
-        // consumer mutates.
-        let clock = telemetry.as_ref().map(|t| t.clock);
-        let folded = Mutex::new(EngineMetrics::default());
-        let workers = workers.max(1).min(self.trials.max(1));
-        let runner = self.scenario.runner();
-        let trials = self.trials;
-        let base_seed = self.base_seed;
-        let trace = self.trace.as_ref();
-        // One fault-free prefix per engine call, shared read-only by
-        // every worker; each trial forks its own copy.
-        let prefix = (trials > 0).then(|| runner.prefix(trace));
-        if let Some(recorder) = prefix.as_ref().and_then(|prefix| prefix.hv.recorder()) {
-            sink.accept_trace_prefix(recorder);
+        let range = self.trial_range(range);
+        let mut delivery = Delivery {
+            campaign: self,
+            sink,
+            stats: CampaignStats::new(self.scenario.name.clone()),
+            total: range.len(),
+            progress: telemetry.as_deref_mut().map(|telemetry| {
+                let tracker = ProgressTracker::new(telemetry.clock, None, range.len() as u64);
+                (tracker, telemetry)
+            }),
+        };
+        let (high_water, folded) = if range.is_empty() {
+            (0, EngineMetrics::default())
+        } else {
+            self.run_trials(range.clone(), workers, &mut delivery)
+        };
+        let Delivery { sink, stats, .. } = delivery;
+        let bytes = sink.bytes_written();
+        if let Some(EngineTelemetry { metrics, .. }) = telemetry {
+            metrics.merge(&folded);
+            metrics.reorder_residency.set(high_water as u64);
+            metrics.sink_rows.add(range.len() as u64);
+            metrics.sink_bytes.add(bytes.unwrap_or(0));
         }
-        let mut stats = CampaignStats::new(self.scenario.name.clone());
+        (stats, high_water)
+    }
 
+    /// Resolves `range` against the campaign's trial count.
+    fn trial_range(&self, range: impl RangeBounds<usize>) -> Range<usize> {
+        let start = match range.start_bound() {
+            Bound::Included(&start) => start,
+            Bound::Excluded(&start) => start.checked_add(1).expect("trial range overflows"),
+            Bound::Unbounded => 0,
+        };
+        let end = match range.end_bound() {
+            Bound::Included(&end) => end.checked_add(1).expect("trial range overflows"),
+            Bound::Excluded(&end) => end,
+            Bound::Unbounded => self.trials,
+        };
+        assert!(
+            start <= end && end <= self.trials,
+            "trial range [{start}, {end}) is inverted or exceeds campaign size {}",
+            self.trials
+        );
+        start..end
+    }
+
+    /// Runs the non-empty `range` and hands every result to `delivery`
+    /// in seed order. Builds the shared prefix (handing a traced ring to
+    /// the sink) and forks each trial from it. One worker runs on the
+    /// caller's thread. More claim the indices of `range` in order from
+    /// a shared queue, while the caller's thread drains the reorder
+    /// buffer. Returns the reorder high-water mark and the folded phase
+    /// timings.
+    fn run_trials<S: TrialSink + ?Sized>(
+        &self,
+        range: Range<usize>,
+        workers: usize,
+        delivery: &mut Delivery<'_, '_, S>,
+    ) -> (usize, EngineMetrics) {
+        let (runner, trace) = (self.scenario.runner(), self.trace.as_ref());
+        let prefix = runner.prefix(trace);
+        if let Some(recorder) = prefix.hv.recorder() {
+            delivery.sink.accept_trace_prefix(recorder);
+        }
+        let clock = delivery.progress.as_ref().map(|(_, t)| t.clock);
+        let run = |seq: usize| {
+            let seed = self.base_seed + seq as u64;
+            runner.run_forked(&prefix, seed, trace, clock.map(|c| c as _))
+        };
+        let workers = workers.min(range.len());
+        if workers <= 1 {
+            let mut folded = EngineMetrics::default();
+            for seq in range {
+                let (trial, dump, sample) = run(seq);
+                fold_sample(&mut folded, sample);
+                delivery.deliver(seq, trial, dump);
+            }
+            return (1, folded);
+        }
+
+        let end = range.end;
+        let folded = Mutex::new(EngineMetrics::default());
         let shared = Mutex::new(Reorder {
-            next: 0,
-            delivered: 0,
+            next: range.start,
+            delivered: range.start,
             buffer: BTreeMap::new(),
             undelivered: 0,
             high_water: 0,
@@ -807,8 +794,7 @@ impl Campaign {
 
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                let (runner, prefix, shared, ready, space, folded) =
-                    (&runner, &prefix, &shared, &ready, &space, &folded);
+                let (run, shared, ready, space, folded) = (&run, &shared, &ready, &space, &folded);
                 scope.spawn(move || {
                     // On panic (poisoned lock or unwind mid-trial),
                     // wake everyone so the scope can tear down instead
@@ -821,11 +807,11 @@ impl Campaign {
                     // Observed runs fold phase timings thread-locally
                     // and merge once at exit — no locking on the trial
                     // hot path.
-                    let mut local = clock.map(|_| EngineMetrics::default());
+                    let mut local = EngineMetrics::default();
                     loop {
                         let seq = {
                             let mut state = shared.lock().expect("campaign engine lock");
-                            if state.aborted || state.next >= trials {
+                            if state.aborted || state.next >= end {
                                 break;
                             }
                             let seq = state.next;
@@ -841,19 +827,8 @@ impl Campaign {
                             }
                             seq
                         };
-                        let prefix = prefix
-                            .as_ref()
-                            .expect("a campaign with trials has a prefix");
-                        let (trial, dump, sample) = runner.run_forked(
-                            prefix,
-                            base_seed + seq as u64,
-                            trace,
-                            clock.map(|c| c as &dyn Clock),
-                        );
-                        if let (Some(local), Some(sample)) = (local.as_mut(), sample) {
-                            local.trials.inc();
-                            local.phases.record(&sample);
-                        }
+                        let (trial, dump, sample) = run(seq);
+                        fold_sample(&mut local, sample);
                         let mut state = shared.lock().expect("campaign engine lock");
                         state.undelivered += 1;
                         state.high_water = state.high_water.max(state.undelivered);
@@ -861,7 +836,7 @@ impl Campaign {
                         drop(state);
                         ready.notify_all();
                     }
-                    if let Some(local) = local {
+                    if clock.is_some() {
                         folded
                             .lock()
                             .expect("campaign telemetry lock")
@@ -871,14 +846,13 @@ impl Campaign {
             }
 
             // The caller's thread is the consumer: drain the reorder
-            // buffer in seed order, fold, deliver, open the window.
+            // buffer in seed order, deliver, open the window.
             let _guard = AbortGuard {
                 shared: &shared,
                 ready: &ready,
                 space: &space,
             };
-            let tracker = clock.map(|clock| ProgressTracker::new(clock, None, trials as u64));
-            for seq in 0..trials {
+            for seq in range {
                 let (trial, dump) = {
                     let mut state = shared.lock().expect("campaign engine lock");
                     loop {
@@ -889,26 +863,12 @@ impl Campaign {
                         state = ready.wait(state).expect("campaign engine lock");
                     }
                 };
-                stats.record(&trial);
-                let kept = dump.filter(|_| self.should_dump(&trial));
-                sink.accept(seq, trial);
-                if let Some(dump) = kept {
-                    sink.accept_dump(seq, dump);
-                }
+                delivery.deliver(seq, trial, dump);
                 let mut state = shared.lock().expect("campaign engine lock");
                 state.undelivered -= 1;
                 state.delivered += 1;
                 drop(state);
                 space.notify_all();
-                if let (Some(telemetry), Some(tracker)) = (telemetry.as_deref_mut(), &tracker) {
-                    let done = seq + 1;
-                    let due = telemetry.progress_every > 0 && done % telemetry.progress_every == 0;
-                    if due || done == trials {
-                        let snapshot =
-                            tracker.snapshot(done as u64, outcome_rows(&stats.distribution));
-                        telemetry.progress.on_progress(&snapshot);
-                    }
-                }
             }
         });
 
@@ -916,17 +876,59 @@ impl Campaign {
             .into_inner()
             .expect("campaign engine lock")
             .high_water;
-        if let Some(telemetry) = telemetry {
-            telemetry
-                .metrics
-                .merge(&folded.into_inner().expect("campaign telemetry lock"));
-            telemetry.metrics.reorder_residency.set(high_water as u64);
-            telemetry.metrics.sink_rows.add(trials as u64);
-            if let Some(bytes) = sink.bytes_written() {
-                telemetry.metrics.sink_bytes.add(bytes);
+        (
+            high_water,
+            folded.into_inner().expect("campaign telemetry lock"),
+        )
+    }
+}
+
+/// The delivery step both paths of [`Campaign::execute`] share. Results
+/// arrive in seed order; each is checked against the attached
+/// certificate and the skip prediction (debug builds), folded into the
+/// stats, handed to the sink with its dump if the policy keeps it, and
+/// counted towards progress: a snapshot every `progress_every`
+/// deliveries and one after the last of `total`.
+struct Delivery<'e, 't, S: ?Sized> {
+    campaign: &'e Campaign,
+    sink: &'e mut S,
+    stats: CampaignStats,
+    total: usize,
+    progress: Option<(ProgressTracker<'t>, &'e mut EngineTelemetry<'t>)>,
+}
+
+impl<S: TrialSink + ?Sized> Delivery<'_, '_, S> {
+    fn deliver(&mut self, seq: usize, trial: TrialResult, dump: Option<TraceDump>) {
+        #[cfg(debug_assertions)]
+        {
+            let scenario = &self.campaign.scenario;
+            let prediction = scenario.mem_spec.as_ref().map(MemorySpec::skip_prediction);
+            assert_skips_predicted(prediction.as_ref(), &trial);
+            assert_certificate_conformance(self.campaign.certificate.as_deref(), &trial);
+        }
+        self.stats.record(&trial);
+        let kept = dump.filter(|_| self.campaign.should_dump(&trial));
+        self.sink.accept(seq, trial);
+        if let Some(dump) = kept {
+            self.sink.accept_dump(seq, dump);
+        }
+        if let Some((tracker, telemetry)) = &mut self.progress {
+            let (done, every) = (self.stats.trials, telemetry.progress_every);
+            if (every > 0 && done.is_multiple_of(every)) || done == self.total {
+                let rows = outcome_rows(&self.stats.distribution);
+                telemetry
+                    .progress
+                    .on_progress(&tracker.snapshot(done as u64, rows));
             }
         }
-        (stats, high_water)
+    }
+}
+
+/// Folds an observed trial's phase timings (`None` when unobserved).
+fn fold_sample(metrics: &mut EngineMetrics, sample: Option<PhaseSample>) {
+    if let Some(sample) = sample {
+        metrics.trials.inc();
+        metrics.phases.record(&sample);
     }
 }
 
@@ -973,12 +975,13 @@ fn assert_certificate_conformance(certificate: Option<&ScenarioCertificate>, tri
     );
 }
 
-/// Shared state of the streamed parallel engine: an in-order index
+/// Shared state of the threaded [`Campaign::execute`]: an in-order index
 /// queue plus the reorder buffer the consumer drains in seed order.
 struct Reorder {
     /// Next trial index to hand to a worker.
     next: usize,
-    /// Trials already delivered to the sink.
+    /// Next trial index to deliver: every trial of the range before it
+    /// has reached the sink.
     delivered: usize,
     /// Completed trials (with their optional trace dump) waiting for
     /// their turn at the sink.
@@ -1024,59 +1027,14 @@ pub struct CampaignResult {
 
 impl CampaignResult {
     /// Folds the buffered trials into the same [`CampaignStats`] a
-    /// streamed run of identical seeds returns.
+    /// streamed run of identical seeds returns: the histogram, the
+    /// injected-trial counts and the per-region attribution.
     pub fn stats(&self) -> CampaignStats {
         let mut stats = CampaignStats::new(self.scenario_name.clone());
         for trial in &self.trials {
             stats.record(trial);
         }
         stats
-    }
-
-    /// Outcome histogram.
-    pub fn distribution(&self) -> BTreeMap<Outcome, usize> {
-        let mut map = BTreeMap::new();
-        for trial in &self.trials {
-            *map.entry(trial.outcome).or_insert(0) += 1;
-        }
-        map
-    }
-
-    /// Fraction of trials with the given outcome. For several
-    /// fractions at once, fold [`CampaignResult::stats`] (or
-    /// [`CampaignResult::distribution`]) once and derive them from the
-    /// histogram instead of re-scanning the trials per outcome.
-    pub fn fraction(&self, outcome: Outcome) -> f64 {
-        if self.trials.is_empty() {
-            return 0.0;
-        }
-        let count = self.trials.iter().filter(|t| t.outcome == outcome).count();
-        count as f64 / self.trials.len() as f64
-    }
-
-    /// Trials that experienced at least one injection.
-    pub fn injected_trials(&self) -> usize {
-        self.trials.iter().filter(|t| t.injection_count > 0).count()
-    }
-
-    /// Trials that had at least one memory injection applied.
-    pub fn mem_injected_trials(&self) -> usize {
-        self.trials
-            .iter()
-            .filter(|t| t.mem_injection_count > 0)
-            .count()
-    }
-
-    /// Per-region outcome distribution of a memory-fault campaign:
-    /// each trial's outcome is attributed to every region it applied
-    /// at least one memory fault in. (A targeted pass; for several
-    /// aggregates at once, fold [`CampaignResult::stats`] instead.)
-    pub fn mem_region_distribution(&self) -> BTreeMap<(crate::MemRegionKind, Outcome), usize> {
-        let mut map = BTreeMap::new();
-        for trial in &self.trials {
-            CampaignStats::attribute_regions(trial, &mut map);
-        }
-        map
     }
 
     /// The buffered campaign as a JSON value: the scenario name and
@@ -1094,9 +1052,6 @@ impl CampaignResult {
 
 impl fmt::Display for CampaignResult {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // One fold over the trials; fractions derive from the
-        // histogram (the old per-outcome `fraction` calls re-scanned
-        // every trial once per outcome).
         self.stats().fmt(f)
     }
 }
@@ -1114,7 +1069,7 @@ mod tests {
             assert_eq!(trial.outcome, Outcome::Correct);
             assert_eq!(trial.injection_count, 0);
         }
-        assert_eq!(result.fraction(Outcome::Correct), 1.0);
+        assert_eq!(result.stats().fraction(Outcome::Correct), 1.0);
     }
 
     #[test]
@@ -1147,7 +1102,7 @@ mod tests {
     fn distribution_sums_to_trials() {
         let campaign = Campaign::new(Scenario::golden(800), 3, 3);
         let result = campaign.run();
-        let total: usize = result.distribution().values().sum();
+        let total: usize = result.stats().distribution.values().sum();
         assert_eq!(total, 3);
     }
 
@@ -1158,21 +1113,20 @@ mod tests {
             6,
             0xE6,
         );
-        let result = campaign.run_parallel(4);
-        assert!(result.mem_injected_trials() > 0, "no trial applied faults");
-        assert_eq!(result.injected_trials(), 0, "no register injector in E6");
-        let by_region = result.mem_region_distribution();
-        assert!(!by_region.is_empty());
-        let attributed: usize = by_region.values().sum();
-        assert!(attributed >= result.mem_injected_trials());
+        let stats = campaign.run_parallel(4).stats();
+        assert!(stats.mem_injected_trials > 0, "no trial applied faults");
+        assert_eq!(stats.injected_trials, 0, "no register injector in E6");
+        assert!(!stats.mem_region_distribution.is_empty());
+        let attributed: usize = stats.mem_region_distribution.values().sum();
+        assert!(attributed >= stats.mem_injected_trials);
     }
 
     #[test]
     fn mixed_campaign_runs_both_injectors() {
         let campaign = Campaign::new(Scenario::e7_mixed(), 4, 0xE7);
-        let result = campaign.run();
-        assert!(result.injected_trials() > 0, "register injector silent");
-        assert!(result.mem_injected_trials() > 0, "memory injector silent");
+        let stats = campaign.run().stats();
+        assert!(stats.injected_trials > 0, "register injector silent");
+        assert!(stats.mem_injected_trials > 0, "memory injector silent");
     }
 
     #[test]
@@ -1184,11 +1138,13 @@ mod tests {
         });
         let mut pieces = Vec::new();
         let mut merged = CampaignStats::new(campaign.scenario().name.clone());
-        for (start, len) in [(0, 2), (2, 2), (4, 1)] {
-            let stats =
-                campaign.run_range_streamed(start, len, &mut |seq: usize, t: TrialResult| {
-                    pieces.push((seq, t));
-                });
+        let mut piece = |seq: usize, t: TrialResult| pieces.push((seq, t));
+        // Every bound form resolves against the campaign's trial count.
+        for (stats, _) in [
+            campaign.execute(..2, 1, &mut piece, None),
+            campaign.execute(2..=3, 2, &mut piece, None),
+            campaign.execute(4.., 1, &mut piece, None),
+        ] {
             merged.merge(&stats);
         }
         assert_eq!(pieces, full, "concatenated ranges diverged");
@@ -1199,7 +1155,7 @@ mod tests {
     #[should_panic(expected = "exceeds campaign size")]
     fn out_of_bounds_range_is_rejected() {
         let campaign = Campaign::new(Scenario::golden(400), 3, 1);
-        campaign.run_range_streamed(2, 2, &mut crate::sink::NullSink);
+        campaign.execute(2..4, 1, &mut crate::sink::NullSink, None);
     }
 
     #[test]

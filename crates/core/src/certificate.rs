@@ -6,8 +6,8 @@
 //! [`Outcome`]s are reachable, how many injections each injector can
 //! spend, and which memory regions applied faults may land in. The
 //! types live here (not in the lint crate) because the runtime side
-//! consumes them: [`crate::Campaign::run_range_streamed`] debug-asserts
-//! every trial against an attached certificate, the
+//! consumes them: [`crate::Campaign::execute`] debug-asserts every
+//! delivered trial against an attached certificate in every mode, the
 //! [`ConformanceMonitor`] sink wrapper enforces it in release builds,
 //! and the shard handshake pins its [`ScenarioCertificate::fingerprint`]
 //! so coordinator and workers provably certified the same scenario.
@@ -321,7 +321,7 @@ mod tests {
     fn sample_trial() -> TrialResult {
         let campaign = Campaign::new(Scenario::e3_fig3(), 1, 42);
         let mut sink = CollectSink::new();
-        campaign.run_range_streamed(0, 1, &mut sink);
+        campaign.execute(.., 1, &mut sink, None);
         sink.into_trials().into_iter().next().expect("one trial")
     }
 
@@ -370,7 +370,7 @@ mod tests {
         );
         let campaign = Campaign::new(scenario, 1, 7);
         let mut sink = CollectSink::new();
-        campaign.run_range_streamed(0, 1, &mut sink);
+        campaign.execute(.., 1, &mut sink, None);
         let trials = sink.into_trials();
         let trial = &trials[0];
         assert!(trial.mem_injection_count > 0, "trial should apply faults");

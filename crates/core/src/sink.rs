@@ -6,7 +6,7 @@
 //! [`TrialSink`] inverts that: the engine hands each finished
 //! [`TrialResult`] to the sink *in seed order* and forgets it, so a
 //! streamed campaign holds at most `workers` undelivered reports at
-//! any time (see `Campaign::run_parallel_streamed`). Aggregation
+//! any time (see `Campaign::execute`). Aggregation
 //! happens online in [`CampaignStats`](crate::CampaignStats); exports
 //! stream row by row (e.g. `certify_analysis`'s `CsvSink`). A future
 //! multi-process shard is just a remote `TrialSink`.

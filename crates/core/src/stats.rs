@@ -65,9 +65,10 @@ impl fmt::Display for CountSummary {
 /// Constant-size aggregates of a campaign, built one trial at a time.
 ///
 /// `CampaignStats` is itself a [`TrialSink`], and every streamed run
-/// also returns the stats it folded — so `run`, `run_streamed` and
-/// `run_parallel_streamed` over the same seeds produce identical
-/// stats (asserted by `tests/streaming.rs`).
+/// also returns the stats it folded — so `run`, and
+/// `Campaign::execute` at any range split and worker count, produce
+/// identical stats over the same seeds (asserted by
+/// `tests/hotpath_equivalence.rs`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignStats {
     /// The scenario that was run.
@@ -134,28 +135,10 @@ impl CampaignStats {
         self.injections.record(trial.injection_count, first);
         self.mem_injections.record(trial.mem_injection_count, first);
 
-        Self::attribute_regions(trial, &mut self.mem_region_distribution);
-
-        if trial.outcome == Outcome::PanicPark {
-            if let Some(step) = trial.report.watchdog_first_expiry {
-                self.watchdog_detected += 1;
-                self.watchdog_expiry_sum += step;
-            }
-        }
-        if trial.outcome == Outcome::InconsistentState && trial.report.monitor_alarms > 0 {
-            self.monitor_detected += 1;
-        }
-        self.monitor_alarms_total += trial.report.monitor_alarms;
-    }
-
-    /// Attributes `trial`'s outcome to every region it applied at
-    /// least one memory fault in, folding into `map`. Region dedup is
-    /// a first-occurrence scan — O(k²) with k (applied faults per
-    /// trial) tiny, and no scratch allocation on the per-trial path.
-    pub(crate) fn attribute_regions(
-        trial: &TrialResult,
-        map: &mut BTreeMap<(MemRegionKind, Outcome), usize>,
-    ) {
+        // Attribute the outcome to every region the trial applied at
+        // least one memory fault in. Region dedup is a first-occurrence
+        // scan — O(k²) with k (applied faults per trial) tiny, and no
+        // scratch allocation on the per-trial path.
         let applied_faults = || {
             trial
                 .report
@@ -168,8 +151,22 @@ impl CampaignStats {
             if applied_faults().take(i).any(|f| f.region == fault.region) {
                 continue;
             }
-            *map.entry((fault.region, trial.outcome)).or_insert(0) += 1;
+            *self
+                .mem_region_distribution
+                .entry((fault.region, trial.outcome))
+                .or_insert(0) += 1;
         }
+
+        if trial.outcome == Outcome::PanicPark {
+            if let Some(step) = trial.report.watchdog_first_expiry {
+                self.watchdog_detected += 1;
+                self.watchdog_expiry_sum += step;
+            }
+        }
+        if trial.outcome == Outcome::InconsistentState && trial.report.monitor_alarms > 0 {
+            self.monitor_detected += 1;
+        }
+        self.monitor_alarms_total += trial.report.monitor_alarms;
     }
 
     /// Trials with the given outcome.
@@ -318,6 +315,7 @@ mod tests {
     use crate::campaign::{Campaign, Scenario};
     use crate::memfault::{MemFaultModel, MemTarget};
     use crate::sink::NullSink;
+    use std::collections::BTreeSet;
 
     #[test]
     fn stats_match_the_buffered_aggregates() {
@@ -334,7 +332,7 @@ mod tests {
     }
 
     #[test]
-    fn region_attribution_matches_the_buffered_walk() {
+    fn region_attribution_matches_a_per_trial_region_walk() {
         let campaign = Campaign::new(
             Scenario::e6_memory(MemFaultModel::SingleBitFlip, MemTarget::e6()),
             6,
@@ -342,11 +340,17 @@ mod tests {
         );
         let result = campaign.run();
         let stats = campaign.run_streamed(&mut NullSink);
-        assert_eq!(
-            stats.mem_region_distribution,
-            result.mem_region_distribution()
-        );
-        assert_eq!(stats.mem_injected_trials, result.mem_injected_trials());
+        let mut walked = BTreeMap::new();
+        for trial in &result.trials {
+            let applied = trial.report.mem_injections.iter().filter(|r| r.applied());
+            let regions: BTreeSet<_> = applied.flat_map(|r| &r.faults).map(|f| f.region).collect();
+            for region in regions {
+                *walked.entry((region, trial.outcome)).or_insert(0) += 1;
+            }
+        }
+        assert_eq!(stats.mem_region_distribution, walked);
+        let applied = result.trials.iter().filter(|t| t.mem_injection_count > 0);
+        assert_eq!(stats.mem_injected_trials, applied.count());
         assert!(stats.mem_injections.total > 0);
     }
 

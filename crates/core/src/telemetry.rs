@@ -3,9 +3,9 @@
 //!
 //! `certify_obs` is a leaf crate — it cannot depend on this one — so
 //! everything that couples its instruments to campaign types lives
-//! here: [`EngineTelemetry`], the bundle
-//! [`Campaign::run_parallel_streamed_observed`](crate::Campaign::run_parallel_streamed_observed)
-//! threads through the streamed engine, plus `Json` renderings of
+//! here: [`EngineTelemetry`], the bundle an observed
+//! [`Campaign::execute`](crate::Campaign::execute) records into at any
+//! range and worker count, plus `Json` renderings of
 //! histograms, engine/shard metrics and progress snapshots for the
 //! campaign-service API surface.
 //!
@@ -29,7 +29,7 @@ pub struct EngineTelemetry<'a> {
     pub clock: &'a (dyn Clock + Sync),
     /// The folded engine metrics; merged across worker threads at the
     /// end of the run (exercising the instrument merge law on every
-    /// observed campaign).
+    /// observed threaded campaign).
     pub metrics: EngineMetrics,
     /// Receives a whole-campaign snapshot every `progress_every`
     /// deliveries and one final snapshot at completion.

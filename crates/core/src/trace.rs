@@ -14,8 +14,9 @@
 //!
 //! Everything here is a pure function of the trial seed: the same
 //! seed produces byte-identical dumps in-process, across worker
-//! threads and across shard processes — pinned by
-//! `tests/determinism.rs` and `crates/shard/tests/sharded.rs`.
+//! threads and across shard processes — pinned by the equivalence
+//! table in `tests/hotpath_equivalence.rs`, `tests/determinism.rs`
+//! (replayed event streams) and `crates/shard/tests/sharded.rs`.
 
 use crate::classify::Outcome;
 use crate::json::Json;

@@ -62,11 +62,6 @@ impl MemFlags {
     pub fn contains(self, other: MemFlags) -> bool {
         self.0 & other.0 == other.0
     }
-
-    /// Union of two flag sets.
-    pub fn union(self, other: MemFlags) -> MemFlags {
-        MemFlags(self.0 | other.0)
-    }
 }
 
 impl fmt::Display for MemFlags {

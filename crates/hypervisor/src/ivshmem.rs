@@ -69,11 +69,6 @@ impl IvshmemChannel {
         }
         Some(payload)
     }
-
-    /// The sequence number this end last consumed.
-    pub fn last_seen(&self) -> u32 {
-        self.last_seen_seq
-    }
 }
 
 impl Default for IvshmemChannel {

@@ -12,14 +12,14 @@
 //! 3. **Multiplex + reorder.** A reader thread per shard parses
 //!    frames and posts rows into a shared reorder buffer keyed by
 //!    *global* trial sequence; the consumer drains it strictly in
-//!    seed order — the same delivery contract as
-//!    `Campaign::run_parallel_streamed`, one level up. A per-shard
+//!    seed order — the same delivery contract as the threaded
+//!    `Campaign::execute`, one level up. A per-shard
 //!    buffered-row cap applies pipe backpressure to workers running
 //!    far ahead of the delivery front.
 //! 4. **Fold.** Each shard's final `Done` stats are merged in shard
 //!    order with [`CampaignStats::merge`]; the result (and the
 //!    concatenated CSV) is bit-identical to a single-process
-//!    `run_streamed` of the whole campaign.
+//!    `Campaign::execute` over the whole campaign.
 //! 5. **Recover.** A shard that dies or violates the protocol —
 //!    non-zero exit, EOF before `Done`, CRC mismatch, out-of-order or
 //!    out-of-range rows, a trace dump that does not fit its attempt's
@@ -127,7 +127,7 @@ pub struct Sabotage {
 #[derive(Debug, Clone)]
 pub struct ShardedRun {
     /// The merged campaign stats — identical to a single-process
-    /// `run_streamed` of the same campaign.
+    /// `Campaign::execute` of the same campaign.
     pub stats: CampaignStats,
     /// Rows delivered (== the campaign's trial count).
     pub rows: u64,
@@ -315,7 +315,7 @@ impl Signals {
 /// given, and returns the merged stats.
 ///
 /// The output — stats and CSV bytes — is identical to single-process
-/// [`Campaign::run_streamed`] with a `CsvSink`, whatever the shard
+/// [`Campaign::execute`] with a `CsvSink`, whatever the shard
 /// count, OS scheduling, or mid-run worker deaths survived via
 /// re-execution.
 pub fn run_sharded(

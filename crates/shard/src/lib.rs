@@ -1,7 +1,7 @@
 //! `certify-shard` — multi-process sharded campaign execution.
 //!
-//! The execution tier above `Campaign::run_parallel_streamed`: where
-//! the in-process engine spreads trials over threads, this crate
+//! The execution tier above `Campaign::execute`: where the in-process
+//! engine spreads trials over threads, this crate
 //! spreads them over **OS processes** — the architecture that scales
 //! a fault-injection campaign past one address space and, with a
 //! socket instead of a pipe, past one machine. A campaign's trials
@@ -33,8 +33,9 @@
 //!   and re-runs the range of any worker that dies or violates the
 //!   protocol.
 //!
-//! Sharded output is **bit-identical** to single-process
-//! `run_streamed` output — stats and CSV bytes — including when a
+//! Each worker runs its range through `Campaign::execute` on one
+//! worker, on its own main thread. Sharded output is
+//! **bit-identical** to single-process `Campaign::execute` output — stats and CSV bytes — including when a
 //! worker is SIGKILLed mid-run and its shard re-executed (pinned by
 //! this crate's end-to-end tests).
 

@@ -4,7 +4,8 @@
 //! [`Frame::Handshake`](crate::protocol::Frame): it reads exactly one
 //! handshake from stdin, rebuilds the [`Campaign`] from the shipped
 //! [`Scenario`], executes its trial range through
-//! [`Campaign::run_range_streamed`], and streams every trial's CSV
+//! [`Campaign::execute`] with one worker (on the calling thread, no
+//! thread spawned), and streams every trial's CSV
 //! row back as a [`Frame::TrialRow`](crate::protocol::Frame) through
 //! a [`RemoteSink`] — the remote cousin of `certify_analysis`'s
 //! `CsvSink`. A traced shard sends its trace prefix first and each
@@ -282,7 +283,7 @@ pub fn run_handshake<W: Write>(handshake: &Handshake, output: W) -> Result<(), W
     // violation is a broken soundness contract, and the shard must
     // die loudly rather than report certified-looking rows.
     let mut monitor = ConformanceMonitor::new(Arc::new(certificate), sink);
-    let stats = campaign.run_range_streamed(start, len, &mut monitor);
+    let (stats, _) = campaign.execute(start..start + len, 1, &mut monitor, None);
     let violations_total = monitor.violations_total();
     let rendered: Vec<String> = monitor.violations().iter().map(|v| v.to_string()).collect();
     let sink = monitor.into_inner();
@@ -364,7 +365,7 @@ mod tests {
 
         // The shard's stats equal an in-process run of the same range.
         let campaign = Campaign::new(Scenario::e1_root_high(), 5, 7);
-        let expected = campaign.run_range_streamed(2, 3, &mut NullSink);
+        let expected = campaign.execute(2..5, 1, &mut NullSink, None).0;
         assert_eq!(stats, &expected);
     }
 

@@ -16,8 +16,8 @@ fn main() {
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
-    let stats = Campaign::new(Scenario::e3_fig3(), trials, 0xE3)
-        .run_parallel_streamed(workers, &mut NullSink);
+    let (stats, _) =
+        Campaign::new(Scenario::e3_fig3(), trials, 0xE3).execute(.., workers, &mut NullSink, None);
 
     let figure = Figure3::from_stats(&stats);
     println!("{}", figure.render_chart());

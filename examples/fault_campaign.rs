@@ -69,7 +69,7 @@ fn main() {
         keep: Vec::new(),
         max: 3,
     };
-    let stats = campaign.run_parallel_streamed(workers, &mut sink);
+    let (stats, _) = campaign.execute(.., workers, &mut sink, None);
     println!("{stats}");
 
     if which == "e3" {

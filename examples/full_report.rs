@@ -9,7 +9,7 @@
 use certify_analysis::{CsvSink, ExperimentReport, Figure3};
 use certify_core::campaign::{Campaign, Scenario};
 use certify_core::profiler::profile_golden_run;
-use certify_core::NullSink;
+use certify_core::{NullSink, TrialSink};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -18,22 +18,24 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(4);
     let seed = 0xD5_2022;
+    let run = |scenario: Scenario, trials: usize, sink: &mut dyn TrialSink| {
+        Campaign::new(scenario, trials, seed)
+            .execute(.., workers, sink, None)
+            .0
+    };
     let mut reports = Vec::new();
 
     println!("# Paper-vs-measured report\n");
 
     // E1
-    let e1 = Campaign::new(Scenario::e1_root_high(), det_trials, seed)
-        .run_parallel_streamed(workers, &mut NullSink);
+    let e1 = run(Scenario::e1_root_high(), det_trials, &mut NullSink);
     println!("{e1}");
     reports.push(ExperimentReport::e1(&e1));
 
     // E2 (both campaigns)
-    let e2_bw = Campaign::new(Scenario::e2_boot_window(), det_trials, seed)
-        .run_parallel_streamed(workers, &mut NullSink);
+    let e2_bw = run(Scenario::e2_boot_window(), det_trials, &mut NullSink);
     println!("{e2_bw}");
-    let e2_full = Campaign::new(Scenario::e2_nonroot_high(), 2 * det_trials, seed)
-        .run_parallel_streamed(workers, &mut NullSink);
+    let e2_full = run(Scenario::e2_nonroot_high(), 2 * det_trials, &mut NullSink);
     println!("{e2_full}");
     reports.push(ExperimentReport::e2(&e2_bw, &e2_full));
 
@@ -41,8 +43,7 @@ fn main() {
     // so this one campaign streams into a CSV sink as it runs; the
     // reports themselves only need the online stats.
     let mut e3_csv = CsvSink::in_memory();
-    let e3 = Campaign::new(Scenario::e3_fig3(), dist_trials, seed)
-        .run_parallel_streamed(workers, &mut e3_csv);
+    let e3 = run(Scenario::e3_fig3(), dist_trials, &mut e3_csv);
     println!("{e3}");
     let figure = Figure3::from_stats(&e3);
     println!("{}", figure.render_chart());
@@ -54,11 +55,9 @@ fn main() {
     reports.push(ExperimentReport::e4(&profile));
 
     // E5 extensions
-    let e5a = Campaign::new(Scenario::e5a_watchdog(), dist_trials, seed)
-        .run_parallel_streamed(workers, &mut NullSink);
+    let e5a = run(Scenario::e5a_watchdog(), dist_trials, &mut NullSink);
     reports.push(ExperimentReport::e5a(&e5a));
-    let e5b = Campaign::new(Scenario::e5b_monitor(), det_trials, seed)
-        .run_parallel_streamed(workers, &mut NullSink);
+    let e5b = run(Scenario::e5b_monitor(), det_trials, &mut NullSink);
     reports.push(ExperimentReport::e5b(&e5b));
 
     println!("\n# Summary\n");

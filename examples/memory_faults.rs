@@ -52,8 +52,8 @@ fn main() {
     for model in &models {
         for region in regions {
             let scenario = Scenario::e6_memory(model.clone(), MemTarget::only(region));
-            let stats =
-                Campaign::new(scenario, trials, seed).run_parallel_streamed(workers, &mut NullSink);
+            let (stats, _) =
+                Campaign::new(scenario, trials, seed).execute(.., workers, &mut NullSink, None);
             print!(
                 "\n--- {model} x {region} ({} of {trials} trials injected) ---\n{stats}",
                 stats.mem_injected_trials
@@ -76,12 +76,12 @@ fn main() {
     println!("\n==== mixed-region single-bit-flip campaign (per-trial CSV, streamed) ====");
     let stdout = std::io::stdout();
     let mut csv = CsvSink::new(stdout.lock()).expect("stdout writable");
-    let mixed = Campaign::new(
+    let (mixed, _) = Campaign::new(
         Scenario::e6_memory(MemFaultModel::SingleBitFlip, MemTarget::e6()),
         trials,
         seed,
     )
-    .run_parallel_streamed(workers, &mut csv);
+    .execute(.., workers, &mut csv, None);
     let rows = csv.rows();
     drop(csv.finish().expect("stdout writable"));
     assert_eq!(rows, mixed.trials, "one CSV row per trial");

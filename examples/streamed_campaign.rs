@@ -4,7 +4,7 @@
 //!
 //! The buffered engine (`Campaign::run_parallel`) holds every trial's
 //! full `RunReport` until the campaign ends; this example runs the
-//! same campaign through `run_parallel_streamed`, where each report
+//! same campaign through `Campaign::execute`, where each report
 //! is delivered to a `TrialSink` in seed order the moment its turn
 //! comes and dropped right after — here a CSV export that keeps one
 //! row buffer, while the outcome distribution folds online into
@@ -40,7 +40,7 @@ fn main() {
     // buffers more than one row.
     let mut csv = CsvSink::new(CountingWriter::default()).expect("writer is infallible");
     let campaign = Campaign::new(Scenario::e3_fig3(), trials, seed);
-    let (stats, high_water) = campaign.run_parallel_streamed_instrumented(workers, &mut csv);
+    let (stats, high_water) = campaign.execute(.., workers, &mut csv, None);
 
     let rows = csv.rows();
     let bytes = csv.finish().expect("writer is infallible").bytes;

@@ -50,7 +50,7 @@ fn main() {
         config.capacity
     );
     let mut sink = CollectSink::new();
-    let stats = campaign.run_parallel_streamed(workers, &mut sink);
+    let (stats, _) = campaign.execute(.., workers, &mut sink, None);
     print!("{stats}");
     let (_, dumps) = sink.into_parts();
     println!(

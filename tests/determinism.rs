@@ -1,7 +1,7 @@
 //! Parallel-vs-sequential determinism of the campaign engine.
 //!
-//! `Campaign::run_parallel` distributes trials over `std::thread::scope`
-//! workers through the streamed reorder-buffer engine, but every trial
+//! `Campaign::execute` distributes trials over `std::thread::scope`
+//! workers through a reorder buffer, but every trial
 //! is seeded `base_seed + i` and delivered at sequence `i` — so the
 //! result must be *identical* (every field of every `TrialResult`,
 //! including full `RunReport` evidence) to sequential `run()`, for any
@@ -33,11 +33,11 @@ fn assert_parallel_matches_sequential(campaign: &Campaign) {
             "run_parallel({workers}) diverged from run() for scenario {}",
             campaign.scenario().name
         );
-        let parallel_stats = campaign.run_parallel_streamed(workers, &mut NullSink);
+        let (parallel_stats, _) = campaign.execute(.., workers, &mut NullSink, None);
         assert_eq!(
             sequential_stats,
             parallel_stats,
-            "run_parallel_streamed({workers}) stats diverged for scenario {}",
+            "execute on {workers} workers: stats diverged for scenario {}",
             campaign.scenario().name
         );
     }
@@ -88,7 +88,7 @@ fn mixed_register_memory_campaign_is_deterministic_across_worker_counts() {
 
 #[test]
 fn concatenated_ranges_equal_the_full_run() {
-    // The shard execution primitive: `run_range_streamed` over any
+    // The shard execution primitive: `Campaign::execute` over any
     // partition of the trial space must deliver exactly the trials —
     // same global sequence numbers, same full reports — the
     // single-process `run_streamed` delivers, and the per-range stats
@@ -108,14 +108,9 @@ fn concatenated_ranges_equal_the_full_run() {
         for split in 1..trials {
             let mut pieces = Vec::new();
             let mut merged = CampaignStats::new(campaign.scenario().name.clone());
-            for (start, len) in [(0, split), (split, trials - split)] {
-                merged.merge(&campaign.run_range_streamed(
-                    start,
-                    len,
-                    &mut |seq: usize, t: TrialResult| {
-                        pieces.push((seq, t));
-                    },
-                ));
+            for range in [0..split, split..trials] {
+                let mut piece = |seq: usize, t: TrialResult| pieces.push((seq, t));
+                merged.merge(&campaign.execute(range, 1, &mut piece, None).0);
             }
             assert_eq!(
                 pieces,
@@ -127,49 +122,6 @@ fn concatenated_ranges_equal_the_full_run() {
                 merged, full_stats,
                 "merged range stats diverged at split {split}"
             );
-        }
-    }
-}
-
-#[test]
-fn traced_campaigns_dump_identically_across_engines() {
-    // The flight recorder rides the deterministic trial path, so a
-    // traced campaign must surface byte-identical dumps — same seqs,
-    // same event streams, same wire encodings — whether the trials run
-    // sequentially or through the parallel reorder-buffer engine.
-    use certify_core::{encode_to_vec, CollectSink, DumpPolicy, TraceConfig};
-
-    let config = TraceConfig::new().with_policy(DumpPolicy::all_outcomes());
-    for (scenario, trials) in [(Scenario::e3_fig3(), 8usize), (Scenario::e7_mixed(), 6)] {
-        let campaign = Campaign::new(scenario, trials, 0xD5_2022).with_trace(config.clone());
-        let name = campaign.scenario().name.clone();
-
-        let mut seq_sink = CollectSink::new();
-        campaign.run_streamed(&mut seq_sink);
-        let (seq_trials, seq_dumps) = seq_sink.into_parts();
-        assert_eq!(
-            seq_dumps.len(),
-            trials,
-            "{name}: all_outcomes must dump every trial"
-        );
-
-        for workers in worker_counts() {
-            let mut par_sink = CollectSink::new();
-            campaign.run_parallel_streamed(workers, &mut par_sink);
-            let (par_trials, par_dumps) = par_sink.into_parts();
-            assert_eq!(
-                seq_trials, par_trials,
-                "{name}: traced trials diverged at {workers} workers"
-            );
-            assert_eq!(seq_dumps.len(), par_dumps.len(), "{name}: dump count");
-            for ((seq_a, a), (seq_b, b)) in seq_dumps.iter().zip(&par_dumps) {
-                assert_eq!(seq_a, seq_b, "{name}: dump sequence order");
-                assert_eq!(
-                    encode_to_vec(a),
-                    encode_to_vec(b),
-                    "{name}: trial {seq_a} dump not byte-identical at {workers} workers"
-                );
-            }
         }
     }
 }
@@ -192,18 +144,6 @@ fn traced_trials_repeat_their_event_streams() {
             "seed {seed}: replayed event stream drifted"
         );
     }
-}
-
-#[test]
-fn parallel_run_with_more_workers_than_trials() {
-    let campaign = Campaign::new(Scenario::e1_root_high(), 3, 1);
-    assert_eq!(campaign.run(), campaign.run_parallel(64));
-}
-
-#[test]
-fn zero_workers_clamps_to_one() {
-    let campaign = Campaign::new(Scenario::e1_root_high(), 2, 5);
-    assert_eq!(campaign.run(), campaign.run_parallel(0));
 }
 
 #[test]

@@ -88,7 +88,7 @@ fn e2_free_running_campaign_shows_the_peculiar_state_in_the_field() {
     );
     // High intensity never propagates to a system panic: the argument
     // registers don't hold hypervisor pointers.
-    assert_eq!(result.fraction(Outcome::PanicPark), 0.0, "{result}");
+    assert_eq!(result.stats().fraction(Outcome::PanicPark), 0.0, "{result}");
 }
 
 #[test]
@@ -101,7 +101,7 @@ fn e3_distribution_matches_figure3_shape() {
         figure.render_chart()
     );
     // Every trial was actually injected.
-    assert_eq!(result.injected_trials(), result.trials.len());
+    assert_eq!(result.stats().injected_trials, result.trials.len());
 }
 
 #[test]

@@ -1,4 +1,5 @@
-//! Hot-path overhaul equivalence suite.
+//! Hot-path overhaul equivalence suite and the engine's equivalence
+//! table.
 //!
 //! The trial hot path was rebuilt around incremental state — the
 //! UART's line index, the hypervisor's online [`Evidence`] counters
@@ -9,34 +10,34 @@
 //!   of the structured event trace, for every trial of golden, E2,
 //!   E3, E6 and mixed E7 campaigns;
 //! * classification built on those counters must hand back the same
-//!   `RunReport`s / `CampaignStats` through the buffered and streamed
-//!   engines, and the streamed CSV must stay byte-identical to the
-//!   buffered render;
+//!   `RunReport`s the engine delivers;
 //! * the UART's incremental line index must reproduce a naive
 //!   byte-at-a-time reassembly of real trial captures;
 //! * the E3 distribution at the bench seed keeps its committed shape
 //!   (55 panic park / 16 cpu park / 79 correct at 0xD52022);
-//! * telemetry is inert: an instrumented run (`certify_obs` clock,
-//!   metrics and progress snapshots) produces the same stats and the
-//!   same CSV bytes as the uninstrumented engine;
-//! * prefix forking is invisible: every built-in scenario gives the
-//!   same trials, stats, CSV bytes and trace dumps (events, `total`,
-//!   `dropped`) whether its trials fork from the shared fault-free
-//!   prefix (every engine: sequential, threaded, range-split,
-//!   sharded) or run from step 0 (`run_trial`, `run_trial_traced`).
+//! * the equivalence table: every built-in scenario, untraced and
+//!   traced, gives the same trials, stats, CSV bytes and trace dumps
+//!   (events, `total`, `dropped`) through every mode of
+//!   `Campaign::execute` — workers 0, 1, 4 and 64, range-split,
+//!   sharded, and observed at workers 1 and 4 — as its trials run
+//!   from step 0 (`run_trial`, `run_trial_traced`). Observed cells
+//!   also pin the telemetry counts, and every cell pins the reorder
+//!   bound and seed-order delivery on the caller's thread.
 
 use certify_analysis::{campaign_to_csv, CsvSink};
 use certify_core::campaign::{Campaign, CampaignResult, Scenario};
 use certify_core::classify::{classify, Outcome};
 use certify_core::system::System;
-use certify_core::{CampaignStats, CollectSink, DumpPolicy, NullSink, TraceConfig, TraceDump};
-use certify_core::{TrialResult, TrialSink};
+use certify_core::{CampaignStats, CollectSink, DumpPolicy, EngineTelemetry, NullSink};
+use certify_core::{TraceConfig, TraceDump, TrialResult, TrialSink};
 use certify_shard::TracePrefix;
 use certify_uncertified::arch::cpu::ParkReason;
 use certify_uncertified::arch::CpuId;
 use certify_uncertified::hypervisor::HvEvent;
 use certify_uncertified::obs::trace::FlightRecorder;
-use std::sync::Arc;
+use certify_uncertified::obs::{Clock, CollectObserver, ManualClock};
+use std::sync::{Arc, Mutex};
+use std::thread::{self, ThreadId};
 
 /// The scenarios the issue calls out, in cheap-to-run shapes.
 fn scenarios() -> Vec<(Scenario, usize)> {
@@ -220,33 +221,12 @@ fn uart_line_index_matches_naive_reassembly_on_real_captures() {
 
 #[test]
 fn streamed_and_buffered_campaigns_agree_after_the_overhaul() {
+    // Same seeds through the engine and through a bare System must
+    // classify identically (RunReport level); the equivalence table
+    // pins every engine mode to this buffered run.
     for (scenario, trials) in scenarios() {
         let campaign = Campaign::new(scenario, trials, 0xD5_2022);
-        let buffered = campaign.run();
-        let stats = campaign.run_streamed(&mut NullSink);
-        assert_eq!(
-            stats,
-            buffered.stats(),
-            "{}: streamed stats diverged",
-            campaign.scenario().name
-        );
-        let mut sink = CsvSink::in_memory();
-        let parallel_stats = campaign.run_parallel_streamed(4, &mut sink);
-        assert_eq!(
-            parallel_stats,
-            stats,
-            "{}: parallel streamed stats diverged",
-            campaign.scenario().name
-        );
-        assert_eq!(
-            sink.into_csv(),
-            campaign_to_csv(&buffered),
-            "{}: streamed CSV not byte-identical to buffered",
-            campaign.scenario().name
-        );
-        // Same seeds through the engine and through a bare System
-        // must classify identically (RunReport level).
-        for trial in &buffered.trials {
+        for trial in &campaign.run().trials {
             let system = run_system(campaign.scenario(), trial.seed);
             assert_eq!(
                 classify(&system),
@@ -259,118 +239,19 @@ fn streamed_and_buffered_campaigns_agree_after_the_overhaul() {
     }
 }
 
-/// The observability law: telemetry must never influence trial
-/// results. An instrumented run — phase timings, engine metrics,
-/// progress snapshots — must produce the *same stats and the same CSV
-/// bytes* as the uninstrumented engine, for every scenario shape.
-#[test]
-fn instrumented_runs_leave_results_and_csv_untouched() {
-    use certify_core::EngineTelemetry;
-    use certify_uncertified::obs::{CollectObserver, ManualClock};
-
-    for (scenario, trials) in scenarios() {
-        let campaign = Campaign::new(scenario, trials, 0xD5_2022);
-        let name = campaign.scenario().name.clone();
-
-        let mut plain_sink = CsvSink::in_memory();
-        let plain_stats = campaign.run_parallel_streamed(4, &mut plain_sink);
-        let plain_csv = plain_sink.into_csv();
-
-        let clock = ManualClock::new();
-        let mut observer = CollectObserver::default();
-        let mut telemetry = EngineTelemetry::new(&clock, &mut observer, 2);
-        let mut observed_sink = CsvSink::in_memory();
-        let observed_stats =
-            campaign.run_parallel_streamed_observed(4, &mut observed_sink, &mut telemetry);
-        let observed_csv = observed_sink.into_csv();
-
-        assert_eq!(observed_stats, plain_stats, "{name}: stats diverged");
-        assert_eq!(observed_csv, plain_csv, "{name}: CSV bytes diverged");
-
-        // And the run must actually have been observed.
-        let metrics = &telemetry.metrics;
-        assert_eq!(metrics.trials.get(), trials as u64, "{name}: trial count");
-        assert_eq!(
-            metrics.phases.total.count(),
-            trials as u64,
-            "{name}: phase samples"
-        );
-        assert_eq!(metrics.sink_rows.get(), trials as u64, "{name}: sink rows");
-        assert_eq!(
-            metrics.sink_bytes.get(),
-            plain_csv.len() as u64,
-            "{name}: sink bytes"
-        );
-        let last = observer
-            .snapshots
-            .last()
-            .unwrap_or_else(|| panic!("{name}: no progress snapshots"));
-        assert_eq!(last.done, trials as u64, "{name}: final snapshot done");
-        assert_eq!(last.total, trials as u64, "{name}: final snapshot total");
-        assert_eq!(last.source, None, "{name}: campaign-level snapshot");
-    }
-}
-
-/// The same law for the flight recorder: arming tracing must leave
-/// the CampaignStats and the CSV bytes untouched, and leaving it off
-/// (`run_trial_traced(seed, None)`) must be *exactly* `run_trial` —
-/// no recorder allocation, no extra events, identical results.
-#[test]
-fn tracing_leaves_results_and_csv_untouched() {
-    use certify_core::TraceConfig;
-
-    for (scenario, trials) in scenarios() {
-        let campaign = Campaign::new(scenario, trials, 0xD5_2022);
-        let name = campaign.scenario().name.clone();
-
-        let mut plain_sink = CsvSink::in_memory();
-        let plain_stats = campaign.run_parallel_streamed(4, &mut plain_sink);
-        let plain_csv = plain_sink.into_csv();
-
-        // Tracing off through the traced entry point.
-        let runner = campaign.scenario().runner();
-        for seq in 0..trials as u64 {
-            let seed = 0xD5_2022 + seq;
-            let (trial, dump) = runner.run_trial_traced(seed, None);
-            assert_eq!(trial, runner.run_trial(seed), "{name}: tracing-off trial");
-            assert!(dump.is_none(), "{name}: tracing off must never dump");
-        }
-
-        // Tracing on: same stats, same CSV bytes, out both engines.
-        let traced = campaign.clone().with_trace(TraceConfig::new());
-        let mut traced_sink = CsvSink::in_memory();
-        let traced_stats = traced.run_parallel_streamed(4, &mut traced_sink);
-        assert_eq!(traced_stats, plain_stats, "{name}: traced stats diverged");
-        assert_eq!(
-            traced_sink.into_csv(),
-            plain_csv,
-            "{name}: traced CSV bytes diverged"
-        );
-        let mut streamed_sink = CsvSink::in_memory();
-        let streamed_stats = traced.run_streamed(&mut streamed_sink);
-        assert_eq!(streamed_stats, plain_stats, "{name}: streamed traced stats");
-        assert_eq!(
-            streamed_sink.into_csv(),
-            plain_csv,
-            "{name}: streamed traced CSV bytes"
-        );
-    }
-}
-
 /// Same law under the real clock: `MonotonicClock` feeds nonzero
 /// timings into the histograms without perturbing the results.
 #[test]
 fn instrumented_run_under_the_real_clock_matches_plain() {
-    use certify_core::EngineTelemetry;
-    use certify_uncertified::obs::{CollectObserver, MonotonicClock};
+    use certify_uncertified::obs::MonotonicClock;
 
     let campaign = Campaign::new(Scenario::e3_fig3(), 8, 0xD5_2022);
-    let plain_stats = campaign.run_parallel_streamed(4, &mut NullSink);
+    let (plain_stats, _) = campaign.execute(.., 4, &mut NullSink, None);
 
     let clock = MonotonicClock::new();
     let mut observer = CollectObserver::default();
     let mut telemetry = EngineTelemetry::new(&clock, &mut observer, 0);
-    let observed_stats = campaign.run_parallel_streamed_observed(4, &mut NullSink, &mut telemetry);
+    let (observed_stats, _) = campaign.execute(.., 4, &mut NullSink, Some(&mut telemetry));
 
     assert_eq!(observed_stats, plain_stats);
     assert_eq!(telemetry.metrics.trials.get(), 8);
@@ -383,8 +264,8 @@ fn instrumented_run_under_the_real_clock_matches_plain() {
 
 #[test]
 fn e3_shape_at_the_bench_seed_is_preserved() {
-    let stats =
-        Campaign::new(Scenario::e3_fig3(), 150, 0xD5_2022).run_parallel_streamed(4, &mut NullSink);
+    let (stats, _) =
+        Campaign::new(Scenario::e3_fig3(), 150, 0xD5_2022).execute(.., 4, &mut NullSink, None);
     assert_eq!(stats.count(Outcome::PanicPark), 55, "{stats}");
     assert_eq!(stats.count(Outcome::CpuPark), 16, "{stats}");
     assert_eq!(stats.count(Outcome::Correct), 79, "{stats}");
@@ -393,12 +274,15 @@ fn e3_shape_at_the_bench_seed_is_preserved() {
 
 /// What a campaign delivered: rows, dumps and CSV bytes in one pass,
 /// plus each trace prefix handed over with the rows delivered before
-/// it.
+/// it, and how many hand-overs reached the sink off the thread that
+/// created it.
 struct Delivered {
     collect: CollectSink,
     csv: CsvSink<Vec<u8>>,
     rows: usize,
     prefixes: Vec<(usize, TracePrefix)>,
+    caller: ThreadId,
+    off_thread: usize,
 }
 
 impl Delivered {
@@ -408,48 +292,153 @@ impl Delivered {
             csv: CsvSink::in_memory(),
             rows: 0,
             prefixes: Vec::new(),
+            caller: thread::current().id(),
+            off_thread: 0,
+        }
+    }
+
+    fn note_thread(&mut self) {
+        if thread::current().id() != self.caller {
+            self.off_thread += 1;
         }
     }
 }
 
 impl TrialSink for Delivered {
     fn accept(&mut self, seq: usize, trial: TrialResult) {
+        self.note_thread();
         self.rows += 1;
         self.csv.accept(seq, trial.clone());
         self.collect.accept(seq, trial);
     }
 
     fn accept_dump(&mut self, seq: usize, dump: TraceDump) {
+        self.note_thread();
         self.collect.accept_dump(seq, dump);
     }
 
     fn accept_trace_prefix(&mut self, prefix: &FlightRecorder) {
+        self.note_thread();
         self.prefixes.push((self.rows, TracePrefix::of(prefix)));
+    }
+
+    fn bytes_written(&self) -> Option<u64> {
+        self.csv.bytes_written()
     }
 }
 
-/// Runs `campaign` on one engine mode: `"sequential"`, `"threaded-N"`,
-/// `"range-split"` (three uneven ranges) or `"sharded"` (the shard
-/// coordinator's partition, each range run the way a shard worker runs
-/// it). Every mode forks its trials from the shared prefix. Also
-/// returns the first trial of each engine call.
-fn run_mode(campaign: &Campaign, mode: &str) -> (CampaignStats, Delivered, Vec<usize>) {
-    let mut delivered = Delivered::new();
+/// Scripted time that also records which threads read it: an observed
+/// trial reads the clock on the thread that runs it.
+#[derive(Default)]
+struct ThreadClock {
+    time: ManualClock,
+    readers: Mutex<Vec<ThreadId>>,
+}
+
+impl Clock for ThreadClock {
+    fn now_ns(&self) -> u64 {
+        self.readers
+            .lock()
+            .expect("clock readers")
+            .push(thread::current().id());
+        self.time.now_ns()
+    }
+}
+
+/// The modes of the equivalence table, each one or more
+/// `Campaign::execute` calls over the whole campaign:
+/// `"workers-N"` is one call on N workers; `"range-split"` is three
+/// uneven ranges on 2 workers; `"sharded"` is the shard coordinator's
+/// partition, each range on one worker the way a shard worker runs
+/// it; `"observed-N"` is one call on N workers with telemetry.
+const MODES: [&str; 8] = [
+    "workers-0",
+    "workers-1",
+    "workers-4",
+    "workers-64",
+    "range-split",
+    "sharded",
+    "observed-1",
+    "observed-4",
+];
+
+/// Runs `campaign` in one table mode and returns the merged stats,
+/// the deliveries and the first trial of each engine call. Checks the
+/// mode's engine-side cells on the way: the reorder high-water mark is
+/// within `1..=workers` (clamped to the range), every hand-over reaches
+/// the sink on the caller's thread, and an observed run records one
+/// phase sample, row and progress count per trial, the sink's bytes,
+/// and reads its clock on the caller's thread exactly when it runs on
+/// one worker.
+fn run_mode(
+    campaign: &Campaign,
+    mode: &str,
+    context: &str,
+) -> (CampaignStats, Delivered, Vec<usize>) {
     let n = campaign.trials();
-    let ranges = match mode {
-        "sequential" => vec![(0, n)],
-        "threaded-1" | "threaded-4" => {
-            let workers = if mode == "threaded-1" { 1 } else { 4 };
-            let stats = campaign.run_parallel_streamed(workers, &mut delivered);
-            return (stats, delivered, vec![0]);
+    let (workers, ranges, observed) = match mode {
+        "range-split" => (2, vec![(0, 1), (1, n / 2 - 1), (n / 2, n - n / 2)], false),
+        "sharded" => (1, certify_shard::partition(n, 3), false),
+        _ => {
+            let (observed, workers) = match mode.split_once('-') {
+                Some(("workers", workers)) => (false, workers),
+                Some(("observed", workers)) => (true, workers),
+                _ => panic!("unknown mode {mode}"),
+            };
+            let workers: usize = workers.parse().expect("worker count");
+            (workers, vec![(0, n)], observed)
         }
-        "range-split" => vec![(0, 1), (1, n / 2 - 1), (n / 2, n - n / 2)],
-        "sharded" => certify_shard::partition(n, 3),
-        other => panic!("unknown mode {other}"),
     };
+    let clock = ThreadClock::default();
+    let mut observer = CollectObserver::default();
+    let mut telemetry = EngineTelemetry::new(&clock, &mut observer, 2);
+    let mut delivered = Delivered::new();
     let mut stats = CampaignStats::new(campaign.scenario().name.clone());
     for &(start, len) in &ranges {
-        stats.merge(&campaign.run_range_streamed(start, len, &mut delivered));
+        let (range_stats, high_water) = campaign.execute(
+            start..start + len,
+            workers,
+            &mut delivered,
+            observed.then_some(&mut telemetry),
+        );
+        assert!(
+            (1..=workers.clamp(1, len)).contains(&high_water),
+            "{context}: reorder high-water {high_water} for {len} trials on {workers} workers"
+        );
+        stats.merge(&range_stats);
+    }
+    assert_eq!(
+        delivered.off_thread, 0,
+        "{context}: delivered off the caller's thread"
+    );
+    if observed {
+        let metrics = telemetry.metrics;
+        assert_eq!(metrics.trials.get(), n as u64, "{context}: trial count");
+        assert_eq!(
+            metrics.phases.total.count(),
+            n as u64,
+            "{context}: phase samples"
+        );
+        assert_eq!(metrics.sink_rows.get(), n as u64, "{context}: sink rows");
+        assert_eq!(
+            Some(metrics.sink_bytes.get()),
+            delivered.bytes_written(),
+            "{context}: sink bytes"
+        );
+        let last = observer
+            .snapshots
+            .last()
+            .unwrap_or_else(|| panic!("{context}: no progress snapshots"));
+        assert_eq!(last.done, n as u64, "{context}: final snapshot done");
+        assert_eq!(last.total, n as u64, "{context}: final snapshot total");
+        assert_eq!(last.source, None, "{context}: campaign-level snapshot");
+        let readers = clock.readers.into_inner().expect("clock readers");
+        let on_caller = readers.iter().all(|reader| *reader == delivered.caller);
+        assert_eq!(
+            on_caller,
+            workers == 1,
+            "{context}: trials ran on the caller's thread exactly when on one worker"
+        );
     }
     (
         stats,
@@ -458,19 +447,14 @@ fn run_mode(campaign: &Campaign, mode: &str) -> (CampaignStats, Delivered, Vec<u
     )
 }
 
-/// Forked ≡ from-scratch, the prefix-forking contract: for every
-/// built-in scenario, untraced and traced with every trial dumped, each
-/// engine mode must deliver exactly the trials, dumps (events, `total`,
-/// `dropped`), CSV bytes and stats of trials run from step 0.
+/// The equivalence table. Forked ≡ from-scratch, and every mode ≡
+/// every other: for every built-in scenario, untraced and traced with
+/// every trial dumped, each [`MODES`] cell must deliver exactly the
+/// trials, dumps (events, `total`, `dropped`), CSV bytes and stats of
+/// trials run from step 0. Tracing off through the traced entry point
+/// must be exactly `run_trial`.
 #[test]
 fn forked_trials_equal_from_scratch_trials_in_every_mode() {
-    const MODES: [&str; 5] = [
-        "sequential",
-        "threaded-1",
-        "threaded-4",
-        "range-split",
-        "sharded",
-    ];
     let traced = TraceConfig::new().with_policy(DumpPolicy::all_outcomes());
     let mut dropped_before_fork = false;
     for scenario in certify_lint::builtin_scenarios() {
@@ -490,6 +474,11 @@ fn forked_trials_equal_from_scratch_trials_in_every_mode() {
                 runner.run_trial(seed),
                 "{name}: traced scratch trial"
             );
+            assert_eq!(
+                runner.run_trial_traced(seed, None),
+                (trial.clone(), None),
+                "{name}: tracing off is exactly run_trial"
+            );
             scratch_dumps.push((seq, dump.expect("armed recorder dumps")));
             scratch.push(trial);
         }
@@ -507,7 +496,7 @@ fn forked_trials_equal_from_scratch_trials_in_every_mode() {
             };
             for mode in MODES {
                 let context = format!("{name} {mode} traced={}", config.is_some());
-                let (mode_stats, delivered, calls) = run_mode(&campaign, mode);
+                let (mode_stats, delivered, calls) = run_mode(&campaign, mode, &context);
                 let prefixes = delivered.prefixes;
                 let (mode_trials, mode_dumps) = delivered.collect.into_parts();
                 assert_eq!(mode_trials, reference.trials, "{context}: trials");

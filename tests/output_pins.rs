@@ -246,7 +246,7 @@ fn pin_of(campaign: &Campaign) -> Pin {
         collect: CollectSink::new(),
         csv: CsvSink::in_memory(),
     };
-    let stats = campaign.run_parallel_streamed(2, &mut delivered);
+    let (stats, _) = campaign.execute(.., 2, &mut delivered, None);
     let (trials, dumps) = delivered.collect.into_parts();
     assert_eq!(trials.len(), TRIALS);
     assert_eq!(dumps.len(), TRIALS, "every outcome dumps");

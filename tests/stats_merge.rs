@@ -9,7 +9,7 @@
 //! over synthetic trial populations (every outcome, watchdog/monitor
 //! evidence, multi-region memory faults) without paying for real
 //! simulator runs; one real-campaign test pins the same laws on
-//! `Campaign::run_range_streamed` output.
+//! `Campaign::execute` range output.
 
 use certify_core::campaign::{Campaign, Scenario, TrialResult};
 use certify_core::classify::RunReport;
@@ -166,26 +166,24 @@ proptest! {
     }
 }
 
-/// The same law on *real* engine output: per-range streamed stats
-/// from `run_range_streamed` merge to the full `run_streamed` stats,
-/// in order and in a rotated order.
+/// The same law on *real* engine output: per-range stats from
+/// `Campaign::execute` merge to the full `run_streamed` stats, in
+/// order and in a rotated order.
 #[test]
 fn real_campaign_range_stats_merge_to_the_full_run() {
     let campaign = Campaign::new(Scenario::e1_root_high(), 12, 0xD5);
     let full = campaign.run_streamed(&mut NullSink);
-    let ranges = [(0usize, 5usize), (5, 3), (8, 4)];
-
     let mut in_order = CampaignStats::new("e1-root-high");
-    for (start, len) in ranges {
-        in_order.merge(&campaign.run_range_streamed(start, len, &mut NullSink));
+    for range in [0..5, 5..8, 8..12] {
+        in_order.merge(&campaign.execute(range, 1, &mut NullSink, None).0);
     }
     assert_eq!(in_order, full);
 
     // Merge order must not matter for any field that doesn't track
     // order (everything: counts, histograms, min/max/sums).
     let mut rotated = CampaignStats::new("e1-root-high");
-    for (start, len) in [(8usize, 4usize), (0, 5), (5, 3)] {
-        rotated.merge(&campaign.run_range_streamed(start, len, &mut NullSink));
+    for range in [8..12, 0..5, 5..8] {
+        rotated.merge(&campaign.execute(range, 1, &mut NullSink, None).0);
     }
     assert_eq!(rotated, full);
 }

@@ -1,11 +1,10 @@
 //! The streamed campaign engine: equivalence with the buffered path,
 //! seed-order delivery, and the O(workers) residency bound.
 //!
-//! Contract under test (see `Campaign::run_parallel_streamed`):
+//! Contract under test (see `Campaign::execute`):
 //!
 //! * same seeds ⇒ identical `CampaignStats` and byte-identical CSV
-//!   from `run`, `run_streamed` and `run_parallel_streamed`, at any
-//!   worker count;
+//!   from `run` and `execute`, at any worker count;
 //! * sinks always see trials in seed order (`seq` = 0, 1, 2, …);
 //! * at most `workers` completed-but-undelivered reports exist at any
 //!   time, even when the sink is slower than the workers.
@@ -13,7 +12,7 @@
 use certify_analysis::{campaign_to_csv, CsvSink};
 use certify_core::campaign::{Campaign, Scenario, TrialResult};
 use certify_core::memfault::{MemFaultModel, MemTarget};
-use certify_core::{CampaignStats, NullSink, TrialSink};
+use certify_core::{CampaignStats, TrialSink};
 use proptest::prelude::*;
 
 mod common;
@@ -43,17 +42,17 @@ fn assert_streamed_equals_buffered(campaign: &Campaign) {
 
     for workers in worker_counts() {
         let mut par_csv = CsvSink::in_memory();
-        let par_stats = campaign.run_parallel_streamed(workers, &mut par_csv);
+        let (par_stats, _) = campaign.execute(.., workers, &mut par_csv, None);
         assert_eq!(
             par_stats,
             reference_stats,
-            "run_parallel_streamed({workers}) stats diverged for {}",
+            "execute on {workers} workers: stats diverged for {}",
             campaign.scenario().name
         );
         assert_eq!(
             par_csv.into_csv(),
             reference_csv,
-            "run_parallel_streamed({workers}) CSV diverged for {}",
+            "execute on {workers} workers: CSV diverged for {}",
             campaign.scenario().name
         );
     }
@@ -89,7 +88,7 @@ fn streamed_stats_equal_the_engines_own_fold() {
     // deliveries by hand.
     let campaign = Campaign::new(Scenario::e1_root_high(), 9, 77);
     let mut folded = CampaignStats::new("e1-root-high");
-    let returned = campaign.run_parallel_streamed(4, &mut folded);
+    let (returned, _) = campaign.execute(.., 4, &mut folded, None);
     assert_eq!(folded, returned);
 }
 
@@ -116,7 +115,7 @@ fn undelivered_reports_never_exceed_the_worker_count() {
         let mut sink = SlowSink {
             delivered: Vec::new(),
         };
-        let (stats, high_water) = campaign.run_parallel_streamed_instrumented(workers, &mut sink);
+        let (stats, high_water) = campaign.execute(.., workers, &mut sink, None);
         assert_eq!(stats.trials, trials);
         assert_eq!(sink.delivered, (0..trials).collect::<Vec<_>>());
         assert!(
@@ -128,20 +127,12 @@ fn undelivered_reports_never_exceed_the_worker_count() {
 }
 
 #[test]
-fn high_water_is_bounded_even_with_more_workers_than_trials() {
-    let campaign = Campaign::new(Scenario::golden(200), 3, 1);
-    let (stats, high_water) = campaign.run_parallel_streamed_instrumented(64, &mut NullSink);
-    assert_eq!(stats.trials, 3);
-    assert!(high_water <= 3, "workers clamp to the trial count");
-}
-
-#[test]
 fn empty_campaign_streams_nothing() {
     let campaign = Campaign::new(Scenario::golden(100), 0, 1);
     let mut seen = 0usize;
-    let stats = campaign.run_parallel_streamed(4, &mut |_seq: usize, _trial: TrialResult| {
-        seen += 1;
-    });
+    let mut count = |_seq: usize, _trial: TrialResult| seen += 1;
+    let (stats, high_water) = campaign.execute(.., 4, &mut count, None);
+    assert_eq!(high_water, 0);
     assert_eq!(stats.trials, 0);
     assert_eq!(seen, 0);
 }
@@ -171,7 +162,7 @@ proptest! {
     ) {
         let campaign = Campaign::new(Scenario::golden(120), trials, base_seed);
         let mut sink = OrderSink::default();
-        let stats = campaign.run_parallel_streamed(workers, &mut sink);
+        let (stats, _) = campaign.execute(.., workers, &mut sink, None);
         prop_assert_eq!(stats.trials, trials);
         let expected: Vec<(usize, u64)> =
             (0..trials).map(|i| (i, base_seed + i as u64)).collect();
