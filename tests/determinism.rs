@@ -127,6 +127,49 @@ fn concatenated_ranges_equal_the_full_run() {
 }
 
 #[test]
+fn traced_campaigns_dump_identically_across_engines() {
+    // The flight recorder rides the deterministic trial path, so a
+    // traced campaign must surface byte-identical dumps — same seqs,
+    // same event streams, same wire encodings — whether the trials run
+    // on one worker or through the threaded reorder buffer.
+    use certify_core::{encode_to_vec, CollectSink, DumpPolicy, TraceConfig};
+
+    let config = TraceConfig::new().with_policy(DumpPolicy::all_outcomes());
+    for (scenario, trials) in [(Scenario::e3_fig3(), 8usize), (Scenario::e7_mixed(), 6)] {
+        let campaign = Campaign::new(scenario, trials, 0xD5_2022).with_trace(config.clone());
+        let name = campaign.scenario().name.clone();
+
+        let mut seq_sink = CollectSink::new();
+        campaign.run_streamed(&mut seq_sink);
+        let (seq_trials, seq_dumps) = seq_sink.into_parts();
+        assert_eq!(
+            seq_dumps.len(),
+            trials,
+            "{name}: all_outcomes must dump every trial"
+        );
+
+        for workers in worker_counts() {
+            let mut par_sink = CollectSink::new();
+            campaign.execute(.., workers, &mut par_sink, None);
+            let (par_trials, par_dumps) = par_sink.into_parts();
+            assert_eq!(
+                seq_trials, par_trials,
+                "{name}: traced trials diverged at {workers} workers"
+            );
+            assert_eq!(seq_dumps.len(), par_dumps.len(), "{name}: dump count");
+            for ((seq_a, a), (seq_b, b)) in seq_dumps.iter().zip(&par_dumps) {
+                assert_eq!(seq_a, seq_b, "{name}: dump sequence order");
+                assert_eq!(
+                    encode_to_vec(a),
+                    encode_to_vec(b),
+                    "{name}: trial {seq_a} dump not byte-identical at {workers} workers"
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn traced_trials_repeat_their_event_streams() {
     // Same seed, same stream: re-running a traced trial reproduces the
     // recorder's exact contents, including the drop counter.
@@ -144,6 +187,18 @@ fn traced_trials_repeat_their_event_streams() {
             "seed {seed}: replayed event stream drifted"
         );
     }
+}
+
+#[test]
+fn parallel_run_with_more_workers_than_trials() {
+    let campaign = Campaign::new(Scenario::e1_root_high(), 3, 1);
+    assert_eq!(campaign.run(), campaign.run_parallel(64));
+}
+
+#[test]
+fn zero_workers_clamps_to_one() {
+    let campaign = Campaign::new(Scenario::e1_root_high(), 2, 5);
+    assert_eq!(campaign.run(), campaign.run_parallel(0));
 }
 
 #[test]

@@ -239,6 +239,98 @@ fn streamed_and_buffered_campaigns_agree_after_the_overhaul() {
     }
 }
 
+/// The observability law: telemetry must never influence trial
+/// results. An instrumented run — phase timings, engine metrics,
+/// progress snapshots — must produce the *same stats and the same CSV
+/// bytes* as the uninstrumented engine, for every scenario shape.
+#[test]
+fn instrumented_runs_leave_results_and_csv_untouched() {
+    for (scenario, trials) in scenarios() {
+        let campaign = Campaign::new(scenario, trials, 0xD5_2022);
+        let name = campaign.scenario().name.clone();
+
+        let mut plain_sink = CsvSink::in_memory();
+        let (plain_stats, _) = campaign.execute(.., 4, &mut plain_sink, None);
+        let plain_csv = plain_sink.into_csv();
+
+        let clock = ManualClock::new();
+        let mut observer = CollectObserver::default();
+        let mut telemetry = EngineTelemetry::new(&clock, &mut observer, 2);
+        let mut observed_sink = CsvSink::in_memory();
+        let (observed_stats, _) = campaign.execute(.., 4, &mut observed_sink, Some(&mut telemetry));
+        let observed_csv = observed_sink.into_csv();
+
+        assert_eq!(observed_stats, plain_stats, "{name}: stats diverged");
+        assert_eq!(observed_csv, plain_csv, "{name}: CSV bytes diverged");
+
+        // And the run must actually have been observed.
+        let metrics = &telemetry.metrics;
+        assert_eq!(metrics.trials.get(), trials as u64, "{name}: trial count");
+        assert_eq!(
+            metrics.phases.total.count(),
+            trials as u64,
+            "{name}: phase samples"
+        );
+        assert_eq!(metrics.sink_rows.get(), trials as u64, "{name}: sink rows");
+        assert_eq!(
+            metrics.sink_bytes.get(),
+            plain_csv.len() as u64,
+            "{name}: sink bytes"
+        );
+        let last = observer
+            .snapshots
+            .last()
+            .unwrap_or_else(|| panic!("{name}: no progress snapshots"));
+        assert_eq!(last.done, trials as u64, "{name}: final snapshot done");
+        assert_eq!(last.total, trials as u64, "{name}: final snapshot total");
+        assert_eq!(last.source, None, "{name}: campaign-level snapshot");
+    }
+}
+
+/// The same law for the flight recorder: arming tracing must leave
+/// the CampaignStats and the CSV bytes untouched, and leaving it off
+/// (`run_trial_traced(seed, None)`) must be *exactly* `run_trial` —
+/// no recorder allocation, no extra events, identical results.
+#[test]
+fn tracing_leaves_results_and_csv_untouched() {
+    for (scenario, trials) in scenarios() {
+        let campaign = Campaign::new(scenario, trials, 0xD5_2022);
+        let name = campaign.scenario().name.clone();
+
+        let mut plain_sink = CsvSink::in_memory();
+        let (plain_stats, _) = campaign.execute(.., 4, &mut plain_sink, None);
+        let plain_csv = plain_sink.into_csv();
+
+        // Tracing off through the traced entry point.
+        let runner = campaign.scenario().runner();
+        for seq in 0..trials as u64 {
+            let seed = 0xD5_2022 + seq;
+            let (trial, dump) = runner.run_trial_traced(seed, None);
+            assert_eq!(trial, runner.run_trial(seed), "{name}: tracing-off trial");
+            assert!(dump.is_none(), "{name}: tracing off must never dump");
+        }
+
+        // Tracing on: same stats, same CSV bytes, on 4 workers and on 1.
+        let traced = campaign.clone().with_trace(TraceConfig::new());
+        let mut traced_sink = CsvSink::in_memory();
+        let (traced_stats, _) = traced.execute(.., 4, &mut traced_sink, None);
+        assert_eq!(traced_stats, plain_stats, "{name}: traced stats diverged");
+        assert_eq!(
+            traced_sink.into_csv(),
+            plain_csv,
+            "{name}: traced CSV bytes diverged"
+        );
+        let mut streamed_sink = CsvSink::in_memory();
+        let streamed_stats = traced.run_streamed(&mut streamed_sink);
+        assert_eq!(streamed_stats, plain_stats, "{name}: streamed traced stats");
+        assert_eq!(
+            streamed_sink.into_csv(),
+            plain_csv,
+            "{name}: streamed traced CSV bytes"
+        );
+    }
+}
+
 /// Same law under the real clock: `MonotonicClock` feeds nonzero
 /// timings into the histograms without perturbing the results.
 #[test]

@@ -12,7 +12,7 @@
 use certify_analysis::{campaign_to_csv, CsvSink};
 use certify_core::campaign::{Campaign, Scenario, TrialResult};
 use certify_core::memfault::{MemFaultModel, MemTarget};
-use certify_core::{CampaignStats, TrialSink};
+use certify_core::{CampaignStats, NullSink, TrialSink};
 use proptest::prelude::*;
 
 mod common;
@@ -124,6 +124,14 @@ fn undelivered_reports_never_exceed_the_worker_count() {
         );
         assert!(high_water >= 1, "nothing was ever undelivered");
     }
+}
+
+#[test]
+fn high_water_is_bounded_even_with_more_workers_than_trials() {
+    let campaign = Campaign::new(Scenario::golden(200), 3, 1);
+    let (stats, high_water) = campaign.execute(.., 64, &mut NullSink, None);
+    assert_eq!(stats.trials, 3);
+    assert!(high_water <= 3, "workers clamp to the trial count");
 }
 
 #[test]
