@@ -836,12 +836,10 @@ impl Campaign {
                         drop(state);
                         ready.notify_all();
                     }
-                    if clock.is_some() {
-                        folded
-                            .lock()
-                            .expect("campaign telemetry lock")
-                            .merge(&local);
-                    }
+                    folded
+                        .lock()
+                        .expect("campaign telemetry lock")
+                        .merge(&local);
                 });
             }
 

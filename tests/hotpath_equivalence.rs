@@ -10,7 +10,9 @@
 //!   of the structured event trace, for every trial of golden, E2,
 //!   E3, E6 and mixed E7 campaigns;
 //! * classification built on those counters must hand back the same
-//!   `RunReport`s the engine delivers;
+//!   `RunReport`s / `CampaignStats` through the buffered run and
+//!   `execute` at workers 1 and 4, and the streamed CSV must stay
+//!   byte-identical to the buffered render;
 //! * the UART's incremental line index must reproduce a naive
 //!   byte-at-a-time reassembly of real trial captures;
 //! * the E3 distribution at the bench seed keeps its committed shape
@@ -221,12 +223,33 @@ fn uart_line_index_matches_naive_reassembly_on_real_captures() {
 
 #[test]
 fn streamed_and_buffered_campaigns_agree_after_the_overhaul() {
-    // Same seeds through the engine and through a bare System must
-    // classify identically (RunReport level); the equivalence table
-    // pins every engine mode to this buffered run.
     for (scenario, trials) in scenarios() {
         let campaign = Campaign::new(scenario, trials, 0xD5_2022);
-        for trial in &campaign.run().trials {
+        let buffered = campaign.run();
+        let (stats, _) = campaign.execute(.., 1, &mut NullSink, None);
+        assert_eq!(
+            stats,
+            buffered.stats(),
+            "{}: streamed stats diverged",
+            campaign.scenario().name
+        );
+        let mut sink = CsvSink::in_memory();
+        let (parallel_stats, _) = campaign.execute(.., 4, &mut sink, None);
+        assert_eq!(
+            parallel_stats,
+            stats,
+            "{}: parallel streamed stats diverged",
+            campaign.scenario().name
+        );
+        assert_eq!(
+            sink.into_csv(),
+            campaign_to_csv(&buffered),
+            "{}: streamed CSV not byte-identical to buffered",
+            campaign.scenario().name
+        );
+        // Same seeds through the engine and through a bare System
+        // must classify identically (RunReport level).
+        for trial in &buffered.trials {
             let system = run_system(campaign.scenario(), trial.seed);
             assert_eq!(
                 classify(&system),
