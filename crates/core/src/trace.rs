@@ -28,7 +28,7 @@ use std::collections::BTreeSet;
 /// A 4500-step E3/E6 trial records on the order of 10k handler
 /// entries; 4096 keeps the full injection-to-verdict suffix — the
 /// part propagation analysis needs — while bounding memory at
-/// ~120 KiB per in-flight trial.
+/// 128 KiB (4096 events of 32 bytes) per in-flight trial.
 pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
 
 /// When a trial's flight recorder is dumped.

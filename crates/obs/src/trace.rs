@@ -120,8 +120,8 @@ impl TraceKind {
 /// One step-stamped trace event.
 ///
 /// The two argument words are kind-specific (see [`TraceKind`]); an
-/// event is 29 bytes on the wire and `Copy` in memory so the hot path
-/// never allocates per event.
+/// event is 29 bytes on the wire, 32 in memory, and `Copy` so the hot
+/// path never allocates per event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// The machine step at which the event occurred.
@@ -227,6 +227,14 @@ mod tests {
             assert_eq!(TraceKind::from_code(kind.code()), Some(*kind));
         }
         assert_eq!(TraceKind::from_code(TraceKind::ALL.len() as u8), None);
+    }
+
+    #[test]
+    fn an_event_takes_32_bytes_so_a_4096_event_ring_takes_128_kib() {
+        // The figure `DEFAULT_TRACE_CAPACITY` and the README's ring
+        // sizing quote; 29 of the bytes go on the wire.
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 32);
+        assert_eq!(4096 * std::mem::size_of::<TraceEvent>(), 128 * 1024);
     }
 
     #[test]

@@ -47,7 +47,7 @@ use std::fmt;
 use std::io::{self, Write};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 /// How a sharded run is executed.
 #[derive(Debug, Clone)]
@@ -72,11 +72,6 @@ pub struct ShardOptions {
     /// pipe (backpressuring the worker) until the delivery front
     /// catches up.
     pub buffered_rows_per_shard: usize,
-    /// Persist every received trace dump as
-    /// `trace-<seq>.json` under this directory (created if missing).
-    /// Dumps are also returned in [`ShardedRun::dumps`] either way;
-    /// only traced campaigns ([`Campaign::with_trace`]) produce any.
-    pub dump_dir: Option<PathBuf>,
 }
 
 impl ShardOptions {
@@ -89,7 +84,6 @@ impl ShardOptions {
             worker: None,
             sabotage: None,
             buffered_rows_per_shard: 65_536,
-            dump_dir: None,
         }
     }
 
@@ -102,12 +96,6 @@ impl ShardOptions {
     /// Arms the kill-one-worker test hook (builder style).
     pub fn with_sabotage(mut self, shard: usize, after_rows: u64) -> ShardOptions {
         self.sabotage = Some(Sabotage { shard, after_rows });
-        self
-    }
-
-    /// Persists received trace dumps under `dir` (builder style).
-    pub fn with_dump_dir(mut self, dir: impl Into<PathBuf>) -> ShardOptions {
-        self.dump_dir = Some(dir.into());
         self
     }
 }
@@ -145,11 +133,60 @@ pub struct ShardedRun {
     /// The same metrics, per shard.
     pub shard_metrics: Vec<ShardMetrics>,
     /// Trace dumps received from the workers, as `(seq, dump)` in
-    /// global seed order (empty unless the campaign was traced).
-    /// Byte-identical to the dumps an in-process traced run of the
-    /// same campaign delivers — pinned by
-    /// `crates/shard/tests/sharded.rs`.
-    pub dumps: Vec<(u64, TraceDump)>,
+    /// global seed order (empty unless the campaign was traced
+    /// with [`Campaign::with_trace`]). Each is held as it came off the
+    /// wire: one trace prefix per worker attempt, shared by that
+    /// attempt's dumps, plus each dump's own post-fork suffix. That
+    /// bounds their memory by one ring per attempt plus the suffixes,
+    /// not one ring per dump. [`ShippedDump::dump`] rebuilds a dump
+    /// byte-identical to the one an in-process traced run of the same
+    /// campaign delivers — pinned by `crates/shard/tests/sharded.rs`.
+    pub dumps: Vec<(u64, ShippedDump)>,
+}
+
+/// A trace dump as the coordinator received it: the post-fork suffix,
+/// already [checked](TracePrefix::check_suffix) against the trace
+/// prefix of the worker attempt that sent it, and that prefix, shared
+/// with the attempt's other dumps.
+#[derive(Debug, Clone)]
+pub struct ShippedDump {
+    prefix: Arc<TracePrefix>,
+    capacity: usize,
+    suffix: TraceDump,
+}
+
+impl ShippedDump {
+    /// Checks `suffix` against `prefix` for a ring of `capacity`.
+    fn new(
+        prefix: &Arc<TracePrefix>,
+        capacity: usize,
+        suffix: TraceDump,
+    ) -> Result<ShippedDump, String> {
+        prefix.check_suffix(capacity, &suffix)?;
+        Ok(ShippedDump {
+            prefix: Arc::clone(prefix),
+            capacity,
+            suffix,
+        })
+    }
+
+    /// The whole dump the worker's engine captured, rebuilt from the
+    /// prefix and the suffix ([`TracePrefix::rebuild`]).
+    pub fn dump(&self) -> TraceDump {
+        self.prefix.rebuild(self.capacity, &self.suffix)
+    }
+
+    /// The trace prefix of the worker attempt that sent this dump.
+    pub fn prefix(&self) -> &Arc<TracePrefix> {
+        &self.prefix
+    }
+
+    /// The events the trial recorded after the fork, as the ring kept
+    /// them, with the whole dump's `seed`, `scenario`, `outcome` and
+    /// `total`.
+    pub fn suffix(&self) -> &TraceDump {
+        &self.suffix
+    }
 }
 
 /// Why a sharded run failed.
@@ -260,7 +297,7 @@ struct Coord {
     /// Trace dumps received so far, keyed by global trial sequence.
     /// Retried shards re-send dumps; duplicates are byte-identical
     /// (same seed), so the first copy wins.
-    dumps: BTreeMap<u64, TraceDump>,
+    dumps: BTreeMap<u64, ShippedDump>,
     /// Next global sequence the consumer will deliver.
     next_deliver: u64,
     /// Undelivered buffered rows per shard (backpressure accounting).
@@ -465,16 +502,6 @@ fn run_sharded_engine(
     for shard_metrics in &state.metrics {
         metrics.merge(shard_metrics);
     }
-    let dumps: Vec<(u64, TraceDump)> = state.dumps.into_iter().collect();
-    if let Some(dir) = &opts.dump_dir {
-        std::fs::create_dir_all(dir).map_err(ShardError::Output)?;
-        for (seq, dump) in &dumps {
-            let path = dir.join(format!("trace-{seq:08}.json"));
-            let mut doc = dump.to_json().render();
-            doc.push('\n');
-            std::fs::write(path, doc).map_err(ShardError::Output)?;
-        }
-    }
     if let (Some(tracker), Some(observer)) = (&tracker, observer) {
         // The closing whole-campaign snapshot: every row delivered,
         // outcomes from the merged stats.
@@ -488,7 +515,7 @@ fn run_sharded_engine(
         shard_ranges: ranges,
         metrics,
         shard_metrics: state.metrics,
-        dumps,
+        dumps: state.dumps.into_iter().collect(),
     })
 }
 
@@ -689,10 +716,10 @@ fn run_attempt(
     let mut frame_count = 0u64;
     let mut crc_rejects = 0u64;
     let tracker = clock.map(|clock| ProgressTracker::new(clock, Some(shard as u32), len as u64));
-    // The ring capacity dumps are rebuilt to, and this attempt's trace
-    // prefix once its frame has arrived and checked out.
+    // The ring capacity dumps are checked against, and this attempt's
+    // trace prefix once its frame has arrived and checked out.
     let capacity = campaign.trace().map(|config| config.capacity.max(1));
-    let mut prefix: Option<TracePrefix> = None;
+    let mut prefix: Option<Arc<TracePrefix>> = None;
     // `Ok(Some(stats))` = clean done frame; `Ok(None)` = the run was
     // aborted elsewhere and this reader is dying quietly.
     let outcome = loop {
@@ -755,7 +782,7 @@ fn run_attempt(
                 if let Err(error) = received_prefix.check(capacity) {
                     break Err(error);
                 }
-                prefix = Some(received_prefix);
+                prefix = Some(Arc::new(received_prefix));
             }
             Frame::TraceDump { seq, dump } => {
                 // A dump frame must ride directly behind its own row.
@@ -769,9 +796,7 @@ fn run_attempt(
                         "trace-dump for trial {seq} before the trace prefix"
                     ));
                 };
-                // Rebuilt before taking the lock: it copies up to a
-                // whole ring.
-                let dump = match prefix.rebuild(capacity, dump) {
+                let dump = match ShippedDump::new(prefix, capacity, dump) {
                     Ok(dump) => dump,
                     Err(error) => break Err(format!("trace-dump for trial {seq}: {error}")),
                 };

@@ -48,7 +48,7 @@ pub mod worker;
 
 pub use coordinator::{
     partition, resolve_worker, run_sharded, run_sharded_observed, ShardError, ShardOptions,
-    ShardedRun,
+    ShardedRun, ShippedDump,
 };
 pub use protocol::{crc32, read_frame, write_frame, Frame, Handshake, ProtocolError, TracePrefix};
 pub use worker::{run_worker, RemoteSink, WorkerError};

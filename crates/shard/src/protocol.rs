@@ -27,8 +27,10 @@
 //! 2. [`Frame::TrialRow`] frames, one CSV row per trial in trial
 //!    order, each followed by a [`Frame::TraceDump`] when the trial
 //!    matched the dump policy — carrying only the events recorded after
-//!    the fork ([`TracePrefix::suffix`]), from which the coordinator
-//!    rebuilds the whole dump ([`TracePrefix::rebuild`]);
+//!    the fork ([`TracePrefix::suffix`]), which the coordinator checks
+//!    against the prefix on arrival ([`TracePrefix::check_suffix`]) and
+//!    from which it rebuilds the whole dump on demand
+//!    ([`TracePrefix::rebuild`]);
 //! 3. periodic [`Frame::Stats`] progress snapshots in between;
 //! 4. one [`Frame::Done`] carrying the shard's authoritative
 //!    [`CampaignStats`].
@@ -139,10 +141,13 @@ impl Wire for Handshake {
 /// later [`Frame::TraceDump`] carries only the events its trial
 /// recorded after the fork.
 ///
-/// The worker cuts a dump down with [`TracePrefix::suffix`]; the
-/// coordinator checks the prefix with [`TracePrefix::check`] and
-/// rebuilds each dump with [`TracePrefix::rebuild`]. The rebuilt dump
-/// equals the one the worker's engine captured.
+/// The worker cuts a dump down with [`TracePrefix::suffix`]. The
+/// coordinator checks the prefix with [`TracePrefix::check`] and each
+/// suffix with [`TracePrefix::check_suffix`] as they arrive, then holds
+/// the prefix once per attempt behind an `Arc` shared by that
+/// attempt's dumps. [`TracePrefix::rebuild`] turns a checked suffix
+/// back into the dump the worker's engine captured, only when a
+/// caller asks for it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TracePrefix {
     /// Events the prefix recorded, including evicted ones.
@@ -190,13 +195,13 @@ impl TracePrefix {
         Ok(())
     }
 
-    /// Rebuilds the dump a trial forked from this (already
-    /// [checked](TracePrefix::check)) prefix captured from its
-    /// [suffix](TracePrefix::suffix): the last `capacity` events of
-    /// prefix ++ suffix, with the suffix's `total` and the matching
-    /// `dropped`. The event list is allocated once at its exact
-    /// length, which is bounded by the events actually received.
-    pub fn rebuild(&self, capacity: usize, suffix: TraceDump) -> Result<TraceDump, String> {
+    /// Checks that `suffix`, cut by [`TracePrefix::suffix`] from a
+    /// dump of a `capacity` ring forked from this (already
+    /// [checked](TracePrefix::check)) prefix, fits it: its `total` is
+    /// at least the prefix's, and it holds exactly the
+    /// `min(total − prefix total, capacity)` events the ring kept
+    /// after the fork.
+    pub fn check_suffix(&self, capacity: usize, suffix: &TraceDump) -> Result<(), String> {
         let Some(recorded) = suffix.total.checked_sub(self.total) else {
             return Err(format!(
                 "trace dump total {} is below the prefix total {}",
@@ -211,18 +216,34 @@ impl TracePrefix {
                 recorded.min(capacity as u64)
             ));
         }
-        // `len <= capacity` here, and a checked prefix holds
-        // `min(prefix total, capacity)` events, of which the ring kept
-        // the last `capacity - len`.
-        let keep = self.events.len().min(capacity - len);
-        let mut events = Vec::with_capacity(keep + len);
+        Ok(())
+    }
+
+    /// Rebuilds the dump a trial forked from this prefix captured from
+    /// its [checked](TracePrefix::check_suffix) suffix: the last
+    /// `capacity` events of prefix ++ suffix, with the suffix's
+    /// `total` and the matching `dropped`. The event list is allocated
+    /// once at its exact length. An unchecked suffix gives an
+    /// unspecified dump, never a panic.
+    pub fn rebuild(&self, capacity: usize, suffix: &TraceDump) -> TraceDump {
+        // A checked suffix holds at most `capacity` events, and a
+        // checked prefix `min(prefix total, capacity)`, of which the
+        // ring kept the last `capacity - len`.
+        let keep = self
+            .events
+            .len()
+            .min(capacity.saturating_sub(suffix.events.len()));
+        let mut events = Vec::with_capacity(keep + suffix.events.len());
         events.extend_from_slice(&self.events[self.events.len() - keep..]);
         events.extend_from_slice(&suffix.events);
-        Ok(TraceDump {
-            dropped: suffix.total - events.len() as u64,
+        TraceDump {
+            seed: suffix.seed,
+            scenario: suffix.scenario.clone(),
+            outcome: suffix.outcome,
+            total: suffix.total,
+            dropped: suffix.total.saturating_sub(events.len() as u64),
             events,
-            ..suffix
-        })
+        }
     }
 }
 
@@ -743,10 +764,13 @@ mod tests {
         prefix
             .check(usize::MAX)
             .expect("a ring that dropped nothing");
-        assert!(prefix.rebuild(usize::MAX, suffix(u64::MAX, 2)).is_err());
-        let rebuilt = prefix
-            .rebuild(usize::MAX, suffix(7, 2))
+        assert!(prefix
+            .check_suffix(usize::MAX, &suffix(u64::MAX, 2))
+            .is_err());
+        prefix
+            .check_suffix(usize::MAX, &suffix(7, 2))
             .expect("a fitting suffix");
+        let rebuilt = prefix.rebuild(usize::MAX, &suffix(7, 2));
         assert_eq!(
             (rebuilt.total, rebuilt.dropped, rebuilt.events.len()),
             (7, 0, 7)

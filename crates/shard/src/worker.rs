@@ -587,7 +587,8 @@ mod tests {
                 suffix.events.len() < dump.events.len(),
                 "only the suffix ships"
             );
-            assert_eq!(prefix.rebuild(1 << 16, suffix), Ok(dump));
+            assert_eq!(prefix.check_suffix(1 << 16, &suffix), Ok(()));
+            assert_eq!(prefix.rebuild(1 << 16, &suffix), dump);
         }
     }
 

@@ -84,8 +84,9 @@ fn event(i: u64) -> TraceEvent {
 
 /// Records `prefix_len` events into a `capacity` ring and forks it;
 /// the fork records `suffix_len` more and is captured as a dump. The
-/// worker-side split ([`TracePrefix::suffix`]) and the coordinator-side
-/// rebuild ([`TracePrefix::rebuild`]) must give back that dump
+/// worker-side split ([`TracePrefix::suffix`]) must pass the
+/// coordinator's receipt check ([`TracePrefix::check_suffix`]), and
+/// the rebuild ([`TracePrefix::rebuild`]) must give back that dump
 /// exactly, its event list at exact capacity. With `wire`, the prefix
 /// and the suffix also cross a pipe as frames.
 fn assert_split_rebuilds_the_ring(capacity: usize, prefix_len: u64, suffix_len: u64, wire: bool) {
@@ -131,9 +132,10 @@ fn assert_split_rebuilds_the_ring(capacity: usize, prefix_len: u64, suffix_len: 
     prefix
         .check(capacity)
         .unwrap_or_else(|e| panic!("{case}: {e}"));
-    let rebuilt = prefix
-        .rebuild(capacity, suffix)
+    prefix
+        .check_suffix(capacity, &suffix)
         .unwrap_or_else(|e| panic!("{case}: {e}"));
+    let rebuilt = prefix.rebuild(capacity, &suffix);
     assert_eq!(rebuilt, dump, "{case}");
     assert_eq!(rebuilt.events.capacity(), rebuilt.events.len(), "{case}");
 }

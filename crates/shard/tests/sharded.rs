@@ -334,27 +334,17 @@ fn sharded_trace_dumps_match_in_process_byte_for_byte() {
         "this sweep must produce at least one anomalous dump"
     );
 
-    let dir = std::env::temp_dir().join(format!("certify-trace-dumps-{}", std::process::id()));
-    let run = run_sharded(&campaign, &options(2).with_dump_dir(&dir), None)
-        .expect("sharded traced run succeeds");
+    let run = run_sharded(&campaign, &options(2), None).expect("sharded traced run succeeds");
 
     assert_eq!(run.dumps.len(), expected.len());
     for ((seq_a, a), (seq_b, b)) in expected.iter().zip(&run.dumps) {
         assert_eq!(*seq_a as u64, *seq_b);
         assert_eq!(
             encode_to_vec(a),
-            encode_to_vec(b),
+            encode_to_vec(&b.dump()),
             "trial {seq_a} dump drifted across the wire"
         );
     }
-
-    // Persistence: one JSON document per dump, named by global seq.
-    for (seq, dump) in &expected {
-        let path = dir.join(format!("trace-{seq:08}.json"));
-        let body = std::fs::read_to_string(&path).expect("dump file written");
-        assert_eq!(body, dump.to_json().render() + "\n");
-    }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -399,8 +389,13 @@ fn sharded_forked_trials_match_trials_run_from_step_zero() {
                 "{name}: CSV"
             );
             assert_eq!(run.stats, expected.stats(), "{name}: stats");
-            assert_eq!(run.dumps, dumps, "{name}: dumps");
-            for (seq, dump) in &run.dumps {
+            let rebuilt: Vec<_> = run
+                .dumps
+                .iter()
+                .map(|(seq, shipped)| (*seq, shipped.dump()))
+                .collect();
+            assert_eq!(rebuilt, dumps, "{name}: dumps");
+            for (seq, dump) in &rebuilt {
                 assert_eq!(
                     dump.events.capacity(),
                     dump.events.len(),
@@ -459,7 +454,7 @@ fn traced_sweeps_dump_every_anomaly_at_depth() {
             assert_eq!(*seq_a as u64, *seq_b, "{name}: dump order");
             assert_eq!(
                 encode_to_vec(a),
-                encode_to_vec(b),
+                encode_to_vec(&b.dump()),
                 "{name}: trial {seq_a} dump drifted across the wire"
             );
         }
@@ -483,8 +478,98 @@ fn killed_traced_worker_recovers_without_duplicate_dumps() {
     assert_eq!(clean.dumps.len(), sabotaged.dumps.len());
     for ((seq_a, a), (seq_b, b)) in clean.dumps.iter().zip(&sabotaged.dumps) {
         assert_eq!(seq_a, seq_b);
-        assert_eq!(encode_to_vec(a), encode_to_vec(b));
+        assert_eq!(encode_to_vec(&a.dump()), encode_to_vec(&b.dump()));
     }
+}
+
+/// Asserts how a traced run holds its dumps: each is its suffix, cut
+/// to exactly the events the ring kept after the fork, plus the trace
+/// prefix of the worker attempt that sent it, shared by every dump of
+/// that attempt. Each shard's dumps come from at most one attempt
+/// after another, so their prefixes form contiguous runs, one per
+/// attempt whose dumps were kept; returns those runs' counts, shard
+/// by shard. Every held dump must rebuild to the in-process capture.
+fn assert_held_as_shipped(
+    run: &certify_shard::ShardedRun,
+    expected: &[(usize, certify_core::TraceDump)],
+    capacity: usize,
+) -> Vec<usize> {
+    use certify_core::codec::encode_to_vec;
+    use std::sync::Arc;
+
+    assert_eq!(run.dumps.len(), expected.len(), "dump count");
+    for ((seq_a, a), (seq_b, b)) in expected.iter().zip(&run.dumps) {
+        assert_eq!(*seq_a as u64, *seq_b, "dump order");
+        let (prefix, suffix) = (b.prefix(), b.suffix());
+        assert_eq!(
+            suffix.events.len() as u64,
+            (suffix.total - prefix.total).min(capacity as u64),
+            "trial {seq_a}: the held suffix is exactly what the ring kept after the fork"
+        );
+        assert_eq!(
+            encode_to_vec(a),
+            encode_to_vec(&b.dump()),
+            "trial {seq_a}: the held dump does not rebuild to the in-process capture"
+        );
+    }
+    run.shard_ranges
+        .iter()
+        .map(|&(start, len)| {
+            let range = start as u64..(start + len) as u64;
+            let mut runs: Vec<_> = run
+                .dumps
+                .iter()
+                .filter(|(seq, _)| range.contains(seq))
+                .map(|(_, shipped)| shipped.prefix())
+                .collect();
+            runs.dedup_by(|a, b| Arc::ptr_eq(a, b));
+            for (i, prefix) in runs.iter().enumerate() {
+                assert!(
+                    !runs[..i].iter().any(|seen| Arc::ptr_eq(seen, prefix)),
+                    "shard at {start}: an attempt's dumps are not contiguous"
+                );
+            }
+            runs.len()
+        })
+        .collect()
+}
+
+#[test]
+fn traced_dumps_are_held_as_shared_prefix_plus_suffix() {
+    // The coordinator keeps each received dump as it came off the
+    // wire: no rebuilt ring per dump, one shared prefix per attempt.
+    // In the sabotaged run shard 1's first worker dies after 20 rows;
+    // its dumps up to there are kept from the failed attempt (first
+    // copy wins) and the rest come from the retry, each under its own
+    // attempt's prefix, and all of them still rebuild byte-identically.
+    use certify_core::{CollectSink, TraceConfig, DEFAULT_TRACE_CAPACITY};
+
+    let campaign =
+        Campaign::new(Scenario::e7_mixed(), 240, 0xD5_2022).with_trace(TraceConfig::new());
+    let mut sink = CollectSink::new();
+    campaign.run_streamed(&mut sink);
+    let (_, expected) = sink.into_parts();
+    assert!(expected.len() > 100, "E7 dumps most trials");
+
+    let clean = run_sharded(&campaign, &options(2), None).expect("clean traced run");
+    assert_eq!(clean.worker_failures, 0);
+    assert_eq!(
+        assert_held_as_shipped(&clean, &expected, DEFAULT_TRACE_CAPACITY),
+        vec![1, 1],
+        "every dump of one attempt shares that attempt's prefix"
+    );
+
+    let sabotaged = run_sharded(&campaign, &options(2).with_sabotage(1, 20), None)
+        .expect("sabotaged traced run recovers");
+    assert!(sabotaged.worker_failures >= 1);
+    // A killed worker can have written no more than a pipe's worth of
+    // frames past row 20, far short of shard 1's remaining ~65 dumps
+    // of ~16 KB each, so the retry's dumps are held too.
+    assert_eq!(
+        assert_held_as_shipped(&sabotaged, &expected, DEFAULT_TRACE_CAPACITY),
+        vec![1, 2],
+        "shard 1 holds dumps from its failed attempt and from its retry"
+    );
 }
 
 #[test]

@@ -633,8 +633,13 @@ fn forked_trials_equal_from_scratch_trials_in_every_mode() {
                 for (seq, dump) in &mode_dumps {
                     let suffix = prefix.suffix(dump.clone());
                     assert_eq!(
-                        prefix.rebuild(config.capacity, suffix).as_ref(),
-                        Ok(dump),
+                        prefix.check_suffix(config.capacity, &suffix),
+                        Ok(()),
+                        "{context}: trial {seq}'s suffix does not fit the prefix"
+                    );
+                    assert_eq!(
+                        &prefix.rebuild(config.capacity, &suffix),
+                        dump,
                         "{context}: trial {seq}'s ring does not continue the prefix"
                     );
                 }
