@@ -7,7 +7,6 @@
 //! next to the paper's reported shares, as an aligned table, an ASCII
 //! bar chart, and CSV.
 
-use certify_core::campaign::CampaignResult;
 use certify_core::{CampaignStats, Outcome};
 use std::fmt;
 
@@ -51,11 +50,6 @@ impl Figure3 {
             trials: stats.trials,
             rows,
         }
-    }
-
-    /// Builds the figure data from a buffered campaign result.
-    pub fn from_campaign(result: &CampaignResult) -> Figure3 {
-        Figure3::from_stats(&result.stats())
     }
 
     /// Renders an ASCII bar chart (one `#` per 2 %).
@@ -157,19 +151,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_and_campaign_paths_agree() {
-        let result = fake_result(&[
-            (Outcome::Correct, 13),
-            (Outcome::PanicPark, 6),
-            (Outcome::CpuPark, 1),
-        ]);
-        assert_eq!(
-            Figure3::from_campaign(&result),
-            Figure3::from_stats(&result.stats())
-        );
-    }
-
-    #[test]
     fn paper_shares_sum_to_one() {
         let sum: f64 = PAPER_FIG3_SHARES.iter().map(|(_, s)| s).sum();
         assert!((sum - 1.0).abs() < 1e-9);
@@ -182,7 +163,7 @@ mod tests {
             (Outcome::PanicPark, 6),
             (Outcome::CpuPark, 1),
         ]);
-        let fig = Figure3::from_campaign(&result);
+        let fig = Figure3::from_stats(&result.stats());
         let correct = fig
             .rows
             .iter()
@@ -199,14 +180,14 @@ mod tests {
             (Outcome::PanicPark, 6),
             (Outcome::CpuPark, 1),
         ]);
-        assert!(Figure3::from_campaign(&good).matches_paper_shape());
+        assert!(Figure3::from_stats(&good.stats()).matches_paper_shape());
 
         let inverted = fake_result(&[
             (Outcome::Correct, 3),
             (Outcome::PanicPark, 16),
             (Outcome::CpuPark, 1),
         ]);
-        assert!(!Figure3::from_campaign(&inverted).matches_paper_shape());
+        assert!(!Figure3::from_stats(&inverted.stats()).matches_paper_shape());
     }
 
     #[test]
@@ -216,7 +197,7 @@ mod tests {
             (Outcome::PanicPark, 6),
             (Outcome::CpuPark, 1),
         ]);
-        let fig = Figure3::from_campaign(&result);
+        let fig = Figure3::from_stats(&result.stats());
         let chart = fig.render_chart();
         assert!(chart.contains("correct"));
         assert!(chart.contains("panic park"));

@@ -67,13 +67,6 @@ pub struct GoldenDiff {
     pub golden_suffix: Vec<TraceEvent>,
 }
 
-impl GoldenDiff {
-    /// Whether the two streams differ at all.
-    pub fn diverged(&self) -> bool {
-        self.divergence.is_some()
-    }
-}
-
 /// Diffs `dump` (a trace captured from a faulty run of `scenario`)
 /// against the fault-free twin re-run at the same seed.
 ///
@@ -218,7 +211,7 @@ mod tests {
         let config = TraceConfig::new().with_policy(DumpPolicy::all_outcomes());
         let (_, dump) = scenario.runner().run_trial_traced(5, Some(&config));
         let diff = golden_diff(&scenario, &dump.unwrap(), &config);
-        assert!(!diff.diverged(), "{diff}");
+        assert!(diff.divergence.is_none(), "{diff}");
         assert_eq!(diff.golden_outcome, Outcome::Correct);
     }
 
@@ -228,7 +221,7 @@ mod tests {
         let dump = anomalous_dump(&scenario);
         let config = TraceConfig::default();
         let diff = golden_diff(&scenario, &dump, &config);
-        assert!(diff.diverged(), "anomalous trial did not diverge");
+        assert!(diff.divergence.is_some(), "anomalous trial did not diverge");
         let divergence = diff.divergence.as_ref().unwrap();
         // The injection window opens once the trap stream reaches the
         // spec's cadence — the first divergence cannot precede boot.

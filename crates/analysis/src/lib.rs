@@ -4,11 +4,6 @@
 //! capture is mined for evidence and aggregated into the tables and
 //! the availability chart (Figure 3). This crate is that stage:
 //!
-//! * [`logparse`] — a structured parser for the serial log (Linux
-//!   dmesg lines, hypervisor park/panic banners, RTOS heartbeats);
-//! * [`availability`] — windowed liveness metrics over the parsed log
-//!   (output rate, gap detection, the "USART completely blank" test)
-//!   plus campaign-level availability from online stats;
 //! * [`export`] — per-trial CSV, buffered ([`campaign_to_csv`]) or
 //!   row-streaming ([`CsvSink`], a `TrialSink` that drops each report
 //!   after writing its row);
@@ -20,23 +15,21 @@
 //!   above, built from `CampaignStats`;
 //! * [`goldendiff`] — trace-level propagation analysis: an anomalous
 //!   trial's flight-recorder dump diffed against a fault-free re-run
-//!   of the same seed, pinpointing the first divergent event.
+//!   of the same seed, pinpointing the first divergent event;
+//! * [`timeline`] — one run's injections, hypervisor events and serial
+//!   log merged into a single step-ordered trace.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod availability;
 pub mod export;
 pub mod figure;
 pub mod goldendiff;
-pub mod logparse;
 pub mod report;
 pub mod timeline;
 
-pub use availability::{campaign_availability, AvailabilityReport};
 pub use export::{campaign_to_csv, trial_to_csv_row, CsvSink, CSV_HEADER};
 pub use figure::{Figure3, PAPER_FIG3_SHARES};
 pub use goldendiff::{golden_diff, Divergence, GoldenDiff};
-pub use logparse::{parse_line, parse_log, LogEvent, LogSource};
 pub use report::ExperimentReport;
 pub use timeline::{Timeline, TimelineEntry};

@@ -149,12 +149,6 @@ impl Cpu {
         self.parked
     }
 
-    /// Clears park state without a full reset (used when a parked core
-    /// is handed a new cell entry point).
-    pub fn unpark(&mut self) {
-        self.parked = None;
-    }
-
     /// Marks the core as waiting-for-interrupt.
     pub fn enter_wfi(&mut self) {
         self.wfi = true;

@@ -16,8 +16,6 @@ mod bits {
     pub const F: u32 = 1 << 6;
     /// IRQ mask (set = masked).
     pub const I: u32 = 1 << 7;
-    /// Asynchronous abort mask.
-    pub const A: u32 = 1 << 8;
 }
 
 /// A typed wrapper over a raw 32-bit program status register value.
@@ -57,11 +55,6 @@ impl Psr {
     /// Whether FIQs are masked.
     pub fn fiq_masked(self) -> bool {
         self.0 & bits::F != 0
-    }
-
-    /// Whether asynchronous aborts are masked.
-    pub fn aborts_masked(self) -> bool {
-        self.0 & bits::A != 0
     }
 
     /// Whether the Thumb bit is set. A corrupted saved CPSR that flips

@@ -16,13 +16,15 @@
 //! * `--check <path>` — compare the E3 mean against the committed
 //!   baseline JSON and exit non-zero if it regressed by more than
 //!   25 % (the CI gate);
-//! * `--overhead-check` — interleave plain, telemetry-observed,
-//!   tracing-off (`run_trial_traced(seed, None)`) and tracing-on E3
-//!   rounds; fail if observation or the disarmed tracing path costs
-//!   more than 5 % over plain, or the armed flight recorder more than
-//!   25 % (the observability overhead gates). The traced means also
-//!   ride in the JSON report (`e3_traced_off_mean_us`,
-//!   `e3_traced_on_mean_us`).
+//! * `--overhead-check` — interleave plain and telemetry-observed E3
+//!   engine runs (`Campaign::execute` on one worker, forking every
+//!   trial from the shared prefix, without and with an
+//!   `EngineTelemetry`), and plain, tracing-off
+//!   (`run_trial_traced(seed, None)`) and tracing-on E3 trials; fail if
+//!   observation or the disarmed tracing path costs more than 5 % over
+//!   plain, or the armed flight recorder more than 25 % (the
+//!   observability overhead gates). The traced means also ride in the
+//!   JSON report (`e3_traced_off_mean_us`, `e3_traced_on_mean_us`).
 //!
 //! Per-trial latencies are also folded into a `certify_obs::Histogram`
 //! (5 µs buckets), so the report carries E3 p50/p90/p99 alongside the
@@ -39,8 +41,8 @@
 
 use certify_bench::{json_number, resolve_baseline_path as resolve};
 use certify_core::campaign::Scenario;
-use certify_core::{MemFaultModel, MemTarget, TraceConfig};
-use certify_obs::{Histogram, MonotonicClock};
+use certify_core::{Campaign, EngineTelemetry, MemFaultModel, MemTarget, NullSink, TraceConfig};
+use certify_obs::{Histogram, MonotonicClock, NullObserver};
 use std::time::Instant;
 
 /// The per-trial budget the ROADMAP targets, in microseconds.
@@ -145,30 +147,40 @@ fn measure_distribution(scenario: Scenario, trials: usize) -> Histogram {
     histogram
 }
 
-/// Best-round means of plain vs telemetry-observed E3 trials, with
+/// A forked E3 trial costs about a third of a from-scratch one, so the
+/// engine rounds run this many times the from-scratch trial count to
+/// last about as long.
+const FORKED_TRIALS_PER_SCRATCH_TRIAL: usize = 3;
+
+/// Best-round per-trial means of plain vs telemetry-observed E3 engine
+/// runs on one worker — the path every observed campaign takes — with
 /// the two variants interleaved round by round so slow drift on
 /// shared hardware hits both equally.
 fn measure_overhead(rounds: usize, trials: usize) -> (f64, f64) {
-    let runner = Scenario::e3_fig3().runner();
+    let trials = trials * FORKED_TRIALS_PER_SCRATCH_TRIAL;
     let clock = MonotonicClock::new();
-    for seed in 0..(trials / 4).max(8) as u64 {
-        std::hint::black_box(runner.run_trial(seed));
-        std::hint::black_box(runner.run_trial_observed(seed, &clock));
-    }
+    let time = |campaign: &Campaign, observed: bool| {
+        let mut observer = NullObserver;
+        let mut telemetry = EngineTelemetry::new(&clock, &mut observer, 0);
+        let start = Instant::now();
+        std::hint::black_box(campaign.execute(
+            ..,
+            1,
+            &mut NullSink,
+            observed.then_some(&mut telemetry),
+        ));
+        start.elapsed().as_secs_f64() * 1e6 / trials as f64
+    };
+    let warm_up = Campaign::new(Scenario::e3_fig3(), (trials / 4).max(8), 0);
+    time(&warm_up, false);
+    time(&warm_up, true);
     let mut plain_best = f64::INFINITY;
     let mut observed_best = f64::INFINITY;
     for round in 0..rounds {
-        let base = 0xD5_2022 + round as u64 * trials as u64;
-        let start = Instant::now();
-        for i in 0..trials as u64 {
-            std::hint::black_box(runner.run_trial(base + i));
-        }
-        plain_best = plain_best.min(start.elapsed().as_secs_f64() * 1e6 / trials as f64);
-        let start = Instant::now();
-        for i in 0..trials as u64 {
-            std::hint::black_box(runner.run_trial_observed(base + i, &clock));
-        }
-        observed_best = observed_best.min(start.elapsed().as_secs_f64() * 1e6 / trials as f64);
+        let base = 0xD5_2022 + (round * trials) as u64;
+        let campaign = Campaign::new(Scenario::e3_fig3(), trials, base);
+        plain_best = plain_best.min(time(&campaign, false));
+        observed_best = observed_best.min(time(&campaign, true));
     }
     (plain_best, observed_best)
 }

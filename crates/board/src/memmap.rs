@@ -80,9 +80,6 @@ pub const TIMER_IRQ: u16 = 27;
 /// ivshmem doorbell interrupt (SPI).
 pub const IVSHMEM_IRQ: u16 = 40;
 
-/// End (exclusive) of DRAM.
-pub const RAM_END: u32 = RAM_BASE.wrapping_add(RAM_SIZE);
-
 /// Returns `true` if `addr` falls inside `[base, base + size)`.
 pub fn in_region(addr: u32, base: u32, size: u32) -> bool {
     addr >= base && (addr - base) < size

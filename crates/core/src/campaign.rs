@@ -5,7 +5,7 @@
 //! trials of one scenario and aggregates the outcome distribution —
 //! the data behind Figure 3. Trials are independent systems, so they
 //! can run on parallel threads (cf. the "No PAIN, no gain?" parallel
-//! fault injection study the paper cites [10]) — and because the
+//! fault injection study the paper cites \[10\]) — and because the
 //! campaign's value is the aggregate, results *stream*: one engine,
 //! [`Campaign::execute`], runs any trial range on any number of
 //! workers, delivers each [`TrialResult`] to a [`TrialSink`] in seed
@@ -254,10 +254,6 @@ pub struct TrialRunner {
     fork_step: OnceLock<u64>,
 }
 
-/// Clock readings a trial body takes after installing its injectors,
-/// after its last step and after classifying (all 0 without a clock).
-type Laps = [u64; 3];
-
 impl TrialRunner {
     /// The scenario's testbed: fault-free, not yet stepped, with a
     /// flight recorder of `trace`'s capacity attached if tracing.
@@ -337,20 +333,28 @@ impl TrialRunner {
         system
     }
 
-    /// The one trial body. `system` is a fault-free system of this
-    /// scenario at most [`TrialRunner::fork_step`] steps in, with a
-    /// flight recorder attached exactly when `trace` is set. Installs
-    /// `seed`'s injectors (primed with the calls already made), runs
-    /// the remaining steps, classifies, and captures the ring (see
-    /// [`TrialRunner::run_trial_traced`] for `policy.on_panic`).
-    fn run_from(
+    /// The one trial body. Clones `prefix` (built by
+    /// [`TrialRunner::prefix`] with the same `trace`) or, without one,
+    /// builds a fresh system with a flight recorder attached exactly
+    /// when `trace` is set. Installs `seed`'s injectors (primed with the
+    /// calls already made), runs the remaining steps, classifies, and
+    /// captures the ring (see [`TrialRunner::run_trial_traced`] for
+    /// `policy.on_panic`). The result and dump are the same from either
+    /// start.
+    ///
+    /// Given a clock it also returns a [`PhaseSample`]: boot is the
+    /// clone or construction plus the injector install, and steady state
+    /// is 0, because no fault-free step runs inside the trial.
+    fn run(
         &self,
-        mut system: System,
         seed: u64,
+        prefix: Option<&System>,
         trace: Option<&TraceConfig>,
         clock: Option<&dyn Clock>,
-    ) -> (TrialResult, Option<TraceDump>, Laps) {
+    ) -> (TrialResult, Option<TraceDump>, Option<PhaseSample>) {
         let now = || clock.map_or(0, |clock| clock.now_ns());
+        let start = now();
+        let mut system = prefix.map_or_else(|| self.fresh_system(trace), System::clone);
         if let Some(spec) = &self.spec {
             system.install_injector(Arc::clone(spec), seed);
         }
@@ -401,71 +405,21 @@ impl TrialRunner {
             });
             TraceDump::capture(recorder, seed, &self.name, report.outcome)
         });
-        let classified = now();
-        (
-            Self::result(seed, report),
-            dump,
-            [installed, ran, classified],
-        )
+        let sample = clock.map(|_| {
+            let classified = now();
+            PhaseSample {
+                boot_ns: installed.saturating_sub(start),
+                steady_ns: 0,
+                injection_ns: ran.saturating_sub(installed),
+                classify_ns: classified.saturating_sub(ran),
+            }
+        });
+        (Self::result(seed, report), dump, sample)
     }
 
     /// Runs one seeded trial from a fresh system (a zero-step prefix).
     pub fn run_trial(&self, seed: u64) -> TrialResult {
-        self.run_from(self.fresh_system(None), seed, None, None).0
-    }
-
-    /// Runs one seeded trial forked from `prefix` (built by
-    /// [`TrialRunner::prefix`] with the same `trace`): the same result
-    /// and dump as a trial run from step 0, plus, given a clock, a
-    /// [`PhaseSample`] whose boot phase is the fork plus the injector
-    /// install and whose steady phase is empty — the prefix is not
-    /// re-run.
-    fn run_forked(
-        &self,
-        prefix: &System,
-        seed: u64,
-        trace: Option<&TraceConfig>,
-        clock: Option<&dyn Clock>,
-    ) -> (TrialResult, Option<TraceDump>, Option<PhaseSample>) {
-        let start = clock.map_or(0, |clock| clock.now_ns());
-        let (trial, dump, [installed, ran, classified]) =
-            self.run_from(prefix.clone(), seed, trace, clock);
-        let sample = clock.map(|_| PhaseSample {
-            boot_ns: installed.saturating_sub(start),
-            steady_ns: 0,
-            injection_ns: ran.saturating_sub(installed),
-            classify_ns: classified.saturating_sub(ran),
-        });
-        (trial, dump, sample)
-    }
-
-    /// Runs one seeded trial from scratch with phase timing: the same
-    /// steps and the same result as [`TrialRunner::run_trial`] (pinned
-    /// by `tests/hotpath_equivalence.rs`), plus a [`PhaseSample`] on
-    /// `clock`: boot is construction plus the injector install, steady
-    /// state is the fault-free run to the
-    /// [fork step](TrialRunner::fork_step), injection the rest of the
-    /// run, then classification.
-    ///
-    /// The split leans on `System::run` being a plain incremental step
-    /// loop and on injector priming: running the fault-free prefix
-    /// before installing the injectors runs the same trial.
-    pub fn run_trial_observed(&self, seed: u64, clock: &dyn Clock) -> (TrialResult, PhaseSample) {
-        let fork_step = self.fork_step();
-        let t0 = clock.now_ns();
-        let mut system = self.fresh_system(None);
-        let t1 = clock.now_ns();
-        system.run(fork_step);
-        let t2 = clock.now_ns();
-        let (trial, _, [installed, ran, classified]) =
-            self.run_from(system, seed, None, Some(clock));
-        let sample = PhaseSample {
-            boot_ns: t1.saturating_sub(t0) + installed.saturating_sub(t2),
-            steady_ns: t2.saturating_sub(t1),
-            injection_ns: ran.saturating_sub(installed),
-            classify_ns: classified.saturating_sub(ran),
-        };
-        (trial, sample)
+        self.run(seed, None, None, None).0
     }
 
     /// Runs one seeded trial from scratch with a flight recorder
@@ -488,7 +442,7 @@ impl TrialRunner {
         seed: u64,
         config: Option<&TraceConfig>,
     ) -> (TrialResult, Option<TraceDump>) {
-        let (trial, dump, _) = self.run_from(self.fresh_system(config), seed, config, None);
+        let (trial, dump, _) = self.run(seed, None, config, None);
         (trial, dump)
     }
 }
@@ -764,7 +718,7 @@ impl Campaign {
         let clock = delivery.progress.as_ref().map(|(_, t)| t.clock);
         let run = |seq: usize| {
             let seed = self.base_seed + seq as u64;
-            runner.run_forked(&prefix, seed, trace, clock.map(|c| c as _))
+            runner.run(seed, Some(&prefix), trace, clock.map(|c| c as _))
         };
         let workers = workers.min(range.len());
         if workers <= 1 {
@@ -1190,28 +1144,21 @@ mod tests {
         let runner = Scenario::e3_fig3().runner();
         assert_eq!(runner.fork_step(), 3157, "E3's steady state is its prefix");
         let clock = TickingClock(certify_obs::ManualClock::new());
-
-        // From scratch: construction + install, the fault-free run to
-        // the fork step, the rest, classification.
-        let (scratch, sample) = runner.run_trial_observed(0xD5_2022, &clock);
-        let expected = PhaseSample {
-            boot_ns: 2,
-            steady_ns: 1,
-            injection_ns: 1,
-            classify_ns: 1,
-        };
-        assert_eq!(sample, expected);
-
-        // Forked: boot is the clone plus the install, and no steady
-        // state runs per trial.
-        let prefix = runner.prefix(None);
-        let (forked, dump, sample) = runner.run_forked(&prefix, 0xD5_2022, None, Some(&clock));
+        // Boot is the construction or clone plus the install, and no
+        // steady state runs inside a trial from either start.
         let expected = PhaseSample {
             boot_ns: 1,
             steady_ns: 0,
             injection_ns: 1,
             classify_ns: 1,
         };
+
+        let (scratch, dump, sample) = runner.run(0xD5_2022, None, None, Some(&clock));
+        assert_eq!(sample, Some(expected));
+        assert!(dump.is_none());
+
+        let prefix = runner.prefix(None);
+        let (forked, dump, sample) = runner.run(0xD5_2022, Some(&prefix), None, Some(&clock));
         assert_eq!(sample, Some(expected));
         assert_eq!(forked, scratch);
         assert!(dump.is_none());
@@ -1220,6 +1167,7 @@ mod tests {
             3157,
             "forking leaves the prefix untouched"
         );
+        assert_eq!(runner.run(0xD5_2022, Some(&prefix), None, None).2, None);
     }
 
     #[test]
@@ -1227,7 +1175,7 @@ mod tests {
         let runner = Scenario::golden(600).runner();
         assert_eq!(runner.fork_step(), 600);
         let prefix = runner.prefix(None);
-        let (trial, _, _) = runner.run_forked(&prefix, 3, None, None);
+        let (trial, _, _) = runner.run(3, Some(&prefix), None, None);
         assert_eq!(trial, runner.run_trial(3));
 
         // Traced: each fork records into its own copy of the prefix's
@@ -1236,7 +1184,7 @@ mod tests {
         let prefix = runner.prefix(Some(&config));
         let total = prefix.hv.recorder().expect("traced prefix").total();
         for seed in [3, 4] {
-            let (trial, dump, _) = runner.run_forked(&prefix, seed, Some(&config), None);
+            let (trial, dump, _) = runner.run(seed, Some(&prefix), Some(&config), None);
             assert_eq!((trial, dump), runner.run_trial_traced(seed, Some(&config)));
         }
         assert_eq!(prefix.hv.recorder().map(|r| r.total()), Some(total));

@@ -22,7 +22,7 @@
 
 use crate::campaign::TrialResult;
 use crate::classify::Outcome;
-use crate::codec::encode_to_vec;
+use crate::codec::{encode_to_vec, fingerprint};
 use crate::memfault::MemRegionKind;
 use crate::sink::TrialSink;
 use std::collections::BTreeSet;
@@ -75,14 +75,7 @@ impl ScenarioCertificate {
     /// shard handshake carries so a worker can prove it re-derived the
     /// same certificate the coordinator dispatched.
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash = OFFSET;
-        for byte in encode_to_vec(self) {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(PRIME);
-        }
-        hash
+        fingerprint(&encode_to_vec(self))
     }
 
     /// Checks one finished trial against the certificate, returning
@@ -260,11 +253,6 @@ impl<S> ConformanceMonitor<S> {
         self.violations_total
     }
 
-    /// Whether every checked trial conformed.
-    pub fn is_conformant(&self) -> bool {
-        self.violations_total == 0
-    }
-
     /// The certificate being enforced.
     pub fn certificate(&self) -> &ScenarioCertificate {
         &self.certificate
@@ -391,7 +379,6 @@ mod tests {
         let mut monitor = ConformanceMonitor::new(Arc::clone(&cert), CollectSink::default());
         let trial = sample_trial();
         monitor.accept(0, trial.clone());
-        assert!(!monitor.is_conformant());
         assert_eq!(monitor.violations_total(), 1);
         assert_eq!(monitor.violations().len(), 1);
         let inner = monitor.into_inner();
@@ -402,7 +389,7 @@ mod tests {
             CollectSink::default(),
         );
         conformant.accept(0, trial);
-        assert!(conformant.is_conformant());
+        assert_eq!(conformant.violations_total(), 0);
         assert!(conformant.violations().is_empty());
     }
 

@@ -122,6 +122,19 @@ pub fn encode_to_vec<T: Wire>(value: &T) -> Vec<u8> {
     out
 }
 
+/// FNV-1a 64-bit hash — tiny, dependency-free, and good enough to make
+/// an accidental change colliding with a pinned fingerprint
+/// implausible. It fingerprints certificates for the shard handshake
+/// and the golden wire-schema table.
+pub fn fingerprint(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &byte in bytes {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
 /// A type with a self-contained binary wire form.
 pub trait Wire: Sized {
     /// Appends this value's encoding to `out`.

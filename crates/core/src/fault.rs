@@ -1,6 +1,6 @@
 //! Fault models.
 //!
-//! The paper uses "the classical bit-flip fault model [12]" to emulate
+//! The paper uses "the classical bit-flip fault model \[12\]" to emulate
 //! transient hardware faults: the *medium* intensity level flips one
 //! random bit of one random architecture register; the *high* level
 //! flips bits in "multiple registers at the time" (modelled as one

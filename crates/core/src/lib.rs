@@ -30,9 +30,9 @@
 //!   models on the same cadence;
 //! * [`system`] — the full testbed: board + hypervisor + root Linux
 //!   guest + FreeRTOS guest, orchestrated step by step;
-//! * [`classify`] — the outcome classifier producing the paper's
-//!   categories (*correct*, *invalid arguments*, *inconsistent state*,
-//!   *panic park*, *CPU park*);
+//! * [`classify`](mod@classify) — the outcome classifier producing the
+//!   paper's categories (*correct*, *invalid arguments*, *inconsistent
+//!   state*, *panic park*, *CPU park*);
 //! * [`campaign`] — seeded, optionally parallel campaigns of
 //!   independent trials, streamed (sink + online stats, O(workers)
 //!   resident reports) or buffered;

@@ -156,11 +156,6 @@ impl Cell {
         Ok(())
     }
 
-    /// Whether an image is loaded.
-    pub fn is_loaded(&self) -> bool {
-        self.loaded
-    }
-
     /// Transition: start the cell.
     ///
     /// # Errors
@@ -218,10 +213,11 @@ mod tests {
 
     #[test]
     fn new_cell_is_stopped_and_unloaded() {
-        let cell = rtos_cell();
+        let mut cell = rtos_cell();
         assert_eq!(cell.state(), CellState::Stopped);
-        assert!(!cell.is_loaded());
         assert!(!cell.is_root());
+        // Unloaded: starting needs an image.
+        assert_eq!(cell.start(), Err(HvError::InvalidArguments));
     }
 
     #[test]
@@ -256,7 +252,6 @@ mod tests {
         cell.start().unwrap();
         cell.shut_down().unwrap();
         assert_eq!(cell.state(), CellState::ShutDown);
-        assert!(!cell.is_loaded());
         // Restart requires a fresh load.
         assert_eq!(cell.start(), Err(HvError::InvalidArguments));
     }

@@ -2,10 +2,11 @@
 //!
 //! Jailhouse places a small *communication region* at the start of
 //! each cell's RAM: a page through which the hypervisor publishes the
-//! cell's lifecycle state and exchanges management messages with the
-//! guest. Tools (and the root cell) read the published state — which
-//! is exactly why experiment E2's inconsistency is dangerous: the
-//! comm region of a dead cell still says `RUNNING`.
+//! cell's lifecycle state. Tools (and the root cell) read the published
+//! state — which is exactly why experiment E2's inconsistency is
+//! dangerous: the comm region of a dead cell still says `RUNNING`. The
+//! region's two message words (Jailhouse's shutdown handshake) are
+//! initialised empty; no model exchanges messages through them.
 //!
 //! Layout (all little-endian `u32`, at the cell's first RAM region):
 //!
@@ -28,14 +29,10 @@ pub const MSG_TO_CELL_OFFSET: u32 = 0x8;
 /// Offset of the from-cell message word.
 pub const MSG_FROM_CELL_OFFSET: u32 = 0xc;
 
-/// Message codes exchanged through the region.
+/// Message codes of the region's message words.
 pub mod msg {
     /// No message pending.
     pub const NONE: u32 = 0;
-    /// The root cell requests a graceful shutdown.
-    pub const SHUTDOWN_REQUEST: u32 = 1;
-    /// The cell acknowledges the shutdown request.
-    pub const SHUTDOWN_ACK: u32 = 2;
 }
 
 /// Encodes a cell state for the region.
@@ -77,7 +74,9 @@ impl CommRegion {
     }
 
     /// Initialises the region: writes the magic, the state, and clears
-    /// both message slots.
+    /// both message slots. Nothing reads the slots, but the writes
+    /// matter: they set RAM contents and resident pages, which memory
+    /// faults act on.
     pub fn init(self, machine: &mut Machine, state: CellState) {
         let _ = machine.ram_mut().write32(self.base, COMM_MAGIC);
         self.publish_state(machine, state);
@@ -104,39 +103,6 @@ impl CommRegion {
             return None;
         }
         decode_state(machine.ram().read32(self.base + STATE_OFFSET).ok()?)
-    }
-
-    /// Posts a message to the cell.
-    pub fn post_to_cell(self, machine: &mut Machine, message: u32) {
-        let _ = machine
-            .ram_mut()
-            .write32(self.base + MSG_TO_CELL_OFFSET, message);
-    }
-
-    /// Reads (without clearing) the message pending for the cell.
-    pub fn message_to_cell(self, machine: &Machine) -> u32 {
-        machine
-            .ram()
-            .read32(self.base + MSG_TO_CELL_OFFSET)
-            .unwrap_or(msg::NONE)
-    }
-
-    /// The cell's reply slot.
-    pub fn message_from_cell(self, machine: &Machine) -> u32 {
-        machine
-            .ram()
-            .read32(self.base + MSG_FROM_CELL_OFFSET)
-            .unwrap_or(msg::NONE)
-    }
-
-    /// Guest-side acknowledgement of a pending message.
-    pub fn acknowledge(self, machine: &mut Machine, reply: u32) {
-        let _ = machine
-            .ram_mut()
-            .write32(self.base + MSG_FROM_CELL_OFFSET, reply);
-        let _ = machine
-            .ram_mut()
-            .write32(self.base + MSG_TO_CELL_OFFSET, msg::NONE);
     }
 }
 
@@ -183,18 +149,6 @@ mod tests {
         region.init(&mut m, CellState::Running);
         m.ram_mut().write32(BASE + STATE_OFFSET, 99).unwrap();
         assert_eq!(region.read_state(&m), None);
-    }
-
-    #[test]
-    fn message_round_trip() {
-        let mut m = machine();
-        let region = CommRegion::at(BASE);
-        region.init(&mut m, CellState::Running);
-        region.post_to_cell(&mut m, msg::SHUTDOWN_REQUEST);
-        assert_eq!(region.message_to_cell(&m), msg::SHUTDOWN_REQUEST);
-        region.acknowledge(&mut m, msg::SHUTDOWN_ACK);
-        assert_eq!(region.message_from_cell(&m), msg::SHUTDOWN_ACK);
-        assert_eq!(region.message_to_cell(&m), msg::NONE);
     }
 
     #[test]

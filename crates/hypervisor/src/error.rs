@@ -54,16 +54,6 @@ impl HvError {
             _ => None,
         }
     }
-
-    /// Whether this error is reported to the operator as "invalid
-    /// arguments" (the classifier for experiment E1 groups rejections
-    /// this way, mirroring the paper's wording).
-    pub fn is_rejection(self) -> bool {
-        matches!(
-            self,
-            HvError::InvalidArguments | HvError::UnknownHypercall | HvError::NoSuchCell
-        )
-    }
 }
 
 impl fmt::Display for HvError {
@@ -118,12 +108,5 @@ mod tests {
     #[test]
     fn einval_displays_the_papers_message() {
         assert_eq!(HvError::InvalidArguments.to_string(), "invalid arguments");
-    }
-
-    #[test]
-    fn rejection_grouping() {
-        assert!(HvError::InvalidArguments.is_rejection());
-        assert!(HvError::UnknownHypercall.is_rejection());
-        assert!(!HvError::Busy.is_rejection());
     }
 }

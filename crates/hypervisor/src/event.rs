@@ -231,11 +231,6 @@ impl Evidence {
             .unwrap_or_default()
     }
 
-    /// Total access violations recorded.
-    pub fn access_violations(&self) -> usize {
-        self.violation_steps.len()
-    }
-
     /// Access violations at or after `step` — a binary search over the
     /// nondecreasing violation-step list.
     pub fn violations_since(&self, step: u64) -> usize {
@@ -269,7 +264,6 @@ mod tests {
         evidence.record_violation(20);
         evidence.record_violation(20);
         evidence.record_violation(35);
-        assert_eq!(evidence.access_violations(), 4);
         assert_eq!(evidence.violations_since(0), 4);
         assert_eq!(evidence.violations_since(20), 3);
         assert_eq!(evidence.violations_since(21), 1);

@@ -41,11 +41,6 @@ pub const HVC_CPU_BOOT: u32 = 102;
 /// extension code).
 pub const HVC_CELL_SHUTDOWN: u32 = 103;
 
-/// Whether `code` is a known hypercall.
-pub fn is_known(code: u32) -> bool {
-    matches!(code, 0..=8 | 100..=103)
-}
-
 /// Human-readable hypercall name for logs.
 pub fn name(code: u32) -> &'static str {
     match code {
@@ -73,7 +68,6 @@ mod tests {
     #[test]
     fn known_codes_have_names() {
         for code in (0..=8).chain(100..=103) {
-            assert!(is_known(code));
             assert_ne!(name(code), "unknown");
         }
     }
@@ -81,7 +75,6 @@ mod tests {
     #[test]
     fn unknown_codes_are_rejected() {
         for code in [9, 42, 99, 104, u32::MAX] {
-            assert!(!is_known(code));
             assert_eq!(name(code), "unknown");
         }
     }

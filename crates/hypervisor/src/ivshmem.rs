@@ -10,7 +10,7 @@
 //! +8  payload words
 //! ```
 //!
-//! Both ends access the mailbox through their [`GuestCtx`]'s stage-2
+//! The writer accesses the mailbox through its [`GuestCtx`]'s stage-2
 //! checked RAM accessors, so an ivshmem access from a cell that lost
 //! the region (e.g. after shutdown) faults exactly like any other
 //! isolation violation.
@@ -25,7 +25,6 @@ pub const MAX_PAYLOAD_WORDS: usize = 16;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IvshmemChannel {
     base: u32,
-    last_seen_seq: u32,
 }
 
 impl IvshmemChannel {
@@ -36,15 +35,12 @@ impl IvshmemChannel {
 
     /// A channel over a custom shared region (tests).
     pub fn at(base: u32) -> IvshmemChannel {
-        IvshmemChannel {
-            base,
-            last_seen_seq: 0,
-        }
+        IvshmemChannel { base }
     }
 
     /// Posts a message, bumping the sequence number. Payloads longer
     /// than [`MAX_PAYLOAD_WORDS`] are truncated.
-    pub fn post(&mut self, ctx: &mut GuestCtx<'_>, payload: &[u32]) {
+    pub fn post(&self, ctx: &mut GuestCtx<'_>, payload: &[u32]) {
         let len = payload.len().min(MAX_PAYLOAD_WORDS);
         for (i, word) in payload.iter().take(len).enumerate() {
             ctx.ram_write32(self.base + 8 + 4 * i as u32, *word);
@@ -52,22 +48,6 @@ impl IvshmemChannel {
         ctx.ram_write32(self.base + 4, len as u32);
         let seq = ctx.ram_read32(self.base).wrapping_add(1);
         ctx.ram_write32(self.base, seq);
-    }
-
-    /// Polls for a message newer than the last one seen by this end.
-    /// Returns the payload if one is available.
-    pub fn poll(&mut self, ctx: &mut GuestCtx<'_>) -> Option<Vec<u32>> {
-        let seq = ctx.ram_read32(self.base);
-        if seq == self.last_seen_seq {
-            return None;
-        }
-        self.last_seen_seq = seq;
-        let len = (ctx.ram_read32(self.base + 4) as usize).min(MAX_PAYLOAD_WORDS);
-        let mut payload = Vec::with_capacity(len);
-        for i in 0..len {
-            payload.push(ctx.ram_read32(self.base + 8 + 4 * i as u32));
-        }
-        Some(payload)
     }
 }
 

@@ -270,11 +270,6 @@ pub fn audit_tree_with_allowlist(crates_root: &Path, allowlist: &str) -> Vec<Dia
     out
 }
 
-/// Audits `crates_root` with the committed allowlist.
-pub fn audit_tree(crates_root: &Path) -> Vec<Diagnostic> {
-    audit_tree_with_allowlist(crates_root, DEFAULT_ALLOWLIST)
-}
-
 /// Audits the whole repository — crate sources plus the examples,
 /// bench binaries and facade crate — with the given allowlist text.
 pub fn audit_repo_with_allowlist(repo_root: &Path, allowlist: &str) -> Vec<Diagnostic> {

@@ -9,7 +9,7 @@
 //! and as the `certify-lint` binary CI runs:
 //!
 //! * [`spec`] — the **spec analyzer**: resolves a
-//!   [`Scenario`](certify_core::campaign::Scenario) against the
+//!   [`Scenario`] against the
 //!   platform memory map, script and trial horizon and diagnoses dead
 //!   or overlapping windows, unsatisfiable rates, out-of-range memory
 //!   regions, guaranteed-skip targets, phase-locked mixed specs, and
@@ -43,7 +43,7 @@ pub mod schema;
 pub mod spec;
 
 pub use audit::{
-    audit_repo, audit_repo_with_allowlist, audit_tree, audit_tree_with_allowlist, FORBIDDEN_TOKENS,
+    audit_repo, audit_repo_with_allowlist, audit_tree_with_allowlist, FORBIDDEN_TOKENS,
 };
 pub use certificate::certify_scenario;
 pub use diagnostic::{diagnostics_to_json, has_errors, Code, Diagnostic, Severity};

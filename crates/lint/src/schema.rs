@@ -14,6 +14,8 @@
 //! regeneration (`certify-lint --write-schema`) plus a wire-protocol
 //! version bump.
 
+pub use certify_core::codec::fingerprint;
+
 use crate::diagnostic::{Code, Diagnostic};
 use certify_analysis::export::CSV_HEADER;
 use certify_arch::{CpuId, Reg};
@@ -44,18 +46,6 @@ pub struct SchemaEntry {
     pub len: usize,
     /// FNV-1a 64-bit fingerprint of the encoded bytes.
     pub fingerprint: u64,
-}
-
-/// FNV-1a 64-bit hash — tiny, dependency-free, and good enough to make
-/// an accidental schema change colliding with the golden fingerprint
-/// implausible.
-pub fn fingerprint(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 fn entry<T: Wire>(name: &'static str, value: &T) -> SchemaEntry {

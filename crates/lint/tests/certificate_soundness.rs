@@ -30,7 +30,7 @@ fn assert_certificates_sound(trials: usize, base_seed: u64) {
         let stats = campaign.run_streamed(&mut monitor);
         assert_eq!(stats.trials, trials, "scenario `{name}`");
         assert!(
-            monitor.is_conformant(),
+            monitor.violations_total() == 0,
             "scenario `{name}` violated its certificate {} time(s): {:?}",
             monitor.violations_total(),
             monitor.violations()
@@ -72,7 +72,7 @@ fn narrowed_certificate_is_caught_by_the_monitor() {
     let mut monitor = ConformanceMonitor::new(certificate, NullSink);
     Campaign::new(scenario, 16, 0xBAD_5EED).run_streamed(&mut monitor);
     assert!(
-        !monitor.is_conformant(),
+        monitor.violations_total() > 0,
         "e1-root-high at 16 trials must trip a narrowed certificate"
     );
 }

@@ -270,16 +270,16 @@ impl Default for Histogram {
     }
 }
 
-/// One trial's phase timings, as measured by
-/// `TrialRunner::run_trial_observed`.
+/// One trial's phase timings, as measured by an observed
+/// `Campaign::execute`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PhaseSample {
     /// System construction (or the fork of a shared prefix) plus
     /// injector installation.
     pub boot_ns: u64,
-    /// The fault-free steps up to the fork step, before any injector
-    /// can fire; 0 for a trial forked from a prefix that already ran
-    /// them.
+    /// Fault-free steps run inside the trial. Every trial records 0:
+    /// the fault-free prefix runs once per `Campaign::execute` call and
+    /// each trial forks from it. The field stays for the JSON surface.
     pub steady_ns: u64,
     /// Steps from the fork step to the horizon.
     pub injection_ns: u64,
@@ -302,7 +302,9 @@ impl PhaseSample {
 pub struct TrialPhaseMetrics {
     /// Boot-phase latencies.
     pub boot: Histogram,
-    /// Steady-state-phase latencies.
+    /// Steady-state-phase latencies: 0 for every trial, since the
+    /// fault-free prefix runs once per engine call, not per trial (see
+    /// [`PhaseSample::steady_ns`]).
     pub steady_state: Histogram,
     /// Injection-phase latencies.
     pub injection: Histogram,

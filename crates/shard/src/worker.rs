@@ -3,7 +3,7 @@
 //! A worker process is the executable side of
 //! [`Frame::Handshake`](crate::protocol::Frame): it reads exactly one
 //! handshake from stdin, rebuilds the [`Campaign`] from the shipped
-//! [`Scenario`], executes its trial range through
+//! [`Scenario`](certify_core::Scenario), executes its trial range through
 //! [`Campaign::execute`] with one worker (on the calling thread, no
 //! thread spawned), and streams every trial's CSV
 //! row back as a [`Frame::TrialRow`](crate::protocol::Frame) through

@@ -94,7 +94,7 @@ fn e2_free_running_campaign_shows_the_peculiar_state_in_the_field() {
 #[test]
 fn e3_distribution_matches_figure3_shape() {
     let result = Campaign::new(Scenario::e3_fig3(), 60, 0xDD).run_parallel(4);
-    let figure = Figure3::from_campaign(&result);
+    let figure = Figure3::from_stats(&result.stats());
     assert!(
         figure.matches_paper_shape(),
         "distribution diverged from the paper's shape:\n{}",

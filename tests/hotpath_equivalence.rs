@@ -138,7 +138,7 @@ fn assert_evidence_matches_event_scan(system: &System, context: &str) {
         })
         .collect();
     assert_eq!(
-        evidence.access_violations(),
+        evidence.violations_since(0),
         violation_steps.len(),
         "{context}: total access violations"
     );
@@ -442,8 +442,10 @@ impl TrialSink for Delivered {
     }
 }
 
-/// Scripted time that also records which threads read it: an observed
-/// trial reads the clock on the thread that runs it.
+/// Scripted time that advances 1 ns per read and records which threads
+/// read it: an observed trial reads the clock on the thread that runs
+/// it, and a phase reads nonzero exactly when the clock was read inside
+/// it.
 #[derive(Default)]
 struct ThreadClock {
     time: ManualClock,
@@ -456,6 +458,7 @@ impl Clock for ThreadClock {
             .lock()
             .expect("clock readers")
             .push(thread::current().id());
+        self.time.advance(1);
         self.time.now_ns()
     }
 }
@@ -482,9 +485,9 @@ const MODES: [&str; 8] = [
 /// mode's engine-side cells on the way: the reorder high-water mark is
 /// within `1..=workers` (clamped to the range), every hand-over reaches
 /// the sink on the caller's thread, and an observed run records one
-/// phase sample, row and progress count per trial, the sink's bytes,
-/// and reads its clock on the caller's thread exactly when it runs on
-/// one worker.
+/// phase sample (with no steady state), row and progress count per
+/// trial, the sink's bytes, and reads its clock on the caller's thread
+/// exactly when it runs on one worker.
 fn run_mode(
     campaign: &Campaign,
     mode: &str,
@@ -534,6 +537,15 @@ fn run_mode(
             n as u64,
             "{context}: phase samples"
         );
+        // Every trial forks from the engine call's prefix, so no trial
+        // records steady state, while its boot (fork + install) does
+        // read the clock.
+        assert_eq!(
+            metrics.phases.steady_state.max(),
+            0,
+            "{context}: steady state recorded inside a trial"
+        );
+        assert!(metrics.phases.boot.min() > 0, "{context}: boot untimed");
         assert_eq!(metrics.sink_rows.get(), n as u64, "{context}: sink rows");
         assert_eq!(
             Some(metrics.sink_bytes.get()),
