@@ -120,18 +120,6 @@ impl Cpu {
         self.wfi = false;
     }
 
-    /// Takes the core offline (it also becomes idle-parked).
-    pub fn power_off(&mut self) {
-        self.online = false;
-        self.parked = Some(ParkReason::Idle);
-        self.wfi = false;
-    }
-
-    /// Whether the core is online.
-    pub fn is_online(&self) -> bool {
-        self.online
-    }
-
     /// Parks the core with the given reason. A parked core makes no
     /// guest progress until reset.
     pub fn park(&mut self, reason: ParkReason) {
@@ -206,7 +194,7 @@ mod tests {
     #[test]
     fn new_cpu_is_offline_and_idle_parked() {
         let cpu = Cpu::new(CpuId(1));
-        assert!(!cpu.is_online());
+        assert!(cpu.to_string().contains("online=false"));
         assert_eq!(cpu.park_reason(), Some(ParkReason::Idle));
         assert!(!cpu.can_run_guest());
     }
@@ -215,7 +203,7 @@ mod tests {
     fn power_on_enables_guest_execution() {
         let mut cpu = Cpu::new(CpuId(0));
         cpu.power_on();
-        assert!(cpu.is_online());
+        assert!(cpu.to_string().contains("online=true"));
         assert!(!cpu.is_parked());
         assert!(cpu.can_run_guest());
     }
@@ -254,15 +242,6 @@ mod tests {
         assert_eq!(cpu.regs.read(Reg::R5), 0);
         assert!(!cpu.is_parked());
         assert_eq!(cpu.mode, CpuMode::Supervisor);
-    }
-
-    #[test]
-    fn power_off_returns_to_idle_park() {
-        let mut cpu = Cpu::new(CpuId(1));
-        cpu.power_on();
-        cpu.power_off();
-        assert_eq!(cpu.park_reason(), Some(ParkReason::Idle));
-        assert!(!cpu.is_online());
     }
 
     #[test]

@@ -36,25 +36,6 @@ pub struct S2Perms {
 }
 
 impl S2Perms {
-    /// Read/write/execute.
-    pub const RWX: S2Perms = S2Perms {
-        read: true,
-        write: true,
-        execute: true,
-    };
-    /// Read/write, no execute.
-    pub const RW: S2Perms = S2Perms {
-        read: true,
-        write: true,
-        execute: false,
-    };
-    /// Read-only.
-    pub const RO: S2Perms = S2Perms {
-        read: true,
-        write: false,
-        execute: false,
-    };
-
     /// Whether an access of the given kind is allowed.
     pub fn allows(self, access: AccessKind) -> bool {
         match access {
@@ -418,6 +399,22 @@ pub mod desc {
 mod tests {
     use super::*;
 
+    const RWX: S2Perms = S2Perms {
+        read: true,
+        write: true,
+        execute: true,
+    };
+    const RW: S2Perms = S2Perms {
+        read: true,
+        write: true,
+        execute: false,
+    };
+    const RO: S2Perms = S2Perms {
+        read: true,
+        write: false,
+        execute: false,
+    };
+
     #[test]
     fn unmapped_address_faults() {
         let table = Stage2Table::new();
@@ -430,7 +427,7 @@ mod tests {
     #[test]
     fn identity_block_mapping_translates() {
         let mut table = Stage2Table::new();
-        table.map_identity(0x4000_0000, 0x0080_0000, S2Perms::RWX);
+        table.map_identity(0x4000_0000, 0x0080_0000, RWX);
         assert_eq!(
             table.translate(0x4040_1234, AccessKind::Read),
             Ok(0x4040_1234)
@@ -446,7 +443,7 @@ mod tests {
     #[test]
     fn sub_block_ranges_use_page_entries() {
         let mut table = Stage2Table::new();
-        table.map_identity(0x4000_1000, 0x3000, S2Perms::RW);
+        table.map_identity(0x4000_1000, 0x3000, RW);
         assert_eq!(table.mapped_pages(), 3);
         assert_eq!(
             table.translate(0x4000_2abc, AccessKind::Write),
@@ -459,7 +456,7 @@ mod tests {
     #[test]
     fn permissions_are_enforced() {
         let mut table = Stage2Table::new();
-        table.map_identity(0x4000_0000, 0x1000, S2Perms::RO);
+        table.map_identity(0x4000_0000, 0x1000, RO);
         assert!(table.translate(0x4000_0000, AccessKind::Read).is_ok());
         assert_eq!(
             table.translate(0x4000_0000, AccessKind::Write),
@@ -474,7 +471,7 @@ mod tests {
     #[test]
     fn non_identity_page_mapping() {
         let mut table = Stage2Table::new();
-        table.map_page(0x0000_1000, 0x4567_8000, S2Perms::RW);
+        table.map_page(0x0000_1000, 0x4567_8000, RW);
         assert_eq!(
             table.translate(0x0000_1040, AccessKind::Read),
             Ok(0x4567_8040)
@@ -484,9 +481,9 @@ mod tests {
     #[test]
     fn mapping_a_page_splits_a_block() {
         let mut table = Stage2Table::new();
-        table.map_identity(0x4000_0000, BLOCK_SIZE, S2Perms::RWX);
+        table.map_identity(0x4000_0000, BLOCK_SIZE, RWX);
         // Remap one page read-only.
-        table.map_page(0x4010_0000, 0x4010_0000, S2Perms::RO);
+        table.map_page(0x4010_0000, 0x4010_0000, RO);
         assert!(table.translate(0x4010_0000, AccessKind::Write).is_err());
         // Neighbouring pages keep the block permissions.
         assert!(table.translate(0x4010_1000, AccessKind::Write).is_ok());
@@ -495,7 +492,7 @@ mod tests {
     #[test]
     fn unmap_whole_block() {
         let mut table = Stage2Table::new();
-        table.map_identity(0x4000_0000, BLOCK_SIZE, S2Perms::RWX);
+        table.map_identity(0x4000_0000, BLOCK_SIZE, RWX);
         table.unmap(0x4000_0000, BLOCK_SIZE);
         assert!(table.translate(0x4000_0000, AccessKind::Read).is_err());
         assert_eq!(table.mapped_pages(), 0);
@@ -504,7 +501,7 @@ mod tests {
     #[test]
     fn partial_unmap_splits_block() {
         let mut table = Stage2Table::new();
-        table.map_identity(0x4000_0000, BLOCK_SIZE, S2Perms::RW);
+        table.map_identity(0x4000_0000, BLOCK_SIZE, RW);
         table.unmap(0x4000_0000, PAGE_SIZE);
         assert!(table.translate(0x4000_0000, AccessKind::Read).is_err());
         assert!(table.translate(0x4000_1000, AccessKind::Read).is_ok());
@@ -514,19 +511,19 @@ mod tests {
     #[should_panic(expected = "page-aligned")]
     fn unaligned_map_rejected() {
         let mut table = Stage2Table::new();
-        table.map_identity(0x4000_0800, 0x1000, S2Perms::RW);
+        table.map_identity(0x4000_0800, 0x1000, RW);
     }
 
     #[test]
     fn perms_display() {
-        assert_eq!(S2Perms::RWX.to_string(), "rwx");
-        assert_eq!(S2Perms::RO.to_string(), "r--");
+        assert_eq!(RWX.to_string(), "rwx");
+        assert_eq!(RO.to_string(), "r--");
     }
 
     #[test]
     fn descriptor_word_round_trips_page_mappings() {
         let mut table = Stage2Table::new();
-        table.map_page(0x0000_1000, 0x4567_8000, S2Perms::RW);
+        table.map_page(0x0000_1000, 0x4567_8000, RW);
         let word = table.descriptor_word(0x0000_1abc);
         assert_eq!(word & !0xfff, 0x4567_8000);
         assert_eq!(word & 0xf, desc::VALID | desc::READ | desc::WRITE);
@@ -543,7 +540,7 @@ mod tests {
     #[test]
     fn descriptor_word_reads_through_blocks() {
         let mut table = Stage2Table::new();
-        table.map_identity(0x4000_0000, BLOCK_SIZE, S2Perms::RWX);
+        table.map_identity(0x4000_0000, BLOCK_SIZE, RWX);
         let word = table.descriptor_word(0x4010_1234);
         assert_eq!(word & !0xfff, 0x4010_1000, "block entry resolves per page");
         assert_eq!(
@@ -555,7 +552,7 @@ mod tests {
     #[test]
     fn clearing_the_valid_bit_unmaps_the_page() {
         let mut table = Stage2Table::new();
-        table.map_identity(0x4000_0000, 0x3000, S2Perms::RW);
+        table.map_identity(0x4000_0000, 0x3000, RW);
         let word = table.descriptor_word(0x4000_1000);
         table.set_descriptor_word(0x4000_1000, word & !desc::VALID);
         assert!(table.translate(0x4000_1800, AccessKind::Read).is_err());
@@ -568,7 +565,7 @@ mod tests {
     #[test]
     fn corrupted_frame_bits_redirect_the_translation() {
         let mut table = Stage2Table::new();
-        table.map_identity(0x4000_0000, PAGE_SIZE, S2Perms::RW);
+        table.map_identity(0x4000_0000, PAGE_SIZE, RW);
         let word = table.descriptor_word(0x4000_0000);
         // Flip one output-frame bit: the page now aliases other memory.
         table.set_descriptor_word(0x4000_0000, word ^ (1 << 20));

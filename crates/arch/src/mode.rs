@@ -59,17 +59,6 @@ impl CpuMode {
             _ => None,
         }
     }
-
-    /// Whether this mode executes at a privilege level above the guest
-    /// (i.e. the hypervisor's own mode).
-    pub fn is_hyp(self) -> bool {
-        matches!(self, CpuMode::Hyp)
-    }
-
-    /// Whether this mode is privileged (everything except `User`).
-    pub fn is_privileged(self) -> bool {
-        !matches!(self, CpuMode::User)
-    }
 }
 
 impl fmt::Display for CpuMode {
@@ -122,14 +111,6 @@ mod tests {
     fn from_encoding_masks_high_bits() {
         let bits = 0xffff_ff00 | CpuMode::Hyp.encoding();
         assert_eq!(CpuMode::from_encoding(bits), Some(CpuMode::Hyp));
-    }
-
-    #[test]
-    fn privilege_predicates() {
-        assert!(CpuMode::Hyp.is_hyp());
-        assert!(!CpuMode::Supervisor.is_hyp());
-        assert!(CpuMode::Supervisor.is_privileged());
-        assert!(!CpuMode::User.is_privileged());
     }
 
     #[test]

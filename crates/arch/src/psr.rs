@@ -33,23 +33,9 @@ impl Psr {
         CpuMode::from_encoding(self.0)
     }
 
-    /// Returns a copy with the mode field replaced.
-    pub fn with_mode(self, mode: CpuMode) -> Psr {
-        Psr((self.0 & !0x1f) | mode.encoding())
-    }
-
     /// Whether IRQs are masked.
     pub fn irq_masked(self) -> bool {
         self.0 & bits::I != 0
-    }
-
-    /// Returns a copy with the IRQ mask set or cleared.
-    pub fn with_irq_masked(self, masked: bool) -> Psr {
-        if masked {
-            Psr(self.0 | bits::I)
-        } else {
-            Psr(self.0 & !bits::I)
-        }
     }
 
     /// Whether FIQs are masked.
@@ -107,24 +93,6 @@ mod tests {
     }
 
     #[test]
-    fn with_mode_preserves_flags() {
-        let psr = Psr::for_mode(CpuMode::User).with_irq_masked(true);
-        let moved = psr.with_mode(CpuMode::Supervisor);
-        assert_eq!(moved.mode(), Some(CpuMode::Supervisor));
-        assert!(moved.irq_masked());
-    }
-
-    #[test]
-    fn irq_mask_round_trips() {
-        let psr = Psr::for_mode(CpuMode::Supervisor);
-        assert!(psr.with_irq_masked(true).irq_masked());
-        assert!(!psr
-            .with_irq_masked(true)
-            .with_irq_masked(false)
-            .irq_masked());
-    }
-
-    #[test]
     fn corrupted_mode_field_reads_as_none() {
         // 0b00000 is not a valid ARMv7 mode.
         let psr = Psr(0);
@@ -133,7 +101,7 @@ mod tests {
 
     #[test]
     fn display_marks_flags() {
-        let psr = Psr::for_mode(CpuMode::Hyp).with_irq_masked(true);
+        let psr = Psr(Psr::for_mode(CpuMode::Hyp).0 | bits::I);
         let s = psr.to_string();
         assert!(s.contains('I'));
         assert!(s.contains("hyp"));

@@ -67,22 +67,6 @@ impl Reg {
         Reg::R15,
     ];
 
-    /// Returns the register with the given index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= 16`; use [`Reg::try_from_index`] for fallible
-    /// conversion.
-    pub fn from_index(index: usize) -> Reg {
-        Reg::try_from_index(index).expect("register index out of range")
-    }
-
-    /// Returns the register with the given index, or `None` if the index
-    /// is out of range.
-    pub fn try_from_index(index: usize) -> Option<Reg> {
-        Reg::ALL.get(index).copied()
-    }
-
     /// The index of this register (0 for `r0` … 15 for `pc`).
     pub fn index(self) -> usize {
         self as usize
@@ -164,13 +148,6 @@ impl RegisterFile {
         &self.gprs
     }
 
-    /// Copies the sixteen general-purpose registers from `other`,
-    /// leaving status registers untouched. Used when restoring guest
-    /// context on exception return.
-    pub fn restore_gprs_from(&mut self, other: &RegisterFile) {
-        self.gprs = other.gprs;
-    }
-
     /// Iterator over `(register, value)` pairs, useful for diffing a
     /// corrupted context against a golden one.
     pub fn iter(&self) -> impl Iterator<Item = (Reg, u32)> + '_ {
@@ -202,20 +179,7 @@ mod tests {
     fn register_indices_round_trip() {
         for (i, reg) in Reg::ALL.iter().enumerate() {
             assert_eq!(reg.index(), i);
-            assert_eq!(Reg::from_index(i), *reg);
         }
-    }
-
-    #[test]
-    fn try_from_index_rejects_out_of_range() {
-        assert_eq!(Reg::try_from_index(16), None);
-        assert_eq!(Reg::try_from_index(usize::MAX), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "register index out of range")]
-    fn from_index_panics_out_of_range() {
-        let _ = Reg::from_index(16);
     }
 
     #[test]
@@ -253,17 +217,6 @@ mod tests {
     fn flip_bit_rejects_bit_32() {
         let mut rf = RegisterFile::new();
         rf.flip_bit(Reg::R0, 32);
-    }
-
-    #[test]
-    fn restore_gprs_leaves_status_registers() {
-        let mut saved = RegisterFile::new();
-        saved.write(Reg::R4, 44);
-        let mut live = RegisterFile::new();
-        live.hsr = 0x9000_0000;
-        live.restore_gprs_from(&saved);
-        assert_eq!(live.read(Reg::R4), 44);
-        assert_eq!(live.hsr, 0x9000_0000);
     }
 
     #[test]

@@ -77,18 +77,6 @@ impl ExceptionClass {
             other => ExceptionClass::Other(other),
         }
     }
-
-    /// Whether a partitioning hypervisor has a handler for this class.
-    /// Unhandled classes lead to `cpu_park()`.
-    pub fn is_handled(self) -> bool {
-        matches!(
-            self,
-            ExceptionClass::WfiWfe
-                | ExceptionClass::Cp15Trap
-                | ExceptionClass::Hvc
-                | ExceptionClass::DataAbortLower
-        )
-    }
 }
 
 impl fmt::Display for ExceptionClass {
@@ -152,17 +140,6 @@ impl Syndrome {
             class: ExceptionClass::DataAbortLower,
             il: true,
             iss,
-        }
-    }
-
-    /// Builds a syndrome for a data abort *without* valid decode
-    /// information (`ISV` clear) — the un-emulatable abort that an
-    /// unhandled-trap path turns into a CPU park.
-    pub fn invalid_data_abort() -> Syndrome {
-        Syndrome {
-            class: ExceptionClass::DataAbortLower,
-            il: true,
-            iss: 0,
         }
     }
 
@@ -247,21 +224,18 @@ mod tests {
     }
 
     #[test]
-    fn handled_set_is_exactly_the_hypervisor_handlers() {
-        let handled: Vec<u8> = (0u8..64)
-            .filter(|&c| ExceptionClass::from_code(c).is_handled())
-            .collect();
-        assert_eq!(handled, vec![0x01, 0x03, 0x12, 0x24]);
-    }
-
-    #[test]
     fn syndrome_encode_decode_round_trips() {
         let syndromes = [
             Syndrome::hvc(0),
             Syndrome::hvc(0x4a48),
             Syndrome::mmio_data_abort(true, 2),
             Syndrome::mmio_data_abort(false, 15),
-            Syndrome::invalid_data_abort(),
+            // A data abort without valid decode information (ISV clear).
+            Syndrome {
+                class: ExceptionClass::DataAbortLower,
+                il: true,
+                iss: 0,
+            },
             Syndrome::wfi(),
         ];
         for s in syndromes {
@@ -292,11 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn invalid_abort_has_no_isv() {
-        assert!(!Syndrome::invalid_data_abort().isv());
-    }
-
-    #[test]
     fn flipping_ec_bits_changes_class() {
         // Flipping bit 27 of an HVC syndrome (EC 0x12) yields EC 0x10 —
         // an unhandled class. This is precisely the fault path that
@@ -304,6 +273,5 @@ mod tests {
         let hvc = Syndrome::hvc(0).encode();
         let corrupted = Syndrome::decode(hvc ^ (1 << 27));
         assert_eq!(corrupted.class.code(), 0x10);
-        assert!(!corrupted.class.is_handled());
     }
 }

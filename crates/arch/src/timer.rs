@@ -19,7 +19,6 @@ pub struct GenericTimer {
     remaining: u64,
     enabled: bool,
     irq: IrqId,
-    fired: u64,
 }
 
 impl GenericTimer {
@@ -45,7 +44,6 @@ impl GenericTimer {
             remaining: period,
             enabled: false,
             irq,
-            fired: 0,
         }
     }
 
@@ -70,24 +68,9 @@ impl GenericTimer {
         self.period
     }
 
-    /// Changes the reload period; takes effect at the next reload.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero.
-    pub fn set_period(&mut self, period: u64) {
-        assert!(period > 0, "timer period must be non-zero");
-        self.period = period;
-    }
-
     /// The interrupt line this timer raises.
     pub fn irq(&self) -> IrqId {
         self.irq
-    }
-
-    /// How many times the timer has expired since creation.
-    pub fn fired_count(&self) -> u64 {
-        self.fired
     }
 
     /// Advances the timer by one step. Returns `Some(irq)` when the
@@ -99,7 +82,6 @@ impl GenericTimer {
         self.remaining -= 1;
         if self.remaining == 0 {
             self.remaining = self.period;
-            self.fired += 1;
             Some(self.irq)
         } else {
             None
@@ -123,7 +105,6 @@ impl GenericTimer {
         self.remaining -= delta;
         if self.remaining == 0 {
             self.remaining = self.period;
-            self.fired += 1;
             Some(self.irq)
         } else {
             None
@@ -152,7 +133,6 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(t.step(), None);
         }
-        assert_eq!(t.fired_count(), 0);
     }
 
     #[test]
@@ -164,7 +144,6 @@ mod tests {
             fires,
             vec![false, false, true, false, false, true, false, false, true]
         );
-        assert_eq!(t.fired_count(), 3);
     }
 
     #[test]
@@ -178,20 +157,6 @@ mod tests {
         assert_eq!(t.step(), None);
         assert_eq!(t.step(), None);
         assert!(t.step().is_some());
-    }
-
-    #[test]
-    fn set_period_applies_at_reload() {
-        let mut t = GenericTimer::new(2);
-        t.start();
-        t.step();
-        t.set_period(5);
-        assert!(t.step().is_some()); // old period completes
-        let mut count = 0;
-        while t.step().is_none() {
-            count += 1;
-        }
-        assert_eq!(count, 4); // new period of 5 steps
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Property-based tests for the architecture model.
 
-use certify_arch::{CpuMode, ExceptionClass, Psr, Reg, RegisterFile, Syndrome};
+use certify_arch::{ExceptionClass, Reg, RegisterFile, Syndrome};
 use proptest::prelude::*;
 
 fn any_reg() -> impl Strategy<Value = Reg> {
-    (0usize..16).prop_map(Reg::from_index)
+    (0usize..16).prop_map(|i| Reg::ALL[i])
 }
 
 proptest! {
@@ -34,12 +34,12 @@ proptest! {
                          target in 0usize..16, bit in 0u8..32) {
         let mut rf = RegisterFile::new();
         for (i, v) in values.iter().enumerate() {
-            rf.write(Reg::from_index(i), *v);
+            rf.write(Reg::ALL[i], *v);
         }
-        rf.flip_bit(Reg::from_index(target), bit);
+        rf.flip_bit(Reg::ALL[target], bit);
         for (i, v) in values.iter().enumerate() {
             if i != target {
-                prop_assert_eq!(rf.read(Reg::from_index(i)), *v);
+                prop_assert_eq!(rf.read(Reg::ALL[i]), *v);
             }
         }
     }
@@ -60,21 +60,13 @@ proptest! {
         prop_assert_eq!(ExceptionClass::from_code(code).code(), code);
     }
 
-    /// PSR mode replacement touches only the mode field.
-    #[test]
-    fn psr_with_mode_preserves_upper_bits(raw in any::<u32>()) {
-        let psr = Psr(raw).with_mode(CpuMode::Hyp);
-        prop_assert_eq!(psr.0 & !0x1f, raw & !0x1f);
-        prop_assert_eq!(psr.mode(), Some(CpuMode::Hyp));
-    }
-
     /// Register Display names are unique (log parsing relies on this).
     #[test]
     fn register_names_unique(a in 0usize..16, b in 0usize..16) {
         prop_assume!(a != b);
         prop_assert_ne!(
-            Reg::from_index(a).to_string(),
-            Reg::from_index(b).to_string()
+            Reg::ALL[a].to_string(),
+            Reg::ALL[b].to_string()
         );
     }
 }

@@ -17,7 +17,6 @@ pub const NUM_PINS: u8 = 32;
 pub struct Gpio {
     levels: u32,
     toggles: [u64; NUM_PINS as usize],
-    last_toggle_step: [Option<u64>; NUM_PINS as usize],
 }
 
 impl Default for Gpio {
@@ -25,7 +24,6 @@ impl Default for Gpio {
         Gpio {
             levels: 0,
             toggles: [0; NUM_PINS as usize],
-            last_toggle_step: [None; NUM_PINS as usize],
         }
     }
 }
@@ -38,13 +36,12 @@ impl Gpio {
 
     /// Handles a 32-bit register write at `offset` within the GPIO
     /// block: writing the data register sets all pin levels at once.
-    pub fn write_reg(&mut self, offset: u32, value: u32, step: u64) {
+    pub fn write_reg(&mut self, offset: u32, value: u32) {
         if offset == GPIO_DATA_OFFSET {
             let changed = self.levels ^ value;
             for pin in 0..NUM_PINS {
                 if changed & (1 << pin) != 0 {
                     self.toggles[pin as usize] += 1;
-                    self.last_toggle_step[pin as usize] = Some(step);
                 }
             }
             self.levels = value;
@@ -65,36 +62,12 @@ impl Gpio {
         pin < NUM_PINS && self.levels & (1 << pin) != 0
     }
 
-    /// Sets a single pin, preserving the others (what a read-modify-
-    /// write driver does).
-    pub fn set_pin(&mut self, pin: u8, high: bool, step: u64) {
-        if pin >= NUM_PINS {
-            return;
-        }
-        let mut value = self.levels;
-        if high {
-            value |= 1 << pin;
-        } else {
-            value &= !(1 << pin);
-        }
-        self.write_reg(GPIO_DATA_OFFSET, value, step);
-    }
-
     /// How many times `pin` has changed level.
     pub fn toggle_count(&self, pin: u8) -> u64 {
         if pin < NUM_PINS {
             self.toggles[pin as usize]
         } else {
             0
-        }
-    }
-
-    /// The step of the most recent level change on `pin`.
-    pub fn last_toggle(&self, pin: u8) -> Option<u64> {
-        if pin < NUM_PINS {
-            self.last_toggle_step[pin as usize]
-        } else {
-            None
         }
     }
 }
@@ -114,29 +87,27 @@ mod tests {
     }
 
     #[test]
-    fn set_pin_toggles_and_counts() {
+    fn data_writes_toggle_and_count() {
         let mut gpio = Gpio::new();
-        gpio.set_pin(LED_PIN, true, 10);
-        gpio.set_pin(LED_PIN, false, 20);
-        gpio.set_pin(LED_PIN, true, 30);
+        for value in [1 << LED_PIN, 0, 1 << LED_PIN] {
+            gpio.write_reg(GPIO_DATA_OFFSET, value);
+        }
         assert!(gpio.level(LED_PIN));
         assert_eq!(gpio.toggle_count(LED_PIN), 3);
-        assert_eq!(gpio.last_toggle(LED_PIN), Some(30));
     }
 
     #[test]
     fn rewriting_same_level_does_not_count() {
         let mut gpio = Gpio::new();
-        gpio.set_pin(3, true, 1);
-        gpio.set_pin(3, true, 2);
+        gpio.write_reg(GPIO_DATA_OFFSET, 1 << 3);
+        gpio.write_reg(GPIO_DATA_OFFSET, 1 << 3);
         assert_eq!(gpio.toggle_count(3), 1);
-        assert_eq!(gpio.last_toggle(3), Some(1));
     }
 
     #[test]
     fn data_register_write_affects_multiple_pins() {
         let mut gpio = Gpio::new();
-        gpio.write_reg(GPIO_DATA_OFFSET, 0b101, 5);
+        gpio.write_reg(GPIO_DATA_OFFSET, 0b101);
         assert!(gpio.level(0));
         assert!(!gpio.level(1));
         assert!(gpio.level(2));
@@ -148,10 +119,9 @@ mod tests {
     #[test]
     fn out_of_range_pin_is_ignored() {
         let mut gpio = Gpio::new();
-        gpio.set_pin(40, true, 1);
+        gpio.write_reg(GPIO_DATA_OFFSET, u32::MAX);
         assert!(!gpio.level(40));
         assert_eq!(gpio.toggle_count(40), 0);
-        assert_eq!(gpio.last_toggle(40), None);
     }
 
     #[test]

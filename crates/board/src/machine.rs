@@ -233,7 +233,7 @@ impl Machine {
         if let Some((device, offset)) = Self::decode_device(addr) {
             match device {
                 MmioDevice::Uart => self.uart.write_reg(offset, value, self.step),
-                MmioDevice::Gpio => self.gpio.write_reg(offset, value, self.step),
+                MmioDevice::Gpio => self.gpio.write_reg(offset, value),
                 MmioDevice::Watchdog => self.wdt.write_reg(offset, value),
             }
             return Ok(());

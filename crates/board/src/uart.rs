@@ -176,12 +176,6 @@ impl Uart {
         self.text.len()
     }
 
-    /// The step of the last transmitted byte, or `None` if the wire has
-    /// been silent.
-    pub fn last_activity(&self) -> Option<u64> {
-        self.marks.last().map(|m| m.step)
-    }
-
     /// Number of log lines (completed plus the in-progress tail, if
     /// any) — O(1) from the index.
     pub fn line_count(&self) -> usize {
@@ -238,20 +232,6 @@ impl Uart {
             .map(|line| (line.step, line.text().into_owned()))
             .collect()
     }
-
-    /// Bytes transmitted at or after `step` — used to check whether a
-    /// cell produced *any* output after an event (E2's blank-USART
-    /// check). Capture steps are nondecreasing, so this is a binary
-    /// search over the step marks, not a scan.
-    pub fn bytes_since(&self, step: u64) -> usize {
-        let idx = self.marks.partition_point(|m| m.step < step);
-        let before = if idx == 0 {
-            0
-        } else {
-            self.marks[idx - 1].end as usize
-        };
-        self.text.len() - before
-    }
 }
 
 #[cfg(test)]
@@ -300,24 +280,6 @@ mod tests {
         let mut uart = Uart::new();
         uart.write_reg(UART_THR_OFFSET, 0x1234_5641, 3);
         assert_eq!(uart.captured().next().unwrap().byte, 0x41);
-    }
-
-    #[test]
-    fn bytes_since_counts_boundary_inclusive() {
-        let mut uart = Uart::new();
-        uart.write_str("a", 5);
-        uart.write_str("b", 9);
-        assert_eq!(uart.bytes_since(5), 2);
-        assert_eq!(uart.bytes_since(6), 1);
-        assert_eq!(uart.bytes_since(10), 0);
-    }
-
-    #[test]
-    fn last_activity_tracks_final_byte() {
-        let mut uart = Uart::new();
-        assert_eq!(uart.last_activity(), None);
-        uart.write_str("x", 42);
-        assert_eq!(uart.last_activity(), Some(42));
     }
 
     #[test]

@@ -10,9 +10,11 @@
 //! [`Campaign::execute`], runs any trial range on any number of
 //! workers, delivers each [`TrialResult`] to a [`TrialSink`] in seed
 //! order and folds it into [`CampaignStats`] online, holding at most
-//! `workers` undelivered reports however large the campaign. The
-//! buffered [`Campaign::run`]/[`Campaign::run_parallel`] are thin
-//! collecting sinks over it.
+//! `workers` undelivered reports however large the campaign. Seed order
+//! follows from how the work is split: trial `i` runs on worker
+//! `i % workers`, and the caller's thread takes the workers' results
+//! round-robin. The buffered [`Campaign::run`]/[`Campaign::run_parallel`]
+//! are thin collecting sinks over it.
 
 use crate::certificate::ScenarioCertificate;
 use crate::classify::{classify, Outcome, RunReport};
@@ -27,11 +29,12 @@ use crate::trace::{trace_event_to_json, TraceConfig, TraceDump};
 use certify_guest_linux::MgmtScript;
 use certify_obs::trace::{FlightRecorder, TraceEvent, TraceKind, NO_CPU};
 use certify_obs::{Clock, EngineMetrics, PhaseSample, ProgressTracker};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::{Bound, Range, RangeBounds};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::sync_channel;
+use std::sync::{Arc, OnceLock};
 
 /// Seed offset decorrelating a trial's memory-injection RNG from its
 /// register-injection RNG (both are derived from the same trial seed).
@@ -597,8 +600,8 @@ impl Campaign {
     }
 
     /// Runs all trials across `workers` threads into `sink`, returning
-    /// the stats and the reorder high-water mark: [`Campaign::execute`]
-    /// over `..` without telemetry.
+    /// the stats and the high-water mark of undelivered reports:
+    /// [`Campaign::execute`] over `..` without telemetry.
     pub fn run_parallel_streamed_instrumented<S: TrialSink + ?Sized>(
         &self,
         workers: usize,
@@ -622,11 +625,12 @@ impl Campaign {
     ///   [`CampaignStats::merge`] reproduces its stats. A
     ///   `certify-shard` worker runs its range this way.
     /// * **Workers.** One worker (0 counts as 1) runs every trial on
-    ///   the caller's thread, spawning none. With more, worker threads
-    ///   claim trial indices in order but may only *start* trial `i`
-    ///   once `i < delivered + workers`, and the caller's thread drains
-    ///   a reorder buffer in seed order: at most `workers` undelivered
-    ///   reports exist, however large the campaign.
+    ///   the caller's thread, spawning none. With more, trial `i` of the
+    ///   range runs on lane `i % workers`, a thread that starts trial
+    ///   `i` only after trial `i - workers` has been delivered, and the
+    ///   caller's thread takes the lanes' results round-robin, which is
+    ///   seed order: at most `workers` undelivered reports exist,
+    ///   however large the campaign.
     /// * **Telemetry.** Phase timings, the high-water mark, sink rows
     ///   and sink bytes fold into its metrics, and its observer gets a
     ///   progress snapshot every `progress_every` deliveries plus a
@@ -700,10 +704,9 @@ impl Campaign {
     /// Runs the non-empty `range` and hands every result to `delivery`
     /// in seed order. Builds the shared prefix (handing a traced ring to
     /// the sink) and forks each trial from it. One worker runs on the
-    /// caller's thread. More claim the indices of `range` in order from
-    /// a shared queue, while the caller's thread drains the reorder
-    /// buffer. Returns the reorder high-water mark and the folded phase
-    /// timings.
+    /// caller's thread; more run as lanes whose results the caller's
+    /// thread delivers round-robin. Returns the high-water mark of
+    /// undelivered reports and the folded phase timings.
     fn run_trials<S: TrialSink + ?Sized>(
         &self,
         range: Range<usize>,
@@ -731,107 +734,60 @@ impl Campaign {
             return (1, folded);
         }
 
-        let end = range.end;
-        let folded = Mutex::new(EngineMetrics::default());
-        let shared = Mutex::new(Reorder {
-            next: range.start,
-            delivered: range.start,
-            buffer: BTreeMap::new(),
-            undelivered: 0,
-            high_water: 0,
-            aborted: false,
-        });
-        // Consumer waits on `ready` for the next in-order report;
-        // workers wait on `space` for the delivery window to open.
-        let ready = Condvar::new();
-        let space = Condvar::new();
-
+        // Lane `w` runs trials `start + w`, `start + w + workers`, …; the
+        // caller's thread takes their results round-robin, which is seed
+        // order. A lane starts its next trial only on the go token sent
+        // once its previous one is delivered, so at most `workers`
+        // reports are undelivered. A panic on either side drops its
+        // channel ends, which stops the other side.
+        let (undelivered, high_water) = (AtomicUsize::new(0), AtomicUsize::new(0));
         std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let (run, shared, ready, space, folded) = (&run, &shared, &ready, &space, &folded);
-                scope.spawn(move || {
-                    // On panic (poisoned lock or unwind mid-trial),
-                    // wake everyone so the scope can tear down instead
-                    // of deadlocking.
-                    let _guard = AbortGuard {
-                        shared,
-                        ready,
-                        space,
-                    };
-                    // Observed runs fold phase timings thread-locally
-                    // and merge once at exit — no locking on the trial
-                    // hot path.
-                    let mut local = EngineMetrics::default();
-                    loop {
-                        let seq = {
-                            let mut state = shared.lock().expect("campaign engine lock");
-                            if state.aborted || state.next >= end {
-                                break;
-                            }
-                            let seq = state.next;
-                            state.next += 1;
-                            // Delivery window: starting this trial must
-                            // not be able to push the undelivered count
-                            // past `workers`.
-                            while !state.aborted && seq >= state.delivered + workers {
-                                state = space.wait(state).expect("campaign engine lock");
-                            }
-                            if state.aborted {
-                                break;
-                            }
-                            seq
-                        };
+            let (mut results, mut go, mut lanes) = (Vec::new(), Vec::new(), Vec::new());
+            for lane in 0..workers {
+                let (result_tx, result_rx) = sync_channel(1);
+                let (go_tx, go_rx) = sync_channel::<()>(1);
+                let (run, undelivered, high_water) = (&run, &undelivered, &high_water);
+                let seqs = range.clone().skip(lane).step_by(workers);
+                lanes.push(scope.spawn(move || {
+                    // Phase timings fold lane-locally and return with
+                    // the lane: no shared state on the trial hot path.
+                    let mut folded = EngineMetrics::default();
+                    for seq in seqs {
                         let (trial, dump, sample) = run(seq);
-                        fold_sample(&mut local, sample);
-                        let mut state = shared.lock().expect("campaign engine lock");
-                        state.undelivered += 1;
-                        state.high_water = state.high_water.max(state.undelivered);
-                        state.buffer.insert(seq, (trial, dump));
-                        drop(state);
-                        ready.notify_all();
+                        fold_sample(&mut folded, sample);
+                        let held = undelivered.fetch_add(1, Ordering::Relaxed) + 1;
+                        high_water.fetch_max(held, Ordering::Relaxed);
+                        if result_tx.send((trial, dump)).is_err() || go_rx.recv().is_err() {
+                            break;
+                        }
                     }
                     folded
-                        .lock()
-                        .expect("campaign telemetry lock")
-                        .merge(&local);
-                });
+                }));
+                results.push(result_rx);
+                go.push(go_tx);
             }
-
-            // The caller's thread is the consumer: drain the reorder
-            // buffer in seed order, deliver, open the window.
-            let _guard = AbortGuard {
-                shared: &shared,
-                ready: &ready,
-                space: &space,
-            };
-            for seq in range {
-                let (trial, dump) = {
-                    let mut state = shared.lock().expect("campaign engine lock");
-                    loop {
-                        if let Some(trial) = state.buffer.remove(&seq) {
-                            break trial;
-                        }
-                        assert!(!state.aborted, "campaign worker panicked");
-                        state = ready.wait(state).expect("campaign engine lock");
-                    }
+            for seq in range.clone() {
+                let lane = (seq - range.start) % workers;
+                // A closed channel means the lane's trial panicked; its
+                // join below re-raises the panic.
+                let Ok((trial, dump)) = results[lane].recv() else {
+                    break;
                 };
                 delivery.deliver(seq, trial, dump);
-                let mut state = shared.lock().expect("campaign engine lock");
-                state.undelivered -= 1;
-                state.delivered += 1;
-                drop(state);
-                space.notify_all();
+                undelivered.fetch_sub(1, Ordering::Relaxed);
+                let _ = go[lane].send(());
             }
-        });
-
-        let high_water = shared
-            .into_inner()
-            .expect("campaign engine lock")
-            .high_water;
-        (
-            high_water,
-            folded.into_inner().expect("campaign telemetry lock"),
-        )
+            // Release lanes still waiting for a token before joining.
+            drop((results, go));
+            let mut folded = EngineMetrics::default();
+            for lane in lanes {
+                match lane.join() {
+                    Ok(metrics) => folded.merge(&metrics),
+                    Err(panic) => resume_unwind(panic),
+                }
+            }
+            (high_water.load(Ordering::Relaxed), folded)
+        })
     }
 }
 
@@ -925,47 +881,6 @@ fn assert_certificate_conformance(certificate: Option<&ScenarioCertificate>, tri
             .collect::<Vec<_>>()
             .join("; ")
     );
-}
-
-/// Shared state of the threaded [`Campaign::execute`]: an in-order index
-/// queue plus the reorder buffer the consumer drains in seed order.
-struct Reorder {
-    /// Next trial index to hand to a worker.
-    next: usize,
-    /// Next trial index to deliver: every trial of the range before it
-    /// has reached the sink.
-    delivered: usize,
-    /// Completed trials (with their optional trace dump) waiting for
-    /// their turn at the sink.
-    buffer: BTreeMap<usize, (TrialResult, Option<TraceDump>)>,
-    /// Completed-but-undelivered reports (buffer plus the one the
-    /// consumer is currently handing to the sink).
-    undelivered: usize,
-    /// High-water mark of `undelivered`.
-    high_water: usize,
-    /// A thread panicked; everyone should stop.
-    aborted: bool,
-}
-
-/// Wakes all engine threads if the owning thread unwinds, so a panic
-/// in a trial or in the sink tears the scope down instead of leaving
-/// the other side blocked on a condvar forever.
-struct AbortGuard<'a> {
-    shared: &'a Mutex<Reorder>,
-    ready: &'a Condvar,
-    space: &'a Condvar,
-}
-
-impl Drop for AbortGuard<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            if let Ok(mut state) = self.shared.lock() {
-                state.aborted = true;
-            }
-            self.ready.notify_all();
-            self.space.notify_all();
-        }
-    }
 }
 
 /// Aggregated campaign outcomes.

@@ -406,7 +406,7 @@ impl System {
     ///
     /// Served from the UART's incremental line index: a binary search
     /// locates the first qualifying line and only the tail is
-    /// examined, so polling this mid-run (examples/availability) costs
+    /// examined, so polling this mid-run costs
     /// O(log lines + tail) instead of reassembling and cloning the
     /// whole capture on every call.
     pub fn rtos_output_since(&self, step: u64) -> usize {

@@ -121,12 +121,6 @@ impl LinuxGuest {
         self.pending_offline.take()
     }
 
-    /// Whether the script has halted.
-    pub fn script_done(&self) -> bool {
-        self.pc >= self.script.ops.len()
-            || matches!(self.script.ops.get(self.pc), Some(MgmtOp::Halt))
-    }
-
     fn uart_print(ctx: &mut GuestCtx<'_>, line: &str) {
         // The root cell owns the UART directly: every byte is a plain
         // (stage-2 mapped) store, no hypervisor involvement.
@@ -449,6 +443,11 @@ mod tests {
         (machine, hv, guest)
     }
 
+    /// Whether the script has halted: its pc is on `Halt` or past the end.
+    fn halted(guest: &LinuxGuest) -> bool {
+        matches!(guest.script.ops.get(guest.pc), Some(MgmtOp::Halt) | None)
+    }
+
     /// Drives only the root guest (plus the CPU_OFF handshake) until
     /// the script reaches `Halt` or `max_steps` elapse.
     fn drive(machine: &mut Machine, hv: &mut Hypervisor, guest: &mut LinuxGuest, max_steps: u64) {
@@ -461,7 +460,7 @@ mod tests {
             if let Some(cpu) = guest.take_offline_request() {
                 hv.handle_hvc(machine, cpu, hc::HVC_CPU_OFF, 0, 0);
             }
-            if guest.script_done() {
+            if halted(guest) {
                 break;
             }
         }
@@ -552,7 +551,7 @@ mod tests {
             machine.advance();
             let mut ctx = GuestCtx::new(CpuId(0), &mut machine, &mut hv);
             guest.step(&mut ctx);
-            if guest.script_done() {
+            if halted(&guest) {
                 break;
             }
         }

@@ -181,9 +181,6 @@ impl MgmtScript {
         }
     }
 
-    /// The loop-head index used by [`MgmtScript::lifecycle_cycling`].
-    pub const LIFECYCLE_LOOP_HEAD: usize = 6;
-
     /// E5a: like [`MgmtScript::bring_up_and_run`] but with the
     /// hardware watchdog armed, so a root-cell panic is detected.
     pub fn bring_up_with_watchdog(run_steps: u64) -> MgmtScript {
@@ -248,14 +245,11 @@ mod tests {
     #[test]
     fn lifecycle_restart_points_at_create() {
         let script = MgmtScript::lifecycle_cycling(100);
-        assert_eq!(
-            script.ops[MgmtScript::LIFECYCLE_LOOP_HEAD],
-            MgmtOp::CreateCell
-        );
-        assert!(matches!(
-            script.ops.last(),
-            Some(MgmtOp::Restart(MgmtScript::LIFECYCLE_LOOP_HEAD))
-        ));
+        let Some(&MgmtOp::Restart(head)) = script.ops.last() else {
+            panic!("the lifecycle loop must end in a restart");
+        };
+        assert_eq!(head, 6);
+        assert_eq!(script.ops[head], MgmtOp::CreateCell);
     }
 
     #[test]

@@ -341,9 +341,9 @@ pub struct EngineMetrics {
     pub trials: Counter,
     /// Per-phase trial latencies.
     pub phases: TrialPhaseMetrics,
-    /// Reorder-buffer residency (completed-but-undelivered reports);
-    /// the high-water mark is the engine's O(workers) bound made
-    /// visible.
+    /// Residency of completed-but-undelivered reports; the high-water
+    /// mark is the engine's O(workers) bound made visible. (The name
+    /// predates the engine's lanes; `schema.golden` pins it.)
     pub reorder_residency: Gauge,
     /// Rows delivered to the sink.
     pub sink_rows: Counter,

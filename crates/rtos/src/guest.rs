@@ -81,11 +81,6 @@ impl RtosGuest {
     pub fn kernel(&self) -> &Rtos {
         &self.kernel
     }
-
-    /// Whether the guest was ever entered.
-    pub fn is_booted(&self) -> bool {
-        self.booted
-    }
 }
 
 impl fmt::Debug for RtosGuest {
@@ -215,19 +210,25 @@ mod tests {
     #[test]
     fn unbooted_guest_is_silent() {
         let (mut machine, mut hv) = ctx_parts();
+        machine.cpu_mut(CpuId(1)).power_on();
         let mut guest = RtosGuest::new(0x7010_8000);
         let mut ctx = GuestCtx::new(CpuId(1), &mut machine, &mut hv);
         guest.step(&mut ctx);
         assert_eq!(machine.uart.byte_count(), 0);
-        assert!(!guest.is_booted());
+        assert_eq!(guest.kernel().total_slices(), 0);
     }
 
     #[test]
     fn reset_at_expected_entry_boots_healthy() {
+        let (mut machine, mut hv) = ctx_parts();
+        machine.cpu_mut(CpuId(1)).power_on();
         let mut guest = RtosGuest::new(0x7010_8000);
         guest.on_reset(0x7010_8000);
-        assert!(guest.is_booted());
         assert_eq!(guest.health(), GuestHealth::Healthy);
+        let mut ctx = GuestCtx::new(CpuId(1), &mut machine, &mut hv);
+        guest.step(&mut ctx);
+        // Unlike an unbooted guest, a booted one runs on its first step.
+        assert_eq!(guest.kernel().total_slices(), 1);
     }
 
     #[test]

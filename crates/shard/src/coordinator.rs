@@ -9,13 +9,13 @@
 //! 2. **Spawn.** Each shard gets a `shard_worker` process
 //!    ([`std::process::Command`]); the handshake (scenario + range)
 //!    goes down its stdin, row/stats frames come back up its stdout.
-//! 3. **Multiplex + reorder.** A reader thread per shard parses
-//!    frames and posts rows into a shared reorder buffer keyed by
-//!    *global* trial sequence; the consumer drains it strictly in
-//!    seed order — the same delivery contract as the threaded
-//!    `Campaign::execute`, one level up. A per-shard
-//!    buffered-row cap applies pipe backpressure to workers running
-//!    far ahead of the delivery front.
+//! 3. **Multiplex.** A reader thread per shard parses frames and
+//!    appends rows to that shard's queue. Each worker streams its
+//!    contiguous range in strict order, so the consumer delivers in
+//!    seed order by emptying the queues shard by shard — the same
+//!    delivery contract as the threaded `Campaign::execute`, one level
+//!    up. A per-shard queue cap applies pipe backpressure to workers
+//!    running far ahead of the delivery front.
 //! 4. **Fold.** Each shard's final `Done` stats are merged in shard
 //!    order with [`CampaignStats::merge`]; the result (and the
 //!    concatenated CSV) is bit-identical to a single-process
@@ -42,7 +42,7 @@ use certify_lint::{certify_scenario, has_errors, lint_partition, lint_scenario, 
 use certify_obs::{
     Clock, CountingReader, ProgressObserver, ProgressSnapshot, ProgressTracker, ShardMetrics,
 };
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::io::{self, Write};
 use std::path::PathBuf;
@@ -67,10 +67,10 @@ pub struct ShardOptions {
     /// Deliberately SIGKILL one shard's first-attempt worker after it
     /// has produced this many rows — the recovery path's test hook.
     pub sabotage: Option<Sabotage>,
-    /// Reorder-buffer cap: a shard may have at most this many
-    /// undelivered rows buffered before its reader stops draining the
-    /// pipe (backpressuring the worker) until the delivery front
-    /// catches up.
+    /// Per-shard queue cap: a shard may have at most this many
+    /// undelivered rows queued before its reader stops draining the
+    /// pipe (backpressuring the worker) until the consumer takes rows
+    /// from the queue.
     pub buffered_rows_per_shard: usize,
 }
 
@@ -290,18 +290,24 @@ pub fn partition(trials: usize, shards: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
+/// One shard's rows and dumps on their way to the consumer, in seed
+/// order. A retried attempt re-sends the shard's range from its start;
+/// the re-sent copies are byte-identical (same seed), so only what lies
+/// past what the queue already held is kept.
+#[derive(Default)]
+struct ShardQueue {
+    /// Received rows the consumer has not taken yet.
+    rows: VecDeque<Vec<u8>>,
+    /// Rows this queue ever held, the delivered ones included.
+    held: u64,
+    /// Trace dumps received, as `(seq, dump)`.
+    dumps: Vec<(u64, ShippedDump)>,
+}
+
 /// Shared coordinator state behind one mutex.
 struct Coord {
-    /// Undelivered rows, keyed by global trial sequence.
-    rows: BTreeMap<u64, Vec<u8>>,
-    /// Trace dumps received so far, keyed by global trial sequence.
-    /// Retried shards re-send dumps; duplicates are byte-identical
-    /// (same seed), so the first copy wins.
-    dumps: BTreeMap<u64, ShippedDump>,
-    /// Next global sequence the consumer will deliver.
-    next_deliver: u64,
-    /// Undelivered buffered rows per shard (backpressure accounting).
-    buffered: Vec<usize>,
+    /// Each shard's queue.
+    queues: Vec<ShardQueue>,
     /// Each shard's final stats, once its `Done` frame validated.
     done: Vec<Option<CampaignStats>>,
     /// Per-shard transport metrics, folded in by each attempt.
@@ -326,9 +332,9 @@ impl Coord {
     }
 }
 
-/// The two wake-up channels of the reorder buffer: `ready` wakes the
-/// consumer (a row or completion arrived), `space` wakes
-/// backpressured readers (the delivery front advanced).
+/// The coordinator state and its two wake-up channels: `ready` wakes
+/// the consumer (a row or completion arrived), `space` wakes
+/// backpressured readers (the consumer took a row).
 struct Signals {
     state: Mutex<Coord>,
     ready: Condvar,
@@ -447,10 +453,7 @@ fn run_sharded_engine(
 
     let signals = Signals {
         state: Mutex::new(Coord {
-            rows: BTreeMap::new(),
-            dumps: BTreeMap::new(),
-            next_deliver: 0,
-            buffered: vec![0; ranges.len()],
+            queues: ranges.iter().map(|_| ShardQueue::default()).collect(),
             done: vec![None; ranges.len()],
             metrics: vec![ShardMetrics::default(); ranges.len()],
             snapshots: VecDeque::new(),
@@ -479,15 +482,9 @@ fn run_sharded_engine(
                 );
             });
         }
-        // The caller's thread is the consumer: drain the reorder
-        // buffer in global seed order.
-        deliver_rows(
-            &signals,
-            &ranges,
-            trials as u64,
-            csv_out,
-            observer.as_deref_mut(),
-        );
+        // The caller's thread is the consumer: deliver the rows in
+        // global seed order.
+        deliver_rows(&signals, &ranges, csv_out, observer.as_deref_mut());
     });
 
     let state = signals.state.into_inner().expect("coordinator lock");
@@ -515,30 +512,29 @@ fn run_sharded_engine(
         shard_ranges: ranges,
         metrics,
         shard_metrics: state.metrics,
-        dumps: state.dumps.into_iter().collect(),
+        dumps: state.queues.into_iter().flat_map(|q| q.dumps).collect(),
     })
 }
 
-/// The consumer loop: deliver rows `0..total` in order, hand queued
-/// progress snapshots to `observer`, then wait for every shard's
+/// The consumer loop: deliver every shard's rows, shard by shard (the
+/// shards cover the trial space in order, so this is seed order), hand
+/// queued progress snapshots to `observer`, then wait for every shard's
 /// `Done` stats.
 fn deliver_rows(
     signals: &Signals,
     ranges: &[(usize, usize)],
-    total: u64,
     mut csv_out: Option<&mut dyn Write>,
     // The explicit `+ '_` object bound keeps the observer reborrowable
     // by the caller after this returns (`&mut dyn Trait` is invariant
     // in the trait object's default lifetime).
     mut observer: Option<&mut (dyn ProgressObserver + '_)>,
 ) {
-    let shard_of = |seq: u64| {
-        ranges
-            .iter()
-            .position(|&(start, len)| (start as u64..(start + len) as u64).contains(&seq))
-            .expect("every sequence belongs to a shard")
-    };
-    let mut delivered = 0u64;
+    // The shard each row in seed order comes from.
+    let mut shards = ranges
+        .iter()
+        .enumerate()
+        .flat_map(|(shard, &(_, len))| std::iter::repeat_n(shard, len));
+    let mut next = shards.next();
     // Snapshots drained under the lock, emitted outside it — observer
     // code must never run while holding the coordinator mutex.
     let mut pending: Vec<ProgressSnapshot> = Vec::new();
@@ -555,32 +551,25 @@ fn deliver_rows(
         if state.abort {
             return;
         }
-        if delivered == total {
+        let row = match next {
+            Some(shard) => state.queues[shard].rows.pop_front(),
             // All rows are out; wait for the last `Done` frames.
-            if state.done.iter().all(|d| d.is_some()) {
+            None if state.done.iter().all(Option::is_some) => {
                 drop(state);
                 emit(&mut pending);
                 return;
             }
-            if !pending.is_empty() {
+            None => None,
+        };
+        let Some(row) = row else {
+            if pending.is_empty() {
+                drop(signals.ready.wait(state).expect("coordinator lock"));
+            } else {
                 drop(state);
                 emit(&mut pending);
-                continue;
             }
-            drop(signals.ready.wait(state).expect("coordinator lock"));
-            continue;
-        }
-        let Some(row) = state.rows.remove(&delivered) else {
-            if !pending.is_empty() {
-                drop(state);
-                emit(&mut pending);
-                continue;
-            }
-            drop(signals.ready.wait(state).expect("coordinator lock"));
             continue;
         };
-        state.buffered[shard_of(delivered)] -= 1;
-        state.next_deliver = delivered + 1;
         drop(state);
         signals.space.notify_all();
         emit(&mut pending);
@@ -590,7 +579,7 @@ fn deliver_rows(
                 return;
             }
         }
-        delivered += 1;
+        next = shards.next();
     }
 }
 
@@ -662,10 +651,10 @@ fn discard_child(mut child: Child) {
 }
 
 /// One worker attempt over the shard's full range. `Ok(())` means the
-/// shard's rows are all posted and its validated `Done` stats are
-/// recorded; any `Err` leaves the reorder buffer consistent (rows
-/// already posted stay — they are deterministic in the seed — and the
-/// retry simply re-fills the rest).
+/// shard's rows are all queued and its validated `Done` stats are
+/// recorded; any `Err` leaves the shard's queue consistent (rows
+/// already queued stay — they are deterministic in the seed — and the
+/// retry simply queues the rest).
 #[allow(clippy::too_many_arguments)]
 fn run_attempt(
     signals: &Signals,
@@ -738,7 +727,7 @@ fn run_attempt(
         };
         match frame {
             Frame::TrialRow { seq, row } => {
-                if seq != expected {
+                if seq != expected || seq >= end {
                     break Err(format!(
                         "row sequence violation: got {seq}, expected {expected} in [{start}, {end})"
                     ));
@@ -746,10 +735,13 @@ fn run_attempt(
                 expected += 1;
                 received += 1;
                 let mut state = signals.state.lock().expect("coordinator lock");
-                // Backpressure: cap this shard's undelivered buffer.
-                while state.buffered[shard] >= opts.buffered_rows_per_shard.max(1)
-                    && state.next_deliver < seq
+                // A row the queue already held came from an earlier
+                // attempt; this copy is dropped.
+                let fresh = received > state.queues[shard].held;
+                // Backpressure: cap this shard's undelivered rows.
+                while fresh
                     && !state.abort
+                    && state.queues[shard].rows.len() >= opts.buffered_rows_per_shard.max(1)
                 {
                     state = signals.space.wait(state).expect("coordinator lock");
                 }
@@ -757,14 +749,13 @@ fn run_attempt(
                     drop(state);
                     break Ok(None); // dying quietly; fatal is already set
                 }
-                // Rows before the delivery front were already written
-                // out by a previous attempt; re-received copies are
-                // byte-identical (same seed), so drop them.
-                if seq >= state.next_deliver && state.rows.insert(seq, row).is_none() {
-                    state.buffered[shard] += 1;
+                if fresh {
+                    let queue = &mut state.queues[shard];
+                    queue.rows.push_back(row);
+                    queue.held += 1;
+                    drop(state);
+                    signals.ready.notify_all();
                 }
-                drop(state);
-                signals.ready.notify_all();
                 if sabotage == Some(received) {
                     // The test hook: SIGKILL the worker mid-stream and
                     // let the normal failure detection see the corpse.
@@ -801,9 +792,12 @@ fn run_attempt(
                     Err(error) => break Err(format!("trace-dump for trial {seq}: {error}")),
                 };
                 let mut state = signals.state.lock().expect("coordinator lock");
-                // A retried shard re-sends dumps; duplicates are
-                // byte-identical (same seed), so the first copy wins.
-                state.dumps.entry(seq).or_insert(dump);
+                // Dumps arrive in seed order, so one at or below the
+                // queue's last is a retried attempt's copy.
+                let dumps = &mut state.queues[shard].dumps;
+                if dumps.last().is_none_or(|&(last, _)| last < seq) {
+                    dumps.push((seq, dump));
+                }
             }
             Frame::Stats { rows, stats } => {
                 if rows != received {

@@ -118,6 +118,73 @@ fn killing_the_first_shard_mid_delivery_also_recovers() {
 }
 
 #[test]
+fn tiny_shard_queues_backpressure_without_changing_the_output() {
+    // A queue cap of one or two rows makes every reader wait for the
+    // consumer, and a retried attempt re-sends rows its queue already
+    // held, which must be dropped rather than queued again.
+    let campaign = Campaign::new(Scenario::e1_root_high(), 120, 5);
+    for cap in [1, 2] {
+        let mut opts = options(3);
+        opts.buffered_rows_per_shard = cap;
+        let run = assert_sharded_identical(&campaign, &opts);
+        assert_eq!(run.worker_failures, 0);
+        for shard in [0, 1] {
+            let mut opts = options(2).with_sabotage(shard, 25);
+            opts.buffered_rows_per_shard = cap;
+            let run = assert_sharded_identical(&campaign, &opts);
+            assert!(
+                run.worker_failures >= 1,
+                "cap {cap}: sabotaged shard {shard} must register as a failure"
+            );
+        }
+    }
+}
+
+#[test]
+fn failing_csv_output_fails_the_run_and_reaps_every_worker() {
+    use std::os::unix::fs::PermissionsExt;
+
+    // Each worker runs through a wrapper that records its pid, so the
+    // test can check afterwards that none is left running or unreaped.
+    let dir = std::env::temp_dir().join(format!("certify-output-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let pids = dir.join("pids");
+    let wrapper = dir.join("worker");
+    std::fs::write(
+        &wrapper,
+        format!(
+            "#!/bin/sh\necho $$ >> '{}'\nexec '{}'\n",
+            pids.display(),
+            worker().display()
+        ),
+    )
+    .expect("wrapper written");
+    std::fs::set_permissions(&wrapper, std::fs::Permissions::from_mode(0o755))
+        .expect("wrapper made executable");
+
+    let campaign = Campaign::new(Scenario::e1_root_high(), 120, 5);
+    // A fixed 2 KiB buffer: once it is full, writes fail.
+    let mut buffer = [0u8; 2048];
+    let mut out: &mut [u8] = &mut buffer;
+    let result = run_sharded(&campaign, &options(3).with_worker(&wrapper), Some(&mut out));
+    assert!(
+        matches!(result, Err(ShardError::Output(_))),
+        "expected Output, got {result:?}"
+    );
+    let pids = std::fs::read_to_string(&pids).expect("workers recorded their pids");
+    assert!(!pids.is_empty(), "the workers ran through the wrapper");
+    for pid in pids.lines() {
+        // A worker that still runs, or exited but was never waited
+        // for (a zombie), still has its /proc entry.
+        assert!(
+            !std::path::Path::new(&format!("/proc/{pid}")).exists(),
+            "worker {pid} was not reaped"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn stats_only_runs_need_no_csv_output() {
     let campaign = Campaign::new(Scenario::e1_root_high(), 60, 11);
     let expected = campaign.run_streamed(&mut NullSink);
@@ -766,6 +833,16 @@ fn hostile_trace_frames_fail_the_shard_without_panicking() {
             "huge-dump-total",
             vec![prefix(5, 5), row, dump(u64::MAX, 2)],
             "suffix holds 2 events",
+        ),
+        (
+            "row-past-range",
+            (0..3)
+                .map(|seq| Frame::TrialRow {
+                    seq,
+                    row: b"0,correct\n".to_vec(),
+                })
+                .collect(),
+            "got 2, expected 2 in [0, 2)",
         ),
     ];
 

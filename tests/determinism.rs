@@ -1,14 +1,14 @@
 //! Parallel-vs-sequential determinism of the campaign engine.
 //!
 //! `Campaign::execute` distributes trials over `std::thread::scope`
-//! workers through a reorder buffer, but every trial
+//! lanes (trial `i` on lane `i % workers`), but every trial
 //! is seeded `base_seed + i` and delivered at sequence `i` — so the
 //! result must be *identical* (every field of every `TrialResult`,
 //! including full `RunReport` evidence) to sequential `run()`, for any
 //! worker count and any OS scheduling of the workers. The streamed
 //! `CampaignStats` must be identical too. CI runs this suite in both
 //! debug and `--release`, where trial timing skew actually exercises
-//! the reorder buffer.
+//! the lanes' hand-over.
 
 use certify_core::campaign::{Campaign, CampaignResult, Scenario};
 use certify_core::NullSink;
@@ -131,7 +131,7 @@ fn traced_campaigns_dump_identically_across_engines() {
     // The flight recorder rides the deterministic trial path, so a
     // traced campaign must surface byte-identical dumps — same seqs,
     // same event streams, same wire encodings — whether the trials run
-    // on one worker or through the threaded reorder buffer.
+    // on one worker or on the threaded lanes.
     use certify_core::{encode_to_vec, CollectSink, DumpPolicy, TraceConfig};
 
     let config = TraceConfig::new().with_policy(DumpPolicy::all_outcomes());

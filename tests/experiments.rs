@@ -65,9 +65,10 @@ fn e2_comm_region_still_advertises_running_for_a_dead_cell() {
         .read_state(&system.machine);
     assert_eq!(published, Some(CellState::Running));
     // …and yet the guest never ran (either the boot hypercall was
-    // rejected and it never entered, or it entered broken).
+    // rejected and it never entered, or it entered broken). A guest that
+    // never entered has scheduled no slice.
     assert!(
-        !system.rtos.is_booted() || system.rtos.health() != GuestHealth::Healthy,
+        system.rtos.kernel().total_slices() == 0 || system.rtos.health() != GuestHealth::Healthy,
         "guest unexpectedly healthy"
     );
     let start = system.cell_start_step().unwrap();

@@ -23,8 +23,9 @@
 //!   `Campaign::execute` — workers 0, 1, 4 and 64, range-split,
 //!   sharded, and observed at workers 1 and 4 — as its trials run
 //!   from step 0 (`run_trial`, `run_trial_traced`). Observed cells
-//!   also pin the telemetry counts, and every cell pins the reorder
-//!   bound and seed-order delivery on the caller's thread.
+//!   also pin the telemetry counts, and every cell pins the
+//!   undelivered-report bound and seed-order delivery on the caller's
+//!   thread.
 
 use certify_analysis::{campaign_to_csv, CsvSink};
 use certify_core::campaign::{Campaign, CampaignResult, Scenario};
@@ -482,7 +483,7 @@ const MODES: [&str; 8] = [
 
 /// Runs `campaign` in one table mode and returns the merged stats,
 /// the deliveries and the first trial of each engine call. Checks the
-/// mode's engine-side cells on the way: the reorder high-water mark is
+/// mode's engine-side cells on the way: the undelivered high-water mark is
 /// within `1..=workers` (clamped to the range), every hand-over reaches
 /// the sink on the caller's thread, and an observed run records one
 /// phase sample (with no steady state), row and progress count per

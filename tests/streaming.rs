@@ -12,8 +12,13 @@
 use certify_analysis::{campaign_to_csv, CsvSink};
 use certify_core::campaign::{Campaign, Scenario, TrialResult};
 use certify_core::memfault::{MemFaultModel, MemTarget};
+use certify_core::telemetry::EngineTelemetry;
 use certify_core::{CampaignStats, NullSink, TrialSink};
+use certify_obs::{Clock, NullObserver};
 use proptest::prelude::*;
+use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 mod common;
 use common::worker_counts;
@@ -143,6 +148,83 @@ fn empty_campaign_streams_nothing() {
     assert_eq!(high_water, 0);
     assert_eq!(stats.trials, 0);
     assert_eq!(seen, 0);
+}
+
+/// A sink that dies mid-campaign: it panics on delivery `seq` 10.
+struct PanickingSink;
+
+impl TrialSink for PanickingSink {
+    fn accept(&mut self, seq: usize, _trial: TrialResult) {
+        if seq == 10 {
+            panic!("sink gave up at seq {seq}");
+        }
+    }
+}
+
+/// A clock that panics on its 40th read: with telemetry attached, a
+/// trial that dies mid-campaign on whichever thread takes that read.
+struct FailingClock(AtomicU64);
+
+impl Clock for FailingClock {
+    fn now_ns(&self) -> u64 {
+        let reads = self.0.fetch_add(1, Ordering::Relaxed) + 1;
+        if reads == 40 {
+            panic!("clock failed at read {reads}");
+        }
+        reads
+    }
+}
+
+/// Runs `run` on its own thread, so that a teardown that deadlocks
+/// fails the calling test instead of hanging it, and returns the
+/// message of the panic it raised, if any.
+fn panic_message(run: impl FnOnce() + Send + 'static) -> Option<String> {
+    let (done, outcome) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let message = std::panic::catch_unwind(AssertUnwindSafe(run))
+            .err()
+            .map(|payload| match payload.downcast::<String>() {
+                Ok(message) => *message,
+                Err(_) => "a panic without a message".into(),
+            });
+        let _ = done.send(message);
+    });
+    outcome
+        .recv_timeout(Duration::from_secs(120))
+        .expect("the campaign hung after a panic")
+}
+
+#[test]
+fn sink_panic_reaches_the_caller_instead_of_hanging() {
+    for workers in [1usize, 4] {
+        let message = panic_message(move || {
+            let campaign = Campaign::new(Scenario::golden(200), 24, 3);
+            campaign.execute(.., workers, &mut PanickingSink, None);
+        });
+        assert_eq!(
+            message.as_deref(),
+            Some("sink gave up at seq 10"),
+            "execute on {workers} workers must re-raise the sink's own panic"
+        );
+    }
+}
+
+#[test]
+fn trial_panic_reaches_the_caller_instead_of_hanging() {
+    for workers in [1usize, 4] {
+        let message = panic_message(move || {
+            let campaign = Campaign::new(Scenario::golden(200), 24, 3);
+            let clock = FailingClock(AtomicU64::new(0));
+            let mut observer = NullObserver;
+            let mut telemetry = EngineTelemetry::new(&clock, &mut observer, 0);
+            campaign.execute(.., workers, &mut NullSink, Some(&mut telemetry));
+        });
+        assert_eq!(
+            message.as_deref(),
+            Some("clock failed at read 40"),
+            "execute on {workers} workers must re-raise the trial's own panic"
+        );
+    }
 }
 
 /// Records exactly what the sink saw, for order assertions.
