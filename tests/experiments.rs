@@ -65,10 +65,11 @@ fn e2_comm_region_still_advertises_running_for_a_dead_cell() {
         .read_state(&system.machine);
     assert_eq!(published, Some(CellState::Running));
     // …and yet the guest never ran (either the boot hypercall was
-    // rejected and it never entered, or it entered broken). A guest that
-    // never entered has scheduled no slice.
+    // rejected and it never entered, or it entered broken). `booted` is
+    // read from the guest's `Debug`, as the cpu tests read `online=`.
     assert!(
-        system.rtos.kernel().total_slices() == 0 || system.rtos.health() != GuestHealth::Healthy,
+        format!("{:?}", system.rtos).contains("booted: false")
+            || system.rtos.health() != GuestHealth::Healthy,
         "guest unexpectedly healthy"
     );
     let start = system.cell_start_step().unwrap();
