@@ -7,9 +7,13 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: u32 = 1 << PAGE_SHIFT;
+
+/// One materialised 4 KiB page.
+type Page = [u8; PAGE_SIZE as usize];
 
 /// A multiply-shift hasher for page indices. Page numbers are small
 /// dense integers; the default SipHash costs more than the page access
@@ -37,11 +41,17 @@ impl Hasher for PageHasher {
 }
 
 /// Sparse RAM covering `[base, base + size)`.
+///
+/// `Clone` is copy-on-write per page: a clone copies the page map but
+/// shares every page behind an `Arc`. The first write to a shared page
+/// (through [`Ram::write8`], [`Ram::write32`], the fault helpers built
+/// on them or [`Ram::zero_range`]) copies that one page, so a clone and
+/// its original never see each other's writes.
 #[derive(Debug, Clone)]
 pub struct Ram {
     base: u32,
     size: u32,
-    pages: HashMap<u32, Vec<u8>, BuildHasherDefault<PageHasher>>,
+    pages: HashMap<u32, Arc<Page>, BuildHasherDefault<PageHasher>>,
 }
 
 /// One word-granular corruption applied through the fault helpers
@@ -106,6 +116,16 @@ impl Ram {
         addr >= self.base && (addr - self.base) < self.size
     }
 
+    /// The page at index `page`, writable: materialised (zeroed) if
+    /// absent, copied first if a clone still shares it.
+    fn page_mut(&mut self, page: u32) -> &mut Page {
+        Arc::make_mut(
+            self.pages
+                .entry(page)
+                .or_insert_with(|| Arc::new([0; PAGE_SIZE as usize])),
+        )
+    }
+
     fn check(&self, addr: u32, len: u32) -> Result<(), OutOfRange> {
         let end = addr.checked_add(len - 1).ok_or(OutOfRange { addr })?;
         if !self.contains(addr) || !self.contains(end) {
@@ -138,12 +158,7 @@ impl Ram {
     pub fn write8(&mut self, addr: u32, value: u8) -> Result<(), OutOfRange> {
         self.check(addr, 1)?;
         let offset = addr - self.base;
-        let page = offset >> PAGE_SHIFT;
-        let entry = self
-            .pages
-            .entry(page)
-            .or_insert_with(|| vec![0; PAGE_SIZE as usize]);
-        entry[(offset & (PAGE_SIZE - 1)) as usize] = value;
+        self.page_mut(offset >> PAGE_SHIFT)[(offset & (PAGE_SIZE - 1)) as usize] = value;
         Ok(())
     }
 
@@ -182,11 +197,7 @@ impl Ram {
         let idx = (offset & (PAGE_SIZE - 1)) as usize;
         if idx + 4 <= PAGE_SIZE as usize {
             // All four bytes in one page: a single lookup.
-            let page = self
-                .pages
-                .entry(offset >> PAGE_SHIFT)
-                .or_insert_with(|| vec![0; PAGE_SIZE as usize]);
-            page[idx..idx + 4].copy_from_slice(&value.to_le_bytes());
+            self.page_mut(offset >> PAGE_SHIFT)[idx..idx + 4].copy_from_slice(&value.to_le_bytes());
             return Ok(());
         }
         for i in 0..4 {
@@ -310,7 +321,7 @@ impl Ram {
             if lo < hi {
                 let a = (lo - page_start) as usize;
                 let b = (hi - page_start) as usize;
-                data[a..b].fill(0);
+                Arc::make_mut(data)[a..b].fill(0);
             }
         }
         Ok(())
@@ -430,6 +441,48 @@ mod tests {
         assert!(ram.is_resident(0x4000_2fff));
         assert!(!ram.is_resident(0x4000_3000));
         assert!(!ram.is_resident(0x3fff_ffff));
+    }
+
+    #[test]
+    fn clone_shares_pages_until_the_first_write() {
+        let mut original = small();
+        original.write32(0x4000_1000, 0x1111_1111).unwrap();
+        original.write32(0x4000_2000, 0x2222_2222).unwrap();
+        let shared = |a: &Ram, b: &Ram, addr: u32| {
+            let page = (addr - a.base) >> PAGE_SHIFT;
+            Arc::ptr_eq(&a.pages[&page], &b.pages[&page])
+        };
+        let mut fork = original.clone();
+        assert!(shared(&fork, &original, 0x4000_1000));
+        assert!(shared(&fork, &original, 0x4000_2000));
+
+        // Each write path copies only the page it writes.
+        fork.write32(0x4000_1004, 0xdead_beef).unwrap();
+        assert!(!shared(&fork, &original, 0x4000_1000));
+        assert!(shared(&fork, &original, 0x4000_2000));
+        fork.zero_range(0x4000_2000, 4).unwrap();
+        assert!(!shared(&fork, &original, 0x4000_2000));
+        // A page materialised after the clone is the fork's alone.
+        fork.write8(0x4000_3000, 7).unwrap();
+
+        // The original is byte-identical to before the clone.
+        assert_eq!(
+            original.resident_page_addrs(),
+            vec![0x4000_1000, 0x4000_2000]
+        );
+        assert_eq!(original.read32(0x4000_1000).unwrap(), 0x1111_1111);
+        assert_eq!(original.read32(0x4000_1004).unwrap(), 0);
+        assert_eq!(original.read32(0x4000_2000).unwrap(), 0x2222_2222);
+        assert_eq!(original.read8(0x4000_3000).unwrap(), 0);
+        assert_eq!(fork.read32(0x4000_1000).unwrap(), 0x1111_1111);
+        assert_eq!(fork.read32(0x4000_1004).unwrap(), 0xdead_beef);
+        assert_eq!(fork.read32(0x4000_2000).unwrap(), 0);
+
+        // A page no clone shares any more is written in place.
+        drop(fork);
+        let page = original.pages[&1].as_ptr();
+        original.write8(0x4000_1008, 1).unwrap();
+        assert_eq!(original.pages[&1].as_ptr(), page);
     }
 
     #[test]

@@ -30,10 +30,22 @@ const MAX_IRQS_PER_STEP: usize = 8;
 ///
 /// `Clone` is for snapshotting fault-free systems: cloning one with a
 /// register injector installed panics (see [`Hypervisor`]'s `Clone`).
-/// A clone shares nothing with the original: it copies the memory
-/// injector with its records and the flight recorder, so trials forked
-/// from one snapshot never share a log or a ring and each dumps exactly
-/// what a trial traced from step 0 would.
+/// A clone is copy-on-write for the state a trial only reads:
+///
+/// - *Shared until written:* each cell's stage-2 table (copied by the
+///   first memory fault that writes it) and every resident RAM page
+///   (copied by the first write to it).
+/// - *Shared, never written:* the platform and cell configs, the Linux
+///   guest's config blobs and management script, and the RTOS task
+///   and kernel names.
+/// - *Copied:* everything else — CPU, GIC, timer and device state, the
+///   UART capture, the page map, the hypervisor's per-run vectors, the
+///   RTOS task bodies and queues, the memory injector with its records
+///   and the flight recorder.
+///
+/// So trials forked from one snapshot never see each other's writes,
+/// never share a log or a ring, and each dumps exactly what a trial
+/// traced from step 0 would.
 #[derive(Clone)]
 pub struct System {
     /// The board.
@@ -83,34 +95,34 @@ impl System {
 
     fn build(script: Arc<MgmtScript>, rtos_heartbeat: bool) -> System {
         // The testbed configuration is fixed (the paper's board), so
-        // build it — and its serialized blobs — once per process
-        // instead of once per campaign trial.
+        // build it — and its serialized blobs — once per process and
+        // share it with every system and every clone.
         struct Testbed {
-            platform: SystemConfig,
+            platform: Arc<SystemConfig>,
             cell_entry: u32,
-            system_blob: Vec<u8>,
-            cell_blob: Vec<u8>,
+            system_blob: Arc<[u8]>,
+            cell_blob: Arc<[u8]>,
         }
         static TESTBED: std::sync::OnceLock<Testbed> = std::sync::OnceLock::new();
         let testbed = TESTBED.get_or_init(|| {
             let platform = SystemConfig::banana_pi_demo();
             let cell_config = SystemConfig::freertos_cell();
             Testbed {
-                system_blob: platform.serialize(),
-                cell_blob: cell_config.serialize(),
+                system_blob: platform.serialize().into(),
+                cell_blob: cell_config.serialize().into(),
                 cell_entry: cell_config.entry,
-                platform,
+                platform: Arc::new(platform),
             }
         });
         let mut machine = Machine::new_banana_pi();
         machine.cpu_mut(CpuId(0)).power_on();
         machine.cpu_mut(CpuId(1)).power_on();
         machine.timer_mut(CpuId(0)).start();
-        let hv = Hypervisor::new(testbed.platform.clone());
+        let hv = Hypervisor::new(Arc::clone(&testbed.platform));
         let linux = LinuxGuest::with_blobs(
             script,
-            testbed.system_blob.clone(),
-            testbed.cell_blob.clone(),
+            Arc::clone(&testbed.system_blob),
+            Arc::clone(&testbed.cell_blob),
         );
         let rtos = if rtos_heartbeat {
             RtosGuest::with_heartbeat(testbed.cell_entry)

@@ -31,8 +31,9 @@ pub struct LinuxGuest {
     records: Vec<MgmtRecord>,
     pending_offline: Option<CpuId>,
     created_cell: Option<u32>,
-    system_blob: Vec<u8>,
-    cell_blob: Vec<u8>,
+    /// The configuration blobs are never written, so clones share them.
+    system_blob: Arc<[u8]>,
+    cell_blob: Arc<[u8]>,
     watchdog_armed: bool,
     monitor: Option<MonitorState>,
     monitor_alarms: Vec<u64>,
@@ -68,12 +69,12 @@ impl LinuxGuest {
     }
 
     /// Like [`LinuxGuest::new`], with the configuration blobs already
-    /// serialized — campaigns serialize the fixed platform configs
-    /// once and hand each trial a byte copy.
+    /// serialized (owned or shared via `Arc`) — campaigns serialize the
+    /// fixed platform configs once and share them with every trial.
     pub fn with_blobs(
         script: impl Into<Arc<MgmtScript>>,
-        system_blob: Vec<u8>,
-        cell_blob: Vec<u8>,
+        system_blob: impl Into<Arc<[u8]>>,
+        cell_blob: impl Into<Arc<[u8]>>,
     ) -> Self {
         LinuxGuest {
             script: script.into(),
@@ -87,8 +88,8 @@ impl LinuxGuest {
             records: Vec::new(),
             pending_offline: None,
             created_cell: None,
-            system_blob,
-            cell_blob,
+            system_blob: system_blob.into(),
+            cell_blob: cell_blob.into(),
             watchdog_armed: false,
             monitor: None,
             monitor_alarms: Vec::new(),
@@ -189,8 +190,7 @@ impl LinuxGuest {
                 self.pc += 1;
             }
             MgmtOp::StageSystemConfig => {
-                let blob = self.system_blob.clone();
-                Self::stage(ctx, SYS_BLOB_ADDR, &blob);
+                Self::stage(ctx, SYS_BLOB_ADDR, &self.system_blob);
                 self.record(step, op, 0);
                 self.pc += 1;
             }
@@ -222,8 +222,7 @@ impl LinuxGuest {
                 // Otherwise retry next step.
             }
             MgmtOp::StageCellConfig => {
-                let blob = self.cell_blob.clone();
-                Self::stage(ctx, CELL_BLOB_ADDR, &blob);
+                Self::stage(ctx, CELL_BLOB_ADDR, &self.cell_blob);
                 self.record(step, op, 0);
                 self.pc += 1;
             }

@@ -15,6 +15,7 @@ use crate::config::{CellConfig, MemFlags};
 use crate::error::HvError;
 use certify_arch::mmu::{S2Perms, Stage2Table, PAGE_SIZE};
 use std::fmt;
+use std::sync::Arc;
 
 /// A cell identifier. Id 0 is always the root cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -58,19 +59,25 @@ impl fmt::Display for CellState {
 }
 
 /// A cell and its runtime state.
+///
+/// `Clone` is copy-on-write: the configuration and the stage-2 table
+/// are shared behind `Arc`s, so a clone costs two reference-count
+/// bumps until [`Cell::stage2_mut`] copies the table for the one clone
+/// that writes it.
 #[derive(Debug, Clone)]
 pub struct Cell {
     /// This cell's id.
     pub id: CellId,
-    /// The static configuration the cell was created from.
-    pub config: CellConfig,
+    /// The static configuration the cell was created from (immutable,
+    /// so every clone shares it).
+    pub config: Arc<CellConfig>,
     state: CellState,
     /// Whether an image has been loaded since the last stop.
     loaded: bool,
     /// The stage-2 translation table enforcing this cell's memory
     /// assignment. Built once from the static configuration — the
     /// hardware mechanism behind the isolation the paper probes.
-    stage2: Stage2Table,
+    stage2: Arc<Stage2Table>,
 }
 
 impl Cell {
@@ -100,10 +107,10 @@ impl Cell {
         }
         Cell {
             id,
-            config,
+            config: Arc::new(config),
             state: CellState::Stopped,
             loaded: false,
-            stage2,
+            stage2: Arc::new(stage2),
         }
     }
 
@@ -115,8 +122,13 @@ impl Cell {
     /// Mutable access to the stage-2 table — the surface a memory-fault
     /// campaign corrupts to model MMU-table faults. Regular hypervisor
     /// operation never rewrites the table after [`Cell::new`].
+    ///
+    /// The table is copy-on-write: while a clone of this cell still
+    /// shares it, the first call copies it (`Arc::make_mut`), so the
+    /// write lands in this cell's own table and every other clone keeps
+    /// the original.
     pub fn stage2_mut(&mut self) -> &mut Stage2Table {
-        &mut self.stage2
+        Arc::make_mut(&mut self.stage2)
     }
 
     /// The cell's communication region, rooted at its first private
@@ -275,6 +287,24 @@ mod tests {
         // cell-object level a reload+start models the re-creation.
         cell.mark_loaded().unwrap();
         assert_eq!(cell.start(), Ok(()));
+    }
+
+    #[test]
+    fn clone_shares_stage2_until_the_first_write() {
+        let original = rtos_cell();
+        let pristine = original.stage2().clone();
+        let mut fork = original.clone();
+        assert!(std::ptr::eq(fork.stage2(), original.stage2()));
+        assert!(Arc::ptr_eq(&fork.config, &original.config));
+
+        let ipa = original.config.regions[0].base;
+        assert_ne!(fork.stage2().descriptor_word(ipa), 0, "a mapped page");
+        fork.stage2_mut().set_descriptor_word(ipa, 0);
+        assert!(!std::ptr::eq(fork.stage2(), original.stage2()));
+        assert_eq!(fork.stage2().descriptor_word(ipa), 0);
+        assert_eq!(original.stage2(), &pristine, "the original is untouched");
+        // The configuration is never written, so it stays shared.
+        assert!(Arc::ptr_eq(&fork.config, &original.config));
     }
 
     #[test]

@@ -25,6 +25,7 @@ use certify_board::{memmap, Machine};
 use certify_obs::trace::{FlightRecorder, TraceEvent, TraceKind};
 use std::any::Any;
 use std::fmt;
+use std::sync::Arc;
 
 /// Maximum size of a staged configuration blob.
 const MAX_BLOB_LEN: u32 = 4096;
@@ -55,7 +56,8 @@ const NUM_HANDLERS: usize = HandlerKind::ALL.len();
 
 /// The partitioning hypervisor.
 pub struct Hypervisor {
-    platform: SystemConfig,
+    /// The static platform description (immutable, so clones share it).
+    platform: Arc<SystemConfig>,
     enabled: bool,
     cells: Vec<Option<Cell>>,
     cpu_owner: Vec<Option<CellId>>,
@@ -102,10 +104,16 @@ impl fmt::Debug for Hypervisor {
     }
 }
 
-/// Clones the hypervisor's whole state for snapshotting a fault-free
-/// system. The flight recorder is copied, not shared: each clone
-/// records into a ring of its own that starts with the original's
-/// events and counters.
+/// Clones the hypervisor's state for snapshotting a fault-free system.
+///
+/// The static parts are shared, not copied: the platform config, and
+/// in each [`Cell`] its config and stage-2 table. Only a clone whose
+/// memory fault writes a stage-2 table through
+/// [`Hypervisor::cell_stage2_mut`] copies that one table. Everything a
+/// trial changes as it runs is copied: cell states, ownership, call
+/// counts, the event trace and the evidence counters. The flight
+/// recorder is copied too: each clone records into a ring of its own
+/// that starts with the original's events and counters.
 ///
 /// # Panics
 ///
@@ -139,10 +147,12 @@ impl Clone for Hypervisor {
 }
 
 impl Hypervisor {
-    /// Creates a (disabled) hypervisor for the given platform.
-    pub fn new(platform: SystemConfig) -> Hypervisor {
+    /// Creates a (disabled) hypervisor for the given platform (owned,
+    /// or shared via `Arc` so every system built from one testbed
+    /// shares one copy).
+    pub fn new(platform: impl Into<Arc<SystemConfig>>) -> Hypervisor {
         Hypervisor {
-            platform,
+            platform: platform.into(),
             enabled: false,
             cells: Vec::new(),
             cpu_owner: Vec::new(),
@@ -312,7 +322,9 @@ impl Hypervisor {
     }
 
     /// Mutable access to a cell's stage-2 translation table (memory
-    /// fault injection into the MMU tables).
+    /// fault injection into the MMU tables). Copies the table first if
+    /// a clone of this hypervisor still shares it (see
+    /// [`Cell::stage2_mut`]).
     pub fn cell_stage2_mut(&mut self, id: CellId) -> Option<&mut certify_arch::Stage2Table> {
         // Table corruption can conjure or remove mappings underneath a
         // cached direct window, so the caches must not outlive the

@@ -12,6 +12,7 @@ use crate::sync::{MutexId, SemaphoreId, SyncSet};
 use crate::task::{BlockReason, Priority, SliceResult, TaskCode, TaskEnv, TaskId, TaskState, Tcb};
 use certify_hypervisor::GuestCtx;
 use std::fmt;
+use std::sync::Arc;
 
 /// A FreeRTOS-like kernel instance.
 ///
@@ -25,7 +26,7 @@ use std::fmt;
 /// the determinism suites).
 #[derive(Clone)]
 pub struct Rtos {
-    name: String,
+    name: Arc<str>,
     tasks: Vec<Tcb>,
     queues: QueueSet,
     sync: SyncSet,
@@ -62,7 +63,7 @@ impl fmt::Debug for Rtos {
 
 impl Rtos {
     /// Creates an empty kernel.
-    pub fn new(name: impl Into<String>) -> Rtos {
+    pub fn new(name: impl Into<Arc<str>>) -> Rtos {
         Rtos {
             name: name.into(),
             tasks: Vec::new(),
@@ -86,7 +87,7 @@ impl Rtos {
     /// Spawns a task at the given priority.
     pub fn spawn(
         &mut self,
-        name: impl Into<String>,
+        name: impl Into<Arc<str>>,
         priority: Priority,
         code: Box<dyn TaskCode>,
     ) -> TaskId {

@@ -4,6 +4,7 @@
 use crate::queue::QueueId;
 use certify_hypervisor::GuestCtx;
 use std::fmt;
+use std::sync::Arc;
 
 /// A task identifier, unique within one kernel instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -176,8 +177,8 @@ impl Clone for Box<dyn TaskCode> {
 pub struct Tcb {
     /// Task id.
     pub id: TaskId,
-    /// Task name (for logs).
-    pub name: String,
+    /// Task name (for logs; never written, so clones share it).
+    pub name: Arc<str>,
     /// Base (configured) priority.
     pub priority: Priority,
     /// Temporarily boosted priority under priority inheritance, if

@@ -337,6 +337,15 @@ impl TaskCode for IdleTask {
     }
 }
 
+/// The float and integer task names, as literals: a name becomes its
+/// shared `Arc<str>` in one allocation, where a formatted `String`
+/// would take two.
+const FLOAT_TASK_NAMES: [&str; NUM_FLOAT_TASKS] = ["float0", "float1"];
+const INTEGER_TASK_NAMES: [&str; NUM_INTEGER_TASKS] = [
+    "int00", "int01", "int02", "int03", "int04", "int05", "int06", "int07", "int08", "int09",
+    "int10", "int11", "int12", "int13", "int14",
+];
+
 /// Spawns the paper's exact task set into `rtos`: one blink task, a
 /// send/receive pair over a fresh queue, two floating-point tasks,
 /// fifteen integer tasks, plus the idle task.
@@ -349,19 +358,11 @@ pub fn spawn_paper_workload(rtos: &mut Rtos) {
         Priority::NORMAL,
         Box::new(ReceiverTask::new(queue)),
     );
-    for i in 0..NUM_FLOAT_TASKS {
-        rtos.spawn(
-            format!("float{i}"),
-            Priority::LOW,
-            Box::new(FloatTask::new(i)),
-        );
+    for (i, name) in FLOAT_TASK_NAMES.into_iter().enumerate() {
+        rtos.spawn(name, Priority::LOW, Box::new(FloatTask::new(i)));
     }
-    for i in 0..NUM_INTEGER_TASKS {
-        rtos.spawn(
-            format!("int{i:02}"),
-            Priority::LOW,
-            Box::new(IntegerTask::new(i)),
-        );
+    for (i, name) in INTEGER_TASK_NAMES.into_iter().enumerate() {
+        rtos.spawn(name, Priority::LOW, Box::new(IntegerTask::new(i)));
     }
     rtos.spawn("idle", Priority::IDLE, Box::new(IdleTask));
 }

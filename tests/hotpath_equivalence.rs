@@ -54,19 +54,44 @@ fn scenarios() -> Vec<(Scenario, usize)> {
             6,
         ),
         (Scenario::e7_mixed(), 6),
+        (e7_stage2_after_fork(), 12),
     ]
 }
 
-/// Runs one seeded trial of `scenario`, returning the live `System`
-/// (the campaign engine classifies and drops it; the equivalence
-/// checks need the carcass).
-fn run_system(scenario: &Scenario, seed: u64) -> System {
+/// E7 with its memory faults aimed at the stage-2 tables. It forks at
+/// step 3158, after both cells' tables are built, so every trial that
+/// corrupts a table writes one its prefix shares: the copy-on-write
+/// path of `Cell::stage2_mut`.
+fn e7_stage2_after_fork() -> Scenario {
+    use certify_core::memfault::{MemFaultModel, MemRegionKind, MemTarget};
+    use certify_core::spec::{MemorySpec, Paced};
+    Scenario {
+        name: "e7-stage2-after-fork".into(),
+        mem_spec: Some(
+            MemorySpec::e6_memory(
+                MemFaultModel::DescriptorInvalidate,
+                MemTarget::only(MemRegionKind::Stage2Tables),
+            )
+            .with_rate(10)
+            .with_window(3300, 4500),
+        ),
+        ..Scenario::e7_mixed()
+    }
+}
+
+/// `scenario`'s fault-free testbed, not yet stepped.
+fn fresh_system(scenario: &Scenario) -> System {
     let script = Arc::new(scenario.script.clone());
-    let mut system = if scenario.rtos_heartbeat {
+    if scenario.rtos_heartbeat {
         System::new_with_heartbeat(script)
     } else {
         System::new(script)
-    };
+    }
+}
+
+/// Installs `seed`'s injectors into `system` and runs it to the end of
+/// `scenario`'s step budget.
+fn finish_trial(system: &mut System, scenario: &Scenario, seed: u64) {
     if let Some(spec) = &scenario.spec {
         system.install_injector(spec.clone(), seed);
     }
@@ -74,7 +99,15 @@ fn run_system(scenario: &Scenario, seed: u64) -> System {
         // Matches `TrialRunner`'s MEM_SEED_OFFSET derivation.
         system.install_mem_injector(mem_spec.clone(), seed.wrapping_add(0x6d65_6d66));
     }
-    system.run(scenario.steps);
+    system.run(scenario.steps - system.steps_run());
+}
+
+/// Runs one seeded trial of `scenario`, returning the live `System`
+/// (the campaign engine classifies and drops it; the equivalence
+/// checks need the carcass).
+fn run_system(scenario: &Scenario, seed: u64) -> System {
+    let mut system = fresh_system(scenario);
+    finish_trial(&mut system, scenario, seed);
     system
 }
 
@@ -576,7 +609,9 @@ fn run_mode(
 }
 
 /// The equivalence table. Forked ≡ from-scratch, and every mode ≡
-/// every other: for every built-in scenario, untraced and traced with
+/// every other: for every built-in scenario (plus
+/// [`e7_stage2_after_fork`], whose trials write the stage-2 tables they
+/// share with their prefix), untraced and traced with
 /// every trial dumped, each [`MODES`] cell must deliver exactly the
 /// trials, dumps (events, `total`, `dropped`), CSV bytes and stats of
 /// trials run from step 0. Tracing off through the traced entry point
@@ -585,7 +620,10 @@ fn run_mode(
 fn forked_trials_equal_from_scratch_trials_in_every_mode() {
     let traced = TraceConfig::new().with_policy(DumpPolicy::all_outcomes());
     let mut dropped_before_fork = false;
-    for scenario in certify_lint::builtin_scenarios() {
+    let scenarios = certify_lint::builtin_scenarios()
+        .into_iter()
+        .chain([e7_stage2_after_fork()]);
+    for scenario in scenarios {
         let name = scenario.name.clone();
         let trials = if name.starts_with("e3") { 6 } else { 4 };
         let runner = scenario.runner();
@@ -686,4 +724,114 @@ fn fork_steps_of_the_paper_scenarios() {
     assert_eq!(fork(Scenario::golden(1500)), 1500);
     let e2 = fork(Scenario::e2_nonroot_high());
     assert!(e2 < 30, "E2's jittered cadence forks early, got {e2}");
+}
+
+/// Copy-on-write isolation at the system level: forks of one prefix
+/// that corrupt its shared stage-2 tables, or write its shared RAM
+/// pages, copy them first. The prefix stays byte-identical, so every
+/// later fork starts from the same state.
+#[test]
+fn forks_that_write_shared_state_leave_the_prefix_untouched() {
+    let scenario = e7_stage2_after_fork();
+    let mut prefix = fresh_system(&scenario);
+    prefix.run(scenario.runner().fork_step());
+
+    let tables = |system: &System| -> Vec<_> {
+        system
+            .hv
+            .cells()
+            .map(|cell| cell.stage2().clone())
+            .collect()
+    };
+    // The words of the prefix's resident pages, as `system` holds them.
+    let pages = prefix.machine.ram().resident_page_addrs();
+    let ram = |system: &System| -> Vec<u32> {
+        let ram = system.machine.ram();
+        let words = pages
+            .iter()
+            .flat_map(|page| (0..1024).map(move |i| page + 4 * i));
+        words.map(|addr| ram.read32(addr).unwrap()).collect()
+    };
+    let (prefix_tables, prefix_ram) = (tables(&prefix), ram(&prefix));
+    assert_eq!(prefix_tables.len(), 2, "both cells exist at the fork");
+
+    let (mut wrote_tables, mut wrote_ram) = (0, 0);
+    for seq in 0..12 {
+        let mut fork = prefix.clone();
+        finish_trial(&mut fork, &scenario, 0xD5_2022 + seq);
+        wrote_tables += usize::from(tables(&fork) != prefix_tables);
+        wrote_ram += usize::from(ram(&fork) != prefix_ram);
+        assert_eq!(tables(&prefix), prefix_tables, "seed {seq}: prefix tables");
+        assert_eq!(ram(&prefix), prefix_ram, "seed {seq}: prefix RAM");
+        assert_eq!(prefix.machine.ram().resident_page_addrs(), pages);
+    }
+    assert!(wrote_tables > 0, "no fork wrote a shared stage-2 table");
+    assert!(wrote_ram > 0, "no fork wrote a shared RAM page");
+}
+
+/// Cross-checks the fork step against the pre-flight certificate, for
+/// every built-in scenario plus E6 with its memory window opened late.
+///
+/// The off-by-one: the fork step counts steps *run*, while a phase's
+/// `start` is a step *number*, and the `k`-th step runs with
+/// `machine.now() == k`. A trial forked at step `F` can therefore first
+/// inject at step `F + 1`, and no injector fires before its earliest
+/// phase starts, so `F + 1 >= earliest start`. Equality holds when the
+/// injector's first due call comes before its window opens, as in the
+/// windowed E6: it forks at 3299 for a window starting at step 3300. A
+/// scenario without injectors forks at its last step. And over a fixed
+/// set of seeds run from step 0, every register and memory injection
+/// attempt lands after the fork step and inside one of its domain's
+/// phases.
+#[test]
+fn fork_steps_agree_with_the_certificate_phases() {
+    use certify_core::memfault::{MemFaultModel, MemTarget};
+    use certify_core::spec::{MemorySpec, Paced};
+    let late_window = Scenario {
+        name: "e6-late-window".into(),
+        mem_spec: Some(
+            MemorySpec::e6_memory(MemFaultModel::SingleBitFlip, MemTarget::e6())
+                .with_window(3300, 4500),
+        ),
+        ..Scenario::e6_memory(MemFaultModel::SingleBitFlip, MemTarget::e6())
+    };
+    let mut checked = 0;
+    for scenario in certify_lint::builtin_scenarios()
+        .into_iter()
+        .chain([late_window])
+    {
+        let name = &scenario.name;
+        let runner = scenario.runner();
+        let fork = runner.fork_step();
+        let (certificate, _) = certify_lint::certify_scenario(&scenario);
+        let (reg_phases, mem_phases) = (&certificate.reg_phases, &certificate.mem_phases);
+        match reg_phases.iter().chain(mem_phases).map(|p| p.start).min() {
+            Some(earliest) => assert!(
+                fork + 1 >= earliest,
+                "{name}: fork step {fork} is before the earliest phase start {earliest}"
+            ),
+            None => assert_eq!(fork, scenario.steps, "{name}: no phase, whole-run prefix"),
+        }
+        if name == "e6-late-window" {
+            assert_eq!((fork, mem_phases[0].start), (3299, 3300), "{name}");
+        }
+
+        let in_phase = |phases: &[certify_core::PhaseBound], step: u64| {
+            phases.iter().any(|p| p.start <= step && step < p.end)
+        };
+        for seq in 0..3 {
+            let report = runner.run_trial(0xD5_2022 + seq).report;
+            let reg = report.injections.iter().map(|r| (r.step, reg_phases));
+            let mem = report.mem_injections.iter().map(|r| (r.step, mem_phases));
+            for (step, phases) in reg.chain(mem) {
+                assert!(step > fork, "{name}: injection at step {step}, fork {fork}");
+                assert!(
+                    in_phase(phases, step),
+                    "{name}: injection at step {step} outside every phase"
+                );
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked > 0, "no seed injected");
 }
