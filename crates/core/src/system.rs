@@ -35,9 +35,8 @@ const MAX_IRQS_PER_STEP: usize = 8;
 /// - *Shared until written:* each cell's stage-2 table (copied by the
 ///   first memory fault that writes it) and every resident RAM page
 ///   (copied by the first write to it).
-/// - *Shared, never written:* the platform and cell configs, the Linux
-///   guest's config blobs and management script, and the RTOS task
-///   and kernel names.
+/// - *Shared, never written:* the platform and cell configs and the
+///   Linux guest's config blobs and management script.
 /// - *Copied:* everything else — CPU, GIC, timer and device state, the
 ///   UART capture, the page map, the hypervisor's per-run vectors, the
 ///   RTOS task bodies and queues, the memory injector with its records

@@ -44,7 +44,7 @@ impl RtosGuest {
     }
 
     fn build(expected_entry: u32, with_heartbeat: bool) -> RtosGuest {
-        let mut kernel = Rtos::new("freertos-demo");
+        let mut kernel = Rtos::new();
         if with_heartbeat {
             workload::spawn_paper_workload_with_heartbeat(&mut kernel);
         } else {
@@ -161,7 +161,7 @@ impl Guest for RtosGuest {
         // pristine kernel built at construction instead of spawning
         // the whole task set again (per-trial setup cost).
         if self.booted || self.kernel.total_slices() > 0 || self.kernel.tick_count() > 0 {
-            let mut kernel = Rtos::new("freertos-demo");
+            let mut kernel = Rtos::new();
             if self.with_heartbeat {
                 workload::spawn_paper_workload_with_heartbeat(&mut kernel);
             } else {

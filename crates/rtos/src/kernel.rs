@@ -8,11 +8,10 @@
 //! granularity the simulator steps guests at.
 
 use crate::queue::{QueueId, QueueSet, SendOutcome};
-use crate::sync::{MutexId, SemaphoreId, SyncSet};
 use crate::task::{BlockReason, Priority, SliceResult, TaskCode, TaskEnv, TaskId, TaskState, Tcb};
 use certify_hypervisor::GuestCtx;
+use std::collections::VecDeque;
 use std::fmt;
-use std::sync::Arc;
 
 /// A FreeRTOS-like kernel instance.
 ///
@@ -20,16 +19,13 @@ use std::sync::Arc;
 /// lists (ordered least-recently-scheduled first) plus a list of
 /// blocked tasks, so each [`Rtos::run_slice`] touches only the blocked
 /// tasks and the head of the highest non-empty ready list instead of
-/// scanning every TCB twice. This is the kernel's contribution to the
-/// sub-millisecond campaign trial budget; the ordering it produces is
-/// bit-identical to the historical full-scan scheduler (asserted by
-/// the determinism suites).
-#[derive(Clone)]
+/// scanning every TCB twice. A task is always filed under its fixed
+/// priority. The ordering is bit-identical to the historical
+/// full-scan scheduler (asserted by the determinism suites).
+#[derive(Clone, Default)]
 pub struct Rtos {
-    name: Arc<str>,
     tasks: Vec<Tcb>,
     queues: QueueSet,
-    sync: SyncSet,
     tick: u64,
     /// Monotonic schedule counter used for round-robin tie-breaking.
     schedule_seq: u64,
@@ -37,7 +33,7 @@ pub struct Rtos {
     last_scheduled: Vec<u64>,
     /// Ready lists indexed by priority, each sorted by ascending
     /// last-scheduled stamp (front = next to run at that priority).
-    ready: Vec<std::collections::VecDeque<TaskId>>,
+    ready: Vec<VecDeque<TaskId>>,
     /// Blocked tasks, sorted by task id — wake checks preserve the
     /// historical whole-table scan order without visiting ready TCBs.
     blocked: Vec<TaskId>,
@@ -45,16 +41,15 @@ pub struct Rtos {
     /// above it is non-empty); lets the picker start its downward scan
     /// at the action instead of the top.
     top_ready: usize,
-    /// `(tick, queue version, sync version)` at the end of the last
-    /// wake scan; while unchanged, no blocked task's wait condition
-    /// can have become true and the scan is skipped.
-    wake_stamp: Option<(u64, u64, u64)>,
+    /// `(tick, queue version)` at the end of the last wake scan; while
+    /// unchanged, no blocked task's wait condition can have become
+    /// true and the scan is skipped.
+    wake_stamp: Option<(u64, u64)>,
 }
 
 impl fmt::Debug for Rtos {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Rtos")
-            .field("name", &self.name)
             .field("tasks", &self.tasks.len())
             .field("tick", &self.tick)
             .finish()
@@ -63,44 +58,20 @@ impl fmt::Debug for Rtos {
 
 impl Rtos {
     /// Creates an empty kernel.
-    pub fn new(name: impl Into<Arc<str>>) -> Rtos {
-        Rtos {
-            name: name.into(),
-            tasks: Vec::new(),
-            queues: QueueSet::new(),
-            sync: SyncSet::new(),
-            tick: 0,
-            schedule_seq: 0,
-            last_scheduled: Vec::new(),
-            ready: Vec::new(),
-            blocked: Vec::new(),
-            top_ready: 0,
-            wake_stamp: None,
-        }
-    }
-
-    /// The kernel instance name.
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn new() -> Rtos {
+        Rtos::default()
     }
 
     /// Spawns a task at the given priority.
-    pub fn spawn(
-        &mut self,
-        name: impl Into<Arc<str>>,
-        priority: Priority,
-        code: Box<dyn TaskCode>,
-    ) -> TaskId {
+    pub fn spawn(&mut self, priority: Priority, code: Box<dyn TaskCode>) -> TaskId {
         let id = TaskId(self.tasks.len() as u32);
         self.tasks.push(Tcb {
             id,
-            name: name.into(),
             priority,
-            boosted: None,
             state: TaskState::Ready,
             block: None,
             slices_run: 0,
-            code: Some(code),
+            code,
         });
         self.last_scheduled.push(0);
         self.enqueue_ready(id, priority);
@@ -110,25 +81,6 @@ impl Rtos {
     /// Creates a queue with the given capacity.
     pub fn create_queue(&mut self, capacity: usize) -> QueueId {
         self.queues.create(capacity)
-    }
-
-    /// Creates a mutex (with priority inheritance).
-    pub fn create_mutex(&mut self) -> MutexId {
-        self.sync.create_mutex()
-    }
-
-    /// Creates a counting semaphore.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max` is zero or `initial > max`.
-    pub fn create_semaphore(&mut self, initial: u32, max: u32) -> SemaphoreId {
-        self.sync.create_semaphore(initial, max)
-    }
-
-    /// The synchronisation primitives (statistics).
-    pub fn sync(&self) -> &SyncSet {
-        &self.sync
     }
 
     /// Number of spawned tasks.
@@ -180,8 +132,7 @@ impl Rtos {
     fn enqueue_ready(&mut self, id: TaskId, priority: Priority) {
         let slot = priority.0 as usize;
         if self.ready.len() <= slot {
-            self.ready
-                .resize_with(slot + 1, std::collections::VecDeque::new);
+            self.ready.resize_with(slot + 1, VecDeque::new);
         }
         self.top_ready = self.top_ready.max(slot);
         let (ready, stamps) = (&mut self.ready, &self.last_scheduled);
@@ -189,15 +140,6 @@ impl Rtos {
         let list = &mut ready[slot];
         let pos = list.partition_point(|t| stamps[t.0 as usize] < stamp);
         list.insert(pos, id);
-    }
-
-    /// Removes `id` from the ready list for `priority` (present by
-    /// invariant when the task's state is `Ready`).
-    fn dequeue_ready(&mut self, id: TaskId, priority: Priority) {
-        let list = &mut self.ready[priority.0 as usize];
-        if let Some(pos) = list.iter().position(|&t| t == id) {
-            list.remove(pos);
-        }
     }
 
     /// Pops the next task to run: the least-recently-scheduled head of
@@ -223,11 +165,11 @@ impl Rtos {
     /// kept in task-id order, so deferred sends complete in the same
     /// order the historical whole-table scan processed them.
     ///
-    /// Wait conditions depend only on the kernel tick and the queue /
-    /// sync state, all of which carry change counters — while those
-    /// are unchanged since the last scan, the scan is skipped.
+    /// Wait conditions depend only on the kernel tick and the queue
+    /// state, both of which carry change counters — while those are
+    /// unchanged since the last scan, the scan is skipped.
     fn wake_eligible(&mut self) {
-        let stamp = (self.tick, self.queues.version(), self.sync.version());
+        let stamp = (self.tick, self.queues.version());
         if self.wake_stamp == Some(stamp) {
             return;
         }
@@ -238,20 +180,15 @@ impl Rtos {
         let mut i = 0;
         while i < self.blocked.len() {
             let id = self.blocked[i];
-            let block = self.tasks[id.0 as usize].block;
-            let wake = match block {
+            let task = &self.tasks[id.0 as usize];
+            let wake = match task.block {
                 Some(BlockReason::Delay(until)) => self.tick >= until,
                 Some(BlockReason::QueueRecv(q)) => self.queues.has_items(q),
                 Some(BlockReason::QueueSend(q, value)) => {
-                    if self.queues.has_space(q) {
-                        // Complete the deferred send on wake.
-                        matches!(self.queues.try_send(q, value), SendOutcome::Sent)
-                    } else {
-                        false
-                    }
+                    // Complete the deferred send on wake.
+                    self.queues.has_space(q)
+                        && matches!(self.queues.try_send(q, value), SendOutcome::Sent)
                 }
-                Some(BlockReason::MutexLock(m)) => self.sync.is_free(m),
-                Some(BlockReason::SemTake(s)) => self.sync.sem_count(s) > 0,
                 None => true,
             };
             if wake {
@@ -259,7 +196,8 @@ impl Rtos {
                 let task = &mut self.tasks[id.0 as usize];
                 task.state = TaskState::Ready;
                 task.block = None;
-                self.enqueue_ready(id, self.tasks[id.0 as usize].effective_priority());
+                let priority = task.priority;
+                self.enqueue_ready(id, priority);
             } else {
                 i += 1;
             }
@@ -269,9 +207,9 @@ impl Rtos {
     /// Runs one scheduling quantum: wakes eligible tasks, picks the
     /// next one (the least-recently-scheduled head of the highest
     /// non-empty ready list — identical to the historical full scan
-    /// over (effective priority, last-scheduled stamp)) and executes
-    /// one slice of it. Returns the task that ran, or `None` if
-    /// everything was blocked (the CPU would `WFI`).
+    /// over (priority, last-scheduled stamp)) and executes one slice
+    /// of it. Returns the task that ran, or `None` if everything was
+    /// blocked (the CPU would `WFI`).
     pub fn run_slice(&mut self, ctx: &mut GuestCtx<'_>) -> Option<TaskId> {
         self.wake_eligible();
         let id = self.pop_next()?;
@@ -279,104 +217,37 @@ impl Rtos {
         self.schedule_seq += 1;
         self.last_scheduled[idx] = self.schedule_seq;
 
-        let result = {
-            // Split borrows: the task body runs against the queue/sync
-            // sets while its TCB stays in place (no Box take/put per
-            // slice on the campaign hot path).
-            let (tasks, queues, sync) = (&mut self.tasks, &mut self.queues, &mut self.sync);
-            let task = &mut tasks[idx];
-            task.state = TaskState::Running;
-            let mut env = TaskEnv {
-                ctx,
-                tick: self.tick,
-                current: id,
-                queue_ops: queues,
-                sync_ops: sync,
-            };
-            task.code
-                .as_mut()
-                .expect("picked task has code")
-                .execute_slice(&mut env)
-        };
-
+        // Split borrows: the task body runs against the queue set while
+        // its TCB stays in place.
         let task = &mut self.tasks[idx];
+        task.state = TaskState::Running;
+        let mut env = TaskEnv {
+            ctx,
+            queue_ops: &mut self.queues,
+        };
+        let result = task.code.execute_slice(&mut env);
         task.slices_run += 1;
-        // Fast path: an unboosted task that just yields goes straight
-        // to the back of its base-priority list — the overwhelmingly
-        // common slice (compute tasks round-robining).
-        if matches!(result, SliceResult::Yield) && task.boosted.is_none() {
-            task.state = TaskState::Ready;
-            let slot = task.priority.0 as usize;
-            self.ready[slot].push_back(id);
-            return Some(id);
-        }
-        match result {
-            SliceResult::Yield => task.state = TaskState::Ready,
-            SliceResult::Delay(ticks) => {
-                task.state = TaskState::Blocked;
-                task.block = Some(BlockReason::Delay(self.tick + ticks.max(1)));
-            }
-            SliceResult::BlockOnRecv(q) => {
-                task.state = TaskState::Blocked;
-                task.block = Some(BlockReason::QueueRecv(q));
-            }
-            SliceResult::BlockOnSend(q, value) => {
-                task.state = TaskState::Blocked;
-                task.block = Some(BlockReason::QueueSend(q, value));
-            }
-            SliceResult::BlockOnMutex(m) => {
-                task.state = TaskState::Blocked;
-                task.block = Some(BlockReason::MutexLock(m));
-                // Priority inheritance: boost the holder to at least
-                // the blocked task's effective priority.
-                let blocker_priority = task.effective_priority();
-                if let Some(holder) = self.sync.holder(m) {
-                    let holder_tcb = &mut self.tasks[holder.0 as usize];
-                    let old_priority = holder_tcb.effective_priority();
-                    if old_priority < blocker_priority {
-                        holder_tcb.boosted = Some(blocker_priority);
-                        // A boosted *ready* holder moves lists so the
-                        // scheduler sees the inherited priority.
-                        if self.tasks[holder.0 as usize].state == TaskState::Ready {
-                            self.dequeue_ready(holder, old_priority);
-                            self.enqueue_ready(holder, blocker_priority);
-                        }
-                    }
-                }
-            }
-            SliceResult::BlockOnSem(s) => {
-                task.state = TaskState::Blocked;
-                task.block = Some(BlockReason::SemTake(s));
+
+        // Re-file the task. Its fresh stamp is the global maximum, so a
+        // yield is a plain push to the back of its priority's list.
+        let block = match result {
+            SliceResult::Yield => {
+                task.state = TaskState::Ready;
+                self.ready[task.priority.0 as usize].push_back(id);
+                return Some(id);
             }
             SliceResult::Done => {
                 task.state = TaskState::Done;
+                return Some(id);
             }
-        }
-
-        // Disinheritance: drop the boost once the task holds no mutex.
-        if self.tasks[idx].boosted.is_some() && !self.sync.holds_any(id) {
-            self.tasks[idx].boosted = None;
-        }
-
-        // Re-file the task under its post-slice (and post-disinherit)
-        // effective priority. Its fresh stamp is the global maximum, so
-        // a ready re-file is a plain push to the back of the list.
-        match self.tasks[idx].state {
-            TaskState::Ready => {
-                let slot = self.tasks[idx].effective_priority().0 as usize;
-                if self.ready.len() <= slot {
-                    self.ready
-                        .resize_with(slot + 1, std::collections::VecDeque::new);
-                }
-                self.top_ready = self.top_ready.max(slot);
-                self.ready[slot].push_back(id);
-            }
-            TaskState::Blocked => {
-                let pos = self.blocked.partition_point(|&t| t < id);
-                self.blocked.insert(pos, id);
-            }
-            TaskState::Running | TaskState::Done => {}
-        }
+            SliceResult::Delay(ticks) => BlockReason::Delay(self.tick + ticks.max(1)),
+            SliceResult::BlockOnRecv(q) => BlockReason::QueueRecv(q),
+            SliceResult::BlockOnSend(q, value) => BlockReason::QueueSend(q, value),
+        };
+        task.state = TaskState::Blocked;
+        task.block = Some(block);
+        let pos = self.blocked.partition_point(|&t| t < id);
+        self.blocked.insert(pos, id);
         Some(id)
     }
 }
@@ -429,9 +300,9 @@ mod tests {
     #[test]
     fn highest_priority_runs_first() {
         with_ctx(|ctx| {
-            let mut rtos = Rtos::new("t");
-            let low = rtos.spawn("low", Priority::LOW, Box::new(Spin));
-            let high = rtos.spawn("high", Priority::HIGH, Box::new(Spin));
+            let mut rtos = Rtos::new();
+            let low = rtos.spawn(Priority::LOW, Box::new(Spin));
+            let high = rtos.spawn(Priority::HIGH, Box::new(Spin));
             for _ in 0..4 {
                 assert_eq!(rtos.run_slice(ctx), Some(high));
             }
@@ -442,10 +313,10 @@ mod tests {
     #[test]
     fn equal_priority_round_robins() {
         with_ctx(|ctx| {
-            let mut rtos = Rtos::new("t");
-            let a = rtos.spawn("a", Priority::NORMAL, Box::new(Spin));
-            let b = rtos.spawn("b", Priority::NORMAL, Box::new(Spin));
-            let c = rtos.spawn("c", Priority::NORMAL, Box::new(Spin));
+            let mut rtos = Rtos::new();
+            let a = rtos.spawn(Priority::NORMAL, Box::new(Spin));
+            let b = rtos.spawn(Priority::NORMAL, Box::new(Spin));
+            let c = rtos.spawn(Priority::NORMAL, Box::new(Spin));
             let mut order = Vec::new();
             for _ in 0..6 {
                 order.push(rtos.run_slice(ctx).unwrap());
@@ -460,8 +331,8 @@ mod tests {
     #[test]
     fn done_tasks_never_run_again() {
         with_ctx(|ctx| {
-            let mut rtos = Rtos::new("t");
-            let f = rtos.spawn("finite", Priority::NORMAL, Box::new(Finite(2)));
+            let mut rtos = Rtos::new();
+            let f = rtos.spawn(Priority::NORMAL, Box::new(Finite(2)));
             for _ in 0..3 {
                 assert_eq!(rtos.run_slice(ctx), Some(f));
             }
@@ -473,8 +344,8 @@ mod tests {
     #[test]
     fn delayed_task_wakes_after_ticks() {
         with_ctx(|ctx| {
-            let mut rtos = Rtos::new("t");
-            let s = rtos.spawn("sleeper", Priority::NORMAL, Box::new(Sleeper(3)));
+            let mut rtos = Rtos::new();
+            let s = rtos.spawn(Priority::NORMAL, Box::new(Sleeper(3)));
             assert_eq!(rtos.run_slice(ctx), Some(s));
             // Blocked now.
             assert_eq!(rtos.run_slice(ctx), None);
@@ -489,9 +360,9 @@ mod tests {
     #[test]
     fn lower_priority_runs_when_higher_blocks() {
         with_ctx(|ctx| {
-            let mut rtos = Rtos::new("t");
-            let low = rtos.spawn("low", Priority::LOW, Box::new(Spin));
-            let high = rtos.spawn("high", Priority::HIGH, Box::new(Sleeper(10)));
+            let mut rtos = Rtos::new();
+            let low = rtos.spawn(Priority::LOW, Box::new(Spin));
+            let high = rtos.spawn(Priority::HIGH, Box::new(Sleeper(10)));
             assert_eq!(rtos.run_slice(ctx), Some(high));
             assert_eq!(rtos.run_slice(ctx), Some(low));
             assert_eq!(rtos.run_slice(ctx), Some(low));
@@ -539,14 +410,10 @@ mod tests {
     #[test]
     fn queue_blocking_and_waking_end_to_end() {
         with_ctx(|ctx| {
-            let mut rtos = Rtos::new("t");
+            let mut rtos = Rtos::new();
             let q = rtos.create_queue(2);
-            rtos.spawn("prod", Priority::NORMAL, Box::new(Producer { q, next: 0 }));
-            rtos.spawn(
-                "cons",
-                Priority::NORMAL,
-                Box::new(Consumer { q, got: Vec::new() }),
-            );
+            rtos.spawn(Priority::NORMAL, Box::new(Producer { q, next: 0 }));
+            rtos.spawn(Priority::NORMAL, Box::new(Consumer { q, got: Vec::new() }));
             for _ in 0..50 {
                 rtos.run_slice(ctx);
                 rtos.tick();
@@ -560,12 +427,12 @@ mod tests {
     #[test]
     fn blocked_sender_completes_send_on_wake() {
         with_ctx(|ctx| {
-            let mut rtos = Rtos::new("t");
+            let mut rtos = Rtos::new();
             let q = rtos.create_queue(1);
             // Fill the queue so the producer must block.
             rtos.create_queue(1); // unrelated queue for index separation
             assert_eq!(rtos.queues.try_send(q, 99), SendOutcome::Sent);
-            let p = rtos.spawn("prod", Priority::NORMAL, Box::new(Producer { q, next: 7 }));
+            let p = rtos.spawn(Priority::NORMAL, Box::new(Producer { q, next: 7 }));
             assert_eq!(rtos.run_slice(ctx), Some(p));
             assert_eq!(rtos.task(p).unwrap().state, TaskState::Blocked);
             // Drain one item: the kernel completes the pending send on
@@ -586,123 +453,8 @@ mod tests {
     #[test]
     fn empty_kernel_idles() {
         with_ctx(|ctx| {
-            let mut rtos = Rtos::new("t");
+            let mut rtos = Rtos::new();
             assert_eq!(rtos.run_slice(ctx), None);
-        });
-    }
-
-    /// A task that locks a mutex, holds it for `hold` slices, then
-    /// unlocks and finishes.
-    #[derive(Debug, Clone)]
-    struct LockHold {
-        mutex: MutexId,
-        hold: u32,
-        locked: bool,
-    }
-    impl TaskCode for LockHold {
-        fn execute_slice(&mut self, env: &mut TaskEnv<'_, '_>) -> SliceResult {
-            use crate::sync::LockOutcome;
-            if !self.locked {
-                match env.try_lock(self.mutex) {
-                    LockOutcome::Acquired => {
-                        self.locked = true;
-                        SliceResult::Yield
-                    }
-                    LockOutcome::HeldBy(_) => SliceResult::BlockOnMutex(self.mutex),
-                    _ => SliceResult::Done,
-                }
-            } else if self.hold > 0 {
-                self.hold -= 1;
-                SliceResult::Yield
-            } else {
-                env.unlock(self.mutex);
-                SliceResult::Done
-            }
-        }
-    }
-
-    #[test]
-    fn priority_inheritance_prevents_inversion() {
-        with_ctx(|ctx| {
-            let mut rtos = Rtos::new("t");
-            let m = rtos.create_mutex();
-            // Low-priority holder takes the lock first.
-            let low = rtos.spawn(
-                "low",
-                Priority::LOW,
-                Box::new(LockHold {
-                    mutex: m,
-                    hold: 3,
-                    locked: false,
-                }),
-            );
-            assert_eq!(rtos.run_slice(ctx), Some(low)); // acquires
-                                                        // A medium spinner that would normally starve `low`.
-            let medium = rtos.spawn("medium", Priority::NORMAL, Box::new(Spin));
-            // A high-priority task that needs the same mutex.
-            let high = rtos.spawn(
-                "high",
-                Priority::HIGH,
-                Box::new(LockHold {
-                    mutex: m,
-                    hold: 0,
-                    locked: false,
-                }),
-            );
-            assert_eq!(rtos.run_slice(ctx), Some(high)); // blocks on m
-            assert_eq!(rtos.task(high).unwrap().state, TaskState::Blocked);
-            // `low` must now outrank `medium` thanks to inheritance —
-            // without it, `medium` would run here (priority inversion).
-            assert_eq!(rtos.task(low).unwrap().effective_priority(), Priority::HIGH);
-            for _ in 0..4 {
-                assert_eq!(rtos.run_slice(ctx), Some(low), "inversion: medium ran");
-            }
-            // `low` released the mutex: boost dropped, high wakes and
-            // acquires.
-            assert_eq!(rtos.task(low).unwrap().effective_priority(), Priority::LOW);
-            assert_eq!(rtos.run_slice(ctx), Some(high));
-            assert_eq!(rtos.sync().holder(m), Some(high));
-            let _ = medium;
-        });
-    }
-
-    /// Semaphore-based producer/consumer.
-    #[derive(Debug, Clone)]
-    struct SemTaker {
-        sem: crate::sync::SemaphoreId,
-        taken: u32,
-    }
-    impl TaskCode for SemTaker {
-        fn execute_slice(&mut self, env: &mut TaskEnv<'_, '_>) -> SliceResult {
-            use crate::sync::TakeOutcome;
-            match env.sem_take(self.sem) {
-                TakeOutcome::Taken => {
-                    self.taken += 1;
-                    SliceResult::Yield
-                }
-                TakeOutcome::WouldBlock => SliceResult::BlockOnSem(self.sem),
-                TakeOutcome::NoSuchSemaphore => SliceResult::Done,
-            }
-        }
-    }
-
-    #[test]
-    fn semaphore_blocks_and_wakes_takers() {
-        with_ctx(|ctx| {
-            let mut rtos = Rtos::new("t");
-            let s = rtos.create_semaphore(1, 4);
-            let taker = rtos.spawn(
-                "taker",
-                Priority::NORMAL,
-                Box::new(SemTaker { sem: s, taken: 0 }),
-            );
-            assert_eq!(rtos.run_slice(ctx), Some(taker)); // takes the token
-            assert_eq!(rtos.run_slice(ctx), Some(taker)); // blocks
-            assert_eq!(rtos.task(taker).unwrap().state, TaskState::Blocked);
-            assert_eq!(rtos.run_slice(ctx), None);
-            // Give a token from "ISR context".
-            assert!(rtos.sync.sem_give(s));
-            assert_eq!(rtos.run_slice(ctx), Some(taker));
         });
     }
 }

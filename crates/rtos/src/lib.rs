@@ -11,7 +11,9 @@
 //! * a priority-based, preemptive, tick-driven [`kernel`] with
 //!   fixed-priority ready lists, round-robin within a priority level,
 //!   delays, and bounded blocking [`queue`]s — the FreeRTOS semantics
-//!   the workload needs;
+//!   the workload needs. The workload takes no mutex or semaphore, so
+//!   the kernel has neither, and every task always runs at its fixed
+//!   priority (no priority inheritance);
 //! * a [`task`] abstraction where task bodies are [`task::TaskCode`]
 //!   implementations executed one *slice* at a time (the simulator's
 //!   quantum);
@@ -30,7 +32,7 @@
 //! use certify_rtos::task::Priority;
 //! use certify_rtos::workload;
 //!
-//! let mut rtos = Rtos::new("freertos-demo");
+//! let mut rtos = Rtos::new();
 //! workload::spawn_paper_workload(&mut rtos);
 //! // 1 blink + 2 queue tasks + 2 float + 15 integer + idle
 //! assert_eq!(rtos.task_count(), 21);
@@ -43,12 +45,10 @@
 pub mod guest;
 pub mod kernel;
 pub mod queue;
-pub mod sync;
 pub mod task;
 pub mod workload;
 
 pub use guest::RtosGuest;
 pub use kernel::Rtos;
 pub use queue::{QueueId, RecvOutcome, SendOutcome};
-pub use sync::{LockOutcome, MutexId, SemaphoreId, TakeOutcome};
 pub use task::{Priority, SliceResult, TaskCode, TaskEnv, TaskId, TaskState};

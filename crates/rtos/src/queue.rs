@@ -57,7 +57,7 @@ struct Queue {
 pub struct QueueSet {
     queues: Vec<Queue>,
     /// Bumped on every state change; the scheduler skips its blocked
-    /// wake scan while tick and the queue/sync versions are unchanged
+    /// wake scan while tick and the queue version are unchanged
     /// (a blocked task's wait condition cannot have become true).
     version: u64,
 }

@@ -4,7 +4,6 @@
 use crate::queue::QueueId;
 use certify_hypervisor::GuestCtx;
 use std::fmt;
-use std::sync::Arc;
 
 /// A task identifier, unique within one kernel instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -60,10 +59,6 @@ pub enum BlockReason {
     QueueRecv(QueueId),
     /// Waiting for space on a queue, holding the value to deliver.
     QueueSend(QueueId, u32),
-    /// Waiting to acquire a mutex.
-    MutexLock(crate::sync::MutexId),
-    /// Waiting for a semaphore token.
-    SemTake(crate::sync::SemaphoreId),
 }
 
 /// What a task slice decided.
@@ -77,11 +72,6 @@ pub enum SliceResult {
     BlockOnRecv(QueueId),
     /// Block until the value can be sent to the queue.
     BlockOnSend(QueueId, u32),
-    /// Block until the mutex can be acquired (the kernel applies
-    /// priority inheritance to the current holder).
-    BlockOnMutex(crate::sync::MutexId),
-    /// Block until a semaphore token is available.
-    BlockOnSem(crate::sync::SemaphoreId),
     /// The task has finished.
     Done,
 }
@@ -92,12 +82,7 @@ pub enum SliceResult {
 pub struct TaskEnv<'a, 'b> {
     /// The cell's execution context.
     pub ctx: &'a mut GuestCtx<'b>,
-    /// Current kernel tick.
-    pub tick: u64,
-    /// The id of the task executing this slice.
-    pub current: TaskId,
     pub(crate) queue_ops: &'a mut crate::queue::QueueSet,
-    pub(crate) sync_ops: &'a mut crate::sync::SyncSet,
 }
 
 impl TaskEnv<'_, '_> {
@@ -111,27 +96,6 @@ impl TaskEnv<'_, '_> {
         self.queue_ops.try_recv(queue)
     }
 
-    /// Attempts to acquire a mutex for the current task.
-    pub fn try_lock(&mut self, mutex: crate::sync::MutexId) -> crate::sync::LockOutcome {
-        self.sync_ops.try_lock(mutex, self.current)
-    }
-
-    /// Releases a mutex owned by the current task. Returns `true` on
-    /// success.
-    pub fn unlock(&mut self, mutex: crate::sync::MutexId) -> bool {
-        self.sync_ops.unlock(mutex, self.current)
-    }
-
-    /// Attempts to take a semaphore token.
-    pub fn sem_take(&mut self, sem: crate::sync::SemaphoreId) -> crate::sync::TakeOutcome {
-        self.sync_ops.sem_take(sem)
-    }
-
-    /// Returns a semaphore token.
-    pub fn sem_give(&mut self, sem: crate::sync::SemaphoreId) -> bool {
-        self.sync_ops.sem_give(sem)
-    }
-
     /// Prints a line through the hypervisor debug console.
     pub fn print_line(&mut self, line: &str) {
         self.ctx.console_print(line);
@@ -141,7 +105,7 @@ impl TaskEnv<'_, '_> {
 
 impl fmt::Debug for TaskEnv<'_, '_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TaskEnv").field("tick", &self.tick).finish()
+        f.debug_struct("TaskEnv").finish_non_exhaustive()
     }
 }
 
@@ -177,33 +141,16 @@ impl Clone for Box<dyn TaskCode> {
 pub struct Tcb {
     /// Task id.
     pub id: TaskId,
-    /// Task name (for logs; never written, so clones share it).
-    pub name: Arc<str>,
-    /// Base (configured) priority.
+    /// Fixed priority; the task is always filed under it.
     pub priority: Priority,
-    /// Temporarily boosted priority under priority inheritance, if
-    /// any. The effective priority is `max(priority, boosted)`.
-    pub boosted: Option<Priority>,
     /// Current state.
     pub state: TaskState,
     /// Block reason when [`TaskState::Blocked`].
     pub block: Option<BlockReason>,
     /// Completed slices (a progress measure for the analysis crate).
     pub slices_run: u64,
-    /// The task body; `None` while the slice is executing (taken out
-    /// to satisfy borrow rules).
-    pub code: Option<Box<dyn TaskCode>>,
-}
-
-impl Tcb {
-    /// The priority the scheduler uses: the base priority, or the
-    /// inherited one while boosted.
-    pub fn effective_priority(&self) -> Priority {
-        match self.boosted {
-            Some(boost) if boost > self.priority => boost,
-            _ => self.priority,
-        }
-    }
+    /// The task body.
+    pub code: Box<dyn TaskCode>,
 }
 
 #[cfg(test)]

@@ -337,40 +337,27 @@ impl TaskCode for IdleTask {
     }
 }
 
-/// The float and integer task names, as literals: a name becomes its
-/// shared `Arc<str>` in one allocation, where a formatted `String`
-/// would take two.
-const FLOAT_TASK_NAMES: [&str; NUM_FLOAT_TASKS] = ["float0", "float1"];
-const INTEGER_TASK_NAMES: [&str; NUM_INTEGER_TASKS] = [
-    "int00", "int01", "int02", "int03", "int04", "int05", "int06", "int07", "int08", "int09",
-    "int10", "int11", "int12", "int13", "int14",
-];
-
 /// Spawns the paper's exact task set into `rtos`: one blink task, a
 /// send/receive pair over a fresh queue, two floating-point tasks,
 /// fifteen integer tasks, plus the idle task.
 pub fn spawn_paper_workload(rtos: &mut Rtos) {
     let queue = rtos.create_queue(8);
-    rtos.spawn("blink", Priority::HIGH, Box::new(BlinkTask::new()));
-    rtos.spawn("sender", Priority::NORMAL, Box::new(SenderTask::new(queue)));
-    rtos.spawn(
-        "receiver",
-        Priority::NORMAL,
-        Box::new(ReceiverTask::new(queue)),
-    );
-    for (i, name) in FLOAT_TASK_NAMES.into_iter().enumerate() {
-        rtos.spawn(name, Priority::LOW, Box::new(FloatTask::new(i)));
+    rtos.spawn(Priority::HIGH, Box::new(BlinkTask::new()));
+    rtos.spawn(Priority::NORMAL, Box::new(SenderTask::new(queue)));
+    rtos.spawn(Priority::NORMAL, Box::new(ReceiverTask::new(queue)));
+    for i in 0..NUM_FLOAT_TASKS {
+        rtos.spawn(Priority::LOW, Box::new(FloatTask::new(i)));
     }
-    for (i, name) in INTEGER_TASK_NAMES.into_iter().enumerate() {
-        rtos.spawn(name, Priority::LOW, Box::new(IntegerTask::new(i)));
+    for i in 0..NUM_INTEGER_TASKS {
+        rtos.spawn(Priority::LOW, Box::new(IntegerTask::new(i)));
     }
-    rtos.spawn("idle", Priority::IDLE, Box::new(IdleTask));
+    rtos.spawn(Priority::IDLE, Box::new(IdleTask));
 }
 
 /// The paper workload plus the E5b safety-heartbeat task (22 tasks).
 pub fn spawn_paper_workload_with_heartbeat(rtos: &mut Rtos) {
     spawn_paper_workload(rtos);
-    rtos.spawn("heartbeat", Priority::HIGH, Box::new(HeartbeatTask::new()));
+    rtos.spawn(Priority::HIGH, Box::new(HeartbeatTask::new()));
 }
 
 #[cfg(test)]
@@ -389,7 +376,7 @@ mod tests {
 
     #[test]
     fn paper_workload_has_the_papers_task_mix() {
-        let mut rtos = Rtos::new("t");
+        let mut rtos = Rtos::new();
         spawn_paper_workload(&mut rtos);
         // 1 blink + 2 queue + 2 float + 15 int + idle = 21.
         assert_eq!(rtos.task_count(), 21);
@@ -467,14 +454,10 @@ mod tests {
         with_ctx(|ctx| {
             let mut task = FloatTask::new(0);
             let mut queues = crate::queue::QueueSet::new();
-            let mut sync = crate::sync::SyncSet::new();
             for _ in 0..1000 {
                 let mut env = TaskEnv {
                     ctx,
-                    tick: 0,
-                    current: crate::task::TaskId(0),
                     queue_ops: &mut queues,
-                    sync_ops: &mut sync,
                 };
                 task.execute_slice(&mut env);
             }
@@ -521,7 +504,7 @@ mod tests {
         let entry = hv.boot_pending(CpuId(1)).unwrap();
         hv.handle_hvc(&mut machine, CpuId(1), hc::HVC_CPU_BOOT, entry, 0);
 
-        let mut rtos = Rtos::new("freertos-demo");
+        let mut rtos = Rtos::new();
         spawn_paper_workload(&mut rtos);
         for _ in 0..500 {
             machine.advance();

@@ -44,14 +44,14 @@ proptest! {
         ticks in proptest::collection::vec(any::<bool>(), 10..60),
     ) {
         with_ctx(|ctx| {
-            let mut rtos = Rtos::new("prop");
+            let mut rtos = Rtos::new();
             for (i, (kind, delay)) in spec.iter().enumerate() {
                 let priority = Priority((i % 4) as u8);
                 let code: Box<dyn TaskCode> = match kind {
                     0 => Box::new(Spin),
                     _ => Box::new(Sleeper(*delay)),
                 };
-                rtos.spawn(format!("t{i}"), priority, code);
+                rtos.spawn(priority, code);
             }
             for tick in &ticks {
                 if *tick {
@@ -77,10 +77,10 @@ proptest! {
     #[test]
     fn work_conservation_with_a_spinner(extra_sleepers in 0usize..6) {
         with_ctx(|ctx| {
-            let mut rtos = Rtos::new("prop");
-            rtos.spawn("spin", Priority::IDLE, Box::new(Spin));
-            for i in 0..extra_sleepers {
-                rtos.spawn(format!("s{i}"), Priority::NORMAL, Box::new(Sleeper(3)));
+            let mut rtos = Rtos::new();
+            rtos.spawn(Priority::IDLE, Box::new(Spin));
+            for _ in 0..extra_sleepers {
+                rtos.spawn(Priority::NORMAL, Box::new(Sleeper(3)));
             }
             for _ in 0..50 {
                 prop_assert!(rtos.run_slice(ctx).is_some(), "scheduler idled");
@@ -95,9 +95,9 @@ proptest! {
     #[test]
     fn slice_accounting_is_exact(slices in 1u32..100) {
         with_ctx(|ctx| {
-            let mut rtos = Rtos::new("prop");
-            rtos.spawn("a", Priority::NORMAL, Box::new(Spin));
-            rtos.spawn("b", Priority::NORMAL, Box::new(Spin));
+            let mut rtos = Rtos::new();
+            rtos.spawn(Priority::NORMAL, Box::new(Spin));
+            rtos.spawn(Priority::NORMAL, Box::new(Spin));
             let mut ran = 0u64;
             for _ in 0..slices {
                 if rtos.run_slice(ctx).is_some() {

@@ -3,7 +3,6 @@
 //!
 //! ```sh
 //! cargo run --release --example full_report
-//! cargo run --release --example full_report -- --quick   # smaller campaigns
 //! ```
 
 use certify_analysis::{CsvSink, ExperimentReport, Figure3};
@@ -11,9 +10,13 @@ use certify_core::campaign::{Campaign, Scenario};
 use certify_core::profiler::profile_golden_run;
 use certify_core::{NullSink, TrialSink};
 
+/// Trials of the campaigns whose outcome shares are reported (E3, E5a).
+const DIST_TRIALS: usize = 150;
+/// Trials of the other campaigns (E2's free-running one runs twice as
+/// many).
+const DET_TRIALS: usize = 40;
+
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let (dist_trials, det_trials) = if quick { (40, 12) } else { (150, 40) };
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
@@ -28,14 +31,14 @@ fn main() {
     println!("# Paper-vs-measured report\n");
 
     // E1
-    let e1 = run(Scenario::e1_root_high(), det_trials, &mut NullSink);
+    let e1 = run(Scenario::e1_root_high(), DET_TRIALS, &mut NullSink);
     println!("{e1}");
     reports.push(ExperimentReport::e1(&e1));
 
     // E2 (both campaigns)
-    let e2_bw = run(Scenario::e2_boot_window(), det_trials, &mut NullSink);
+    let e2_bw = run(Scenario::e2_boot_window(), DET_TRIALS, &mut NullSink);
     println!("{e2_bw}");
-    let e2_full = run(Scenario::e2_nonroot_high(), 2 * det_trials, &mut NullSink);
+    let e2_full = run(Scenario::e2_nonroot_high(), 2 * DET_TRIALS, &mut NullSink);
     println!("{e2_full}");
     reports.push(ExperimentReport::e2(&e2_bw, &e2_full));
 
@@ -43,7 +46,7 @@ fn main() {
     // so this one campaign streams into a CSV sink as it runs; the
     // reports themselves only need the online stats.
     let mut e3_csv = CsvSink::in_memory();
-    let e3 = run(Scenario::e3_fig3(), dist_trials, &mut e3_csv);
+    let e3 = run(Scenario::e3_fig3(), DIST_TRIALS, &mut e3_csv);
     println!("{e3}");
     let figure = Figure3::from_stats(&e3);
     println!("{}", figure.render_chart());
@@ -55,9 +58,9 @@ fn main() {
     reports.push(ExperimentReport::e4(&profile));
 
     // E5 extensions
-    let e5a = run(Scenario::e5a_watchdog(), dist_trials, &mut NullSink);
+    let e5a = run(Scenario::e5a_watchdog(), DIST_TRIALS, &mut NullSink);
     reports.push(ExperimentReport::e5a(&e5a));
-    let e5b = run(Scenario::e5b_monitor(), det_trials, &mut NullSink);
+    let e5b = run(Scenario::e5b_monitor(), DET_TRIALS, &mut NullSink);
     reports.push(ExperimentReport::e5b(&e5b));
 
     println!("\n# Summary\n");

@@ -3,10 +3,10 @@
 //! Campaigns fork every trial from one fault-free prefix with
 //! `System::clone`, so the clone runs once per trial. The read-only
 //! state a trial shares with its prefix (stage-2 tables, cell and
-//! platform configs, config blobs, task names, RAM pages) sits behind
-//! `Arc`s and is copied only on a trial's first write to it. This
-//! binary installs a counting global allocator and pins what the clone
-//! still allocates. Counts do not move with host noise, and they are
+//! platform configs, config blobs, RAM pages) sits behind `Arc`s and
+//! is copied only on a trial's first write to it. This binary installs
+//! a counting global allocator and pins what the clone still
+//! allocates. Counts do not move with host noise, and they are
 //! the same in debug and release builds.
 //!
 //! Counting is per thread and only inside [`counted`], so the tests of
@@ -118,12 +118,13 @@ fn allocs_per_trial(scenario: &Scenario) -> Allocs {
 #[test]
 fn e3_prefix_clone_allocations() {
     let allocs = clone_allocs(&Scenario::e3_fig3());
-    // Before the copy-on-write fork: 87 allocations, 63,393 bytes.
+    // Before the copy-on-write fork: 87 allocations, 63,393 bytes;
+    // 9,081 bytes before the TCB lost its name and inheritance boost.
     assert_eq!(
         allocs,
         Allocs {
             count: 44,
-            bytes: 9_081
+            bytes: 8_745
         },
         "E3 System::clone"
     );
@@ -132,12 +133,13 @@ fn e3_prefix_clone_allocations() {
 #[test]
 fn e7_prefix_clone_allocations() {
     let allocs = clone_allocs(&Scenario::e7_mixed());
-    // Before the copy-on-write fork: 92 allocations, 67,668 bytes.
+    // Before the copy-on-write fork: 92 allocations, 67,668 bytes;
+    // 9,179 bytes before the TCB lost its name and inheritance boost.
     assert_eq!(
         allocs,
         Allocs {
             count: 47,
-            bytes: 9_179
+            bytes: 8_827
         },
         "E7 System::clone"
     );

@@ -835,3 +835,48 @@ fn fork_steps_agree_with_the_certificate_phases() {
     }
     assert!(checked > 0, "no seed injected");
 }
+
+/// The one-injection property behind an enumerable fault space: in
+/// E1, the E2 boot window, E3, E5a and E5b every trial records exactly
+/// one register injection and no memory injection, and every seed
+/// injects at the same `(step, cpu, handler)` with the same number of
+/// faults. Only the flipped bits depend on the seed. (The free-running
+/// E2 campaign injects a seed-dependent number of times, and E7 adds
+/// memory injections, so neither has the property.)
+#[test]
+fn one_injection_scenarios_inject_once_at_a_seed_independent_call() {
+    use certify_uncertified::hypervisor::HandlerKind::{ArchHandleHvc, ArchHandleTrap};
+    let cases = [
+        (Scenario::e1_root_high(), (64, 0, ArchHandleHvc, 3)),
+        (Scenario::e2_boot_window(), (22, 1, ArchHandleHvc, 3)),
+        (Scenario::e3_fig3(), (3158, 1, ArchHandleTrap, 1)),
+        (Scenario::e5a_watchdog(), (3159, 1, ArchHandleTrap, 1)),
+        (Scenario::e5b_monitor(), (22, 1, ArchHandleHvc, 3)),
+    ];
+    for (scenario, expected) in cases {
+        let name = scenario.name.clone();
+        let mut sink = CollectSink::new();
+        Campaign::new(scenario, 64, 0xD5_2022).execute(.., 1, &mut sink, None);
+        for trial in sink.into_trials() {
+            let report = &trial.report;
+            let seed = trial.seed;
+            assert!(
+                report.mem_injections.is_empty(),
+                "{name} seed {seed:#x}: memory injections"
+            );
+            let [record] = report.injections.as_slice() else {
+                panic!(
+                    "{name} seed {seed:#x}: {} register injections",
+                    report.injections.len()
+                );
+            };
+            let call = (
+                record.step,
+                record.cpu.0,
+                record.handler,
+                record.faults.len(),
+            );
+            assert_eq!(call, expected, "{name} seed {seed:#x}");
+        }
+    }
+}
