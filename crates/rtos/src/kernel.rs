@@ -66,10 +66,8 @@ impl Rtos {
     pub fn spawn(&mut self, priority: Priority, code: Box<dyn TaskCode>) -> TaskId {
         let id = TaskId(self.tasks.len() as u32);
         self.tasks.push(Tcb {
-            id,
             priority,
             state: TaskState::Ready,
-            block: None,
             slices_run: 0,
             code,
         });
@@ -180,22 +178,22 @@ impl Rtos {
         let mut i = 0;
         while i < self.blocked.len() {
             let id = self.blocked[i];
-            let task = &self.tasks[id.0 as usize];
-            let wake = match task.block {
-                Some(BlockReason::Delay(until)) => self.tick >= until,
-                Some(BlockReason::QueueRecv(q)) => self.queues.has_items(q),
-                Some(BlockReason::QueueSend(q, value)) => {
+            let TaskState::Blocked(reason) = self.tasks[id.0 as usize].state else {
+                unreachable!("a task on the blocked list is not blocked");
+            };
+            let wake = match reason {
+                BlockReason::Delay(until) => self.tick >= until,
+                BlockReason::QueueRecv(q) => self.queues.has_items(q),
+                BlockReason::QueueSend(q, value) => {
                     // Complete the deferred send on wake.
                     self.queues.has_space(q)
                         && matches!(self.queues.try_send(q, value), SendOutcome::Sent)
                 }
-                None => true,
             };
             if wake {
                 self.blocked.remove(i);
                 let task = &mut self.tasks[id.0 as usize];
                 task.state = TaskState::Ready;
-                task.block = None;
                 let priority = task.priority;
                 self.enqueue_ready(id, priority);
             } else {
@@ -220,7 +218,6 @@ impl Rtos {
         // Split borrows: the task body runs against the queue set while
         // its TCB stays in place.
         let task = &mut self.tasks[idx];
-        task.state = TaskState::Running;
         let mut env = TaskEnv {
             ctx,
             queue_ops: &mut self.queues,
@@ -244,8 +241,7 @@ impl Rtos {
             SliceResult::BlockOnRecv(q) => BlockReason::QueueRecv(q),
             SliceResult::BlockOnSend(q, value) => BlockReason::QueueSend(q, value),
         };
-        task.state = TaskState::Blocked;
-        task.block = Some(block);
+        task.state = TaskState::Blocked(block);
         let pos = self.blocked.partition_point(|&t| t < id);
         self.blocked.insert(pos, id);
         Some(id)
@@ -434,7 +430,7 @@ mod tests {
             assert_eq!(rtos.queues.try_send(q, 99), SendOutcome::Sent);
             let p = rtos.spawn(Priority::NORMAL, Box::new(Producer { q, next: 7 }));
             assert_eq!(rtos.run_slice(ctx), Some(p));
-            assert_eq!(rtos.task(p).unwrap().state, TaskState::Blocked);
+            assert!(matches!(rtos.task(p).unwrap().state, TaskState::Blocked(_)));
             // Drain one item: the kernel completes the pending send on
             // the next scheduling point.
             assert_eq!(

@@ -42,16 +42,14 @@ impl fmt::Display for Priority {
 pub enum TaskState {
     /// Runnable, waiting in a ready list.
     Ready,
-    /// Currently executing.
-    Running,
-    /// Blocked (delay or queue), with the reason held by the kernel.
-    Blocked,
+    /// Blocked on a delay or a queue.
+    Blocked(BlockReason),
     /// Finished; will not run again.
     Done,
 }
 
 /// Why a task is blocked.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BlockReason {
     /// Sleeping until the given kernel tick.
     Delay(u64),
@@ -139,14 +137,10 @@ impl Clone for Box<dyn TaskCode> {
 /// The kernel-side task record.
 #[derive(Debug, Clone)]
 pub struct Tcb {
-    /// Task id.
-    pub id: TaskId,
     /// Fixed priority; the task is always filed under it.
     pub priority: Priority,
     /// Current state.
     pub state: TaskState,
-    /// Block reason when [`TaskState::Blocked`].
-    pub block: Option<BlockReason>,
     /// Completed slices (a progress measure for the analysis crate).
     pub slices_run: u64,
     /// The task body.

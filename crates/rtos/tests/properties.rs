@@ -63,7 +63,7 @@ proptest! {
                     // but it must never be inconsistent.
                     let task = rtos.task(ran).unwrap();
                     prop_assert!(
-                        task.state == TaskState::Ready || task.state == TaskState::Blocked,
+                        matches!(task.state, TaskState::Ready | TaskState::Blocked(_)),
                         "task in state {:?} after a slice", task.state
                     );
                 }

@@ -1,11 +1,27 @@
 //! Integration: the paper's experiments hold, shape-wise, across
-//! seeds. These are the same campaigns the benches regenerate, at
-//! smaller trial counts suitable for the test suite.
+//! seeds. E1–E4 run here at smaller trial counts than
+//! `examples/full_report`, which CI runs at full size and which fails
+//! unless every experiment reports `reproduced`. E5, the E6/E7 memory
+//! campaigns and the A4 ablation run at full size from seed
+//! `0xD52022`; `detection_demo`, `memory_faults` and `ablations` print
+//! the same studies.
 
 use certify_analysis::{ExperimentReport, Figure3};
 use certify_core::campaign::{Campaign, Scenario};
+use certify_core::memfault::{MemFaultModel, MemRegionKind, MemTarget};
 use certify_core::profiler::profile_golden_run;
-use certify_core::Outcome;
+use certify_core::{CampaignStats, NullSink, Outcome};
+
+/// The seed of the full-size campaigns (`full_report`, `ablations`).
+const SEED: u64 = 0xD5_2022;
+
+/// Streams `trials` trials of `scenario` from [`SEED`] into stats.
+/// Results do not depend on the worker count.
+fn stats(scenario: Scenario, trials: usize) -> CampaignStats {
+    Campaign::new(scenario, trials, SEED)
+        .execute(.., 4, &mut NullSink, None)
+        .0
+}
 
 #[test]
 fn e1_high_intensity_root_context_always_invalid_arguments() {
@@ -158,4 +174,80 @@ fn campaigns_are_reproducible_bit_for_bit() {
         assert_eq!(ta.outcome, tb.outcome);
         assert_eq!(ta.report.injections, tb.report.injections);
     }
+}
+
+#[test]
+fn e5_watchdog_and_monitor_detect_what_the_paper_missed() {
+    let e5a = ExperimentReport::e5a(&stats(Scenario::e5a_watchdog(), 150));
+    assert!(e5a.reproduced, "E5a did not reproduce:\n{e5a}");
+    let e5b = ExperimentReport::e5b(&stats(Scenario::e5b_monitor(), 40));
+    assert!(e5b.reproduced, "E5b did not reproduce:\n{e5b}");
+
+    // Control: the monitor raises no alarm on a fault-free run.
+    let mut golden = Scenario::e5b_monitor();
+    golden.name = "e5b-golden-control".into();
+    golden.spec = None;
+    let control = stats(golden, 10);
+    assert_eq!(control.monitor_alarms_total, 0, "false alarms:\n{control}");
+}
+
+#[test]
+fn e6_every_memory_model_reaches_every_region() {
+    let mut storms = 0;
+    let mut silent = 0;
+    for model in MemFaultModel::e6_models() {
+        for region in [
+            MemRegionKind::NonRootRam,
+            MemRegionKind::Stage2Tables,
+            MemRegionKind::CommRegion,
+        ] {
+            let scenario = Scenario::e6_memory(model.clone(), MemTarget::only(region));
+            let cell = stats(scenario, 40);
+            assert!(
+                cell.mem_injected_trials > 0,
+                "{model} x {region}: no trial applied a memory fault"
+            );
+            storms += cell.count(Outcome::TranslationFaultStorm);
+            silent += cell.count(Outcome::SilentDataCorruption);
+        }
+    }
+    assert!(storms > 0, "no stage-2 corruption escalated to a storm");
+    assert!(silent > 0, "no memory fault stayed silent");
+
+    let mixed = stats(Scenario::e7_mixed(), 40);
+    assert!(mixed.injected_trials > 0, "{mixed}");
+    assert!(mixed.mem_injected_trials > 0, "{mixed}");
+}
+
+#[test]
+fn a4_irqchip_injections_are_benign() {
+    // The paper excluded irqchip_handle_irq: corrupting its vector
+    // number is "completely predictable", an IRQ error and never an
+    // escalation. Same campaign as examples/ablations.rs's A4.
+    use certify_arch::CpuId;
+    use certify_core::{InjectionSpec, Intensity, Paced};
+    use certify_guest_linux::MgmtScript;
+    use certify_hypervisor::HandlerKind;
+
+    let spec = InjectionSpec::new(
+        Intensity::Medium,
+        [HandlerKind::IrqchipHandleIrq],
+        Some(CpuId(1)),
+    )
+    .with_rate(20);
+    let a4 = stats(
+        Scenario {
+            name: "a4-irqchip".into(),
+            script: MgmtScript::bring_up_and_run(u64::MAX / 2),
+            spec: Some(spec),
+            mem_spec: None,
+            steps: 4500,
+            rtos_heartbeat: false,
+        },
+        60,
+    );
+    assert!(
+        a4.fraction(Outcome::Correct) > 0.9,
+        "irqchip injections escalated:\n{a4}"
+    );
 }

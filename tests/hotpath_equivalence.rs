@@ -15,8 +15,8 @@
 //!   byte-identical to the buffered render;
 //! * the UART's incremental line index must reproduce a naive
 //!   byte-at-a-time reassembly of real trial captures;
-//! * the E3 distribution at the bench seed keeps its committed shape
-//!   (55 panic park / 16 cpu park / 79 correct at 0xD52022);
+//! * the E3 distribution at `full_report`'s seed keeps its committed
+//!   shape (55 panic park / 16 cpu park / 79 correct at 0xD52022);
 //! * the equivalence table: every built-in scenario, untraced and
 //!   traced, gives the same trials, stats, CSV bytes and trace dumps
 //!   (events, `total`, `dropped`) through every mode of
