@@ -87,34 +87,6 @@ impl GenericTimer {
             None
         }
     }
-
-    /// Advances the timer by `delta` steps *known not to reach an
-    /// expiry boundary* — the deadline-driven fast path of the board's
-    /// clock. Returns `Some(irq)` when the timer expires exactly at
-    /// the end of the delta.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delta` would step past an expiry (the caller must
-    /// synchronise at every deadline).
-    pub fn advance_by(&mut self, delta: u64) -> Option<IrqId> {
-        if !self.enabled || delta == 0 {
-            return None;
-        }
-        assert!(delta <= self.remaining, "advance past a timer expiry");
-        self.remaining -= delta;
-        if self.remaining == 0 {
-            self.remaining = self.period;
-            Some(self.irq)
-        } else {
-            None
-        }
-    }
-
-    /// Steps until the next expiry, or `None` when disabled.
-    pub fn steps_until_fire(&self) -> Option<u64> {
-        self.enabled.then_some(self.remaining)
-    }
 }
 
 #[cfg(test)]

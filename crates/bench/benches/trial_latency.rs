@@ -4,7 +4,7 @@
 //! trial end to end — `System` construction, the 4500-step E3 run and
 //! classification — against a <0.2 ms target (the seed measured
 //! ~0.8 ms). This harness measures it directly with `std::time`
-//! (criterion's sampling adds nothing for a millisecond-scale,
+//! (statistical sampling adds nothing for a millisecond-scale,
 //! deterministic workload), prints a per-scenario table and emits a
 //! machine-readable `BENCH_hotpath.json` so CI can detect regressions.
 //!
@@ -19,12 +19,12 @@
 //! * `--overhead-check` — interleave plain and telemetry-observed E3
 //!   engine runs (`Campaign::execute` on one worker, forking every
 //!   trial from the shared prefix, without and with an
-//!   `EngineTelemetry`), and plain, tracing-off
-//!   (`run_trial_traced(seed, None)`) and tracing-on E3 trials; fail if
-//!   observation or the disarmed tracing path costs more than 5 % over
-//!   plain, or the armed flight recorder more than 25 % (the
-//!   observability overhead gates). The traced means also ride in the
-//!   JSON report (`e3_traced_off_mean_us`, `e3_traced_on_mean_us`).
+//!   `EngineTelemetry`), and plain and tracing-on E3 trials; fail if
+//!   observation costs more than 5 % over plain, or the armed flight
+//!   recorder more than 25 % (the observability overhead gates). The
+//!   traced mean also rides in the JSON report
+//!   (`e3_traced_on_mean_us`). There is no tracing-off leg: a trial
+//!   traced with `None` is the plain trial, the same call.
 //!
 //! Per-trial latencies are also folded into a `certify_obs::Histogram`
 //! (5 µs buckets), so the report carries E3 p50/p90/p99 alongside the
@@ -185,21 +185,16 @@ fn measure_overhead(rounds: usize, trials: usize) -> (f64, f64) {
     (plain_best, observed_best)
 }
 
-/// Best-round means of plain vs tracing-off
-/// (`run_trial_traced(seed, None)`) vs tracing-on E3 trials, the
-/// three variants interleaved round by round. Tracing-off must be the
-/// plain path (an `Option` check per event site, nothing else);
-/// tracing-on pays for the ring.
-fn measure_tracing_overhead(rounds: usize, trials: usize) -> (f64, f64, f64) {
+/// Best-round means of plain vs tracing-on E3 trials, the two variants
+/// interleaved round by round; tracing-on pays for the ring.
+fn measure_tracing_overhead(rounds: usize, trials: usize) -> (f64, f64) {
     let runner = Scenario::e3_fig3().runner();
     let trace = TraceConfig::new();
     for seed in 0..(trials / 4).max(8) as u64 {
         std::hint::black_box(runner.run_trial(seed));
-        std::hint::black_box(runner.run_trial_traced(seed, None));
         std::hint::black_box(runner.run_trial_traced(seed, Some(&trace)));
     }
     let mut plain_best = f64::INFINITY;
-    let mut off_best = f64::INFINITY;
     let mut on_best = f64::INFINITY;
     for round in 0..rounds {
         let base = 0xD5_2022 + round as u64 * trials as u64;
@@ -210,16 +205,11 @@ fn measure_tracing_overhead(rounds: usize, trials: usize) -> (f64, f64, f64) {
         plain_best = plain_best.min(start.elapsed().as_secs_f64() * 1e6 / trials as f64);
         let start = Instant::now();
         for i in 0..trials as u64 {
-            std::hint::black_box(runner.run_trial_traced(base + i, None));
-        }
-        off_best = off_best.min(start.elapsed().as_secs_f64() * 1e6 / trials as f64);
-        let start = Instant::now();
-        for i in 0..trials as u64 {
             std::hint::black_box(runner.run_trial_traced(base + i, Some(&trace)));
         }
         on_best = on_best.min(start.elapsed().as_secs_f64() * 1e6 / trials as f64);
     }
-    (plain_best, off_best, on_best)
+    (plain_best, on_best)
 }
 
 fn main() {
@@ -264,16 +254,12 @@ fn main() {
     );
 
     // With --overhead-check, the tracing rounds run before the JSON
-    // is assembled so their keys can ride in the report.
+    // is assembled so their key can ride in the report.
     let tracing = config
         .overhead_check
         .then(|| measure_tracing_overhead(config.rounds, config.trials));
     let tracing_keys = tracing
-        .map(|(_, off, on)| {
-            format!(
-                ",\n  \"e3_traced_off_mean_us\": {off:.1},\n  \"e3_traced_on_mean_us\": {on:.1}"
-            )
-        })
+        .map(|(_, on)| format!(",\n  \"e3_traced_on_mean_us\": {on:.1}"))
         .unwrap_or_default();
 
     // The percentile and tracing keys are appended after the original
@@ -337,19 +323,7 @@ fn main() {
         );
         println!("overhead check passed");
 
-        let (t_plain, t_off, t_on) = tracing.expect("tracing rounds ran above");
-        let limit = t_plain * OVERHEAD_FACTOR;
-        println!(
-            "tracing-off check: plain {t_plain:.1} us vs traced-off {t_off:.1} us \
-             (limit {limit:.1} us)"
-        );
-        assert!(
-            t_off <= limit,
-            "tracing-off overhead too high: {t_off:.1} us > {limit:.1} us \
-             ({OVERHEAD_FACTOR}x the plain {t_plain:.1} us mean) — the disarmed \
-             recorder must be the plain path"
-        );
-        println!("tracing-off check passed");
+        let (t_plain, t_on) = tracing.expect("tracing rounds ran above");
         let limit = t_plain * TRACING_ON_FACTOR;
         println!(
             "tracing-on check: plain {t_plain:.1} us vs traced-on {t_on:.1} us \

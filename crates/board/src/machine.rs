@@ -66,12 +66,6 @@ pub struct Machine {
     /// Watchdog timer (public: the analysis crate reads expiries).
     pub wdt: Watchdog,
     step: u64,
-    /// Step at which the per-core timers were last synchronised.
-    timer_sync: u64,
-    /// Absolute step of the earliest pending timer expiry (`u64::MAX`
-    /// when no timer is enabled) — [`Machine::advance`] only walks the
-    /// timer array at deadlines instead of every step.
-    timer_next: u64,
 }
 
 impl Machine {
@@ -100,8 +94,6 @@ impl Machine {
             gpio: Gpio::new(),
             wdt: Watchdog::default(),
             step: 0,
-            timer_sync: 0,
-            timer_next: 0,
         };
         machine.gic.enable(IrqId(memmap::TIMER_IRQ));
         machine
@@ -135,17 +127,13 @@ impl Machine {
         &self.cpus
     }
 
-    /// The per-core tick timer.
+    /// The per-core tick timer, to start, stop or inspect. Its counter
+    /// is always current: [`Machine::advance`] steps it every step.
     ///
     /// # Panics
     ///
     /// Panics if the id is out of range.
     pub fn timer_mut(&mut self, id: CpuId) -> &mut GenericTimer {
-        // Bring the timers up to the current step so the caller sees
-        // live counters, and force a deadline recomputation on the
-        // next advance (the caller may reconfigure the timer).
-        self.sync_timers();
-        self.timer_next = self.step;
         &mut self.timers[id.0 as usize]
     }
 
@@ -155,37 +143,20 @@ impl Machine {
     }
 
     /// Advances global time by one step and steps every core's timer,
-    /// forwarding expirations to the GIC as private interrupts. Timer
-    /// counters advance lazily: the array is only walked when the
-    /// earliest deadline is due.
+    /// in core order, forwarding expirations to the GIC as private
+    /// interrupts.
     ///
     /// Returns true when the watchdog expired on this step, so the
     /// caller can observe the bite at the step it happens instead of
     /// mining `wdt.expiries()` after the fact.
     pub fn advance(&mut self) -> bool {
         self.step += 1;
-        if self.step >= self.timer_next {
-            self.sync_timers();
-        }
-        self.wdt.step(self.step)
-    }
-
-    /// Applies the steps elapsed since the last synchronisation to
-    /// every timer (firing those whose deadline is now) and recomputes
-    /// the earliest deadline.
-    fn sync_timers(&mut self) {
-        let delta = self.step - self.timer_sync;
-        self.timer_sync = self.step;
-        let mut next = u64::MAX;
-        for i in 0..self.timers.len() {
-            if let Some(irq) = self.timers[i].advance_by(delta) {
+        for (i, timer) in self.timers.iter_mut().enumerate() {
+            if let Some(irq) = timer.step() {
                 self.gic.raise_private(CpuId(i as u32), irq);
             }
-            if let Some(remaining) = self.timers[i].steps_until_fire() {
-                next = next.min(self.step + remaining);
-            }
         }
-        self.timer_next = next;
+        self.wdt.step(self.step)
     }
 
     /// Decodes an address to its device, if it is device MMIO.
@@ -351,5 +322,51 @@ mod tests {
         }
         assert!(machine.gic.has_pending(CpuId(1)));
         assert!(!machine.gic.has_pending(CpuId(0)));
+    }
+
+    /// Advances `steps` steps and returns the steps (1-based, relative
+    /// to the call) on which each core took a timer interrupt,
+    /// acknowledging each one as it arrives.
+    fn fires(machine: &mut Machine, steps: u64) -> [Vec<u64>; 2] {
+        let mut fired = [Vec::new(), Vec::new()];
+        for step in 1..=steps {
+            machine.advance();
+            for (core, log) in fired.iter_mut().enumerate() {
+                let cpu = CpuId(core as u32);
+                if machine.gic.has_pending(cpu) {
+                    let irq = machine.gic.acknowledge(cpu);
+                    machine.gic.complete(cpu, irq);
+                    log.push(step);
+                }
+            }
+        }
+        fired
+    }
+
+    #[test]
+    fn restarting_one_timer_mid_period_leaves_the_other_in_phase() {
+        // The hypervisor restarts a core's timer at every CPU_BOOT,
+        // while the other core's timer keeps running.
+        let period = DEFAULT_TIMER_PERIOD;
+        let half = period / 2;
+        let mut machine = Machine::new_banana_pi();
+        machine.timer_mut(CpuId(0)).start();
+        machine.timer_mut(CpuId(1)).start();
+        assert_eq!(fires(&mut machine, half), [vec![], vec![]]);
+
+        // Restart CPU 1 half-way through its period: its next tick is
+        // one full period from now, CPU 0's stays on the old phase.
+        machine.timer_mut(CpuId(1)).start();
+        assert_eq!(
+            fires(&mut machine, 2 * period),
+            [vec![half, half + period], vec![period, 2 * period]]
+        );
+
+        // Stopping CPU 1 silences it alone.
+        machine.timer_mut(CpuId(1)).stop();
+        assert_eq!(
+            fires(&mut machine, 2 * period),
+            [vec![half, half + period], vec![]]
+        );
     }
 }

@@ -36,7 +36,7 @@ use crate::system::System;
 use certify_arch::cpu::ParkReason;
 use certify_arch::CpuId;
 use certify_guest_linux::MgmtOp;
-use certify_hypervisor::{CellState, Guest, GuestHealth};
+use certify_hypervisor::{CellState, GuestHealth};
 use std::fmt;
 
 /// The outcome classes of the paper, plus the memory-fault extensions.

@@ -18,7 +18,7 @@ use certify_board::{memmap, Machine};
 use certify_guest_linux::{LinuxGuest, MgmtScript};
 use certify_hypervisor::hv::IrqDelivery;
 use certify_hypervisor::hypercall as hc;
-use certify_hypervisor::{CellId, Guest, GuestCtx, Hypervisor, SystemConfig};
+use certify_hypervisor::{CellId, GuestCtx, Hypervisor, SystemConfig};
 use certify_obs::trace::{TraceEvent, TraceKind, NO_CPU};
 use certify_rtos::RtosGuest;
 use std::sync::Arc;
@@ -62,11 +62,6 @@ pub struct System {
     steps_run: u64,
     rtos_broken_observed: bool,
     boot_failures: u64,
-    /// Cached per-CPU cell ownership, refreshed only when the
-    /// hypervisor's ownership epoch changes (ownership changes a
-    /// handful of times per run; the step loop asks every step).
-    owner_cache: Vec<Option<CellId>>,
-    owner_epoch: u64,
 }
 
 impl std::fmt::Debug for System {
@@ -128,8 +123,6 @@ impl System {
         } else {
             RtosGuest::new(testbed.cell_entry)
         };
-        let num_cpus = machine.num_cpus();
-        let owner_epoch = hv.ownership_epoch();
         System {
             machine,
             hv,
@@ -140,8 +133,6 @@ impl System {
             steps_run: 0,
             rtos_broken_observed: false,
             boot_failures: 0,
-            owner_cache: vec![None; num_cpus],
-            owner_epoch,
         }
     }
 
@@ -334,25 +325,17 @@ impl System {
                 IrqDelivery::Error => continue,
                 IrqDelivery::MgmtWake => self.boot_protocol(cpu),
                 IrqDelivery::Tick => {
+                    // The root guest schedules from its step; only the
+                    // RTOS kernel counts ticks.
                     let owner = self.hv.cpu_owner(cpu);
-                    if owner == Some(certify_hypervisor::cell::ROOT_CELL) {
-                        let mut ctx = GuestCtx::new(cpu, &mut self.machine, &mut self.hv);
-                        self.linux.on_tick(&mut ctx);
-                    } else if owner.is_some() {
-                        let mut ctx = GuestCtx::new(cpu, &mut self.machine, &mut self.hv);
-                        self.rtos.on_tick(&mut ctx);
+                    if owner.is_some_and(|id| id != certify_hypervisor::cell::ROOT_CELL) {
+                        self.rtos.on_tick();
                     }
                 }
-                IrqDelivery::Guest(irq) => {
-                    let owner = self.hv.cpu_owner(cpu);
-                    if owner == Some(certify_hypervisor::cell::ROOT_CELL) {
-                        let mut ctx = GuestCtx::new(cpu, &mut self.machine, &mut self.hv);
-                        self.linux.on_irq(irq, &mut ctx);
-                    } else if owner.is_some() {
-                        let mut ctx = GuestCtx::new(cpu, &mut self.machine, &mut self.hv);
-                        self.rtos.on_irq(irq, &mut ctx);
-                    }
-                }
+                // Neither guest handles a shared peripheral interrupt:
+                // the workload uses none, and ivshmem doorbells are
+                // absorbed.
+                IrqDelivery::Guest(_) => {}
             }
         }
     }
@@ -379,24 +362,11 @@ impl System {
         }
     }
 
-    /// Per-CPU cell ownership, served from a cache that refreshes only
-    /// when the hypervisor reports an ownership change.
-    fn cpu_owner_cached(&mut self, cpu: CpuId) -> Option<CellId> {
-        let epoch = self.hv.ownership_epoch();
-        if self.owner_epoch != epoch {
-            for (i, slot) in self.owner_cache.iter_mut().enumerate() {
-                *slot = self.hv.cpu_owner(CpuId(i as u32));
-            }
-            self.owner_epoch = epoch;
-        }
-        self.owner_cache.get(cpu.0 as usize).copied().flatten()
-    }
-
     fn step_guest(&mut self, cpu: CpuId) {
         if !self.machine.cpu(cpu).can_run_guest() {
             return;
         }
-        let owner = self.cpu_owner_cached(cpu);
+        let owner = self.hv.cpu_owner(cpu);
         let is_root = owner == Some(certify_hypervisor::cell::ROOT_CELL)
             || (!self.hv.is_enabled() && cpu == CpuId(0));
         if is_root {

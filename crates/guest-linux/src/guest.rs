@@ -1,10 +1,10 @@
 //! The Linux-like root guest.
 
 use crate::script::{MgmtOp, MgmtRecord, MgmtScript};
-use certify_arch::{CpuId, IrqId};
+use certify_arch::CpuId;
 use certify_board::memmap;
 use certify_hypervisor::hypercall as hc;
-use certify_hypervisor::{CellConfig, Guest, GuestCtx, GuestHealth, SystemConfig};
+use certify_hypervisor::{CellConfig, GuestCtx, GuestHealth, SystemConfig};
 use std::fmt;
 use std::sync::Arc;
 
@@ -120,6 +120,65 @@ impl LinuxGuest {
     /// idle thread on that CPU must issue `CPU_OFF`.
     pub fn take_offline_request(&mut self) -> Option<CpuId> {
         self.pending_offline.take()
+    }
+
+    /// Executes one scheduling slice on CPU 0.
+    pub fn step(&mut self, ctx: &mut GuestCtx<'_>) {
+        if !self.health.is_alive() {
+            return;
+        }
+        if self.pending_panic {
+            // A propagated fault corrupted kernel memory: Linux oopses
+            // and brings the whole system down — the paper's *panic
+            // park*.
+            self.pending_panic = false;
+            self.health = GuestHealth::Panicked;
+            Self::uart_print(ctx, "[linux] Unable to handle kernel paging request");
+            Self::uart_print(ctx, "[linux] Kernel panic - not syncing: Fatal exception");
+            return;
+        }
+        self.steps += 1;
+
+        if self.boot_line < BOOT_LINES.len() {
+            let line = BOOT_LINES[self.boot_line];
+            self.boot_line += 1;
+            Self::uart_print(ctx, line);
+            return;
+        }
+
+        // The heartbeat only touches hardware every HEARTBEAT_PERIOD
+        // steps, and a park can only arise from those accesses (an
+        // externally parked CPU never enters step() at all) — so the
+        // park check is gated to the steps that did I/O.
+        if self.steps.is_multiple_of(HEARTBEAT_PERIOD) {
+            self.heartbeat(ctx);
+            if ctx.parked() {
+                self.health = GuestHealth::HardFault;
+                return;
+            }
+        }
+
+        if self.wait > 0 {
+            self.wait -= 1;
+            return;
+        }
+        self.execute_op(ctx);
+        if ctx.parked() {
+            self.health = GuestHealth::HardFault;
+        }
+    }
+
+    /// Informs the guest that a wild store or memory fault corrupted
+    /// its memory: a live kernel panics on its next slice.
+    pub fn on_memory_corrupted(&mut self) {
+        if self.health.is_alive() {
+            self.pending_panic = true;
+        }
+    }
+
+    /// Current health.
+    pub fn health(&self) -> GuestHealth {
+        self.health
     }
 
     fn uart_print(ctx: &mut GuestCtx<'_>, line: &str) {
@@ -347,78 +406,6 @@ impl fmt::Debug for LinuxGuest {
             .field("pc", &self.pc)
             .field("health", &self.health)
             .finish()
-    }
-}
-
-impl Guest for LinuxGuest {
-    fn name(&self) -> &str {
-        "linux-root"
-    }
-
-    fn step(&mut self, ctx: &mut GuestCtx<'_>) {
-        if !self.health.is_alive() {
-            return;
-        }
-        if self.pending_panic {
-            // A propagated fault corrupted kernel memory: Linux oopses
-            // and brings the whole system down — the paper's *panic
-            // park*.
-            self.pending_panic = false;
-            self.health = GuestHealth::Panicked;
-            Self::uart_print(ctx, "[linux] Unable to handle kernel paging request");
-            Self::uart_print(ctx, "[linux] Kernel panic - not syncing: Fatal exception");
-            return;
-        }
-        self.steps += 1;
-
-        if self.boot_line < BOOT_LINES.len() {
-            let line = BOOT_LINES[self.boot_line];
-            self.boot_line += 1;
-            Self::uart_print(ctx, line);
-            return;
-        }
-
-        // The heartbeat only touches hardware every HEARTBEAT_PERIOD
-        // steps, and a park can only arise from those accesses (an
-        // externally parked CPU never enters step() at all) — so the
-        // park check is gated to the steps that did I/O.
-        if self.steps.is_multiple_of(HEARTBEAT_PERIOD) {
-            self.heartbeat(ctx);
-            if ctx.parked() {
-                self.health = GuestHealth::HardFault;
-                return;
-            }
-        }
-
-        if self.wait > 0 {
-            self.wait -= 1;
-            return;
-        }
-        self.execute_op(ctx);
-        if ctx.parked() {
-            self.health = GuestHealth::HardFault;
-        }
-    }
-
-    fn on_tick(&mut self, _ctx: &mut GuestCtx<'_>) {
-        // The root guest's scheduling is driven by step(); ticks keep
-        // the timer stream (and thus irqchip profiling traffic) alive.
-    }
-
-    fn on_irq(&mut self, _irq: IrqId, _ctx: &mut GuestCtx<'_>) {}
-
-    fn on_reset(&mut self, _entry: u32) {
-        // The root guest boots with the machine; nothing to do.
-    }
-
-    fn on_memory_corrupted(&mut self) {
-        if self.health.is_alive() {
-            self.pending_panic = true;
-        }
-    }
-
-    fn health(&self) -> GuestHealth {
-        self.health
     }
 }
 

@@ -10,8 +10,8 @@
 //!
 //! * [`script`] — the management *script*: an ordered list of driver
 //!   operations (with results recorded for the analysis pipeline);
-//! * [`guest`] — [`LinuxGuest`], the [`certify_hypervisor::Guest`]
-//!   implementation that boots, prints dmesg-style lines on the
+//! * [`guest`] — [`LinuxGuest`], the root cell's guest model, which
+//!   boots, prints dmesg-style lines on the
 //!   (directly mapped) UART, blinks a heartbeat LED through trapped
 //!   GPIO MMIO, executes the script, and **panics** ("Kernel panic -
 //!   not syncing") when a propagated fault corrupts its memory — the

@@ -11,7 +11,7 @@
 //! same call stream the paper's instrumented Jailhouse saw.
 
 use crate::hv::Hypervisor;
-use certify_arch::{CpuId, IrqId};
+use certify_arch::CpuId;
 use certify_board::Machine;
 use std::fmt;
 
@@ -126,35 +126,6 @@ impl fmt::Debug for GuestCtx<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("GuestCtx").field("cpu", &self.cpu).finish()
     }
-}
-
-/// A cell payload: the behavioural model of a guest OS.
-pub trait Guest: fmt::Debug {
-    /// A short name for logs.
-    fn name(&self) -> &str;
-
-    /// Executes one scheduling slice.
-    fn step(&mut self, ctx: &mut GuestCtx<'_>);
-
-    /// Delivers a timer tick.
-    fn on_tick(&mut self, ctx: &mut GuestCtx<'_>);
-
-    /// Delivers a (non-timer) interrupt.
-    fn on_irq(&mut self, irq: IrqId, ctx: &mut GuestCtx<'_>);
-
-    /// (Re)enters the guest at `entry` — cell start or reset. A guest
-    /// entered at an address other than its configured entry point
-    /// must transition to [`GuestHealth::Broken`].
-    fn on_reset(&mut self, entry: u32);
-
-    /// Informs the guest that its memory was corrupted from outside
-    /// (a wild hypervisor store landed in its RAM). The guest models
-    /// the consequence — typically a wild access or crash on its next
-    /// slice.
-    fn on_memory_corrupted(&mut self);
-
-    /// Current health.
-    fn health(&self) -> GuestHealth;
 }
 
 #[cfg(test)]

@@ -61,9 +61,6 @@ pub struct Hypervisor {
     enabled: bool,
     cells: Vec<Option<Cell>>,
     cpu_owner: Vec<Option<CellId>>,
-    /// Bumped whenever any CPU's owning cell changes, so orchestrators
-    /// can cache ownership lookups between changes.
-    ownership_epoch: u64,
     boot_entry: Vec<Option<u32>>,
     /// Flat per-(CPU, handler) call counters, `cpu * NUM_HANDLERS +
     /// handler` — indexed on every handler entry, so no map lookups on
@@ -79,19 +76,6 @@ pub struct Hypervisor {
     corruption_notices: Vec<CellId>,
     latent_hv_corruption: bool,
     panic: Option<String>,
-    /// Per-CPU cache of the last sub-page direct window resolved via
-    /// the region list (see [`Hypervisor::stage2_allows_cached`]).
-    direct_win: Vec<DirectWin>,
-}
-
-/// One cached direct-access window (sub-page device region).
-#[derive(Debug, Clone, Copy, Default)]
-struct DirectWin {
-    base: u32,
-    end: u32,
-    read: bool,
-    write: bool,
-    epoch: u64,
 }
 
 impl fmt::Debug for Hypervisor {
@@ -110,10 +94,12 @@ impl fmt::Debug for Hypervisor {
 /// in each [`Cell`] its config and stage-2 table. Only a clone whose
 /// memory fault writes a stage-2 table through
 /// [`Hypervisor::cell_stage2_mut`] copies that one table. Everything a
-/// trial changes as it runs is copied: cell states, ownership, call
-/// counts, the event trace and the evidence counters. The flight
-/// recorder is copied too: each clone records into a ring of its own
-/// that starts with the original's events and counters.
+/// trial changes as it runs is copied, and nothing derived from it is
+/// cached beside it: cell states, CPU ownership, boot mailboxes, call
+/// counts, the event trace, pending corruption notices and the
+/// evidence counters. The flight recorder is copied too: each clone
+/// records into a ring of its own that starts with the original's
+/// events and counters.
 ///
 /// # Panics
 ///
@@ -131,7 +117,6 @@ impl Clone for Hypervisor {
             enabled: self.enabled,
             cells: self.cells.clone(),
             cpu_owner: self.cpu_owner.clone(),
-            ownership_epoch: self.ownership_epoch,
             boot_entry: self.boot_entry.clone(),
             call_counts: self.call_counts.clone(),
             hook: None,
@@ -141,7 +126,6 @@ impl Clone for Hypervisor {
             corruption_notices: self.corruption_notices.clone(),
             latent_hv_corruption: self.latent_hv_corruption,
             panic: self.panic.clone(),
-            direct_win: self.direct_win.clone(),
         }
     }
 }
@@ -156,7 +140,6 @@ impl Hypervisor {
             enabled: false,
             cells: Vec::new(),
             cpu_owner: Vec::new(),
-            ownership_epoch: 0,
             boot_entry: Vec::new(),
             call_counts: Vec::new(),
             hook: None,
@@ -166,7 +149,6 @@ impl Hypervisor {
             corruption_notices: Vec::new(),
             latent_hv_corruption: false,
             panic: None,
-            direct_win: Vec::new(),
         }
     }
 
@@ -239,12 +221,6 @@ impl Hypervisor {
     /// trial classifier reads instead of scanning the trace.
     pub fn evidence(&self) -> &Evidence {
         &self.evidence
-    }
-
-    /// Bumped whenever a CPU's owning cell changes; callers may cache
-    /// [`Hypervisor::cpu_owner`] results while it is unchanged.
-    pub fn ownership_epoch(&self) -> u64 {
-        self.ownership_epoch
     }
 
     /// Attaches a flight recorder for the whole stack: the hypervisor
@@ -326,10 +302,6 @@ impl Hypervisor {
     /// a clone of this hypervisor still shares it (see
     /// [`Cell::stage2_mut`]).
     pub fn cell_stage2_mut(&mut self, id: CellId) -> Option<&mut certify_arch::Stage2Table> {
-        // Table corruption can conjure or remove mappings underneath a
-        // cached direct window, so the caches must not outlive the
-        // handout (see `stage2_allows_cached`).
-        self.direct_win.clear();
         self.cells
             .get_mut(id.0 as usize)
             .and_then(|c| c.as_mut())
@@ -791,7 +763,6 @@ impl Hypervisor {
         for cpu in &config.root.cpus {
             self.cpu_owner[cpu.0 as usize] = Some(ROOT_CELL);
         }
-        self.ownership_epoch += 1;
         for irq in &config.root.irqs {
             machine.gic.enable(*irq);
             machine.gic.set_target(*irq, config.root.cpus[0]);
@@ -819,7 +790,6 @@ impl Hypervisor {
         self.enabled = false;
         self.cells.clear();
         self.cpu_owner.iter_mut().for_each(|o| *o = None);
-        self.ownership_epoch += 1;
         self.boot_entry.iter_mut().for_each(|b| *b = None);
         Ok(0)
     }
@@ -853,7 +823,6 @@ impl Hypervisor {
         for cell_cpu in &config.cpus {
             self.cpu_owner[cell_cpu.0 as usize] = Some(id);
         }
-        self.ownership_epoch += 1;
         let step = machine.now();
         let cell = Cell::new(id, config);
         if let Some(region) = cell.comm_region() {
@@ -1016,7 +985,6 @@ impl Hypervisor {
             self.cpu_owner[cell_cpu.0 as usize] = Some(ROOT_CELL);
             self.boot_entry[cell_cpu.0 as usize] = None;
         }
-        self.ownership_epoch += 1;
         for irq in &irqs {
             machine.gic.clear_target(*irq);
             machine.gic.disable(*irq);
@@ -1209,112 +1177,26 @@ impl Hypervisor {
         self.handle_trap(machine, cpu, addr, syndrome, 0)
     }
 
-    /// A stage-2-checked direct write: permitted accesses go straight
-    /// to the bus (RAM or a direct-mapped device such as the root
-    /// cell's UART); violations escalate through the trap path.
+    /// A stage-2-checked direct write: every access is checked by
+    /// [`Hypervisor::stage2_allows`] against the cell's live stage-2
+    /// table and regions. Permitted accesses go straight to the bus
+    /// (RAM or a direct-mapped device such as the root cell's UART);
+    /// violations escalate through the trap path.
     pub fn guest_ram_write(&mut self, machine: &mut Machine, cpu: CpuId, addr: u32, value: u32) {
-        if self.stage2_allows_cached(cpu, addr, true) {
+        if self.stage2_allows(cpu, addr, true) {
             let _ = machine.write32(addr, value);
         } else {
             self.guest_mmio_write(machine, cpu, addr, value);
         }
     }
 
-    /// A stage-2-checked direct read.
+    /// A stage-2-checked direct read, checked like
+    /// [`Hypervisor::guest_ram_write`].
     pub fn guest_ram_read(&mut self, machine: &mut Machine, cpu: CpuId, addr: u32) -> u32 {
-        if self.stage2_allows_cached(cpu, addr, false) {
+        if self.stage2_allows(cpu, addr, false) {
             machine.read32(addr).unwrap_or(0)
         } else {
             self.guest_mmio_read(machine, cpu, addr)
-        }
-    }
-
-    /// [`Hypervisor::stage2_allows`] with a per-CPU one-entry cache of
-    /// the last sub-page direct window resolved through the region
-    /// list — console output hits the same device window byte after
-    /// byte, and the cache turns each repeat into two compares. The
-    /// cache is keyed on the ownership epoch, so any cell/CPU
-    /// reconfiguration invalidates it.
-    fn stage2_allows_cached(&mut self, cpu: CpuId, addr: u32, write: bool) -> bool {
-        let idx = cpu.0 as usize;
-        if let Some(win) = self.direct_win.get(idx) {
-            if win.epoch == self.ownership_epoch && addr >= win.base && addr < win.end {
-                return if write { win.write } else { win.read };
-            }
-        }
-        let Some(owner) = self.cpu_owner(cpu) else {
-            // Unmanaged CPU (hypervisor disabled): no second stage.
-            return !self.enabled;
-        };
-        let Some(cell) = self.cell(owner) else {
-            return false;
-        };
-        let kind = if write {
-            certify_arch::AccessKind::Write
-        } else {
-            certify_arch::AccessKind::Read
-        };
-        if cell.stage2().translate(addr, kind).is_ok() {
-            return true;
-        }
-        let mut windows = cell.config.regions.iter().filter(|r| {
-            r.contains_addr(addr)
-                && !r.flags.contains(MemFlags::IO)
-                && (r.base % certify_arch::mmu::PAGE_SIZE != 0
-                    || r.size % certify_arch::mmu::PAGE_SIZE != 0)
-        });
-        match (windows.next(), windows.next()) {
-            (None, _) => false,
-            (Some(_), Some(_)) => {
-                // Overlapping sub-page windows: a single window's
-                // flags cannot answer for the address, so defer to
-                // the pure per-access check and cache nothing.
-                self.stage2_allows(cpu, addr, write)
-            }
-            (Some(region), None) => {
-                let allowed = region.flags.contains(if write {
-                    MemFlags::WRITE
-                } else {
-                    MemFlags::READ
-                });
-                // The cache answers before consulting the stage-2
-                // table, so it may only hold windows that overlap no
-                // mapped page (otherwise a page-mapped permission
-                // would lose to the window's). Probe every page the
-                // window touches; skip caching on any overlap.
-                let page_mask = !(certify_arch::mmu::PAGE_SIZE - 1);
-                let end = region.base.wrapping_add(region.size);
-                let mut probe = region.base & page_mask;
-                let mut overlaps_mapped = false;
-                while probe < end {
-                    if !matches!(
-                        cell.stage2()
-                            .translate(probe.max(region.base), certify_arch::AccessKind::Read),
-                        Err(certify_arch::S2Fault::Translation { .. })
-                    ) {
-                        overlaps_mapped = true;
-                        break;
-                    }
-                    match probe.checked_add(certify_arch::mmu::PAGE_SIZE) {
-                        Some(next) => probe = next,
-                        None => break,
-                    }
-                }
-                if !overlaps_mapped {
-                    let win = DirectWin {
-                        base: region.base,
-                        end,
-                        read: region.flags.contains(MemFlags::READ),
-                        write: region.flags.contains(MemFlags::WRITE),
-                        epoch: self.ownership_epoch,
-                    };
-                    if self.direct_win.len() <= idx {
-                        self.direct_win.resize(idx + 1, DirectWin::default());
-                    }
-                    self.direct_win[idx] = win;
-                }
-                allowed
-            }
         }
     }
 

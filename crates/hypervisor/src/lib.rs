@@ -72,7 +72,7 @@ pub use commregion::CommRegion;
 pub use config::{CellConfig, MemFlags, MemRegion, SystemConfig};
 pub use error::HvError;
 pub use event::{CpuParkTally, Evidence, HvEvent};
-pub use guest::{Guest, GuestCtx, GuestHealth};
+pub use guest::{GuestCtx, GuestHealth};
 pub use hooks::{HandlerKind, HookCtx, InjectionHook};
 pub use hv::Hypervisor;
 pub use ivshmem::IvshmemChannel;

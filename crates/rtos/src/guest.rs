@@ -1,12 +1,11 @@
-//! The RTOS cell payload: a [`Guest`] implementation that boots the
-//! FreeRTOS-like kernel with the paper's workload.
+//! The RTOS cell payload: the guest model that boots the FreeRTOS-like
+//! kernel with the paper's workload.
 
 use crate::kernel::Rtos;
 use crate::task::TaskId;
 use crate::workload;
-use certify_arch::IrqId;
 use certify_board::memmap;
-use certify_hypervisor::{Guest, GuestCtx, GuestHealth};
+use certify_hypervisor::{GuestCtx, GuestHealth};
 use certify_obs::trace::{TraceEvent, TraceKind};
 use std::fmt;
 
@@ -24,9 +23,6 @@ pub struct RtosGuest {
     pending_corruption: bool,
     /// Whether the workload includes the E5b safety-heartbeat task.
     with_heartbeat: bool,
-    /// Booted, healthy, banner printed, no corruption pending: the
-    /// per-slice fast path, re-derived whenever any of those change.
-    steady: bool,
 }
 
 impl RtosGuest {
@@ -58,7 +54,6 @@ impl RtosGuest {
             banner_printed: false,
             pending_corruption: false,
             with_heartbeat,
-            steady: false,
         }
     }
 
@@ -81,34 +76,9 @@ impl RtosGuest {
     pub fn kernel(&self) -> &Rtos {
         &self.kernel
     }
-}
 
-impl fmt::Debug for RtosGuest {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RtosGuest")
-            .field("health", &self.health)
-            .field("booted", &self.booted)
-            .finish()
-    }
-}
-
-impl Guest for RtosGuest {
-    fn name(&self) -> &str {
-        "freertos"
-    }
-
-    fn step(&mut self, ctx: &mut GuestCtx<'_>) {
-        // Hot path: a healthy, booted, banner-printed guest just runs
-        // its next slice.
-        if self.steady {
-            let picked = self.kernel.run_slice(ctx);
-            Self::trace_sched(ctx, picked);
-            if ctx.parked() {
-                self.health = GuestHealth::HardFault;
-                self.steady = false;
-            }
-            return;
-        }
+    /// Executes one scheduling slice on the cell's CPU.
+    pub fn step(&mut self, ctx: &mut GuestCtx<'_>) {
         if !self.booted || !self.health.is_alive() {
             // A broken or never-booted guest produces nothing — the
             // blank USART of experiment E2.
@@ -134,28 +104,26 @@ impl Guest for RtosGuest {
                 return;
             }
         }
-        self.steady = true;
         let picked = self.kernel.run_slice(ctx);
         Self::trace_sched(ctx, picked);
         if ctx.parked() {
             // The slice triggered an unrecoverable trap; stop making
             // progress.
             self.health = GuestHealth::HardFault;
-            self.steady = false;
         }
     }
 
-    fn on_tick(&mut self, _ctx: &mut GuestCtx<'_>) {
+    /// Delivers a timer tick to the kernel of a booted, live guest.
+    pub fn on_tick(&mut self) {
         if self.booted && self.health.is_alive() {
             self.kernel.tick();
         }
     }
 
-    fn on_irq(&mut self, _irq: IrqId, _ctx: &mut GuestCtx<'_>) {
-        // The workload uses no SPIs; ivshmem doorbells are absorbed.
-    }
-
-    fn on_reset(&mut self, entry: u32) {
+    /// (Re)enters the guest at `entry` — cell start or reset. Entered
+    /// anywhere but its configured entry point, the guest becomes
+    /// [`GuestHealth::Broken`].
+    pub fn on_reset(&mut self, entry: u32) {
         // A (re)start reloads the image: fresh kernel, fresh banner.
         // The very first boot of a never-entered guest reuses the
         // pristine kernel built at construction instead of spawning
@@ -171,7 +139,6 @@ impl Guest for RtosGuest {
         }
         self.banner_printed = false;
         self.pending_corruption = false;
-        self.steady = false;
         self.booted = true;
         if entry == self.expected_entry {
             self.health = GuestHealth::Healthy;
@@ -182,15 +149,26 @@ impl Guest for RtosGuest {
         }
     }
 
-    fn on_memory_corrupted(&mut self) {
+    /// Informs the guest that a wild store or memory fault corrupted
+    /// its memory: a live guest faults on its next slice.
+    pub fn on_memory_corrupted(&mut self) {
         if self.health.is_alive() {
             self.pending_corruption = true;
-            self.steady = false;
         }
     }
 
-    fn health(&self) -> GuestHealth {
+    /// Current health.
+    pub fn health(&self) -> GuestHealth {
         self.health
+    }
+}
+
+impl fmt::Debug for RtosGuest {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RtosGuest")
+            .field("health", &self.health)
+            .field("booted", &self.booted)
+            .finish()
     }
 }
 

@@ -19,8 +19,8 @@
 //!   quantum);
 //! * the exact paper [`workload`] (1 blink + sender/receiver pair +
 //!   2 floating-point + 15 integer tasks);
-//! * [`RtosGuest`], the [`certify_hypervisor::Guest`] implementation
-//!   that boots the kernel inside a cell, prints through the
+//! * [`RtosGuest`], the non-root cell's guest model, which boots the
+//!   kernel inside a cell, prints through the
 //!   hypervisor debug console (generating the `arch_handle_hvc`
 //!   traffic the paper profiles) and blinks the LED through trapped
 //!   GPIO MMIO (the `arch_handle_trap` traffic).

@@ -181,7 +181,7 @@ impl TaskCode for FloatTask {
         }
         self.slices += 1;
         // Heartbeats are staggered per task id so the serial log shows
-        // steady liveness instead of lockstep bursts.
+        // evenly spread liveness instead of lockstep bursts.
         if (self.slices + 29 * self.id as u64).is_multiple_of(HEARTBEAT_SLICES) {
             env.print_line(&format!("[rtos] float{} pi~{:.6}", self.id, self.acc * 4.0));
         }

@@ -17,7 +17,7 @@ use certify_board::memmap;
 use certify_core::System;
 use certify_guest_linux::MgmtScript;
 use certify_hypervisor::hypercall as hc;
-use certify_hypervisor::{CellState, Guest};
+use certify_hypervisor::CellState;
 
 fn main() {
     let mut system = System::new(MgmtScript::bring_up_and_run(u64::MAX / 2));

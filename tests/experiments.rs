@@ -66,7 +66,7 @@ fn e2_comm_region_still_advertises_running_for_a_dead_cell() {
     // RUNNING while the cell never executed an instruction.
     use certify_core::{InjectionSpec, System};
     use certify_guest_linux::MgmtScript;
-    use certify_hypervisor::{CellState, Guest, GuestHealth};
+    use certify_hypervisor::{CellState, GuestHealth};
 
     let mut system = System::new(MgmtScript::bring_up_and_run(1500));
     system.install_injector(InjectionSpec::e2_boot_window(), 0xB007);

@@ -123,8 +123,8 @@ fn e3_prefix_clone_allocations() {
     assert_eq!(
         allocs,
         Allocs {
-            count: 44,
-            bytes: 8_745
+            count: 42,
+            bytes: 8_705
         },
         "E3 System::clone"
     );
@@ -138,8 +138,8 @@ fn e7_prefix_clone_allocations() {
     assert_eq!(
         allocs,
         Allocs {
-            count: 47,
-            bytes: 8_827
+            count: 45,
+            bytes: 8_787
         },
         "E7 System::clone"
     );
@@ -147,7 +147,7 @@ fn e7_prefix_clone_allocations() {
 
 /// Where the E3 clone's allocations remain. The hypervisor's are its
 /// per-run vectors (cells, ownership, call counts, events); the RTOS's
-/// are mostly the boxed task bodies.
+/// are mostly the boxed task bodies. The system itself adds none.
 #[test]
 fn e3_prefix_clone_allocations_by_layer() {
     let prefix = prefix(&Scenario::e3_fig3());
@@ -157,7 +157,7 @@ fn e3_prefix_clone_allocations_by_layer() {
     let linux = count(counted(|| prefix.linux.clone()).1);
     let rtos = count(counted(|| prefix.rtos.clone()).1);
     // Before: machine 12, hypervisor 22, Linux 3, RTOS 49.
-    assert_eq!((machine, hv, linux, rtos), (9, 6, 1, 27));
+    assert_eq!((machine, hv, linux, rtos), (9, 5, 1, 27));
 }
 
 /// A whole forked trial (clone, injector install, suffix, classify),
@@ -165,8 +165,8 @@ fn e3_prefix_clone_allocations_by_layer() {
 /// this gate is about, so small changes there need no new pin.
 #[test]
 fn forked_trial_allocations_are_bounded() {
-    // Measured: E3 82 allocations and 18,800 bytes per trial, E7 94 and
-    // 49,767 (E7's memory faults copy the pages and tables they write).
+    // Measured: E3 80 allocations and 18,424 bytes per trial, E7 92 and
+    // 49,375 (E7's memory faults copy the pages and tables they write).
     // Before the copy-on-write fork: E3 125 and 73,162, E7 134 and
     // 84,646.
     for (scenario, max_count, max_bytes) in [

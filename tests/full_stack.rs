@@ -5,7 +5,7 @@ use certify_board::memmap;
 use certify_core::campaign::Scenario;
 use certify_core::{classify, Outcome, System};
 use certify_guest_linux::MgmtScript;
-use certify_hypervisor::{CellState, Guest, GuestHealth, HandlerKind};
+use certify_hypervisor::{CellState, GuestHealth, HandlerKind};
 
 #[test]
 fn golden_bring_up_reaches_steady_state() {
