@@ -149,7 +149,8 @@ fn measure_distribution(scenario: Scenario, trials: usize) -> Histogram {
 
 /// A forked E3 trial costs about a third of a from-scratch one, so the
 /// engine rounds run this many times the from-scratch trial count to
-/// last about as long.
+/// last about as long (shorter, as the fault-class cache serves the
+/// repeats among them).
 const FORKED_TRIALS_PER_SCRATCH_TRIAL: usize = 3;
 
 /// Best-round per-trial means of plain vs telemetry-observed E3 engine

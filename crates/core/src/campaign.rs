@@ -18,6 +18,7 @@
 
 use crate::certificate::ScenarioCertificate;
 use crate::classify::{classify, Outcome, RunReport};
+use crate::faultclass::{Class, FaultClasses};
 use crate::json::Json;
 use crate::memfault::{MemFaultModel, MemTarget};
 use crate::sink::{CollectSink, TrialSink};
@@ -30,7 +31,7 @@ use certify_guest_linux::MgmtScript;
 use certify_obs::trace::{FlightRecorder, TraceEvent, TraceKind, NO_CPU};
 use certify_obs::{Clock, EngineMetrics, PhaseSample, ProgressTracker};
 use std::fmt;
-use std::ops::{Bound, Range, RangeBounds};
+use std::ops::{Bound, ControlFlow, Range, RangeBounds};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::sync_channel;
@@ -345,16 +346,24 @@ impl TrialRunner {
     /// `policy.on_panic`). The result and dump are the same from either
     /// start.
     ///
+    /// Given a campaign's fault-class cache it stops at the end of the
+    /// step that records the first injection and looks the trial up:
+    /// a hit returns the stored result of its class with this seed and
+    /// no dump; a miss runs on and returns its class if the cache may
+    /// store its result.
+    ///
     /// Given a clock it also returns a [`PhaseSample`]: boot is the
     /// clone or construction plus the injector install, and steady state
-    /// is 0, because no fault-free step runs inside the trial.
+    /// is 0, because no fault-free step runs inside the trial. A hit's
+    /// injection phase ends at the lookup, and it classifies nothing.
     fn run(
         &self,
         seed: u64,
         prefix: Option<&System>,
         trace: Option<&TraceConfig>,
         clock: Option<&dyn Clock>,
-    ) -> (TrialResult, Option<TraceDump>, Option<PhaseSample>) {
+        classes: Option<&FaultClasses>,
+    ) -> TrialRun {
         let now = || clock.map_or(0, |clock| clock.now_ns());
         let start = now();
         let mut system = prefix.map_or_else(|| self.fresh_system(trace), System::clone);
@@ -365,15 +374,34 @@ impl TrialRunner {
             system.install_mem_injector(Arc::clone(mem_spec), seed.wrapping_add(MEM_SEED_OFFSET));
         }
         let installed = now();
-        let steps = self.steps - system.steps_run();
-        let run = |system: &mut System| {
-            system.run(steps);
-            let ran = now();
-            (classify(system), ran)
+        let sample = |ran: u64, classified: u64| {
+            clock.map(|_| PhaseSample {
+                boot_ns: installed.saturating_sub(start),
+                steady_ns: 0,
+                injection_ns: ran.saturating_sub(installed),
+                classify_ns: classified.saturating_sub(ran),
+            })
         };
-        let (report, ran) = if trace.is_some_and(|config| config.policy.on_panic) {
+        let run = |system: &mut System| {
+            let class = match classes {
+                Some(classes) => {
+                    while system.steps_run() < self.steps
+                        && system.injections().is_empty()
+                        && system.mem_injections().is_empty()
+                    {
+                        system.step();
+                    }
+                    classes.find(system, seed)?
+                }
+                None => None,
+            };
+            system.run(self.steps - system.steps_run());
+            let ran = now();
+            ControlFlow::Continue((classify(system), ran, class))
+        };
+        let ran = if trace.is_some_and(|config| config.policy.on_panic) {
             match catch_unwind(AssertUnwindSafe(|| run(&mut system))) {
-                Ok(classified) => classified,
+                Ok(ran) => ran,
                 Err(payload) => {
                     if let Some(recorder) = system.hv.recorder() {
                         let doc = Json::obj([
@@ -395,6 +423,20 @@ impl TrialRunner {
         } else {
             run(&mut system)
         };
+        let (report, ran, class) = match ran {
+            ControlFlow::Continue(ran) => ran,
+            ControlFlow::Break(hit) => {
+                let ran = now();
+                return TrialRun {
+                    trial: hit,
+                    dump: None,
+                    sample: sample(ran, ran),
+                    class: None,
+                };
+            }
+        };
+        let result = Self::result(seed, report);
+        let class = class.and_then(|class| class.quiet(&system));
         let dump = system.hv.take_recorder().map(|mut recorder| {
             recorder.record(TraceEvent {
                 step: system.machine.now(),
@@ -402,27 +444,23 @@ impl TrialRunner {
                 kind: TraceKind::ClassifyVerdict,
                 arg_a: Outcome::ALL
                     .iter()
-                    .position(|o| *o == report.outcome)
+                    .position(|o| *o == result.outcome)
                     .unwrap_or(0) as u64,
                 arg_b: 0,
             });
-            TraceDump::capture(recorder, seed, &self.name, report.outcome)
+            TraceDump::capture(recorder, seed, &self.name, result.outcome)
         });
-        let sample = clock.map(|_| {
-            let classified = now();
-            PhaseSample {
-                boot_ns: installed.saturating_sub(start),
-                steady_ns: 0,
-                injection_ns: ran.saturating_sub(installed),
-                classify_ns: classified.saturating_sub(ran),
-            }
-        });
-        (Self::result(seed, report), dump, sample)
+        TrialRun {
+            trial: result,
+            dump,
+            sample: sample(ran, now()),
+            class,
+        }
     }
 
     /// Runs one seeded trial from a fresh system (a zero-step prefix).
     pub fn run_trial(&self, seed: u64) -> TrialResult {
-        self.run(seed, None, None, None).0
+        self.run(seed, None, None, None, None).trial
     }
 
     /// Runs one seeded trial from scratch with a flight recorder
@@ -445,9 +483,21 @@ impl TrialRunner {
         seed: u64,
         config: Option<&TraceConfig>,
     ) -> (TrialResult, Option<TraceDump>) {
-        let (trial, dump, _) = self.run(seed, None, config, None);
-        (trial, dump)
+        let run = self.run(seed, None, config, None, None);
+        (run.trial, run.dump)
     }
+}
+
+/// What one run of the trial body returns.
+struct TrialRun {
+    trial: TrialResult,
+    /// The captured ring, when traced.
+    dump: Option<TraceDump>,
+    /// Phase timings, when given a clock.
+    sample: Option<PhaseSample>,
+    /// The trial's fault class, when the campaign's cache may store the
+    /// result under it.
+    class: Option<Class>,
 }
 
 /// One trial's result.
@@ -640,6 +690,13 @@ impl Campaign {
     /// Every trial forks from one fault-free prefix built per call
     /// (none for an empty range); a traced campaign hands its ring to
     /// [`TrialSink::accept_trace_prefix`] before the first delivery.
+    /// The call's trials also share one fault-class cache: a trial
+    /// whose first injection step matches that of an earlier trial with
+    /// a seed-independent suffix takes its result instead of simulating
+    /// the suffix (see the `faultclass` module). The cache lives for
+    /// this call only, never serves a trial whose dump the policy
+    /// keeps, and changes no delivery; telemetry counts the trials that
+    /// ran a suffix as `suffixes_simulated`.
     /// Debug builds check every delivered trial against the attached
     /// certificate and the memory spec's skip prediction.
     ///
@@ -655,8 +712,10 @@ impl Campaign {
         mut telemetry: Option<&mut EngineTelemetry<'_>>,
     ) -> (CampaignStats, usize) {
         let range = self.trial_range(range);
+        let classes = FaultClasses::default();
         let mut delivery = Delivery {
             campaign: self,
+            classes: &classes,
             sink,
             stats: CampaignStats::new(self.scenario.name.clone()),
             total: range.len(),
@@ -674,6 +733,8 @@ impl Campaign {
         let bytes = sink.bytes_written();
         if let Some(EngineTelemetry { metrics, .. }) = telemetry {
             metrics.merge(&folded);
+            let simulated = range.len() - classes.hits();
+            metrics.suffixes_simulated.add(simulated as u64);
             metrics.reorder_residency.set(high_water as u64);
             metrics.sink_rows.add(range.len() as u64);
             metrics.sink_bytes.add(bytes.unwrap_or(0));
@@ -705,7 +766,8 @@ impl Campaign {
     /// in seed order. Builds the shared prefix (handing a traced ring to
     /// the sink) and forks each trial from it. One worker runs on the
     /// caller's thread; more run as lanes whose results the caller's
-    /// thread delivers round-robin. Returns the high-water mark of
+    /// thread delivers round-robin, all of them through the one
+    /// fault-class cache of `delivery`. Returns the high-water mark of
     /// undelivered reports and the folded phase timings.
     fn run_trials<S: TrialSink + ?Sized>(
         &self,
@@ -719,17 +781,24 @@ impl Campaign {
             delivery.sink.accept_trace_prefix(recorder);
         }
         let clock = delivery.progress.as_ref().map(|(_, t)| t.clock);
+        let classes = delivery.classes;
         let run = |seq: usize| {
             let seed = self.base_seed + seq as u64;
-            runner.run(seed, Some(&prefix), trace, clock.map(|c| c as _))
+            runner.run(
+                seed,
+                Some(&prefix),
+                trace,
+                clock.map(|c| c as _),
+                Some(classes),
+            )
         };
         let workers = workers.min(range.len());
         if workers <= 1 {
             let mut folded = EngineMetrics::default();
             for seq in range {
-                let (trial, dump, sample) = run(seq);
-                fold_sample(&mut folded, sample);
-                delivery.deliver(seq, trial, dump);
+                let run = run(seq);
+                fold_sample(&mut folded, run.sample);
+                delivery.deliver(seq, run.trial, run.dump, run.class);
             }
             return (1, folded);
         }
@@ -750,14 +819,15 @@ impl Campaign {
                 let seqs = range.clone().skip(lane).step_by(workers);
                 lanes.push(scope.spawn(move || {
                     // Phase timings fold lane-locally and return with
-                    // the lane: no shared state on the trial hot path.
+                    // the lane.
                     let mut folded = EngineMetrics::default();
                     for seq in seqs {
-                        let (trial, dump, sample) = run(seq);
-                        fold_sample(&mut folded, sample);
+                        let run = run(seq);
+                        fold_sample(&mut folded, run.sample);
                         let held = undelivered.fetch_add(1, Ordering::Relaxed) + 1;
                         high_water.fetch_max(held, Ordering::Relaxed);
-                        if result_tx.send((trial, dump)).is_err() || go_rx.recv().is_err() {
+                        let result = (run.trial, run.dump, run.class);
+                        if result_tx.send(result).is_err() || go_rx.recv().is_err() {
                             break;
                         }
                     }
@@ -770,10 +840,10 @@ impl Campaign {
                 let lane = (seq - range.start) % workers;
                 // A closed channel means the lane's trial panicked; its
                 // join below re-raises the panic.
-                let Ok((trial, dump)) = results[lane].recv() else {
+                let Ok((trial, dump, class)) = results[lane].recv() else {
                     break;
                 };
-                delivery.deliver(seq, trial, dump);
+                delivery.deliver(seq, trial, dump, class);
                 undelivered.fetch_sub(1, Ordering::Relaxed);
                 let _ = go[lane].send(());
             }
@@ -793,12 +863,15 @@ impl Campaign {
 
 /// The delivery step both paths of [`Campaign::execute`] share. Results
 /// arrive in seed order; each is checked against the attached
-/// certificate and the skip prediction (debug builds), folded into the
-/// stats, handed to the sink with its dump if the policy keeps it, and
-/// counted towards progress: a snapshot every `progress_every`
-/// deliveries and one after the last of `total`.
+/// certificate and the skip prediction (debug builds), stored in the
+/// fault-class cache if it came with a class and the policy does not
+/// keep its dump, folded into the stats, handed to the sink with its
+/// dump if the policy keeps it, and counted towards progress: a
+/// snapshot every `progress_every` deliveries and one after the last
+/// of `total`.
 struct Delivery<'e, 't, S: ?Sized> {
     campaign: &'e Campaign,
+    classes: &'e FaultClasses,
     sink: &'e mut S,
     stats: CampaignStats,
     total: usize,
@@ -806,7 +879,13 @@ struct Delivery<'e, 't, S: ?Sized> {
 }
 
 impl<S: TrialSink + ?Sized> Delivery<'_, '_, S> {
-    fn deliver(&mut self, seq: usize, trial: TrialResult, dump: Option<TraceDump>) {
+    fn deliver(
+        &mut self,
+        seq: usize,
+        trial: TrialResult,
+        dump: Option<TraceDump>,
+        class: Option<Class>,
+    ) {
         #[cfg(debug_assertions)]
         {
             let scenario = &self.campaign.scenario;
@@ -814,8 +893,12 @@ impl<S: TrialSink + ?Sized> Delivery<'_, '_, S> {
             assert_skips_predicted(prediction.as_ref(), &trial);
             assert_certificate_conformance(self.campaign.certificate.as_deref(), &trial);
         }
+        let keeps_dump = self.campaign.should_dump(&trial);
+        if let Some(class) = class.filter(|_| !keeps_dump) {
+            self.classes.store(class, &trial);
+        }
         self.stats.record(&trial);
-        let kept = dump.filter(|_| self.campaign.should_dump(&trial));
+        let kept = dump.filter(|_| keeps_dump);
         self.sink.accept(seq, trial);
         if let Some(dump) = kept {
             self.sink.accept_dump(seq, dump);
@@ -1068,21 +1151,22 @@ mod tests {
             classify_ns: 1,
         };
 
-        let (scratch, dump, sample) = runner.run(0xD5_2022, None, None, Some(&clock));
-        assert_eq!(sample, Some(expected));
-        assert!(dump.is_none());
+        let scratch = runner.run(0xD5_2022, None, None, Some(&clock), None);
+        assert_eq!(scratch.sample, Some(expected));
+        assert!(scratch.dump.is_none());
 
         let prefix = runner.prefix(None);
-        let (forked, dump, sample) = runner.run(0xD5_2022, Some(&prefix), None, Some(&clock));
-        assert_eq!(sample, Some(expected));
-        assert_eq!(forked, scratch);
-        assert!(dump.is_none());
+        let forked = runner.run(0xD5_2022, Some(&prefix), None, Some(&clock), None);
+        assert_eq!(forked.sample, Some(expected));
+        assert_eq!(forked.trial, scratch.trial);
+        assert!(forked.dump.is_none());
         assert_eq!(
             prefix.steps_run(),
             3157,
             "forking leaves the prefix untouched"
         );
-        assert_eq!(runner.run(0xD5_2022, Some(&prefix), None, None).2, None);
+        let unobserved = runner.run(0xD5_2022, Some(&prefix), None, None, None);
+        assert_eq!(unobserved.sample, None);
     }
 
     #[test]
@@ -1090,8 +1174,8 @@ mod tests {
         let runner = Scenario::golden(600).runner();
         assert_eq!(runner.fork_step(), 600);
         let prefix = runner.prefix(None);
-        let (trial, _, _) = runner.run(3, Some(&prefix), None, None);
-        assert_eq!(trial, runner.run_trial(3));
+        let forked = runner.run(3, Some(&prefix), None, None, None);
+        assert_eq!(forked.trial, runner.run_trial(3));
 
         // Traced: each fork records into its own copy of the prefix's
         // ring, and the prefix's ring stays as it was.
@@ -1099,8 +1183,9 @@ mod tests {
         let prefix = runner.prefix(Some(&config));
         let total = prefix.hv.recorder().expect("traced prefix").total();
         for seed in [3, 4] {
-            let (trial, dump, _) = runner.run(seed, Some(&prefix), Some(&config), None);
-            assert_eq!((trial, dump), runner.run_trial_traced(seed, Some(&config)));
+            let forked = runner.run(seed, Some(&prefix), Some(&config), None, None);
+            let expected = runner.run_trial_traced(seed, Some(&config));
+            assert_eq!((forked.trial, forked.dump), expected);
         }
         assert_eq!(prefix.hv.recorder().map(|r| r.total()), Some(total));
     }

@@ -14,7 +14,7 @@ use rand::Rng;
 use std::fmt;
 
 /// One concrete register corruption that was applied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AppliedFault {
     /// The corrupted register.
     pub reg: Reg,

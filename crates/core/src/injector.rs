@@ -18,7 +18,7 @@ use std::fmt;
 use std::sync::Arc;
 
 /// One injection that happened.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct InjectionRecord {
     /// Simulator step of the injection.
     pub step: u64,
@@ -87,6 +87,12 @@ impl Injector {
     /// The injections so far.
     pub fn records(&self) -> &[InjectionRecord] {
         &self.records
+    }
+
+    /// The cadence state: the call counter and the time trigger's next
+    /// deadline (0 until it first fires, and always without one).
+    pub(crate) fn cadence(&self) -> (CadenceCounter, u64) {
+        (self.counter.clone(), self.next_deadline)
     }
 
     /// Counts the matching calls `hv` has already made, as if this

@@ -79,6 +79,7 @@ pub mod certificate;
 pub mod classify;
 pub mod codec;
 pub mod fault;
+mod faultclass;
 pub mod injector;
 pub mod json;
 pub mod memfault;

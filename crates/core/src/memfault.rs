@@ -172,7 +172,7 @@ impl MemTarget {
 }
 
 /// Where a memory fault was physically applied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemLocus {
     /// A 32-bit word of physical RAM.
     RamWord,
@@ -193,7 +193,7 @@ impl fmt::Display for MemLocus {
 }
 
 /// One concrete memory corruption that was applied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AppliedMemFault {
     /// The sampled target region.
     pub region: MemRegionKind,

@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 /// One memory-injection attempt: either the applied corruptions or
 /// the reason the attempt was skipped (skips never panic a worker).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MemInjectionRecord {
     /// Simulator step of the attempt.
     pub step: u64,
@@ -90,6 +90,11 @@ impl MemInjector {
     /// Every attempt so far, applied or skipped.
     pub fn records(&self) -> &[MemInjectionRecord] {
         &self.records
+    }
+
+    /// The cadence state.
+    pub(crate) fn counter(&self) -> &CadenceCounter {
+        &self.counter
     }
 
     /// Skips the cadence past the matching calls `hv` has already

@@ -57,7 +57,7 @@ impl fmt::Display for InjectionWindow {
 /// target handlers, from one CPU or from any. Built once per injector
 /// as a flat handler mask, so the per-call and per-step checks cost
 /// neither a set lookup nor an allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct CallFilter {
     handlers: [bool; HandlerKind::ALL.len()],
     cpu: Option<CpuId>,
@@ -300,7 +300,10 @@ impl Paced for Cadence {
 /// Call `n` (1-based, in the filtered stream) is *due* when
 /// `n + phase` is a multiple of `rate`. Once the cap is reached the
 /// counter is frozen: it counts nothing more and nothing is due.
-#[derive(Debug, Clone)]
+///
+/// Two counters of one cadence are equal when they are in the same
+/// state, which is what a campaign's fault-class key compares.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CadenceCounter {
     calls: CallFilter,
     rate: u64,
@@ -391,6 +394,13 @@ impl CadenceCounter {
     /// due.
     pub fn count_call(&mut self) -> Option<u64> {
         self.advance_to(self.counted + 1)
+    }
+
+    /// Whether this counter has reached no due call since it was in
+    /// the `earlier` state: an injector whose counter has not draws
+    /// nothing from its RNG in between.
+    pub(crate) fn no_due_since(&self, earlier: &CadenceCounter) -> bool {
+        self.next_due == earlier.next_due
     }
 
     /// Records one effective injection against the cap.

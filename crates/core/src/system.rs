@@ -175,6 +175,11 @@ impl System {
         self.mem_injector.as_ref().map_or(&[], MemInjector::records)
     }
 
+    /// The installed memory injector, if any.
+    pub(crate) fn mem_injector(&self) -> Option<&MemInjector> {
+        self.mem_injector.as_ref()
+    }
+
     /// Steps run so far.
     pub fn steps_run(&self) -> u64 {
         self.steps_run
@@ -335,7 +340,7 @@ impl System {
                 // Neither guest handles a shared peripheral interrupt:
                 // the workload uses none, and ivshmem doorbells are
                 // absorbed.
-                IrqDelivery::Guest(_) => {}
+                IrqDelivery::Guest => {}
             }
         }
     }

@@ -87,11 +87,15 @@ pub fn histogram_to_json(histogram: &Histogram) -> Json {
     ])
 }
 
-/// Engine metrics as JSON: the trial/sink counters, the residency
-/// gauge and the per-phase histograms.
+/// Engine metrics as JSON: the trial/sink/suffix counters, the
+/// residency gauge and the per-phase histograms.
 pub fn engine_metrics_to_json(metrics: &EngineMetrics) -> Json {
     Json::obj([
         ("trials", Json::U64(metrics.trials.get())),
+        (
+            "suffixes_simulated",
+            Json::U64(metrics.suffixes_simulated.get()),
+        ),
         (
             "reorder_residency_high_water",
             Json::U64(metrics.reorder_residency.high_water()),

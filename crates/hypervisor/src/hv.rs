@@ -47,8 +47,9 @@ pub enum IrqDelivery {
     MgmtWake,
     /// A timer tick for the owning guest.
     Tick,
-    /// A shared peripheral interrupt for the owning guest.
-    Guest(IrqId),
+    /// A shared peripheral interrupt for the owning guest. Neither
+    /// guest handles one, so the id is not passed on.
+    Guest,
 }
 
 /// Number of profiled handler kinds (flat call-count table stride).
@@ -1472,7 +1473,7 @@ impl Hypervisor {
         } else if actual.0 == memmap::TIMER_IRQ {
             IrqDelivery::Tick
         } else {
-            IrqDelivery::Guest(actual)
+            IrqDelivery::Guest
         }
     }
 }

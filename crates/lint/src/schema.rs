@@ -165,6 +165,7 @@ fn full_engine_metrics() -> EngineMetrics {
     metrics.reorder_residency.set(2); // high-water stays at 5
     metrics.sink_rows.add(28);
     metrics.sink_bytes.add(1234);
+    metrics.suffixes_simulated.add(19);
     metrics.phases.record(&PhaseSample {
         boot_ns: 1_000,
         steady_ns: 2_000,

@@ -349,6 +349,10 @@ pub struct EngineMetrics {
     pub sink_rows: Counter,
     /// Bytes the sink reported writing (0 for sinks that don't count).
     pub sink_bytes: Counter,
+    /// Trials that simulated their suffix: every trial but those a
+    /// campaign's fault-class cache served, so a cache hit never reads
+    /// as a faster simulator.
+    pub suffixes_simulated: Counter,
 }
 
 impl EngineMetrics {
@@ -359,6 +363,7 @@ impl EngineMetrics {
         self.reorder_residency.merge(&other.reorder_residency);
         self.sink_rows.merge(&other.sink_rows);
         self.sink_bytes.merge(&other.sink_bytes);
+        self.suffixes_simulated.merge(&other.suffixes_simulated);
     }
 }
 
@@ -528,11 +533,14 @@ mod tests {
             classify_ns: 500,
         });
         a.reorder_residency.set(2);
+        a.suffixes_simulated.add(1);
         let mut b = EngineMetrics::default();
         b.trials.add(4);
         b.reorder_residency.set(5);
+        b.suffixes_simulated.add(2);
         a.merge(&b);
         assert_eq!(a.trials.get(), 7);
+        assert_eq!(a.suffixes_simulated.get(), 3);
         assert_eq!(a.reorder_residency.high_water(), 5);
         assert_eq!(a.phases.total.count(), 1);
         assert_eq!(a.phases.total.min(), 6_500);

@@ -17,6 +17,7 @@ use certify_core::system::System;
 use certify_core::NullSink;
 use std::alloc::{GlobalAlloc, Layout, System as Heap};
 use std::cell::Cell;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Allocations and requested bytes (a `realloc` counts as one
@@ -98,20 +99,22 @@ fn clone_allocs(scenario: &Scenario) -> Allocs {
     allocs
 }
 
-/// Allocations per trial of a one-worker, fixed-seed
-/// `Campaign::execute`: the difference between two campaign lengths,
-/// so the one-off prefix build and fork-step probe cancel out. A first
-/// uncounted run builds the process-wide testbed.
-fn allocs_per_trial(scenario: &Scenario) -> Allocs {
+/// Allocations per trial over `trials` of a one-worker, fixed-seed
+/// `Campaign::execute`: the difference between campaigns of
+/// `trials.end` and `trials.start` trials, so the one-off prefix build
+/// and fork-step probe cancel out. A first uncounted run builds the
+/// process-wide testbed.
+fn allocs_per_trial(scenario: &Scenario, trials: Range<usize>) -> Allocs {
     let run = |trials: usize| {
         let campaign = Campaign::new(scenario.clone(), trials, 0xD5_2022);
         counted(|| campaign.execute(.., 1, &mut NullSink, None)).1
     };
     run(1);
-    let (short, long) = (run(10), run(30));
+    let (short, long) = (run(trials.start), run(trials.end));
+    let len = trials.len() as u64;
     Allocs {
-        count: (long.count - short.count) / 20,
-        bytes: (long.bytes - short.bytes) / 20,
+        count: (long.count - short.count) / len,
+        bytes: (long.bytes - short.bytes) / len,
     }
 }
 
@@ -162,22 +165,40 @@ fn e3_prefix_clone_allocations_by_layer() {
 
 /// A whole forked trial (clone, injector install, suffix, classify),
 /// bounded a little above its measured value: the suffix is not what
-/// this gate is about, so small changes there need no new pin.
+/// this gate is about, so small changes there need no new pin. Trials
+/// 10..30 miss the campaign's fault-class cache, so each also stores
+/// a copy of its result there.
 #[test]
 fn forked_trial_allocations_are_bounded() {
-    // Measured: E3 80 allocations and 18,424 bytes per trial, E7 92 and
+    // Measured: E3 84 allocations and 18,554 bytes per trial, E7 92 and
     // 49,375 (E7's memory faults copy the pages and tables they write).
+    // E3 was 80 and 18,424 before the fault-class cache, which stores a
+    // boxed copy of each result it may serve; E7 stores none.
     // Before the copy-on-write fork: E3 125 and 73,162, E7 134 and
     // 84,646.
     for (scenario, max_count, max_bytes) in [
         (Scenario::e3_fig3(), 85, 20_000),
         (Scenario::e7_mixed(), 97, 52_000),
     ] {
-        let allocs = allocs_per_trial(&scenario);
+        let allocs = allocs_per_trial(&scenario, 10..30);
         assert!(
             allocs.count <= max_count && allocs.bytes <= max_bytes,
             "{}: {allocs:?} per trial, bound {max_count} allocations and {max_bytes} bytes",
             scenario.name
         );
     }
+}
+
+/// Trials served from the fault-class cache allocate the fork, the
+/// injector install, the one step to the first injection and the copy
+/// of the stored result; the lookup itself allocates nothing. Most of
+/// E3 trials 600..1000 are served, and the bound is their measured
+/// mean.
+#[test]
+fn served_trial_allocations_are_bounded() {
+    let allocs = allocs_per_trial(&Scenario::e3_fig3(), 600..1000);
+    assert!(
+        allocs.count <= 60 && allocs.bytes <= 13_060,
+        "E3 trials 600..1000: {allocs:?} per trial, bound 60 allocations and 13,060 bytes"
+    );
 }

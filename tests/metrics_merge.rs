@@ -32,6 +32,8 @@ fn engine_fold(ops: &[EngineOp]) -> EngineMetrics {
                     classify_ns: d,
                 });
                 metrics.sink_rows.inc();
+                // A trial simulated its suffix or was served its class's result.
+                metrics.suffixes_simulated.add(b % 2);
             }
             1 => metrics.reorder_residency.set(a % 64),
             _ => metrics.sink_bytes.add(a),
