@@ -6,10 +6,11 @@
 //! [`TrialSink`], emitting each trial's row the moment the campaign
 //! engine delivers it and dropping the report — a million-trial
 //! campaign exports in O(workers) resident reports. The buffered
-//! [`campaign_to_csv`] renders the same bytes from an in-memory
-//! [`CampaignResult`] through the identical row writer.
+//! [`campaign_to_csv`] renders the same bytes from in-memory trials
+//! (a [`CollectSink`](certify_core::CollectSink)'s) through the
+//! identical row writer.
 
-use certify_core::campaign::{CampaignResult, TrialResult};
+use certify_core::campaign::TrialResult;
 use certify_core::TrialSink;
 use std::fmt::Write as _;
 use std::io::{self, Write};
@@ -82,12 +83,12 @@ pub fn trial_to_csv_row(trial: &TrialResult, out: &mut String) {
     );
 }
 
-/// Renders a buffered campaign as per-trial CSV rows (header
-/// included). Byte-identical to streaming the same trials through a
-/// [`CsvSink`].
-pub fn campaign_to_csv(result: &CampaignResult) -> String {
+/// Renders buffered trials, in seed order, as per-trial CSV rows
+/// (header included). Byte-identical to streaming the same trials
+/// through a [`CsvSink`].
+pub fn campaign_to_csv(trials: &[TrialResult]) -> String {
     let mut out = String::from(CSV_HEADER);
-    for trial in &result.trials {
+    for trial in trials {
         trial_to_csv_row(trial, &mut out);
     }
     out
@@ -254,10 +255,18 @@ impl<W: Write> TrialSink for CsvSink<W> {
 mod tests {
     use super::*;
     use certify_core::campaign::{Campaign, Scenario};
+    use certify_core::CollectSink;
+
+    /// Every trial of `campaign`, run on one worker.
+    fn trials(campaign: &Campaign) -> Vec<TrialResult> {
+        let mut sink = CollectSink::new();
+        campaign.execute(.., 1, &mut sink, None);
+        sink.into_trials()
+    }
 
     #[test]
     fn csv_has_one_row_per_trial_plus_header() {
-        let result = Campaign::new(Scenario::e1_root_high(), 3, 1).run();
+        let result = trials(&Campaign::new(Scenario::e1_root_high(), 3, 1));
         let csv = campaign_to_csv(&result);
         assert_eq!(csv.lines().count(), 4);
         assert!(csv.starts_with("seed,outcome"));
@@ -267,7 +276,7 @@ mod tests {
     #[test]
     fn streamed_csv_is_byte_identical_to_buffered() {
         let campaign = Campaign::new(Scenario::e1_root_high(), 4, 11);
-        let buffered = campaign_to_csv(&campaign.run());
+        let buffered = campaign_to_csv(&trials(&campaign));
         let mut sink = CsvSink::in_memory();
         campaign.execute(.., 4, &mut sink, None);
         assert_eq!(sink.rows(), 4);
@@ -297,7 +306,7 @@ mod tests {
             wrote_header: false,
         })
         .unwrap();
-        Campaign::new(Scenario::golden(800), 2, 5).run_streamed(&mut sink);
+        Campaign::new(Scenario::golden(800), 2, 5).execute(.., 1, &mut sink, None);
         assert_eq!(sink.rows(), 0);
         // The failure struck before any row byte landed: the output is
         // valid (if empty) CSV, and the error still surfaces.
@@ -336,12 +345,12 @@ mod tests {
         })
         .unwrap();
         assert!(sink.latched_error().is_none(), "clean sink has no latch");
-        campaign.run_streamed(&mut sink);
+        campaign.execute(.., 1, &mut sink, None);
         let error = sink.latched_error().expect("error must latch");
         assert_eq!(error.to_string(), sink.latched_error().unwrap().to_string());
         let rows_at_latch = sink.rows();
         // Feeding more trials after the latch changes nothing.
-        campaign.run_streamed(&mut sink);
+        campaign.execute(.., 1, &mut sink, None);
         assert_eq!(sink.rows(), rows_at_latch, "post-latch rows must drop");
         assert!(sink.finish().is_err(), "finish surfaces the same latch");
     }
@@ -375,7 +384,7 @@ mod tests {
             budget: CSV_HEADER.len() + 7,
         })
         .unwrap();
-        Campaign::new(Scenario::golden(800), 2, 5).run_streamed(&mut sink);
+        Campaign::new(Scenario::golden(800), 2, 5).execute(.., 1, &mut sink, None);
         // No row was fully accepted, and the sink knows exactly how
         // many stray bytes sit past the last row boundary.
         assert_eq!(sink.rows(), 0);
@@ -417,12 +426,12 @@ mod tests {
             tick: 0,
         })
         .unwrap();
-        campaign.run_streamed(&mut sink);
+        campaign.execute(.., 1, &mut sink, None);
         assert_eq!(sink.rows(), 2);
         assert_eq!(sink.truncated_row_bytes(), 0);
         let out = sink.finish().expect("no hard error");
         let text = String::from_utf8(out.accepted).unwrap();
-        assert_eq!(text, campaign_to_csv(&campaign.run()));
+        assert_eq!(text, campaign_to_csv(&trials(&campaign)));
     }
 
     #[test]
@@ -466,25 +475,22 @@ mod tests {
     fn applied_faults_column_renders_register_and_memory_faults() {
         use certify_core::memfault::{MemFaultModel, MemTarget};
         use certify_core::Scenario;
-        let header = campaign_to_csv(&Campaign::new(Scenario::golden(800), 1, 1).run());
+        let header = campaign_to_csv(&trials(&Campaign::new(Scenario::golden(800), 1, 1)));
         assert!(header.starts_with(
             "seed,outcome,injections,mem_injections,cell_state,cpu1_park,serial_lines,watchdog_expiry,monitor_alarms,applied_faults,notes"
         ));
 
         // A register campaign renders register faults…
-        let reg = campaign_to_csv(&Campaign::new(Scenario::e1_root_high(), 2, 1).run());
+        let reg = campaign_to_csv(&trials(&Campaign::new(Scenario::e1_root_high(), 2, 1)));
         assert!(reg.contains("bit"), "no register fault rendered:\n{reg}");
 
         // …and a memory campaign renders memory faults; the multi-
         // fault column is comma-free or quoted, so row counts hold.
-        let mem = campaign_to_csv(
-            &Campaign::new(
-                Scenario::e6_memory(MemFaultModel::SingleBitFlip, MemTarget::e6()),
-                4,
-                0xE6,
-            )
-            .run(),
-        );
+        let mem = campaign_to_csv(&trials(&Campaign::new(
+            Scenario::e6_memory(MemFaultModel::SingleBitFlip, MemTarget::e6()),
+            4,
+            0xE6,
+        )));
         assert!(
             mem.contains("ram") || mem.contains("s2-desc") || mem.contains("comm"),
             "no memory fault rendered:\n{mem}"
@@ -494,10 +500,10 @@ mod tests {
 
     #[test]
     fn csv_is_parseable_back_to_the_same_row_count() {
-        let result = Campaign::new(Scenario::golden(800), 2, 5).run();
+        let result = trials(&Campaign::new(Scenario::golden(800), 2, 5));
         let csv = campaign_to_csv(&result);
         // Quoted fields may contain separators but not newlines, so a
         // line count check is a faithful row count.
-        assert_eq!(csv.lines().count() - 1, result.trials.len());
+        assert_eq!(csv.lines().count() - 1, result.len());
     }
 }

@@ -116,39 +116,7 @@ impl fmt::Display for Figure3 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use certify_core::campaign::{CampaignResult, TrialResult};
-    use certify_core::classify::RunReport;
-
-    fn fake_result(outcomes: &[(Outcome, usize)]) -> CampaignResult {
-        let mut trials = Vec::new();
-        let mut seed = 0;
-        for (outcome, count) in outcomes {
-            for _ in 0..*count {
-                trials.push(TrialResult {
-                    seed,
-                    outcome: *outcome,
-                    injection_count: 1,
-                    mem_injection_count: 0,
-                    report: RunReport {
-                        outcome: *outcome,
-                        injections: Vec::new(),
-                        mem_injections: Vec::new(),
-                        notes: Vec::new(),
-                        cell_state: None,
-                        cpu1_park: None,
-                        serial_line_count: 0,
-                        watchdog_first_expiry: None,
-                        monitor_alarms: 0,
-                    },
-                });
-                seed += 1;
-            }
-        }
-        CampaignResult {
-            scenario_name: "fake".into(),
-            trials,
-        }
-    }
+    use crate::report::tests::fake;
 
     #[test]
     fn paper_shares_sum_to_one() {
@@ -158,12 +126,15 @@ mod tests {
 
     #[test]
     fn figure_rows_track_measured_shares() {
-        let result = fake_result(&[
-            (Outcome::Correct, 13),
-            (Outcome::PanicPark, 6),
-            (Outcome::CpuPark, 1),
-        ]);
-        let fig = Figure3::from_stats(&result.stats());
+        let stats = fake(
+            &[
+                (Outcome::Correct, 13),
+                (Outcome::PanicPark, 6),
+                (Outcome::CpuPark, 1),
+            ],
+            true,
+        );
+        let fig = Figure3::from_stats(&stats);
         let correct = fig
             .rows
             .iter()
@@ -175,29 +146,38 @@ mod tests {
 
     #[test]
     fn paper_shape_detection() {
-        let good = fake_result(&[
-            (Outcome::Correct, 13),
-            (Outcome::PanicPark, 6),
-            (Outcome::CpuPark, 1),
-        ]);
-        assert!(Figure3::from_stats(&good.stats()).matches_paper_shape());
+        let good = fake(
+            &[
+                (Outcome::Correct, 13),
+                (Outcome::PanicPark, 6),
+                (Outcome::CpuPark, 1),
+            ],
+            true,
+        );
+        assert!(Figure3::from_stats(&good).matches_paper_shape());
 
-        let inverted = fake_result(&[
-            (Outcome::Correct, 3),
-            (Outcome::PanicPark, 16),
-            (Outcome::CpuPark, 1),
-        ]);
-        assert!(!Figure3::from_stats(&inverted.stats()).matches_paper_shape());
+        let inverted = fake(
+            &[
+                (Outcome::Correct, 3),
+                (Outcome::PanicPark, 16),
+                (Outcome::CpuPark, 1),
+            ],
+            true,
+        );
+        assert!(!Figure3::from_stats(&inverted).matches_paper_shape());
     }
 
     #[test]
     fn renders_contain_all_rows() {
-        let result = fake_result(&[
-            (Outcome::Correct, 13),
-            (Outcome::PanicPark, 6),
-            (Outcome::CpuPark, 1),
-        ]);
-        let fig = Figure3::from_stats(&result.stats());
+        let stats = fake(
+            &[
+                (Outcome::Correct, 13),
+                (Outcome::PanicPark, 6),
+                (Outcome::CpuPark, 1),
+            ],
+            true,
+        );
+        let fig = Figure3::from_stats(&stats);
         let chart = fig.render_chart();
         assert!(chart.contains("correct"));
         assert!(chart.contains("panic park"));

@@ -283,7 +283,7 @@ mod tests {
         let config = TraceConfig::new().with_policy(DumpPolicy::all_outcomes());
         let campaign = Campaign::new(scenario.clone(), 2, 0).with_trace(config.clone());
         let mut sink = certify_core::CollectSink::new();
-        campaign.run_streamed(&mut sink);
+        campaign.execute(.., 1, &mut sink, None);
         let (_, dumps) = sink.into_parts();
         assert_eq!(dumps.len(), 2, "all-outcomes policy dumps every trial");
         for (_, dump) in &dumps {

@@ -29,9 +29,8 @@ impl ExperimentReport {
     /// E1: high-intensity root-context injections always produce a
     /// clean "invalid arguments" rejection and no allocation.
     ///
-    /// All constructors take the online [`CampaignStats`] a streamed
-    /// run returns (for a buffered run, use
-    /// `CampaignResult::stats()`), so report generation never needs
+    /// All constructors take the online [`CampaignStats`]
+    /// `Campaign::execute` returns, so report generation never needs
     /// the per-trial reports resident.
     pub fn e1(stats: &CampaignStats) -> ExperimentReport {
         let total = stats.trials;
@@ -175,16 +174,18 @@ impl fmt::Display for ExperimentReport {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use certify_core::campaign::{CampaignResult, TrialResult};
+    use certify_core::campaign::TrialResult;
     use certify_core::classify::RunReport;
 
-    fn fake(outcomes: &[(Outcome, usize)], injected: bool) -> CampaignStats {
-        let mut trials = Vec::new();
+    /// Stats folded from `count` trials per outcome, each with one
+    /// register injection if `injected` and none otherwise.
+    pub(crate) fn fake(outcomes: &[(Outcome, usize)], injected: bool) -> CampaignStats {
+        let mut stats = CampaignStats::new("fake");
         for (outcome, count) in outcomes {
             for i in 0..*count {
-                trials.push(TrialResult {
+                stats.record(&TrialResult {
                     seed: i as u64,
                     outcome: *outcome,
                     injection_count: usize::from(injected),
@@ -203,11 +204,7 @@ mod tests {
                 });
             }
         }
-        CampaignResult {
-            scenario_name: "fake".into(),
-            trials,
-        }
-        .stats()
+        stats
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The sharding tier's reason to exist is wall-clock scale: the same
 //! E3 campaign, run through `certify_shard::run_sharded` at 1, 2 and
 //! 4 worker processes, must convert processes into trials/sec. This
-//! harness measures exactly that (plus the in-process `run_streamed`
-//! reference), prints a table, emits a machine-readable
+//! harness measures exactly that (plus the in-process one-worker
+//! `Campaign::execute` reference), prints a table, emits a machine-readable
 //! `BENCH_shard.json` and gates CI:
 //!
 //! * the 1-worker throughput must stay within the regression factor
@@ -104,7 +104,7 @@ fn measure_in_process(campaign: &Campaign, rounds: usize) -> f64 {
     let mut best = 0.0f64;
     for _ in 0..rounds {
         let start = Instant::now();
-        campaign.run_streamed(&mut NullSink);
+        campaign.execute(.., 1, &mut NullSink, None);
         best = best.max(campaign.trials() as f64 / start.elapsed().as_secs_f64());
     }
     best

@@ -13,15 +13,15 @@
 //! `workers` undelivered reports however large the campaign. Seed order
 //! follows from how the work is split: trial `i` runs on worker
 //! `i % workers`, and the caller's thread takes the workers' results
-//! round-robin. The buffered [`Campaign::run`]/[`Campaign::run_parallel`]
-//! are thin collecting sinks over it.
+//! round-robin. A caller that needs every trial passes a
+//! [`CollectSink`](crate::sink::CollectSink).
 
 use crate::certificate::ScenarioCertificate;
 use crate::classify::{classify, Outcome, RunReport};
 use crate::faultclass::{Class, FaultClasses};
 use crate::json::Json;
 use crate::memfault::{MemFaultModel, MemTarget};
-use crate::sink::{CollectSink, TrialSink};
+use crate::sink::TrialSink;
 use crate::spec::{Cadence, CallFilter, InjectionSpec, MemorySpec, Paced};
 use crate::stats::CampaignStats;
 use crate::system::System;
@@ -30,7 +30,6 @@ use crate::trace::{trace_event_to_json, TraceConfig, TraceDump};
 use certify_guest_linux::MgmtScript;
 use certify_obs::trace::{FlightRecorder, TraceEvent, TraceKind, NO_CPU};
 use certify_obs::{Clock, EngineMetrics, PhaseSample, ProgressTracker};
-use std::fmt;
 use std::ops::{Bound, ControlFlow, Range, RangeBounds};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -227,12 +226,6 @@ impl Scenario {
             fork_step: OnceLock::new(),
         }
     }
-
-    /// Runs one seeded trial of this scenario. For many trials,
-    /// build a [`Scenario::runner`] once and reuse it.
-    pub fn run_trial(&self, seed: u64) -> TrialResult {
-        self.runner().run_trial(seed)
-    }
 }
 
 /// A [`Scenario`] prepared for repeated trials: immutable parts are
@@ -240,12 +233,12 @@ impl Scenario {
 /// `Clone` hands workers a cheap handle.
 ///
 /// Every trial runs one body: install the seed's injectors into a
-/// fault-free system, run the remaining steps, classify. The system is either fresh (step 0) or forked from a
-/// shared prefix: the scenario run fault-free up to its
-/// [fork step](TrialRunner::fork_step), which is identical for every
-/// seed because `System` takes the seed only through its injectors.
-/// The campaign engines build the prefix once and fork every trial
-/// from it.
+/// fault-free system, run the remaining steps, classify. The system is
+/// either fresh (step 0) or forked from a shared prefix: the scenario
+/// run fault-free up to its [fork step](TrialRunner::fork_step), which
+/// is identical for every seed because `System` takes the seed only
+/// through its injectors. The campaign engine builds the prefix once
+/// and forks every trial from it.
 #[derive(Debug, Clone)]
 pub struct TrialRunner {
     name: Arc<str>,
@@ -625,33 +618,19 @@ impl Campaign {
         self.base_seed
     }
 
-    /// Runs all trials sequentially, buffering every report.
-    pub fn run(&self) -> CampaignResult {
-        self.run_parallel(1)
-    }
-
-    /// Runs all trials across `workers` threads, buffering every
-    /// report: a [`CollectSink`] over [`Campaign::execute`]. The trials
-    /// are in seed order and bit-identical to a sequential
-    /// [`Campaign::run`], whatever the worker count or OS scheduling.
-    pub fn run_parallel(&self, workers: usize) -> CampaignResult {
-        let mut sink = CollectSink::new();
-        self.execute(.., workers, &mut sink, None);
-        CampaignResult {
-            scenario_name: self.scenario.name.clone(),
-            trials: sink.into_trials(),
-        }
-    }
-
     /// Runs all trials on the caller's thread into `sink`:
-    /// [`Campaign::execute`] over `..` with one worker.
+    /// [`Campaign::execute`] over `..` with one worker. Kept only
+    /// because the benchmark's adapter (`perfbench/src/adapter.rs`)
+    /// calls it; everything else calls `execute`.
     pub fn run_streamed<S: TrialSink + ?Sized>(&self, sink: &mut S) -> CampaignStats {
         self.execute(.., 1, sink, None).0
     }
 
     /// Runs all trials across `workers` threads into `sink`, returning
     /// the stats and the high-water mark of undelivered reports:
-    /// [`Campaign::execute`] over `..` without telemetry.
+    /// [`Campaign::execute`] over `..` without telemetry. Kept only
+    /// because the benchmark's adapter (`perfbench/src/adapter.rs`)
+    /// calls it; everything else calls `execute`.
     pub fn run_parallel_streamed_instrumented<S: TrialSink + ?Sized>(
         &self,
         workers: usize,
@@ -966,67 +945,35 @@ fn assert_certificate_conformance(certificate: Option<&ScenarioCertificate>, tri
     );
 }
 
-/// Aggregated campaign outcomes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CampaignResult {
-    /// The scenario that was run.
-    pub scenario_name: String,
-    /// All trial results, in seed order.
-    pub trials: Vec<TrialResult>,
-}
-
-impl CampaignResult {
-    /// Folds the buffered trials into the same [`CampaignStats`] a
-    /// streamed run of identical seeds returns: the histogram, the
-    /// injected-trial counts and the per-region attribution.
-    pub fn stats(&self) -> CampaignStats {
-        let mut stats = CampaignStats::new(self.scenario_name.clone());
-        for trial in &self.trials {
-            stats.record(trial);
-        }
-        stats
-    }
-
-    /// The buffered campaign as a JSON value: the scenario name and
-    /// every trial through [`TrialResult::to_json`], in seed order.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("scenario", Json::str(self.scenario_name.clone())),
-            (
-                "trials",
-                Json::Arr(self.trials.iter().map(TrialResult::to_json).collect()),
-            ),
-        ])
-    }
-}
-
-impl fmt::Display for CampaignResult {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.stats().fmt(f)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sink::{CollectSink, NullSink};
+
+    /// Every trial of `campaign` on `workers` threads, with the stats.
+    fn collect(campaign: &Campaign, workers: usize) -> (Vec<TrialResult>, CampaignStats) {
+        let mut sink = CollectSink::new();
+        let (stats, _) = campaign.execute(.., workers, &mut sink, None);
+        (sink.into_trials(), stats)
+    }
 
     #[test]
     fn golden_campaign_is_all_correct() {
         let campaign = Campaign::new(Scenario::golden(1500), 2, 1);
-        let result = campaign.run();
-        assert_eq!(result.trials.len(), 2);
-        for trial in &result.trials {
+        let (trials, stats) = collect(&campaign, 1);
+        assert_eq!(trials.len(), 2);
+        for trial in &trials {
             assert_eq!(trial.outcome, Outcome::Correct);
             assert_eq!(trial.injection_count, 0);
         }
-        assert_eq!(result.stats().fraction(Outcome::Correct), 1.0);
+        assert_eq!(stats.fraction(Outcome::Correct), 1.0);
     }
 
     #[test]
     fn e1_trials_always_reject_cleanly() {
         let campaign = Campaign::new(Scenario::e1_root_high(), 4, 100);
-        let result = campaign.run();
-        for trial in &result.trials {
+        let (trials, _) = collect(&campaign, 1);
+        for trial in &trials {
             assert_eq!(
                 trial.outcome,
                 Outcome::InvalidArguments,
@@ -1041,18 +988,18 @@ mod tests {
     #[test]
     fn parallel_equals_sequential() {
         let campaign = Campaign::new(Scenario::e1_root_high(), 4, 7);
-        let seq = campaign.run();
-        let par = campaign.run_parallel(4);
-        let seq_outcomes: Vec<Outcome> = seq.trials.iter().map(|t| t.outcome).collect();
-        let par_outcomes: Vec<Outcome> = par.trials.iter().map(|t| t.outcome).collect();
+        let (seq, _) = collect(&campaign, 1);
+        let (par, _) = collect(&campaign, 4);
+        let seq_outcomes: Vec<Outcome> = seq.iter().map(|t| t.outcome).collect();
+        let par_outcomes: Vec<Outcome> = par.iter().map(|t| t.outcome).collect();
         assert_eq!(seq_outcomes, par_outcomes);
     }
 
     #[test]
     fn distribution_sums_to_trials() {
         let campaign = Campaign::new(Scenario::golden(800), 3, 3);
-        let result = campaign.run();
-        let total: usize = result.stats().distribution.values().sum();
+        let (_, stats) = collect(&campaign, 1);
+        let total: usize = stats.distribution.values().sum();
         assert_eq!(total, 3);
     }
 
@@ -1063,7 +1010,7 @@ mod tests {
             6,
             0xE6,
         );
-        let stats = campaign.run_parallel(4).stats();
+        let (stats, _) = campaign.execute(.., 4, &mut NullSink, None);
         assert!(stats.mem_injected_trials > 0, "no trial applied faults");
         assert_eq!(stats.injected_trials, 0, "no register injector in E6");
         assert!(!stats.mem_region_distribution.is_empty());
@@ -1074,7 +1021,7 @@ mod tests {
     #[test]
     fn mixed_campaign_runs_both_injectors() {
         let campaign = Campaign::new(Scenario::e7_mixed(), 4, 0xE7);
-        let stats = campaign.run().stats();
+        let (stats, _) = campaign.execute(.., 1, &mut NullSink, None);
         assert!(stats.injected_trials > 0, "register injector silent");
         assert!(stats.mem_injected_trials > 0, "memory injector silent");
     }
@@ -1083,9 +1030,12 @@ mod tests {
     fn range_runs_concatenate_to_the_full_run() {
         let campaign = Campaign::new(Scenario::e1_root_high(), 5, 30);
         let mut full = Vec::new();
-        let full_stats = campaign.run_streamed(&mut |seq: usize, t: TrialResult| {
-            full.push((seq, t));
-        });
+        let (full_stats, _) = campaign.execute(
+            ..,
+            1,
+            &mut |seq: usize, t: TrialResult| full.push((seq, t)),
+            None,
+        );
         let mut pieces = Vec::new();
         let mut merged = CampaignStats::new(campaign.scenario().name.clone());
         let mut piece = |seq: usize, t: TrialResult| pieces.push((seq, t));
@@ -1105,7 +1055,7 @@ mod tests {
     #[should_panic(expected = "exceeds campaign size")]
     fn out_of_bounds_range_is_rejected() {
         let campaign = Campaign::new(Scenario::golden(400), 3, 1);
-        campaign.execute(2..4, 1, &mut crate::sink::NullSink, None);
+        campaign.execute(2..4, 1, &mut NullSink, None);
     }
 
     #[test]
@@ -1120,7 +1070,7 @@ mod tests {
                 size: 0x1000,
             }),
         );
-        let stats = Campaign::new(scenario, 2, 5).run_streamed(&mut crate::sink::NullSink);
+        let (stats, _) = Campaign::new(scenario, 2, 5).execute(.., 1, &mut NullSink, None);
         assert_eq!(stats.trials, 2);
         assert_eq!(stats.mem_injected_trials, 0, "every injection skipped");
     }
@@ -1202,6 +1152,40 @@ mod tests {
     #[test]
     fn mixed_parallel_equals_sequential() {
         let campaign = Campaign::new(Scenario::e7_mixed(), 4, 21);
-        assert_eq!(campaign.run(), campaign.run_parallel(4));
+        assert_eq!(collect(&campaign, 1), collect(&campaign, 4));
+    }
+
+    /// `run_streamed` and `run_parallel_streamed_instrumented` stay only
+    /// for the benchmark's adapter, which times them: each must be
+    /// `execute` over the whole campaign without telemetry — the same
+    /// stats, deliveries and high-water mark.
+    #[test]
+    fn benchmark_forwards_are_execute() {
+        let campaign = Campaign::new(Scenario::e3_fig3(), 12, 0xD5_2022);
+        let execute = |workers: usize| {
+            let mut seen = Vec::new();
+            let mut sink = |seq: usize, t: TrialResult| seen.push((seq, t));
+            let (stats, high_water) = campaign.execute(.., workers, &mut sink, None);
+            (stats, seen, high_water)
+        };
+        for workers in [1, 2] {
+            let mut seen = Vec::new();
+            let mut sink = |seq: usize, t: TrialResult| seen.push((seq, t));
+            let (stats, high_water) =
+                campaign.run_parallel_streamed_instrumented(workers, &mut sink);
+            assert_eq!(
+                (stats, seen, high_water),
+                execute(workers),
+                "workers {workers}"
+            );
+        }
+        let mut seen = Vec::new();
+        let stats = campaign.run_streamed(&mut |seq: usize, t: TrialResult| seen.push((seq, t)));
+        let (expected_stats, expected_seen, _) = execute(1);
+        assert_eq!(
+            (stats, seen),
+            (expected_stats, expected_seen),
+            "run_streamed"
+        );
     }
 }

@@ -1037,7 +1037,8 @@ mod tests {
 
     #[test]
     fn campaign_stats_round_trip() {
-        let stats = Campaign::new(Scenario::e1_root_high(), 5, 41).run_streamed(&mut NullSink);
+        let (stats, _) =
+            Campaign::new(Scenario::e1_root_high(), 5, 41).execute(.., 1, &mut NullSink, None);
         round_trip(&stats);
         round_trip(&CampaignStats::new("empty"));
     }

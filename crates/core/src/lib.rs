@@ -34,8 +34,8 @@
 //!   paper's categories (*correct*, *invalid arguments*, *inconsistent
 //!   state*, *panic park*, *CPU park*);
 //! * [`campaign`] — seeded, optionally parallel campaigns of
-//!   independent trials, streamed (sink + online stats, O(workers)
-//!   resident reports) or buffered;
+//!   independent trials, streamed into a sink with online stats
+//!   (O(workers) resident reports);
 //! * [`certificate`] — [`certificate::ScenarioCertificate`], the
 //!   pre-flight abstract-interpretation certificate produced by
 //!   `certify-lint`, plus the [`certificate::ConformanceMonitor`]
@@ -64,11 +64,15 @@
 //!
 //! ```
 //! use certify_core::campaign::{Campaign, Scenario};
+//! use certify_core::CollectSink;
 //!
-//! // Three seeded trials of the paper's Figure-3 experiment.
+//! // Three seeded trials of the paper's Figure-3 experiment, on one
+//! // worker, without telemetry; the sink keeps every trial.
 //! let campaign = Campaign::new(Scenario::e3_fig3(), 3, 0xC0FFEE);
-//! let result = campaign.run();
-//! assert_eq!(result.trials.len(), 3);
+//! let mut sink = CollectSink::new();
+//! let (stats, _) = campaign.execute(.., 1, &mut sink, None);
+//! assert_eq!(sink.into_trials().len(), 3);
+//! assert_eq!(stats.trials, 3);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -92,7 +96,7 @@ pub mod system;
 pub mod telemetry;
 pub mod trace;
 
-pub use campaign::{Campaign, CampaignResult, Scenario, TrialResult, TrialRunner};
+pub use campaign::{Campaign, Scenario, TrialResult, TrialRunner};
 pub use certificate::{ConformanceMonitor, ConformanceViolation, PhaseBound, ScenarioCertificate};
 pub use classify::{classify, Outcome, RunReport};
 pub use codec::{decode_exact, encode_to_vec, DecodeError, Reader, Wire};

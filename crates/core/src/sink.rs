@@ -1,15 +1,15 @@
 //! Trial sinks: streaming consumers of campaign results.
 //!
-//! The buffered engine (`Campaign::run`) materialises every trial's
-//! full [`RunReport`](crate::RunReport) before anything aggregates or
-//! exports them — memory grows linearly with campaign size. A
-//! [`TrialSink`] inverts that: the engine hands each finished
-//! [`TrialResult`] to the sink *in seed order* and forgets it, so a
-//! streamed campaign holds at most `workers` undelivered reports at
-//! any time (see `Campaign::execute`). Aggregation
-//! happens online in [`CampaignStats`](crate::CampaignStats); exports
-//! stream row by row (e.g. `certify_analysis`'s `CsvSink`). A future
-//! multi-process shard is just a remote `TrialSink`.
+//! Buffering every trial's full [`RunReport`](crate::RunReport) before
+//! anything aggregates or exports them makes memory grow linearly with
+//! campaign size. A [`TrialSink`] inverts that: the engine hands each
+//! finished [`TrialResult`] to the sink *in seed order* and forgets
+//! it, so a campaign holds at most `workers` undelivered reports at
+//! any time (see `Campaign::execute`). Aggregation happens online in
+//! [`CampaignStats`](crate::CampaignStats); exports stream row by row
+//! (e.g. `certify_analysis`'s `CsvSink`); a caller that does want every
+//! trial passes a [`CollectSink`]. A `certify-shard` worker is just a
+//! remote `TrialSink`.
 
 use crate::campaign::TrialResult;
 use crate::trace::TraceDump;
@@ -64,9 +64,9 @@ impl TrialSink for NullSink {
     fn accept(&mut self, _seq: usize, _trial: TrialResult) {}
 }
 
-/// A sink that buffers every trial (and every delivered trace dump) —
-/// the adapter the buffered `Campaign::run`/`run_parallel` are built
-/// on.
+/// A sink that buffers every trial (and every delivered trace dump):
+/// pass it to [`Campaign::execute`](crate::Campaign::execute) when a
+/// caller needs every trial rather than the online stats.
 #[derive(Debug, Clone, Default)]
 pub struct CollectSink {
     trials: Vec<TrialResult>,
@@ -123,7 +123,7 @@ mod tests {
     fn collect_sink_buffers_in_order() {
         let campaign = Campaign::new(Scenario::golden(400), 3, 9);
         let mut sink = CollectSink::new();
-        campaign.run_streamed(&mut sink);
+        campaign.execute(.., 1, &mut sink, None);
         let trials = sink.into_trials();
         assert_eq!(trials.len(), 3);
         assert_eq!(
@@ -136,9 +136,8 @@ mod tests {
     fn closures_are_sinks() {
         let campaign = Campaign::new(Scenario::golden(400), 2, 1);
         let mut seen = Vec::new();
-        campaign.run_streamed(&mut |seq: usize, trial: TrialResult| {
-            seen.push((seq, trial.seed));
-        });
+        let mut sink = |seq: usize, trial: TrialResult| seen.push((seq, trial.seed));
+        campaign.execute(.., 1, &mut sink, None);
         assert_eq!(seen, vec![(0, 1), (1, 2)]);
     }
 }

@@ -312,17 +312,35 @@ impl fmt::Display for CampaignStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{Campaign, Scenario};
+    use crate::campaign::{Campaign, Scenario, TrialResult};
     use crate::memfault::{MemFaultModel, MemTarget};
-    use crate::sink::NullSink;
+    use crate::sink::{CollectSink, NullSink};
     use std::collections::BTreeSet;
+
+    /// Every trial of `campaign` (one worker), and the stats folded
+    /// from them after the run.
+    fn buffered(campaign: &Campaign) -> (Vec<TrialResult>, CampaignStats) {
+        let mut sink = CollectSink::new();
+        campaign.execute(.., 1, &mut sink, None);
+        let trials = sink.into_trials();
+        let mut stats = CampaignStats::new(campaign.scenario().name.clone());
+        for trial in &trials {
+            stats.record(trial);
+        }
+        (trials, stats)
+    }
+
+    /// The stats `execute` folds online, on one worker.
+    fn streamed(campaign: &Campaign) -> CampaignStats {
+        campaign.execute(.., 1, &mut NullSink, None).0
+    }
 
     #[test]
     fn stats_match_the_buffered_aggregates() {
         let campaign = Campaign::new(Scenario::e1_root_high(), 5, 41);
-        let result = campaign.run();
-        let stats = campaign.run_streamed(&mut NullSink);
-        assert_eq!(stats, result.stats());
+        let (_, buffered) = buffered(&campaign);
+        let stats = streamed(&campaign);
+        assert_eq!(stats, buffered);
         assert_eq!(stats.trials, 5);
         assert_eq!(stats.count(Outcome::InvalidArguments), 5);
         assert_eq!(stats.fraction(Outcome::InvalidArguments), 1.0);
@@ -338,10 +356,10 @@ mod tests {
             6,
             0xE6,
         );
-        let result = campaign.run();
-        let stats = campaign.run_streamed(&mut NullSink);
+        let (trials, _) = buffered(&campaign);
+        let stats = streamed(&campaign);
         let mut walked = BTreeMap::new();
-        for trial in &result.trials {
+        for trial in &trials {
             let applied = trial.report.mem_injections.iter().filter(|r| r.applied());
             let regions: BTreeSet<_> = applied.flat_map(|r| &r.faults).map(|f| f.region).collect();
             for region in regions {
@@ -349,7 +367,7 @@ mod tests {
             }
         }
         assert_eq!(stats.mem_region_distribution, walked);
-        let applied = result.trials.iter().filter(|t| t.mem_injection_count > 0);
+        let applied = trials.iter().filter(|t| t.mem_injection_count > 0);
         assert_eq!(stats.mem_injected_trials, applied.count());
         assert!(stats.mem_injections.total > 0);
     }
@@ -357,9 +375,8 @@ mod tests {
     #[test]
     fn display_matches_the_buffered_display() {
         let campaign = Campaign::new(Scenario::e1_root_high(), 4, 7);
-        let result = campaign.run();
-        let stats = campaign.run_streamed(&mut NullSink);
-        assert_eq!(stats.to_string(), result.to_string());
+        let (_, buffered) = buffered(&campaign);
+        assert_eq!(streamed(&campaign).to_string(), buffered.to_string());
     }
 
     #[test]
@@ -367,9 +384,9 @@ mod tests {
         let campaign_a = Campaign::new(Scenario::e1_root_high(), 3, 100);
         let campaign_b = Campaign::new(Scenario::e1_root_high(), 4, 103);
         let whole = Campaign::new(Scenario::e1_root_high(), 7, 100);
-        let mut merged = campaign_a.run_streamed(&mut NullSink);
-        merged.merge(&campaign_b.run_streamed(&mut NullSink));
-        assert_eq!(merged, whole.run_streamed(&mut NullSink));
+        let mut merged = streamed(&campaign_a);
+        merged.merge(&streamed(&campaign_b));
+        assert_eq!(merged, streamed(&whole));
 
         // Merging into empty stats adopts the shard's summaries.
         let mut empty = CampaignStats::new("e1-root-high");

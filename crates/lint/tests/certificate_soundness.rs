@@ -27,7 +27,7 @@ fn assert_certificates_sound(trials: usize, base_seed: u64) {
         let campaign =
             Campaign::new(scenario, trials, base_seed).with_certificate(Arc::clone(&certificate));
         let mut monitor = ConformanceMonitor::new(Arc::clone(&certificate), NullSink);
-        let stats = campaign.run_streamed(&mut monitor);
+        let (stats, _) = campaign.execute(.., 1, &mut monitor, None);
         assert_eq!(stats.trials, trials, "scenario `{name}`");
         assert!(
             monitor.violations_total() == 0,
@@ -70,7 +70,7 @@ fn narrowed_e1_certificate() -> (certify_core::Scenario, Arc<ScenarioCertificate
 fn narrowed_certificate_is_caught_by_the_monitor() {
     let (scenario, certificate) = narrowed_e1_certificate();
     let mut monitor = ConformanceMonitor::new(certificate, NullSink);
-    Campaign::new(scenario, 16, 0xBAD_5EED).run_streamed(&mut monitor);
+    Campaign::new(scenario, 16, 0xBAD_5EED).execute(.., 1, &mut monitor, None);
     assert!(
         monitor.violations_total() > 0,
         "e1-root-high at 16 trials must trip a narrowed certificate"

@@ -588,7 +588,8 @@ mod tests {
     }
 
     fn sample_frames() -> Vec<Frame> {
-        let stats = Campaign::new(Scenario::e1_root_high(), 3, 9).run_streamed(&mut NullSink);
+        let (stats, _) =
+            Campaign::new(Scenario::e1_root_high(), 3, 9).execute(.., 1, &mut NullSink, None);
         let config = TraceConfig::default();
         let (_, dump) = Scenario::golden(400)
             .runner()

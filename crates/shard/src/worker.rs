@@ -448,7 +448,7 @@ mod tests {
         }
         let mut sink = RemoteSink::new(FailAll, "x", 0);
         let campaign = Campaign::new(Scenario::golden(400), 2, 1);
-        campaign.run_streamed(&mut sink);
+        campaign.execute(.., 1, &mut sink, None);
         assert!(sink.latched_error().is_some());
         assert_eq!(sink.rows(), 0);
         assert!(sink.finish().is_err(), "finish must surface the latch");
@@ -520,10 +520,7 @@ mod tests {
 
     #[test]
     fn oversize_row_latches_instead_of_panicking() {
-        let mut trial = Campaign::new(Scenario::golden(400), 1, 1)
-            .run()
-            .trials
-            .remove(0);
+        let mut trial = Scenario::golden(400).runner().run_trial(1);
         trial
             .report
             .notes
@@ -579,7 +576,7 @@ mod tests {
         let mut sink = CollectSink::new();
         Campaign::new(handshake.scenario.clone(), 4, 7)
             .with_trace(config)
-            .run_streamed(&mut sink);
+            .execute(.., 1, &mut sink, None);
         let (_, dumps) = sink.into_parts();
         assert_eq!(suffixes.len(), dumps.len());
         for (suffix, (_, dump)) in suffixes.into_iter().zip(dumps) {

@@ -291,8 +291,8 @@ proptest! {
 
         // Semantic identity, not just structural: one trial of the
         // rebuilt scenario behaves exactly like the original's.
-        let a = Campaign::new(handshake.scenario, 1, base_seed).run_streamed(&mut NullSink);
-        let b = Campaign::new(read.scenario, 1, base_seed).run_streamed(&mut NullSink);
+        let (a, _) = Campaign::new(handshake.scenario, 1, base_seed).execute(.., 1, &mut NullSink, None);
+        let (b, _) = Campaign::new(read.scenario, 1, base_seed).execute(.., 1, &mut NullSink, None);
         prop_assert_eq!(a, b);
     }
 

@@ -3,8 +3,8 @@
 //! Every test here spawns real `shard_worker` OS processes (the
 //! `CARGO_BIN_EXE_shard_worker` binary Cargo builds alongside this
 //! suite) and asserts the coordinator's merged output — stats *and*
-//! CSV bytes — is identical to a single-process
-//! `Campaign::run_streamed`, the invariant the whole tier rests on.
+//! CSV bytes — is identical to a single-process one-worker
+//! `Campaign::execute`, the invariant the whole tier rests on.
 //! The recovery tests SIGKILL a worker mid-stream and hand a
 //! protocol-violating executable to the coordinator; both must leave
 //! the output untouched or fail loudly, never silently truncate.
@@ -26,7 +26,7 @@ fn options(shards: usize) -> ShardOptions {
 /// Single-process reference output: streamed stats + CSV bytes.
 fn reference(campaign: &Campaign) -> (CampaignStats, String) {
     let mut sink = CsvSink::in_memory();
-    let stats = campaign.run_streamed(&mut sink);
+    let (stats, _) = campaign.execute(.., 1, &mut sink, None);
     (stats, sink.into_csv())
 }
 
@@ -39,7 +39,7 @@ fn assert_sharded_identical(campaign: &Campaign, opts: &ShardOptions) -> certify
     let run = run_sharded(campaign, opts, Some(&mut csv)).expect("sharded run succeeds");
     assert_eq!(
         run.stats, expected_stats,
-        "sharded stats diverged from single-process run_streamed"
+        "sharded stats diverged from the single-process run"
     );
     assert_eq!(
         String::from_utf8(csv).unwrap(),
@@ -187,7 +187,7 @@ fn failing_csv_output_fails_the_run_and_reaps_every_worker() {
 #[test]
 fn stats_only_runs_need_no_csv_output() {
     let campaign = Campaign::new(Scenario::e1_root_high(), 60, 11);
-    let expected = campaign.run_streamed(&mut NullSink);
+    let (expected, _) = campaign.execute(.., 1, &mut NullSink, None);
     let run = run_sharded(&campaign, &options(3), None).expect("sharded run succeeds");
     assert_eq!(run.stats, expected);
 }
@@ -394,7 +394,7 @@ fn sharded_trace_dumps_match_in_process_byte_for_byte() {
     let campaign = Campaign::new(scenario, 64, 0xE6D0).with_trace(TraceConfig::new());
 
     let mut sink = CollectSink::new();
-    campaign.run_streamed(&mut sink);
+    campaign.execute(.., 1, &mut sink, None);
     let (_, expected) = sink.into_parts();
     assert!(
         !expected.is_empty(),
@@ -423,7 +423,7 @@ fn sharded_forked_trials_match_trials_run_from_step_zero() {
     // ring truncates every suffix, a 1<<20 one drops nothing, and the
     // golden run's suffix is its verdict event alone.
     use certify_analysis::campaign_to_csv;
-    use certify_core::{CampaignResult, DumpPolicy, TraceConfig};
+    use certify_core::{CampaignStats, DumpPolicy, TraceConfig};
 
     for capacity in [1, 64, 1 << 20] {
         let config = TraceConfig::new()
@@ -442,20 +442,20 @@ fn sharded_forked_trials_match_trials_run_from_step_zero() {
                     (trial, (seq, dump.expect("armed recorder dumps")))
                 })
                 .unzip();
-            let expected = CampaignResult {
-                scenario_name: campaign.scenario().name.clone(),
-                trials,
-            };
+            let mut expected = CampaignStats::new(campaign.scenario().name.clone());
+            for trial in &trials {
+                expected.record(trial);
+            }
             let mut csv = Vec::new();
             let run =
                 run_sharded(&campaign, &options(3), Some(&mut csv)).expect("sharded run succeeds");
             let name = format!("{} at capacity {capacity}", expected.scenario_name);
             assert_eq!(
                 String::from_utf8(csv).unwrap(),
-                campaign_to_csv(&expected),
+                campaign_to_csv(&trials),
                 "{name}: CSV"
             );
-            assert_eq!(run.stats, expected.stats(), "{name}: stats");
+            assert_eq!(run.stats, expected, "{name}: stats");
             let rebuilt: Vec<_> = run
                 .dumps
                 .iter()
@@ -498,7 +498,7 @@ fn traced_sweeps_dump_every_anomaly_at_depth() {
         let name = format!("{} at capacity {capacity}", campaign.scenario().name);
 
         let mut sink = CollectSink::new();
-        campaign.run_streamed(&mut sink);
+        campaign.execute(.., 1, &mut sink, None);
         let (trials, dumps) = sink.into_parts();
         let policy = DumpPolicy::anomalies();
         let anomalies: Vec<usize> = trials
@@ -614,7 +614,7 @@ fn traced_dumps_are_held_as_shared_prefix_plus_suffix() {
     let campaign =
         Campaign::new(Scenario::e7_mixed(), 240, 0xD5_2022).with_trace(TraceConfig::new());
     let mut sink = CollectSink::new();
-    campaign.run_streamed(&mut sink);
+    campaign.execute(.., 1, &mut sink, None);
     let (_, expected) = sink.into_parts();
     assert!(expected.len() > 100, "E7 dumps most trials");
 

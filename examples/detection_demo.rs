@@ -14,7 +14,7 @@
 
 use certify_analysis::ExperimentReport;
 use certify_core::campaign::{Campaign, Scenario};
-use certify_core::Outcome;
+use certify_core::{CollectSink, Outcome};
 
 fn main() {
     let workers = std::thread::available_parallelism()
@@ -22,10 +22,12 @@ fn main() {
         .unwrap_or(4);
 
     println!("== E5a: watchdog vs panic park ==");
-    let result = Campaign::new(Scenario::e5a_watchdog(), 60, 0x5A).run_parallel(workers);
-    println!("{result}");
-    for trial in result
-        .trials
+    let mut sink = CollectSink::new();
+    let (stats, _) =
+        Campaign::new(Scenario::e5a_watchdog(), 60, 0x5A).execute(.., workers, &mut sink, None);
+    println!("{stats}");
+    for trial in sink
+        .into_trials()
         .iter()
         .filter(|t| t.outcome == Outcome::PanicPark)
         .take(5)
@@ -38,16 +40,18 @@ fn main() {
             None => println!("seed {:>4}: PANIC UNDETECTED", trial.seed),
         }
     }
-    print!("{}", ExperimentReport::e5a(&result.stats()));
+    print!("{}", ExperimentReport::e5a(&stats));
 
     println!("\n== E5b: heartbeat monitor vs the inconsistent state ==");
-    let result = Campaign::new(Scenario::e5b_monitor(), 30, 0x5B).run_parallel(workers);
-    println!("{result}");
-    for trial in result.trials.iter().take(3) {
+    let mut sink = CollectSink::new();
+    let (stats, _) =
+        Campaign::new(Scenario::e5b_monitor(), 30, 0x5B).execute(.., workers, &mut sink, None);
+    println!("{stats}");
+    for trial in sink.into_trials().iter().take(3) {
         println!(
             "seed {:>4}: outcome '{}', monitor alarms: {}",
             trial.seed, trial.outcome, trial.report.monitor_alarms
         );
     }
-    print!("{}", ExperimentReport::e5b(&result.stats()));
+    print!("{}", ExperimentReport::e5b(&stats));
 }

@@ -8,18 +8,21 @@
 
 use certify_analysis::ExperimentReport;
 use certify_core::campaign::{Campaign, Scenario};
+use certify_core::CollectSink;
 
 fn main() {
     let trials: usize = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(40);
-    let result = Campaign::new(Scenario::e1_root_high(), trials, 0xE1).run();
-    println!("{result}");
+    let mut sink = CollectSink::new();
+    let (stats, _) =
+        Campaign::new(Scenario::e1_root_high(), trials, 0xE1).execute(.., 1, &mut sink, None);
+    println!("{stats}");
 
     // Show the root-side view of one trial: the driver records the
     // rejection, the serial log carries the message.
-    let trial = &result.trials[0];
+    let trial = &sink.into_trials()[0];
     println!("--- trial seed {} ---", trial.seed);
     for injection in &trial.report.injections {
         println!("injection: {injection}");
@@ -28,5 +31,5 @@ fn main() {
         println!("evidence:  {note}");
     }
 
-    print!("{}", ExperimentReport::e1(&result.stats()));
+    print!("{}", ExperimentReport::e1(&stats));
 }

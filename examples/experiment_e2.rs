@@ -77,6 +77,7 @@ fn main() {
 
     // And the campaign view:
     println!("\n== campaign view (30 aligned trials) ==");
-    let result = certify_core::Campaign::new(Scenario::e2_boot_window(), 30, 7).run();
-    println!("{result}");
+    let campaign = certify_core::Campaign::new(Scenario::e2_boot_window(), 30, 7);
+    let (stats, _) = campaign.execute(.., 1, &mut certify_core::NullSink, None);
+    println!("{stats}");
 }

@@ -44,6 +44,6 @@ fn main() {
     print!("{report}");
 
     // The same thing, as one call:
-    let trial = Scenario::golden(3000).run_trial(0);
+    let trial = Scenario::golden(3000).runner().run_trial(0);
     println!("\none-call golden trial outcome: {}", trial.outcome);
 }

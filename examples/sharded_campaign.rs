@@ -76,7 +76,7 @@ fn main() {
     // The single-process reference: streamed stats + CSV.
     let start = Instant::now();
     let mut reference_sink = CsvSink::in_memory();
-    let reference_stats = campaign.run_streamed(&mut reference_sink);
+    let (reference_stats, _) = campaign.execute(.., 1, &mut reference_sink, None);
     let reference_csv = reference_sink.into_csv();
     let single_secs = start.elapsed().as_secs_f64();
 

@@ -2,13 +2,12 @@
 //! Figure-3 campaign whose resident state is O(workers), not
 //! O(trials).
 //!
-//! The buffered engine (`Campaign::run_parallel`) holds every trial's
-//! full `RunReport` until the campaign ends; this example runs the
-//! same campaign through `Campaign::execute`, where each report
-//! is delivered to a `TrialSink` in seed order the moment its turn
-//! comes and dropped right after — here a CSV export that keeps one
-//! row buffer, while the outcome distribution folds online into
-//! `CampaignStats`. The engine's delivery window guarantees at most
+//! A `CollectSink` holds every trial's full `RunReport` until the
+//! campaign ends; this example runs the campaign through
+//! `Campaign::execute` into a sink that delivers each report in seed
+//! order the moment its turn comes and drops it right after — here a
+//! CSV export that keeps one row buffer, while the outcome
+//! distribution folds online into `CampaignStats`. The engine's delivery window guarantees at most
 //! `workers` completed-but-undelivered reports exist at any instant,
 //! and the run prints the measured high-water mark to prove it.
 //!

@@ -4,33 +4,44 @@
 //! lanes (trial `i` on lane `i % workers`), but every trial
 //! is seeded `base_seed + i` and delivered at sequence `i` — so the
 //! result must be *identical* (every field of every `TrialResult`,
-//! including full `RunReport` evidence) to sequential `run()`, for any
+//! including full `RunReport` evidence) to a one-worker run, for any
 //! worker count and any OS scheduling of the workers. The streamed
 //! `CampaignStats` must be identical too. CI runs this suite in both
 //! debug and `--release`, where trial timing skew actually exercises
 //! the lanes' hand-over.
 
-use certify_core::campaign::{Campaign, CampaignResult, Scenario};
-use certify_core::NullSink;
+use certify_core::campaign::{Campaign, Scenario, TrialResult};
+use certify_core::{CampaignStats, CollectSink, NullSink};
 
 mod common;
 use common::worker_counts;
 
+/// Every trial of `campaign` on `workers` threads, in delivery order.
+fn collect(campaign: &Campaign, workers: usize) -> Vec<TrialResult> {
+    let mut sink = CollectSink::new();
+    campaign.execute(.., workers, &mut sink, None);
+    sink.into_trials()
+}
+
 fn assert_parallel_matches_sequential(campaign: &Campaign) {
-    let sequential = campaign.run();
-    let sequential_stats = campaign.run_streamed(&mut NullSink);
+    let sequential = collect(campaign, 1);
+    let (sequential_stats, _) = campaign.execute(.., 1, &mut NullSink, None);
+    let mut folded = CampaignStats::new(campaign.scenario().name.clone());
+    for trial in &sequential {
+        folded.record(trial);
+    }
     assert_eq!(
         sequential_stats,
-        sequential.stats(),
-        "run_streamed stats diverged from run() for scenario {}",
+        folded,
+        "streamed stats diverged from the collected trials' fold for scenario {}",
         campaign.scenario().name
     );
     for workers in worker_counts() {
-        let parallel = campaign.run_parallel(workers);
+        let parallel = collect(campaign, workers);
         assert_eq!(
             sequential,
             parallel,
-            "run_parallel({workers}) diverged from run() for scenario {}",
+            "{workers} workers diverged from one for scenario {}",
             campaign.scenario().name
         );
         let (parallel_stats, _) = campaign.execute(.., workers, &mut NullSink, None);
@@ -71,17 +82,17 @@ fn memory_campaign_is_deterministic_across_worker_counts() {
 #[test]
 fn mixed_register_memory_campaign_is_deterministic_across_worker_counts() {
     // A campaign with BOTH injectors armed must stay bit-identical
-    // between run() and run_parallel() for workers 1, 4 and
-    // available_parallelism (worker_counts() covers all three).
+    // between one worker and workers 1, 4 and available_parallelism
+    // (worker_counts() covers all three).
     let campaign = Campaign::new(Scenario::e7_mixed(), 8, 2026);
     assert_parallel_matches_sequential(&campaign);
-    let result = campaign.run();
+    let trials = collect(&campaign, 1);
     assert!(
-        result.trials.iter().any(|t| t.injection_count > 0),
+        trials.iter().any(|t| t.injection_count > 0),
         "mixed campaign fired no register injections"
     );
     assert!(
-        result.trials.iter().any(|t| t.mem_injection_count > 0),
+        trials.iter().any(|t| t.mem_injection_count > 0),
         "mixed campaign applied no memory injections"
     );
 }
@@ -91,19 +102,15 @@ fn concatenated_ranges_equal_the_full_run() {
     // The shard execution primitive: `Campaign::execute` over any
     // partition of the trial space must deliver exactly the trials —
     // same global sequence numbers, same full reports — the
-    // single-process `run_streamed` delivers, and the per-range stats
+    // single-process one-worker run delivers, and the per-range stats
     // must merge to the full-run stats. E7 arms both injectors, so
     // this also pins that a range's RNG state never leaks from one
     // range into the next.
-    use certify_core::campaign::TrialResult;
-    use certify_core::CampaignStats;
-
     for (scenario, trials) in [(Scenario::e3_fig3(), 8usize), (Scenario::e7_mixed(), 6)] {
         let campaign = Campaign::new(scenario, trials, 0xD5_2022);
         let mut full = Vec::new();
-        let full_stats = campaign.run_streamed(&mut |seq: usize, t: TrialResult| {
-            full.push((seq, t));
-        });
+        let mut sink = |seq: usize, t: TrialResult| full.push((seq, t));
+        let (full_stats, _) = campaign.execute(.., 1, &mut sink, None);
 
         for split in 1..trials {
             let mut pieces = Vec::new();
@@ -132,7 +139,7 @@ fn traced_campaigns_dump_identically_across_engines() {
     // traced campaign must surface byte-identical dumps — same seqs,
     // same event streams, same wire encodings — whether the trials run
     // on one worker or on the threaded lanes.
-    use certify_core::{encode_to_vec, CollectSink, DumpPolicy, TraceConfig};
+    use certify_core::{encode_to_vec, DumpPolicy, TraceConfig};
 
     let config = TraceConfig::new().with_policy(DumpPolicy::all_outcomes());
     for (scenario, trials) in [(Scenario::e3_fig3(), 8usize), (Scenario::e7_mixed(), 6)] {
@@ -140,7 +147,7 @@ fn traced_campaigns_dump_identically_across_engines() {
         let name = campaign.scenario().name.clone();
 
         let mut seq_sink = CollectSink::new();
-        campaign.run_streamed(&mut seq_sink);
+        campaign.execute(.., 1, &mut seq_sink, None);
         let (seq_trials, seq_dumps) = seq_sink.into_parts();
         assert_eq!(
             seq_dumps.len(),
@@ -192,13 +199,13 @@ fn traced_trials_repeat_their_event_streams() {
 #[test]
 fn parallel_run_with_more_workers_than_trials() {
     let campaign = Campaign::new(Scenario::e1_root_high(), 3, 1);
-    assert_eq!(campaign.run(), campaign.run_parallel(64));
+    assert_eq!(collect(&campaign, 1), collect(&campaign, 64));
 }
 
 #[test]
 fn zero_workers_clamps_to_one() {
     let campaign = Campaign::new(Scenario::e1_root_high(), 2, 5);
-    assert_eq!(campaign.run(), campaign.run_parallel(0));
+    assert_eq!(collect(&campaign, 1), collect(&campaign, 0));
 }
 
 #[test]
@@ -206,8 +213,8 @@ fn repeated_parallel_runs_are_stable() {
     // Work stealing means trial->worker assignment varies run to run;
     // the result must not.
     let campaign = Campaign::new(Scenario::e3_fig3(), 6, 99);
-    let first: CampaignResult = campaign.run_parallel(4);
+    let first = collect(&campaign, 4);
     for _ in 0..3 {
-        assert_eq!(first, campaign.run_parallel(4));
+        assert_eq!(first, collect(&campaign, 4));
     }
 }

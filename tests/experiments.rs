@@ -7,10 +7,10 @@
 //! the same studies.
 
 use certify_analysis::{ExperimentReport, Figure3};
-use certify_core::campaign::{Campaign, Scenario};
+use certify_core::campaign::{Campaign, Scenario, TrialResult};
 use certify_core::memfault::{MemFaultModel, MemRegionKind, MemTarget};
 use certify_core::profiler::profile_golden_run;
-use certify_core::{CampaignStats, NullSink, Outcome};
+use certify_core::{CampaignStats, CollectSink, NullSink, Outcome};
 
 /// The seed of the full-size campaigns (`full_report`, `ablations`).
 const SEED: u64 = 0xD5_2022;
@@ -23,10 +23,17 @@ fn stats(scenario: Scenario, trials: usize) -> CampaignStats {
         .0
 }
 
+/// Every trial of `campaign` on `workers` threads, with the stats.
+fn collect(campaign: Campaign, workers: usize) -> (Vec<TrialResult>, CampaignStats) {
+    let mut sink = CollectSink::new();
+    let (stats, _) = campaign.execute(.., workers, &mut sink, None);
+    (sink.into_trials(), stats)
+}
+
 #[test]
 fn e1_high_intensity_root_context_always_invalid_arguments() {
-    let result = Campaign::new(Scenario::e1_root_high(), 12, 0xAA).run();
-    for trial in &result.trials {
+    let (trials, stats) = collect(Campaign::new(Scenario::e1_root_high(), 12, 0xAA), 1);
+    for trial in &trials {
         assert_eq!(
             trial.outcome,
             Outcome::InvalidArguments,
@@ -42,13 +49,13 @@ fn e1_high_intensity_root_context_always_invalid_arguments() {
             .iter()
             .any(|n| n.contains("not allocated")));
     }
-    assert!(ExperimentReport::e1(&result.stats()).reproduced);
+    assert!(ExperimentReport::e1(&stats).reproduced);
 }
 
 #[test]
 fn e2_boot_window_yields_inconsistent_state_across_seeds() {
-    let result = Campaign::new(Scenario::e2_boot_window(), 12, 0xBB).run();
-    for trial in &result.trials {
+    let (trials, _) = collect(Campaign::new(Scenario::e2_boot_window(), 12, 0xBB), 1);
+    for trial in &trials {
         assert_eq!(
             trial.outcome,
             Outcome::InconsistentState,
@@ -94,43 +101,41 @@ fn e2_comm_region_still_advertises_running_for_a_dead_cell() {
 
 #[test]
 fn e2_free_running_campaign_shows_the_peculiar_state_in_the_field() {
-    let result = Campaign::new(Scenario::e2_nonroot_high(), 30, 0xCC).run_parallel(4);
-    let inconsistent = result
-        .trials
+    let (trials, stats) = collect(Campaign::new(Scenario::e2_nonroot_high(), 30, 0xCC), 4);
+    let inconsistent = trials
         .iter()
         .filter(|t| t.outcome == Outcome::InconsistentState)
         .count();
     assert!(
         inconsistent > 0,
-        "no inconsistent-state trials in the free-running campaign:\n{result}"
+        "no inconsistent-state trials in the free-running campaign:\n{stats}"
     );
     // High intensity never propagates to a system panic: the argument
     // registers don't hold hypervisor pointers.
-    assert_eq!(result.stats().fraction(Outcome::PanicPark), 0.0, "{result}");
+    assert_eq!(stats.fraction(Outcome::PanicPark), 0.0, "{stats}");
 }
 
 #[test]
 fn e3_distribution_matches_figure3_shape() {
-    let result = Campaign::new(Scenario::e3_fig3(), 60, 0xDD).run_parallel(4);
-    let figure = Figure3::from_stats(&result.stats());
+    let (trials, stats) = collect(Campaign::new(Scenario::e3_fig3(), 60, 0xDD), 4);
+    let figure = Figure3::from_stats(&stats);
     assert!(
         figure.matches_paper_shape(),
         "distribution diverged from the paper's shape:\n{}",
         figure.render_chart()
     );
     // Every trial was actually injected.
-    assert_eq!(result.stats().injected_trials, result.trials.len());
+    assert_eq!(stats.injected_trials, trials.len());
 }
 
 #[test]
 fn e3_cpu_park_trials_carry_the_0x24_signature() {
-    let result = Campaign::new(Scenario::e3_fig3(), 60, 0xEE).run_parallel(4);
-    let park_trials: Vec<_> = result
-        .trials
+    let (trials, stats) = collect(Campaign::new(Scenario::e3_fig3(), 60, 0xEE), 4);
+    let park_trials: Vec<_> = trials
         .iter()
         .filter(|t| t.outcome == Outcome::CpuPark)
         .collect();
-    assert!(!park_trials.is_empty(), "no cpu-park trials: {result}");
+    assert!(!park_trials.is_empty(), "no cpu-park trials: {stats}");
     for trial in park_trials {
         let has_code = trial
             .report
@@ -143,13 +148,12 @@ fn e3_cpu_park_trials_carry_the_0x24_signature() {
 
 #[test]
 fn e3_panic_trials_show_kernel_panic_on_serial() {
-    let result = Campaign::new(Scenario::e3_fig3(), 60, 0xFF).run_parallel(4);
-    let panic_trials: Vec<_> = result
-        .trials
+    let (trials, stats) = collect(Campaign::new(Scenario::e3_fig3(), 60, 0xFF), 4);
+    let panic_trials: Vec<_> = trials
         .iter()
         .filter(|t| t.outcome == Outcome::PanicPark)
         .collect();
-    assert!(!panic_trials.is_empty(), "no panic trials: {result}");
+    assert!(!panic_trials.is_empty(), "no panic trials: {stats}");
     for trial in panic_trials {
         assert!(
             trial.report.notes.iter().any(|n| n.contains("panic")),
@@ -168,9 +172,9 @@ fn e4_profiling_finds_the_three_candidates() {
 
 #[test]
 fn campaigns_are_reproducible_bit_for_bit() {
-    let a = Campaign::new(Scenario::e3_fig3(), 8, 0x5EED).run();
-    let b = Campaign::new(Scenario::e3_fig3(), 8, 0x5EED).run_parallel(4);
-    for (ta, tb) in a.trials.iter().zip(&b.trials) {
+    let (a, _) = collect(Campaign::new(Scenario::e3_fig3(), 8, 0x5EED), 1);
+    let (b, _) = collect(Campaign::new(Scenario::e3_fig3(), 8, 0x5EED), 4);
+    for (ta, tb) in a.iter().zip(&b) {
         assert_eq!(ta.outcome, tb.outcome);
         assert_eq!(ta.report.injections, tb.report.injections);
     }

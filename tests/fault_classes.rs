@@ -13,7 +13,7 @@
 //! every `TrialResult`, the CSV bytes and every dump.
 
 use certify_analysis::{campaign_to_csv, CsvSink};
-use certify_core::campaign::{Campaign, CampaignResult, Scenario};
+use certify_core::campaign::{Campaign, Scenario};
 use certify_core::memfault::{MemFaultModel, MemTarget};
 use certify_core::spec::{MemorySpec, Paced};
 use certify_core::{CollectSink, DumpPolicy, EngineTelemetry, TraceConfig, TraceDump};
@@ -84,10 +84,7 @@ fn from_scratch(campaign: &Campaign) -> Delivered {
         }
         trials.push(trial);
     }
-    let csv = campaign_to_csv(&CampaignResult {
-        scenario_name: campaign.scenario().name.clone(),
-        trials: trials.clone(),
-    });
+    let csv = campaign_to_csv(&trials);
     Delivered {
         trials,
         dumps,

@@ -66,7 +66,7 @@ fn golden_run_workload_makes_progress_on_every_task_class() {
 #[test]
 fn golden_run_classifies_correct_across_seeds() {
     for seed in 0..3 {
-        let trial = Scenario::golden(2000).run_trial(seed);
+        let trial = Scenario::golden(2000).runner().run_trial(seed);
         assert_eq!(trial.outcome, Outcome::Correct, "seed {seed}");
     }
 }

@@ -10,7 +10,7 @@
 //!   of the structured event trace, for every trial of golden, E2,
 //!   E3, E6 and mixed E7 campaigns;
 //! * classification built on those counters must hand back the same
-//!   `RunReport`s / `CampaignStats` through the buffered run and
+//!   `RunReport`s / `CampaignStats` through collected trials and
 //!   `execute` at workers 1 and 4, and the streamed CSV must stay
 //!   byte-identical to the buffered render;
 //! * the UART's incremental line index must reproduce a naive
@@ -28,7 +28,7 @@
 //!   thread.
 
 use certify_analysis::{campaign_to_csv, CsvSink};
-use certify_core::campaign::{Campaign, CampaignResult, Scenario};
+use certify_core::campaign::{Campaign, Scenario};
 use certify_core::classify::{classify, Outcome};
 use certify_core::system::System;
 use certify_core::{CampaignStats, CollectSink, DumpPolicy, EngineTelemetry, NullSink};
@@ -109,6 +109,15 @@ fn run_system(scenario: &Scenario, seed: u64) -> System {
     let mut system = fresh_system(scenario);
     finish_trial(&mut system, scenario, seed);
     system
+}
+
+/// Folds buffered trials of `scenario` into stats after the fact.
+fn fold(scenario: &Scenario, trials: &[TrialResult]) -> CampaignStats {
+    let mut stats = CampaignStats::new(scenario.name.clone());
+    for trial in trials {
+        stats.record(trial);
+    }
+    stats
 }
 
 /// Asserts the hypervisor's online evidence counters agree with a
@@ -259,11 +268,13 @@ fn uart_line_index_matches_naive_reassembly_on_real_captures() {
 fn streamed_and_buffered_campaigns_agree_after_the_overhaul() {
     for (scenario, trials) in scenarios() {
         let campaign = Campaign::new(scenario, trials, 0xD5_2022);
-        let buffered = campaign.run();
+        let mut collect = CollectSink::new();
+        campaign.execute(.., 1, &mut collect, None);
+        let buffered = collect.into_trials();
         let (stats, _) = campaign.execute(.., 1, &mut NullSink, None);
         assert_eq!(
             stats,
-            buffered.stats(),
+            fold(campaign.scenario(), &buffered),
             "{}: streamed stats diverged",
             campaign.scenario().name
         );
@@ -283,7 +294,7 @@ fn streamed_and_buffered_campaigns_agree_after_the_overhaul() {
         );
         // Same seeds through the engine and through a bare System
         // must classify identically (RunReport level).
-        for trial in &buffered.trials {
+        for trial in &buffered {
             let system = run_system(campaign.scenario(), trial.seed);
             assert_eq!(
                 classify(&system),
@@ -378,7 +389,7 @@ fn tracing_leaves_results_and_csv_untouched() {
             "{name}: traced CSV bytes diverged"
         );
         let mut streamed_sink = CsvSink::in_memory();
-        let streamed_stats = traced.run_streamed(&mut streamed_sink);
+        let (streamed_stats, _) = traced.execute(.., 1, &mut streamed_sink, None);
         assert_eq!(streamed_stats, plain_stats, "{name}: streamed traced stats");
         assert_eq!(
             streamed_sink.into_csv(),
@@ -648,11 +659,10 @@ fn forked_trials_equal_from_scratch_trials_in_every_mode() {
             scratch_dumps.push((seq, dump.expect("armed recorder dumps")));
             scratch.push(trial);
         }
-        let reference = CampaignResult {
-            scenario_name: name.clone(),
-            trials: scratch,
-        };
-        let (stats, csv) = (reference.stats(), campaign_to_csv(&reference));
+        let (stats, csv) = (
+            fold(campaign.scenario(), &scratch),
+            campaign_to_csv(&scratch),
+        );
         dropped_before_fork |= scratch_dumps.iter().any(|(_, d)| d.dropped > 0);
 
         for (config, expect_dumps) in [(None, &Vec::new()), (Some(&traced), &scratch_dumps)] {
@@ -665,7 +675,7 @@ fn forked_trials_equal_from_scratch_trials_in_every_mode() {
                 let (mode_stats, delivered, calls) = run_mode(&campaign, mode, &context);
                 let prefixes = delivered.prefixes;
                 let (mode_trials, mode_dumps) = delivered.collect.into_parts();
-                assert_eq!(mode_trials, reference.trials, "{context}: trials");
+                assert_eq!(mode_trials, scratch, "{context}: trials");
                 assert_eq!(&mode_dumps, expect_dumps, "{context}: dumps");
                 assert_eq!(delivered.csv.into_csv(), csv, "{context}: CSV bytes");
                 assert_eq!(mode_stats, stats, "{context}: stats");

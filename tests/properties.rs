@@ -48,8 +48,8 @@ proptest! {
     /// produces the same outcome.
     #[test]
     fn classification_is_deterministic(seed in 0u64..5000) {
-        let a = Scenario::e3_fig3().run_trial(seed);
-        let b = Scenario::e3_fig3().run_trial(seed);
+        let a = Scenario::e3_fig3().runner().run_trial(seed);
+        let b = Scenario::e3_fig3().runner().run_trial(seed);
         prop_assert_eq!(a.outcome, b.outcome);
         prop_assert_eq!(a.report.injections, b.report.injections);
     }
@@ -87,7 +87,7 @@ proptest! {
     /// InconsistentState, InvalidArguments}.
     #[test]
     fn high_intensity_cpu1_never_panics_the_system(seed in 0u64..300) {
-        let trial = Scenario::e2_nonroot_high().run_trial(seed);
+        let trial = Scenario::e2_nonroot_high().runner().run_trial(seed);
         prop_assert_ne!(trial.outcome, Outcome::PanicPark);
     }
 
@@ -538,10 +538,12 @@ proptest! {
         prop_assert!(fork_step <= steps);
 
         let campaign = Campaign::new(scenario, 3, base_seed);
-        let forked = campaign.run().trials;
+        let mut sink = CollectSink::new();
+        campaign.execute(.., 1, &mut sink, None);
+        let forked = sink.into_trials();
         let traced = campaign.with_trace(TraceConfig::new().with_capacity(512).with_policy(DumpPolicy::all_outcomes()));
         let mut sink = CollectSink::new();
-        traced.run_streamed(&mut sink);
+        traced.execute(.., 1, &mut sink, None);
         let (traced_trials, dumps) = sink.into_parts();
         prop_assert_eq!(&traced_trials, &forked);
         for (trial, (_, dump)) in forked.iter().zip(&dumps) {

@@ -167,12 +167,12 @@ proptest! {
 }
 
 /// The same law on *real* engine output: per-range stats from
-/// `Campaign::execute` merge to the full `run_streamed` stats, in
+/// `Campaign::execute` merge to the whole campaign's stats, in
 /// order and in a rotated order.
 #[test]
 fn real_campaign_range_stats_merge_to_the_full_run() {
     let campaign = Campaign::new(Scenario::e1_root_high(), 12, 0xD5);
-    let full = campaign.run_streamed(&mut NullSink);
+    let (full, _) = campaign.execute(.., 1, &mut NullSink, None);
     let mut in_order = CampaignStats::new("e1-root-high");
     for range in [0..5, 5..8, 8..12] {
         in_order.merge(&campaign.execute(range, 1, &mut NullSink, None).0);

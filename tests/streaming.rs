@@ -1,10 +1,11 @@
-//! The streamed campaign engine: equivalence with the buffered path,
+//! The streamed campaign engine: equivalence with collected trials,
 //! seed-order delivery, and the O(workers) residency bound.
 //!
 //! Contract under test (see `Campaign::execute`):
 //!
 //! * same seeds ⇒ identical `CampaignStats` and byte-identical CSV
-//!   from `run` and `execute`, at any worker count;
+//!   from the buffered trials (`campaign_to_csv` over a `CollectSink`)
+//!   and from `execute` into a `CsvSink`, at any worker count;
 //! * sinks always see trials in seed order (`seq` = 0, 1, 2, …);
 //! * at most `workers` completed-but-undelivered reports exist at any
 //!   time, even when the sink is slower than the workers.
@@ -13,7 +14,7 @@ use certify_analysis::{campaign_to_csv, CsvSink};
 use certify_core::campaign::{Campaign, Scenario, TrialResult};
 use certify_core::memfault::{MemFaultModel, MemTarget};
 use certify_core::telemetry::EngineTelemetry;
-use certify_core::{CampaignStats, NullSink, TrialSink};
+use certify_core::{CampaignStats, CollectSink, NullSink, TrialSink};
 use certify_obs::{Clock, NullObserver};
 use proptest::prelude::*;
 use std::panic::AssertUnwindSafe;
@@ -26,22 +27,27 @@ use common::worker_counts;
 /// Buffered run, sequential stream and parallel stream (all worker
 /// counts) must produce identical stats — and identical CSV bytes.
 fn assert_streamed_equals_buffered(campaign: &Campaign) {
-    let buffered = campaign.run();
-    let reference_stats = buffered.stats();
+    let mut collect = CollectSink::new();
+    campaign.execute(.., 1, &mut collect, None);
+    let buffered = collect.into_trials();
+    let mut reference_stats = CampaignStats::new(campaign.scenario().name.clone());
+    for trial in &buffered {
+        reference_stats.record(trial);
+    }
     let reference_csv = campaign_to_csv(&buffered);
 
     let mut seq_csv = CsvSink::in_memory();
-    let seq_stats = campaign.run_streamed(&mut seq_csv);
+    let (seq_stats, _) = campaign.execute(.., 1, &mut seq_csv, None);
     assert_eq!(
         seq_stats,
         reference_stats,
-        "run_streamed stats diverged for {}",
+        "one-worker stats diverged for {}",
         campaign.scenario().name
     );
     assert_eq!(
         seq_csv.into_csv(),
         reference_csv,
-        "run_streamed CSV diverged for {}",
+        "one-worker CSV diverged for {}",
         campaign.scenario().name
     );
 
