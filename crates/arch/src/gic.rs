@@ -61,10 +61,6 @@ pub struct Gic {
     /// Count of interrupts raised while the line was disabled — a useful
     /// liveness diagnostic for the analysis crate.
     dropped: u64,
-    /// Interrupts queued across all CPU interfaces, maintained
-    /// incrementally so the per-step "anything pending?" check of the
-    /// orchestrator costs one load instead of a per-CPU queue walk.
-    pending_total: usize,
 }
 
 impl Gic {
@@ -80,7 +76,6 @@ impl Gic {
             target: vec![None; NUM_IRQS],
             interfaces: vec![CpuInterface::default(); num_cpus],
             dropped: 0,
-            pending_total: 0,
         }
     }
 
@@ -173,7 +168,6 @@ impl Gic {
                 // Level-ish semantics: collapse duplicates already queued.
                 if !interface.pending.contains(&irq.0) {
                     interface.pending.push_back(irq.0);
-                    self.pending_total += 1;
                 }
                 true
             }
@@ -192,10 +186,10 @@ impl Gic {
             .unwrap_or(false)
     }
 
-    /// Whether any CPU interface has a pending interrupt — an O(1)
-    /// gate for the orchestrator's per-step wake/drain pass.
+    /// Whether any CPU interface has a pending interrupt — the gate
+    /// for the orchestrator's per-step wake/drain pass.
     pub fn any_pending(&self) -> bool {
-        self.pending_total > 0
+        self.interfaces.iter().any(|i| !i.pending.is_empty())
     }
 
     /// Acknowledges the highest-priority (oldest, in this model) pending
@@ -212,7 +206,6 @@ impl Gic {
         match interface.pending.pop_front() {
             Some(id) => {
                 interface.active = Some(id);
-                self.pending_total -= 1;
                 IrqId(id)
             }
             None => SPURIOUS_IRQ,
@@ -247,7 +240,6 @@ impl Gic {
     /// reset as part of cell destruction.
     pub fn reset_cpu_interface(&mut self, cpu: CpuId) {
         if let Some(interface) = self.interfaces.get_mut(cpu.0 as usize) {
-            self.pending_total -= interface.pending.len();
             interface.pending.clear();
             interface.active = None;
         }

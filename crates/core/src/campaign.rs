@@ -34,7 +34,7 @@ use std::ops::{Bound, ControlFlow, Range, RangeBounds};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::sync_channel;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Seed offset decorrelating a trial's memory-injection RNG from its
 /// register-injection RNG (both are derived from the same trial seed).
@@ -223,7 +223,6 @@ impl Scenario {
             mem_spec: self.mem_spec.clone().map(Arc::new),
             steps: self.steps,
             rtos_heartbeat: self.rtos_heartbeat,
-            fork_step: OnceLock::new(),
         }
     }
 }
@@ -247,8 +246,6 @@ pub struct TrialRunner {
     mem_spec: Option<Arc<MemorySpec>>,
     steps: u64,
     rtos_heartbeat: bool,
-    /// The fork step, found by one probe run on first use.
-    fork_step: OnceLock<u64>,
 }
 
 impl TrialRunner {
@@ -282,41 +279,39 @@ impl TrialRunner {
     /// any seed. Trials may start from a fault-free system run this
     /// far; with no injector it is the whole run.
     ///
-    /// One fault-free probe run finds it (on first use; the runner
-    /// caches it). An injector's first attempt needs an armed step
-    /// whose matching-call count has reached `rate`, or 1 when a
-    /// seed-derived phase or the time trigger can fire on the first
-    /// matching call. The fork step is the first step where either
-    /// injector meets that, minus one, capped at the run length.
+    /// Each call finds it with one fault-free probe run. An injector's
+    /// first attempt needs an armed step whose matching-call count has
+    /// reached `rate`, or 1 when a seed-derived phase or the time
+    /// trigger can fire on the first matching call. The fork step is
+    /// the first step where either injector meets that, minus one,
+    /// capped at the run length.
     pub fn fork_step(&self) -> u64 {
-        *self.fork_step.get_or_init(|| {
-            let triggers: Vec<(&Cadence, CallFilter, u64)> = self
-                .spec
-                .iter()
-                .map(|s| (&s.cadence, s.first_attempt_call()))
-                .chain(
-                    self.mem_spec
-                        .iter()
-                        .map(|s| (&s.cadence, s.cadence.first_attempt_call())),
-                )
-                .map(|(cadence, first)| (cadence, cadence.calls(), first))
-                .collect();
-            if triggers.is_empty() {
-                return self.steps;
+        let triggers: Vec<(&Cadence, CallFilter, u64)> = self
+            .spec
+            .iter()
+            .map(|s| (&s.cadence, s.first_attempt_call()))
+            .chain(
+                self.mem_spec
+                    .iter()
+                    .map(|s| (&s.cadence, s.cadence.first_attempt_call())),
+            )
+            .map(|(cadence, first)| (cadence, cadence.calls(), first))
+            .collect();
+        if triggers.is_empty() {
+            return self.steps;
+        }
+        let mut probe = self.fresh_system(None);
+        while probe.steps_run() < self.steps {
+            probe.step();
+            let now = probe.machine.now();
+            let reachable = triggers.iter().any(|(cadence, calls, first)| {
+                cadence.armed(now) && calls.count(&probe.hv) >= *first
+            });
+            if reachable {
+                return probe.steps_run() - 1;
             }
-            let mut probe = self.fresh_system(None);
-            while probe.steps_run() < self.steps {
-                probe.step();
-                let now = probe.machine.now();
-                let reachable = triggers.iter().any(|(cadence, calls, first)| {
-                    cadence.armed(now) && calls.count(&probe.hv) >= *first
-                });
-                if reachable {
-                    return probe.steps_run() - 1;
-                }
-            }
-            self.steps
-        })
+        }
+        self.steps
     }
 
     /// The shared prefix trials fork from: the scenario's fault-free
@@ -506,23 +501,6 @@ pub struct TrialResult {
     pub mem_injection_count: usize,
     /// The full classified report.
     pub report: RunReport,
-}
-
-impl TrialResult {
-    /// The trial as a JSON value (via [`crate::json`]): seed, outcome,
-    /// injection counts and the full [`RunReport::to_json`] report.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("seed", Json::U64(self.seed)),
-            ("outcome", Json::str(self.outcome.to_string())),
-            ("injection_count", Json::U64(self.injection_count as u64)),
-            (
-                "mem_injection_count",
-                Json::U64(self.mem_injection_count as u64),
-            ),
-            ("report", self.report.to_json()),
-        ])
-    }
 }
 
 /// A campaign: `trials` seeded runs of one scenario.

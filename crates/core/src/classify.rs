@@ -29,14 +29,13 @@
 //!   RAM (or the published comm state), undetected.
 
 use crate::injector::InjectionRecord;
-use crate::json::Json;
 use crate::memfault::MemLocus;
 use crate::meminjector::MemInjectionRecord;
 use crate::system::System;
 use certify_arch::cpu::ParkReason;
 use certify_arch::CpuId;
 use certify_guest_linux::MgmtOp;
-use certify_hypervisor::{CellState, GuestHealth};
+use certify_hypervisor::{CellState, GuestHealth, HvEvent};
 use std::fmt;
 
 /// The outcome classes of the paper, plus the memory-fault extensions.
@@ -117,59 +116,6 @@ pub struct RunReport {
     pub monitor_alarms: usize,
 }
 
-impl RunReport {
-    /// The report as a JSON value (via [`crate::json`]) — the ROADMAP
-    /// export surface. Mirrors the CSV columns: faults render through
-    /// their `Display` impls, evidence fields keep their names, and
-    /// absent observations are `null`.
-    pub fn to_json(&self) -> Json {
-        let faults = |records: &[String]| Json::Arr(records.iter().map(Json::str).collect());
-        let injections: Vec<String> = self
-            .injections
-            .iter()
-            .flat_map(|r| r.faults.iter().map(|f| f.to_string()))
-            .collect();
-        let mem_injections: Vec<String> = self
-            .mem_injections
-            .iter()
-            .flat_map(|r| r.faults.iter().map(|f| f.to_string()))
-            .collect();
-        Json::obj([
-            ("outcome", Json::str(self.outcome.to_string())),
-            ("injections", faults(&injections)),
-            ("mem_injections", faults(&mem_injections)),
-            (
-                "notes",
-                Json::Arr(self.notes.iter().map(Json::str).collect()),
-            ),
-            (
-                "cell_state",
-                self.cell_state
-                    .map(|s| Json::str(s.to_string()))
-                    .unwrap_or(Json::Null),
-            ),
-            (
-                "cpu1_park",
-                self.cpu1_park
-                    .as_deref()
-                    .map(Json::str)
-                    .unwrap_or(Json::Null),
-            ),
-            (
-                "serial_line_count",
-                Json::U64(self.serial_line_count as u64),
-            ),
-            (
-                "watchdog_first_expiry",
-                self.watchdog_first_expiry
-                    .map(Json::U64)
-                    .unwrap_or(Json::Null),
-            ),
-            ("monitor_alarms", Json::U64(self.monitor_alarms as u64)),
-        ])
-    }
-}
-
 impl fmt::Display for RunReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "outcome: {}", self.outcome)?;
@@ -182,16 +128,14 @@ impl fmt::Display for RunReport {
 
 /// Classifies a finished run.
 ///
-/// Runs once per campaign trial, so it reads O(1) evidence: the
-/// hypervisor's online counters ([`certify_hypervisor::Evidence`])
-/// replace the four event-trace scans the classifier used to make,
-/// and the serial log is consulted through the UART's incremental
-/// line index (borrowed bytes, no per-line allocation).
+/// Runs once per campaign trial, so it answers its hypervisor
+/// questions in one pass over the event trace (about a dozen events
+/// per trial), and consults the serial log through the UART's
+/// incremental line index (borrowed bytes, no per-line allocation).
 pub fn classify(system: &System) -> RunReport {
     let mut notes = Vec::new();
     let uart = &system.machine.uart;
     let serial_line_count = uart.line_count();
-    let evidence = system.hv.evidence();
 
     let injections = system.injections().to_vec();
     let mem_injections = system.mem_injections().to_vec();
@@ -274,20 +218,38 @@ pub fn classify(system: &System) -> RunReport {
     );
 
     // --- Inconsistent state: reported running, never executed -------
-    let cpu1_tally = evidence.park_tally(CpuId(1));
-    let failed_online = cpu1_tally.failed_online > 0;
     let broken_guest = system.rtos_broken_observed();
     let boot_rejected = system.boot_failures() > 0;
 
     // --- CPU park / translation storm evidence ----------------------
-    let cpu1_unhandled = cpu1_tally.unhandled_trap > 0;
-    // Violations at or after the first live table fault — violations
-    // that predate it (or occur with no table fault at all) cannot
-    // have been caused by injected descriptor corruption.
-    let storm_violations = match first_table_fault_step {
-        Some(first) => evidence.violations_since(first),
-        None => 0,
-    };
+    // One pass over the hypervisor's event trace: CPU 1's parks, and
+    // the access violations at or after the first live table fault —
+    // violations that predate it (or occur with no table fault at all)
+    // cannot have been caused by injected descriptor corruption.
+    let mut failed_online = false;
+    let mut cpu1_first_trap = None;
+    let mut storm_violations = 0usize;
+    for event in system.hv.events() {
+        match *event {
+            HvEvent::CpuParked {
+                cpu: CpuId(1),
+                reason,
+                ..
+            } => match reason {
+                ParkReason::FailedOnline => failed_online = true,
+                ParkReason::UnhandledTrap(_) => {
+                    cpu1_first_trap.get_or_insert(reason);
+                }
+                _ => {}
+            },
+            HvEvent::AccessViolation { step, .. }
+                if first_table_fault_step.is_some_and(|first| step >= first) =>
+            {
+                storm_violations += 1;
+            }
+            _ => {}
+        }
+    }
 
     if hyp_panic || linux_panic || root_parked_on_trap {
         outcome = Outcome::PanicPark;
@@ -337,14 +299,12 @@ pub fn classify(system: &System) -> RunReport {
         notes.push(format!(
             "{storm_violations} access violation(s) after injected stage-2 descriptor corruption"
         ));
-        if cpu1_unhandled {
+        if cpu1_first_trap.is_some() {
             notes.push("cpu1 parked on the resulting translation fault".into());
         }
-    } else if cpu1_unhandled {
+    } else if let Some(reason) = cpu1_first_trap {
         outcome = Outcome::CpuPark;
-        if let Some(reason) = cpu1_tally.first_unhandled_trap {
-            notes.push(format!("cpu1 parked: {reason}"));
-        }
+        notes.push(format!("cpu1 parked: {reason}"));
         notes.push("fault isolated to the non-root cell".into());
     } else if system
         .linux
@@ -455,6 +415,85 @@ mod tests {
             "no memory injections fired"
         );
         assert_eq!(report.outcome, Outcome::SilentDataCorruption, "{report}");
+    }
+
+    #[test]
+    fn a_violation_in_the_step_of_the_first_table_fault_joins_the_storm() {
+        use crate::memfault::{MemFaultModel, MemRegionKind, MemTarget};
+        use crate::spec::{MemorySpec, Paced};
+        let mut system = System::new(MgmtScript::bring_up_and_run(1500));
+        let spec = MemorySpec::e6_memory(
+            MemFaultModel::DescriptorInvalidate,
+            MemTarget::only(MemRegionKind::Stage2Tables),
+        )
+        .with_rate(10);
+        system.install_mem_injector(spec, 7);
+        // Stop at the end of the step that applies the first live
+        // stage-2 descriptor fault.
+        let live_table_fault = |system: &System| {
+            system
+                .mem_injections()
+                .iter()
+                .filter(|r| r.applied())
+                .find(|r| {
+                    r.faults
+                        .iter()
+                        .any(|f| f.locus == MemLocus::Stage2Descriptor && f.live)
+                })
+                .map(|r| r.step)
+        };
+        let step = loop {
+            if let Some(step) = live_table_fault(&system) {
+                break step;
+            }
+            assert!(system.steps_run() < 4000, "no live table fault");
+            system.step();
+        };
+        // A stray guest store in that same step: the hypervisor logs an
+        // access violation at the fault's step and parks CPU 1.
+        system
+            .hv
+            .guest_mmio_write(&mut system.machine, CpuId(1), 0x0000_0100, 0);
+        assert!(system
+            .hv
+            .events()
+            .iter()
+            .any(|e| matches!(e, HvEvent::AccessViolation { step: at, .. } if *at == step)));
+        let report = classify(&system);
+        assert_eq!(report.outcome, Outcome::TranslationFaultStorm, "{report}");
+    }
+
+    #[test]
+    fn a_cpu_that_fails_online_is_an_inconsistent_state() {
+        use certify_hypervisor::hypercall as hc;
+        // The E2 hot-plug swap: CPU 1's boot hypercall carries an entry
+        // outside the cell's memory, so the CPU fails to come online
+        // while the cell is reported running.
+        let mut system = System::new(MgmtScript::bring_up_and_run(1500));
+        let entry = loop {
+            if let Some(entry) = system.hv.boot_pending(CpuId(1)) {
+                break entry;
+            }
+            assert!(system.steps_run() < 4000, "the cell never started");
+            system.step();
+        };
+        let corrupted = entry ^ (1 << 29);
+        system.hv.handle_hvc(
+            &mut system.machine,
+            CpuId(1),
+            hc::HVC_CPU_BOOT,
+            corrupted,
+            0,
+        );
+        let report = classify(&system);
+        assert_eq!(report.outcome, Outcome::InconsistentState, "{report}");
+        assert!(
+            report
+                .notes
+                .iter()
+                .any(|n| n.contains("CPU 1 failed to come online")),
+            "{report}"
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! framework, so anything that needs a serialized form rolls its own — the
 //! binary [`crate::codec`] for the shard wire protocol, and this
 //! module for human/tool-facing JSON: `certify-lint --json` diagnostic
-//! reports today, the ROADMAP's `RunReport` JSON export next.
+//! reports, campaign stats, telemetry snapshots and trace dumps.
 //!
 //! Only the writing half exists (no parser): a [`Json`] value tree is
 //! built programmatically and rendered with [`Json::render`]. Output

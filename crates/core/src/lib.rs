@@ -48,8 +48,8 @@
 //!   scenarios to, and stats back from, `certify-shard` worker
 //!   processes;
 //! * [`json`] — the hand-rolled JSON writer behind `certify-lint
-//!   --json`, the report exports (`RunReport::to_json` and friends)
-//!   and the telemetry snapshots;
+//!   --json`, the stats and trace-dump exports and the telemetry
+//!   snapshots;
 //! * [`telemetry`] — the `certify_obs` bridge: the
 //!   [`telemetry::EngineTelemetry`] bundle observed campaign runs
 //!   record into, and JSON views of metrics and progress snapshots;

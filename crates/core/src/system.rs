@@ -59,7 +59,6 @@ pub struct System {
     /// from the root's perspective (for blank-output analysis).
     cell_start_step: Option<u64>,
     mem_injector: Option<MemInjector>,
-    steps_run: u64,
     rtos_broken_observed: bool,
     boot_failures: u64,
 }
@@ -67,7 +66,7 @@ pub struct System {
 impl std::fmt::Debug for System {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("System")
-            .field("steps_run", &self.steps_run)
+            .field("steps_run", &self.steps_run())
             .field("hv", &self.hv)
             .finish()
     }
@@ -130,7 +129,6 @@ impl System {
             rtos,
             cell_start_step: None,
             mem_injector: None,
-            steps_run: 0,
             rtos_broken_observed: false,
             boot_failures: 0,
         }
@@ -180,9 +178,10 @@ impl System {
         self.mem_injector.as_ref()
     }
 
-    /// Steps run so far.
+    /// Steps run so far: the machine's clock, which each
+    /// [`System::step`] advances by one.
     pub fn steps_run(&self) -> u64 {
-        self.steps_run
+        self.machine.now()
     }
 
     /// The step at which the non-root cell last started, if any.
@@ -211,7 +210,6 @@ impl System {
 
     /// Advances the whole stack by one simulator step.
     pub fn step(&mut self) {
-        self.steps_run += 1;
         let watchdog_bit = self.machine.advance();
         if watchdog_bit && self.hv.recorder().is_some() {
             self.hv.trace(TraceEvent {
@@ -224,9 +222,8 @@ impl System {
         }
 
         // Wake and drain only when some CPU actually has a pending
-        // interrupt — the GIC keeps an O(1) count, and most steps have
-        // nothing queued. (With nothing pending, the historical
-        // per-CPU wake and drain loops were no-ops.) A panicked
+        // interrupt — most steps have nothing queued, and with nothing
+        // pending the per-CPU wake and drain loops are no-ops. A panicked
         // hypervisor delivers nothing (every CPU is parked and the
         // handler answers spurious), so the whole pass is skipped.
         if self.machine.gic.any_pending() && self.hv.panicked().is_none() {

@@ -165,110 +165,9 @@ impl fmt::Display for HvEvent {
     }
 }
 
-/// Per-CPU tally of park events, updated as [`HvEvent::CpuParked`]
-/// entries are recorded.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CpuParkTally {
-    /// Parks with [`ParkReason::Idle`].
-    pub idle: u64,
-    /// Parks with [`ParkReason::UnhandledTrap`].
-    pub unhandled_trap: u64,
-    /// Parks with [`ParkReason::CellShutdown`].
-    pub cell_shutdown: u64,
-    /// Parks with [`ParkReason::FailedOnline`].
-    pub failed_online: u64,
-    /// Parks with [`ParkReason::HypervisorPanic`].
-    pub hypervisor_panic: u64,
-    /// The first unhandled-trap park reason recorded, if any (carries
-    /// the exception-class code for classifier notes).
-    pub first_unhandled_trap: Option<ParkReason>,
-}
-
-/// Online classification evidence, maintained by the hypervisor as
-/// events are recorded so a post-run classifier reads O(1) counters
-/// instead of scanning the whole event trace per question. Everything
-/// here is derivable from [`HvEvent`]s — the equivalence is asserted
-/// by `tests/hotpath_equivalence.rs` in the workspace root.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Evidence {
-    per_cpu: Vec<CpuParkTally>,
-    /// Steps of every access-violation event, in record order
-    /// (nondecreasing — the simulator clock is monotonic).
-    violation_steps: Vec<u64>,
-}
-
-impl Evidence {
-    /// Records a park event (mirrors an [`HvEvent::CpuParked`] push).
-    pub(crate) fn record_park(&mut self, cpu: CpuId, reason: ParkReason) {
-        let idx = cpu.0 as usize;
-        if self.per_cpu.len() <= idx {
-            self.per_cpu.resize_with(idx + 1, CpuParkTally::default);
-        }
-        let tally = &mut self.per_cpu[idx];
-        match reason {
-            ParkReason::Idle => tally.idle += 1,
-            ParkReason::UnhandledTrap(_) => {
-                tally.unhandled_trap += 1;
-                tally.first_unhandled_trap.get_or_insert(reason);
-            }
-            ParkReason::CellShutdown => tally.cell_shutdown += 1,
-            ParkReason::FailedOnline => tally.failed_online += 1,
-            ParkReason::HypervisorPanic => tally.hypervisor_panic += 1,
-        }
-    }
-
-    /// Records an access violation (mirrors an
-    /// [`HvEvent::AccessViolation`] push).
-    pub(crate) fn record_violation(&mut self, step: u64) {
-        self.violation_steps.push(step);
-    }
-
-    /// The park tally for `cpu` (all-zero if the CPU never parked).
-    pub fn park_tally(&self, cpu: CpuId) -> CpuParkTally {
-        self.per_cpu
-            .get(cpu.0 as usize)
-            .copied()
-            .unwrap_or_default()
-    }
-
-    /// Access violations at or after `step` — a binary search over the
-    /// nondecreasing violation-step list.
-    pub fn violations_since(&self, step: u64) -> usize {
-        self.violation_steps.len() - self.violation_steps.partition_point(|&s| s < step)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn evidence_tallies_parks_and_violations() {
-        let mut evidence = Evidence::default();
-        evidence.record_park(CpuId(1), ParkReason::UnhandledTrap(0x24));
-        evidence.record_park(CpuId(1), ParkReason::UnhandledTrap(0x20));
-        evidence.record_park(CpuId(1), ParkReason::FailedOnline);
-        evidence.record_park(CpuId(0), ParkReason::Idle);
-        let cpu1 = evidence.park_tally(CpuId(1));
-        assert_eq!(cpu1.unhandled_trap, 2);
-        assert_eq!(cpu1.failed_online, 1);
-        assert_eq!(
-            cpu1.first_unhandled_trap,
-            Some(ParkReason::UnhandledTrap(0x24)),
-            "first trap code is kept, later ones ignored"
-        );
-        assert_eq!(evidence.park_tally(CpuId(0)).idle, 1);
-        assert_eq!(evidence.park_tally(CpuId(7)), CpuParkTally::default());
-
-        evidence.record_violation(10);
-        evidence.record_violation(20);
-        evidence.record_violation(20);
-        evidence.record_violation(35);
-        assert_eq!(evidence.violations_since(0), 4);
-        assert_eq!(evidence.violations_since(20), 3);
-        assert_eq!(evidence.violations_since(21), 1);
-        assert_eq!(evidence.violations_since(36), 0);
-    }
 
     #[test]
     fn step_accessor_covers_every_variant() {

@@ -14,7 +14,7 @@
 use crate::cell::{Cell, CellId, CellState, ROOT_CELL};
 use crate::config::{CellConfig, MemFlags, SystemConfig};
 use crate::error::HvError;
-use crate::event::{CorruptionTarget, Evidence, HvEvent};
+use crate::event::{CorruptionTarget, HvEvent};
 use crate::hooks::{HandlerKind, HookCtx, InjectionHook};
 use crate::hypercall as hc;
 use crate::regconv;
@@ -69,7 +69,6 @@ pub struct Hypervisor {
     call_counts: Vec<u64>,
     hook: Option<Box<dyn InjectionHook>>,
     events: Vec<HvEvent>,
-    evidence: Evidence,
     /// The trial's flight recorder, if tracing. Every event site in the
     /// stack records through [`Hypervisor::trace`]; `None` is the hot
     /// path: one branch per site, nothing else.
@@ -97,10 +96,9 @@ impl fmt::Debug for Hypervisor {
 /// [`Hypervisor::cell_stage2_mut`] copies that one table. Everything a
 /// trial changes as it runs is copied, and nothing derived from it is
 /// cached beside it: cell states, CPU ownership, boot mailboxes, call
-/// counts, the event trace, pending corruption notices and the
-/// evidence counters. The flight recorder is copied too: each clone
-/// records into a ring of its own that starts with the original's
-/// events and counters.
+/// counts, the event trace and pending corruption notices. The flight
+/// recorder is copied too: each clone records into a ring of its own
+/// that starts with the original's events and counters.
 ///
 /// # Panics
 ///
@@ -122,7 +120,6 @@ impl Clone for Hypervisor {
             call_counts: self.call_counts.clone(),
             hook: None,
             events: self.events.clone(),
-            evidence: self.evidence.clone(),
             recorder: self.recorder.clone(),
             corruption_notices: self.corruption_notices.clone(),
             latent_hv_corruption: self.latent_hv_corruption,
@@ -145,7 +142,6 @@ impl Hypervisor {
             call_counts: Vec::new(),
             hook: None,
             events: Vec::new(),
-            evidence: Evidence::default(),
             recorder: None,
             corruption_notices: Vec::new(),
             latent_hv_corruption: false,
@@ -215,13 +211,6 @@ impl Hypervisor {
     /// capture).
     pub fn events(&self) -> &[HvEvent] {
         &self.events
-    }
-
-    /// Online classification evidence (park tallies, access-violation
-    /// counts), updated as events are recorded — the O(1) counters the
-    /// trial classifier reads instead of scanning the trace.
-    pub fn evidence(&self) -> &Evidence {
-        &self.evidence
     }
 
     /// Attaches a flight recorder for the whole stack: the hypervisor
@@ -551,7 +540,6 @@ impl Hypervisor {
             arg_a: reason.code() as u64,
             arg_b: reason.trap_code() as u64,
         });
-        self.evidence.record_park(cpu, reason);
         if let Some(owner) = self.cpu_owner(cpu) {
             if owner != ROOT_CELL {
                 let comm = if let Some(cell) = self
@@ -1389,7 +1377,6 @@ impl Hypervisor {
                 if !emulatable {
                     self.events
                         .push(HvEvent::AccessViolation { cpu, addr, step });
-                    self.evidence.record_violation(step);
                     self.park_cpu(
                         machine,
                         cpu,

@@ -71,7 +71,7 @@ pub use cell::{Cell, CellId, CellState};
 pub use commregion::CommRegion;
 pub use config::{CellConfig, MemFlags, MemRegion, SystemConfig};
 pub use error::HvError;
-pub use event::{CpuParkTally, Evidence, HvEvent};
+pub use event::HvEvent;
 pub use guest::{GuestCtx, GuestHealth};
 pub use hooks::{HandlerKind, HookCtx, InjectionHook};
 pub use hv::Hypervisor;
