@@ -3,13 +3,11 @@
 //! A [`Cpu`] is the unit the partitioning hypervisor assigns to cells:
 //! the Banana Pi of the paper has two of them, with core 0 statically
 //! given to the root cell (Linux) and core 1 to the non-root cell
-//! (FreeRTOS). The struct carries the architectural state a handler (or
-//! a fault injector) can touch, plus the lifecycle flags the paper's
-//! outcomes are phrased in: *online*, *parked* (with the park reason,
+//! (FreeRTOS). The struct carries the registers a handler (or a fault
+//! injector) can touch, plus the lifecycle flags the paper's outcomes
+//! are phrased in: *online*, *parked* (with the park reason,
 //! e.g. the unhandled-trap code `0x24`), and *waiting-for-event*.
 
-use crate::mode::CpuMode;
-use crate::psr::Psr;
 use crate::registers::RegisterFile;
 use std::fmt;
 
@@ -79,17 +77,13 @@ impl fmt::Display for ParkReason {
     }
 }
 
-/// Architectural and lifecycle state of one core.
+/// Register and lifecycle state of one core.
 #[derive(Debug, Clone)]
 pub struct Cpu {
     /// This core's id.
     pub id: CpuId,
     /// Register state of the currently interrupted/running context.
     pub regs: RegisterFile,
-    /// Current processor mode.
-    pub mode: CpuMode,
-    /// Saved program status of the interrupted context (`SPSR_hyp`).
-    pub spsr: Psr,
     /// Whether the core has been brought online by the platform.
     online: bool,
     /// Park state, if parked.
@@ -104,8 +98,6 @@ impl Cpu {
         Cpu {
             id,
             regs: RegisterFile::new(),
-            mode: CpuMode::Supervisor,
-            spsr: Psr::default(),
             online: false,
             parked: Some(ParkReason::Idle),
             wfi: false,
@@ -158,31 +150,13 @@ impl Cpu {
     }
 
     /// Architectural warm reset: clears registers and park state and
-    /// enters supervisor mode at the given entry point — what the
-    /// hypervisor does when (re)starting a cell on this core.
+    /// sets the PC to the given entry point — what the hypervisor does
+    /// when (re)starting a cell on this core.
     pub fn reset_to(&mut self, entry: u32) {
         self.regs = RegisterFile::new();
         self.regs.write(crate::registers::Reg::PC, entry);
-        self.mode = CpuMode::Supervisor;
-        self.spsr = Psr::for_mode(CpuMode::Supervisor);
         self.parked = None;
         self.wfi = false;
-    }
-}
-
-impl fmt::Display for Cpu {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} mode={} online={} parked={}",
-            self.id,
-            self.mode,
-            self.online,
-            match self.parked {
-                Some(reason) => reason.to_string(),
-                None => "no".to_string(),
-            }
-        )
     }
 }
 
@@ -194,7 +168,6 @@ mod tests {
     #[test]
     fn new_cpu_is_offline_and_idle_parked() {
         let cpu = Cpu::new(CpuId(1));
-        assert!(cpu.to_string().contains("online=false"));
         assert_eq!(cpu.park_reason(), Some(ParkReason::Idle));
         assert!(!cpu.can_run_guest());
     }
@@ -203,7 +176,6 @@ mod tests {
     fn power_on_enables_guest_execution() {
         let mut cpu = Cpu::new(CpuId(0));
         cpu.power_on();
-        assert!(cpu.to_string().contains("online=true"));
         assert!(!cpu.is_parked());
         assert!(cpu.can_run_guest());
     }
@@ -241,14 +213,5 @@ mod tests {
         assert_eq!(cpu.regs.read(Reg::PC), 0x4800_0000);
         assert_eq!(cpu.regs.read(Reg::R5), 0);
         assert!(!cpu.is_parked());
-        assert_eq!(cpu.mode, CpuMode::Supervisor);
-    }
-
-    #[test]
-    fn display_is_informative() {
-        let cpu = Cpu::new(CpuId(1));
-        let s = cpu.to_string();
-        assert!(s.contains("cpu1"));
-        assert!(s.contains("parked=idle"));
     }
 }

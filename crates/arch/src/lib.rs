@@ -4,11 +4,7 @@
 //! virtualization extensions) that the DSN'22 paper's fault-injection
 //! experiments observe:
 //!
-//! * a 16-entry general-purpose [`RegisterFile`] plus the status and
-//!   syndrome registers a hypervisor trap handler consumes
-//!   ([`registers`]),
-//! * processor [`mode`]s, including the `HYP` mode introduced by the
-//!   virtualization extensions,
+//! * a 16-entry general-purpose [`RegisterFile`] ([`registers`]),
 //! * exception [`syndrome`] encoding (the `HSR` register), including the
 //!   `0x24` *data abort from a lower exception level* class whose
 //!   unhandled variant drives the paper's *CPU park* outcome,
@@ -39,8 +35,6 @@
 pub mod cpu;
 pub mod gic;
 pub mod mmu;
-pub mod mode;
-pub mod psr;
 pub mod registers;
 pub mod syndrome;
 pub mod timer;
@@ -48,8 +42,6 @@ pub mod timer;
 pub use cpu::{Cpu, CpuId};
 pub use gic::{Gic, IrqId, SPURIOUS_IRQ};
 pub use mmu::{AccessKind, S2Fault, S2Perms, Stage2Table};
-pub use mode::CpuMode;
-pub use psr::Psr;
 pub use registers::{Reg, RegisterFile};
 pub use syndrome::{ExceptionClass, Syndrome};
 pub use timer::GenericTimer;

@@ -116,17 +116,6 @@ pub struct Syndrome {
 }
 
 impl Syndrome {
-    /// Builds a syndrome for a hypervisor call with the given 16-bit
-    /// immediate in the ISS (the immediate is ignored by Jailhouse; the
-    /// call number travels in `r0`).
-    pub fn hvc(imm: u16) -> Syndrome {
-        Syndrome {
-            class: ExceptionClass::Hvc,
-            il: true,
-            iss: imm as u32,
-        }
-    }
-
     /// Builds a syndrome for an emulatable MMIO data abort: `ISV` set,
     /// direction, access size of one word, and the guest register that
     /// sources/receives the data.
@@ -140,15 +129,6 @@ impl Syndrome {
             class: ExceptionClass::DataAbortLower,
             il: true,
             iss,
-        }
-    }
-
-    /// Builds a trapped-WFI syndrome.
-    pub fn wfi() -> Syndrome {
-        Syndrome {
-            class: ExceptionClass::WfiWfe,
-            il: true,
-            iss: 0,
         }
     }
 
@@ -178,12 +158,6 @@ impl Syndrome {
     /// For a data abort: whether the access was a write.
     pub fn is_write(self) -> bool {
         self.iss & layout::ISS_WNR != 0
-    }
-
-    /// For a data abort: the index of the guest register that sources
-    /// (write) or receives (read) the data.
-    pub fn srt(self) -> u8 {
-        ((self.iss >> layout::ISS_SRT_SHIFT) & 0xf) as u8
     }
 
     /// For a data abort: the access size in bytes (1, 2 or 4); corrupted
@@ -225,9 +199,14 @@ mod tests {
 
     #[test]
     fn syndrome_encode_decode_round_trips() {
+        let hvc = |imm: u32| Syndrome {
+            class: ExceptionClass::Hvc,
+            il: true,
+            iss: imm,
+        };
         let syndromes = [
-            Syndrome::hvc(0),
-            Syndrome::hvc(0x4a48),
+            hvc(0),
+            hvc(0x4a48),
             Syndrome::mmio_data_abort(true, 2),
             Syndrome::mmio_data_abort(false, 15),
             // A data abort without valid decode information (ISV clear).
@@ -236,7 +215,12 @@ mod tests {
                 il: true,
                 iss: 0,
             },
-            Syndrome::wfi(),
+            // A trapped WFI.
+            Syndrome {
+                class: ExceptionClass::WfiWfe,
+                il: true,
+                iss: 0,
+            },
         ];
         for s in syndromes {
             assert_eq!(Syndrome::decode(s.encode()), s);
@@ -258,7 +242,7 @@ mod tests {
         let s = Syndrome::mmio_data_abort(true, 7);
         assert!(s.isv());
         assert!(s.is_write());
-        assert_eq!(s.srt(), 7);
+        assert_eq!((s.iss >> layout::ISS_SRT_SHIFT) & 0xf, 7);
         assert_eq!(s.access_size(), Some(4));
 
         let r = Syndrome::mmio_data_abort(false, 0);
@@ -270,7 +254,12 @@ mod tests {
         // Flipping bit 27 of an HVC syndrome (EC 0x12) yields EC 0x10 —
         // an unhandled class. This is precisely the fault path that
         // produces the paper's unhandled-trap outcomes.
-        let hvc = Syndrome::hvc(0).encode();
+        let hvc = Syndrome {
+            class: ExceptionClass::Hvc,
+            il: true,
+            iss: 0,
+        }
+        .encode();
         let corrupted = Syndrome::decode(hvc ^ (1 << 27));
         assert_eq!(corrupted.class.code(), 0x10);
     }

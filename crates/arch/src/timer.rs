@@ -63,11 +63,6 @@ impl GenericTimer {
         self.enabled
     }
 
-    /// The reload period in steps.
-    pub fn period(&self) -> u64 {
-        self.period
-    }
-
     /// The interrupt line this timer raises.
     pub fn irq(&self) -> IrqId {
         self.irq

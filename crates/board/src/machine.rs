@@ -122,11 +122,6 @@ impl Machine {
         &mut self.cpus[id.0 as usize]
     }
 
-    /// All cores.
-    pub fn cpus(&self) -> &[Cpu] {
-        &self.cpus
-    }
-
     /// The per-core tick timer, to start, stop or inspect. Its counter
     /// is always current: [`Machine::advance`] steps it every step.
     ///

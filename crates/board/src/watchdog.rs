@@ -115,11 +115,6 @@ impl Watchdog {
     pub fn first_expiry(&self) -> Option<u64> {
         self.expiries.first().copied()
     }
-
-    /// The configured timeout in steps.
-    pub fn timeout(&self) -> u64 {
-        self.timeout
-    }
 }
 
 #[cfg(test)]

@@ -158,7 +158,6 @@ mod tests {
             let mut ctx = HookCtx {
                 handler,
                 cpu,
-                call_index: i + 1,
                 step: i,
                 regs: &mut regs,
                 touched: false,
@@ -226,7 +225,6 @@ mod tests {
             let mut ctx = HookCtx {
                 handler: HandlerKind::ArchHandleTrap,
                 cpu: CpuId(1),
-                call_index: step / 50 + 1,
                 step,
                 regs: &mut regs,
                 touched: false,
@@ -248,7 +246,6 @@ mod tests {
             let mut ctx = HookCtx {
                 handler: HandlerKind::ArchHandleTrap,
                 cpu: CpuId(1),
-                call_index: 1,
                 step,
                 regs: &mut regs,
                 touched: false,
@@ -272,7 +269,6 @@ mod tests {
             let mut ctx = HookCtx {
                 handler: HandlerKind::ArchHandleTrap,
                 cpu: CpuId(1),
-                call_index: step + 1,
                 step,
                 regs: &mut regs,
                 touched: false,

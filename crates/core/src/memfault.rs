@@ -306,9 +306,6 @@ pub struct SkipPrediction {
     /// Some sampled address may fall outside the RAM window
     /// ([`MemFaultSkip::OutOfRange`]).
     pub out_of_range_possible: bool,
-    /// Some configured region lies entirely outside the RAM window —
-    /// every sample landing in it skips.
-    pub out_of_range_guaranteed: bool,
     /// The model/target needs a non-root victim cell, so
     /// [`MemFaultSkip::NoVictimCell`] can occur while none exists.
     pub no_victim_possible: bool,
@@ -337,10 +334,8 @@ impl SkipPrediction {
             } else {
                 match RamCoverage::of(region) {
                     RamCoverage::Inside => {}
-                    RamCoverage::Straddles => prediction.out_of_range_possible = true,
-                    RamCoverage::Outside => {
-                        prediction.out_of_range_possible = true;
-                        prediction.out_of_range_guaranteed = true;
+                    RamCoverage::Straddles | RamCoverage::Outside => {
+                        prediction.out_of_range_possible = true
                     }
                 }
             }
@@ -965,7 +960,7 @@ mod tests {
                 size: 0x1000,
             }),
         );
-        assert!(hole.out_of_range_possible && hole.out_of_range_guaranteed);
+        assert!(hole.out_of_range_possible);
         assert!(hole.predicts("address 0x10000000 outside RAM window"));
         assert!(!hole.predicts("no non-root victim cell exists"));
         assert!(hole.predicts("some future skip reason"), "unknown accepted");

@@ -84,12 +84,6 @@ impl CollectSink {
         self.trials
     }
 
-    /// The buffered trace dumps, as `(seq, dump)` in seed order
-    /// (empty unless the campaign was traced).
-    pub fn dumps(&self) -> &[(usize, TraceDump)] {
-        &self.dumps
-    }
-
     /// Consumes the collector, returning trials and dumps.
     pub fn into_parts(self) -> (Vec<TrialResult>, Vec<(usize, TraceDump)>) {
         (self.trials, self.dumps)

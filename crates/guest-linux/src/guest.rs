@@ -101,11 +101,6 @@ impl LinuxGuest {
         &self.monitor_alarms
     }
 
-    /// Whether the kernel armed the hardware watchdog.
-    pub fn watchdog_armed(&self) -> bool {
-        self.watchdog_armed
-    }
-
     /// Recorded operation results (the root-side log of the run).
     pub fn records(&self) -> &[MgmtRecord] {
         &self.records

@@ -47,7 +47,16 @@ pub enum HvEvent {
         /// Simulator step.
         step: u64,
     },
-    /// A CPU was parked.
+    /// A CPU was parked on a fault: an unhandled trap or a failed
+    /// online. These are the parks the hypervisor's `park_cpu` makes,
+    /// each also logged as a `[hyp] parking` serial line.
+    ///
+    /// The other parks set the CPU's park state (its `park_reason()`)
+    /// without this event or that line. An `HVC_CPU_OFF` (`Idle`) and a
+    /// cell shutdown's CPU reclaim (`CellShutdown`) happen in every
+    /// bring-up and teardown and carry no fault evidence; a hypervisor
+    /// panic (`HypervisorPanic`) is recorded once, as
+    /// [`HvEvent::HypervisorPanic`].
     CpuParked {
         /// The parked CPU.
         cpu: CpuId,

@@ -5,8 +5,9 @@
 //! corrupt the live register context. This module is that patch,
 //! promoted to a first-class API: the hypervisor invokes the installed
 //! [`InjectionHook`] with a [`HookCtx`] giving the handler identity,
-//! the calling CPU, per-handler call counters and mutable access to
-//! the register file.
+//! the calling CPU, the simulator step and mutable access to the
+//! register file. A hook that fires on a call cadence counts the calls
+//! itself.
 //!
 //! The `certify-core` crate implements the hook with the paper's fault
 //! models and intensity plans; golden runs simply install no hook.
@@ -69,10 +70,6 @@ pub struct HookCtx<'a> {
     /// The CPU executing the handler — the paper's experiments filter
     /// on this ("only when the CPU core 1 is calling the function").
     pub cpu: CpuId,
-    /// 1-based count of calls to this handler on this CPU, including
-    /// this one. The paper's intensity levels fire "once every given
-    /// number of calls to the target functions".
-    pub call_index: u64,
     /// Simulator step at handler entry.
     pub step: u64,
     /// The live register context; mutations are what the handler will

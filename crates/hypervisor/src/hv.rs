@@ -251,11 +251,6 @@ impl Hypervisor {
         hook.downcast_ref()
     }
 
-    /// Removes the injection hook, returning it.
-    pub fn take_hook(&mut self) -> Option<Box<dyn InjectionHook>> {
-        self.hook.take()
-    }
-
     /// Whether any corruption notice is queued — an O(1) gate so the
     /// orchestrator only pays for the drain when something happened.
     pub fn has_corruption_notices(&self) -> bool {
@@ -386,7 +381,6 @@ impl Hypervisor {
             let mut ctx = HookCtx {
                 handler,
                 cpu,
-                call_index,
                 step,
                 regs,
                 touched: false,
@@ -525,8 +519,13 @@ impl Hypervisor {
         self.panic = Some(message);
     }
 
-    /// Parks a CPU (Jailhouse's `cpu_park()`), marking the owning
-    /// non-root cell failed.
+    /// Parks a CPU on a fault (Jailhouse's `cpu_park()`) and records
+    /// it: a `[hyp] parking` serial line, an [`HvEvent::CpuParked`] and
+    /// a trace record. An unhandled trap also marks the owning non-root
+    /// cell failed. Only unhandled traps and failed onlines park here;
+    /// `hvc_cpu_off`, `reclaim_cell_resources` and `hyp_panic` park on
+    /// the machine directly, without the event or the serial line (see
+    /// [`HvEvent::CpuParked`]).
     fn park_cpu(&mut self, machine: &mut Machine, cpu: CpuId, reason: ParkReason) {
         let step = machine.now();
         machine.cpu_mut(cpu).park(reason);
@@ -613,7 +612,6 @@ impl Hypervisor {
                 regs.write(reg, value);
             }
         }
-        regs.hsr = Syndrome::hvc(0).encode();
 
         let touched = self.enter_handler(HandlerKind::ArchHandleHvc, cpu, step, &mut regs);
 
@@ -1265,9 +1263,6 @@ impl Hypervisor {
         for (reg, value) in expected {
             regs.write(reg, value);
         }
-        regs.far = far;
-        regs.hsr = syndrome.encode();
-        regs.elr = entry_elr;
 
         let touched = self.enter_handler(HandlerKind::ArchHandleTrap, cpu, step, &mut regs);
 
@@ -1626,6 +1621,41 @@ mod tests {
     }
 
     #[test]
+    fn cpu_off_and_cell_shutdown_parks_are_not_recorded() {
+        fn recorded_parks(machine: &Machine, hv: &Hypervisor) -> (usize, bool) {
+            let events = hv
+                .events()
+                .iter()
+                .filter(|e| matches!(e, HvEvent::CpuParked { .. }))
+                .count();
+            let logged = machine
+                .uart
+                .indexed_lines()
+                .any(|line| line.contains("[hyp] parking"));
+            (events, logged)
+        }
+
+        let (mut machine, mut hv) = enabled_system();
+        assert_eq!(
+            hv.handle_hvc(&mut machine, CpuId(1), hc::HVC_CPU_OFF, 0, 0),
+            0
+        );
+        assert_eq!(machine.cpu(CpuId(1)).park_reason(), Some(ParkReason::Idle));
+        assert_eq!(recorded_parks(&machine, &hv), (0, false));
+
+        let (mut machine, mut hv, id) = with_running_rtos_cell();
+        assert_eq!(
+            hv.handle_hvc(&mut machine, CpuId(0), hc::HVC_CELL_SHUTDOWN, id.0, 0),
+            0
+        );
+        assert_eq!(
+            machine.cpu(CpuId(1)).park_reason(),
+            Some(ParkReason::CellShutdown)
+        );
+        assert_eq!(recorded_parks(&machine, &hv), (0, false));
+    }
+
+    #[test]
     fn corrupted_boot_entry_fails_online_but_cell_stays_running() {
         // The E2 mechanism.
         let (mut machine, mut hv, id) = with_rtos_cell();
@@ -1780,19 +1810,23 @@ mod tests {
     #[test]
     fn corrupted_pointer_register_causes_wild_store_and_einval() {
         // Install a hook that corrupts the cell-structure pointer r5 at
-        // hvc entry — the medium-intensity panic-park path.
+        // the next hvc entry, once — the medium-intensity panic-park
+        // path.
         #[derive(Debug)]
-        struct FlipR5;
-        impl InjectionHook for FlipR5 {
+        struct FlipR5Once {
+            fired: bool,
+        }
+        impl InjectionHook for FlipR5Once {
             fn on_handler_entry(&mut self, ctx: &mut HookCtx<'_>) {
-                if ctx.handler == HandlerKind::ArchHandleHvc {
+                if ctx.handler == HandlerKind::ArchHandleHvc && !self.fired {
+                    self.fired = true;
                     ctx.regs.flip_bit(Reg::R5, 3);
                     ctx.mark_touched();
                 }
             }
         }
         let (mut machine, mut hv) = enabled_system();
-        hv.set_hook(Box::new(FlipR5));
+        hv.set_hook(Box::new(FlipR5Once { fired: false }));
         let ret = hv.handle_hvc(&mut machine, CpuId(0), hc::HVC_HYPERVISOR_GET_INFO, 0, 0);
         assert_eq!(ret, HvError::InvalidArguments.code());
         let wild_stores = hv
@@ -1803,8 +1837,7 @@ mod tests {
         assert_eq!(wild_stores, 1);
         // The flipped low bit keeps the pointer inside hypervisor
         // memory → latent corruption → root notice at the next root
-        // hypervisor entry.
-        hv.take_hook();
+        // hypervisor entry, which the spent hook leaves untouched.
         hv.handle_hvc(&mut machine, CpuId(0), hc::HVC_HYPERVISOR_GET_INFO, 0, 0);
         assert_eq!(hv.take_corruption_notices(), vec![ROOT_CELL]);
     }

@@ -45,8 +45,6 @@ pub struct AbstractScript {
     pub cell_reachable: bool,
     /// The heartbeat safety monitor (`monitor_for`) is reachable.
     pub monitor_reachable: bool,
-    /// `arm_watchdog` is reachable.
-    pub watchdog_reachable: bool,
 }
 
 /// Symbolically execute `script`, returning the derived facts and any
@@ -60,7 +58,6 @@ pub fn interpret_script(script: &MgmtScript) -> (AbstractScript, Vec<Diagnostic>
         enable_reachable: false,
         cell_reachable: false,
         monitor_reachable: false,
-        watchdog_reachable: false,
     };
 
     // The abstract machine state the ops transform.
@@ -163,12 +160,8 @@ pub fn interpret_script(script: &MgmtScript) -> (AbstractScript, Vec<Diagnostic>
                     _ => {}
                 }
             }
-            MgmtOp::QueryCellState => {
+            MgmtOp::QueryCellState | MgmtOp::ArmWatchdog => {
                 facts.steps_consumed = facts.steps_consumed.saturating_add(1);
-            }
-            MgmtOp::ArmWatchdog => {
-                facts.steps_consumed = facts.steps_consumed.saturating_add(1);
-                facts.watchdog_reachable = true;
             }
             MgmtOp::Restart(target) => {
                 // The concrete driver clamps an out-of-range target to
@@ -231,7 +224,6 @@ mod tests {
         assert!(facts.enable_reachable);
         assert!(facts.cell_reachable);
         assert!(!facts.monitor_reachable);
-        assert!(!facts.watchdog_reachable);
         // delay(8) + 9 single-step ops + run_for(1000); halt consumes
         // nothing.
         assert_eq!(facts.steps_consumed, 8 + 9 + 1000);
@@ -246,11 +238,9 @@ mod tests {
     }
 
     #[test]
-    fn monitor_and_watchdog_reachability_is_tracked() {
+    fn monitor_reachability_is_tracked() {
         let (facts, _) = interpret_script(&MgmtScript::bring_up_with_monitor(500, 16));
         assert!(facts.monitor_reachable);
-        let (facts, _) = interpret_script(&MgmtScript::bring_up_with_watchdog(500));
-        assert!(facts.watchdog_reachable);
     }
 
     #[test]

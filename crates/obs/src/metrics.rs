@@ -194,11 +194,6 @@ impl Histogram {
         }
     }
 
-    /// The bucket bounds this histogram was built with.
-    pub fn bounds(&self) -> &[u64] {
-        &self.bounds
-    }
-
     /// Per-bucket counts; the final entry is the overflow bucket.
     pub fn counts(&self) -> &[u64] {
         &self.counts

@@ -122,12 +122,14 @@ fn allocs_per_trial(scenario: &Scenario, trials: Range<usize>) -> Allocs {
 fn e3_prefix_clone_allocations() {
     let allocs = clone_allocs(&Scenario::e3_fig3());
     // Before the copy-on-write fork: 87 allocations, 63,393 bytes;
-    // 9,081 bytes before the TCB lost its name and inheritance boost.
+    // 9,081 bytes before the TCB lost its name and inheritance boost;
+    // 8,705 bytes before each of the two `Cpu`s lost its mode, its
+    // SPSR and its register file's four shadow trap registers.
     assert_eq!(
         allocs,
         Allocs {
             count: 42,
-            bytes: 8_705
+            bytes: 8_657
         },
         "E3 System::clone"
     );
@@ -137,12 +139,14 @@ fn e3_prefix_clone_allocations() {
 fn e7_prefix_clone_allocations() {
     let allocs = clone_allocs(&Scenario::e7_mixed());
     // Before the copy-on-write fork: 92 allocations, 67,668 bytes;
-    // 9,179 bytes before the TCB lost its name and inheritance boost.
+    // 9,179 bytes before the TCB lost its name and inheritance boost;
+    // 8,787 bytes before each of the two `Cpu`s lost its mode, its
+    // SPSR and its register file's four shadow trap registers.
     assert_eq!(
         allocs,
         Allocs {
             count: 45,
-            bytes: 8_787
+            bytes: 8_739
         },
         "E7 System::clone"
     );
