@@ -61,7 +61,7 @@ pub fn trial_to_csv_row(trial: &TrialResult, out: &mut String) {
                 .report
                 .mem_injections
                 .iter()
-                .flat_map(|r| r.faults.iter().map(|f| f.to_string())),
+                .filter_map(|r| r.outcome.ok().map(|f| f.to_string())),
         )
         .collect::<Vec<String>>()
         .join("; ");

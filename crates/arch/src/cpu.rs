@@ -80,8 +80,6 @@ impl fmt::Display for ParkReason {
 /// Register and lifecycle state of one core.
 #[derive(Debug, Clone)]
 pub struct Cpu {
-    /// This core's id.
-    pub id: CpuId,
     /// Register state of the currently interrupted/running context.
     pub regs: RegisterFile,
     /// Whether the core has been brought online by the platform.
@@ -94,9 +92,8 @@ pub struct Cpu {
 
 impl Cpu {
     /// Creates an offline, idle-parked core.
-    pub fn new(id: CpuId) -> Cpu {
+    pub fn new() -> Cpu {
         Cpu {
-            id,
             regs: RegisterFile::new(),
             online: false,
             parked: Some(ParkReason::Idle),
@@ -160,6 +157,12 @@ impl Cpu {
     }
 }
 
+impl Default for Cpu {
+    fn default() -> Cpu {
+        Cpu::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,14 +170,14 @@ mod tests {
 
     #[test]
     fn new_cpu_is_offline_and_idle_parked() {
-        let cpu = Cpu::new(CpuId(1));
+        let cpu = Cpu::new();
         assert_eq!(cpu.park_reason(), Some(ParkReason::Idle));
         assert!(!cpu.can_run_guest());
     }
 
     #[test]
     fn power_on_enables_guest_execution() {
-        let mut cpu = Cpu::new(CpuId(0));
+        let mut cpu = Cpu::new();
         cpu.power_on();
         assert!(!cpu.is_parked());
         assert!(cpu.can_run_guest());
@@ -182,7 +185,7 @@ mod tests {
 
     #[test]
     fn parked_cpu_cannot_run_guest() {
-        let mut cpu = Cpu::new(CpuId(1));
+        let mut cpu = Cpu::new();
         cpu.power_on();
         cpu.park(ParkReason::UnhandledTrap(0x24));
         assert!(!cpu.can_run_guest());
@@ -195,7 +198,7 @@ mod tests {
 
     #[test]
     fn wfi_blocks_until_wake() {
-        let mut cpu = Cpu::new(CpuId(0));
+        let mut cpu = Cpu::new();
         cpu.power_on();
         cpu.enter_wfi();
         assert!(!cpu.can_run_guest());
@@ -205,7 +208,7 @@ mod tests {
 
     #[test]
     fn reset_to_clears_state_and_sets_pc() {
-        let mut cpu = Cpu::new(CpuId(1));
+        let mut cpu = Cpu::new();
         cpu.power_on();
         cpu.regs.write(Reg::R5, 0xdead);
         cpu.park(ParkReason::CellShutdown);

@@ -22,9 +22,9 @@
 //! # Example
 //!
 //! ```
-//! use certify_arch::{Cpu, CpuId, Reg};
+//! use certify_arch::{Cpu, Reg};
 //!
-//! let mut cpu = Cpu::new(CpuId(0));
+//! let mut cpu = Cpu::new();
 //! cpu.regs.write(Reg::R0, 0x1c28_0000);
 //! assert_eq!(cpu.regs.read(Reg::R0), 0x1c28_0000);
 //! ```

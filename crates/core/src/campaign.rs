@@ -845,9 +845,7 @@ impl<S: TrialSink + ?Sized> Delivery<'_, '_, S> {
     ) {
         #[cfg(debug_assertions)]
         {
-            let scenario = &self.campaign.scenario;
-            let prediction = scenario.mem_spec.as_ref().map(MemorySpec::skip_prediction);
-            assert_skips_predicted(prediction.as_ref(), &trial);
+            assert_skips_predicted(self.campaign.scenario.mem_spec.as_ref(), &trial);
             assert_certificate_conformance(self.campaign.certificate.as_deref(), &trial);
         }
         let keeps_dump = self.campaign.should_dump(&trial);
@@ -881,22 +879,19 @@ fn fold_sample(metrics: &mut EngineMetrics, sample: Option<PhaseSample>) {
 }
 
 /// Debug-build cross-check of the static skip analysis: every skipped
-/// memory injection recorded by a trial must have been predicted as
-/// *possible* by [`crate::memfault::SkipPrediction`] — if the linter
-/// says a spec cannot skip, the engine holds it to that.
+/// memory injection recorded by a trial must be one
+/// [`MemorySpec::may_skip`] allows — if the linter says a spec cannot
+/// skip, the engine holds it to that.
 #[cfg(debug_assertions)]
-fn assert_skips_predicted(
-    prediction: Option<&crate::memfault::SkipPrediction>,
-    trial: &TrialResult,
-) {
+fn assert_skips_predicted(spec: Option<&MemorySpec>, trial: &TrialResult) {
     for record in &trial.report.mem_injections {
-        let Some(reason) = &record.skipped else {
+        let Err(skip) = record.outcome else {
             continue;
         };
-        let prediction = prediction.expect("a skip was recorded without a memory spec");
+        let spec = spec.expect("a skip was recorded without a memory spec");
         assert!(
-            prediction.predicts(reason),
-            "trial {} skipped an injection ({reason}) the static analysis ruled out",
+            spec.may_skip(skip),
+            "trial {} skipped an injection ({skip}) the static analysis ruled out",
             trial.seed
         );
     }

@@ -105,16 +105,14 @@ impl ScenarioCertificate {
             });
         }
         for record in &trial.report.mem_injections {
-            if !record.applied() {
+            let Ok(fault) = record.outcome else {
                 continue;
-            }
-            for fault in &record.faults {
-                if !self.tracked_regions.contains(&fault.region) {
-                    violations.push(ConformanceViolation::UntrackedRegion {
-                        seed: trial.seed,
-                        region: fault.region,
-                    });
-                }
+            };
+            if !self.tracked_regions.contains(&fault.region) {
+                violations.push(ConformanceViolation::UntrackedRegion {
+                    seed: trial.seed,
+                    region: fault.region,
+                });
             }
         }
         violations

@@ -161,34 +161,28 @@ pub fn classify(system: &System) -> RunReport {
     // table corruption.
     let first_table_fault_step = mem_injections
         .iter()
-        .filter(|r| r.applied())
-        .filter(|r| {
-            r.faults
-                .iter()
-                .any(|f| f.locus == MemLocus::Stage2Descriptor && f.live)
-        })
+        .filter(|r| matches!(r.outcome, Ok(f) if f.locus == MemLocus::Stage2Descriptor && f.live))
         .map(|r| r.step)
         .min();
     let mut live_mem_corruption = false;
     let mut latent_mem_corruption = false;
     let mut skipped_count = 0usize;
-    let mut first_skip_reason: Option<&str> = None;
+    let mut first_skip = None;
     for record in &mem_injections {
-        if let Some(reason) = record.skipped.as_deref() {
-            skipped_count += 1;
-            first_skip_reason.get_or_insert(reason);
-            continue;
-        }
-        for fault in &record.faults {
-            live_mem_corruption |= fault.live;
-            latent_mem_corruption |= !fault.live && fault.before != fault.after;
+        match record.outcome {
+            Ok(fault) => {
+                live_mem_corruption |= fault.live;
+                latent_mem_corruption |= !fault.live && fault.before != fault.after;
+            }
+            Err(skip) => {
+                skipped_count += 1;
+                first_skip.get_or_insert(skip);
+            }
         }
     }
-    if skipped_count > 0 {
+    if let Some(first) = first_skip {
         notes.push(format!(
-            "{} memory injection(s) skipped (first: {})",
-            skipped_count,
-            first_skip_reason.unwrap_or_default()
+            "{skipped_count} memory injection(s) skipped (first: {first})"
         ));
     }
 
@@ -280,12 +274,7 @@ pub fn classify(system: &System) -> RunReport {
             ));
         }
         if let Some(start) = system.cell_start_step() {
-            // Binary-searched tail of the incremental line index — no
-            // capture reassembly.
-            let output = uart
-                .lines_since(start)
-                .filter(|line| line.starts_with("[rtos]"))
-                .count();
+            let output = system.rtos_output_since(start);
             notes.push(format!("rtos serial lines since start: {output}"));
         }
         if cell_state == Some(CellState::Running) {
@@ -434,11 +423,8 @@ mod tests {
             system
                 .mem_injections()
                 .iter()
-                .filter(|r| r.applied())
                 .find(|r| {
-                    r.faults
-                        .iter()
-                        .any(|f| f.locus == MemLocus::Stage2Descriptor && f.live)
+                    matches!(r.outcome, Ok(f) if f.locus == MemLocus::Stage2Descriptor && f.live)
                 })
                 .map(|r| r.step)
         };

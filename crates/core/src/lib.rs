@@ -104,8 +104,7 @@ pub use fault::{AppliedFault, FaultModel};
 pub use injector::{InjectionRecord, Injector};
 pub use json::Json;
 pub use memfault::{
-    AppliedMemFault, MemFaultModel, MemFaultSkip, MemRegionKind, MemTarget, RamCoverage,
-    SkipPrediction,
+    AppliedMemFault, FaultPath, MemFaultModel, MemFaultSkip, MemRegionKind, MemTarget, RamCoverage,
 };
 pub use meminjector::{MemInjectionRecord, MemInjector};
 pub use profiler::{profile_golden_run, ProfileReport};

@@ -13,6 +13,13 @@
 //! *where* from configurable regions with the campaign's seeded RNG,
 //! and [`AppliedMemFault`] records exactly what changed (before/after
 //! bytes) for the post-run analytics.
+//!
+//! [`MemFaultModel::path`] is the one place that decides which state a
+//! model corrupts for a sampled region — a RAM word, a stage-2
+//! descriptor or the comm-state word ([`FaultPath`]). `apply` follows
+//! it, and the static checks derive from it: [`MemFaultModel::may_skip`]
+//! says which [`MemFaultSkip`] an attempt can end in, and the linter
+//! asks it which regions can go out of range.
 
 use certify_arch::mmu::{desc, PAGE_SIZE};
 use certify_board::ram::OutOfRange;
@@ -88,13 +95,10 @@ impl MemRegionKind {
     fn victim(self, hv: &Hypervisor) -> Option<CellId> {
         match self {
             MemRegionKind::RootRam => Some(ROOT_CELL),
-            MemRegionKind::Custom { base, size } => {
-                if memmap::in_region(base, memmap::ROOT_RAM_BASE, memmap::ROOT_RAM_SIZE) {
-                    Some(ROOT_CELL)
-                } else {
-                    let _ = size;
-                    hv.first_nonroot_cell()
-                }
+            MemRegionKind::Custom { base, .. }
+                if memmap::in_region(base, memmap::ROOT_RAM_BASE, memmap::ROOT_RAM_SIZE) =>
+            {
+                Some(ROOT_CELL)
             }
             _ => hv.first_nonroot_cell(),
         }
@@ -233,7 +237,7 @@ impl fmt::Display for AppliedMemFault {
 /// Why an injection attempt was skipped instead of applied. Skips are
 /// recorded in the trial report — they must never panic a campaign
 /// worker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemFaultSkip {
     /// The sampled address fell outside the RAM window.
     OutOfRange {
@@ -296,65 +300,22 @@ impl RamCoverage {
     }
 }
 
-/// What kinds of [`MemFaultSkip`] a `(model, target)` pair can
-/// statically produce. Computed by
-/// [`crate::spec::MemorySpec::skip_prediction`]; the linter warns when
-/// skips are *guaranteed*, and the campaign engine debug-asserts that
-/// every runtime skip was predicted as *possible*.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SkipPrediction {
-    /// Some sampled address may fall outside the RAM window
-    /// ([`MemFaultSkip::OutOfRange`]).
-    pub out_of_range_possible: bool,
-    /// The model/target needs a non-root victim cell, so
-    /// [`MemFaultSkip::NoVictimCell`] can occur while none exists.
-    pub no_victim_possible: bool,
-}
-
-impl SkipPrediction {
-    /// Predicts the skips `model` over `target` can produce.
-    ///
-    /// The mapping mirrors [`MemFaultModel::apply`]'s dispatch:
-    /// [`MemFaultModel::CommStateCorrupt`] always writes the comm
-    /// region inside RTOS RAM (no skips); descriptor attacks
-    /// ([`MemFaultModel::DescriptorInvalidate`], or any word model on
-    /// [`MemRegionKind::Stage2Tables`]) need a victim cell but never
-    /// touch physical RAM; word models on the remaining regions write
-    /// RAM and can go out of range there.
-    pub fn of(model: &MemFaultModel, target: &MemTarget) -> SkipPrediction {
-        let mut prediction = SkipPrediction::default();
-        if matches!(model, MemFaultModel::CommStateCorrupt) {
-            return prediction;
-        }
-        for &region in target.regions() {
-            let descriptor_path = matches!(model, MemFaultModel::DescriptorInvalidate)
-                || region == MemRegionKind::Stage2Tables;
-            if descriptor_path {
-                prediction.no_victim_possible = true;
-            } else {
-                match RamCoverage::of(region) {
-                    RamCoverage::Inside => {}
-                    RamCoverage::Straddles | RamCoverage::Outside => {
-                        prediction.out_of_range_possible = true
-                    }
-                }
-            }
-        }
-        prediction
-    }
-
-    /// Whether a recorded skip reason (the [`MemFaultSkip`] display
-    /// string) was predicted as possible. Unknown reason strings are
-    /// accepted — a future skip kind must not fail old assertions.
-    pub fn predicts(&self, reason: &str) -> bool {
-        if reason.contains("outside RAM window") {
-            self.out_of_range_possible
-        } else if reason.contains("victim cell") {
-            self.no_victim_possible
-        } else {
-            true
-        }
-    }
+/// Which state a memory fault corrupts, as [`MemFaultModel::path`]
+/// decides it from the model and the sampled region.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultPath {
+    /// The sampled physical RAM word (or the burst from its page
+    /// start): the only path that touches RAM at the sampled address,
+    /// so the only one that can skip as
+    /// [`MemFaultSkip::OutOfRange`].
+    SampledWord,
+    /// The victim cell's stage-2 descriptor for the sampled address,
+    /// read as an IPA: skips as [`MemFaultSkip::NoVictimCell`] while no
+    /// victim cell exists.
+    Descriptor,
+    /// The victim's published comm-region state word, whatever was
+    /// sampled: never skips.
+    CommState,
 }
 
 /// A memory fault model: how to corrupt the sampled location.
@@ -421,16 +382,41 @@ impl MemFaultModel {
         }
     }
 
-    /// Applies the model at the sampled `(region, addr)` pair, drawing
-    /// any further randomness (bit positions, burst patterns) from
-    /// `rng`. Returns the recorded corruptions, or the reason the
-    /// injection was skipped.
+    /// The state this model corrupts when `region` is sampled: the
+    /// one dispatch decision [`MemFaultModel::apply`],
+    /// [`MemFaultModel::may_skip`] and the linter's static checks share.
+    pub fn path(&self, region: MemRegionKind) -> FaultPath {
+        match self {
+            MemFaultModel::CommStateCorrupt => FaultPath::CommState,
+            MemFaultModel::DescriptorInvalidate => FaultPath::Descriptor,
+            _ if region == MemRegionKind::Stage2Tables => FaultPath::Descriptor,
+            _ => FaultPath::SampledWord,
+        }
+    }
+
+    /// Whether [`MemFaultModel::apply`] can return `skip` for a sample
+    /// drawn from `region`: out-of-range only on the RAM-word path over
+    /// a span that leaves DRAM, no-victim only on the descriptor path.
+    pub fn may_skip(&self, region: MemRegionKind, skip: MemFaultSkip) -> bool {
+        match (self.path(region), skip) {
+            (FaultPath::SampledWord, MemFaultSkip::OutOfRange { .. }) => {
+                RamCoverage::of(region) != RamCoverage::Inside
+            }
+            (FaultPath::Descriptor, MemFaultSkip::NoVictimCell) => true,
+            _ => false,
+        }
+    }
+
+    /// Applies the model at the sampled `(region, addr)` pair along its
+    /// [`MemFaultModel::path`], drawing any further randomness (bit
+    /// positions, burst patterns) from `rng`. Returns the one recorded
+    /// corruption, or the reason the injection was skipped.
     ///
     /// Faults that hit *live* guest RAM additionally raise a
     /// corruption notice for the owning cell through
-    /// [`Hypervisor::notify_corruption`], mirroring the wild-store
-    /// propagation path; descriptor and comm-region faults propagate
-    /// naturally (translation faults, corrupted published state).
+    /// [`Hypervisor::notify_corruption`], as a wild store does;
+    /// descriptor and comm-region faults propagate naturally
+    /// (translation faults, corrupted published state).
     ///
     /// # Errors
     ///
@@ -443,44 +429,25 @@ impl MemFaultModel {
         machine: &mut Machine,
         hv: &mut Hypervisor,
         rng: &mut R,
-    ) -> Result<Vec<AppliedMemFault>, MemFaultSkip> {
-        match self {
-            MemFaultModel::CommStateCorrupt => comm_state_corrupt(machine, hv, rng),
-            MemFaultModel::DescriptorInvalidate => {
+    ) -> Result<AppliedMemFault, MemFaultSkip> {
+        let (locus, (addr, before, after, len, live)) = match self.path(region) {
+            FaultPath::CommState => return comm_state_corrupt(machine, hv, rng),
+            FaultPath::Descriptor => {
                 let victim = region.victim(hv).ok_or(MemFaultSkip::NoVictimCell)?;
-                let resident = machine.ram().resident_page_addrs();
-                let table = hv
-                    .cell_stage2_mut(victim)
-                    .ok_or(MemFaultSkip::NoVictimCell)?;
-                let addr = if region == MemRegionKind::Stage2Tables {
-                    live_table_ipa(&resident, table, addr, rng)
-                } else {
-                    addr
-                };
-                let before = table.descriptor_word(addr);
-                table.set_descriptor_word(addr, 0);
-                Ok(vec![AppliedMemFault {
-                    region,
-                    locus: MemLocus::Stage2Descriptor,
-                    addr,
-                    before,
-                    after: 0,
-                    len: 4,
-                    live: before & desc::VALID != 0,
-                }])
-            }
-            word_model if region == MemRegionKind::Stage2Tables => {
-                let victim = region.victim(hv).ok_or(MemFaultSkip::NoVictimCell)?;
-                let resident = machine.ram().resident_page_addrs();
                 let table = hv
                     .cell_stage2_mut(victim)
                     .ok_or(MemFaultSkip::NoVictimCell)?;
                 // Like a TLB, only descriptors the victim actually
-                // translates matter: retarget the sampled IPA onto the
-                // resident working set covered by the table (keeping
-                // the uniform draw as the fallback).
-                let addr = live_table_ipa(&resident, table, addr, rng);
-                match word_model {
+                // translates matter: a sample from the tables themselves
+                // is retargeted onto the resident working set the table
+                // covers (keeping the uniform draw as the fallback).
+                // This draw precedes the model's own.
+                let addr = if region == MemRegionKind::Stage2Tables {
+                    live_table_ipa(&machine.ram().resident_page_addrs(), table, addr, rng)
+                } else {
+                    addr
+                };
+                let corrupted = match self {
                     MemFaultModel::PageBurst { words } => {
                         // Garble `words` consecutive descriptors with
                         // one pattern.
@@ -500,60 +467,44 @@ impl MemFaultModel {
                                 first_before = before;
                             }
                         }
-                        Ok(vec![AppliedMemFault {
-                            region,
-                            locus: MemLocus::Stage2Descriptor,
-                            addr: first_page,
-                            before: first_before,
-                            after: pattern,
-                            len: words * 4,
-                            live,
-                        }])
+                        (first_page, first_before, pattern, words * 4, live)
                     }
-                    _ => {
+                    MemFaultModel::DescriptorInvalidate => {
+                        let before = table.descriptor_word(addr);
+                        table.set_descriptor_word(addr, 0);
+                        (addr, before, 0, 4, before & desc::VALID != 0)
+                    }
+                    word_model => {
                         let before = table.descriptor_word(addr);
                         let after = word_model.mutate_word(before, rng);
                         table.set_descriptor_word(addr, after);
-                        Ok(vec![AppliedMemFault {
-                            region,
-                            locus: MemLocus::Stage2Descriptor,
-                            addr,
-                            before,
-                            after,
-                            len: 4,
-                            live: before != after,
-                        }])
+                        (addr, before, after, 4, before != after)
                     }
-                }
-            }
-            word_model => {
-                let locus = if region == MemRegionKind::CommRegion {
-                    MemLocus::CommWord
-                } else {
-                    MemLocus::RamWord
                 };
+                (MemLocus::Stage2Descriptor, corrupted)
+            }
+            FaultPath::SampledWord => {
                 let resident = machine.ram().is_resident(addr);
-                let (fault, len, changed) = match word_model {
+                let ram = machine.ram_mut();
+                let (fault, len, changed) = match self {
                     MemFaultModel::PageBurst { words } => {
                         let words = burst_words(*words);
-                        let page = addr & !(PAGE_SIZE - 1);
                         let pattern = rng.gen::<u32>();
-                        let (first, changed) =
-                            machine.ram_mut().splat_range(page, words, pattern)?;
+                        let page = addr & !(PAGE_SIZE - 1);
+                        let (first, changed) = ram.splat_range(page, words, pattern)?;
                         (first, words * 4, changed > 0)
                     }
                     MemFaultModel::SingleBitFlip | MemFaultModel::DoubleBitFlip => {
-                        let mask = word_model.flip_mask(rng);
-                        let fault = machine.ram_mut().flip_bits32(addr, mask)?;
+                        let fault = ram.flip_bits32(addr, self.flip_mask(rng))?;
                         (fault, 4, fault.before != fault.after)
                     }
                     MemFaultModel::WordStuckAt { value } => {
-                        let fault = machine.ram_mut().force32(addr, *value)?;
+                        let fault = ram.force32(addr, *value)?;
                         (fault, 4, fault.before != fault.after)
                     }
-                    // CommStateCorrupt / DescriptorInvalidate are
-                    // dispatched by the earlier match arms.
-                    _ => unreachable!("non-word model reached the RAM path"),
+                    MemFaultModel::DescriptorInvalidate | MemFaultModel::CommStateCorrupt => {
+                        unreachable!("`path` never sends {self} to the RAM-word path")
+                    }
                 };
                 let live = resident && changed;
                 if live {
@@ -561,17 +512,23 @@ impl MemFaultModel {
                         hv.notify_corruption(victim);
                     }
                 }
-                Ok(vec![AppliedMemFault {
-                    region,
-                    locus,
-                    addr: fault.addr,
-                    before: fault.before,
-                    after: fault.after,
-                    len,
-                    live,
-                }])
+                let locus = if region == MemRegionKind::CommRegion {
+                    MemLocus::CommWord
+                } else {
+                    MemLocus::RamWord
+                };
+                (locus, (fault.addr, fault.before, fault.after, len, live))
             }
-        }
+        };
+        Ok(AppliedMemFault {
+            region,
+            locus,
+            addr,
+            before,
+            after,
+            len,
+            live,
+        })
     }
 
     /// The XOR mask of the bit-flip models (zero for the others).
@@ -646,7 +603,7 @@ fn comm_state_corrupt<R: Rng>(
     machine: &mut Machine,
     hv: &mut Hypervisor,
     rng: &mut R,
-) -> Result<Vec<AppliedMemFault>, MemFaultSkip> {
+) -> Result<AppliedMemFault, MemFaultSkip> {
     let base = hv
         .first_nonroot_cell()
         .and_then(|id| hv.cell(id))
@@ -657,7 +614,7 @@ fn comm_state_corrupt<R: Rng>(
     // Bit 8 set guarantees `commregion::decode_state` rejects the word.
     let garbage = rng.gen::<u32>() | 0x100;
     let fault = machine.ram_mut().force32(addr, garbage)?;
-    Ok(vec![AppliedMemFault {
+    Ok(AppliedMemFault {
         region: MemRegionKind::CommRegion,
         locus: MemLocus::CommWord,
         addr,
@@ -665,7 +622,7 @@ fn comm_state_corrupt<R: Rng>(
         after: fault.after,
         len: 4,
         live: true,
-    }])
+    })
 }
 
 #[cfg(test)]
@@ -727,7 +684,7 @@ mod tests {
     fn oversized_bursts_are_clamped_to_one_page() {
         let (mut machine, mut hv) = bare_system();
         let addr = memmap::RTOS_RAM_BASE + 0x5000;
-        let faults = MemFaultModel::PageBurst { words: u32::MAX }
+        let fault = MemFaultModel::PageBurst { words: u32::MAX }
             .apply(
                 MemRegionKind::NonRootRam,
                 addr,
@@ -736,7 +693,7 @@ mod tests {
                 &mut rng(20),
             )
             .unwrap();
-        assert_eq!(faults[0].len, PAGE_SIZE, "burst capped at one page");
+        assert_eq!(fault.len, PAGE_SIZE, "burst capped at one page");
     }
 
     #[test]
@@ -744,7 +701,7 @@ mod tests {
         let (mut machine, mut hv) = bare_system();
         let addr = memmap::RTOS_RAM_BASE + 0x100;
         machine.ram_mut().write32(addr, 0x5555_5555).unwrap();
-        let faults = MemFaultModel::SingleBitFlip
+        let fault = MemFaultModel::SingleBitFlip
             .apply(
                 MemRegionKind::NonRootRam,
                 addr,
@@ -753,17 +710,16 @@ mod tests {
                 &mut rng(3),
             )
             .unwrap();
-        assert_eq!(faults.len(), 1);
-        assert_eq!((faults[0].before ^ faults[0].after).count_ones(), 1);
-        assert_eq!(machine.ram().read32(addr).unwrap(), faults[0].after);
-        assert!(faults[0].live, "resident page hit is live");
+        assert_eq!((fault.before ^ fault.after).count_ones(), 1);
+        assert_eq!(machine.ram().read32(addr).unwrap(), fault.after);
+        assert!(fault.live, "resident page hit is live");
     }
 
     #[test]
     fn flips_of_pristine_dram_are_latent() {
         let (mut machine, mut hv) = bare_system();
         let addr = memmap::ROOT_RAM_BASE + 0x2000_0000;
-        let faults = MemFaultModel::SingleBitFlip
+        let fault = MemFaultModel::SingleBitFlip
             .apply(
                 MemRegionKind::RootRam,
                 addr,
@@ -772,7 +728,7 @@ mod tests {
                 &mut rng(4),
             )
             .unwrap();
-        assert!(!faults[0].live, "non-resident page is latent");
+        assert!(!fault.live, "non-resident page is latent");
         assert!(hv.take_corruption_notices().is_empty());
     }
 
@@ -797,7 +753,7 @@ mod tests {
     fn page_burst_overwrites_the_page_start() {
         let (mut machine, mut hv) = bare_system();
         let addr = memmap::RTOS_RAM_BASE + 0x3008;
-        let faults = MemFaultModel::PageBurst { words: 8 }
+        let fault = MemFaultModel::PageBurst { words: 8 }
             .apply(
                 MemRegionKind::NonRootRam,
                 addr,
@@ -806,10 +762,10 @@ mod tests {
                 &mut rng(6),
             )
             .unwrap();
-        assert_eq!(faults[0].len, 32);
-        assert_eq!(faults[0].addr, memmap::RTOS_RAM_BASE + 0x3000);
-        let pattern = machine.ram().read32(faults[0].addr).unwrap();
-        assert_eq!(machine.ram().read32(faults[0].addr + 28).unwrap(), pattern);
+        assert_eq!(fault.len, 32);
+        assert_eq!(fault.addr, memmap::RTOS_RAM_BASE + 0x3000);
+        let pattern = machine.ram().read32(fault.addr).unwrap();
+        assert_eq!(machine.ram().read32(fault.addr + 28).unwrap(), pattern);
     }
 
     #[test]
@@ -850,7 +806,7 @@ mod tests {
     #[test]
     fn comm_state_corrupt_writes_an_undecodable_state() {
         let (mut machine, mut hv) = bare_system();
-        let faults = MemFaultModel::CommStateCorrupt
+        let fault = MemFaultModel::CommStateCorrupt
             .apply(
                 MemRegionKind::CommRegion,
                 memmap::RTOS_RAM_BASE,
@@ -859,8 +815,8 @@ mod tests {
                 &mut rng(9),
             )
             .unwrap();
-        assert_eq!(faults[0].locus, MemLocus::CommWord);
-        let word = machine.ram().read32(faults[0].addr).unwrap();
+        assert_eq!(fault.locus, MemLocus::CommWord);
+        let word = machine.ram().read32(fault.addr).unwrap();
         assert!(commregion::decode_state(word).is_none());
     }
 
@@ -925,45 +881,67 @@ mod tests {
     }
 
     #[test]
-    fn skip_prediction_mirrors_apply_dispatch() {
-        // In-RAM word faults: no skips possible.
-        let clean = SkipPrediction::of(
-            &MemFaultModel::SingleBitFlip,
-            &MemTarget::only(MemRegionKind::NonRootRam),
-        );
-        assert_eq!(clean, SkipPrediction::default());
+    fn every_skip_apply_returns_is_one_may_skip_allows() {
+        // Every named region, a DRAM-straddling and an outside-DRAM window.
+        let straddle = MemRegionKind::Custom {
+            base: memmap::RAM_BASE - 0x100,
+            size: 0x200,
+        };
+        let hole = MemRegionKind::Custom {
+            base: 0x1000_0000,
+            size: 0x1000,
+        };
+        let regions = MemRegionKind::ALL.into_iter().chain([straddle, hole]);
+        let mut skips = 0;
+        for model in MemFaultModel::e6_models() {
+            for region in regions.clone() {
+                let target = MemTarget::only(region);
+                let mut r = rng(21);
+                // A bare system has no non-root cell, so descriptor
+                // attacks skip as well as out-of-range samples.
+                let (mut machine, mut hv) = bare_system();
+                for _ in 0..40 {
+                    let (region, addr) = target.sample(&mut r);
+                    if let Err(skip) = model.apply(region, addr, &mut machine, &mut hv, &mut r) {
+                        skips += 1;
+                        assert!(
+                            model.may_skip(region, skip),
+                            "{model} on {region:?}: {skip}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(skips > 0, "the agreement check saw no skip");
+    }
 
-        // Comm-state corruption never skips, whatever the target says.
-        let comm = SkipPrediction::of(
-            &MemFaultModel::CommStateCorrupt,
-            &MemTarget::only(MemRegionKind::Custom {
-                base: 0x1000_0000,
-                size: 0x1000,
-            }),
-        );
-        assert_eq!(comm, SkipPrediction::default());
-
-        // Descriptor attacks need a victim cell but never touch RAM.
-        let desc = SkipPrediction::of(&MemFaultModel::DescriptorInvalidate, &MemTarget::all());
-        assert!(desc.no_victim_possible && !desc.out_of_range_possible);
-        let stage2 = SkipPrediction::of(
-            &MemFaultModel::SingleBitFlip,
-            &MemTarget::only(MemRegionKind::Stage2Tables),
-        );
-        assert!(stage2.no_victim_possible && !stage2.out_of_range_possible);
-
-        // Word faults into a hole are guaranteed to skip.
-        let hole = SkipPrediction::of(
-            &MemFaultModel::SingleBitFlip,
-            &MemTarget::only(MemRegionKind::Custom {
-                base: 0x1000_0000,
-                size: 0x1000,
-            }),
-        );
-        assert!(hole.out_of_range_possible);
-        assert!(hole.predicts("address 0x10000000 outside RAM window"));
-        assert!(!hole.predicts("no non-root victim cell exists"));
-        assert!(hole.predicts("some future skip reason"), "unknown accepted");
+    #[test]
+    fn may_skip_follows_the_fault_path() {
+        use MemFaultModel::{CommStateCorrupt, DescriptorInvalidate, SingleBitFlip};
+        use MemFaultSkip::{NoVictimCell, OutOfRange};
+        let hole = MemRegionKind::Custom {
+            base: 0x1000_0000,
+            size: 0x1000,
+        };
+        let ram = MemTarget::only(MemRegionKind::NonRootRam);
+        let stage2 = MemTarget::only(MemRegionKind::Stage2Tables);
+        // (model, target, out-of-range possible, no-victim possible)
+        for (model, target, out_of_range, no_victim) in [
+            // In-RAM word faults: no skips possible.
+            (SingleBitFlip, ram, false, false),
+            // Comm-state corruption never skips, whatever the target says.
+            (CommStateCorrupt, MemTarget::only(hole), false, false),
+            // Descriptor attacks need a victim cell but never touch RAM.
+            (DescriptorInvalidate, MemTarget::all(), false, true),
+            (SingleBitFlip, stage2, false, true),
+            // Word faults into a hole are guaranteed to skip.
+            (SingleBitFlip, MemTarget::only(hole), true, false),
+        ] {
+            let spec = crate::spec::MemorySpec::e6_memory(model, target);
+            let addr = 0x1000_0000;
+            assert_eq!(spec.may_skip(OutOfRange { addr }), out_of_range, "{spec:?}");
+            assert_eq!(spec.may_skip(NoVictimCell), no_victim, "{spec:?}");
+        }
     }
 
     #[test]

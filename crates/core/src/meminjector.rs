@@ -11,7 +11,7 @@
 //! calls to the target functions" trigger of the paper, retargeted at
 //! memory.
 
-use crate::memfault::AppliedMemFault;
+use crate::memfault::{AppliedMemFault, MemFaultSkip};
 use crate::spec::{CadenceCounter, MemorySpec};
 use certify_board::Machine;
 use certify_hypervisor::Hypervisor;
@@ -21,8 +21,8 @@ use rand::SeedableRng;
 use std::fmt;
 use std::sync::Arc;
 
-/// One memory-injection attempt: either the applied corruptions or
-/// the reason the attempt was skipped (skips never panic a worker).
+/// One memory-injection attempt: the one corruption it applied or the
+/// reason it was skipped (skips never panic a worker).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MemInjectionRecord {
     /// Simulator step of the attempt.
@@ -32,29 +32,25 @@ pub struct MemInjectionRecord {
     /// matching calls made up to and including it, phase jitter or
     /// not.
     pub filtered_call: u64,
-    /// The concrete corruptions applied (empty when skipped).
-    pub faults: Vec<AppliedMemFault>,
-    /// Why the attempt was skipped, if it was.
-    pub skipped: Option<String>,
+    /// What [`crate::memfault::MemFaultModel::apply`] returned: the
+    /// applied corruption, or why the attempt was skipped.
+    pub outcome: Result<AppliedMemFault, MemFaultSkip>,
 }
 
 impl MemInjectionRecord {
     /// Whether the attempt actually corrupted something.
     pub fn applied(&self) -> bool {
-        self.skipped.is_none() && !self.faults.is_empty()
+        self.outcome.is_ok()
     }
 }
 
 impl fmt::Display for MemInjectionRecord {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[{}] mem call#{}:", self.step, self.filtered_call)?;
-        if let Some(reason) = &self.skipped {
-            return write!(f, " skipped ({reason})");
+        match &self.outcome {
+            Ok(fault) => write!(f, " {fault}"),
+            Err(skip) => write!(f, " skipped ({skip})"),
         }
-        for fault in &self.faults {
-            write!(f, " {fault}")?;
-        }
-        Ok(())
     }
 }
 
@@ -125,34 +121,20 @@ impl MemInjector {
     fn attempt(&mut self, call: u64, machine: &mut Machine, hv: &mut Hypervisor) {
         let step = machine.now();
         let (region, addr) = self.spec.target.sample(&mut self.rng);
-        let record = match self
+        // Unmapped addresses (or a missing victim cell) come back as a
+        // recorded skip, never a panic.
+        let outcome = self
             .spec
             .model
-            .apply(region, addr, machine, hv, &mut self.rng)
-        {
-            Ok(faults) => {
-                self.counter.injected();
-                MemInjectionRecord {
-                    step,
-                    filtered_call: call,
-                    faults,
-                    skipped: None,
-                }
-            }
-            // Satellite guard: unmapped addresses (or a missing victim
-            // cell) become a recorded skip, never a panic.
-            Err(skip) => MemInjectionRecord {
-                step,
-                filtered_call: call,
-                faults: Vec::new(),
-                skipped: Some(skip.to_string()),
-            },
-        };
+            .apply(region, addr, machine, hv, &mut self.rng);
+        if outcome.is_ok() {
+            self.counter.injected();
+        }
         if hv.recorder().is_some() {
-            let (kind, arg_a) = if record.applied() {
-                (TraceKind::MemInjectionApplied, record.faults.len() as u64)
-            } else {
-                (TraceKind::MemInjectionSkipped, call)
+            // An applied record's argument is its fault count: one.
+            let (kind, arg_a) = match outcome {
+                Ok(_) => (TraceKind::MemInjectionApplied, 1),
+                Err(_) => (TraceKind::MemInjectionSkipped, call),
             };
             hv.trace(TraceEvent {
                 step,
@@ -162,7 +144,11 @@ impl MemInjector {
                 arg_b: 0,
             });
         }
-        self.records.push(record);
+        self.records.push(MemInjectionRecord {
+            step,
+            filtered_call: call,
+            outcome,
+        });
     }
 }
 
@@ -268,8 +254,10 @@ mod tests {
         assert_eq!(records.len(), 3);
         for record in records {
             assert!(!record.applied());
-            let reason = record.skipped.as_deref().unwrap();
-            assert!(reason.contains("outside RAM window"), "note: {reason}");
+            let Err(skip) = record.outcome else {
+                panic!("applied: {record}");
+            };
+            assert!(matches!(skip, MemFaultSkip::OutOfRange { .. }), "{skip}");
             assert!(record.to_string().contains("skipped"));
         }
     }
@@ -319,8 +307,7 @@ mod tests {
         pump_calls(&mut machine, &mut hv, 1);
         injector.on_step(&mut machine, &mut hv);
         let records = injector.records();
-        assert_eq!(records[0].faults.len(), 1);
-        let fault = records[0].faults[0];
+        let fault = records[0].outcome.unwrap();
         assert!(memmap::in_region(fault.addr, memmap::RTOS_RAM_BASE, 0x10));
     }
 }

@@ -10,7 +10,7 @@
 //! and hard intensity, respectively."*
 
 use crate::fault::FaultModel;
-use crate::memfault::{MemFaultModel, MemTarget};
+use crate::memfault::{MemFaultModel, MemFaultSkip, MemTarget};
 use certify_arch::CpuId;
 use certify_hypervisor::{HandlerKind, Hypervisor};
 use rand::rngs::StdRng;
@@ -584,12 +584,15 @@ impl MemorySpec {
         )
     }
 
-    /// What kinds of skipped injection this spec can statically
-    /// produce (see [`crate::memfault::SkipPrediction`]). The campaign
-    /// engine debug-asserts runtime skips against this; `certify-lint`
-    /// warns when skips are guaranteed.
-    pub fn skip_prediction(&self) -> crate::memfault::SkipPrediction {
-        crate::memfault::SkipPrediction::of(&self.model, &self.target)
+    /// Whether an attempt of this spec can end in `skip`: whether
+    /// [`MemFaultModel::may_skip`] allows it for any target region.
+    /// The campaign engine debug-asserts runtime skips against this;
+    /// `certify-lint` warns when a no-victim skip is guaranteed.
+    pub fn may_skip(&self, skip: MemFaultSkip) -> bool {
+        self.target
+            .regions()
+            .iter()
+            .any(|&region| self.model.may_skip(region, skip))
     }
 }
 

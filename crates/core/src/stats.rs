@@ -144,8 +144,7 @@ impl CampaignStats {
                 .report
                 .mem_injections
                 .iter()
-                .filter(|r| r.applied())
-                .flat_map(|r| r.faults.iter())
+                .filter_map(|r| r.outcome.ok())
         };
         for (i, fault) in applied_faults().enumerate() {
             if applied_faults().take(i).any(|f| f.region == fault.region) {
@@ -360,8 +359,12 @@ mod tests {
         let stats = streamed(&campaign);
         let mut walked = BTreeMap::new();
         for trial in &trials {
-            let applied = trial.report.mem_injections.iter().filter(|r| r.applied());
-            let regions: BTreeSet<_> = applied.flat_map(|r| &r.faults).map(|f| f.region).collect();
+            let applied = trial
+                .report
+                .mem_injections
+                .iter()
+                .filter_map(|r| r.outcome.ok());
+            let regions: BTreeSet<_> = applied.map(|f| f.region).collect();
             for region in regions {
                 *walked.entry((region, trial.outcome)).or_insert(0) += 1;
             }

@@ -24,19 +24,18 @@
 //! outcomes no seed produces, and budgets are upper bounds derived
 //! from the cadence arithmetic of the concrete injectors (a fire needs
 //! `rate` filtered calls; a step produces at most
-//! [`MAX_HANDLER_CALLS_PER_STEP`] calls per eligible CPU; phase jitter
-//! shifts, never shrinks, the cadence). The runtime side —
+//! [`crate::MAX_HANDLER_CALLS_PER_STEP`] calls per eligible CPU;
+//! phase jitter shifts, never shrinks, the cadence). The runtime side —
 //! [`certify_core::ConformanceMonitor`] and the sharded worker —
 //! enforces the contract trial by trial.
 
 use crate::diagnostic::{Code, Diagnostic};
 use crate::interp::interpret_script;
-use crate::spec::MAX_HANDLER_CALLS_PER_STEP;
-use certify_board::Machine;
+use crate::spec::LintContext;
 use certify_core::campaign::Scenario;
 use certify_core::certificate::{PhaseBound, ScenarioCertificate};
 use certify_core::classify::Outcome;
-use certify_core::memfault::{MemFaultModel, MemRegionKind};
+use certify_core::memfault::{FaultPath, MemRegionKind};
 use certify_core::spec::{Cadence, InjectionWindow};
 use std::collections::BTreeSet;
 
@@ -56,16 +55,6 @@ fn fires_bound(calls: u64, rate: u64, jitter: bool) -> u64 {
     }
 }
 
-/// The live (partially in-horizon) windows, end-clamped to the trial
-/// horizon.
-fn live_windows(windows: &[InjectionWindow], steps: u64) -> Vec<(u64, u64)> {
-    windows
-        .iter()
-        .filter(|w| w.start < steps && w.start < w.end)
-        .map(|w| (w.start, w.end.min(steps)))
-        .collect()
-}
-
 /// Budget and per-phase bounds for one injector domain (register or
 /// memory — the cadence arithmetic is shared).
 struct DomainBounds {
@@ -78,15 +67,9 @@ struct DomainBounds {
     phases: Vec<PhaseBound>,
 }
 
-/// The bounds of `cadence` over a `steps`-step horizon on a `cpus`-CPU
-/// platform, under the register injector's `time_trigger` (always
-/// `None` for memory).
-fn cadence_bounds(
-    steps: u64,
-    cpus: u64,
-    cadence: &Cadence,
-    time_trigger: Option<u64>,
-) -> DomainBounds {
+/// The bounds of `cadence` over `ctx`'s horizon and CPUs, under the
+/// register injector's `time_trigger` (always `None` for memory).
+fn cadence_bounds(ctx: LintContext, cadence: &Cadence, time_trigger: Option<u64>) -> DomainBounds {
     let Cadence {
         rate,
         phase_jitter: jitter,
@@ -94,8 +77,9 @@ fn cadence_bounds(
         ref windows,
         ..
     } = *cadence;
-    let per_step_calls = cadence.cpu_filter.map_or(cpus, |_| 1) * MAX_HANDLER_CALLS_PER_STEP;
-    let capacity = steps.saturating_mul(per_step_calls);
+    let steps = ctx.steps;
+    let per_step_calls = ctx.calls_per_step(cadence.cpu_filter.is_some());
+    let capacity = ctx.call_capacity(cadence.cpu_filter.is_some());
     let horizon_bound = match time_trigger {
         // A fire re-arms the deadline `period` steps out, so fires are
         // at least `period` steps apart; each also consumes a call.
@@ -111,7 +95,6 @@ fn cadence_bounds(
         None => fires_bound(capacity, rate, jitter),
     };
 
-    let live = live_windows(windows, steps);
     let window_fires = |start: u64, end: u64| -> u64 {
         match time_trigger {
             Some(period) if period > 0 => (end - start - 1) / period + 1,
@@ -124,7 +107,11 @@ fn cadence_bounds(
 
     let mut uncapped = horizon_bound;
     if !windows.is_empty() {
-        uncapped = uncapped.min(live.iter().map(|&(s, e)| window_fires(s, e)).sum());
+        uncapped = uncapped.min(
+            ctx.live_windows(windows)
+                .map(|(s, e, _)| window_fires(s, e))
+                .sum(),
+        );
     }
     let mut budget = uncapped;
     if let Some(cap) = max_injections {
@@ -143,8 +130,8 @@ fn cadence_bounds(
             }]
         }
     } else {
-        live.iter()
-            .map(|&(start, end)| PhaseBound {
+        ctx.live_windows(windows)
+            .map(|(start, end, _)| PhaseBound {
                 start,
                 end,
                 max_handler_calls: (end - start).saturating_mul(per_step_calls),
@@ -182,7 +169,7 @@ fn region_is_cell_backed(region: MemRegionKind) -> bool {
 /// diagnostic list is clean.
 pub fn certify_scenario(scenario: &Scenario) -> (ScenarioCertificate, Vec<Diagnostic>) {
     let (facts, mut diagnostics) = interpret_script(&scenario.script);
-    let cpus = Machine::new_banana_pi().num_cpus() as u64;
+    let ctx = LintContext::for_scenario(scenario);
 
     if facts.monitor_reachable && !scenario.rtos_heartbeat {
         diagnostics.push(Diagnostic::new(
@@ -202,7 +189,7 @@ pub fn certify_scenario(scenario: &Scenario) -> (ScenarioCertificate, Vec<Diagno
     let mut reg_budget = None;
     let mut reg_phases = Vec::new();
     if let Some(spec) = &scenario.spec {
-        let bounds = cadence_bounds(scenario.steps, cpus, &spec.cadence, spec.time_trigger);
+        let bounds = cadence_bounds(ctx, &spec.cadence, spec.time_trigger);
         if bounds.uncapped == 0 {
             diagnostics.push(Diagnostic::new(
                 Code::CertZeroBudget,
@@ -211,13 +198,7 @@ pub fn certify_scenario(scenario: &Scenario) -> (ScenarioCertificate, Vec<Diagno
                  fits the horizon, windows and cap",
             ));
         }
-        check_script_outlives_windows(
-            scenario,
-            &facts,
-            &spec.cadence.windows,
-            "spec",
-            &mut diagnostics,
-        );
+        check_script_outlives_windows(ctx, &facts, &spec.cadence.windows, "spec", &mut diagnostics);
         reg_budget = Some(bounds.budget);
         reg_phases = bounds.phases;
         outcomes.extend([
@@ -234,7 +215,7 @@ pub fn certify_scenario(scenario: &Scenario) -> (ScenarioCertificate, Vec<Diagno
     let mut mem_phases = Vec::new();
     let mut tracked_regions = BTreeSet::new();
     if let Some(mem) = &scenario.mem_spec {
-        let bounds = cadence_bounds(scenario.steps, cpus, &mem.cadence, None);
+        let bounds = cadence_bounds(ctx, &mem.cadence, None);
         if bounds.uncapped == 0 {
             diagnostics.push(Diagnostic::new(
                 Code::CertZeroBudget,
@@ -244,7 +225,7 @@ pub fn certify_scenario(scenario: &Scenario) -> (ScenarioCertificate, Vec<Diagno
             ));
         }
         check_script_outlives_windows(
-            scenario,
+            ctx,
             &facts,
             &mem.cadence.windows,
             "mem_spec",
@@ -267,8 +248,14 @@ pub fn certify_scenario(scenario: &Scenario) -> (ScenarioCertificate, Vec<Diagno
                 ));
             }
         }
-        if matches!(mem.model, MemFaultModel::CommStateCorrupt) {
-            // The comm-state model always lands in the comm region,
+        let takes_path = |path| {
+            mem.target
+                .regions()
+                .iter()
+                .any(|&region| mem.model.path(region) == path)
+        };
+        if takes_path(FaultPath::CommState) {
+            // The comm-state path always lands in the comm region,
             // whatever the sampler says.
             tracked_regions.insert(MemRegionKind::CommRegion);
         }
@@ -282,9 +269,7 @@ pub fn certify_scenario(scenario: &Scenario) -> (ScenarioCertificate, Vec<Diagno
         if mgmt_refusal_possible {
             outcomes.insert(Outcome::InvalidArguments);
         }
-        let descriptor_path = matches!(mem.model, MemFaultModel::DescriptorInvalidate)
-            || mem.target.regions().contains(&MemRegionKind::Stage2Tables);
-        if descriptor_path {
+        if takes_path(FaultPath::Descriptor) {
             outcomes.insert(Outcome::TranslationFaultStorm);
         }
     }
@@ -311,7 +296,7 @@ pub fn certify_scenario(scenario: &Scenario) -> (ScenarioCertificate, Vec<Diagno
 /// window even opens: only idle background traffic can drive the
 /// cadence inside the window.
 fn check_script_outlives_windows(
-    scenario: &Scenario,
+    ctx: LintContext,
     facts: &crate::interp::AbstractScript,
     windows: &[InjectionWindow],
     span: &str,
@@ -320,11 +305,7 @@ fn check_script_outlives_windows(
     if facts.loops || windows.is_empty() {
         return;
     }
-    let Some(earliest) = live_windows(windows, scenario.steps)
-        .iter()
-        .map(|&(start, _)| start)
-        .min()
-    else {
+    let Some(earliest) = ctx.live_windows(windows).map(|(start, _, _)| start).min() else {
         return;
     };
     if facts.steps_consumed < earliest {
@@ -344,7 +325,9 @@ fn check_script_outlives_windows(
 mod tests {
     use super::*;
     use crate::builtin_scenarios;
-    use certify_core::memfault::MemTarget;
+    use crate::spec::MAX_HANDLER_CALLS_PER_STEP;
+    use certify_board::Machine;
+    use certify_core::memfault::{MemFaultModel, MemTarget};
 
     fn codes(diagnostics: &[Diagnostic]) -> Vec<Code> {
         diagnostics.iter().map(|d| d.code).collect()
@@ -473,6 +456,15 @@ mod tests {
         assert!(certificate
             .tracked_regions
             .contains(&MemRegionKind::RootRam));
+
+        // Its path never writes a descriptor, so even a sample from the
+        // stage-2 tables cannot storm.
+        let target = MemTarget::only(MemRegionKind::Stage2Tables);
+        let scenario = Scenario::e6_memory(MemFaultModel::CommStateCorrupt, target);
+        let (certificate, _) = certify_scenario(&scenario);
+        assert!(!certificate
+            .outcomes
+            .contains(&Outcome::TranslationFaultStorm));
     }
 
     #[test]

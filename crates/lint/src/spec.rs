@@ -18,7 +18,7 @@ use crate::diagnostic::{Code, Diagnostic};
 use certify_arch::CpuId;
 use certify_board::Machine;
 use certify_core::campaign::Scenario;
-use certify_core::memfault::{MemFaultModel, MemRegionKind, RamCoverage};
+use certify_core::memfault::{FaultPath, MemFaultModel, MemFaultSkip, MemRegionKind, RamCoverage};
 use certify_core::spec::{Cadence, InjectionSpec, InjectionWindow, MemorySpec};
 use certify_guest_linux::{MgmtOp, MgmtScript};
 
@@ -29,33 +29,46 @@ use certify_guest_linux::{MgmtOp, MgmtScript};
 /// `steps * cpus * 8` provably never fires.
 pub const MAX_HANDLER_CALLS_PER_STEP: u64 = 8;
 
-/// The platform facts a spec is resolved against.
+/// The platform facts a spec is resolved against, shared by the spec
+/// and certificate passes.
 #[derive(Debug, Clone, Copy)]
-struct LintContext {
+pub(crate) struct LintContext {
     /// Trial horizon in simulator steps.
-    steps: u64,
+    pub(crate) steps: u64,
     /// Platform CPU count (CPU filters must name one of these).
     cpus: u32,
 }
 
 impl LintContext {
-    fn for_scenario(scenario: &Scenario) -> LintContext {
+    pub(crate) fn for_scenario(scenario: &Scenario) -> LintContext {
         LintContext {
             steps: scenario.steps,
             cpus: Machine::new_banana_pi().num_cpus() as u32,
         }
     }
 
+    /// The most filtered calls one step can produce: one CPU's share
+    /// under a CPU filter, every CPU's otherwise.
+    pub(crate) fn calls_per_step(&self, cpu_filtered: bool) -> u64 {
+        u64::from(if cpu_filtered { 1 } else { self.cpus }) * MAX_HANDLER_CALLS_PER_STEP
+    }
+
     /// The largest filtered-call count any spec can plausibly see.
-    fn call_capacity(&self, cpu_filtered: bool) -> u64 {
-        let cpus = if cpu_filtered {
-            1
-        } else {
-            u64::from(self.cpus)
-        };
-        self.steps
-            .saturating_mul(cpus)
-            .saturating_mul(MAX_HANDLER_CALLS_PER_STEP)
+    pub(crate) fn call_capacity(&self, cpu_filtered: bool) -> u64 {
+        self.steps.saturating_mul(self.calls_per_step(cpu_filtered))
+    }
+
+    /// The windows that open before the horizon, in list order, as
+    /// `(start, end clamped to the horizon, index in the list)`.
+    pub(crate) fn live_windows(
+        self,
+        windows: &[InjectionWindow],
+    ) -> impl Iterator<Item = (u64, u64, usize)> + '_ {
+        windows
+            .iter()
+            .enumerate()
+            .filter(move |(_, w)| w.start < self.steps && w.start < w.end)
+            .map(move |(i, w)| (w.start, w.end.min(self.steps), i))
     }
 }
 
@@ -167,17 +180,21 @@ fn lint_cadence(
             "an injection cap of zero disables the spec",
         ));
     }
-    lint_windows(prefix, &cadence.windows, ctx.steps, out);
+    lint_windows(prefix, &cadence.windows, ctx, out);
 }
 
 /// Window-list checks: inverted or dead windows, a list that never
 /// arms, redundant overlaps.
-fn lint_windows(prefix: &str, windows: &[InjectionWindow], steps: u64, out: &mut Vec<Diagnostic>) {
+fn lint_windows(
+    prefix: &str,
+    windows: &[InjectionWindow],
+    ctx: LintContext,
+    out: &mut Vec<Diagnostic>,
+) {
     if windows.is_empty() {
         return; // an empty list arms the whole run
     }
-    let mut live = Vec::new();
-    let mut dead = Vec::new();
+    let steps = ctx.steps;
     for (i, window) in windows.iter().enumerate() {
         if window.start >= window.end {
             out.push(Diagnostic::new(
@@ -188,13 +205,9 @@ fn lint_windows(prefix: &str, windows: &[InjectionWindow], steps: u64, out: &mut
                     window.start, window.end
                 ),
             ));
-            dead.push(i);
-        } else if window.start >= steps {
-            dead.push(i);
-        } else {
-            live.push((window.start, window.end.min(steps), i));
         }
     }
+    let mut live: Vec<_> = ctx.live_windows(windows).collect();
     if live.is_empty() {
         out.push(Diagnostic::new(
             Code::WindowAllDead,
@@ -208,9 +221,8 @@ fn lint_windows(prefix: &str, windows: &[InjectionWindow], steps: u64, out: &mut
     } else {
         // Individual dead windows are only worth flagging when the
         // spec still does something.
-        for &i in &dead {
-            let window = &windows[i];
-            if window.start < window.end {
+        for (i, window) in windows.iter().enumerate() {
+            if window.start < window.end && window.start >= steps {
                 out.push(Diagnostic::new(
                     Code::WindowDead,
                     format!("{prefix}.windows[{i}]"),
@@ -226,10 +238,9 @@ fn lint_windows(prefix: &str, windows: &[InjectionWindow], steps: u64, out: &mut
     // comparison suffices for pairwise overlap detection).
     live.sort_unstable();
     for pair in live.windows(2) {
-        let (a_start, a_end, a_idx) = pair[0];
+        let (_, a_end, a_idx) = pair[0];
         let (b_start, _, b_idx) = pair[1];
         if b_start < a_end {
-            let _ = a_start;
             out.push(Diagnostic::new(
                 Code::WindowOverlap,
                 format!("{prefix}.windows[{b_idx}]"),
@@ -274,9 +285,8 @@ fn lint_memory_spec(
         spec.target.regions(),
         "mem_spec.target",
     ));
-    let prediction = spec.skip_prediction();
     let creates_cell = script.ops.iter().any(|op| matches!(op, MgmtOp::CreateCell));
-    if prediction.no_victim_possible && !creates_cell {
+    if spec.may_skip(MemFaultSkip::NoVictimCell) && !creates_cell {
         out.push(Diagnostic::new(
             Code::MemNoVictimCell,
             "mem_spec.model",
@@ -334,13 +344,8 @@ pub fn lint_mem_regions(
         }
         // Out-of-range skips only exist on the RAM-word path:
         // comm-state corruption writes the comm region regardless of
-        // the sample, and descriptor attacks treat the sample as an
-        // IPA (mirrors `MemFaultModel::apply`).
-        let ram_word_path = !matches!(
-            model,
-            MemFaultModel::CommStateCorrupt | MemFaultModel::DescriptorInvalidate
-        ) && region != MemRegionKind::Stage2Tables;
-        if ram_word_path {
+        // the sample, and descriptor attacks treat the sample as an IPA.
+        if model.path(region) == FaultPath::SampledWord {
             match RamCoverage::of(region) {
                 RamCoverage::Inside => {}
                 RamCoverage::Outside => out.push(Diagnostic::new(

@@ -47,7 +47,8 @@ pub enum TraceKind {
     /// A register-domain fault was applied inside a handler.
     /// `arg_a` = handler code, `arg_b` = per-handler call index.
     InjectionApplied,
-    /// A memory-domain fault was applied. `arg_a` = fault count.
+    /// A memory-domain fault was applied. `arg_a` = fault count
+    /// (always 1: an attempt applies one fault).
     MemInjectionApplied,
     /// A memory-domain injection fired but was skipped (unbacked
     /// target, predicted-dead address). `arg_a` = filtered-call count.

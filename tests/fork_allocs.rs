@@ -124,12 +124,13 @@ fn e3_prefix_clone_allocations() {
     // Before the copy-on-write fork: 87 allocations, 63,393 bytes;
     // 9,081 bytes before the TCB lost its name and inheritance boost;
     // 8,705 bytes before each of the two `Cpu`s lost its mode, its
-    // SPSR and its register file's four shadow trap registers.
+    // SPSR and its register file's four shadow trap registers; 8,657
+    // before each lost its unread `id`.
     assert_eq!(
         allocs,
         Allocs {
             count: 42,
-            bytes: 8_657
+            bytes: 8_649
         },
         "E3 System::clone"
     );
@@ -141,12 +142,13 @@ fn e7_prefix_clone_allocations() {
     // Before the copy-on-write fork: 92 allocations, 67,668 bytes;
     // 9,179 bytes before the TCB lost its name and inheritance boost;
     // 8,787 bytes before each of the two `Cpu`s lost its mode, its
-    // SPSR and its register file's four shadow trap registers.
+    // SPSR and its register file's four shadow trap registers; 8,739
+    // before each lost its unread `id`.
     assert_eq!(
         allocs,
         Allocs {
             count: 45,
-            bytes: 8_739
+            bytes: 8_731
         },
         "E7 System::clone"
     );
@@ -174,15 +176,17 @@ fn e3_prefix_clone_allocations_by_layer() {
 /// a copy of its result there.
 #[test]
 fn forked_trial_allocations_are_bounded() {
-    // Measured: E3 84 allocations and 18,554 bytes per trial, E7 92 and
-    // 49,375 (E7's memory faults copy the pages and tables they write).
+    // Measured: E3 84 allocations and 18,498 bytes per trial, E7 82 and
+    // 48,653 (E7's memory faults copy the pages and tables they write).
+    // E7 was 90 and 49,097 while each memory-injection record kept its
+    // one fault in a `Vec`.
     // E3 was 80 and 18,424 before the fault-class cache, which stores a
     // boxed copy of each result it may serve; E7 stores none.
     // Before the copy-on-write fork: E3 125 and 73,162, E7 134 and
     // 84,646.
     for (scenario, max_count, max_bytes) in [
         (Scenario::e3_fig3(), 85, 20_000),
-        (Scenario::e7_mixed(), 97, 52_000),
+        (Scenario::e7_mixed(), 87, 51_000),
     ] {
         let allocs = allocs_per_trial(&scenario, 10..30);
         assert!(

@@ -156,8 +156,8 @@ proptest! {
                    &mut rand::rngs::StdRng::seed_from_u64(seed))
             .unwrap();
         prop_assert_eq!(machine.ram().read32(addr).unwrap(), fill, "second flip did not restore");
-        prop_assert_eq!(first[0].after, second[0].before);
-        prop_assert_eq!(first[0].before, second[0].after);
+        prop_assert_eq!(first.after, second.before);
+        prop_assert_eq!(first.before, second.after);
     }
 
     /// Memory injection never panics a run, whatever the sampled

@@ -39,7 +39,7 @@ fn synth_trial(
         .map(|&tag| MemInjectionRecord {
             step: 1,
             filtered_call: 1,
-            faults: vec![AppliedMemFault {
+            outcome: Ok(AppliedMemFault {
                 region: MemRegionKind::ALL[tag as usize % MemRegionKind::ALL.len()],
                 locus: MemLocus::RamWord,
                 addr: 0x1000,
@@ -47,8 +47,7 @@ fn synth_trial(
                 after: 1,
                 len: 4,
                 live: false,
-            }],
-            skipped: None,
+            }),
         })
         .collect();
     TrialResult {

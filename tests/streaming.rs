@@ -11,10 +11,12 @@
 //!   time, even when the sink is slower than the workers.
 
 use certify_analysis::{campaign_to_csv, CsvSink};
+use certify_arch::CpuId;
 use certify_core::campaign::{Campaign, Scenario, TrialResult};
-use certify_core::memfault::{MemFaultModel, MemTarget};
+use certify_core::memfault::{MemFaultModel, MemFaultSkip, MemRegionKind, MemTarget};
 use certify_core::telemetry::EngineTelemetry;
-use certify_core::{CampaignStats, CollectSink, NullSink, TrialSink};
+use certify_core::{CampaignStats, CollectSink, MemorySpec, NullSink, Paced, TrialSink};
+use certify_hypervisor::HandlerKind;
 use certify_obs::{Clock, NullObserver};
 use proptest::prelude::*;
 use std::panic::AssertUnwindSafe;
@@ -86,6 +88,36 @@ fn memory_campaign_streamed_equals_buffered_stats_and_csv() {
         8,
         0xE6,
     ));
+}
+
+/// A descriptor attack fired before the script creates the non-root
+/// cell has no victim: the engine records the typed skip and the CSV
+/// notes name it. Debug builds also run the engine's skip check on
+/// every delivered trial, which accepts the skip because the spec's
+/// descriptor path may end that way.
+#[test]
+fn a_descriptor_attack_before_the_cell_exists_is_a_no_victim_skip() {
+    let model = MemFaultModel::DescriptorInvalidate;
+    let target = MemTarget::only(MemRegionKind::Stage2Tables);
+    let mut scenario = Scenario::e6_memory(model.clone(), target.clone());
+    // Paced by the root cell's hypercalls, the first fire is the
+    // enable call, well before `CreateCell`.
+    let spec = MemorySpec::new(model, target, [HandlerKind::ArchHandleHvc], Some(CpuId(0)));
+    assert!(spec.may_skip(MemFaultSkip::NoVictimCell));
+    scenario.mem_spec = Some(spec.with_rate(1));
+    scenario.steps = 600;
+    let mut collect = CollectSink::new();
+    Campaign::new(scenario, 2, 0xD5_2022).execute(.., 1, &mut collect, None);
+    let trials = collect.into_trials();
+    for trial in &trials {
+        let first = &trial.report.mem_injections[0];
+        assert_eq!(first.outcome, Err(MemFaultSkip::NoVictimCell), "{first}");
+    }
+    let csv = campaign_to_csv(&trials);
+    assert!(
+        csv.contains("skipped (first: no non-root victim cell exists)"),
+        "{csv}"
+    );
 }
 
 #[test]
