@@ -18,7 +18,6 @@ pub struct GenericTimer {
     period: u64,
     remaining: u64,
     enabled: bool,
-    irq: IrqId,
 }
 
 impl GenericTimer {
@@ -29,21 +28,11 @@ impl GenericTimer {
     ///
     /// Panics if `period` is zero.
     pub fn new(period: u64) -> GenericTimer {
-        Self::with_irq(period, TIMER_IRQ)
-    }
-
-    /// Creates a disabled timer wired to a custom interrupt line.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero.
-    pub fn with_irq(period: u64, irq: IrqId) -> GenericTimer {
         assert!(period > 0, "timer period must be non-zero");
         GenericTimer {
             period,
             remaining: period,
             enabled: false,
-            irq,
         }
     }
 
@@ -63,13 +52,9 @@ impl GenericTimer {
         self.enabled
     }
 
-    /// The interrupt line this timer raises.
-    pub fn irq(&self) -> IrqId {
-        self.irq
-    }
-
-    /// Advances the timer by one step. Returns `Some(irq)` when the
-    /// timer expires on this step (the caller forwards it to the GIC).
+    /// Advances the timer by one step. Returns `Some(TIMER_IRQ)` when
+    /// the timer expires on this step (the caller forwards it to the
+    /// GIC).
     pub fn step(&mut self) -> Option<IrqId> {
         if !self.enabled {
             return None;
@@ -77,7 +62,7 @@ impl GenericTimer {
         self.remaining -= 1;
         if self.remaining == 0 {
             self.remaining = self.period;
-            Some(self.irq)
+            Some(TIMER_IRQ)
         } else {
             None
         }
@@ -124,13 +109,5 @@ mod tests {
         assert_eq!(t.step(), None);
         assert_eq!(t.step(), None);
         assert!(t.step().is_some());
-    }
-
-    #[test]
-    fn custom_irq_line_is_reported() {
-        let mut t = GenericTimer::with_irq(1, IrqId(30));
-        t.start();
-        assert_eq!(t.step(), Some(IrqId(30)));
-        assert_eq!(t.irq(), IrqId(30));
     }
 }

@@ -18,6 +18,9 @@ use std::fmt;
 /// Default period (in simulator steps) of the per-core tick timers.
 pub const DEFAULT_TIMER_PERIOD: u64 = 64;
 
+/// The Banana Pi's core count (its Allwinner A20 is dual-core).
+const BANANA_PI_CPUS: usize = 2;
+
 /// A memory-mapped device, as decoded from a physical address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MmioDevice {
@@ -72,21 +75,10 @@ impl Machine {
     /// Builds the paper's testbed: two Cortex-A7-style cores, 1 GiB of
     /// DRAM, one UART, one GPIO block, per-core tick timers.
     pub fn new_banana_pi() -> Machine {
-        Machine::with_cpus(2)
-    }
-
-    /// Builds a machine with `num_cpus` cores (the memory map is
-    /// unchanged). Useful for scaling experiments beyond the paper.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_cpus` is zero.
-    pub fn with_cpus(num_cpus: usize) -> Machine {
-        assert!(num_cpus > 0, "a machine needs at least one CPU");
         let mut machine = Machine {
-            cpus: (0..num_cpus).map(|_| Cpu::new()).collect(),
-            gic: Gic::new(num_cpus),
-            timers: (0..num_cpus)
+            cpus: (0..BANANA_PI_CPUS).map(|_| Cpu::new()).collect(),
+            gic: Gic::new(BANANA_PI_CPUS),
+            timers: (0..BANANA_PI_CPUS)
                 .map(|_| GenericTimer::new(DEFAULT_TIMER_PERIOD))
                 .collect(),
             ram: Ram::new(memmap::RAM_BASE, memmap::RAM_SIZE),
@@ -229,12 +221,6 @@ mod tests {
     fn banana_pi_has_two_cores() {
         let machine = Machine::new_banana_pi();
         assert_eq!(machine.num_cpus(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one CPU")]
-    fn zero_cpu_machine_rejected() {
-        let _ = Machine::with_cpus(0);
     }
 
     #[test]

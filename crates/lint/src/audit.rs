@@ -36,15 +36,14 @@ pub const FORBIDDEN_TOKENS: &[(&str, &str)] = &[
     ),
 ];
 
-/// Crate directories excluded from the scan: `bench` legitimately
-/// reads clocks and CLI args; `lint` is the auditor itself (its token
-/// table would trip the scan).
-const EXCLUDED_CRATES: &[&str] = &["bench", "lint"];
+/// Crate directories excluded from the scan: `lint` is the auditor
+/// itself (its token table would trip the scan).
+const EXCLUDED_CRATES: &[&str] = &["lint"];
 
 /// Repository-root-relative directories the repo-wide audit scans in
 /// addition to the crate sources: the examples, the bench binaries
-/// (`bench/src` stays excluded, but its benches are real programs
-/// whose clock reads must be deliberate), and the facade crate.
+/// (real programs whose clock reads must be deliberate), and the
+/// facade crate.
 const EXTRA_SCAN_DIRS: &[&str] = &["examples", "src", "crates/bench/benches"];
 
 /// One parsed allowlist entry.
