@@ -11,6 +11,11 @@
 use crate::registers::RegisterFile;
 use std::fmt;
 
+/// The modelled Allwinner A20's core count. Every per-CPU table in the
+/// stack is sized by it; a [`CpuId`] from outside (a staged config, a
+/// hypercall argument) is checked against it.
+pub const NUM_CPUS: usize = 2;
+
 /// A physical CPU core identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CpuId(pub u32);

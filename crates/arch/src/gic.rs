@@ -15,7 +15,7 @@
 //!   single CPU that owns the line — ownership is what the partitioning
 //!   hypervisor configures from the cell configs.
 
-use crate::cpu::CpuId;
+use crate::cpu::{CpuId, NUM_CPUS};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -54,36 +54,29 @@ struct CpuInterface {
 /// The interrupt controller.
 #[derive(Debug, Clone)]
 pub struct Gic {
-    enabled: Vec<bool>,
+    enabled: [bool; NUM_IRQS],
     /// Owning CPU for SPI routing; SGIs/PPIs ignore this.
-    target: Vec<Option<CpuId>>,
-    interfaces: Vec<CpuInterface>,
+    target: [Option<CpuId>; NUM_IRQS],
+    interfaces: [CpuInterface; NUM_CPUS],
     /// Count of interrupts raised while the line was disabled — a useful
     /// liveness diagnostic for the analysis crate.
     dropped: u64,
 }
 
-impl Gic {
-    /// Creates a controller serving `num_cpus` CPU interfaces.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_cpus` is zero.
-    pub fn new(num_cpus: usize) -> Gic {
-        assert!(num_cpus > 0, "a GIC needs at least one CPU interface");
+/// A controller serving one CPU interface per core, with every line
+/// disabled and unrouted.
+impl Default for Gic {
+    fn default() -> Gic {
         Gic {
-            enabled: vec![false; NUM_IRQS],
-            target: vec![None; NUM_IRQS],
-            interfaces: vec![CpuInterface::default(); num_cpus],
+            enabled: [false; NUM_IRQS],
+            target: [None; NUM_IRQS],
+            interfaces: Default::default(),
             dropped: 0,
         }
     }
+}
 
-    /// Number of CPU interfaces.
-    pub fn num_cpus(&self) -> usize {
-        self.interfaces.len()
-    }
-
+impl Gic {
     /// Enables an interrupt line.
     pub fn enable(&mut self, irq: IrqId) {
         if let Some(slot) = self.enabled.get_mut(irq.0 as usize) {
@@ -250,10 +243,6 @@ impl Gic {
 mod tests {
     use super::*;
 
-    fn gic2() -> Gic {
-        Gic::new(2)
-    }
-
     #[test]
     fn irq_kind_predicates() {
         assert!(IrqId(0).is_sgi());
@@ -263,14 +252,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one CPU")]
-    fn zero_cpus_rejected() {
-        let _ = Gic::new(0);
-    }
-
-    #[test]
     fn spi_delivery_follows_routing() {
-        let mut gic = gic2();
+        let mut gic = Gic::default();
         let uart = IrqId(33);
         gic.enable(uart);
         gic.set_target(uart, CpuId(1));
@@ -281,7 +264,7 @@ mod tests {
 
     #[test]
     fn disabled_line_drops_and_counts() {
-        let mut gic = gic2();
+        let mut gic = Gic::default();
         let irq = IrqId(40);
         gic.set_target(irq, CpuId(0));
         assert!(!gic.raise(irq));
@@ -290,7 +273,7 @@ mod tests {
 
     #[test]
     fn unrouted_spi_is_dropped() {
-        let mut gic = gic2();
+        let mut gic = Gic::default();
         let irq = IrqId(40);
         gic.enable(irq);
         assert!(!gic.raise(irq));
@@ -299,13 +282,13 @@ mod tests {
 
     #[test]
     fn acknowledge_empty_is_spurious() {
-        let mut gic = gic2();
+        let mut gic = Gic::default();
         assert_eq!(gic.acknowledge(CpuId(0)), SPURIOUS_IRQ);
     }
 
     #[test]
     fn pending_duplicates_collapse() {
-        let mut gic = gic2();
+        let mut gic = Gic::default();
         let timer = IrqId(27);
         gic.enable(timer);
         gic.raise_private(CpuId(0), timer);
@@ -317,7 +300,7 @@ mod tests {
 
     #[test]
     fn nested_acknowledge_is_spurious_until_completion() {
-        let mut gic = gic2();
+        let mut gic = Gic::default();
         let timer = IrqId(27);
         gic.enable(timer);
         gic.raise_private(CpuId(0), timer);
@@ -334,7 +317,7 @@ mod tests {
 
     #[test]
     fn sgi_targets_specific_cpu_and_ignores_enable() {
-        let mut gic = gic2();
+        let mut gic = Gic::default();
         assert!(gic.send_sgi(CpuId(1), IrqId(7)));
         assert!(gic.has_pending(CpuId(1)));
         assert!(!gic.has_pending(CpuId(0)));
@@ -344,7 +327,7 @@ mod tests {
 
     #[test]
     fn complete_with_stale_id_is_ignored() {
-        let mut gic = gic2();
+        let mut gic = Gic::default();
         let timer = IrqId(27);
         gic.enable(timer);
         gic.raise_private(CpuId(0), timer);
@@ -357,7 +340,7 @@ mod tests {
 
     #[test]
     fn pending_total_tracks_queue_drain_and_reset() {
-        let mut gic = gic2();
+        let mut gic = Gic::default();
         assert!(!gic.any_pending());
         let timer = IrqId(27);
         gic.enable(timer);
@@ -377,8 +360,23 @@ mod tests {
     }
 
     #[test]
+    fn a_cpu_past_the_last_core_drops_and_answers_empty() {
+        let mut gic = Gic::default();
+        let past = CpuId(NUM_CPUS as u32);
+        let timer = IrqId(27);
+        gic.enable(timer);
+        assert!(!gic.send_sgi(past, IrqId(1)));
+        assert_eq!(gic.dropped_count(), 1);
+        assert!(!gic.raise_private(past, timer));
+        assert_eq!(gic.dropped_count(), 2);
+        assert!(!gic.has_pending(past));
+        assert_eq!(gic.acknowledge(past), SPURIOUS_IRQ);
+        assert!(!gic.any_pending());
+    }
+
+    #[test]
     fn reset_cpu_interface_clears_state() {
-        let mut gic = gic2();
+        let mut gic = Gic::default();
         gic.send_sgi(CpuId(0), IrqId(1));
         gic.acknowledge(CpuId(0));
         gic.send_sgi(CpuId(0), IrqId(2));

@@ -11,7 +11,9 @@
 //! * a GIC-like interrupt controller ([`gic`]) with software-generated
 //!   interrupts used for cross-core cell management,
 //! * per-CPU generic [`timer`]s, and
-//! * the per-CPU execution state ([`cpu`]).
+//! * the per-CPU execution state ([`cpu`]), for the [`NUM_CPUS`] cores
+//!   of the board's Allwinner A20; every per-CPU table is an array of
+//!   that length.
 //!
 //! The model is deliberately *behavioural*, not cycle-accurate: the fault
 //! injection campaigns of the paper corrupt architecture registers at
@@ -39,7 +41,7 @@ pub mod registers;
 pub mod syndrome;
 pub mod timer;
 
-pub use cpu::{Cpu, CpuId};
+pub use cpu::{Cpu, CpuId, NUM_CPUS};
 pub use gic::{Gic, IrqId, SPURIOUS_IRQ};
 pub use mmu::{AccessKind, S2Fault, S2Perms, Stage2Table};
 pub use registers::{Reg, RegisterFile};

@@ -12,14 +12,11 @@ use crate::memmap;
 use crate::ram::Ram;
 use crate::uart::Uart;
 use crate::watchdog::Watchdog;
-use certify_arch::{Cpu, CpuId, GenericTimer, Gic, IrqId};
+use certify_arch::{Cpu, CpuId, GenericTimer, Gic, IrqId, NUM_CPUS};
 use std::fmt;
 
 /// Default period (in simulator steps) of the per-core tick timers.
 pub const DEFAULT_TIMER_PERIOD: u64 = 64;
-
-/// The Banana Pi's core count (its Allwinner A20 is dual-core).
-const BANANA_PI_CPUS: usize = 2;
 
 /// A memory-mapped device, as decoded from a physical address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,10 +54,10 @@ impl std::error::Error for BusFault {}
 /// The dual-core board.
 #[derive(Debug, Clone)]
 pub struct Machine {
-    cpus: Vec<Cpu>,
+    cpus: [Cpu; NUM_CPUS],
     /// Interrupt controller.
     pub gic: Gic,
-    timers: Vec<GenericTimer>,
+    timers: [GenericTimer; NUM_CPUS],
     ram: Ram,
     /// Serial port (public: the analysis crate reads the capture).
     pub uart: Uart,
@@ -76,11 +73,9 @@ impl Machine {
     /// DRAM, one UART, one GPIO block, per-core tick timers.
     pub fn new_banana_pi() -> Machine {
         let mut machine = Machine {
-            cpus: (0..BANANA_PI_CPUS).map(|_| Cpu::new()).collect(),
-            gic: Gic::new(BANANA_PI_CPUS),
-            timers: (0..BANANA_PI_CPUS)
-                .map(|_| GenericTimer::new(DEFAULT_TIMER_PERIOD))
-                .collect(),
+            cpus: std::array::from_fn(|_| Cpu::new()),
+            gic: Gic::default(),
+            timers: std::array::from_fn(|_| GenericTimer::new(DEFAULT_TIMER_PERIOD)),
             ram: Ram::new(memmap::RAM_BASE, memmap::RAM_SIZE),
             uart: Uart::new(),
             gpio: Gpio::new(),
@@ -89,11 +84,6 @@ impl Machine {
         };
         machine.gic.enable(IrqId(memmap::TIMER_IRQ));
         machine
-    }
-
-    /// Number of cores.
-    pub fn num_cpus(&self) -> usize {
-        self.cpus.len()
     }
 
     /// Immutable access to a core.
@@ -216,12 +206,6 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn banana_pi_has_two_cores() {
-        let machine = Machine::new_banana_pi();
-        assert_eq!(machine.num_cpus(), 2);
-    }
 
     #[test]
     fn ram_round_trip_through_bus() {

@@ -5,8 +5,7 @@
 //! from untouched pages return zero, like freshly initialised DRAM in
 //! the model's idealisation.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 const PAGE_SHIFT: u32 = 12;
@@ -14,31 +13,6 @@ const PAGE_SIZE: u32 = 1 << PAGE_SHIFT;
 
 /// One materialised 4 KiB page.
 type Page = [u8; PAGE_SIZE as usize];
-
-/// A multiply-shift hasher for page indices. Page numbers are small
-/// dense integers; the default SipHash costs more than the page access
-/// it guards, and every 32-bit bus access goes through this map.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PageHasher(u64);
-
-impl Hasher for PageHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Generic fallback (unused by the u32 keys below).
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-    }
-
-    fn write_u32(&mut self, value: u32) {
-        // Fibonacci multiply-shift: mixes the low bits into the high
-        // ones the hash table actually uses.
-        self.0 = u64::from(value).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
 
 /// Sparse RAM covering `[base, base + size)`.
 ///
@@ -51,7 +25,7 @@ impl Hasher for PageHasher {
 pub struct Ram {
     base: u32,
     size: u32,
-    pages: HashMap<u32, Arc<Page>, BuildHasherDefault<PageHasher>>,
+    pages: BTreeMap<u32, Arc<Page>>,
 }
 
 /// One word-granular corruption applied through the fault helpers
@@ -97,7 +71,7 @@ impl Ram {
         Ram {
             base,
             size,
-            pages: HashMap::default(),
+            pages: BTreeMap::new(),
         }
     }
 
@@ -219,18 +193,15 @@ impl Ram {
         self.contains(addr) && self.pages.contains_key(&((addr - self.base) >> PAGE_SHIFT))
     }
 
-    /// Base addresses of all materialised pages, sorted ascending —
-    /// the workload's memory working set. Sorting makes the list
-    /// deterministic (the backing map is hash-ordered), which seeded
-    /// fault-injection campaigns rely on.
+    /// Base addresses of all materialised pages, ascending — the
+    /// workload's memory working set. The order is deterministic (the
+    /// backing map is ordered by page), which seeded fault-injection
+    /// campaigns rely on.
     pub fn resident_page_addrs(&self) -> Vec<u32> {
-        let mut addrs: Vec<u32> = self
-            .pages
+        self.pages
             .keys()
             .map(|&page| self.base + (page << PAGE_SHIFT))
-            .collect();
-        addrs.sort_unstable();
-        addrs
+            .collect()
     }
 
     /// Flips the bits of `mask` in the 32-bit word at `addr`,

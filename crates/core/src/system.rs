@@ -13,7 +13,7 @@
 use crate::injector::{InjectionRecord, Injector};
 use crate::meminjector::{MemInjectionRecord, MemInjector};
 use crate::spec::{InjectionSpec, MemorySpec};
-use certify_arch::CpuId;
+use certify_arch::{CpuId, NUM_CPUS};
 use certify_board::{memmap, Machine};
 use certify_guest_linux::{LinuxGuest, MgmtScript};
 use certify_hypervisor::hv::IrqDelivery;
@@ -55,8 +55,9 @@ pub struct System {
     pub linux: LinuxGuest,
     /// The non-root-cell guest.
     pub rtos: RtosGuest,
-    /// Step at which the cell most recently entered the Running state
-    /// from the root's perspective (for blank-output analysis).
+    /// Step at which the cell first entered the Running state from the
+    /// root's perspective (for blank-output analysis). Set once: later
+    /// restarts leave it alone.
     cell_start_step: Option<u64>,
     mem_injector: Option<MemInjector>,
     rtos_broken_observed: bool,
@@ -184,7 +185,7 @@ impl System {
         self.machine.now()
     }
 
-    /// The step at which the non-root cell last started, if any.
+    /// The step at which the non-root cell first started, if any.
     pub fn cell_start_step(&self) -> Option<u64> {
         self.cell_start_step
     }
@@ -228,7 +229,7 @@ impl System {
         // handler answers spurious), so the whole pass is skipped.
         if self.machine.gic.any_pending() && self.hv.panicked().is_none() {
             // Wake WFI'd CPUs with pending interrupts.
-            for i in 0..self.machine.num_cpus() {
+            for i in 0..NUM_CPUS {
                 let cpu = CpuId(i as u32);
                 if self.machine.cpu(cpu).in_wfi() && self.machine.gic.has_pending(cpu) {
                     self.machine.cpu_mut(cpu).wake();
@@ -236,7 +237,7 @@ impl System {
             }
 
             // Interrupt delivery.
-            for i in 0..self.machine.num_cpus() {
+            for i in 0..NUM_CPUS {
                 self.drain_irqs(CpuId(i as u32));
             }
         }
@@ -433,7 +434,7 @@ mod tests {
         // All three profiled handlers saw traffic (the E4 result).
         use certify_hypervisor::HandlerKind;
         for handler in HandlerKind::ALL {
-            let total: u64 = (0..2)
+            let total: u64 = (0..NUM_CPUS as u32)
                 .map(|c| system.hv.call_count(handler, CpuId(c)))
                 .sum();
             assert!(total > 0, "{handler} saw no traffic");

@@ -20,7 +20,7 @@ use crate::hypercall as hc;
 use crate::regconv;
 use certify_arch::cpu::ParkReason;
 use certify_arch::syndrome::{ExceptionClass, Syndrome};
-use certify_arch::{CpuId, IrqId, Reg, RegisterFile, SPURIOUS_IRQ};
+use certify_arch::{CpuId, IrqId, Reg, RegisterFile, NUM_CPUS, SPURIOUS_IRQ};
 use certify_board::{memmap, Machine};
 use certify_obs::trace::{FlightRecorder, TraceEvent, TraceKind};
 use std::any::Any;
@@ -61,12 +61,12 @@ pub struct Hypervisor {
     platform: Arc<SystemConfig>,
     enabled: bool,
     cells: Vec<Option<Cell>>,
-    cpu_owner: Vec<Option<CellId>>,
-    boot_entry: Vec<Option<u32>>,
+    cpu_owner: [Option<CellId>; NUM_CPUS],
+    boot_entry: [Option<u32>; NUM_CPUS],
     /// Flat per-(CPU, handler) call counters, `cpu * NUM_HANDLERS +
     /// handler` — indexed on every handler entry, so no map lookups on
     /// the hot path.
-    call_counts: Vec<u64>,
+    call_counts: [u64; NUM_CPUS * NUM_HANDLERS],
     hook: Option<Box<dyn InjectionHook>>,
     events: Vec<HvEvent>,
     /// The trial's flight recorder, if tracing. Every event site in the
@@ -115,9 +115,9 @@ impl Clone for Hypervisor {
             platform: self.platform.clone(),
             enabled: self.enabled,
             cells: self.cells.clone(),
-            cpu_owner: self.cpu_owner.clone(),
-            boot_entry: self.boot_entry.clone(),
-            call_counts: self.call_counts.clone(),
+            cpu_owner: self.cpu_owner,
+            boot_entry: self.boot_entry,
+            call_counts: self.call_counts,
             hook: None,
             events: self.events.clone(),
             recorder: self.recorder.clone(),
@@ -137,9 +137,9 @@ impl Hypervisor {
             platform: platform.into(),
             enabled: false,
             cells: Vec::new(),
-            cpu_owner: Vec::new(),
-            boot_entry: Vec::new(),
-            call_counts: Vec::new(),
+            cpu_owner: [None; NUM_CPUS],
+            boot_entry: [None; NUM_CPUS],
+            call_counts: [0; NUM_CPUS * NUM_HANDLERS],
             hook: None,
             events: Vec::new(),
             recorder: None,
@@ -196,7 +196,7 @@ impl Hypervisor {
     /// ordered by handler then CPU.
     pub fn call_counts(&self) -> impl Iterator<Item = (HandlerKind, CpuId, u64)> + '_ {
         HandlerKind::ALL.into_iter().flat_map(move |handler| {
-            (0..self.call_counts.len() / NUM_HANDLERS).filter_map(move |cpu| {
+            (0..NUM_CPUS).filter_map(move |cpu| {
                 let count = self.call_counts[cpu * NUM_HANDLERS + handler.index()];
                 (count > 0).then_some((handler, CpuId(cpu as u32), count))
             })
@@ -359,10 +359,6 @@ impl Hypervisor {
         regs: &mut RegisterFile,
     ) -> bool {
         let slot = cpu.0 as usize * NUM_HANDLERS + handler.index();
-        if self.call_counts.len() <= slot {
-            self.call_counts
-                .resize((cpu.0 as usize + 1) * NUM_HANDLERS, 0);
-        }
         self.call_counts[slot] += 1;
         let call_index = self.call_counts[slot];
         self.trace(TraceEvent {
@@ -500,7 +496,7 @@ impl Hypervisor {
         let step = machine.now();
         let banner = format!("[hyp] PANIC: {message}\n");
         machine.uart.write_str(&banner, step);
-        for i in 0..machine.num_cpus() {
+        for i in 0..NUM_CPUS {
             machine
                 .cpu_mut(CpuId(i as u32))
                 .park(ParkReason::HypervisorPanic);
@@ -599,7 +595,6 @@ impl Hypervisor {
             return HvError::NotPermitted.code();
         }
         let step = machine.now();
-        self.ensure_cpu_slots(machine.num_cpus());
 
         let mut regs = machine.cpu(cpu).regs.clone();
         regs.write(Reg::R0, code);
@@ -710,13 +705,6 @@ impl Hypervisor {
         }
     }
 
-    fn ensure_cpu_slots(&mut self, n: usize) {
-        if self.cpu_owner.len() < n {
-            self.cpu_owner.resize(n, None);
-            self.boot_entry.resize(n, None);
-        }
-    }
-
     fn hvc_enable(
         &mut self,
         machine: &mut Machine,
@@ -738,11 +726,10 @@ impl Hypervisor {
             return Err(HvError::InvalidArguments);
         }
         for cpu in &config.root.cpus {
-            if (cpu.0 as usize) >= machine.num_cpus() {
+            if cpu.0 as usize >= NUM_CPUS {
                 return Err(HvError::InvalidArguments);
             }
         }
-        self.ensure_cpu_slots(machine.num_cpus());
         let mut root = Cell::new(ROOT_CELL, config.root.clone());
         root.mark_loaded().expect("fresh cell is loadable");
         root.start().expect("fresh loaded cell starts");
@@ -776,8 +763,8 @@ impl Hypervisor {
         }
         self.enabled = false;
         self.cells.clear();
-        self.cpu_owner.iter_mut().for_each(|o| *o = None);
-        self.boot_entry.iter_mut().for_each(|b| *b = None);
+        self.cpu_owner = [None; NUM_CPUS];
+        self.boot_entry = [None; NUM_CPUS];
         Ok(0)
     }
 
@@ -836,7 +823,7 @@ impl Hypervisor {
         }
         for cell_cpu in &config.cpus {
             let idx = cell_cpu.0 as usize;
-            if idx >= machine.num_cpus() {
+            if idx >= NUM_CPUS {
                 return Err(HvError::InvalidArguments);
             }
             // CPU 0 must stay with the root cell.
@@ -1071,7 +1058,7 @@ impl Hypervisor {
         arg2: u32,
     ) -> Result<i64, HvError> {
         self.require_enabled()?;
-        if arg2 != 0 || (arg1 as usize) >= machine.num_cpus() {
+        if arg2 != 0 || arg1 as usize >= NUM_CPUS {
             return Err(HvError::InvalidArguments);
         }
         Ok(i64::from(machine.cpu(CpuId(arg1)).is_parked()))
@@ -1119,12 +1106,7 @@ impl Hypervisor {
         if arg2 != 0 {
             return Err(HvError::InvalidArguments);
         }
-        let pending = self
-            .boot_entry
-            .get(cpu.0 as usize)
-            .copied()
-            .flatten()
-            .ok_or(HvError::NotPermitted)?;
+        let pending = self.boot_pending(cpu).ok_or(HvError::NotPermitted)?;
         let owner = self.cpu_owner(cpu).ok_or(HvError::NotPermitted)?;
         let cell = self.cell(owner).ok_or(HvError::NoSuchCell)?;
         let entry_ok = cell
@@ -1244,7 +1226,6 @@ impl Hypervisor {
             };
         }
         let step = machine.now();
-        self.ensure_cpu_slots(machine.num_cpus());
         let owner = self.cpu_owner(cpu).unwrap_or(ROOT_CELL);
         self.trace(TraceEvent {
             step,
@@ -1427,7 +1408,6 @@ impl Hypervisor {
             return IrqDelivery::Spurious;
         }
         let step = machine.now();
-        self.ensure_cpu_slots(machine.num_cpus());
         let actual = machine.gic.acknowledge(cpu);
         if actual == SPURIOUS_IRQ {
             return IrqDelivery::Spurious;
@@ -1795,6 +1775,56 @@ mod tests {
         let (mut machine, mut hv) = enabled_system();
         let ret = hv.handle_hvc(&mut machine, CpuId(0), 77, 0, 0);
         assert_eq!(ret, HvError::UnknownHypercall.code());
+    }
+
+    /// The first CPU id the board does not have.
+    const PAST_LAST_CPU: CpuId = CpuId(NUM_CPUS as u32);
+
+    #[test]
+    fn a_cpu_past_the_last_core_is_einval_and_has_no_state() {
+        let (mut machine, mut hv) = enabled_system();
+        let mut info = |cpu| hv.handle_hvc(&mut machine, CpuId(0), hc::HVC_CPU_GET_INFO, cpu, 0);
+        assert_eq!(info(NUM_CPUS as u32 - 1), 0, "the last core is online");
+        assert_eq!(info(PAST_LAST_CPU.0), HvError::InvalidArguments.code());
+        assert_eq!(hv.call_count(HandlerKind::ArchHandleHvc, CpuId(0)), 3);
+        for handler in HandlerKind::ALL {
+            assert_eq!(hv.call_count(handler, PAST_LAST_CPU), 0);
+        }
+        assert_eq!(hv.cpu_owner(PAST_LAST_CPU), None);
+        assert_eq!(hv.boot_pending(PAST_LAST_CPU), None);
+    }
+
+    #[test]
+    fn cell_create_naming_a_cpu_past_the_last_core_is_einval() {
+        let (mut machine, mut hv) = enabled_system();
+        assert_eq!(
+            hv.handle_hvc(&mut machine, CpuId(1), hc::HVC_CPU_OFF, 0, 0),
+            0
+        );
+        let before = hv.cpu_owner;
+        let mut config = SystemConfig::freertos_cell();
+        config.cpus = vec![PAST_LAST_CPU];
+        let blob_addr = memmap::ROOT_RAM_BASE + 0x0200_0000;
+        hv.stage_blob(&mut machine, blob_addr, &config.serialize());
+        let ret = hv.handle_hvc(&mut machine, CpuId(0), hc::HVC_CELL_CREATE, blob_addr, 0);
+        assert_eq!(ret, HvError::InvalidArguments.code());
+        assert_eq!(hv.cells().count(), 1, "only the root cell exists");
+        assert_eq!(hv.cpu_owner, before);
+    }
+
+    #[test]
+    fn enable_with_a_root_cpu_past_the_last_core_fails() {
+        let mut machine = Machine::new_banana_pi();
+        let platform = SystemConfig::banana_pi_demo();
+        let mut hv = Hypervisor::new(platform.clone());
+        let mut staged = platform;
+        staged.root.cpus.push(PAST_LAST_CPU);
+        let addr = memmap::ROOT_RAM_BASE + 0x0100_0000;
+        hv.stage_blob(&mut machine, addr, &staged.serialize());
+        let ret = hv.handle_hvc(&mut machine, CpuId(0), hc::HVC_HYPERVISOR_ENABLE, addr, 0);
+        assert_eq!(ret, HvError::InvalidArguments.code());
+        assert!(!hv.is_enabled());
+        assert_eq!(hv.cpu_owner, [None; NUM_CPUS]);
     }
 
     #[test]

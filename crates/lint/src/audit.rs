@@ -392,4 +392,15 @@ mod tests {
             .iter()
             .any(|d| d.code == Code::AuditUnusedAllow && d.span == "determinism-allow.txt:1"));
     }
+
+    #[test]
+    fn an_unused_allow_entry_is_an_error() {
+        let mut out = Vec::new();
+        report_unused(
+            &parse_allowlist("core/src/x.rs HashMap\n", &mut out),
+            &mut out,
+        );
+        assert_eq!(codes(&out), vec![Code::AuditUnusedAllow]);
+        assert!(has_errors(&out), "a stale entry must fail the audit");
+    }
 }

@@ -326,7 +326,7 @@ mod tests {
     use super::*;
     use crate::builtin_scenarios;
     use crate::spec::MAX_HANDLER_CALLS_PER_STEP;
-    use certify_board::Machine;
+    use certify_arch::NUM_CPUS;
     use certify_core::memfault::{MemFaultModel, MemTarget};
 
     fn codes(diagnostics: &[Diagnostic]) -> Vec<Code> {
@@ -508,10 +508,9 @@ mod tests {
         let mut scenario = Scenario::e3_fig3();
         scenario.spec.as_mut().unwrap().cadence.cpu_filter = None;
         let (certificate, _) = certify_scenario(&scenario);
-        let cpus = Machine::new_banana_pi().num_cpus() as u64;
         assert_eq!(
             certificate.reg_budget,
-            Some(scenario.steps * cpus * MAX_HANDLER_CALLS_PER_STEP / 100)
+            Some(scenario.steps * NUM_CPUS as u64 * MAX_HANDLER_CALLS_PER_STEP / 100)
         );
     }
 

@@ -136,7 +136,7 @@ codes! {
     AuditForbiddenToken = ("audit-forbidden-token", Error,
         "A trial-hot-path source file uses a known nondeterminism source (seeded-hash \
          containers, wall clocks, OS entropy, ambient environment reads)."),
-    AuditUnusedAllow = ("audit-unused-allow", Warning,
+    AuditUnusedAllow = ("audit-unused-allow", Error,
         "An allowlist entry matched nothing: it is stale and should be removed."),
     AuditMalformedAllow = ("audit-malformed-allow", Error,
         "An allowlist line is unparseable."),

@@ -15,8 +15,7 @@
 //! encodable over the wire), it just cannot do what its author meant.
 
 use crate::diagnostic::{Code, Diagnostic};
-use certify_arch::CpuId;
-use certify_board::Machine;
+use certify_arch::{CpuId, NUM_CPUS};
 use certify_core::campaign::Scenario;
 use certify_core::memfault::{FaultPath, MemFaultModel, MemFaultSkip, MemRegionKind, RamCoverage};
 use certify_core::spec::{Cadence, InjectionSpec, InjectionWindow, MemorySpec};
@@ -29,28 +28,26 @@ use certify_guest_linux::{MgmtOp, MgmtScript};
 /// `steps * cpus * 8` provably never fires.
 pub const MAX_HANDLER_CALLS_PER_STEP: u64 = 8;
 
-/// The platform facts a spec is resolved against, shared by the spec
-/// and certificate passes.
+/// The trial horizon a spec is resolved against, shared by the spec
+/// and certificate passes; the platform's core count is
+/// [`NUM_CPUS`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct LintContext {
     /// Trial horizon in simulator steps.
     pub(crate) steps: u64,
-    /// Platform CPU count (CPU filters must name one of these).
-    cpus: u32,
 }
 
 impl LintContext {
     pub(crate) fn for_scenario(scenario: &Scenario) -> LintContext {
         LintContext {
             steps: scenario.steps,
-            cpus: Machine::new_banana_pi().num_cpus() as u32,
         }
     }
 
     /// The most filtered calls one step can produce: one CPU's share
     /// under a CPU filter, every CPU's otherwise.
     pub(crate) fn calls_per_step(&self, cpu_filtered: bool) -> u64 {
-        u64::from(if cpu_filtered { 1 } else { self.cpus }) * MAX_HANDLER_CALLS_PER_STEP
+        (if cpu_filtered { 1 } else { NUM_CPUS as u64 }) * MAX_HANDLER_CALLS_PER_STEP
     }
 
     /// The largest filtered-call count any spec can plausibly see.
@@ -165,11 +162,11 @@ fn lint_cadence(
         }
     }
     if let Some(CpuId(cpu)) = cadence.cpu_filter {
-        if cpu >= ctx.cpus {
+        if cpu as usize >= NUM_CPUS {
             out.push(Diagnostic::new(
                 Code::SpecCpuOutOfRange,
                 format!("{prefix}.cpu_filter"),
-                format!("CPU {cpu} does not exist (platform has {} CPUs)", ctx.cpus),
+                format!("CPU {cpu} does not exist (platform has {NUM_CPUS} CPUs)"),
             ));
         }
     }

@@ -82,7 +82,10 @@ fn every_spec_diagnostic_code_has_a_triggering_mutation() {
         },
         Mutation {
             name: "cpu filter out of range",
-            mutate: |s| s.spec.as_mut().unwrap().cadence.cpu_filter = Some(certify_arch::CpuId(7)),
+            mutate: |s| {
+                let past_last = certify_arch::CpuId(certify_arch::NUM_CPUS as u32);
+                s.spec.as_mut().unwrap().cadence.cpu_filter = Some(past_last);
+            },
             expect: Code::SpecCpuOutOfRange,
         },
         Mutation {

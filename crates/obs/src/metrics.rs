@@ -70,11 +70,6 @@ impl Gauge {
     }
 
     /// The largest level ever recorded.
-    pub fn get(&self) -> u64 {
-        self.high_water
-    }
-
-    /// The largest level ever recorded.
     pub fn high_water(&self) -> u64 {
         self.high_water
     }
@@ -427,7 +422,6 @@ mod tests {
         let mut gauge = Gauge::new();
         gauge.set(7);
         gauge.set(3);
-        assert_eq!(gauge.get(), 7);
         assert_eq!(gauge.high_water(), 7);
         let mut other = Gauge::new();
         other.set(5);

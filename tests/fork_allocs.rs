@@ -125,12 +125,14 @@ fn e3_prefix_clone_allocations() {
     // 9,081 bytes before the TCB lost its name and inheritance boost;
     // 8,705 bytes before each of the two `Cpu`s lost its mode, its
     // SPSR and its register file's four shadow trap registers; 8,657
-    // before each lost its unread `id`.
+    // before each lost its unread `id`; 42 allocations and 8,649 bytes
+    // while the per-CPU and per-IRQ tables were vectors (the RAM page
+    // map's one allocation grew from 84 to 144 bytes as a `BTreeMap`).
     assert_eq!(
         allocs,
         Allocs {
-            count: 42,
-            bytes: 8_649
+            count: 34,
+            bytes: 6_061
         },
         "E3 System::clone"
     );
@@ -143,20 +145,22 @@ fn e7_prefix_clone_allocations() {
     // 9,179 bytes before the TCB lost its name and inheritance boost;
     // 8,787 bytes before each of the two `Cpu`s lost its mode, its
     // SPSR and its register file's four shadow trap registers; 8,739
-    // before each lost its unread `id`.
+    // before each lost its unread `id`; 45 allocations and 8,731 bytes
+    // while the per-CPU and per-IRQ tables were vectors.
     assert_eq!(
         allocs,
         Allocs {
-            count: 45,
-            bytes: 8_731
+            count: 37,
+            bytes: 6_075
         },
         "E7 System::clone"
     );
 }
 
-/// Where the E3 clone's allocations remain. The hypervisor's are its
-/// per-run vectors (cells, ownership, call counts, events); the RTOS's
-/// are mostly the boxed task bodies. The system itself adds none.
+/// Where the E3 clone's allocations remain. The machine's are the RAM
+/// page map and the UART capture's three vectors; the hypervisor's are
+/// its cell table and event trace; the RTOS's are mostly the boxed task
+/// bodies. The system itself adds none.
 #[test]
 fn e3_prefix_clone_allocations_by_layer() {
     let prefix = prefix(&Scenario::e3_fig3());
@@ -165,8 +169,10 @@ fn e3_prefix_clone_allocations_by_layer() {
     let hv = count(counted(|| prefix.hv.clone()).1);
     let linux = count(counted(|| prefix.linux.clone()).1);
     let rtos = count(counted(|| prefix.rtos.clone()).1);
-    // Before: machine 12, hypervisor 22, Linux 3, RTOS 49.
-    assert_eq!((machine, hv, linux, rtos), (9, 5, 1, 27));
+    // Before the copy-on-write fork: machine 12, hypervisor 22, Linux
+    // 3, RTOS 49; machine 9 and hypervisor 5 while the per-CPU and
+    // per-IRQ tables were vectors.
+    assert_eq!((machine, hv, linux, rtos), (4, 2, 1, 27));
 }
 
 /// A whole forked trial (clone, injector install, suffix, classify),
@@ -176,9 +182,10 @@ fn e3_prefix_clone_allocations_by_layer() {
 /// a copy of its result there.
 #[test]
 fn forked_trial_allocations_are_bounded() {
-    // Measured: E3 84 allocations and 18,498 bytes per trial, E7 82 and
-    // 48,653 (E7's memory faults copy the pages and tables they write).
-    // E7 was 90 and 49,097 while each memory-injection record kept its
+    // Measured: E3 75 allocations and 15,842 bytes per trial, E7 74 and
+    // 45,973 (E7's memory faults copy the pages and tables they write);
+    // E3 84 and 18,498, E7 82 and 48,653 while the per-CPU and per-IRQ
+    // tables were vectors. E7 was 90 and 49,097 while each memory-injection record kept its
     // one fault in a `Vec`.
     // E3 was 80 and 18,424 before the fault-class cache, which stores a
     // boxed copy of each result it may serve; E7 stores none.
@@ -201,12 +208,13 @@ fn forked_trial_allocations_are_bounded() {
 /// injector install, the one step to the first injection and the copy
 /// of the stored result; the lookup itself allocates nothing. Most of
 /// E3 trials 600..1000 are served, and the bound is their measured
-/// mean.
+/// mean (60 allocations and 12,986 bytes while the per-CPU and per-IRQ
+/// tables were vectors).
 #[test]
 fn served_trial_allocations_are_bounded() {
     let allocs = allocs_per_trial(&Scenario::e3_fig3(), 600..1000);
     assert!(
-        allocs.count <= 60 && allocs.bytes <= 13_060,
-        "E3 trials 600..1000: {allocs:?} per trial, bound 60 allocations and 13,060 bytes"
+        allocs.count <= 52 && allocs.bytes <= 10_356,
+        "E3 trials 600..1000: {allocs:?} per trial, bound 52 allocations and 10,356 bytes"
     );
 }
