@@ -281,21 +281,13 @@ impl TrialRunner {
     ///
     /// Each call finds it with one fault-free probe run. An injector's
     /// first attempt needs an armed step whose matching-call count has
-    /// reached `rate`, or 1 when a seed-derived phase or the time
-    /// trigger can fire on the first matching call. The fork step is
-    /// the first step where either injector meets that, minus one,
-    /// capped at the run length.
+    /// reached `rate`, or 1 when a seed-derived phase can fire on the
+    /// first matching call. The fork step is the first step where
+    /// either injector meets that, minus one, capped at the run length.
     pub fn fork_step(&self) -> u64 {
-        let triggers: Vec<(&Cadence, CallFilter, u64)> = self
-            .spec
-            .iter()
-            .map(|s| (&s.cadence, s.first_attempt_call()))
-            .chain(
-                self.mem_spec
-                    .iter()
-                    .map(|s| (&s.cadence, s.cadence.first_attempt_call())),
-            )
-            .map(|(cadence, first)| (cadence, cadence.calls(), first))
+        let triggers: Vec<(&Cadence, CallFilter, u64)> = (self.spec.iter().map(|s| &s.cadence))
+            .chain(self.mem_spec.iter().map(|s| &s.cadence))
+            .map(|cadence| (cadence, cadence.calls(), cadence.first_attempt_call()))
             .collect();
         if triggers.is_empty() {
             return self.steps;
@@ -331,8 +323,7 @@ impl TrialRunner {
     /// when `trace` is set. Installs `seed`'s injectors (primed with the
     /// calls already made), runs the remaining steps, classifies, and
     /// captures the ring (see [`TrialRunner::run_trial_traced`] for
-    /// `policy.on_panic`). The result and dump are the same from either
-    /// start.
+    /// panics). The result and dump are the same from either start.
     ///
     /// Given a campaign's fault-class cache it stops at the end of the
     /// step that records the first injection and looks the trial up:
@@ -341,8 +332,7 @@ impl TrialRunner {
     /// store its result.
     ///
     /// Given a clock it also returns a [`PhaseSample`]: boot is the
-    /// clone or construction plus the injector install, and steady state
-    /// is 0, because no fault-free step runs inside the trial. A hit's
+    /// clone or construction plus the injector install. A hit's
     /// injection phase ends at the lookup, and it classifies nothing.
     fn run(
         &self,
@@ -365,7 +355,6 @@ impl TrialRunner {
         let sample = |ran: u64, classified: u64| {
             clock.map(|_| PhaseSample {
                 boot_ns: installed.saturating_sub(start),
-                steady_ns: 0,
                 injection_ns: ran.saturating_sub(installed),
                 classify_ns: classified.saturating_sub(ran),
             })
@@ -387,7 +376,7 @@ impl TrialRunner {
             let ran = now();
             ControlFlow::Continue((classify(system), ran, class))
         };
-        let ran = if trace.is_some_and(|config| config.policy.on_panic) {
+        let ran = if trace.is_some() {
             match catch_unwind(AssertUnwindSafe(|| run(&mut system))) {
                 Ok(ran) => ran,
                 Err(payload) => {
@@ -463,9 +452,9 @@ impl TrialRunner {
     /// returned for *every* traced trial; the campaign's
     /// [`crate::DumpPolicy`] decides which dumps reach the sink.
     ///
-    /// With `policy.on_panic` set, a panic inside the trial prints the
-    /// ring as JSON to stderr before the unwind resumes — the trial
-    /// that kills a worker process explains itself on the way down.
+    /// With a config, a panic inside the trial prints the ring as JSON
+    /// to stderr before the unwind resumes — the trial that kills a
+    /// worker process explains itself on the way down.
     pub fn run_trial_traced(
         &self,
         seed: u64,
@@ -564,21 +553,16 @@ impl Campaign {
     }
 
     /// Whether `trial`'s dump should reach the sink: its outcome is in
-    /// the policy's set, or it violates the attached certificate and
-    /// the policy dumps on conformance violations.
+    /// the policy's set, or it violates the attached certificate.
     fn should_dump(&self, trial: &TrialResult) -> bool {
         let Some(config) = &self.trace else {
             return false;
         };
-        if config.policy.wants(trial.outcome) {
-            return true;
-        }
-        if config.policy.on_conformance_violation {
-            if let Some(certificate) = &self.certificate {
-                return !certificate.check_trial(trial).is_empty();
-            }
-        }
-        false
+        config.policy.wants(trial.outcome)
+            || self
+                .certificate
+                .as_ref()
+                .is_some_and(|certificate| !certificate.check_trial(trial).is_empty())
     }
 
     /// The scenario under test.
@@ -1065,11 +1049,9 @@ mod tests {
         let runner = Scenario::e3_fig3().runner();
         assert_eq!(runner.fork_step(), 3157, "E3's steady state is its prefix");
         let clock = TickingClock(certify_obs::ManualClock::new());
-        // Boot is the construction or clone plus the install, and no
-        // steady state runs inside a trial from either start.
+        // Boot is the construction or clone plus the install.
         let expected = PhaseSample {
             boot_ns: 1,
-            steady_ns: 0,
             injection_ns: 1,
             classify_ns: 1,
         };

@@ -521,7 +521,6 @@ impl Wire for InjectionSpec {
         self.model.encode(out);
         cadence.max_injections.encode(out);
         cadence.phase_jitter.encode(out);
-        self.time_trigger.encode(out);
         cadence.windows.encode(out);
     }
     fn decode(r: &mut Reader<'_>) -> Result<InjectionSpec, DecodeError> {
@@ -529,21 +528,11 @@ impl Wire for InjectionSpec {
         let model = FaultModel::decode(r)?;
         cadence.max_injections = Option::decode(r)?;
         cadence.phase_jitter = bool::decode(r)?;
-        let time_trigger = Option::decode(r)?;
         cadence.windows = Vec::decode(r)?;
         if let Some(what) = cadence.invalid() {
             return Err(DecodeError::Invalid { what });
         }
-        if time_trigger == Some(0) {
-            return Err(DecodeError::Invalid {
-                what: "injection spec time trigger is zero",
-            });
-        }
-        Ok(InjectionSpec {
-            cadence,
-            model,
-            time_trigger,
-        })
+        Ok(InjectionSpec { cadence, model })
     }
 }
 
@@ -880,14 +869,10 @@ impl Wire for TraceEvent {
 impl Wire for DumpPolicy {
     fn encode(&self, out: &mut Vec<u8>) {
         self.outcomes.encode(out);
-        self.on_conformance_violation.encode(out);
-        self.on_panic.encode(out);
     }
     fn decode(r: &mut Reader<'_>) -> Result<DumpPolicy, DecodeError> {
         Ok(DumpPolicy {
             outcomes: BTreeSet::decode(r)?,
-            on_conformance_violation: bool::decode(r)?,
-            on_panic: bool::decode(r)?,
         })
     }
 }
@@ -1010,7 +995,6 @@ mod tests {
             .with_rate(7)
             .with_max_injections(3)
             .with_phase_jitter()
-            .with_time_trigger(19)
             .with_window(10, 20)
             .with_window(50, 60)
             .with_model(FaultModel::DoubleBitFlip {

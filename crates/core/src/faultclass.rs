@@ -6,23 +6,23 @@
 //! before it records something. So two trials whose first injection
 //! step ends with the same records and the same cadence state are in
 //! the same system state, and from there on they differ only where an
-//! injector draws from its RNG, which it does only at a due call or a
-//! time trigger. A trial that reaches neither after its first
-//! injection step has a suffix every trial of its class repeats, and
-//! its result is theirs too, up to the seed. E3 draws every fault from
-//! 512 (register, bit) pairs, so most of a sampled campaign is such
-//! repeats (cf. the fault-equivalence pruning of Schirmeier, Borchert &
-//! Spinczyk, DSN 2015, and FAIL\*, EDCC 2015).
+//! injector draws from its RNG, which it does only at a due call. A
+//! trial that reaches no due call after its first injection step has a
+//! suffix every trial of its class repeats, and its result is theirs
+//! too, up to the seed. E3 draws every fault from 512 (register, bit)
+//! pairs, so most of a sampled campaign is such repeats (cf. the
+//! fault-equivalence pruning of Schirmeier, Borchert & Spinczyk, DSN
+//! 2015, and FAIL\*, EDCC 2015).
 //!
 //! [`FaultClasses`] is the cache one [`crate::Campaign::execute`] call
 //! shares across its workers. It keys a trial by its first injection
 //! step: the step, every record of both injectors and both injectors'
 //! full cadence state. It keeps a result only if that trial's suffix
-//! reached no further due call or time trigger ([`Class::quiet`]) and
-//! the campaign's dump policy does not keep its dump, so every dump
-//! comes from a simulated trial. The campaign stores results on the
-//! thread that delivers them, so the cache's memory sits in one
-//! allocator arena however many workers look it up.
+//! reached no further due call ([`Class::quiet`]) and the campaign's
+//! dump policy does not keep its dump, so every dump comes from a
+//! simulated trial. The campaign stores results on the thread that
+//! delivers them, so the cache's memory sits in one allocator arena
+//! however many workers look it up.
 
 use crate::campaign::TrialResult;
 use crate::injector::{InjectionRecord, Injector};
@@ -36,31 +36,28 @@ use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Both injectors' cadence state: the register injector's counter with
-/// its time trigger's next deadline, and the memory injector's counter.
+/// Both injectors' cadence counters.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct Cadences {
-    reg: Option<(CadenceCounter, u64)>,
+    reg: Option<CadenceCounter>,
     mem: Option<CadenceCounter>,
 }
 
 impl Cadences {
     fn of(system: &System) -> Cadences {
         Cadences {
-            reg: system.hv.hook::<Injector>().map(Injector::cadence),
+            reg: system.hv.hook::<Injector>().map(Injector::counter).cloned(),
             mem: system.mem_injector().map(MemInjector::counter).cloned(),
         }
     }
 
-    /// Whether no injector reached a due call or fired its time
-    /// trigger between this state and the `later` one, so neither drew
-    /// from its RNG in between.
+    /// Whether no injector reached a due call between this state and
+    /// the `later` one, so neither drew from its RNG in between.
     fn quiet_until(&self, later: &Cadences) -> bool {
-        let reg = (self.reg.iter().zip(&later.reg)).all(|((counter, deadline), (now, next))| {
-            now.no_due_since(counter) && deadline == next
-        });
-        let mem = (self.mem.iter().zip(&later.mem)).all(|(counter, now)| now.no_due_since(counter));
-        reg && mem
+        let quiet = |earlier: &Option<CadenceCounter>, now: &Option<CadenceCounter>| {
+            (earlier.iter().zip(now)).all(|(earlier, now)| now.no_due_since(earlier))
+        };
+        quiet(&self.reg, &later.reg) && quiet(&self.mem, &later.mem)
     }
 }
 

@@ -57,8 +57,6 @@ pub struct Injector {
     spec: Arc<InjectionSpec>,
     counter: CadenceCounter,
     rng: StdRng,
-    /// Next firing deadline (time-triggered mode only).
-    next_deadline: u64,
     records: Vec<InjectionRecord>,
 }
 
@@ -79,7 +77,6 @@ impl Injector {
             counter: CadenceCounter::new(&spec.cadence, &mut rng),
             spec,
             rng,
-            next_deadline: 0,
             records: Vec::new(),
         }
     }
@@ -89,10 +86,9 @@ impl Injector {
         &self.records
     }
 
-    /// The cadence state: the call counter and the time trigger's next
-    /// deadline (0 until it first fires, and always without one).
-    pub(crate) fn cadence(&self) -> (CadenceCounter, u64) {
-        (self.counter.clone(), self.next_deadline)
+    /// The cadence state.
+    pub(crate) fn counter(&self) -> &CadenceCounter {
+        &self.counter
     }
 
     /// Counts the matching calls `hv` has already made, as if this
@@ -110,25 +106,8 @@ impl InjectionHook for Injector {
         if !self.counter.matches(ctx.handler, ctx.cpu) || self.counter.capped() {
             return;
         }
-        let due = self.counter.count_call();
-        if !self.spec.cadence.armed(ctx.step) {
+        if self.counter.count_call().is_none() || !self.spec.cadence.armed(ctx.step) {
             return;
-        }
-        match self.spec.time_trigger {
-            // Ablation D1: fire at the first matching entry past each
-            // period boundary.
-            Some(period) => {
-                if ctx.step < self.next_deadline {
-                    return;
-                }
-                self.next_deadline = ctx.step + period;
-            }
-            // The paper's trigger: once every `rate` calls.
-            None => {
-                if due.is_none() {
-                    return;
-                }
-            }
         }
         let faults = self.spec.model.apply(ctx.regs, &mut self.rng);
         if faults.is_empty() {
@@ -212,48 +191,6 @@ mod tests {
         call(&mut b, HandlerKind::ArchHandleTrap, CpuId(1), 70);
         assert_eq!(a.records(), b.records());
         assert!(!a.records().is_empty());
-    }
-
-    #[test]
-    fn time_trigger_fires_on_period_boundaries() {
-        let spec = InjectionSpec::e3_nonroot_trap_medium().with_time_trigger(100);
-        let mut injector = Injector::new(spec, 3);
-        let mut regs = RegisterFile::new();
-        // Handler entries at steps 0, 50, 100, …, 450: deadlines at
-        // 100 (fires at step 100), 200, 300, 400.
-        for step in (0..500).step_by(50) {
-            let mut ctx = HookCtx {
-                handler: HandlerKind::ArchHandleTrap,
-                cpu: CpuId(1),
-                step,
-                regs: &mut regs,
-                touched: false,
-            };
-            injector.on_handler_entry(&mut ctx);
-        }
-        let steps: Vec<u64> = injector.records().iter().map(|r| r.step).collect();
-        assert_eq!(steps, vec![0, 100, 200, 300, 400]);
-    }
-
-    #[test]
-    fn time_trigger_waits_for_a_matching_entry() {
-        // Entries arrive sparsely: the injection lands on the first
-        // entry after each deadline, not on the deadline itself.
-        let spec = InjectionSpec::e3_nonroot_trap_medium().with_time_trigger(100);
-        let mut injector = Injector::new(spec, 3);
-        let mut regs = RegisterFile::new();
-        for step in [30u64, 170, 180, 390] {
-            let mut ctx = HookCtx {
-                handler: HandlerKind::ArchHandleTrap,
-                cpu: CpuId(1),
-                step,
-                regs: &mut regs,
-                touched: false,
-            };
-            injector.on_handler_entry(&mut ctx);
-        }
-        let steps: Vec<u64> = injector.records().iter().map(|r| r.step).collect();
-        assert_eq!(steps, vec![30, 170, 390]);
     }
 
     #[test]

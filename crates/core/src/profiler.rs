@@ -10,7 +10,7 @@
 //! the hypervisor, and the handlers are ranked.
 
 use crate::system::System;
-use certify_arch::CpuId;
+use certify_arch::{CpuId, NUM_CPUS};
 use certify_guest_linux::MgmtScript;
 use certify_hypervisor::HandlerKind;
 use std::fmt;
@@ -20,16 +20,14 @@ use std::fmt;
 pub struct ProfileRow {
     /// The handler.
     pub handler: HandlerKind,
-    /// Calls observed on CPU 0 (root cell).
-    pub cpu0_calls: u64,
-    /// Calls observed on CPU 1 (non-root cell).
-    pub cpu1_calls: u64,
+    /// Calls observed per CPU (CPU 0: root cell, CPU 1: non-root cell).
+    pub calls: [u64; NUM_CPUS],
 }
 
 impl ProfileRow {
     /// Total calls across CPUs.
     pub fn total(&self) -> u64 {
-        self.cpu0_calls + self.cpu1_calls
+        self.calls.iter().sum()
     }
 }
 
@@ -55,19 +53,20 @@ impl ProfileReport {
 
     /// Renders the report as an aligned text table.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "golden-run profile over {} steps\n{:<22} {:>10} {:>10} {:>10}\n",
-            self.steps, "handler", "cpu0", "cpu1", "total"
-        ));
+        let mut out = format!(
+            "golden-run profile over {} steps\n{:<22}",
+            self.steps, "handler"
+        );
+        for cpu in 0..NUM_CPUS {
+            out.push_str(&format!(" {:>10}", format!("cpu{cpu}")));
+        }
+        out.push_str(&format!(" {:>10}\n", "total"));
         for row in &self.rows {
-            out.push_str(&format!(
-                "{:<22} {:>10} {:>10} {:>10}\n",
-                row.handler.function_name(),
-                row.cpu0_calls,
-                row.cpu1_calls,
-                row.total()
-            ));
+            out.push_str(&format!("{:<22}", row.handler.function_name()));
+            for calls in row.calls {
+                out.push_str(&format!(" {calls:>10}"));
+            }
+            out.push_str(&format!(" {:>10}\n", row.total()));
         }
         out
     }
@@ -93,8 +92,7 @@ pub fn profile_system(system: &System, steps: u64) -> ProfileReport {
         .into_iter()
         .map(|handler| ProfileRow {
             handler,
-            cpu0_calls: system.hv.call_count(handler, CpuId(0)),
-            cpu1_calls: system.hv.call_count(handler, CpuId(1)),
+            calls: std::array::from_fn(|cpu| system.hv.call_count(handler, CpuId(cpu as u32))),
         })
         .collect();
     rows.sort_by_key(|r| std::cmp::Reverse(r.total()));
@@ -120,6 +118,10 @@ mod tests {
     fn render_contains_function_names() {
         let report = profile_golden_run(1200);
         let text = report.render();
+        assert_eq!(
+            text.lines().nth(1),
+            Some("handler                      cpu0       cpu1      total")
+        );
         assert!(text.contains("irqchip_handle_irq"));
         assert!(text.contains("arch_handle_trap"));
         assert!(text.contains("arch_handle_hvc"));

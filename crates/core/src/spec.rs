@@ -424,11 +424,6 @@ pub struct InjectionSpec {
     pub cadence: Cadence,
     /// The fault model to apply.
     pub model: FaultModel,
-    /// Time-triggered mode (ablation D1): instead of firing every
-    /// `rate`-th call, fire at the first matching handler entry after
-    /// every `period` simulator steps. `None` = the paper's
-    /// call-count trigger.
-    pub time_trigger: Option<u64>,
 }
 
 impl Paced for InjectionSpec {
@@ -451,7 +446,6 @@ impl InjectionSpec {
         InjectionSpec {
             cadence: Cadence::new(targets, cpu_filter, intensity.rate()),
             model: intensity.model(),
-            time_trigger: None,
         }
     }
 
@@ -500,29 +494,6 @@ impl InjectionSpec {
             [HandlerKind::ArchHandleTrap],
             Some(CpuId(1)),
         )
-    }
-
-    /// The matching-call count at which the earliest seed can first
-    /// attempt an injection: the cadence's, or 1 when the time trigger
-    /// may fire on the very first matching call.
-    pub(crate) fn first_attempt_call(&self) -> u64 {
-        if self.time_trigger.is_some() {
-            1
-        } else {
-            self.cadence.first_attempt_call()
-        }
-    }
-
-    /// Switches to the time-triggered mode (ablation D1), returning
-    /// the spec (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero.
-    pub fn with_time_trigger(mut self, period: u64) -> InjectionSpec {
-        assert!(period > 0, "trigger period must be non-zero");
-        self.time_trigger = Some(period);
-        self
     }
 
     /// Replaces the fault model, returning the spec (builder style).

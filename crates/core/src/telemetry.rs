@@ -106,10 +106,6 @@ pub fn engine_metrics_to_json(metrics: &EngineMetrics) -> Json {
             "phases",
             Json::obj([
                 ("boot", histogram_to_json(&metrics.phases.boot)),
-                (
-                    "steady_state",
-                    histogram_to_json(&metrics.phases.steady_state),
-                ),
                 ("injection", histogram_to_json(&metrics.phases.injection)),
                 ("classify", histogram_to_json(&metrics.phases.classify)),
                 ("total", histogram_to_json(&metrics.phases.total)),

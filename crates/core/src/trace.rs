@@ -34,15 +34,10 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
 /// When a trial's flight recorder is dumped.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DumpPolicy {
-    /// Outcomes that trigger a dump.
+    /// Outcomes that trigger a dump. A trial that violates the
+    /// campaign's attached [`crate::ScenarioCertificate`] is dumped
+    /// whatever its outcome.
     pub outcomes: BTreeSet<Outcome>,
-    /// Dump when the trial violates the campaign's attached
-    /// [`crate::ScenarioCertificate`] (no-op without one).
-    pub on_conformance_violation: bool,
-    /// On a panic inside a traced trial, print the ring as JSON to
-    /// stderr before resuming the unwind — the trial that killed the
-    /// process explains itself on the way down.
-    pub on_panic: bool,
 }
 
 impl DumpPolicy {
@@ -62,8 +57,6 @@ impl DumpPolicy {
             ]
             .into_iter()
             .collect(),
-            on_conformance_violation: true,
-            on_panic: true,
         }
     }
 
@@ -72,8 +65,6 @@ impl DumpPolicy {
     pub fn all_outcomes() -> DumpPolicy {
         DumpPolicy {
             outcomes: Outcome::ALL.into_iter().collect(),
-            on_conformance_violation: true,
-            on_panic: true,
         }
     }
 
@@ -294,7 +285,6 @@ mod tests {
         assert!(policy.wants(Outcome::PanicPark));
         assert!(!policy.wants(Outcome::Correct));
         assert!(!policy.wants(Outcome::CpuPark));
-        assert!(policy.on_conformance_violation);
         assert!(DumpPolicy::all_outcomes().wants(Outcome::Correct));
     }
 }

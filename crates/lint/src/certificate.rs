@@ -67,9 +67,8 @@ struct DomainBounds {
     phases: Vec<PhaseBound>,
 }
 
-/// The bounds of `cadence` over `ctx`'s horizon and CPUs, under the
-/// register injector's `time_trigger` (always `None` for memory).
-fn cadence_bounds(ctx: LintContext, cadence: &Cadence, time_trigger: Option<u64>) -> DomainBounds {
+/// The bounds of `cadence` over `ctx`'s horizon and CPUs.
+fn cadence_bounds(ctx: LintContext, cadence: &Cadence) -> DomainBounds {
     let Cadence {
         rate,
         phase_jitter: jitter,
@@ -80,36 +79,15 @@ fn cadence_bounds(ctx: LintContext, cadence: &Cadence, time_trigger: Option<u64>
     let steps = ctx.steps;
     let per_step_calls = ctx.calls_per_step(cadence.cpu_filter.is_some());
     let capacity = ctx.call_capacity(cadence.cpu_filter.is_some());
-    let horizon_bound = match time_trigger {
-        // A fire re-arms the deadline `period` steps out, so fires are
-        // at least `period` steps apart; each also consumes a call.
-        Some(period) if period > 0 => {
-            let by_period = if steps == 0 {
-                0
-            } else {
-                (steps - 1) / period + 1
-            };
-            by_period.min(capacity)
-        }
-        Some(_) => capacity, // period 0 is an error elsewhere
-        None => fires_bound(capacity, rate, jitter),
-    };
+    // Fires inside a window are numbered at most by the total calls
+    // accumulated by its end.
+    let window_fires = |end: u64| fires_bound(end.saturating_mul(per_step_calls), rate, jitter);
 
-    let window_fires = |start: u64, end: u64| -> u64 {
-        match time_trigger {
-            Some(period) if period > 0 => (end - start - 1) / period + 1,
-            Some(_) => (end - start).saturating_mul(per_step_calls),
-            // Fires inside the window are numbered at most by the
-            // total calls accumulated by its end.
-            None => fires_bound(end.saturating_mul(per_step_calls), rate, jitter),
-        }
-    };
-
-    let mut uncapped = horizon_bound;
+    let mut uncapped = fires_bound(capacity, rate, jitter);
     if !windows.is_empty() {
         uncapped = uncapped.min(
             ctx.live_windows(windows)
-                .map(|(s, e, _)| window_fires(s, e))
+                .map(|(_, end, _)| window_fires(end))
                 .sum(),
         );
     }
@@ -135,7 +113,7 @@ fn cadence_bounds(ctx: LintContext, cadence: &Cadence, time_trigger: Option<u64>
                 start,
                 end,
                 max_handler_calls: (end - start).saturating_mul(per_step_calls),
-                max_injections: window_fires(start, end).min(budget),
+                max_injections: window_fires(end).min(budget),
             })
             .collect()
     };
@@ -189,7 +167,7 @@ pub fn certify_scenario(scenario: &Scenario) -> (ScenarioCertificate, Vec<Diagno
     let mut reg_budget = None;
     let mut reg_phases = Vec::new();
     if let Some(spec) = &scenario.spec {
-        let bounds = cadence_bounds(ctx, &spec.cadence, spec.time_trigger);
+        let bounds = cadence_bounds(ctx, &spec.cadence);
         if bounds.uncapped == 0 {
             diagnostics.push(Diagnostic::new(
                 Code::CertZeroBudget,
@@ -215,7 +193,7 @@ pub fn certify_scenario(scenario: &Scenario) -> (ScenarioCertificate, Vec<Diagno
     let mut mem_phases = Vec::new();
     let mut tracked_regions = BTreeSet::new();
     if let Some(mem) = &scenario.mem_spec {
-        let bounds = cadence_bounds(ctx, &mem.cadence, None);
+        let bounds = cadence_bounds(ctx, &mem.cadence);
         if bounds.uncapped == 0 {
             diagnostics.push(Diagnostic::new(
                 Code::CertZeroBudget,
@@ -404,14 +382,6 @@ mod tests {
         let (certificate, diagnostics) = certify_scenario(&scenario);
         assert_eq!(certificate.reg_budget, Some(0));
         assert!(codes(&diagnostics).contains(&Code::CertZeroBudget));
-    }
-
-    #[test]
-    fn time_trigger_budget_is_period_based() {
-        let mut scenario = Scenario::e3_fig3();
-        scenario.spec.as_mut().unwrap().time_trigger = Some(500);
-        let (certificate, _) = certify_scenario(&scenario);
-        assert_eq!(certificate.reg_budget, Some((scenario.steps - 1) / 500 + 1));
     }
 
     #[test]

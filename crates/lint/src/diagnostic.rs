@@ -76,10 +76,6 @@ codes! {
     SpecUnsatisfiableRate = ("spec-unsatisfiable-rate", Error,
         "The rate exceeds every plausible filtered-call count for the trial horizon: \
          no injection can ever fire."),
-    SpecZeroTimeTrigger = ("spec-zero-time-trigger", Error,
-        "A time-trigger period of zero is rejected by the engine."),
-    SpecLateTimeTrigger = ("spec-late-time-trigger", Error,
-        "The time-trigger period is at least the trial horizon: the trigger never fires."),
     SpecCpuOutOfRange = ("spec-cpu-out-of-range", Error,
         "The CPU filter names a CPU the platform does not have: no call ever matches."),
     SpecZeroInjectionCap = ("spec-zero-injection-cap", Warning,

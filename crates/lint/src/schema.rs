@@ -77,7 +77,6 @@ fn full_injection_spec() -> InjectionSpec {
         model: FaultModel::MultiRegisterFlip {
             regs: vec![Reg::ALL[0], Reg::ALL[1], Reg::ALL[2]],
         },
-        time_trigger: Some(250),
     }
 }
 
@@ -168,13 +167,11 @@ fn full_engine_metrics() -> EngineMetrics {
     metrics.suffixes_simulated.add(19);
     metrics.phases.record(&PhaseSample {
         boot_ns: 1_000,
-        steady_ns: 2_000,
         injection_ns: 300,
         classify_ns: 40,
     });
     metrics.phases.record(&PhaseSample {
         boot_ns: 5_000,
-        steady_ns: 1_000,
         injection_ns: 0,
         classify_ns: 90,
     });
@@ -205,8 +202,6 @@ fn full_trace_config() -> TraceConfig {
             ]
             .into_iter()
             .collect(),
-            on_conformance_violation: false,
-            on_panic: false,
         },
     }
 }

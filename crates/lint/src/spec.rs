@@ -18,7 +18,7 @@ use crate::diagnostic::{Code, Diagnostic};
 use certify_arch::{CpuId, NUM_CPUS};
 use certify_core::campaign::Scenario;
 use certify_core::memfault::{FaultPath, MemFaultModel, MemFaultSkip, MemRegionKind, RamCoverage};
-use certify_core::spec::{Cadence, InjectionSpec, InjectionWindow, MemorySpec};
+use certify_core::spec::{Cadence, InjectionWindow, MemorySpec};
 use certify_guest_linux::{MgmtOp, MgmtScript};
 
 /// Conservative upper bound on filtered handler calls per CPU per
@@ -85,13 +85,13 @@ pub fn lint_scenario(scenario: &Scenario) -> Vec<Diagnostic> {
     }
     lint_script(&scenario.script, &mut out);
     if let Some(spec) = &scenario.spec {
-        lint_injection_spec(spec, ctx, &mut out);
+        lint_cadence("spec", &spec.cadence, ctx, &mut out);
     }
     if let Some(mem_spec) = &scenario.mem_spec {
         lint_memory_spec(mem_spec, ctx, &scenario.script, &mut out);
     }
     if let (Some(spec), Some(mem_spec)) = (&scenario.spec, &scenario.mem_spec) {
-        lint_mixed(spec, mem_spec, &mut out);
+        lint_mixed(&spec.cadence, &mem_spec.cadence, &mut out);
     }
     out
 }
@@ -123,16 +123,9 @@ fn lint_script(script: &MgmtScript, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Cadence checks of both spec kinds: target set, rate satisfiability
-/// (when the rate paces the injector), CPU filter, injection cap,
-/// windows.
-fn lint_cadence(
-    prefix: &str,
-    cadence: &Cadence,
-    rate_in_use: bool,
-    ctx: LintContext,
-    out: &mut Vec<Diagnostic>,
-) {
+/// Cadence checks of both spec kinds: target set, rate satisfiability,
+/// CPU filter, injection cap, windows.
+fn lint_cadence(prefix: &str, cadence: &Cadence, ctx: LintContext, out: &mut Vec<Diagnostic>) {
     let rate = cadence.rate;
     if cadence.targets.is_empty() {
         out.push(Diagnostic::new(
@@ -147,7 +140,7 @@ fn lint_cadence(
             format!("{prefix}.rate"),
             "a rate of zero can never fire",
         ));
-    } else if rate_in_use {
+    } else {
         let capacity = ctx.call_capacity(cadence.cpu_filter.is_some());
         if rate > capacity {
             out.push(Diagnostic::new(
@@ -247,27 +240,6 @@ fn lint_windows(
     }
 }
 
-/// Lints a register-injection spec.
-fn lint_injection_spec(spec: &InjectionSpec, ctx: LintContext, out: &mut Vec<Diagnostic>) {
-    lint_cadence("spec", &spec.cadence, spec.time_trigger.is_none(), ctx, out);
-    match spec.time_trigger {
-        Some(0) => out.push(Diagnostic::new(
-            Code::SpecZeroTimeTrigger,
-            "spec.time_trigger",
-            "a time-trigger period of zero is rejected by the engine",
-        )),
-        Some(period) if period >= ctx.steps => out.push(Diagnostic::new(
-            Code::SpecLateTimeTrigger,
-            "spec.time_trigger",
-            format!(
-                "period {period} is not below the {}-step horizon: the trigger never fires",
-                ctx.steps
-            ),
-        )),
-        _ => {}
-    }
-}
-
 /// Lints a memory-injection spec, including the skip guarantees the
 /// campaign engine will debug-assert against.
 fn lint_memory_spec(
@@ -276,7 +248,7 @@ fn lint_memory_spec(
     script: &MgmtScript,
     out: &mut Vec<Diagnostic>,
 ) {
-    lint_cadence("mem_spec", &spec.cadence, true, ctx, out);
+    lint_cadence("mem_spec", &spec.cadence, ctx, out);
     out.extend(lint_mem_regions(
         &spec.model,
         spec.target.regions(),
@@ -368,14 +340,12 @@ pub fn lint_mem_regions(
 }
 
 /// Mixed-spec conflict: both injectors on exactly the same calls.
-fn lint_mixed(spec: &InjectionSpec, mem_spec: &MemorySpec, out: &mut Vec<Diagnostic>) {
-    let (reg, mem) = (&spec.cadence, &mem_spec.cadence);
+fn lint_mixed(reg: &Cadence, mem: &Cadence, out: &mut Vec<Diagnostic>) {
     if reg.targets == mem.targets
         && reg.cpu_filter == mem.cpu_filter
         && reg.rate == mem.rate
         && !reg.phase_jitter
         && !mem.phase_jitter
-        && spec.time_trigger.is_none()
     {
         out.push(Diagnostic::new(
             Code::MixedPhaseLock,

@@ -68,19 +68,6 @@ fn every_spec_diagnostic_code_has_a_triggering_mutation() {
             expect: Code::SpecUnsatisfiableRate,
         },
         Mutation {
-            name: "zero time trigger",
-            mutate: |s| s.spec.as_mut().unwrap().time_trigger = Some(0),
-            expect: Code::SpecZeroTimeTrigger,
-        },
-        Mutation {
-            name: "late time trigger",
-            mutate: |s| {
-                let steps = s.steps;
-                s.spec.as_mut().unwrap().time_trigger = Some(steps);
-            },
-            expect: Code::SpecLateTimeTrigger,
-        },
-        Mutation {
             name: "cpu filter out of range",
             mutate: |s| {
                 let past_last = certify_arch::CpuId(certify_arch::NUM_CPUS as u32);
@@ -312,11 +299,7 @@ fn memory_mutations_trigger_their_codes() {
     assert!(codes.contains(&Code::MemNoVictimCell), "{codes:?}");
 
     let mut scenario = Scenario::e7_mixed();
-    {
-        let spec = scenario.spec.as_mut().unwrap();
-        spec.cadence.phase_jitter = false;
-        spec.time_trigger = None;
-    }
+    scenario.spec.as_mut().unwrap().cadence.phase_jitter = false;
     let (targets, cpu_filter, rate) = {
         let spec = scenario.spec.as_ref().unwrap();
         (

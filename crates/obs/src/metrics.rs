@@ -267,10 +267,6 @@ pub struct PhaseSample {
     /// System construction (or the fork of a shared prefix) plus
     /// injector installation.
     pub boot_ns: u64,
-    /// Fault-free steps run inside the trial. Every trial records 0:
-    /// the fault-free prefix runs once per `Campaign::execute` call and
-    /// each trial forks from it. The field stays for the JSON surface.
-    pub steady_ns: u64,
     /// Steps from the fork step to the horizon.
     pub injection_ns: u64,
     /// Outcome classification + report assembly.
@@ -281,7 +277,6 @@ impl PhaseSample {
     /// The whole trial's wall time.
     pub fn total_ns(&self) -> u64 {
         self.boot_ns
-            .saturating_add(self.steady_ns)
             .saturating_add(self.injection_ns)
             .saturating_add(self.classify_ns)
     }
@@ -292,10 +287,6 @@ impl PhaseSample {
 pub struct TrialPhaseMetrics {
     /// Boot-phase latencies.
     pub boot: Histogram,
-    /// Steady-state-phase latencies: 0 for every trial, since the
-    /// fault-free prefix runs once per engine call, not per trial (see
-    /// [`PhaseSample::steady_ns`]).
-    pub steady_state: Histogram,
     /// Injection-phase latencies.
     pub injection: Histogram,
     /// Classification latencies.
@@ -308,7 +299,6 @@ impl TrialPhaseMetrics {
     /// Folds one trial's phase sample in.
     pub fn record(&mut self, sample: &PhaseSample) {
         self.boot.record(sample.boot_ns);
-        self.steady_state.record(sample.steady_ns);
         self.injection.record(sample.injection_ns);
         self.classify.record(sample.classify_ns);
         self.total.record(sample.total_ns());
@@ -317,7 +307,6 @@ impl TrialPhaseMetrics {
     /// Folds another instrument set in.
     pub fn merge(&mut self, other: &TrialPhaseMetrics) {
         self.boot.merge(&other.boot);
-        self.steady_state.merge(&other.steady_state);
         self.injection.merge(&other.injection);
         self.classify.merge(&other.classify);
         self.total.merge(&other.total);
@@ -504,7 +493,6 @@ mod tests {
     fn phase_sample_total_saturates() {
         let sample = PhaseSample {
             boot_ns: u64::MAX,
-            steady_ns: 1,
             injection_ns: 1,
             classify_ns: 1,
         };
@@ -517,7 +505,6 @@ mod tests {
         a.trials.add(3);
         a.phases.record(&PhaseSample {
             boot_ns: 1_000,
-            steady_ns: 2_000,
             injection_ns: 3_000,
             classify_ns: 500,
         });
@@ -532,7 +519,7 @@ mod tests {
         assert_eq!(a.suffixes_simulated.get(), 3);
         assert_eq!(a.reorder_residency.high_water(), 5);
         assert_eq!(a.phases.total.count(), 1);
-        assert_eq!(a.phases.total.min(), 6_500);
+        assert_eq!(a.phases.total.min(), 4_500);
     }
 
     #[test]

@@ -43,7 +43,9 @@
 //! Version history: v1 handshake, rows, stats and done; v2 the
 //! certificate fingerprint in the handshake; v3 the tracing
 //! configuration and the trace-dump frame, each dump a whole ring; v4
-//! the trace-prefix frame, each dump only its post-fork suffix.
+//! the trace-prefix frame, each dump only its post-fork suffix; v5 an
+//! injection spec without a time trigger and a dump policy of its
+//! outcome set alone.
 
 use certify_core::codec::{
     decode_exact, decode_trace_events, encode_trace_events, DecodeError, Reader, Wire,
@@ -58,7 +60,7 @@ pub const MAGIC: u32 = 0x4353_4844;
 
 /// Protocol version carried in every handshake. Bump on any change to
 /// the frame layout or payload encodings (history in the module doc).
-pub const VERSION: u16 = 4;
+pub const VERSION: u16 = 5;
 
 /// Upper bound on `len`: no legal frame is anywhere near this large,
 /// so a longer prefix means a corrupt or hostile stream — reject it

@@ -190,9 +190,6 @@ fn spec_variant(rate: u64, windows: Vec<(u64, u64)>, knobs: u8) -> InjectionSpec
     if knobs & 0x20 != 0 {
         spec = spec.with_max_injections(u64::from(knobs));
     }
-    if knobs & 0x40 != 0 {
-        spec = spec.with_time_trigger(rate + 1);
-    }
     if knobs & 0x80 != 0 {
         spec = spec.with_model(FaultModel::multi_register_flip());
     }

@@ -104,8 +104,8 @@ fn pinned_frames() -> Vec<(&'static str, Vec<u8>)> {
 /// failure message prints current values) alongside a protocol
 /// `VERSION` bump.
 const GOLDEN: &[(&str, usize, u64)] = &[
-    ("handshake-e3", 215, 0x623d8ece83fd3ed3),
-    ("handshake-e3-traced", 237, 0xbd2b9186f7f67892),
+    ("handshake-e3", 214, 0xac08d13a2700a747),
+    ("handshake-e3-traced", 234, 0xae1874422429bd6a),
     ("trial-row", 42, 0x654dd71078400e11),
     ("trace-prefix", 54, 0x9045a5a1cd41f65c),
     ("trace-dump", 119, 0x649a22eaa985cd9d),

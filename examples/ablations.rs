@@ -3,8 +3,6 @@
 //! campaign's outcome distribution; asserts nothing (the A4 claim is
 //! checked by `tests/experiments.rs`).
 //!
-//! * **A0 — trigger mode**: the paper's call-count trigger against a
-//!   time trigger.
 //! * **A1 — occurrence rate**: sweep the injection cadence around the
 //!   paper's 1/100; the outcome distribution shifts with exposure.
 //! * **A2 — register subset**: restrict the flip target pool to the
@@ -50,18 +48,6 @@ fn scenario_with_spec(name: &str, spec: InjectionSpec) -> Scenario {
     scenario.name = name.to_string();
     scenario.spec = Some(spec);
     scenario
-}
-
-fn a0_trigger_mode() {
-    banner("A0: call-count trigger (the paper's) vs time trigger");
-    run_and_print(scenario_with_spec(
-        "e3-trigger-calls",
-        InjectionSpec::e3_nonroot_trap_medium(),
-    ));
-    run_and_print(scenario_with_spec(
-        "e3-trigger-time",
-        InjectionSpec::e3_nonroot_trap_medium().with_time_trigger(3200),
-    ));
 }
 
 fn a1_rate_sweep() {
@@ -139,7 +125,6 @@ fn a4_irqchip_inclusion() {
 }
 
 fn main() {
-    a0_trigger_mode();
     a1_rate_sweep();
     a2_register_subsets();
     a3_fault_models();

@@ -5,8 +5,8 @@
 //! injection step (the step, both injectors' records and both
 //! injectors' cadence state) and serves a trial whose class already
 //! has a stored result from that result. A result is stored only if
-//! its suffix reached no further due call or time trigger, and only if
-//! the dump policy does not keep its dump. This suite checks the cache
+//! its suffix reached no further due call, and only if the dump
+//! policy does not keep its dump. This suite checks the cache
 //! where it hits (E3, E6), where it must not (the free-running E2, E7,
 //! kept dumps) and where only the cadence state tells two classes
 //! apart, always against per-seed `run_trial` at 1, 2 and 4 workers:

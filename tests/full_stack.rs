@@ -8,7 +8,7 @@ use certify_guest_linux::MgmtScript;
 use certify_hypervisor::{CellState, GuestHealth, HandlerKind};
 
 #[test]
-fn golden_bring_up_reaches_steady_state() {
+fn golden_bring_up_reaches_the_running_state() {
     let mut system = System::new(MgmtScript::bring_up_and_run(2500));
     system.run(3500);
 

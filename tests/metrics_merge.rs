@@ -27,7 +27,6 @@ fn engine_fold(ops: &[EngineOp]) -> EngineMetrics {
                 metrics.trials.inc();
                 metrics.phases.record(&PhaseSample {
                     boot_ns: a,
-                    steady_ns: b,
                     injection_ns: c,
                     classify_ns: d,
                 });

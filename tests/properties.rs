@@ -190,14 +190,12 @@ proptest! {
 }
 
 /// One generated injection cadence: rate, phase jitter, up to two
-/// step windows, an optional time trigger (register specs only) and a
-/// cap of none, zero or one injection.
+/// step windows and a cap of none, zero or one injection.
 #[derive(Debug, Clone, Copy)]
 struct CadenceKnobs {
     rate: u64,
     jitter: bool,
     windows: [Option<(u64, u64)>; 2],
-    time_trigger: Option<u64>,
     max_injections: Option<u64>,
 }
 
@@ -207,22 +205,14 @@ fn window() -> impl Strategy<Value = Option<(u64, u64)>> {
 }
 
 fn cadence_knobs() -> impl Strategy<Value = CadenceKnobs> {
-    (
-        1u64..201,
-        any::<bool>(),
-        (window(), window()),
-        (any::<bool>(), 1u64..400),
-        0u8..3,
+    (1u64..201, any::<bool>(), (window(), window()), 0u8..3).prop_map(
+        |(rate, jitter, (w0, w1), cap)| CadenceKnobs {
+            rate,
+            jitter,
+            windows: [w0, w1],
+            max_injections: [None, Some(0), Some(1)][cap as usize],
+        },
     )
-        .prop_map(
-            |(rate, jitter, (w0, w1), (timed, period), cap)| CadenceKnobs {
-                rate,
-                jitter,
-                windows: [w0, w1],
-                time_trigger: timed.then_some(period),
-                max_injections: [None, Some(0), Some(1)][cap as usize],
-            },
-        )
 }
 
 /// Calls to `mask`'s handlers (bit i = `HandlerKind::ALL[i]`, at least
@@ -260,20 +250,16 @@ fn reference_phase(cadence: &Cadence, rng: &mut StdRng) -> u64 {
 /// call number, stops counting at the cap and records that number.
 struct RegisterReference {
     cadence: Cadence,
-    time_trigger: Option<u64>,
     filtered_calls: u64,
     injections_done: u64,
-    next_deadline: u64,
 }
 
 impl RegisterReference {
-    fn new(cadence: &Cadence, time_trigger: Option<u64>, rng: &mut StdRng) -> RegisterReference {
+    fn new(cadence: &Cadence, rng: &mut StdRng) -> RegisterReference {
         RegisterReference {
             cadence: cadence.clone(),
-            time_trigger,
             filtered_calls: reference_phase(cadence, rng),
             injections_done: 0,
-            next_deadline: 0,
         }
     }
 
@@ -294,18 +280,8 @@ impl RegisterReference {
         if !(windows.is_empty() || windows.iter().any(|w| w.contains(step))) {
             return None;
         }
-        match self.time_trigger {
-            Some(period) => {
-                if step < self.next_deadline {
-                    return None;
-                }
-                self.next_deadline = step + period;
-            }
-            None => {
-                if !self.filtered_calls.is_multiple_of(self.cadence.rate) {
-                    return None;
-                }
-            }
+        if !self.filtered_calls.is_multiple_of(self.cadence.rate) {
+            return None;
         }
         if !applies() {
             return None;
@@ -403,10 +379,9 @@ proptest! {
         use certify_core::CadenceCounter;
 
         let cadence = cadence(&knobs, mask, cpu);
-        let time_trigger = knobs.time_trigger;
         let rngs = || (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
         let (mut reference_rng, mut rng) = rngs();
-        let mut reference = RegisterReference::new(&cadence, time_trigger, &mut reference_rng);
+        let mut reference = RegisterReference::new(&cadence, &mut reference_rng);
         let mut counter = CadenceCounter::new(&cadence, &mut rng);
         prop_assert_eq!(reference_rng.gen::<u64>(), rng.gen::<u64>(), "phase draws");
         let (mut reference_rng, mut rng) = rngs();
@@ -427,7 +402,6 @@ proptest! {
         // Register: call by call, as `Injector`'s hook drives it.
         let (mut fired, mut reference_fired) = (Vec::new(), Vec::new());
         let (mut applies, mut reference_applies) = (outcomes(&pattern), outcomes(&pattern));
-        let mut next_deadline = 0;
         for &(step, handler, cpu) in &watched {
             prop_assert_eq!(counter.matches(handler, cpu), matching(&(step, handler, cpu)));
             if !matching(&(step, handler, cpu)) {
@@ -439,15 +413,8 @@ proptest! {
             if counter.capped() {
                 continue;
             }
-            let due = counter.count_call();
-            if !cadence.armed(step) {
+            if counter.count_call().is_none() || !cadence.armed(step) {
                 continue;
-            }
-            match time_trigger {
-                Some(_) if step < next_deadline => continue,
-                Some(period) => next_deadline = step + period,
-                None if due.is_none() => continue,
-                None => {}
             }
             if applies() {
                 counter.injected();
@@ -518,7 +485,6 @@ proptest! {
         let spec = (kind != 1).then(|| InjectionSpec {
             cadence: cadence(&reg, reg_mask, reg_cpu),
             model: Intensity::Medium.model(),
-            time_trigger: reg.time_trigger,
         });
         let mem_spec = (kind != 0).then(|| MemorySpec {
             cadence: cadence(&mem, mem_mask, mem_cpu),
@@ -594,7 +560,6 @@ fn harsh_specs_never_wedge_the_system() {
             let spec = InjectionSpec {
                 cadence: every_call(rate),
                 model: model.clone(),
-                time_trigger: None,
             };
             trials.push((Some(spec), None));
         }
