@@ -42,6 +42,12 @@ pub const SPURIOUS_IRQ: IrqId = IrqId(1023);
 /// Highest modelled interrupt line (exclusive).
 pub const NUM_IRQS: usize = 256;
 
+/// The routing byte of a line no CPU owns.
+const UNROUTED: u8 = u8::MAX;
+
+// Every core's id fits a routing byte below `UNROUTED`.
+const _: () = assert!(NUM_CPUS < UNROUTED as usize);
+
 /// Per-CPU interrupt queue and banked PPI state.
 #[derive(Debug, Clone, Default)]
 struct CpuInterface {
@@ -55,8 +61,9 @@ struct CpuInterface {
 #[derive(Debug, Clone)]
 pub struct Gic {
     enabled: [bool; NUM_IRQS],
-    /// Owning CPU for SPI routing; SGIs/PPIs ignore this.
-    target: [Option<CpuId>; NUM_IRQS],
+    /// Owning CPU for SPI routing, one byte per line ([`UNROUTED`]
+    /// when none); SGIs/PPIs ignore this.
+    target: [u8; NUM_IRQS],
     interfaces: [CpuInterface; NUM_CPUS],
     /// Count of interrupts raised while the line was disabled — a useful
     /// liveness diagnostic for the analysis crate.
@@ -69,7 +76,7 @@ impl Default for Gic {
     fn default() -> Gic {
         Gic {
             enabled: [false; NUM_IRQS],
-            target: [None; NUM_IRQS],
+            target: [UNROUTED; NUM_IRQS],
             interfaces: Default::default(),
             dropped: 0,
         }
@@ -99,10 +106,12 @@ impl Gic {
     }
 
     /// Routes an SPI line to `cpu`. The partitioning hypervisor calls
-    /// this when applying a cell configuration.
+    /// this when applying a cell configuration. A CPU id past 254
+    /// reads back as 254: still past the last core, so raises on the
+    /// line drop the same way.
     pub fn set_target(&mut self, irq: IrqId, cpu: CpuId) {
         if let Some(slot) = self.target.get_mut(irq.0 as usize) {
-            *slot = Some(cpu);
+            *slot = cpu.0.min(u32::from(UNROUTED) - 1) as u8;
         }
     }
 
@@ -110,13 +119,16 @@ impl Gic {
     /// dropped). Called when a cell is destroyed.
     pub fn clear_target(&mut self, irq: IrqId) {
         if let Some(slot) = self.target.get_mut(irq.0 as usize) {
-            *slot = None;
+            *slot = UNROUTED;
         }
     }
 
     /// The CPU an SPI is routed to.
     pub fn targeted_cpu(&self, irq: IrqId) -> Option<CpuId> {
-        self.target.get(irq.0 as usize).copied().flatten()
+        match self.target.get(irq.0 as usize) {
+            Some(&cpu) if cpu != UNROUTED => Some(CpuId(cpu.into())),
+            _ => None,
+        }
     }
 
     /// Raises an SPI or PPI. SPIs follow their routing; PPIs must be
@@ -339,7 +351,7 @@ mod tests {
     }
 
     #[test]
-    fn pending_total_tracks_queue_drain_and_reset() {
+    fn any_pending_tracks_queue_drain_and_reset() {
         let mut gic = Gic::default();
         assert!(!gic.any_pending());
         let timer = IrqId(27);
@@ -354,7 +366,6 @@ mod tests {
         assert!(gic.any_pending());
         gic.reset_cpu_interface(CpuId(1));
         assert!(!gic.any_pending());
-        // Spurious acknowledges don't underflow the counter.
         assert_eq!(gic.acknowledge(CpuId(1)), SPURIOUS_IRQ);
         assert!(!gic.any_pending());
     }
@@ -372,6 +383,24 @@ mod tests {
         assert!(!gic.has_pending(past));
         assert_eq!(gic.acknowledge(past), SPURIOUS_IRQ);
         assert!(!gic.any_pending());
+    }
+
+    #[test]
+    fn routing_round_trips_and_clears() {
+        let mut gic = Gic::default();
+        let (irq, past) = (IrqId(40), CpuId(NUM_CPUS as u32));
+        assert_eq!(gic.targeted_cpu(irq), None);
+        gic.set_target(irq, CpuId(1));
+        assert_eq!(gic.targeted_cpu(irq), Some(CpuId(1)));
+        gic.set_target(irq, past);
+        assert_eq!(gic.targeted_cpu(irq), Some(past));
+        gic.enable(irq);
+        assert!(!gic.raise(irq), "a line routed past the last core drops");
+        gic.set_target(irq, CpuId(u32::MAX));
+        assert_eq!(gic.targeted_cpu(irq), Some(CpuId(254)));
+        gic.clear_target(irq);
+        assert_eq!(gic.targeted_cpu(irq), None);
+        assert_eq!(gic.targeted_cpu(IrqId(NUM_IRQS as u16)), None);
     }
 
     #[test]

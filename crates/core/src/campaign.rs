@@ -444,8 +444,8 @@ impl TrialRunner {
     /// attached.
     ///
     /// `config: None` is exactly [`TrialRunner::run_trial`] — the same
-    /// code path, no recorder anywhere in the stack (pinned by
-    /// `tests/hotpath_equivalence.rs`). With a config, every component
+    /// code path, no recorder anywhere in the stack (pinned by the
+    /// equivalence harness, `tests/common/mod.rs`). With a config, every component
     /// records causal events into one bounded ring, a final
     /// [`certify_obs::trace::TraceKind::ClassifyVerdict`] event stamps
     /// the outcome, and the ring is captured as a [`TraceDump`] —
@@ -539,7 +539,8 @@ impl Campaign {
     /// [`TrialSink::accept_trace_prefix`].
     ///
     /// Tracing never changes trial results, sink rows or stats — the
-    /// observability law, pinned by `tests/hotpath_equivalence.rs`.
+    /// observability law, pinned by the equivalence harness
+    /// (`tests/common/mod.rs`).
     /// Tracing and phase timing are independent: an observed run of a
     /// traced campaign records both.
     pub fn with_trace(mut self, config: TraceConfig) -> Campaign {

@@ -67,8 +67,8 @@ impl fmt::Display for CountSummary {
 /// `CampaignStats` is itself a [`TrialSink`], and every streamed run
 /// also returns the stats it folded — so `run`, and
 /// `Campaign::execute` at any range split and worker count, produce
-/// identical stats over the same seeds (asserted by
-/// `tests/hotpath_equivalence.rs`).
+/// identical stats over the same seeds (asserted by the equivalence
+/// harness, `tests/common/mod.rs`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignStats {
     /// The scenario that was run.

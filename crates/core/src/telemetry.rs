@@ -11,8 +11,8 @@
 //!
 //! Telemetry is strictly one-way: the engine writes into it, nothing
 //! in it feeds back into trial execution. Observed and unobserved runs
-//! of the same seeds are byte-identical (pinned by
-//! `tests/hotpath_equivalence.rs`).
+//! of the same seeds are byte-identical (pinned by the equivalence
+//! harness, `tests/common/mod.rs`).
 
 use crate::classify::Outcome;
 use crate::json::Json;

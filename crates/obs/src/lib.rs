@@ -27,10 +27,11 @@
 //!   [`trace::FlightRecorder`] the hypervisor owns and the testbed's
 //!   event sites record into.
 //!
-//! The cardinal rule, pinned by `tests/hotpath_equivalence.rs` one
-//! level up: **telemetry never influences trial results**. Observed
-//! and unobserved runs of the same seeds produce identical stats and
-//! byte-identical CSV; the clock feeds histograms, never the engine.
+//! The cardinal rule, pinned by the equivalence harness one level up
+//! (`tests/common/mod.rs`): **telemetry never influences trial
+//! results**. Observed and unobserved runs of the same seeds produce
+//! identical stats and byte-identical CSV; the clock feeds histograms,
+//! never the engine.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

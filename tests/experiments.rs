@@ -12,6 +12,9 @@ use certify_core::memfault::{MemFaultModel, MemRegionKind, MemTarget};
 use certify_core::profiler::profile_golden_run;
 use certify_core::{CampaignStats, CollectSink, NullSink, Outcome};
 
+mod common;
+use common::{check_campaign, Mode};
+
 /// The seed of the full-size campaigns (`full_report`, `ablations`).
 const SEED: u64 = 0xD5_2022;
 
@@ -172,12 +175,8 @@ fn e4_profiling_finds_the_three_candidates() {
 
 #[test]
 fn campaigns_are_reproducible_bit_for_bit() {
-    let (a, _) = collect(Campaign::new(Scenario::e3_fig3(), 8, 0x5EED), 1);
-    let (b, _) = collect(Campaign::new(Scenario::e3_fig3(), 8, 0x5EED), 4);
-    for (ta, tb) in a.iter().zip(&b) {
-        assert_eq!(ta.outcome, tb.outcome);
-        assert_eq!(ta.report.injections, tb.report.injections);
-    }
+    let campaign = Campaign::new(Scenario::e3_fig3(), 8, 0x5EED);
+    check_campaign(&campaign, &[Mode::Workers(1), Mode::Workers(4)]);
 }
 
 #[test]

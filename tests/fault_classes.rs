@@ -9,121 +9,35 @@
 //! policy does not keep its dump. This suite checks the cache
 //! where it hits (E3, E6), where it must not (the free-running E2, E7,
 //! kept dumps) and where only the cadence state tells two classes
-//! apart, always against per-seed `run_trial` at 1, 2 and 4 workers:
+//! apart, always against per-seed `run_trial` in the equivalence
+//! harness's observed cells at 1, 2 and 4 workers (`tests/common`):
 //! every `TrialResult`, the CSV bytes and every dump.
 
-use certify_analysis::{campaign_to_csv, CsvSink};
 use certify_core::campaign::{Campaign, Scenario};
 use certify_core::memfault::{MemFaultModel, MemTarget};
 use certify_core::spec::{MemorySpec, Paced};
-use certify_core::{CollectSink, DumpPolicy, EngineTelemetry, TraceConfig, TraceDump};
-use certify_core::{TrialResult, TrialSink};
-use certify_uncertified::obs::{CollectObserver, ManualClock};
+use certify_core::{DumpPolicy, TraceConfig};
 use std::collections::HashSet;
+
+mod common;
+use common::{check, run_mode, Mode, Reference};
 
 const SEED: u64 = 0xD5_2022;
 
-/// What one `execute` call delivered.
-struct Delivered {
-    trials: Vec<TrialResult>,
-    dumps: Vec<(usize, TraceDump)>,
-    csv: String,
-    /// The engine's `suffixes_simulated` count.
-    simulated: u64,
-}
+/// The cells every campaign here runs in: observed at 1, 2 and 4
+/// workers. The harness returns the one-worker `suffixes_simulated`.
+const CELLS: [Mode; 3] = [Mode::Observed(1), Mode::Observed(2), Mode::Observed(4)];
 
-/// A sink collecting rows and dumps and rendering the CSV.
-struct Both {
-    collect: CollectSink,
-    csv: CsvSink<Vec<u8>>,
-}
-
-impl TrialSink for Both {
-    fn accept(&mut self, seq: usize, trial: TrialResult) {
-        self.csv.accept(seq, trial.clone());
-        self.collect.accept(seq, trial);
-    }
-
-    fn accept_dump(&mut self, seq: usize, dump: TraceDump) {
-        self.collect.accept_dump(seq, dump);
-    }
-}
-
-/// Runs the whole of `campaign` on `workers`, observed.
-fn execute(campaign: &Campaign, workers: usize) -> Delivered {
-    let clock = ManualClock::new();
-    let mut observer = CollectObserver::default();
-    let mut telemetry = EngineTelemetry::new(&clock, &mut observer, 0);
-    let mut sink = Both {
-        collect: CollectSink::new(),
-        csv: CsvSink::in_memory(),
-    };
-    campaign.execute(.., workers, &mut sink, Some(&mut telemetry));
-    let (trials, dumps) = sink.collect.into_parts();
-    Delivered {
-        trials,
-        dumps,
-        csv: sink.csv.into_csv(),
-        simulated: telemetry.metrics.suffixes_simulated.get(),
-    }
-}
-
-/// Every seed of `campaign` run from step 0, with the dumps its trace
-/// policy keeps.
-fn from_scratch(campaign: &Campaign) -> Delivered {
-    let runner = campaign.scenario().runner();
-    let mut trials = Vec::new();
-    let mut dumps = Vec::new();
-    for seq in 0..campaign.trials() {
-        let seed = campaign.base_seed() + seq as u64;
-        let (trial, dump) = runner.run_trial_traced(seed, campaign.trace());
-        if let (Some(config), Some(dump)) = (campaign.trace(), dump) {
-            if config.policy.wants(trial.outcome) {
-                dumps.push((seq, dump));
-            }
-        }
-        trials.push(trial);
-    }
-    let csv = campaign_to_csv(&trials);
-    Delivered {
-        trials,
-        dumps,
-        csv,
-        simulated: campaign.trials() as u64,
-    }
-}
-
-/// Checks `campaign` at 1, 2 and 4 workers against `reference` and
-/// returns the one-worker `suffixes_simulated`. Deliveries must be
-/// identical. At one worker the count is exact; more workers may both
-/// simulate a class they miss at the same time, so they simulate at
-/// least as many suffixes.
-fn check(campaign: &Campaign, reference: &Delivered) -> u64 {
-    let name = &campaign.scenario().name;
-    let mut one_worker = None;
-    for workers in [1, 2, 4] {
-        let run = execute(campaign, workers);
-        let context = format!("{name} on {workers} workers");
-        for (trial, expected) in run.trials.iter().zip(&reference.trials) {
-            assert_eq!(trial, expected, "{context}: seed {:#x}", expected.seed);
-        }
-        assert_eq!(run.trials.len(), reference.trials.len(), "{context}: rows");
-        assert!(run.csv == reference.csv, "{context}: CSV bytes differ");
-        assert!(run.dumps == reference.dumps, "{context}: dumps differ");
-        let least = *one_worker.get_or_insert(run.simulated);
-        assert!(
-            (least..=campaign.trials() as u64).contains(&run.simulated),
-            "{context}: {} suffixes simulated, one worker {least}",
-            run.simulated
-        );
-    }
-    one_worker.expect("one-worker run")
+/// Checks `campaign` against `reference` in [`CELLS`] and returns the
+/// suffixes one worker simulated.
+fn suffixes_simulated(campaign: &Campaign, reference: &Reference) -> u64 {
+    check(campaign, reference, &CELLS).expect("a one-worker cell")
 }
 
 /// Trials of `reference` whose first (and only) injection step's
 /// records appeared in an earlier single-injection trial: the hits one
 /// worker must find when every single-injection trial is stored.
-fn repeats(reference: &Delivered) -> u64 {
+fn repeats(reference: &Reference) -> u64 {
     let mut seen = HashSet::new();
     let once = reference
         .trials
@@ -142,8 +56,8 @@ fn repeats(reference: &Delivered) -> u64 {
 #[test]
 fn e3_repeats_are_served_with_identical_results() {
     let campaign = Campaign::new(Scenario::e3_fig3(), 600, SEED);
-    let reference = from_scratch(&campaign);
-    let simulated = check(&campaign, &reference);
+    let reference = common::reference(&campaign);
+    let simulated = suffixes_simulated(&campaign, &reference);
     assert_eq!(simulated, 600 - repeats(&reference));
     assert!(simulated < 600, "E3 must hit: {simulated} of 600 simulated");
 }
@@ -155,13 +69,16 @@ fn e3_repeats_are_served_with_identical_results() {
 fn e6_single_attempt_trials_are_served() {
     let scenario = Scenario::e6_memory(MemFaultModel::SingleBitFlip, MemTarget::e6());
     let campaign = Campaign::new(scenario, E6_TRIALS, SEED);
-    let reference = from_scratch(&campaign);
+    let reference = common::reference(&campaign);
     let single = (reference.trials.iter())
         .filter(|t| t.report.mem_injections.len() == 1)
         .count();
     let repeats = repeats(&reference);
     assert_eq!((single, repeats), E6_SINGLE_AND_REPEATS, "E6 shape");
-    assert_eq!(check(&campaign, &reference), E6_TRIALS as u64 - repeats);
+    assert_eq!(
+        suffixes_simulated(&campaign, &reference),
+        E6_TRIALS as u64 - repeats
+    );
 }
 
 const E6_TRIALS: usize = 1000;
@@ -173,12 +90,12 @@ const E6_SINGLE_AND_REPEATS: (usize, u64) = (361, 361 - 123);
 #[test]
 fn e2_trials_that_inject_again_are_all_simulated() {
     let campaign = Campaign::new(Scenario::e2_nonroot_high(), 300, SEED);
-    let reference = from_scratch(&campaign);
+    let reference = common::reference(&campaign);
     let again = (reference.trials.iter())
         .filter(|t| t.report.injections.len() > 1)
         .count() as u64;
     assert_eq!(again, 294, "E2 shape");
-    let simulated = check(&campaign, &reference);
+    let simulated = suffixes_simulated(&campaign, &reference);
     assert!(
         simulated >= again,
         "{simulated} suffixes simulated, {again} trials injected again"
@@ -198,7 +115,7 @@ fn trials_that_draw_again_are_never_served() {
         ..Scenario::e3_fig3()
     };
     let campaign = Campaign::new(scenario, 300, SEED);
-    let reference = from_scratch(&campaign);
+    let reference = common::reference(&campaign);
     let mut firsts = HashSet::new();
     let shared = (reference.trials.iter())
         .filter(|t| !firsts.insert(t.report.injections[0].clone()) && t.injection_count > 1)
@@ -207,7 +124,7 @@ fn trials_that_draw_again_are_never_served() {
         shared > 0,
         "no trial injected again after a repeated first fault"
     );
-    let simulated = check(&campaign, &reference);
+    let simulated = suffixes_simulated(&campaign, &reference);
     assert_eq!(simulated, 300 - repeats(&reference));
 }
 
@@ -219,15 +136,19 @@ fn trials_that_draw_again_are_never_served() {
 fn kept_dumps_come_from_simulated_trials() {
     let trace = TraceConfig::new().with_policy(DumpPolicy::anomalies());
     let e7 = Campaign::new(Scenario::e7_mixed(), 120, SEED).with_trace(trace.clone());
-    let reference = from_scratch(&e7);
+    let reference = common::reference(&e7);
     assert!(!reference.dumps.is_empty(), "E7 keeps no dump");
-    assert_eq!(check(&e7, &reference), 120, "E7 stores nothing");
+    assert_eq!(
+        suffixes_simulated(&e7, &reference),
+        120,
+        "E7 stores nothing"
+    );
 
     let e3 = Campaign::new(Scenario::e3_fig3(), 300, SEED).with_trace(trace);
-    let reference = from_scratch(&e3);
+    let reference = common::reference(&e3);
     let kept: HashSet<usize> = reference.dumps.iter().map(|(seq, _)| *seq).collect();
     assert!(!kept.is_empty(), "E3 keeps no dump");
-    let simulated = check(&e3, &reference);
+    let simulated = suffixes_simulated(&e3, &reference);
     assert!(
         simulated < 300 && simulated >= kept.len() as u64,
         "{simulated} suffixes simulated, {} dumps kept",
@@ -256,7 +177,7 @@ fn the_cadence_state_separates_classes() {
         ..Scenario::e3_fig3()
     };
     let campaign = Campaign::new(scenario, 300, SEED);
-    let reference = from_scratch(&campaign);
+    let reference = common::reference(&campaign);
     // The case exists: a register fault shared by a trial with memory
     // faults and by one without.
     let with = |memory: bool| -> HashSet<_> {
@@ -266,7 +187,7 @@ fn the_cadence_state_separates_classes() {
             .collect()
     };
     assert!(with(true).intersection(&with(false)).next().is_some());
-    check(&campaign, &reference);
+    suffixes_simulated(&campaign, &reference);
 }
 
 /// The one-worker count of a 1,000-trial E3 pass, at the benchmark's
@@ -276,9 +197,13 @@ fn the_cadence_state_separates_classes() {
 fn e3_pass_simulates_one_suffix_per_distinct_fault() {
     for (seed, distinct) in [(SEED, 448), (0xC0FFEE, 442)] {
         let campaign = Campaign::new(Scenario::e3_fig3(), 1000, seed);
-        let run = execute(&campaign, 1);
+        let run = run_mode(&campaign, Mode::Observed(1), "E3 pass");
         let faults: HashSet<_> = run.trials.iter().map(|t| &t.report.injections).collect();
         assert_eq!(faults.len(), distinct, "distinct faults from {seed:#x}");
-        assert_eq!(run.simulated, distinct as u64, "simulated from {seed:#x}");
+        assert_eq!(
+            run.simulated,
+            Some(distinct as u64),
+            "simulated from {seed:#x}"
+        );
     }
 }

@@ -3,14 +3,15 @@
 //!
 //! Contract under test (see `Campaign::execute`):
 //!
-//! * same seeds ⇒ identical `CampaignStats` and byte-identical CSV
-//!   from the buffered trials (`campaign_to_csv` over a `CollectSink`)
-//!   and from `execute` into a `CsvSink`, at any worker count;
+//! * same seeds ⇒ identical trials, `CampaignStats` and byte-identical
+//!   CSV from `execute` into a sink, at any worker count, as from the
+//!   seeds run from step 0 and rendered by `campaign_to_csv` (rows of
+//!   the equivalence harness, `tests/common/mod.rs`);
 //! * sinks always see trials in seed order (`seq` = 0, 1, 2, …);
 //! * at most `workers` completed-but-undelivered reports exist at any
 //!   time, even when the sink is slower than the workers.
 
-use certify_analysis::{campaign_to_csv, CsvSink};
+use certify_analysis::campaign_to_csv;
 use certify_arch::CpuId;
 use certify_core::campaign::{Campaign, Scenario, TrialResult};
 use certify_core::memfault::{MemFaultModel, MemFaultSkip, MemRegionKind, MemTarget};
@@ -24,70 +25,22 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 mod common;
-use common::worker_counts;
-
-/// Buffered run, sequential stream and parallel stream (all worker
-/// counts) must produce identical stats — and identical CSV bytes.
-fn assert_streamed_equals_buffered(campaign: &Campaign) {
-    let mut collect = CollectSink::new();
-    campaign.execute(.., 1, &mut collect, None);
-    let buffered = collect.into_trials();
-    let mut reference_stats = CampaignStats::new(campaign.scenario().name.clone());
-    for trial in &buffered {
-        reference_stats.record(trial);
-    }
-    let reference_csv = campaign_to_csv(&buffered);
-
-    let mut seq_csv = CsvSink::in_memory();
-    let (seq_stats, _) = campaign.execute(.., 1, &mut seq_csv, None);
-    assert_eq!(
-        seq_stats,
-        reference_stats,
-        "one-worker stats diverged for {}",
-        campaign.scenario().name
-    );
-    assert_eq!(
-        seq_csv.into_csv(),
-        reference_csv,
-        "one-worker CSV diverged for {}",
-        campaign.scenario().name
-    );
-
-    for workers in worker_counts() {
-        let mut par_csv = CsvSink::in_memory();
-        let (par_stats, _) = campaign.execute(.., workers, &mut par_csv, None);
-        assert_eq!(
-            par_stats,
-            reference_stats,
-            "execute on {workers} workers: stats diverged for {}",
-            campaign.scenario().name
-        );
-        assert_eq!(
-            par_csv.into_csv(),
-            reference_csv,
-            "execute on {workers} workers: CSV diverged for {}",
-            campaign.scenario().name
-        );
-    }
-}
+use common::{check_campaign, modes};
 
 #[test]
 fn e1_streamed_equals_buffered_stats_and_csv() {
-    assert_streamed_equals_buffered(&Campaign::new(Scenario::e1_root_high(), 12, 0xD5));
+    check_campaign(&Campaign::new(Scenario::e1_root_high(), 12, 0xD5), &modes());
 }
 
 #[test]
 fn e3_streamed_equals_buffered_stats_and_csv() {
-    assert_streamed_equals_buffered(&Campaign::new(Scenario::e3_fig3(), 8, 2022));
+    check_campaign(&Campaign::new(Scenario::e3_fig3(), 8, 2022), &modes());
 }
 
 #[test]
 fn memory_campaign_streamed_equals_buffered_stats_and_csv() {
-    assert_streamed_equals_buffered(&Campaign::new(
-        Scenario::e6_memory(MemFaultModel::SingleBitFlip, MemTarget::e6()),
-        8,
-        0xE6,
-    ));
+    let scenario = Scenario::e6_memory(MemFaultModel::SingleBitFlip, MemTarget::e6());
+    check_campaign(&Campaign::new(scenario, 8, 0xE6), &modes());
 }
 
 /// A descriptor attack fired before the script creates the non-root
@@ -122,7 +75,7 @@ fn a_descriptor_attack_before_the_cell_exists_is_a_no_victim_skip() {
 
 #[test]
 fn mixed_campaign_streamed_equals_buffered_stats_and_csv() {
-    assert_streamed_equals_buffered(&Campaign::new(Scenario::e7_mixed(), 6, 21));
+    check_campaign(&Campaign::new(Scenario::e7_mixed(), 6, 21), &modes());
 }
 
 #[test]
