@@ -10,10 +10,11 @@
 //! [`Campaign::execute`], runs any trial range on any number of
 //! workers, delivers each [`TrialResult`] to a [`TrialSink`] in seed
 //! order and folds it into [`CampaignStats`] online, holding at most
-//! `workers` undelivered reports however large the campaign. Seed order
-//! follows from how the work is split: trial `i` runs on worker
-//! `i % workers`, and the caller's thread takes the workers' results
-//! round-robin. A caller that needs every trial passes a
+//! `workers × LANE_CHUNK` undelivered reports however large the
+//! campaign. Seed order follows from how the work is split: the range
+//! is cut into chunks of up to [`LANE_CHUNK`] trials, chunk `c` runs on
+//! worker `c % workers`, and the caller's thread takes the workers'
+//! chunks round-robin. A caller that needs every trial passes a
 //! [`CollectSink`](crate::sink::CollectSink).
 
 use crate::certificate::ScenarioCertificate;
@@ -39,6 +40,16 @@ use std::sync::Arc;
 /// Seed offset decorrelating a trial's memory-injection RNG from its
 /// register-injection RNG (both are derived from the same trial seed).
 const MEM_SEED_OFFSET: u64 = 0x6d65_6d66; // "memf"
+
+/// The most trials a lane of a multi-worker [`Campaign::execute`] runs
+/// before it hands their results to the caller's thread and waits for
+/// them to be delivered. Each handoff parks and wakes a thread, so
+/// larger chunks cost less per trial; they also hold more undelivered
+/// reports (`workers × LANE_CHUNK` at most) and let a lane miss more
+/// fault classes that an earlier, not yet delivered trial would have
+/// stored. On cheap E3 trials the handoff cost levels off at about 8
+/// trials per chunk.
+pub const LANE_CHUNK: usize = 8;
 
 /// A fully specified experiment.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -607,8 +618,8 @@ impl Campaign {
     /// `sink` in seed order under its *global* sequence number, and
     /// folds it into the returned [`CampaignStats`]. The second element
     /// is the high-water mark of completed-but-undelivered
-    /// [`TrialResult`]s: at most `workers`, clamped to the range
-    /// length, and 0 for an empty range.
+    /// [`TrialResult`]s: at most `min(workers × LANE_CHUNK, len)` for a
+    /// range of `len` trials, and 0 for an empty range.
     ///
     /// * **Range.** Trial `i` is seeded `base_seed + i` and independent
     ///   of every other trial, so concatenating the deliveries of a
@@ -617,12 +628,18 @@ impl Campaign {
     ///   [`CampaignStats::merge`] reproduces its stats. A
     ///   `certify-shard` worker runs its range this way.
     /// * **Workers.** One worker (0 counts as 1) runs every trial on
-    ///   the caller's thread, spawning none. With more, trial `i` of the
-    ///   range runs on lane `i % workers`, a thread that starts trial
-    ///   `i` only after trial `i - workers` has been delivered, and the
-    ///   caller's thread takes the lanes' results round-robin, which is
-    ///   seed order: at most `workers` undelivered reports exist,
-    ///   however large the campaign.
+    ///   the caller's thread, spawning none. With more, the range is cut
+    ///   into chunks of `k = min(LANE_CHUNK, ⌈len / workers⌉)` trials,
+    ///   so that a short range is still spread across the lanes rather
+    ///   than packed into one chunk. Chunk `c`
+    ///   runs on lane `c % workers`, a thread that hands the chunk's
+    ///   results over in one message and starts chunk `c + workers`
+    ///   only after chunk `c` has been delivered. The caller's thread
+    ///   takes the lanes' chunks round-robin, which is seed order: at
+    ///   most `min(workers × LANE_CHUNK, len)` undelivered reports
+    ///   exist, however large the campaign. A traced campaign's lanes
+    ///   hold each undelivered trial's dump too, so up to
+    ///   `workers × LANE_CHUNK` dumps.
     /// * **Telemetry.** Phase timings, the high-water mark, sink rows
     ///   and sink bytes fold into its metrics, and its observer gets a
     ///   progress snapshot every `progress_every` deliveries plus a
@@ -707,8 +724,8 @@ impl Campaign {
     /// Runs the non-empty `range` and hands every result to `delivery`
     /// in seed order. Builds the shared prefix (handing a traced ring to
     /// the sink) and forks each trial from it. One worker runs on the
-    /// caller's thread; more run as lanes whose results the caller's
-    /// thread delivers round-robin, all of them through the one
+    /// caller's thread; more run as lanes whose chunks of results the
+    /// caller's thread delivers round-robin, all of them through the one
     /// fault-class cache of `delivery`. Returns the high-water mark of
     /// undelivered reports and the folded phase timings.
     fn run_trials<S: TrialSink + ?Sized>(
@@ -745,12 +762,23 @@ impl Campaign {
             return (1, folded);
         }
 
-        // Lane `w` runs trials `start + w`, `start + w + workers`, …; the
-        // caller's thread takes their results round-robin, which is seed
-        // order. A lane starts its next trial only on the go token sent
-        // once its previous one is delivered, so at most `workers`
-        // reports are undelivered. A panic on either side drops its
-        // channel ends, which stops the other side.
+        // The range splits into chunks of `chunk` trials, and chunk `c`
+        // runs on lane `c % workers`: the lane collects the chunk's
+        // results, sends them in one message and waits for the go token
+        // sent once they are delivered, so a handoff costs one park per
+        // chunk rather than per trial. The caller's thread takes the
+        // chunks round-robin, which is seed order. `chunk` shrinks on a
+        // short range so that it is still spread across the lanes; a lane
+        // holds at most one chunk, so at most `workers × chunk` reports
+        // are undelivered. A panic on either side drops its channel
+        // ends, which stops the other side.
+        let chunk = LANE_CHUNK.min(range.len().div_ceil(workers));
+        let chunks = range.len().div_ceil(chunk);
+        let workers = workers.min(chunks);
+        let chunk_range = |c: usize| {
+            let start = range.start + c * chunk;
+            start..(start + chunk).min(range.end)
+        };
         let (undelivered, high_water) = (AtomicUsize::new(0), AtomicUsize::new(0));
         std::thread::scope(|scope| {
             let (mut results, mut go, mut lanes) = (Vec::new(), Vec::new(), Vec::new());
@@ -758,18 +786,21 @@ impl Campaign {
                 let (result_tx, result_rx) = sync_channel(1);
                 let (go_tx, go_rx) = sync_channel::<()>(1);
                 let (run, undelivered, high_water) = (&run, &undelivered, &high_water);
-                let seqs = range.clone().skip(lane).step_by(workers);
                 lanes.push(scope.spawn(move || {
                     // Phase timings fold lane-locally and return with
                     // the lane.
                     let mut folded = EngineMetrics::default();
-                    for seq in seqs {
-                        let run = run(seq);
-                        fold_sample(&mut folded, run.sample);
-                        let held = undelivered.fetch_add(1, Ordering::Relaxed) + 1;
+                    for c in (lane..chunks).step_by(workers) {
+                        let mut done = Vec::with_capacity(chunk);
+                        for seq in chunk_range(c) {
+                            let run = run(seq);
+                            fold_sample(&mut folded, run.sample);
+                            done.push((run.trial, run.dump, run.class));
+                        }
+                        let held =
+                            undelivered.fetch_add(done.len(), Ordering::Relaxed) + done.len();
                         high_water.fetch_max(held, Ordering::Relaxed);
-                        let result = (run.trial, run.dump, run.class);
-                        if result_tx.send(result).is_err() || go_rx.recv().is_err() {
+                        if result_tx.send(done).is_err() || go_rx.recv().is_err() {
                             break;
                         }
                     }
@@ -778,15 +809,18 @@ impl Campaign {
                 results.push(result_rx);
                 go.push(go_tx);
             }
-            for seq in range.clone() {
-                let lane = (seq - range.start) % workers;
-                // A closed channel means the lane's trial panicked; its
-                // join below re-raises the panic.
-                let Ok((trial, dump, class)) = results[lane].recv() else {
+            for c in 0..chunks {
+                let lane = c % workers;
+                // A closed channel means one of the lane's trials
+                // panicked; its join below re-raises the panic.
+                let Ok(done) = results[lane].recv() else {
                     break;
                 };
-                delivery.deliver(seq, trial, dump, class);
-                undelivered.fetch_sub(1, Ordering::Relaxed);
+                let held = done.len();
+                for (seq, (trial, dump, class)) in chunk_range(c).zip(done) {
+                    delivery.deliver(seq, trial, dump, class);
+                }
+                undelivered.fetch_sub(held, Ordering::Relaxed);
                 let _ = go[lane].send(());
             }
             // Release lanes still waiting for a token before joining.
@@ -1114,10 +1148,13 @@ mod tests {
     /// `run_streamed` and `run_parallel_streamed_instrumented` stay only
     /// for the benchmark's adapter, which times them: each must be
     /// `execute` over the whole campaign without telemetry — the same
-    /// stats, deliveries and high-water mark.
+    /// stats and deliveries, and a high-water mark within `execute`'s
+    /// bound. (On more than one worker the mark depends on how the
+    /// lanes are scheduled, so two runs need not agree on it.)
     #[test]
     fn benchmark_forwards_are_execute() {
-        let campaign = Campaign::new(Scenario::e3_fig3(), 12, 0xD5_2022);
+        let trials = 12;
+        let campaign = Campaign::new(Scenario::e3_fig3(), trials, 0xD5_2022);
         let execute = |workers: usize| {
             let mut seen = Vec::new();
             let mut sink = |seq: usize, t: TrialResult| seen.push((seq, t));
@@ -1129,11 +1166,19 @@ mod tests {
             let mut sink = |seq: usize, t: TrialResult| seen.push((seq, t));
             let (stats, high_water) =
                 campaign.run_parallel_streamed_instrumented(workers, &mut sink);
+            let (expected_stats, expected_seen, expected_high_water) = execute(workers);
             assert_eq!(
-                (stats, seen, high_water),
-                execute(workers),
+                (stats, seen),
+                (expected_stats, expected_seen),
                 "workers {workers}"
             );
+            let bound = (workers * LANE_CHUNK).min(trials);
+            for high_water in [high_water, expected_high_water] {
+                assert!(
+                    (1..=bound).contains(&high_water),
+                    "workers {workers}: high-water {high_water}, bound {bound}"
+                );
+            }
         }
         let mut seen = Vec::new();
         let stats = campaign.run_streamed(&mut |seq: usize, t: TrialResult| seen.push((seq, t)));

@@ -4,8 +4,9 @@
 //! anything aggregates or exports them makes memory grow linearly with
 //! campaign size. A [`TrialSink`] inverts that: the engine hands each
 //! finished [`TrialResult`] to the sink *in seed order* and forgets
-//! it, so a campaign holds at most `workers` undelivered reports at
-//! any time (see `Campaign::execute`). Aggregation happens online in
+//! it, so a campaign holds at most `workers × LANE_CHUNK` undelivered
+//! reports at any time (see `Campaign::execute` and
+//! [`LANE_CHUNK`](crate::campaign::LANE_CHUNK)). Aggregation happens online in
 //! [`CampaignStats`](crate::CampaignStats); exports stream row by row
 //! (e.g. `certify_analysis`'s `CsvSink`); a caller that does want every
 //! trial passes a [`CollectSink`]. A `certify-shard` worker is just a

@@ -8,9 +8,11 @@
 //! the mode delivers the reference's trials, dumps, CSV bytes and
 //! stats, and that a traced mode hands over one trace prefix per engine
 //! call which every dump continues. [`run_mode`] checks the engine side
-//! of one mode on the way: the undelivered-report bound, delivery in
-//! seed order on the caller's thread, and an observed run's telemetry
-//! counts. [`check_oracle`] classifies every seed on a bare `System`.
+//! of one mode on the way: the undelivered-report bound
+//! (`min(workers × LANE_CHUNK, len)`), delivery in seed order on the
+//! caller's thread, and an observed run's telemetry counts and the
+//! threads that ran its trials. [`check_oracle`] classifies every seed
+//! on a bare `System`.
 //!
 //! The table in `tests/hotpath_equivalence.rs` runs every built-in
 //! scenario through [`modes`]; the other suites run their own
@@ -20,7 +22,7 @@
 #![allow(dead_code)]
 
 use certify_analysis::{campaign_to_csv, CsvSink};
-use certify_core::campaign::{Campaign, Scenario};
+use certify_core::campaign::{Campaign, Scenario, LANE_CHUNK};
 use certify_core::classify::classify;
 use certify_core::system::System;
 use certify_core::{CampaignStats, CollectSink, EngineTelemetry};
@@ -28,9 +30,9 @@ use certify_core::{TraceDump, TrialResult, TrialSink};
 use certify_shard::TracePrefix;
 use certify_uncertified::obs::trace::FlightRecorder;
 use certify_uncertified::obs::{Clock, CollectObserver, ManualClock};
+use std::collections::HashSet;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::{self, ThreadId};
 
 /// The offset a trial's memory-injection seed takes from its trial
@@ -156,6 +158,9 @@ pub struct Run {
     pub calls: Vec<usize>,
     /// The engine's `suffixes_simulated` count, for an observed mode.
     pub simulated: Option<u64>,
+    /// How many threads other than the caller's read the clock: the
+    /// lanes that ran trials, for an observed mode (0 otherwise).
+    pub lanes: usize,
 }
 
 /// The sink of every mode: rows, dumps and CSV bytes in one pass, plus
@@ -214,20 +219,21 @@ impl TrialSink for Delivered {
     }
 }
 
-/// Scripted time that advances 1 ns per read and notes whether a
-/// thread other than `caller` read it: an observed trial reads the
-/// clock on the thread that runs it, and a phase reads nonzero exactly
-/// when the clock was read inside it.
+/// Scripted time that advances 1 ns per read and records every thread
+/// other than `caller` that read it: an observed trial reads the clock
+/// on the thread that runs it, and a phase reads nonzero exactly when
+/// the clock was read inside it.
 struct ThreadClock {
     time: ManualClock,
     caller: ThreadId,
-    read_off_caller: AtomicBool,
+    readers: Mutex<HashSet<ThreadId>>,
 }
 
 impl Clock for ThreadClock {
     fn now_ns(&self) -> u64 {
-        if thread::current().id() != self.caller {
-            self.read_off_caller.store(true, Ordering::Relaxed);
+        let reader = thread::current().id();
+        if reader != self.caller {
+            self.readers.lock().unwrap().insert(reader);
         }
         self.time.advance(1);
         self.time.now_ns()
@@ -235,20 +241,21 @@ impl Clock for ThreadClock {
 }
 
 /// Runs `campaign` in `mode`. Checks the mode's engine side on the
-/// way: the undelivered high-water mark is within `1..=workers`
-/// (clamped to the range), rows arrive under their global sequence
-/// numbers in seed order, every hand-over reaches the sink on the
-/// caller's thread, and an observed run records one phase sample, row
-/// and progress count per trial, the sink's bytes, and reads its clock
-/// off the caller's thread exactly when it runs on more than one
-/// worker.
+/// way: the undelivered high-water mark is within
+/// `1..=min(workers × LANE_CHUNK, len)` for each range of `len` trials,
+/// rows arrive under their global sequence numbers in seed order,
+/// every hand-over reaches the sink on the caller's thread, and an
+/// observed run records one phase sample, row and progress count per
+/// trial, the sink's bytes, and has its clock read by at most
+/// `workers` threads other than the caller's, and by some exactly when
+/// it runs on more than one worker.
 pub fn run_mode(campaign: &Campaign, mode: Mode, context: &str) -> Run {
     let n = campaign.trials();
     let (workers, ranges, observed) = mode.plan(n);
     let clock = ThreadClock {
         time: ManualClock::new(),
         caller: thread::current().id(),
-        read_off_caller: AtomicBool::new(false),
+        readers: Mutex::default(),
     };
     let mut observer = CollectObserver::default();
     let mut telemetry = EngineTelemetry::new(&clock, &mut observer, 2);
@@ -261,8 +268,9 @@ pub fn run_mode(campaign: &Campaign, mode: Mode, context: &str) -> Run {
             &mut delivered,
             observed.then_some(&mut telemetry),
         );
+        let bound = workers.max(1).saturating_mul(LANE_CHUNK).min(len);
         assert!(
-            (1..=workers.clamp(1, len)).contains(&high_water),
+            (1..=bound).contains(&high_water),
             "{context}: reorder high-water {high_water} for {len} trials on {workers} workers"
         );
         stats.merge(&range_stats);
@@ -301,8 +309,15 @@ pub fn run_mode(campaign: &Campaign, mode: Mode, context: &str) -> Run {
         assert_eq!(last.done, n as u64, "{context}: final snapshot done");
         assert_eq!(last.total, n as u64, "{context}: final snapshot total");
         assert_eq!(last.source, None, "{context}: campaign-level snapshot");
+    }
+    let lanes = clock.readers.into_inner().unwrap().len();
+    if observed {
+        assert!(
+            lanes <= workers,
+            "{context}: {lanes} lanes for {workers} workers"
+        );
         assert_eq!(
-            clock.read_off_caller.into_inner(),
+            lanes > 0,
             workers > 1,
             "{context}: trials ran off the caller's thread exactly when on more than one worker"
         );
@@ -316,6 +331,7 @@ pub fn run_mode(campaign: &Campaign, mode: Mode, context: &str) -> Run {
         prefixes: delivered.prefixes,
         calls: ranges.iter().map(|&(start, _)| start).collect(),
         simulated,
+        lanes,
     }
 }
 

@@ -2,24 +2,32 @@
 //! of the equivalence harness (`tests/common/mod.rs`).
 //!
 //! `Campaign::execute` distributes trials over `std::thread::scope`
-//! lanes (trial `i` on lane `i % workers`), but every trial is seeded
-//! `base_seed + i` and delivered at sequence `i` — so every worker
-//! count, range split and OS scheduling of the workers must deliver
-//! exactly the trials (every field of every `TrialResult`, including
-//! full `RunReport` evidence), dumps, CSV bytes and stats of the same
-//! seeds run from step 0. CI runs this suite in both debug and
+//! lanes (chunk `c` of up to `LANE_CHUNK` trials on lane `c % workers`),
+//! but every trial is seeded `base_seed + i` and delivered at sequence
+//! `i` — so every worker count, range split and OS scheduling of the
+//! workers must deliver exactly the trials (every field of every
+//! `TrialResult`, including full `RunReport` evidence), dumps, CSV bytes
+//! and stats of the same seeds run from step 0. CI runs this suite in both debug and
 //! `--release`, where trial timing skew actually exercises the lanes'
 //! hand-over.
 
-use certify_core::campaign::{Campaign, Scenario};
+use certify_core::campaign::{Campaign, Scenario, LANE_CHUNK};
 use certify_core::{DumpPolicy, TraceConfig};
 
 mod common;
 use common::{check_campaign, modes, splits, Mode};
 
+/// At `2·4·LANE_CHUNK + 3` trials, 2 and 4 lanes each run several
+/// chunks and the last chunk is partial, and the range split starts its
+/// second range at trial 1 and its third in mid-chunk.
 #[test]
 fn e1_campaign_is_deterministic_across_worker_counts() {
-    check_campaign(&Campaign::new(Scenario::e1_root_high(), 12, 0xD5), &modes());
+    for trials in [12, 2 * 4 * LANE_CHUNK + 3] {
+        check_campaign(
+            &Campaign::new(Scenario::e1_root_high(), trials, 0xD5),
+            &modes(),
+        );
+    }
 }
 
 #[test]

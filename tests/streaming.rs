@@ -8,12 +8,15 @@
 //!   seeds run from step 0 and rendered by `campaign_to_csv` (rows of
 //!   the equivalence harness, `tests/common/mod.rs`);
 //! * sinks always see trials in seed order (`seq` = 0, 1, 2, …);
-//! * at most `workers` completed-but-undelivered reports exist at any
-//!   time, even when the sink is slower than the workers.
+//! * at most `min(workers × LANE_CHUNK, trials)` completed-but-undelivered
+//!   reports exist at any time, even when the sink is slower than the
+//!   workers: a lane holds at most one chunk of up to `LANE_CHUNK`
+//!   trials;
+//! * a short range is cut into chunks small enough to reach every lane.
 
 use certify_analysis::campaign_to_csv;
 use certify_arch::CpuId;
-use certify_core::campaign::{Campaign, Scenario, TrialResult};
+use certify_core::campaign::{Campaign, Scenario, TrialResult, LANE_CHUNK};
 use certify_core::memfault::{MemFaultModel, MemFaultSkip, MemRegionKind, MemTarget};
 use certify_core::telemetry::EngineTelemetry;
 use certify_core::{CampaignStats, CollectSink, MemorySpec, NullSink, Paced, TrialSink};
@@ -25,7 +28,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 mod common;
-use common::{check_campaign, modes};
+use common::{check_campaign, modes, run_mode, Mode};
 
 #[test]
 fn e1_streamed_equals_buffered_stats_and_csv() {
@@ -104,7 +107,7 @@ impl TrialSink for SlowSink {
 }
 
 #[test]
-fn undelivered_reports_never_exceed_the_worker_count() {
+fn undelivered_reports_never_exceed_the_chunked_bound() {
     let trials = 24;
     for workers in [1usize, 2, 4] {
         let campaign = Campaign::new(Scenario::golden(200), trials, 3);
@@ -114,9 +117,10 @@ fn undelivered_reports_never_exceed_the_worker_count() {
         let (stats, high_water) = campaign.execute(.., workers, &mut sink, None);
         assert_eq!(stats.trials, trials);
         assert_eq!(sink.delivered, (0..trials).collect::<Vec<_>>());
+        let bound = (workers * LANE_CHUNK).min(trials);
         assert!(
-            high_water <= workers,
-            "{high_water} undelivered reports with {workers} workers"
+            high_water <= bound,
+            "{high_water} undelivered reports with {workers} workers, bound {bound}"
         );
         assert!(high_water >= 1, "nothing was ever undelivered");
     }
@@ -128,6 +132,15 @@ fn high_water_is_bounded_even_with_more_workers_than_trials() {
     let (stats, high_water) = campaign.execute(.., 64, &mut NullSink, None);
     assert_eq!(stats.trials, 3);
     assert!(high_water <= 3, "workers clamp to the trial count");
+}
+
+/// Without the clamp of the chunk size to `⌈len / workers⌉`, 8 trials
+/// would form one chunk on one lane.
+#[test]
+fn a_short_range_still_uses_every_lane() {
+    let campaign = Campaign::new(Scenario::golden(200), 8, 5);
+    let run = run_mode(&campaign, Mode::Observed(4), "golden observed-4");
+    assert_eq!(run.lanes, 4, "lane threads that ran trials");
 }
 
 #[test]
@@ -234,10 +247,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Whatever the trial count, worker count and base seed, sinks
-    /// see consecutive `seq` values with seeds `base_seed + seq`.
+    /// see consecutive `seq` values with seeds `base_seed + seq`. Past
+    /// `workers × LANE_CHUNK` trials every lane runs several chunks,
+    /// and most counts end on a partial one.
     #[test]
     fn sink_deliveries_arrive_in_seed_order(
-        trials in 1usize..10,
+        trials in 1usize..6 * LANE_CHUNK,
         workers in 1usize..6,
         base_seed in 0u64..1000,
     ) {
