@@ -638,8 +638,7 @@ impl Campaign {
     ///   takes the lanes' chunks round-robin, which is seed order: at
     ///   most `min(workers × LANE_CHUNK, len)` undelivered reports
     ///   exist, however large the campaign. A traced campaign's lanes
-    ///   hold each undelivered trial's dump too, so up to
-    ///   `workers × LANE_CHUNK` dumps.
+    ///   hold an undelivered trial's dump only if the policy keeps it.
     /// * **Telemetry.** Phase timings, the high-water mark, sink rows
     ///   and sink bytes fold into its metrics, and its observer gets a
     ///   progress snapshot every `progress_every` deliveries plus a
@@ -673,6 +672,7 @@ impl Campaign {
         let range = self.trial_range(range);
         let classes = FaultClasses::default();
         let mut delivery = Delivery {
+            #[cfg(debug_assertions)]
             campaign: self,
             classes: &classes,
             sink,
@@ -741,15 +741,24 @@ impl Campaign {
         }
         let clock = delivery.progress.as_ref().map(|(_, t)| t.clock);
         let classes = delivery.classes;
+        // A trial's dump is decided where the trial ends: a kept dump
+        // travels on, and a trial whose dump is not kept may store its
+        // class in the cache.
         let run = |seq: usize| {
             let seed = self.base_seed + seq as u64;
-            runner.run(
+            let mut run = runner.run(
                 seed,
                 Some(&prefix),
                 trace,
                 clock.map(|c| c as _),
                 Some(classes),
-            )
+            );
+            if self.should_dump(&run.trial) {
+                run.class = None;
+            } else {
+                run.dump = None;
+            }
+            run
         };
         let workers = workers.min(range.len());
         if workers <= 1 {
@@ -838,14 +847,16 @@ impl Campaign {
 }
 
 /// The delivery step both paths of [`Campaign::execute`] share. Results
-/// arrive in seed order; each is checked against the attached
+/// arrive in seed order, each with its dump only if the policy keeps it
+/// and its class only if not; each is checked against the attached
 /// certificate and the skip prediction (debug builds), stored in the
-/// fault-class cache if it came with a class and the policy does not
-/// keep its dump, folded into the stats, handed to the sink with its
-/// dump if the policy keeps it, and counted towards progress: a
+/// fault-class cache if it came with a class, folded into the stats,
+/// handed to the sink with its dump, and counted towards progress: a
 /// snapshot every `progress_every` deliveries and one after the last
 /// of `total`.
 struct Delivery<'e, 't, S: ?Sized> {
+    /// The campaign, for the debug-build checks.
+    #[cfg(debug_assertions)]
     campaign: &'e Campaign,
     classes: &'e FaultClasses,
     sink: &'e mut S,
@@ -867,14 +878,12 @@ impl<S: TrialSink + ?Sized> Delivery<'_, '_, S> {
             assert_skips_predicted(self.campaign.scenario.mem_spec.as_ref(), &trial);
             assert_certificate_conformance(self.campaign.certificate.as_deref(), &trial);
         }
-        let keeps_dump = self.campaign.should_dump(&trial);
-        if let Some(class) = class.filter(|_| !keeps_dump) {
+        if let Some(class) = class {
             self.classes.store(class, &trial);
         }
         self.stats.record(&trial);
-        let kept = dump.filter(|_| keeps_dump);
         self.sink.accept(seq, trial);
-        if let Some(dump) = kept {
+        if let Some(dump) = dump {
             self.sink.accept_dump(seq, dump);
         }
         if let Some((tracker, telemetry)) = &mut self.progress {

@@ -52,8 +52,8 @@ pub struct ScenarioCertificate {
     /// topology contains the non-root cell (and its comm region and
     /// stage-2 table) only if it can.
     pub cell_reachable: bool,
-    /// Steps the script consumes before going quiet, or `None` when it
-    /// loops forever.
+    /// Steps the script consumes before going quiet, capped at the
+    /// scenario's step budget, or `None` when it loops forever.
     pub script_steps: Option<u64>,
     /// Sound over-approximation of the reachable outcome set.
     pub outcomes: BTreeSet<Outcome>,

@@ -255,10 +255,12 @@ pub fn certify_scenario(scenario: &Scenario) -> (ScenarioCertificate, Vec<Diagno
     let certificate = ScenarioCertificate {
         scenario_name: scenario.name.clone(),
         cell_reachable: facts.cell_reachable,
+        // The trial stops at the step budget, however long the script
+        // would run.
         script_steps: if facts.loops {
             None
         } else {
-            Some(facts.steps_consumed)
+            Some(facts.steps_consumed.min(scenario.steps))
         },
         outcomes,
         reg_budget,
@@ -464,6 +466,12 @@ mod tests {
         scenario.spec.as_mut().unwrap().cadence.windows = vec![InjectionWindow::new(3000, 4000)];
         let (_, diagnostics) = certify_scenario(&scenario);
         assert!(codes(&diagnostics).contains(&Code::CertScriptEndsBeforeWindow));
+    }
+
+    #[test]
+    fn script_horizon_is_clamped_to_the_step_budget() {
+        let (certificate, _) = certify_scenario(&Scenario::e3_fig3());
+        assert_eq!(certificate.script_steps, Some(4500));
     }
 
     #[test]

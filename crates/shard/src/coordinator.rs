@@ -119,13 +119,12 @@ pub struct ShardedRun {
     pub stats: CampaignStats,
     /// Rows delivered (== the campaign's trial count).
     pub rows: u64,
-    /// Worker attempts that failed and were recovered from. A healthy
-    /// run reports 0; a sabotaged one at least 1.
-    pub worker_failures: u32,
     /// The contiguous `(start, len)` range each shard executed.
     pub shard_ranges: Vec<(usize, usize)>,
     /// Transport metrics merged across all shards: rows, frames,
-    /// frame bytes, CRC rejects, retries and wasted re-run trials.
+    /// frame bytes, CRC rejects, retries (failed worker attempts, the
+    /// last of a failed shard included: a healthy run reports 0, a
+    /// sabotaged one at least 1) and wasted re-run trials.
     /// Counters are always collected (they are deterministic counts);
     /// `elapsed_ns` (and thus `rows_per_sec`) is populated only by
     /// [`run_sharded_observed`], which has a clock.
@@ -139,8 +138,9 @@ pub struct ShardedRun {
     /// attempt's dumps, plus each dump's own post-fork suffix. That
     /// bounds their memory by one ring per attempt plus the suffixes,
     /// not one ring per dump. [`ShippedDump::dump`] rebuilds a dump
-    /// byte-identical to the one an in-process traced run of the same
-    /// campaign delivers — pinned by `crates/shard/tests/sharded.rs`.
+    /// byte-identical to the one the same seed's trial run from step 0
+    /// captures — pinned by the equivalence harness that
+    /// `crates/shard/tests/sharded.rs` runs.
     pub dumps: Vec<(u64, ShippedDump)>,
 }
 
@@ -315,8 +315,6 @@ struct Coord {
     /// Progress snapshots queued by shard readers for the consumer to
     /// hand to the observer (empty unless the run is observed).
     snapshots: VecDeque<ProgressSnapshot>,
-    /// Failed worker attempts (including recovered ones).
-    failures: u32,
     /// First fatal error; set alongside `abort`.
     fatal: Option<ShardError>,
     /// Everyone should stop.
@@ -342,6 +340,22 @@ struct Signals {
 }
 
 impl Signals {
+    /// Empty state for `shards` shards.
+    fn new(shards: usize) -> Signals {
+        Signals {
+            state: Mutex::new(Coord {
+                queues: (0..shards).map(|_| ShardQueue::default()).collect(),
+                done: vec![None; shards],
+                metrics: vec![ShardMetrics::default(); shards],
+                snapshots: VecDeque::new(),
+                fatal: None,
+                abort: false,
+            }),
+            ready: Condvar::new(),
+            space: Condvar::new(),
+        }
+    }
+
     /// Sets a fatal error and wakes every thread.
     fn fail(&self, error: ShardError) {
         self.state
@@ -441,7 +455,6 @@ fn run_sharded_engine(
         return Ok(ShardedRun {
             stats: CampaignStats::new(campaign.scenario().name.clone()),
             rows: 0,
-            worker_failures: 0,
             shard_ranges: Vec::new(),
             metrics: ShardMetrics::default(),
             shard_metrics: Vec::new(),
@@ -451,19 +464,7 @@ fn run_sharded_engine(
 
     let tracker = clock.map(|clock| ProgressTracker::new(clock, None, trials as u64));
 
-    let signals = Signals {
-        state: Mutex::new(Coord {
-            queues: ranges.iter().map(|_| ShardQueue::default()).collect(),
-            done: vec![None; ranges.len()],
-            metrics: vec![ShardMetrics::default(); ranges.len()],
-            snapshots: VecDeque::new(),
-            failures: 0,
-            fatal: None,
-            abort: false,
-        }),
-        ready: Condvar::new(),
-        space: Condvar::new(),
-    };
+    let signals = Signals::new(ranges.len());
 
     std::thread::scope(|scope| {
         for (shard, &(start, len)) in ranges.iter().enumerate() {
@@ -508,7 +509,6 @@ fn run_sharded_engine(
     Ok(ShardedRun {
         stats,
         rows: trials as u64,
-        worker_failures: state.failures,
         shard_ranges: ranges,
         metrics,
         shard_metrics: state.metrics,
@@ -625,21 +625,15 @@ fn run_shard(
                 }
                 return;
             }
-            Err(error) => {
-                let mut state = signals.state.lock().expect("coordinator lock");
-                state.failures += 1;
-                if attempt == opts.max_attempts.max(1) {
-                    state.set_fatal(ShardError::ShardFailed {
-                        shard,
-                        attempts: attempt,
-                        last_error: error,
-                    });
-                    drop(state);
-                    signals.ready.notify_all();
-                    signals.space.notify_all();
-                    return;
-                }
+            Err(last_error) if attempt == opts.max_attempts.max(1) => {
+                signals.fail(ShardError::ShardFailed {
+                    shard,
+                    attempts: attempt,
+                    last_error,
+                });
+                return;
             }
+            Err(_) => {}
         }
     }
 }
@@ -654,7 +648,9 @@ fn discard_child(mut child: Child) {
 /// shard's rows are all queued and its validated `Done` stats are
 /// recorded; any `Err` leaves the shard's queue consistent (rows
 /// already queued stay — they are deterministic in the seed — and the
-/// retry simply queues the rest).
+/// retry simply queues the rest). The attempt's transport metrics fold
+/// into the shard's whatever its fate: a failed attempt, one that never
+/// spawned included, is a retry whose received rows must be re-run.
 #[allow(clippy::too_many_arguments)]
 fn run_attempt(
     signals: &Signals,
@@ -668,6 +664,62 @@ fn run_attempt(
     sabotage: Option<u64>,
     clock: Option<&(dyn Clock + Sync)>,
 ) -> Result<(), String> {
+    let mut wire = Wire::default();
+    let result = stream_attempt(
+        signals,
+        worker,
+        campaign,
+        opts,
+        shard,
+        start,
+        len,
+        certificate_fingerprint,
+        sabotage,
+        clock,
+        &mut wire,
+    );
+    let mut state = signals.state.lock().expect("coordinator lock");
+    let metrics = &mut state.metrics[shard];
+    metrics.frames.add(wire.frames);
+    metrics.frame_bytes.add(wire.bytes);
+    metrics.crc_rejects.add(wire.crc_rejects);
+    match &result {
+        Ok(true) => metrics.rows.add(len as u64),
+        Ok(false) => {}
+        Err(_) => {
+            metrics.retries.inc();
+            metrics.wasted_rerun_trials.add(wire.rows);
+        }
+    }
+    result.map(|_| ())
+}
+
+/// What one attempt read off its worker's pipe.
+#[derive(Default)]
+struct Wire {
+    frames: u64,
+    bytes: u64,
+    crc_rejects: u64,
+    rows: u64,
+}
+
+/// The body of [`run_attempt`]: spawns the worker, streams its frames
+/// into the shard's queue and counts them in `wire`. `Ok(true)` is a
+/// validated `Done`; `Ok(false)` means the run was aborted elsewhere.
+#[allow(clippy::too_many_arguments)]
+fn stream_attempt(
+    signals: &Signals,
+    worker: &PathBuf,
+    campaign: &Campaign,
+    opts: &ShardOptions,
+    shard: usize,
+    start: usize,
+    len: usize,
+    certificate_fingerprint: u64,
+    sabotage: Option<u64>,
+    clock: Option<&(dyn Clock + Sync)>,
+    wire: &mut Wire,
+) -> Result<bool, String> {
     let mut child = Command::new(worker)
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
@@ -700,10 +752,7 @@ fn run_attempt(
     let mut frames = io::BufReader::new(CountingReader::new(stdout));
     let end = (start + len) as u64;
     let mut expected = start as u64;
-    let mut received = 0u64;
     let mut killed = false;
-    let mut frame_count = 0u64;
-    let mut crc_rejects = 0u64;
     let tracker = clock.map(|clock| ProgressTracker::new(clock, Some(shard as u32), len as u64));
     // The ring capacity dumps are checked against, and this attempt's
     // trace prefix once its frame has arrived and checked out.
@@ -714,13 +763,13 @@ fn run_attempt(
     let outcome = loop {
         let frame = match read_frame(&mut frames) {
             Ok(Some(frame)) => {
-                frame_count += 1;
+                wire.frames += 1;
                 frame
             }
             Ok(None) => break Err("worker stream ended before its done frame".into()),
             Err(e) => {
                 if matches!(e, ProtocolError::BadCrc { .. }) {
-                    crc_rejects += 1;
+                    wire.crc_rejects += 1;
                 }
                 break Err(format!("worker stream failed: {e}"));
             }
@@ -733,11 +782,11 @@ fn run_attempt(
                     ));
                 }
                 expected += 1;
-                received += 1;
+                wire.rows += 1;
                 let mut state = signals.state.lock().expect("coordinator lock");
                 // A row the queue already held came from an earlier
                 // attempt; this copy is dropped.
-                let fresh = received > state.queues[shard].held;
+                let fresh = wire.rows > state.queues[shard].held;
                 // Backpressure: cap this shard's undelivered rows.
                 while fresh
                     && !state.abort
@@ -756,7 +805,7 @@ fn run_attempt(
                     drop(state);
                     signals.ready.notify_all();
                 }
-                if sabotage == Some(received) {
+                if sabotage == Some(wire.rows) {
                     // The test hook: SIGKILL the worker mid-stream and
                     // let the normal failure detection see the corpse.
                     let _ = child.kill();
@@ -800,16 +849,17 @@ fn run_attempt(
                 }
             }
             Frame::Stats { rows, stats } => {
-                if rows != received {
+                if rows != wire.rows {
                     break Err(format!(
-                        "stats frame claims {rows} rows, coordinator saw {received}"
+                        "stats frame claims {rows} rows, coordinator saw {}",
+                        wire.rows
                     ));
                 }
                 if let Some(tracker) = &tracker {
                     // The worker's periodic snapshot becomes a live
                     // per-shard progress report, queued for the
                     // consumer to hand to the observer.
-                    let snapshot = tracker.snapshot(received, outcome_rows(&stats.distribution));
+                    let snapshot = tracker.snapshot(wire.rows, outcome_rows(&stats.distribution));
                     let mut state = signals.state.lock().expect("coordinator lock");
                     state.snapshots.push_back(snapshot);
                     drop(state);
@@ -819,7 +869,8 @@ fn run_attempt(
             Frame::Done { rows, stats } => {
                 if rows != len as u64 || expected != end {
                     break Err(format!(
-                        "done frame after {received} of {len} rows (claims {rows})"
+                        "done frame after {} of {len} rows (claims {rows})",
+                        wire.rows
                     ));
                 }
                 if stats.trials != len {
@@ -874,24 +925,34 @@ fn run_attempt(
             Err(error)
         }
     };
+    wire.bytes = frames.get_ref().bytes_read();
+    result
+}
 
-    // Fold this attempt's transport metrics, whatever its fate: a
-    // failed attempt is a retry whose `received` rows must be re-run.
-    let wire_bytes = frames.get_ref().bytes_read();
-    {
-        let mut state = signals.state.lock().expect("coordinator lock");
-        let metrics = &mut state.metrics[shard];
-        metrics.frames.add(frame_count);
-        metrics.frame_bytes.add(wire_bytes);
-        metrics.crc_rejects.add(crc_rejects);
-        match &result {
-            Ok(true) => metrics.rows.add(len as u64),
-            Ok(false) => {}
-            Err(_) => {
-                metrics.retries.inc();
-                metrics.wasted_rerun_trials.add(received);
-            }
-        }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use certify_core::Scenario;
+
+    #[test]
+    fn an_attempt_that_never_spawns_is_a_retry() {
+        let campaign = Campaign::new(Scenario::e1_root_high(), 4, 3);
+        let signals = Signals::new(1);
+        let worker = PathBuf::from("/nonexistent/certify/shard_worker");
+        let result = run_attempt(
+            &signals,
+            &worker,
+            &campaign,
+            &ShardOptions::new(1),
+            0,
+            0,
+            4,
+            0,
+            None,
+            None,
+        );
+        assert!(result.is_err_and(|error| error.contains("spawning")));
+        let state = signals.state.lock().unwrap();
+        assert_eq!(state.metrics[0].retries.get(), 1);
     }
-    result.map(|_| ())
 }

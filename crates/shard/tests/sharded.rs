@@ -2,17 +2,21 @@
 //!
 //! Every test here spawns real `shard_worker` OS processes (the
 //! `CARGO_BIN_EXE_shard_worker` binary Cargo builds alongside this
-//! suite) and asserts the coordinator's merged output — stats *and*
-//! CSV bytes — is identical to a single-process one-worker
-//! `Campaign::execute`, the invariant the whole tier rests on.
-//! The recovery tests SIGKILL a worker mid-stream and hand a
-//! protocol-violating executable to the coordinator; both must leave
-//! the output untouched or fail loudly, never silently truncate.
+//! suite). Each comparison with in-process trials is a cell of the
+//! workspace's equivalence harness (`tests/common/mod.rs`, included
+//! below): the coordinator's CSV bytes, merged stats and rebuilt dumps
+//! must equal the same seeds run from step 0, the invariant the whole
+//! tier rests on. The recovery tests SIGKILL a worker mid-stream and
+//! hand a protocol-violating executable to the coordinator; both must
+//! leave the output untouched or fail loudly, never silently truncate.
 
-use certify_analysis::export::CsvSink;
+#[path = "../../../tests/common/mod.rs"]
+mod common;
+
 use certify_core::memfault::{MemFaultModel, MemTarget};
-use certify_core::{Campaign, CampaignStats, NullSink, Scenario};
-use certify_shard::{partition, run_sharded, ShardError, ShardOptions};
+use certify_core::{Campaign, DumpPolicy, Scenario, TraceConfig, DEFAULT_TRACE_CAPACITY};
+use certify_shard::{partition, run_sharded, ShardError, ShardOptions, ShardedRun};
+use common::{check, reference, table_scenarios, Mode, Reference, Sharded, Shards};
 use std::path::PathBuf;
 
 fn worker() -> PathBuf {
@@ -23,31 +27,22 @@ fn options(shards: usize) -> ShardOptions {
     ShardOptions::new(shards).with_worker(worker())
 }
 
-/// Single-process reference output: streamed stats + CSV bytes.
-fn reference(campaign: &Campaign) -> (CampaignStats, String) {
-    let mut sink = CsvSink::in_memory();
-    let (stats, _) = campaign.execute(.., 1, &mut sink, None);
-    (stats, sink.into_csv())
+/// Checks `campaign` against `reference` in each sharded cell and
+/// returns what each cell's run returned.
+fn check_cells(campaign: &Campaign, reference: &Reference, cells: &[Shards]) -> Vec<Sharded> {
+    let modes: Vec<Mode> = cells.iter().copied().map(Mode::Sharded).collect();
+    check(campaign, reference, &modes).sharded
 }
 
-/// Runs `campaign` sharded and asserts stats and CSV bytes match the
-/// single-process reference exactly. Returns the run for extra
-/// assertions.
-fn assert_sharded_identical(campaign: &Campaign, opts: &ShardOptions) -> certify_shard::ShardedRun {
-    let (expected_stats, expected_csv) = reference(campaign);
-    let mut csv = Vec::new();
-    let run = run_sharded(campaign, opts, Some(&mut csv)).expect("sharded run succeeds");
-    assert_eq!(
-        run.stats, expected_stats,
-        "sharded stats diverged from the single-process run"
-    );
-    assert_eq!(
-        String::from_utf8(csv).unwrap(),
-        expected_csv,
-        "sharded CSV bytes diverged from single-process CsvSink"
-    );
-    assert_eq!(run.rows, campaign.trials() as u64);
-    run
+/// Asserts that exactly the sabotaged cells retried a worker.
+fn assert_retries(cells: &[Shards], runs: &[Sharded]) {
+    for (cell, Sharded { run, .. }) in cells.iter().zip(runs) {
+        let retries = run.metrics.retries.get();
+        match cell.sabotage {
+            Some(_) => assert!(retries >= 1, "{cell}: the sabotaged worker must retry"),
+            None => assert_eq!(retries, 0, "{cell}"),
+        }
+    }
 }
 
 #[test]
@@ -68,12 +63,47 @@ fn partition_covers_the_trial_space_exactly() {
     }
 }
 
+/// E3 on three workers, and observed on two: per-shard snapshots carry
+/// their shard id, one final campaign-level snapshot closes the stream
+/// at 100 %, and the transport counters account for every row.
 #[test]
-fn sharded_e3_matches_single_process() {
+fn sharded_e3_matches_trials_run_from_step_zero() {
     let campaign = Campaign::new(Scenario::e3_fig3(), 240, 0xD5_2022);
-    let run = assert_sharded_identical(&campaign, &options(3));
-    assert_eq!(run.worker_failures, 0);
-    assert_eq!(run.shard_ranges, vec![(0, 80), (80, 80), (160, 80)]);
+    let reference = reference(&campaign);
+    // Small stats_every so each worker reports several times mid-run.
+    let cells = [Shards::new(3), Shards::new(2).observed(32)];
+    let runs = check_cells(&campaign, &reference, &cells);
+    assert_retries(&cells, &runs);
+    assert_eq!(runs[0].run.shard_ranges, vec![(0, 80), (80, 80), (160, 80)]);
+
+    let Sharded { run, snapshots } = &runs[1];
+    assert!(snapshots.len() > 1, "expected mid-run snapshots");
+    for (shard, (_, len)) in run.shard_ranges.iter().enumerate() {
+        assert!(
+            snapshots
+                .iter()
+                .any(|s| s.source == Some(shard as u32) && s.total == *len as u64),
+            "no snapshot from shard {shard}"
+        );
+    }
+    let last = snapshots.last().unwrap();
+    assert_eq!(last.source, None, "final snapshot is campaign-level");
+    assert_eq!(last.done, 240);
+    assert_eq!(last.total, 240);
+
+    // Transport counters: all rows accounted, a clean wire, real time.
+    assert_eq!(run.metrics.rows.get(), 240);
+    assert!(run.metrics.frames.get() > 0, "frames were counted");
+    assert!(run.metrics.frame_bytes.get() > 0, "wire bytes were counted");
+    assert_eq!(run.metrics.crc_rejects.get(), 0);
+    assert_eq!(run.metrics.wasted_rerun_trials.get(), 0);
+    assert!(run.metrics.elapsed_ns.high_water() > 0);
+    assert!(run.metrics.rows_per_sec() > 0.0);
+
+    // The merged view is the fold of the per-shard views.
+    assert_eq!(run.shard_metrics.len(), 2);
+    let folded_rows: u64 = run.shard_metrics.iter().map(|m| m.rows.get()).sum();
+    assert_eq!(folded_rows, run.metrics.rows.get());
 }
 
 #[test]
@@ -85,59 +115,55 @@ fn sharded_memory_campaign_ships_mem_specs_over_the_wire() {
         48,
         0xE6,
     );
-    let run = assert_sharded_identical(&campaign, &options(2));
+    let reference = reference(&campaign);
     assert!(
-        run.stats.mem_injected_trials > 0,
+        reference.stats.mem_injected_trials > 0,
         "the sharded campaign must actually inject"
     );
+    check_cells(&campaign, &reference, &[Shards::new(2)]);
 }
 
+/// SIGKILL shard 1's worker after 40 rows: the coordinator must re-run
+/// its range on a fresh worker and still deliver every seed's bytes.
+/// Observed, the sabotaged attempt's rows are the recovery bill.
 #[test]
 fn killed_worker_is_recovered_byte_identically() {
-    // SIGKILL shard 1's worker after 40 rows; the coordinator must
-    // re-run its range on a fresh worker and still produce output
-    // byte-identical to the single-process run.
     let campaign = Campaign::new(Scenario::e3_fig3(), 240, 77);
-    let opts = options(2).with_sabotage(1, 40);
-    let run = assert_sharded_identical(&campaign, &opts);
+    let reference = reference(&campaign);
+    let cells = [
+        Shards::new(2).killing(1, 40),
+        Shards::new(2).killing(1, 40).observed(32),
+    ];
+    let runs = check_cells(&campaign, &reference, &cells);
+    assert_retries(&cells, &runs);
+    let metrics = &runs[1].run.metrics;
     assert!(
-        run.worker_failures >= 1,
-        "the sabotaged worker must register as a failure"
+        metrics.wasted_rerun_trials.get() > 0,
+        "killed worker's delivered rows must count as waste"
     );
+    // Accepted rows still cover exactly the campaign.
+    assert_eq!(metrics.rows.get(), 240);
 }
 
+/// Shard 0's rows stream straight to the output while it is being
+/// killed, so recovery must skip the already-delivered prefix, not emit
+/// it twice. A queue cap of one or two rows makes every reader wait for
+/// the consumer, and a retried attempt re-sends rows its queue already
+/// held, which must be dropped rather than queued again.
 #[test]
-fn killing_the_first_shard_mid_delivery_also_recovers() {
-    // Shard 0's rows stream straight to the output while it is being
-    // killed — recovery must skip the already-delivered prefix, not
-    // emit it twice.
+fn killed_and_backpressured_shards_keep_the_output() {
     let campaign = Campaign::new(Scenario::e1_root_high(), 120, 5);
-    let opts = options(2).with_sabotage(0, 25);
-    let run = assert_sharded_identical(&campaign, &opts);
-    assert!(run.worker_failures >= 1);
-}
-
-#[test]
-fn tiny_shard_queues_backpressure_without_changing_the_output() {
-    // A queue cap of one or two rows makes every reader wait for the
-    // consumer, and a retried attempt re-sends rows its queue already
-    // held, which must be dropped rather than queued again.
-    let campaign = Campaign::new(Scenario::e1_root_high(), 120, 5);
+    let reference = reference(&campaign);
+    let mut cells = vec![Shards::new(2).killing(0, 25)];
     for cap in [1, 2] {
-        let mut opts = options(3);
-        opts.buffered_rows_per_shard = cap;
-        let run = assert_sharded_identical(&campaign, &opts);
-        assert_eq!(run.worker_failures, 0);
-        for shard in [0, 1] {
-            let mut opts = options(2).with_sabotage(shard, 25);
-            opts.buffered_rows_per_shard = cap;
-            let run = assert_sharded_identical(&campaign, &opts);
-            assert!(
-                run.worker_failures >= 1,
-                "cap {cap}: sabotaged shard {shard} must register as a failure"
-            );
-        }
+        cells.extend([
+            Shards::new(3).queue_cap(cap),
+            Shards::new(2).killing(0, 25).queue_cap(cap),
+            Shards::new(2).killing(1, 25).queue_cap(cap),
+        ]);
     }
+    let runs = check_cells(&campaign, &reference, &cells);
+    assert_retries(&cells, &runs);
 }
 
 #[test]
@@ -187,29 +213,26 @@ fn failing_csv_output_fails_the_run_and_reaps_every_worker() {
 #[test]
 fn stats_only_runs_need_no_csv_output() {
     let campaign = Campaign::new(Scenario::e1_root_high(), 60, 11);
-    let (expected, _) = campaign.execute(.., 1, &mut NullSink, None);
-    let run = run_sharded(&campaign, &options(3), None).expect("sharded run succeeds");
-    assert_eq!(run.stats, expected);
+    check_cells(
+        &campaign,
+        &reference(&campaign),
+        &[Shards::new(3).stats_only()],
+    );
 }
 
 #[test]
 fn more_shards_than_trials_clamps() {
     let campaign = Campaign::new(Scenario::e1_root_high(), 3, 9);
-    let run = assert_sharded_identical(&campaign, &options(16));
-    assert_eq!(run.shard_ranges.len(), 3);
+    let runs = check_cells(&campaign, &reference(&campaign), &[Shards::new(16)]);
+    assert_eq!(runs[0].run.shard_ranges.len(), 3);
 }
 
 #[test]
 fn empty_campaign_is_a_no_op() {
+    // An empty campaign still writes the CSV header.
     let campaign = Campaign::new(Scenario::e1_root_high(), 0, 9);
-    let mut csv = Vec::new();
-    let run = run_sharded(&campaign, &options(2), Some(&mut csv)).expect("empty run succeeds");
-    assert_eq!(run.rows, 0);
-    assert_eq!(
-        String::from_utf8(csv).unwrap(),
-        certify_analysis::export::CSV_HEADER,
-        "an empty campaign still writes the header"
-    );
+    let runs = check_cells(&campaign, &reference(&campaign), &[Shards::new(2)]);
+    assert!(runs[0].run.shard_ranges.is_empty());
 }
 
 #[test]
@@ -262,34 +285,37 @@ fn statically_broken_scenario_is_refused_before_spawning() {
     }
 }
 
-/// Runs every built-in scenario sharded across real worker processes.
+/// Runs every scenario of the equivalence table through real worker
+/// processes, untraced and, when `traced`, with every trial dumped.
 /// Workers enforce the scenario's certificate on every trial through a
 /// `ConformanceMonitor`: a single violation suppresses the Done frame
-/// and kills the worker, so `worker_failures == 0` across the sweep is
-/// an end-to-end soundness proof of the abstract interpreter.
-fn assert_sharded_conformance(trials: usize, base_seed: u64) {
-    for scenario in certify_lint::builtin_scenarios() {
-        let name = scenario.name.clone();
+/// and kills the worker, so no retry across the sweep is an end-to-end
+/// soundness proof of the abstract interpreter.
+fn check_table_sharded(trials: usize, base_seed: u64, traced: bool) {
+    let all = TraceConfig::new().with_policy(DumpPolicy::all_outcomes());
+    let cells = [Shards::new(3)];
+    for scenario in table_scenarios() {
         let campaign = Campaign::new(scenario, trials, base_seed);
-        let run = run_sharded(&campaign, &options(2), None)
-            .unwrap_or_else(|e| panic!("sharded `{name}` must conform to its certificate: {e:?}"));
-        assert_eq!(run.worker_failures, 0, "scenario `{name}`");
-        assert_eq!(run.rows, trials as u64, "scenario `{name}`");
+        let traced = traced.then(|| campaign.clone().with_trace(all.clone()));
+        for campaign in [Some(campaign), traced].into_iter().flatten() {
+            let runs = check_cells(&campaign, &reference(&campaign), &cells);
+            assert_retries(&cells, &runs);
+        }
     }
 }
 
 #[test]
 fn sharded_builtins_conform_to_their_certificates() {
-    assert_sharded_conformance(6, 0xCE27);
+    check_table_sharded(6, 0xCE27, true);
 }
 
-/// Full-depth sharded soundness: 500 trials of every built-in
-/// scenario through worker processes. CI runs it with
+/// Full-depth sharded soundness: 500 untraced trials of every scenario
+/// of the table through worker processes. CI runs it with
 /// `cargo test --release -p certify_shard -- --ignored`.
 #[test]
 #[ignore = "500-trial sharded sweep; execute in --release (CI does)"]
 fn sharded_builtins_conform_to_their_certificates_at_depth() {
-    assert_sharded_conformance(500, 0xCE28);
+    check_table_sharded(500, 0xCE28, false);
 }
 
 #[test]
@@ -381,37 +407,23 @@ fn worker_with_closed_output_pipe_exits_nonzero() {
     );
 }
 
+/// The tracing contract across process boundaries: a traced sharded
+/// run must surface exactly the dumps the policy keeps, each rebuilt
+/// byte-identical to its trial run from step 0 — the dump carries no
+/// shard- or transport-specific state. A SIGKILLed shard re-runs its
+/// range, and re-sent dumps must dedup to the same set.
 #[test]
-fn sharded_trace_dumps_match_in_process_byte_for_byte() {
-    // The tracing contract across process boundaries: a traced sharded
-    // run must surface exactly the dumps an in-process run buffers,
-    // and each dump's wire encoding must be byte-identical — the dump
-    // carries no shard- or transport-specific state.
-    use certify_core::codec::encode_to_vec;
-    use certify_core::{CollectSink, TraceConfig};
-
+fn sharded_trace_dumps_match_trials_run_from_step_zero() {
     let scenario = Scenario::e6_memory(MemFaultModel::SingleBitFlip, MemTarget::e6());
     let campaign = Campaign::new(scenario, 64, 0xE6D0).with_trace(TraceConfig::new());
-
-    let mut sink = CollectSink::new();
-    campaign.execute(.., 1, &mut sink, None);
-    let (_, expected) = sink.into_parts();
+    let reference = reference(&campaign);
     assert!(
-        !expected.is_empty(),
+        !reference.dumps.is_empty(),
         "this sweep must produce at least one anomalous dump"
     );
-
-    let run = run_sharded(&campaign, &options(2), None).expect("sharded traced run succeeds");
-
-    assert_eq!(run.dumps.len(), expected.len());
-    for ((seq_a, a), (seq_b, b)) in expected.iter().zip(&run.dumps) {
-        assert_eq!(*seq_a as u64, *seq_b);
-        assert_eq!(
-            encode_to_vec(a),
-            encode_to_vec(&b.dump()),
-            "trial {seq_a} dump drifted across the wire"
-        );
-    }
+    let cells = [Shards::new(2), Shards::new(2).killing(1, 10)];
+    let runs = check_cells(&campaign, &reference, &cells);
+    assert_retries(&cells, &runs);
 }
 
 #[test]
@@ -422,9 +434,6 @@ fn sharded_forked_trials_match_trials_run_from_step_zero() {
     // included) must equal every seed run from step 0. A one-event
     // ring truncates every suffix, a 1<<20 one drops nothing, and the
     // golden run's suffix is its verdict event alone.
-    use certify_analysis::campaign_to_csv;
-    use certify_core::{CampaignStats, DumpPolicy, TraceConfig};
-
     for capacity in [1, 64, 1 << 20] {
         let config = TraceConfig::new()
             .with_capacity(capacity)
@@ -434,35 +443,13 @@ fn sharded_forked_trials_match_trials_run_from_step_zero() {
             Scenario::e7_mixed(),
             Scenario::golden(600),
         ] {
-            let runner = scenario.runner();
             let campaign = Campaign::new(scenario, 12, 0xD5_2022).with_trace(config.clone());
-            let (trials, dumps): (Vec<_>, Vec<_>) = (0..12u64)
-                .map(|seq| {
-                    let (trial, dump) = runner.run_trial_traced(0xD5_2022 + seq, Some(&config));
-                    (trial, (seq, dump.expect("armed recorder dumps")))
-                })
-                .unzip();
-            let mut expected = CampaignStats::new(campaign.scenario().name.clone());
-            for trial in &trials {
-                expected.record(trial);
-            }
-            let mut csv = Vec::new();
-            let run =
-                run_sharded(&campaign, &options(3), Some(&mut csv)).expect("sharded run succeeds");
-            let name = format!("{} at capacity {capacity}", expected.scenario_name);
-            assert_eq!(
-                String::from_utf8(csv).unwrap(),
-                campaign_to_csv(&trials),
-                "{name}: CSV"
-            );
-            assert_eq!(run.stats, expected, "{name}: stats");
-            let rebuilt: Vec<_> = run
-                .dumps
-                .iter()
-                .map(|(seq, shipped)| (*seq, shipped.dump()))
-                .collect();
-            assert_eq!(rebuilt, dumps, "{name}: dumps");
-            for (seq, dump) in &rebuilt {
+            let reference = reference(&campaign);
+            let name = format!("{} at capacity {capacity}", campaign.scenario().name);
+            assert_eq!(reference.dumps.len(), 12, "{name}: every trial dumps");
+            let runs = check_cells(&campaign, &reference, &[Shards::new(3)]);
+            for (seq, shipped) in &runs[0].run.dumps {
+                let dump = shipped.dump();
                 assert_eq!(
                     dump.events.capacity(),
                     dump.events.len(),
@@ -474,17 +461,13 @@ fn sharded_forked_trials_match_trials_run_from_step_zero() {
 }
 
 /// Full-depth tracing acceptance: 500-trial sweeps of E6 and E7 at
-/// the default ring and of E7 at a 256-event ring, traced, in-process
-/// and sharded. A dump must fire for *exactly* the
-/// anomalous trials, and the sharded dumps must be byte-identical to
-/// the in-process captures. CI runs it with
+/// the default ring and of E7 at a 256-event ring, traced and sharded.
+/// A dump must fire for *exactly* the anomalous trials, each rebuilt
+/// byte-identical to its trial run from step 0. CI runs it with
 /// `cargo test --release -p certify_shard -- --ignored`.
 #[test]
 #[ignore = "500-trial traced sweeps; execute in --release (CI does)"]
 fn traced_sweeps_dump_every_anomaly_at_depth() {
-    use certify_core::codec::encode_to_vec;
-    use certify_core::{CollectSink, DumpPolicy, TraceConfig, DEFAULT_TRACE_CAPACITY};
-
     for (scenario, capacity) in [
         (
             Scenario::e6_memory(MemFaultModel::SingleBitFlip, MemTarget::e6()),
@@ -495,57 +478,13 @@ fn traced_sweeps_dump_every_anomaly_at_depth() {
     ] {
         let campaign = Campaign::new(scenario, 500, 0xD5_2022)
             .with_trace(TraceConfig::new().with_capacity(capacity));
-        let name = format!("{} at capacity {capacity}", campaign.scenario().name);
-
-        let mut sink = CollectSink::new();
-        campaign.execute(.., 1, &mut sink, None);
-        let (trials, dumps) = sink.into_parts();
-        let policy = DumpPolicy::anomalies();
-        let anomalies: Vec<usize> = trials
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| policy.wants(t.outcome))
-            .map(|(i, _)| i)
-            .collect();
-        assert!(!anomalies.is_empty(), "{name}: sweep produced no anomalies");
-        assert_eq!(
-            dumps.iter().map(|(seq, _)| *seq).collect::<Vec<_>>(),
-            anomalies,
-            "{name}: a dump must fire for exactly the anomalous trials"
+        let reference = reference(&campaign);
+        assert!(
+            !reference.dumps.is_empty(),
+            "{} at capacity {capacity}: sweep produced no anomalies",
+            campaign.scenario().name
         );
-
-        let run = run_sharded(&campaign, &options(4), None)
-            .unwrap_or_else(|e| panic!("{name}: sharded traced run failed: {e:?}"));
-        assert_eq!(run.dumps.len(), dumps.len(), "{name}: sharded dump count");
-        for ((seq_a, a), (seq_b, b)) in dumps.iter().zip(&run.dumps) {
-            assert_eq!(*seq_a as u64, *seq_b, "{name}: dump order");
-            assert_eq!(
-                encode_to_vec(a),
-                encode_to_vec(&b.dump()),
-                "{name}: trial {seq_a} dump drifted across the wire"
-            );
-        }
-    }
-}
-
-#[test]
-fn killed_traced_worker_recovers_without_duplicate_dumps() {
-    // A SIGKILLed shard re-runs its range; re-sent dumps must dedup to
-    // the same set an unsabotaged run produces.
-    use certify_core::codec::encode_to_vec;
-    use certify_core::TraceConfig;
-
-    let scenario = Scenario::e6_memory(MemFaultModel::SingleBitFlip, MemTarget::e6());
-    let campaign = Campaign::new(scenario, 64, 0xE6D0).with_trace(TraceConfig::new());
-
-    let clean = run_sharded(&campaign, &options(2), None).expect("clean traced run");
-    let sabotaged = run_sharded(&campaign, &options(2).with_sabotage(1, 10), None)
-        .expect("sabotaged traced run recovers");
-    assert!(sabotaged.worker_failures >= 1);
-    assert_eq!(clean.dumps.len(), sabotaged.dumps.len());
-    for ((seq_a, a), (seq_b, b)) in clean.dumps.iter().zip(&sabotaged.dumps) {
-        assert_eq!(seq_a, seq_b);
-        assert_eq!(encode_to_vec(&a.dump()), encode_to_vec(&b.dump()));
+        check_cells(&campaign, &reference, &[Shards::new(4)]);
     }
 }
 
@@ -555,28 +494,16 @@ fn killed_traced_worker_recovers_without_duplicate_dumps() {
 /// that attempt. Each shard's dumps come from at most one attempt
 /// after another, so their prefixes form contiguous runs, one per
 /// attempt whose dumps were kept; returns those runs' counts, shard
-/// by shard. Every held dump must rebuild to the in-process capture.
-fn assert_held_as_shipped(
-    run: &certify_shard::ShardedRun,
-    expected: &[(usize, certify_core::TraceDump)],
-    capacity: usize,
-) -> Vec<usize> {
-    use certify_core::codec::encode_to_vec;
+/// by shard.
+fn assert_held_as_shipped(run: &ShardedRun, capacity: usize) -> Vec<usize> {
     use std::sync::Arc;
 
-    assert_eq!(run.dumps.len(), expected.len(), "dump count");
-    for ((seq_a, a), (seq_b, b)) in expected.iter().zip(&run.dumps) {
-        assert_eq!(*seq_a as u64, *seq_b, "dump order");
-        let (prefix, suffix) = (b.prefix(), b.suffix());
+    for (seq, shipped) in &run.dumps {
+        let (prefix, suffix) = (shipped.prefix(), shipped.suffix());
         assert_eq!(
             suffix.events.len() as u64,
             (suffix.total - prefix.total).min(capacity as u64),
-            "trial {seq_a}: the held suffix is exactly what the ring kept after the fork"
-        );
-        assert_eq!(
-            encode_to_vec(a),
-            encode_to_vec(&b.dump()),
-            "trial {seq_a}: the held dump does not rebuild to the in-process capture"
+            "trial {seq}: the held suffix is exactly what the ring kept after the fork"
         );
     }
     run.shard_ranges
@@ -609,141 +536,43 @@ fn traced_dumps_are_held_as_shared_prefix_plus_suffix() {
     // its dumps up to there are kept from the failed attempt (first
     // copy wins) and the rest come from the retry, each under its own
     // attempt's prefix, and all of them still rebuild byte-identically.
-    use certify_core::{CollectSink, TraceConfig, DEFAULT_TRACE_CAPACITY};
-
     let campaign =
         Campaign::new(Scenario::e7_mixed(), 240, 0xD5_2022).with_trace(TraceConfig::new());
-    let mut sink = CollectSink::new();
-    campaign.execute(.., 1, &mut sink, None);
-    let (_, expected) = sink.into_parts();
-    assert!(expected.len() > 100, "E7 dumps most trials");
-
-    let clean = run_sharded(&campaign, &options(2), None).expect("clean traced run");
-    assert_eq!(clean.worker_failures, 0);
+    let reference = reference(&campaign);
+    assert!(reference.dumps.len() > 100, "E7 dumps most trials");
+    let cells = [Shards::new(2), Shards::new(2).killing(1, 20)];
+    let runs = check_cells(&campaign, &reference, &cells);
+    assert_retries(&cells, &runs);
     assert_eq!(
-        assert_held_as_shipped(&clean, &expected, DEFAULT_TRACE_CAPACITY),
+        assert_held_as_shipped(&runs[0].run, DEFAULT_TRACE_CAPACITY),
         vec![1, 1],
         "every dump of one attempt shares that attempt's prefix"
     );
-
-    let sabotaged = run_sharded(&campaign, &options(2).with_sabotage(1, 20), None)
-        .expect("sabotaged traced run recovers");
-    assert!(sabotaged.worker_failures >= 1);
     // A killed worker can have written no more than a pipe's worth of
     // frames past row 20, far short of shard 1's remaining ~65 dumps
     // of ~16 KB each, so the retry's dumps are held too.
     assert_eq!(
-        assert_held_as_shipped(&sabotaged, &expected, DEFAULT_TRACE_CAPACITY),
+        assert_held_as_shipped(&runs[1].run, DEFAULT_TRACE_CAPACITY),
         vec![1, 2],
         "shard 1 holds dumps from its failed attempt and from its retry"
     );
 }
 
-#[test]
-fn observed_sharded_run_emits_progress_and_stays_byte_identical() {
-    use certify_obs::{CollectObserver, MonotonicClock};
-    use certify_shard::run_sharded_observed;
-
-    let campaign = Campaign::new(Scenario::e3_fig3(), 240, 0xD5_2022);
-    let (expected_stats, expected_csv) = reference(&campaign);
-
-    // Small stats_every so each worker reports several times mid-run.
-    let mut opts = options(2);
-    opts.stats_every = 32;
-    let clock = MonotonicClock::new();
-    let mut observer = CollectObserver::default();
-    let mut csv = Vec::new();
-    let run = run_sharded_observed(&campaign, &opts, Some(&mut csv), &clock, &mut observer)
-        .expect("observed sharded run succeeds");
-
-    // Observation must not perturb the output.
-    assert_eq!(run.stats, expected_stats, "observed stats diverged");
-    assert_eq!(
-        String::from_utf8(csv).unwrap(),
-        expected_csv,
-        "observed CSV bytes diverged"
-    );
-
-    // Per-shard snapshots carry their shard id; exactly one final
-    // campaign-level snapshot closes the stream at 100 %.
-    let snapshots = &observer.snapshots;
-    assert!(snapshots.len() > 1, "expected mid-run snapshots");
-    for (shard, (_, len)) in run.shard_ranges.iter().enumerate() {
-        assert!(
-            snapshots
-                .iter()
-                .any(|s| s.source == Some(shard as u32) && s.total == *len as u64),
-            "no snapshot from shard {shard}"
-        );
-    }
-    let last = snapshots.last().unwrap();
-    assert_eq!(last.source, None, "final snapshot is campaign-level");
-    assert_eq!(last.done, 240);
-    assert_eq!(last.total, 240);
-
-    // Transport counters: all rows accounted, a clean wire, real time.
-    assert_eq!(run.metrics.rows.get(), 240);
-    assert!(run.metrics.frames.get() > 0, "frames were counted");
-    assert!(run.metrics.frame_bytes.get() > 0, "wire bytes were counted");
-    assert_eq!(run.metrics.crc_rejects.get(), 0);
-    assert_eq!(run.metrics.retries.get(), 0);
-    assert_eq!(run.metrics.wasted_rerun_trials.get(), 0);
-    assert!(run.metrics.elapsed_ns.high_water() > 0);
-    assert!(run.metrics.rows_per_sec() > 0.0);
-
-    // The merged view is the fold of the per-shard views.
-    assert_eq!(run.shard_metrics.len(), 2);
-    let folded_rows: u64 = run.shard_metrics.iter().map(|m| m.rows.get()).sum();
-    assert_eq!(folded_rows, run.metrics.rows.get());
-}
-
-#[test]
-fn observed_run_prices_crash_recovery_in_wasted_trials() {
-    use certify_obs::{CollectObserver, MonotonicClock};
-    use certify_shard::run_sharded_observed;
-
-    let campaign = Campaign::new(Scenario::e3_fig3(), 240, 77);
-    let (expected_stats, expected_csv) = reference(&campaign);
-
-    let mut opts = options(2).with_sabotage(1, 40);
-    opts.stats_every = 32;
-    let clock = MonotonicClock::new();
-    let mut observer = CollectObserver::default();
-    let mut csv = Vec::new();
-    let run = run_sharded_observed(&campaign, &opts, Some(&mut csv), &clock, &mut observer)
-        .expect("recovery still succeeds when observed");
-
-    assert_eq!(run.stats, expected_stats);
-    assert_eq!(String::from_utf8(csv).unwrap(), expected_csv);
-    assert!(run.worker_failures >= 1);
-
-    // The sabotaged attempt's rows are the recovery bill.
-    assert!(run.metrics.retries.get() >= 1, "retry must be counted");
-    assert!(
-        run.metrics.wasted_rerun_trials.get() > 0,
-        "killed worker's delivered rows must count as waste"
-    );
-    // Accepted rows still cover exactly the campaign.
-    assert_eq!(run.metrics.rows.get(), 240);
-}
-
 /// The acceptance-criteria run: 10 000 E3 trials across multiple OS
 /// processes, clean and with a mid-run worker kill, both
-/// byte-identical to single-process output. ~10 s in release, far
+/// byte-identical to the trials run from step 0. ~10 s in release, far
 /// slower in debug — CI runs it with
 /// `cargo test --release -p certify_shard -- --ignored`.
 #[test]
 #[ignore = "10k-trial acceptance run; execute in --release (CI does)"]
 fn sharded_10k_e3_campaign_is_byte_identical() {
     let campaign = Campaign::new(Scenario::e3_fig3(), 10_000, 0xD5_2022);
-    let run = assert_sharded_identical(&campaign, &options(4));
-    assert_eq!(run.worker_failures, 0);
-    assert_eq!(run.shard_ranges.len(), 4);
-
-    // Same campaign, two workers, one of them SIGKILLed mid-run.
-    let opts = options(2).with_sabotage(1, 1_500);
-    let run = assert_sharded_identical(&campaign, &opts);
-    assert!(run.worker_failures >= 1);
+    let reference = reference(&campaign);
+    // Same campaign on two workers, one of them SIGKILLed mid-run.
+    let cells = [Shards::new(4), Shards::new(2).killing(1, 1_500)];
+    let runs = check_cells(&campaign, &reference, &cells);
+    assert_retries(&cells, &runs);
+    assert_eq!(runs[0].run.shard_ranges.len(), 4);
 }
 
 #[test]
@@ -752,7 +581,7 @@ fn hostile_trace_frames_fail_the_shard_without_panicking() {
     // frame stream. Every stream breaks the trace-prefix contract of
     // a ring of 8 events; each must end as a dead shard naming the
     // breach, not as a panic or an allocation sized by a wire count.
-    use certify_core::{Outcome, TraceConfig, TraceDump};
+    use certify_core::{Outcome, TraceDump};
     use certify_obs::trace::{TraceEvent, TraceKind};
     use certify_shard::{write_frame, Frame, TracePrefix};
     use std::os::unix::fs::PermissionsExt;

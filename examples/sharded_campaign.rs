@@ -119,7 +119,7 @@ fn main() {
     );
     if kill.is_some() {
         assert!(
-            run.worker_failures >= 1,
+            run.metrics.retries.get() >= 1,
             "the sabotaged worker must have been recovered"
         );
     }
@@ -127,7 +127,8 @@ fn main() {
     println!("{}", run.stats);
     println!(
         "shards: {:?} | worker failures recovered: {}",
-        run.shard_ranges, run.worker_failures
+        run.shard_ranges,
+        run.metrics.retries.get()
     );
     println!(
         "single-process: {single_secs:5.2} s ({:7.0} trials/sec)",

@@ -1,23 +1,27 @@
-//! The equivalence harness: the one place in `tests/` that runs a
-//! campaign in an execution mode of `Campaign::execute` and compares
-//! what it delivers with the same seeds run from step 0.
+//! The equivalence harness: the one place in the workspace's tests
+//! that runs a campaign in an execution mode — `Campaign::execute` in
+//! process, or `run_sharded` over real `shard_worker` processes — and
+//! compares what it delivers with the same seeds run from step 0.
 //!
 //! [`reference`] runs every seed of a campaign from step 0 with the
 //! campaign's trace config and keeps exactly the dumps its policy
 //! keeps. [`check`] runs the campaign in each [`Mode`] and asserts that
-//! the mode delivers the reference's trials, dumps, CSV bytes and
-//! stats, and that a traced mode hands over one trace prefix per engine
-//! call which every dump continues. [`run_mode`] checks the engine side
-//! of one mode on the way: the undelivered-report bound
+//! the mode delivers the reference's dumps, CSV bytes and stats (and,
+//! in process, its trials), and that every dump continues the trace
+//! prefix it was forked from. [`run_mode`] checks the engine side of
+//! one in-process mode on the way: the undelivered-report bound
 //! (`min(workers × LANE_CHUNK, len)`), delivery in seed order on the
 //! caller's thread, and an observed run's telemetry counts and the
 //! threads that ran its trials. [`check_oracle`] classifies every seed
 //! on a bare `System`.
 //!
 //! The table in `tests/hotpath_equivalence.rs` runs every built-in
-//! scenario through [`modes`]; the other suites run their own
-//! campaigns through the cells they name. Each suite uses part of this
-//! module, hence the `dead_code` allowance.
+//! scenario through [`modes`], and `crates/shard/tests/sharded.rs`
+//! runs every built-in scenario through [`Mode::Sharded`] (the one
+//! test crate that has a `shard_worker` to spawn, and includes this
+//! file by path); the other suites run their own campaigns through the
+//! cells they name. Each suite uses part of this module, hence the
+//! `dead_code` allowance.
 
 #![allow(dead_code)]
 
@@ -27,9 +31,9 @@ use certify_core::classify::classify;
 use certify_core::system::System;
 use certify_core::{CampaignStats, CollectSink, EngineTelemetry};
 use certify_core::{TraceDump, TrialResult, TrialSink};
-use certify_shard::TracePrefix;
-use certify_uncertified::obs::trace::FlightRecorder;
-use certify_uncertified::obs::{Clock, CollectObserver, ManualClock};
+use certify_obs::trace::FlightRecorder;
+use certify_obs::{Clock, CollectObserver, ManualClock, MonotonicClock, ProgressSnapshot};
+use certify_shard::{run_sharded, run_sharded_observed, ShardOptions, ShardedRun, TracePrefix};
 use std::collections::HashSet;
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -41,20 +45,19 @@ use std::thread::{self, ThreadId};
 /// if the two drift apart.
 pub const MEM_SEED_OFFSET: u64 = 0x6d65_6d66;
 
-/// How a mode drives `Campaign::execute` over the whole campaign.
+/// How a mode runs the whole campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
-    /// One call on this many workers.
+    /// One `execute` call on this many workers.
     Workers(usize),
-    /// One call on this many workers, with telemetry.
+    /// One `execute` call on this many workers, with telemetry.
     Observed(usize),
     /// Three uneven ranges on 2 workers.
     RangeSplit,
-    /// The shard coordinator's partition into 3, each range on one
-    /// worker the way a shard worker runs it.
-    Sharded,
     /// Two ranges on one worker, the second starting at this trial.
     SplitAt(usize),
+    /// `run_sharded` over real worker processes.
+    Sharded(Shards),
 }
 
 impl fmt::Display for Mode {
@@ -63,8 +66,8 @@ impl fmt::Display for Mode {
             Mode::Workers(workers) => write!(f, "workers-{workers}"),
             Mode::Observed(workers) => write!(f, "observed-{workers}"),
             Mode::RangeSplit => write!(f, "range-split"),
-            Mode::Sharded => write!(f, "sharded"),
             Mode::SplitAt(split) => write!(f, "split-at-{split}"),
+            Mode::Sharded(shards) => write!(f, "{shards}"),
         }
     }
 }
@@ -77,33 +80,135 @@ impl Mode {
             Mode::Workers(workers) => (workers, vec![(0, n)], false),
             Mode::Observed(workers) => (workers, vec![(0, n)], true),
             Mode::RangeSplit => (2, vec![(0, 1), (1, n / 2 - 1), (n / 2, n - n / 2)], false),
-            Mode::Sharded => (1, certify_shard::partition(n, 3), false),
             Mode::SplitAt(split) => (1, vec![(0, split), (split, n - split)], false),
+            Mode::Sharded(_) => unreachable!("sharded cells run through run_sharded"),
         }
     }
 }
 
+/// A sharded cell: `run_sharded` over `count` processes of the
+/// `shard_worker` Cargo builds for the shard crate's tests.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Shards {
+    /// Worker processes.
+    pub count: usize,
+    /// SIGKILL this shard's first worker after this many rows.
+    pub sabotage: Option<(usize, u64)>,
+    /// `buffered_rows_per_shard`, when not the default.
+    pub queue_cap: Option<usize>,
+    /// Observed through `run_sharded_observed`, the workers sending
+    /// their stats every this many rows.
+    pub stats_every: Option<u64>,
+    /// Whether the coordinator writes CSV (a stats-only run does not).
+    pub csv: bool,
+}
+
+impl Shards {
+    /// An unobserved cell of `count` workers with the default options.
+    pub const fn new(count: usize) -> Shards {
+        Shards {
+            count,
+            sabotage: None,
+            queue_cap: None,
+            stats_every: None,
+            csv: true,
+        }
+    }
+
+    /// Kills `shard`'s first worker after `after_rows` rows.
+    pub const fn killing(self, shard: usize, after_rows: u64) -> Shards {
+        Shards {
+            sabotage: Some((shard, after_rows)),
+            ..self
+        }
+    }
+
+    /// Caps each shard's queue at `rows`.
+    pub const fn queue_cap(self, rows: usize) -> Shards {
+        Shards {
+            queue_cap: Some(rows),
+            ..self
+        }
+    }
+
+    /// Observes the run, the workers sending stats every `rows` rows.
+    pub const fn observed(self, rows: u64) -> Shards {
+        Shards {
+            stats_every: Some(rows),
+            ..self
+        }
+    }
+
+    /// Writes no CSV: the run returns stats and dumps only.
+    pub const fn stats_only(self) -> Shards {
+        Shards { csv: false, ..self }
+    }
+}
+
+impl fmt::Display for Shards {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "sharded-{}", self.count)?;
+        if let Some((shard, rows)) = self.sabotage {
+            write!(f, "-kill-{shard}@{rows}")?;
+        }
+        if let Some(rows) = self.queue_cap {
+            write!(f, "-cap-{rows}")?;
+        }
+        if let Some(rows) = self.stats_every {
+            write!(f, "-observed-{rows}")?;
+        }
+        if !self.csv {
+            write!(f, "-stats-only")?;
+        }
+        Ok(())
+    }
+}
+
 /// The table's modes: workers 0, 1, 2, 4, 64 and the host's
-/// `available_parallelism`, range-split, sharded, and observed at 1 and
-/// 4 workers.
+/// `available_parallelism`, range-split, and observed at 1 and 4
+/// workers.
 pub fn modes() -> Vec<Mode> {
     let available = thread::available_parallelism().map_or(4, |n| n.get());
     let mut workers = vec![0, 1, 2, 4, 64, available];
     workers.sort_unstable();
     workers.dedup();
     let mut modes: Vec<Mode> = workers.into_iter().map(Mode::Workers).collect();
-    modes.extend([
-        Mode::RangeSplit,
-        Mode::Sharded,
-        Mode::Observed(1),
-        Mode::Observed(4),
-    ]);
+    modes.extend([Mode::RangeSplit, Mode::Observed(1), Mode::Observed(4)]);
     modes
 }
 
 /// Every split point of a two-range split of `trials` trials.
 pub fn splits(trials: usize) -> Vec<Mode> {
     (1..trials).map(Mode::SplitAt).collect()
+}
+
+/// E7 with its memory faults aimed at the stage-2 tables. It forks at
+/// step 3158, after both cells' tables are built, so every trial that
+/// corrupts a table writes one its prefix shares: the copy-on-write
+/// path of `Cell::stage2_mut`.
+pub fn e7_stage2_after_fork() -> Scenario {
+    use certify_core::memfault::{MemFaultModel, MemRegionKind, MemTarget};
+    use certify_core::spec::{MemorySpec, Paced};
+    Scenario {
+        name: "e7-stage2-after-fork".into(),
+        mem_spec: Some(
+            MemorySpec::e6_memory(
+                MemFaultModel::DescriptorInvalidate,
+                MemTarget::only(MemRegionKind::Stage2Tables),
+            )
+            .with_rate(10)
+            .with_window(3300, 4500),
+        ),
+        ..Scenario::e7_mixed()
+    }
+}
+
+/// The table's scenarios: every built-in scenario, plus
+/// [`e7_stage2_after_fork`].
+pub fn table_scenarios() -> impl Iterator<Item = Scenario> {
+    certify_lint::builtin_scenarios()
+        .into_iter()
+        .chain([e7_stage2_after_fork()])
 }
 
 /// A campaign's seeds run from step 0: the trials, the dumps its policy
@@ -335,37 +440,50 @@ pub fn run_mode(campaign: &Campaign, mode: Mode, context: &str) -> Run {
     }
 }
 
+/// What [`check`] returns besides its verdict.
+pub struct Checked {
+    /// The one-worker observed cell's `suffixes_simulated`, if the
+    /// modes have one.
+    pub simulated: Option<u64>,
+    /// What each sharded cell returned, in the order of the modes.
+    pub sharded: Vec<Sharded>,
+}
+
+/// What one sharded cell returned: the run, and the progress snapshots
+/// its observer got (none for an unobserved cell).
+pub struct Sharded {
+    pub run: ShardedRun,
+    pub snapshots: Vec<ProgressSnapshot>,
+}
+
 /// Runs `campaign` in each of `modes` and asserts that every one
-/// delivers exactly `reference`: its trials, dumps, CSV bytes and
-/// stats. A traced mode must hand over one trace prefix per engine
-/// call, before that call's first row, and every dump must be that
-/// prefix's ring continued; an untraced mode hands over none.
+/// delivers exactly `reference`: its dumps, CSV bytes and stats, and in
+/// process its trials. A traced in-process mode must hand over one
+/// trace prefix per engine call, before that call's first row, and
+/// every dump must be that prefix's ring continued; an untraced mode
+/// hands over none. Every dump a sharded cell holds must be a suffix
+/// that fits its attempt's prefix and rebuilds to the reference's dump.
 ///
-/// Returns the one-worker observed cell's `suffixes_simulated`, if
-/// `modes` has one. One worker's count is exact; more workers may each
+/// One worker's `suffixes_simulated` is exact; more workers may each
 /// simulate a class they miss at the same time, so every observed cell
-/// simulates at least that many suffixes (at least one when there is no
-/// one-worker cell) and at most one per trial.
-pub fn check(campaign: &Campaign, reference: &Reference, modes: &[Mode]) -> Option<u64> {
+/// simulates at least the one-worker count (at least one when there is
+/// no one-worker cell) and at most one suffix per trial.
+pub fn check(campaign: &Campaign, reference: &Reference, modes: &[Mode]) -> Checked {
     let name = &campaign.scenario().name;
     let trace = campaign.trace();
-    let mut simulated = Vec::new();
+    let (mut simulated, mut sharded) = (Vec::new(), Vec::new());
     for &mode in modes {
         let context = format!("{name} {mode} traced={}", trace.is_some());
+        if let Mode::Sharded(shards) = mode {
+            sharded.push(check_sharded(campaign, reference, shards, &context));
+            continue;
+        }
         let run = run_mode(campaign, mode, &context);
         assert_eq!(run.trials.len(), reference.trials.len(), "{context}: rows");
         for (trial, expected) in run.trials.iter().zip(&reference.trials) {
             assert_eq!(trial, expected, "{context}: seed {:#x}", expected.seed);
         }
-        let seqs = |dumps: &[(usize, TraceDump)]| -> Vec<usize> {
-            dumps.iter().map(|(seq, _)| *seq).collect()
-        };
-        assert_eq!(seqs(&run.dumps), seqs(&reference.dumps), "{context}: dumps");
-        for ((seq, dump), (_, expected)) in run.dumps.iter().zip(&reference.dumps) {
-            assert!(dump == expected, "{context}: trial {seq}'s dump differs");
-        }
-        assert!(run.csv == reference.csv, "{context}: CSV bytes differ");
-        assert_eq!(run.stats, reference.stats, "{context}: stats");
+        assert_delivered(&context, reference, &run.dumps, Some(&run.csv), &run.stats);
         if let Some(count) = run.simulated {
             simulated.push((mode, count));
         }
@@ -405,7 +523,94 @@ pub fn check(campaign: &Campaign, reference: &Reference, modes: &[Mode]) -> Opti
             "{name} {mode}: {count} suffixes simulated, at least {least}"
         );
     }
-    one_worker
+    Checked {
+        simulated: one_worker,
+        sharded,
+    }
+}
+
+/// Asserts that a mode delivered `reference`'s dumps, CSV bytes (when
+/// it wrote any) and stats.
+fn assert_delivered(
+    context: &str,
+    reference: &Reference,
+    dumps: &[(usize, TraceDump)],
+    csv: Option<&str>,
+    stats: &CampaignStats,
+) {
+    let seqs = |dumps: &[(usize, TraceDump)]| -> Vec<usize> {
+        dumps.iter().map(|(seq, _)| *seq).collect()
+    };
+    assert_eq!(seqs(dumps), seqs(&reference.dumps), "{context}: dumps");
+    for ((seq, dump), (_, expected)) in dumps.iter().zip(&reference.dumps) {
+        assert!(dump == expected, "{context}: trial {seq}'s dump differs");
+    }
+    if let Some(csv) = csv {
+        assert!(csv == reference.csv, "{context}: CSV bytes differ");
+    }
+    assert_eq!(stats, &reference.stats, "{context}: stats");
+}
+
+/// Runs `campaign` through `run_sharded` (`run_sharded_observed` under
+/// the real clock when observed) over the `shard_worker` of the test
+/// crate that includes this file, and asserts that the wire carried
+/// exactly `reference` (see [`check`]).
+fn check_sharded(
+    campaign: &Campaign,
+    reference: &Reference,
+    shards: Shards,
+    context: &str,
+) -> Sharded {
+    let worker = option_env!("CARGO_BIN_EXE_shard_worker")
+        .unwrap_or_else(|| panic!("{context}: this test crate builds no shard_worker"));
+    let mut opts = ShardOptions::new(shards.count).with_worker(worker);
+    if let Some((shard, after_rows)) = shards.sabotage {
+        opts = opts.with_sabotage(shard, after_rows);
+    }
+    if let Some(rows) = shards.queue_cap {
+        opts.buffered_rows_per_shard = rows;
+    }
+    let mut csv = Vec::new();
+    let csv_out = shards.csv.then_some(&mut csv as &mut dyn std::io::Write);
+    let mut observer = CollectObserver::default();
+    let run = match shards.stats_every {
+        Some(rows) => {
+            opts.stats_every = rows;
+            run_sharded_observed(
+                campaign,
+                &opts,
+                csv_out,
+                &MonotonicClock::new(),
+                &mut observer,
+            )
+        }
+        None => run_sharded(campaign, &opts, csv_out),
+    }
+    .unwrap_or_else(|error| panic!("{context}: {error}"));
+    let dumps: Vec<(usize, TraceDump)> = run
+        .dumps
+        .iter()
+        .map(|(seq, shipped)| (*seq as usize, shipped.dump()))
+        .collect();
+    let csv = shards
+        .csv
+        .then(|| String::from_utf8(csv).expect("CSV is UTF-8"));
+    assert_delivered(context, reference, &dumps, csv.as_deref(), &run.stats);
+    if let Some(config) = campaign.trace() {
+        for (seq, shipped) in &run.dumps {
+            assert_eq!(
+                shipped
+                    .prefix()
+                    .check_suffix(config.capacity, shipped.suffix()),
+                Ok(()),
+                "{context}: trial {seq}'s held suffix does not fit its attempt's prefix"
+            );
+        }
+    }
+    Sharded {
+        run,
+        snapshots: observer.snapshots,
+    }
 }
 
 /// [`check`]s `campaign` against its own [`reference`], and returns the

@@ -31,7 +31,9 @@ const CELLS: [Mode; 3] = [Mode::Observed(1), Mode::Observed(2), Mode::Observed(4
 /// Checks `campaign` against `reference` in [`CELLS`] and returns the
 /// suffixes one worker simulated.
 fn suffixes_simulated(campaign: &Campaign, reference: &Reference) -> u64 {
-    check(campaign, reference, &CELLS).expect("a one-worker cell")
+    check(campaign, reference, &CELLS)
+        .simulated
+        .expect("a one-worker cell")
 }
 
 /// Trials of `reference` whose first (and only) injection step's

@@ -6,13 +6,14 @@
 //!   (events, `total`, `dropped`) through every mode of
 //!   `Campaign::execute` as its trials run from step 0 (`run_trial`,
 //!   `run_trial_traced`): workers 0, 1, 2, 4, 64 and the host's
-//!   `available_parallelism`, range-split, sharded, observed at 1 and
-//!   4 workers, and for E3 and E7 every split point of a two-range
-//!   split. Observed cells also pin the telemetry counts, every cell
-//!   pins the undelivered-report bound and seed-order delivery on the
-//!   caller's thread, and an oracle column classifies every seed on a
-//!   bare `System`. The modes and the comparison live in the
-//!   equivalence harness, `tests/common/mod.rs`.
+//!   `available_parallelism`, range-split, observed at 1 and 4
+//!   workers, and for E3 and E7 every split point of a two-range
+//!   split. `crates/shard/tests/sharded.rs` runs the same scenarios
+//!   through real shard worker processes. Observed cells also pin the
+//!   telemetry counts, every cell pins the undelivered-report bound and
+//!   seed-order delivery on the caller's thread, and an oracle column
+//!   classifies every seed on a bare `System`. The modes and the
+//!   comparison live in the equivalence harness, `tests/common/mod.rs`.
 //! * Rows of the same harness at other shapes: collected and streamed
 //!   deliveries at workers 1 and 4, observed runs and traced runs of a
 //!   set of cheap scenario shapes.
@@ -30,8 +31,8 @@ use certify_core::{CollectSink, DumpPolicy, EngineTelemetry, NullSink, TraceConf
 use certify_uncertified::obs::CollectObserver;
 
 mod common;
-use common::{check, check_campaign, check_oracle, finish_trial, fresh_system, modes};
-use common::{reference, run_system, splits, Mode};
+use common::{check, check_campaign, check_oracle, e7_stage2_after_fork, finish_trial};
+use common::{fresh_system, modes, reference, run_system, splits, table_scenarios, Mode};
 
 /// Paper scenarios in cheap-to-run shapes, for the UART test and the
 /// rows below.
@@ -48,27 +49,6 @@ fn scenarios() -> Vec<(Scenario, usize)> {
         (Scenario::e7_mixed(), 6),
         (e7_stage2_after_fork(), 12),
     ]
-}
-
-/// E7 with its memory faults aimed at the stage-2 tables. It forks at
-/// step 3158, after both cells' tables are built, so every trial that
-/// corrupts a table writes one its prefix shares: the copy-on-write
-/// path of `Cell::stage2_mut`.
-fn e7_stage2_after_fork() -> Scenario {
-    use certify_core::memfault::{MemFaultModel, MemRegionKind, MemTarget};
-    use certify_core::spec::{MemorySpec, Paced};
-    Scenario {
-        name: "e7-stage2-after-fork".into(),
-        mem_spec: Some(
-            MemorySpec::e6_memory(
-                MemFaultModel::DescriptorInvalidate,
-                MemTarget::only(MemRegionKind::Stage2Tables),
-            )
-            .with_rate(10)
-            .with_window(3300, 4500),
-        ),
-        ..Scenario::e7_mixed()
-    }
 }
 
 /// Naive byte-at-a-time reassembly of the serial capture — the
@@ -212,10 +192,7 @@ fn forked_trials_equal_from_scratch_trials_in_every_mode() {
     let traced = TraceConfig::new().with_policy(DumpPolicy::all_outcomes());
     let split = [Scenario::e3_fig3().name, Scenario::e7_mixed().name];
     let mut dropped_before_fork = false;
-    let scenarios = certify_lint::builtin_scenarios()
-        .into_iter()
-        .chain([e7_stage2_after_fork()]);
-    for scenario in scenarios {
+    for scenario in table_scenarios() {
         let name = scenario.name.clone();
         let trials = if name.starts_with("e3") { 6 } else { 4 };
         let mut modes = modes();
