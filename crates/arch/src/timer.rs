@@ -67,6 +67,31 @@ impl GenericTimer {
             None
         }
     }
+
+    /// How many steps from now [`GenericTimer::step`] would return
+    /// `None` on, in a row: `remaining - 1` while running, unbounded
+    /// while stopped.
+    pub fn quiet_steps(&self) -> u64 {
+        if self.enabled {
+            self.remaining - 1
+        } else {
+            u64::MAX
+        }
+    }
+
+    /// Advances the timer by `k` steps at once, exactly as `k` calls of
+    /// [`GenericTimer::step`] would.
+    ///
+    /// # Panics
+    ///
+    /// Panics (in debug builds) if `k` exceeds
+    /// [`GenericTimer::quiet_steps`]: the timer would have fired.
+    pub fn skip(&mut self, k: u64) {
+        debug_assert!(k <= self.quiet_steps(), "skip({k}) crosses a timer expiry");
+        if self.enabled {
+            self.remaining -= k;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -96,6 +121,27 @@ mod tests {
             fires,
             vec![false, false, true, false, false, true, false, false, true]
         );
+    }
+
+    #[test]
+    fn skipping_the_quiet_steps_matches_stepping_them() {
+        let mut stepped = GenericTimer::new(5);
+        assert_eq!(
+            stepped.quiet_steps(),
+            u64::MAX,
+            "a stopped timer never fires"
+        );
+        stepped.start();
+        stepped.step();
+        let mut skipped = stepped.clone();
+        assert_eq!(skipped.quiet_steps(), 3);
+        for _ in 0..3 {
+            assert_eq!(stepped.step(), None);
+        }
+        skipped.skip(3);
+        assert_eq!(skipped, stepped);
+        assert_eq!(skipped.quiet_steps(), 0);
+        assert!(skipped.step().is_some(), "the step after the span fires");
     }
 
     #[test]

@@ -136,6 +136,32 @@ impl Machine {
         self.wdt.step(self.step)
     }
 
+    /// How many [`Machine::advance`] calls from now would only move the
+    /// clock and the countdowns: no timer fires and the watchdog does
+    /// not expire. The minimum over the enabled timers' and the
+    /// watchdog's `remaining - 1`; unbounded when none is enabled.
+    pub fn quiet_steps(&self) -> u64 {
+        self.timers
+            .iter()
+            .map(GenericTimer::quiet_steps)
+            .fold(self.wdt.quiet_steps(), u64::min)
+    }
+
+    /// Advances the clock, every timer and the watchdog by `k` steps at
+    /// once, exactly as `k` calls of [`Machine::advance`] would.
+    ///
+    /// # Panics
+    ///
+    /// Panics (in debug builds) if `k` exceeds
+    /// [`Machine::quiet_steps`].
+    pub fn skip(&mut self, k: u64) {
+        self.step += k;
+        for timer in &mut self.timers {
+            timer.skip(k);
+        }
+        self.wdt.skip(k);
+    }
+
     /// Decodes an address to its device, if it is device MMIO.
     pub fn decode_device(addr: u32) -> Option<(MmioDevice, u32)> {
         if memmap::in_region(addr, memmap::UART_BASE, memmap::UART_SIZE) {
@@ -286,6 +312,42 @@ mod tests {
         }
         assert!(machine.gic.has_pending(CpuId(1)));
         assert!(!machine.gic.has_pending(CpuId(0)));
+    }
+
+    #[test]
+    fn skipping_the_quiet_steps_matches_advancing_through_them() {
+        let mut advanced = Machine::new_banana_pi();
+        assert_eq!(advanced.quiet_steps(), u64::MAX, "nothing is counting down");
+        advanced.timer_mut(CpuId(0)).start();
+        advanced.wdt.write_reg(memmap::WDT_MODE_OFFSET, 1);
+        for _ in 0..10 {
+            advanced.advance();
+        }
+        advanced.timer_mut(CpuId(1)).start();
+        // CPU 0's timer fires first, ten steps ahead of CPU 1's.
+        assert_eq!(advanced.quiet_steps(), DEFAULT_TIMER_PERIOD - 11);
+        let mut skipped = advanced.clone();
+        let k = skipped.quiet_steps();
+        for _ in 0..k {
+            assert!(!advanced.advance());
+        }
+        skipped.skip(k);
+        assert_eq!(format!("{skipped:?}"), format!("{advanced:?}"));
+        assert!(!skipped.gic.any_pending());
+        assert_eq!(skipped.quiet_steps(), 0);
+        skipped.advance();
+        assert!(skipped.gic.has_pending(CpuId(0)));
+    }
+
+    #[test]
+    fn the_watchdog_bounds_the_quiet_span() {
+        let mut machine = Machine::new_banana_pi();
+        machine.wdt = Watchdog::new(5);
+        machine.wdt.write_reg(memmap::WDT_MODE_OFFSET, 1);
+        machine.timer_mut(CpuId(0)).start();
+        assert_eq!(machine.quiet_steps(), 4);
+        machine.skip(4);
+        assert!(machine.advance(), "the step after the span expires");
     }
 
     /// Advances `steps` steps and returns the steps (1-based, relative

@@ -95,6 +95,34 @@ impl Watchdog {
         }
     }
 
+    /// How many steps from now [`Watchdog::step`] would return `false`
+    /// on, in a row: `remaining - 1` while enabled, unbounded while
+    /// disabled.
+    pub fn quiet_steps(&self) -> u64 {
+        if self.enabled {
+            self.remaining - 1
+        } else {
+            u64::MAX
+        }
+    }
+
+    /// Advances the countdown by `k` steps at once, exactly as `k`
+    /// calls of [`Watchdog::step`] would.
+    ///
+    /// # Panics
+    ///
+    /// Panics (in debug builds) if `k` exceeds
+    /// [`Watchdog::quiet_steps`]: the watchdog would have expired.
+    pub fn skip(&mut self, k: u64) {
+        debug_assert!(
+            k <= self.quiet_steps(),
+            "skip({k}) crosses a watchdog expiry"
+        );
+        if self.enabled {
+            self.remaining -= k;
+        }
+    }
+
     /// Whether the countdown is enabled.
     pub fn is_enabled(&self) -> bool {
         self.enabled
@@ -183,6 +211,26 @@ mod tests {
             wdt.step(now);
         }
         assert_eq!(wdt.expiries(), &[2, 4, 6, 8]);
+    }
+
+    #[test]
+    fn skipping_the_quiet_steps_matches_stepping_them() {
+        let mut stepped = Watchdog::new(4);
+        assert_eq!(
+            stepped.quiet_steps(),
+            u64::MAX,
+            "a disabled watchdog never expires"
+        );
+        stepped.write_reg(WDT_MODE_OFFSET, 1);
+        stepped.step(1);
+        let mut skipped = stepped.clone();
+        assert_eq!(skipped.quiet_steps(), 2);
+        assert!(!stepped.step(2));
+        assert!(!stepped.step(3));
+        skipped.skip(2);
+        assert_eq!(format!("{skipped:?}"), format!("{stepped:?}"));
+        assert_eq!(skipped.quiet_steps(), 0);
+        assert!(skipped.step(4), "the step after the span expires");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use crate::fault::FaultModel;
 use crate::memfault::{MemFaultModel, MemFaultSkip, MemTarget};
-use certify_arch::CpuId;
+use certify_arch::{CpuId, NUM_CPUS};
 use certify_hypervisor::{HandlerKind, Hypervisor};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -69,12 +69,20 @@ impl CallFilter {
         self.handlers[handler.index()] && self.cpu.is_none_or(|c| c == cpu)
     }
 
-    /// Calls in the stream so far, summed over the hypervisor's
-    /// per-(handler, CPU) call table.
+    /// Calls in the stream so far: the hypervisor's call-table cells of
+    /// the filter's handlers on its CPU, or on every CPU without one.
     pub(crate) fn count(&self, hv: &Hypervisor) -> u64 {
-        hv.call_counts()
-            .filter(|&(handler, cpu, _)| self.matches(handler, cpu))
-            .map(|(_, _, calls)| calls)
+        let cpus = match self.cpu {
+            Some(cpu) => cpu.0..cpu.0 + 1,
+            None => 0..NUM_CPUS as u32,
+        };
+        HandlerKind::ALL
+            .into_iter()
+            .filter(|handler| self.handlers[handler.index()])
+            .flat_map(|handler| {
+                cpus.clone()
+                    .map(move |cpu| hv.call_count(handler, CpuId(cpu)))
+            })
             .sum()
     }
 }
@@ -675,6 +683,30 @@ mod tests {
             .cadence
             .matches(HandlerKind::IrqchipHandleIrq, CpuId(1)));
         assert_eq!(spec.cadence.rate, Intensity::High.rate());
+    }
+
+    #[test]
+    fn call_filter_counts_its_own_cells() {
+        let mut system = crate::System::new(certify_guest_linux::MgmtScript::bring_up_and_run(400));
+        system.run(600);
+        let hv = &system.hv;
+        for mask in 1u8..8 {
+            let handlers = HandlerKind::ALL
+                .into_iter()
+                .enumerate()
+                .filter(|(i, _)| mask & (1 << i) != 0)
+                .map(|(_, handler)| handler);
+            for cpu in [None, Some(CpuId(0)), Some(CpuId(1))] {
+                let calls = Cadence::new(handlers.clone(), cpu, 1).calls();
+                let scanned: u64 = hv
+                    .call_counts()
+                    .filter(|&(handler, cpu, _)| calls.matches(handler, cpu))
+                    .map(|(_, _, count)| count)
+                    .sum();
+                assert!(scanned > 0 || cpu.is_some(), "mask {mask:#b} saw no calls");
+                assert_eq!(calls.count(hv), scanned, "mask {mask:#b}, cpu {cpu:?}");
+            }
+        }
     }
 
     fn counter(cadence: &Cadence, seed: u64) -> CadenceCounter {

@@ -18,13 +18,20 @@ use certify_board::{memmap, Machine};
 use certify_guest_linux::{LinuxGuest, MgmtScript};
 use certify_hypervisor::hv::IrqDelivery;
 use certify_hypervisor::hypercall as hc;
-use certify_hypervisor::{CellId, GuestCtx, Hypervisor, SystemConfig};
+use certify_hypervisor::{CellId, CellState, GuestCtx, GuestHealth, Hypervisor, SystemConfig};
 use certify_obs::trace::{TraceEvent, TraceKind, NO_CPU};
 use certify_rtos::RtosGuest;
 use std::sync::Arc;
 
 /// Maximum interrupts drained per CPU per step (loop guard).
 const MAX_IRQS_PER_STEP: usize = 8;
+
+/// The guest that gets a CPU's slice in a step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Guest {
+    Linux,
+    Rtos,
+}
 
 /// A complete, steppable testbed.
 ///
@@ -202,15 +209,48 @@ impl System {
         self.machine.uart.lines()
     }
 
-    /// Runs the system for `steps` simulator steps.
+    /// Runs the system for `steps` simulator steps: the same state, in
+    /// every observable and in every counter, as `steps` calls of
+    /// [`System::step`].
+    ///
+    /// It gets there faster by jumping over *quiet* spans: runs of
+    /// steps that would change nothing but the machine clock, the tick
+    /// timers' and watchdog's countdowns and the root guest's step and
+    /// wait counters, all of which it advances in one closed-form
+    /// update (the idle-loop skipping of full-system simulators). A
+    /// span ends before the first step that would fire a timer, bite
+    /// with the watchdog, reach a heartbeat or a script operation of
+    /// the root guest, run a live RTOS slice, deliver an interrupt, or
+    /// take an offline request, a corruption notice, the E2 broken
+    /// latch or the cell-start record (`quiet_steps` mirrors each
+    /// branch of the step).
+    ///
+    /// The span is only asked for after a step in which no live RTOS
+    /// slice ran. While the RTOS runs (most of every fault-free step)
+    /// no span is possible, and asking on every step would cost more
+    /// than it saves.
     pub fn run(&mut self, steps: u64) {
-        for _ in 0..steps {
-            self.step();
+        let mut left = steps;
+        while left > 0 {
+            left -= 1;
+            if self.step_once() {
+                let span = self.quiet_steps().min(left);
+                self.skip(span);
+                left -= span;
+            }
         }
     }
 
-    /// Advances the whole stack by one simulator step.
+    /// Advances the whole stack by one simulator step. [`System::run`]
+    /// is equivalent to calling this once per step.
     pub fn step(&mut self) {
+        self.step_once();
+    }
+
+    /// One step of [`System::step`]; returns whether no live RTOS
+    /// slice ran in it, the gate [`System::run`] asks for a quiet span
+    /// behind.
+    fn step_once(&mut self) -> bool {
         let watchdog_bit = self.machine.advance();
         if watchdog_bit && self.hv.recorder().is_some() {
             self.hv.trace(TraceEvent {
@@ -275,17 +315,12 @@ impl System {
         }
 
         // Track the cell lifecycle for blank-output analysis.
-        if self.cell_start_step.is_none() {
-            if let Some(cell) = self.rtos_cell().and_then(|id| self.hv.cell(id)) {
-                if cell.state() == certify_hypervisor::CellState::Running {
-                    self.cell_start_step = Some(self.machine.now());
-                }
-            }
+        if self.cell_start_pending() {
+            self.cell_start_step = Some(self.machine.now());
         }
 
-        // Step the guests on their CPUs.
-        self.step_guest(CpuId(0));
-        self.step_guest(CpuId(1));
+        // Step the guests on their CPUs (`|`, not `||`: both step).
+        let rtos_ran = self.step_guest(CpuId(0)) | self.step_guest(CpuId(1));
 
         // Fire pending memory-fault injections against the advanced
         // state (their corruption notices drain next step, like wild
@@ -294,9 +329,67 @@ impl System {
             injector.on_step(&mut self.machine, &mut self.hv);
         }
 
-        if self.rtos.health() == certify_hypervisor::GuestHealth::Broken {
+        if self.rtos.health() == GuestHealth::Broken {
             self.rtos_broken_observed = true;
         }
+        !rtos_ran || self.rtos.idle()
+    }
+
+    /// How many steps from now [`System::step`] would change nothing
+    /// but the clocks and countdowns [`System::skip`] advances. Each
+    /// guard mirrors a branch of `step_once` that does work; the span
+    /// is the smallest of the machine's (no timer fires, no watchdog
+    /// bite) and, when it runs on CPU 0, the root guest's (no boot
+    /// line, panic, heartbeat or script operation).
+    ///
+    /// The memory injector needs no guard: it acts only on handler
+    /// calls, and a quiet step makes none.
+    fn quiet_steps(&self) -> u64 {
+        let delivers = self.machine.gic.any_pending() && self.hv.panicked().is_none();
+        let unlatched = self.rtos.health() == GuestHealth::Broken && !self.rtos_broken_observed;
+        if delivers
+            || self.linux.offline_request().is_some()
+            || self.hv.has_corruption_notices()
+            || unlatched
+            || self.cell_start_pending()
+        {
+            return 0;
+        }
+        let mut span = self.machine.quiet_steps();
+        for i in 0..NUM_CPUS {
+            match self.guest_on(CpuId(i as u32)) {
+                Some(Guest::Linux) => span = span.min(self.linux.quiet_steps()),
+                Some(Guest::Rtos) if !self.rtos.idle() => return 0,
+                _ => {}
+            }
+        }
+        span
+    }
+
+    /// Runs `k` quiet steps at once, exactly as `k` calls of
+    /// [`System::step`] would.
+    fn skip(&mut self, k: u64) {
+        debug_assert!(
+            k <= self.quiet_steps(),
+            "skip({k}) crosses a step that works"
+        );
+        if k == 0 {
+            return;
+        }
+        self.machine.skip(k);
+        if self.guest_on(CpuId(0)) == Some(Guest::Linux) {
+            self.linux.skip(k);
+        }
+    }
+
+    /// Whether the cell has entered the Running state but its first
+    /// start step is not yet recorded.
+    fn cell_start_pending(&self) -> bool {
+        self.cell_start_step.is_none()
+            && self
+                .rtos_cell()
+                .and_then(|id| self.hv.cell(id))
+                .is_some_and(|cell| cell.state() == CellState::Running)
     }
 
     /// Whether the RTOS guest was ever observed in the E2
@@ -365,23 +458,35 @@ impl System {
         }
     }
 
-    fn step_guest(&mut self, cpu: CpuId) {
+    /// Which guest gets a slice on `cpu` this step, if any: the root
+    /// guest runs on CPU 0 only (root-owned secondary CPUs run the idle
+    /// thread), and the RTOS on any CPU a non-root cell owns.
+    fn guest_on(&self, cpu: CpuId) -> Option<Guest> {
         if !self.machine.cpu(cpu).can_run_guest() {
-            return;
+            return None;
         }
         let owner = self.hv.cpu_owner(cpu);
         let is_root = owner == Some(certify_hypervisor::cell::ROOT_CELL)
             || (!self.hv.is_enabled() && cpu == CpuId(0));
         if is_root {
-            if cpu == CpuId(0) {
-                let mut ctx = GuestCtx::new(cpu, &mut self.machine, &mut self.hv);
-                self.linux.step(&mut ctx);
-            }
-            // Root-owned secondary CPUs run the idle thread.
-        } else if owner.is_some() {
-            let mut ctx = GuestCtx::new(cpu, &mut self.machine, &mut self.hv);
-            self.rtos.step(&mut ctx);
+            (cpu == CpuId(0)).then_some(Guest::Linux)
+        } else {
+            owner.map(|_| Guest::Rtos)
         }
+    }
+
+    /// Runs the slice of the guest on `cpu`; returns whether it was an
+    /// RTOS slice.
+    fn step_guest(&mut self, cpu: CpuId) -> bool {
+        let Some(guest) = self.guest_on(cpu) else {
+            return false;
+        };
+        let mut ctx = GuestCtx::new(cpu, &mut self.machine, &mut self.hv);
+        match guest {
+            Guest::Linux => self.linux.step(&mut ctx),
+            Guest::Rtos => self.rtos.step(&mut ctx),
+        }
+        guest == Guest::Rtos
     }
 
     /// Count of `[rtos]`-prefixed serial lines whose final byte arrived
@@ -411,7 +516,6 @@ impl System {
 mod tests {
     use super::*;
     use crate::spec::Paced;
-    use certify_hypervisor::{CellState, GuestHealth};
 
     #[test]
     fn golden_run_brings_up_mixed_criticality_system() {
@@ -439,6 +543,159 @@ mod tests {
                 .sum();
             assert!(total > 0, "{handler} saw no traffic");
         }
+    }
+
+    /// A golden system mid-`RunFor`, the cell up and the RTOS running
+    /// on CPU 1.
+    fn running_system() -> System {
+        let mut system = System::new(MgmtScript::bring_up_and_run(4000));
+        system.run(1000);
+        assert!(!system.rtos.idle());
+        system
+    }
+
+    /// [`running_system`] with its RTOS broken (re-entered at a wrong
+    /// entry point) and the breakage latched, stepped on to a state
+    /// whose quiet span is at least 2 steps.
+    fn quiet_system() -> System {
+        let mut system = running_system();
+        system.rtos.on_reset(0);
+        assert!(system.rtos.idle());
+        system.step();
+        while system.quiet_steps() < 2 {
+            assert!(system.steps_run() < 1100, "no quiet span found");
+            system.step();
+        }
+        system
+    }
+
+    /// The state a skip could get wrong, with the whole board.
+    fn fingerprint(system: &System) -> String {
+        format!(
+            "{:?} {:?} {:?} {:?} {} {:?} {:?} {:?}",
+            system.machine,
+            system.hv,
+            system.hv.call_counts().collect::<Vec<_>>(),
+            system.hv.events(),
+            system.linux.quiet_steps(),
+            system.linux.records(),
+            system.rtos,
+            (
+                system.cell_start_step,
+                system.rtos_broken_observed,
+                system.boot_failures
+            ),
+        )
+    }
+
+    #[test]
+    fn a_quiet_span_skips_exactly_what_single_steps_do() {
+        let system = quiet_system();
+        let span = system.quiet_steps();
+        let (mut skipped, mut stepped) = (system.clone(), system.clone());
+        skipped.skip(span);
+        for _ in 0..span {
+            stepped.step();
+        }
+        assert_eq!(fingerprint(&skipped), fingerprint(&stepped));
+        assert_eq!(skipped.quiet_steps(), 0, "the span ends at work");
+        skipped.step();
+        stepped.step();
+        assert_eq!(fingerprint(&skipped), fingerprint(&stepped));
+
+        // And `run` over many spans and the work between them.
+        let (mut ran, mut stepped) = (system.clone(), system);
+        ran.run(700);
+        for _ in 0..700 {
+            stepped.step();
+        }
+        assert_eq!(fingerprint(&ran), fingerprint(&stepped));
+    }
+
+    /// Each guard of `quiet_steps`, reached alone: in a state whose
+    /// span would otherwise be at least 2, the pending work makes it 0,
+    /// and the next step does that work.
+    #[test]
+    fn pending_work_ends_a_quiet_span() {
+        use certify_arch::IrqId;
+        use certify_hypervisor::HandlerKind;
+
+        // A live RTOS slice.
+        let mut system = running_system();
+        while system.machine.quiet_steps() < 2 || system.linux.quiet_steps() < 2 {
+            system.step();
+        }
+        assert_eq!(system.quiet_steps(), 0, "live RTOS");
+        let slices = system.rtos.kernel().total_slices();
+        system.step();
+        assert!(system.rtos.kernel().total_slices() > slices);
+
+        // An interrupt to deliver.
+        let mut system = quiet_system();
+        system.machine.gic.send_sgi(CpuId(0), IrqId(1));
+        assert_eq!(system.quiet_steps(), 0, "pending interrupt");
+        let irqs = system
+            .hv
+            .call_count(HandlerKind::IrqchipHandleIrq, CpuId(0));
+        system.step();
+        assert_eq!(
+            system
+                .hv
+                .call_count(HandlerKind::IrqchipHandleIrq, CpuId(0)),
+            irqs + 1
+        );
+
+        // A corruption notice to forward.
+        let mut system = quiet_system();
+        system
+            .hv
+            .notify_corruption(certify_hypervisor::cell::ROOT_CELL);
+        assert_eq!(system.quiet_steps(), 0, "corruption notice");
+        system.step();
+        assert_eq!(system.linux.health(), GuestHealth::Panicked);
+
+        // The E2 broken latch to set.
+        let mut system = quiet_system();
+        system.rtos_broken_observed = false;
+        assert_eq!(system.quiet_steps(), 0, "unlatched broken RTOS");
+        system.step();
+        assert!(system.rtos_broken_observed());
+
+        // The cell start to record.
+        let mut system = quiet_system();
+        system.cell_start_step = None;
+        assert_eq!(system.quiet_steps(), 0, "unrecorded cell start");
+        system.step();
+        assert_eq!(system.cell_start_step(), Some(system.steps_run()));
+
+        // An offline request to take, its CPU 0 parked right after the
+        // script posted it so no root-guest work bounds the span.
+        use certify_guest_linux::MgmtOp;
+        let script = MgmtScript {
+            name: "offline-then-wait".into(),
+            ops: vec![
+                MgmtOp::StageSystemConfig,
+                MgmtOp::Enable,
+                MgmtOp::RequestCpuOffline(1),
+                MgmtOp::RunFor(1000),
+            ],
+        };
+        let mut system = System::new(script);
+        while system.linux.offline_request().is_none() {
+            system.step();
+        }
+        system
+            .machine
+            .cpu_mut(CpuId(0))
+            .park(certify_arch::cpu::ParkReason::Idle);
+        assert!(system.machine.quiet_steps() >= 2);
+        assert_eq!(system.quiet_steps(), 0, "offline request");
+        let hvcs = system.hv.call_count(HandlerKind::ArchHandleHvc, CpuId(1));
+        system.step();
+        assert_eq!(
+            system.hv.call_count(HandlerKind::ArchHandleHvc, CpuId(1)),
+            hvcs + 1
+        );
     }
 
     #[test]

@@ -117,6 +117,42 @@ impl LinuxGuest {
         self.pending_offline.take()
     }
 
+    /// The pending CPU-offline request, left in place.
+    pub fn offline_request(&self) -> Option<CpuId> {
+        self.pending_offline
+    }
+
+    /// How many slices from now [`LinuxGuest::step`] would only count
+    /// down: no boot line, panic, heartbeat or script operation, just
+    /// the guest's own step and wait counters moving. Unbounded for a
+    /// dead guest, which does nothing at all; otherwise the smaller of
+    /// the wait left and the slices before the next heartbeat.
+    pub fn quiet_steps(&self) -> u64 {
+        if !self.health.is_alive() {
+            return u64::MAX;
+        }
+        if self.pending_panic || self.boot_line < BOOT_LINES.len() || self.wait == 0 {
+            return 0;
+        }
+        let to_heartbeat = HEARTBEAT_PERIOD - 1 - self.steps % HEARTBEAT_PERIOD;
+        self.wait.min(to_heartbeat)
+    }
+
+    /// Runs `k` slices at once, exactly as `k` calls of
+    /// [`LinuxGuest::step`] would.
+    ///
+    /// # Panics
+    ///
+    /// Panics (in debug builds) if `k` exceeds
+    /// [`LinuxGuest::quiet_steps`].
+    pub fn skip(&mut self, k: u64) {
+        debug_assert!(k <= self.quiet_steps(), "skip({k}) crosses guest work");
+        if self.health.is_alive() {
+            self.steps += k;
+            self.wait -= k;
+        }
+    }
+
     /// Executes one scheduling slice on CPU 0.
     pub fn step(&mut self, ctx: &mut GuestCtx<'_>) {
         if !self.health.is_alive() {
@@ -497,6 +533,44 @@ mod tests {
             guest.step(&mut ctx);
         }
         assert_eq!(machine.uart.byte_count(), bytes);
+    }
+
+    #[test]
+    fn skipping_the_quiet_slices_matches_stepping_them() {
+        let (mut machine, mut hv, mut guest) = new_system();
+        // Boot lines and script operations are never quiet.
+        for _ in 0..4 {
+            assert_eq!(guest.quiet_steps(), 0);
+            drive(&mut machine, &mut hv, &mut guest, 1);
+        }
+        while guest.wait == 0 || !matches!(guest.script.ops[guest.pc - 1], MgmtOp::RunFor(_)) {
+            drive(&mut machine, &mut hv, &mut guest, 1);
+        }
+        let mut checked = 0;
+        while guest.wait > 0 {
+            let k = guest.quiet_steps();
+            assert_eq!(k, guest.wait.min(15 - guest.steps % HEARTBEAT_PERIOD));
+            let mut skipped = guest.clone();
+            skipped.skip(k);
+            drive(&mut machine, &mut hv, &mut guest, k);
+            assert_eq!((skipped.steps, skipped.wait), (guest.steps, guest.wait));
+            // The next slice is a heartbeat or the script's next op.
+            let toggles = machine.gpio.toggle_count(memmap::ROOT_LED_PIN);
+            let records = guest.records().len();
+            drive(&mut machine, &mut hv, &mut guest, 1);
+            assert!(
+                machine.gpio.toggle_count(memmap::ROOT_LED_PIN) > toggles
+                    || guest.records().len() > records,
+                "slice {} after a quiet span did nothing",
+                guest.steps
+            );
+            checked += 1;
+        }
+        assert!(checked > 3);
+        guest.on_memory_corrupted();
+        assert_eq!(guest.quiet_steps(), 0, "a pending panic is work");
+        drive(&mut machine, &mut hv, &mut guest, 1);
+        assert_eq!(guest.quiet_steps(), u64::MAX, "a dead kernel never works");
     }
 
     #[test]

@@ -77,9 +77,16 @@ impl RtosGuest {
         &self.kernel
     }
 
+    /// Whether the guest does nothing at all: never booted, or no
+    /// longer alive. An idle guest's [`RtosGuest::step`] and
+    /// [`RtosGuest::on_tick`] change nothing.
+    pub fn idle(&self) -> bool {
+        !self.booted || !self.health.is_alive()
+    }
+
     /// Executes one scheduling slice on the cell's CPU.
     pub fn step(&mut self, ctx: &mut GuestCtx<'_>) {
-        if !self.booted || !self.health.is_alive() {
+        if self.idle() {
             // A broken or never-booted guest produces nothing — the
             // blank USART of experiment E2.
             return;
@@ -115,7 +122,7 @@ impl RtosGuest {
 
     /// Delivers a timer tick to the kernel of a booted, live guest.
     pub fn on_tick(&mut self) {
-        if self.booted && self.health.is_alive() {
+        if !self.idle() {
             self.kernel.tick();
         }
     }

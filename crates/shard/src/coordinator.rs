@@ -117,7 +117,9 @@ pub struct ShardedRun {
     /// The merged campaign stats — identical to a single-process
     /// `Campaign::execute` of the same campaign.
     pub stats: CampaignStats,
-    /// Rows delivered (== the campaign's trial count).
+    /// Rows the consumer delivered (each written to the CSV output
+    /// when there is one), counted as they went out: the campaign's
+    /// trial count on every successful run.
     pub rows: u64,
     /// The contiguous `(start, len)` range each shard executed.
     pub shard_ranges: Vec<(usize, usize)>,
@@ -466,7 +468,7 @@ fn run_sharded_engine(
 
     let signals = Signals::new(ranges.len());
 
-    std::thread::scope(|scope| {
+    let rows = std::thread::scope(|scope| {
         for (shard, &(start, len)) in ranges.iter().enumerate() {
             let (signals, worker, campaign, opts) = (&signals, &worker, campaign, opts);
             scope.spawn(move || {
@@ -485,7 +487,7 @@ fn run_sharded_engine(
         }
         // The caller's thread is the consumer: deliver the rows in
         // global seed order.
-        deliver_rows(&signals, &ranges, csv_out, observer.as_deref_mut());
+        deliver_rows(&signals, &ranges, csv_out, observer.as_deref_mut())
     });
 
     let state = signals.state.into_inner().expect("coordinator lock");
@@ -503,12 +505,12 @@ fn run_sharded_engine(
     if let (Some(tracker), Some(observer)) = (&tracker, observer) {
         // The closing whole-campaign snapshot: every row delivered,
         // outcomes from the merged stats.
-        let snapshot = tracker.snapshot(trials as u64, outcome_rows(&stats.distribution));
+        let snapshot = tracker.snapshot(rows, outcome_rows(&stats.distribution));
         observer.on_progress(&snapshot);
     }
     Ok(ShardedRun {
         stats,
-        rows: trials as u64,
+        rows,
         shard_ranges: ranges,
         metrics,
         shard_metrics: state.metrics,
@@ -519,7 +521,7 @@ fn run_sharded_engine(
 /// The consumer loop: deliver every shard's rows, shard by shard (the
 /// shards cover the trial space in order, so this is seed order), hand
 /// queued progress snapshots to `observer`, then wait for every shard's
-/// `Done` stats.
+/// `Done` stats. Returns the rows delivered.
 fn deliver_rows(
     signals: &Signals,
     ranges: &[(usize, usize)],
@@ -528,7 +530,7 @@ fn deliver_rows(
     // by the caller after this returns (`&mut dyn Trait` is invariant
     // in the trait object's default lifetime).
     mut observer: Option<&mut (dyn ProgressObserver + '_)>,
-) {
+) -> u64 {
     // The shard each row in seed order comes from.
     let mut shards = ranges
         .iter()
@@ -538,6 +540,7 @@ fn deliver_rows(
     // Snapshots drained under the lock, emitted outside it — observer
     // code must never run while holding the coordinator mutex.
     let mut pending: Vec<ProgressSnapshot> = Vec::new();
+    let mut delivered = 0;
     let mut emit = |pending: &mut Vec<ProgressSnapshot>| {
         for snapshot in pending.drain(..) {
             if let Some(observer) = observer.as_deref_mut() {
@@ -549,7 +552,7 @@ fn deliver_rows(
         let mut state = signals.state.lock().expect("coordinator lock");
         pending.extend(state.snapshots.drain(..));
         if state.abort {
-            return;
+            return delivered;
         }
         let row = match next {
             Some(shard) => state.queues[shard].rows.pop_front(),
@@ -557,7 +560,7 @@ fn deliver_rows(
             None if state.done.iter().all(Option::is_some) => {
                 drop(state);
                 emit(&mut pending);
-                return;
+                return delivered;
             }
             None => None,
         };
@@ -576,9 +579,10 @@ fn deliver_rows(
         if let Some(out) = csv_out.as_deref_mut() {
             if let Err(e) = out.write_all(&row) {
                 signals.fail(ShardError::Output(e));
-                return;
+                return delivered;
             }
         }
+        delivered += 1;
         next = shards.next();
     }
 }

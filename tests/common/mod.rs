@@ -622,8 +622,8 @@ pub fn check_campaign(campaign: &Campaign, modes: &[Mode]) -> Reference {
 }
 
 /// The oracle column: every seed of `reference`, its injectors
-/// installed into a bare `System` run to the end, must classify to the
-/// trial's report.
+/// installed into a bare `System` stepped one step at a time to the
+/// end, must classify to the trial's report.
 pub fn check_oracle(scenario: &Scenario, reference: &Reference) {
     for trial in &reference.trials {
         assert_eq!(
@@ -647,7 +647,9 @@ pub fn fresh_system(scenario: &Scenario) -> System {
 }
 
 /// Installs `seed`'s injectors into `system` and runs it to the end of
-/// `scenario`'s step budget.
+/// `scenario`'s step budget one `System::step` at a time, never through
+/// `System::run`'s quiet-span skipping: the oracle column compares the
+/// engine, which runs trials with `run`, against per-step semantics.
 pub fn finish_trial(system: &mut System, scenario: &Scenario, seed: u64) {
     if let Some(spec) = &scenario.spec {
         system.install_injector(spec.clone(), seed);
@@ -655,7 +657,9 @@ pub fn finish_trial(system: &mut System, scenario: &Scenario, seed: u64) {
     if let Some(mem_spec) = &scenario.mem_spec {
         system.install_mem_injector(mem_spec.clone(), seed.wrapping_add(MEM_SEED_OFFSET));
     }
-    system.run(scenario.steps - system.steps_run());
+    while system.steps_run() < scenario.steps {
+        system.step();
+    }
 }
 
 /// Runs one seeded trial of `scenario` on a bare `System`, returning it

@@ -9,6 +9,7 @@ use certify_core::{
 use certify_guest_linux::MgmtScript;
 use certify_hypervisor::hypercall as hc;
 use certify_hypervisor::{HandlerKind, Hypervisor, SystemConfig};
+use certify_obs::trace::FlightRecorder;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -479,26 +480,15 @@ proptest! {
         (kind, reg_mask, mem_mask, reg_cpu, mem_cpu) in (0u8..3, 1u8..8, 1u8..8, 0u32..3, 0u32..3),
         (steps, base_seed, model) in (300u64..1800, 0u64..1_000_000, 0usize..6),
     ) {
-        use certify_core::memfault::{MemFaultModel, MemTarget};
-        use certify_core::{Campaign, CollectSink, DumpPolicy, MemorySpec, TraceConfig};
+        use certify_core::{Campaign, CollectSink, DumpPolicy, TraceConfig};
 
-        let spec = (kind != 1).then(|| InjectionSpec {
-            cadence: cadence(&reg, reg_mask, reg_cpu),
-            model: Intensity::Medium.model(),
-        });
-        let mem_spec = (kind != 0).then(|| MemorySpec {
-            cadence: cadence(&mem, mem_mask, mem_cpu),
-            model: MemFaultModel::e6_models()[model].clone(),
-            target: MemTarget::e6(),
-        });
-        let scenario = Scenario {
-            name: "fork-soundness".into(),
-            script: MgmtScript::bring_up_and_run(steps),
-            spec,
-            mem_spec,
+        let scenario = random_scenario(
+            (&reg, reg_mask, reg_cpu),
+            (&mem, mem_mask, mem_cpu),
+            kind,
             steps,
-            rtos_heartbeat: model % 2 == 0,
-        };
+            model,
+        );
         let runner = scenario.runner();
         let fork_step = runner.fork_step();
         prop_assert!(fork_step <= steps);
@@ -526,6 +516,191 @@ proptest! {
             if let Some(step) = first {
                 prop_assert!(step > fork_step, "seed {}: injection at step {step}, fork step {fork_step}", trial.seed);
             }
+        }
+    }
+}
+
+/// A short bring-up of `steps` steps with a register injector
+/// (`kind` 0), a memory injector (1) or both (2), each paced by its
+/// `(knobs, handler mask, cpu)` triple; `model` picks the E6 memory
+/// fault model and, by parity, the heartbeat workload.
+fn random_scenario(
+    (reg, reg_mask, reg_cpu): (&CadenceKnobs, u8, u32),
+    (mem, mem_mask, mem_cpu): (&CadenceKnobs, u8, u32),
+    kind: u8,
+    steps: u64,
+    model: usize,
+) -> Scenario {
+    use certify_core::memfault::{MemFaultModel, MemTarget};
+    use certify_core::MemorySpec;
+
+    Scenario {
+        name: "random-cadences".into(),
+        script: MgmtScript::bring_up_and_run(steps),
+        spec: (kind != 1).then(|| InjectionSpec {
+            cadence: cadence(reg, reg_mask, reg_cpu),
+            model: Intensity::Medium.model(),
+        }),
+        mem_spec: (kind != 0).then(|| MemorySpec {
+            cadence: cadence(mem, mem_mask, mem_cpu),
+            model: MemFaultModel::e6_models()[model].clone(),
+            target: MemTarget::e6(),
+        }),
+        steps,
+        rtos_heartbeat: model.is_multiple_of(2),
+    }
+}
+
+/// `scenario`'s testbed, not yet stepped, with `seed`'s injectors
+/// installed and, when `traced`, a flight recorder attached.
+fn seeded_system(scenario: &Scenario, seed: u64, traced: bool) -> System {
+    let script = std::sync::Arc::new(scenario.script.clone());
+    let mut system = if scenario.rtos_heartbeat {
+        System::new_with_heartbeat(script)
+    } else {
+        System::new(script)
+    };
+    if traced {
+        system.hv.set_recorder(FlightRecorder::new(256));
+    }
+    if let Some(spec) = &scenario.spec {
+        system.install_injector(spec.clone(), seed);
+    }
+    if let Some(mem_spec) = &scenario.mem_spec {
+        system.install_mem_injector(mem_spec.clone(), seed);
+    }
+    system
+}
+
+/// Everything observable about `system` that skipping a quiet span
+/// could get wrong, as labelled `Debug` renderings: the classified
+/// report, the flight recorder, the serial log, the root guest's
+/// records and alarms, the boot and broken latches, both injectors'
+/// records, the whole board (clock, countdowns, GIC, devices, RAM),
+/// the hypervisor's state, trace and call table, and both guests.
+fn observables(system: &System) -> Vec<(&'static str, String)> {
+    let recorder = system.hv.recorder().map(|r| {
+        (
+            r.total(),
+            r.dropped(),
+            r.events().copied().collect::<Vec<_>>(),
+        )
+    });
+    let kernel = system.rtos.kernel();
+    vec![
+        ("classify", format!("{:?}", classify(system))),
+        ("recorder", format!("{recorder:?}")),
+        ("serial", format!("{:?}", system.serial_lines())),
+        ("linux records", format!("{:?}", system.linux.records())),
+        (
+            "monitor alarms",
+            format!("{:?}", system.linux.monitor_alarms()),
+        ),
+        (
+            "latches",
+            format!(
+                "{:?}",
+                (
+                    system.cell_start_step(),
+                    system.boot_failures(),
+                    system.rtos_broken_observed()
+                )
+            ),
+        ),
+        (
+            "injections",
+            format!("{:?}", (system.injections(), system.mem_injections())),
+        ),
+        ("machine", format!("{:?}", system.machine)),
+        (
+            "hypervisor",
+            format!(
+                "{:?} {:?} {:?}",
+                system.hv,
+                system.hv.events(),
+                system.hv.call_counts().collect::<Vec<_>>()
+            ),
+        ),
+        (
+            "guests",
+            format!(
+                "{:?} {:?} {} {}",
+                system.linux,
+                system.rtos,
+                kernel.total_slices(),
+                kernel.tick_count()
+            ),
+        ),
+    ]
+}
+
+/// The first observable on which `a` and `b` differ, with a little of
+/// each side around the first differing byte.
+fn first_divergence(a: &System, b: &System) -> Option<String> {
+    observables(a)
+        .into_iter()
+        .zip(observables(b))
+        .find(|((_, x), (_, y))| x != y)
+        .map(|((label, x), (_, y))| {
+            let at = x.bytes().zip(y.bytes()).take_while(|(p, q)| p == q).count();
+            let around = |text: &str| {
+                let bytes = &text.as_bytes()[at.saturating_sub(60)..(at + 60).min(text.len())];
+                String::from_utf8_lossy(bytes).into_owned()
+            };
+            format!(
+                "{label} differs at byte {at}: {:?} vs {:?}",
+                around(&x),
+                around(&y)
+            )
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `System::run`'s quiet-span skipping is invisible: for random
+    /// cadences of either injector kind (or both), traced or not, a
+    /// system driven by `run` calls split at random points and mixed
+    /// with single `step`s ends in the same state as one driven by
+    /// single steps alone — and stays so as both go on stepping, which
+    /// exposes a countdown or counter a skip left wrong.
+    #[test]
+    fn run_matches_single_steps_for_random_cadences(
+        (reg, mem) in (cadence_knobs(), cadence_knobs()),
+        (kind, reg_mask, mem_mask, reg_cpu, mem_cpu) in (0u8..3, 1u8..8, 1u8..8, 0u32..3, 0u32..3),
+        (steps, seed, model, traced) in (300u64..1800, 0u64..1_000_000, 0usize..6, any::<bool>()),
+        (mut cuts, extra) in (proptest::collection::vec((0u64..1800, 0u64..3), 0..6), 1u64..400),
+    ) {
+        let scenario = random_scenario(
+            (&reg, reg_mask, reg_cpu),
+            (&mem, mem_mask, mem_cpu),
+            kind,
+            steps,
+            model,
+        );
+        let mut stepped = seeded_system(&scenario, seed, traced);
+        let mut ran = seeded_system(&scenario, seed, traced);
+        for _ in 0..steps {
+            stepped.step();
+        }
+        cuts.sort_unstable();
+        for (at, singles) in cuts {
+            ran.run(at.min(steps).saturating_sub(ran.steps_run()));
+            for _ in 0..singles.min(steps - ran.steps_run()) {
+                ran.step();
+            }
+        }
+        ran.run(steps - ran.steps_run());
+        prop_assert_eq!(ran.steps_run(), steps);
+        if let Some(divergence) = first_divergence(&ran, &stepped) {
+            prop_assert!(false, "seed {seed}, after {steps} steps: {divergence}");
+        }
+        for _ in 0..extra {
+            stepped.step();
+            ran.step();
+        }
+        if let Some(divergence) = first_divergence(&ran, &stepped) {
+            prop_assert!(false, "seed {seed}, {extra} steps on: {divergence}");
         }
     }
 }
